@@ -1,10 +1,4 @@
-"""Hot inner loops of the tableau simulator.
-
-Two interchangeable implementations are provided: numba ``@njit`` kernels and
-pure-numpy fallbacks. Selection happens at import time via the environment
-variable ``TWISTSIM_DISABLE_NUMBA`` (any non-empty value forces the numpy
-path); the numpy path is also used automatically when numba is unavailable.
-``benchmarks/bench_kernels.py`` compares the two.
+"""Hot inner loops of the tableau simulator, in numpy.
 
 Tableau layout (Aaronson–Gottesman style):
     x, z : uint8 arrays of shape (2n, n); row i < n are destabilizers,
@@ -14,16 +8,11 @@ Tableau layout (Aaronson–Gottesman style):
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-NUMBA_ENABLED = not os.environ.get("TWISTSIM_DISABLE_NUMBA")
-if NUMBA_ENABLED:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        NUMBA_ENABLED = False
+# There is one kernel path; the flag stays for tools that record which path
+# ran.
+NUMBA_ENABLED = False
 
 # Phase exponent (mod 4) picked up when multiplying single-site Paulis,
 # indexed by (x1, z1, x2, z2) packed as x1*8 + z1*4 + x2*2 + z2.
@@ -41,20 +30,31 @@ for (_l1, (_x1, _z1)) in _LETTER_BITS.items():
         _G_TABLE[_x1 * 8 + _z1 * 4 + _x2 * 2 + _z2] = _PHASE_OF_PRODUCT[(_l1, _l2)]
 
 
-def _rowsum_phase_numpy(x1, z1, x2, z2):
+def _row_phase(x1, z1, x2, z2):
     idx = x1 * 8 + z1 * 4 + x2 * 2 + z2
     return int(_G_TABLE[idx.astype(np.intp)].sum() % 4)
 
 
-def _anticommute_mask_numpy(x, z, px, pz):
+def rowsum_phase(x1, z1, x2, z2):
+    """Power of i (mod 4) in the product of two unsigned Pauli rows."""
+    # measurement_update calls _row_phase itself, so a profiler hooked on
+    # this name sees only the deterministic-branch row sums.
+    return _row_phase(x1, z1, x2, z2)
+
+
+def anticommute_mask(x, z, px, pz):
+    """1 for each row that anticommutes with the Pauli (px|pz), else 0."""
     return ((x & pz).sum(axis=1) + (z & px).sum(axis=1)) % 2
 
 
-def _measurement_update_numpy(x, z, r, px, pz, pr, pivot, anti_rows, outcome_bit):
+def measurement_update(x, z, r, px, pz, pr, pivot, anti_rows, outcome_bit):
+    """CHP update for a random outcome: multiply the pivot stabilizer into
+    every other anticommuting row, move it to its destabilizer slot, and put
+    the measured operator with the outcome's sign in its place."""
     for i in anti_rows:
         if i == pivot:
             continue
-        phase = _rowsum_phase_numpy(x[i], z[i], x[pivot], z[pivot])
+        phase = _row_phase(x[i], z[i], x[pivot], z[pivot])
         # rows are Hermitian Paulis; the accumulated phase is always 0 or 2
         r[i] = (r[i] + r[pivot] + phase // 2) % 2
         x[i] ^= x[pivot]
@@ -66,71 +66,3 @@ def _measurement_update_numpy(x, z, r, px, pz, pr, pivot, anti_rows, outcome_bit
     x[pivot] = px
     z[pivot] = pz
     r[pivot] = (pr + outcome_bit) % 2
-
-
-if NUMBA_ENABLED:
-
-    @njit(cache=True)
-    def _rowsum_phase_njit(x1, z1, x2, z2, g_table):  # pragma: no cover - jit
-        acc = 0
-        for j in range(x1.shape[0]):
-            acc += g_table[x1[j] * 8 + z1[j] * 4 + x2[j] * 2 + z2[j]]
-        return acc % 4
-
-    @njit(cache=True)
-    def _anticommute_mask_njit(x, z, px, pz):  # pragma: no cover - jit
-        rows, n = x.shape
-        out = np.zeros(rows, dtype=np.uint8)
-        for i in range(rows):
-            acc = 0
-            for j in range(n):
-                acc += x[i, j] * pz[j] + z[i, j] * px[j]
-            out[i] = acc % 2
-        return out
-
-    @njit(cache=True)
-    def _measurement_update_njit(
-        x, z, r, px, pz, pr, pivot, anti_rows, outcome_bit, g_table
-    ):  # pragma: no cover - jit
-        n = x.shape[1]
-        for k in range(anti_rows.shape[0]):
-            i = anti_rows[k]
-            if i == pivot:
-                continue
-            acc = 0
-            for j in range(n):
-                acc += g_table[x[i, j] * 8 + z[i, j] * 4 + x[pivot, j] * 2 + z[pivot, j]]
-            r[i] = (r[i] + r[pivot] + (acc % 4) // 2) % 2
-            for j in range(n):
-                x[i, j] ^= x[pivot, j]
-                z[i, j] ^= z[pivot, j]
-        for j in range(n):
-            x[pivot - n, j] = x[pivot, j]
-            z[pivot - n, j] = z[pivot, j]
-            x[pivot, j] = px[j]
-            z[pivot, j] = pz[j]
-        r[pivot - n] = r[pivot]
-        r[pivot] = (pr + outcome_bit) % 2
-
-    def rowsum_phase(x1, z1, x2, z2):
-        return int(_rowsum_phase_njit(x1, z1, x2, z2, _G_TABLE))
-
-    def anticommute_mask(x, z, px, pz):
-        return _anticommute_mask_njit(x, z, px, pz)
-
-    def measurement_update(x, z, r, px, pz, pr, pivot, anti_rows, outcome_bit):
-        _measurement_update_njit(
-            x, z, r, px, pz, pr, pivot,
-            np.asarray(anti_rows, dtype=np.int64), outcome_bit, _G_TABLE,
-        )
-
-else:
-
-    def rowsum_phase(x1, z1, x2, z2):
-        return _rowsum_phase_numpy(x1, z1, x2, z2)
-
-    def anticommute_mask(x, z, px, pz):
-        return _anticommute_mask_numpy(x, z, px, pz)
-
-    def measurement_update(x, z, r, px, pz, pr, pivot, anti_rows, outcome_bit):
-        _measurement_update_numpy(x, z, r, px, pz, pr, pivot, anti_rows, outcome_bit)

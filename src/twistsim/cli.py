@@ -235,9 +235,9 @@ def _run_mbb(cfg) -> tuple[dict, list[dict]]:
 def _stats_backend_factory(cfg):
     backend = cfg.get("backend", "anyon")
     if backend == "anyon":
-        return lambda rng: mbb.AnyonBackend(6, rng), None
+        return lambda rng: mbb.AnyonBackend(6, rng)
     if backend == "fock":
-        return lambda rng: mbb.FockBackend(6, rng), None
+        return lambda rng: mbb.FockBackend(6, rng)
     if backend == "lattice":
         lat = _build_lattice_from_cfg(
             cfg, default={"width": 8, "height": 12, "segments": [
@@ -246,18 +246,17 @@ def _stats_backend_factory(cfg):
                 {"row": 8, "col_start": 2, "col_end": 4},
             ]}
         )
-        mbb.LatticeBackend(lat, np.random.default_rng(0))  # warm caches
-        return lambda rng: mbb.LatticeBackend(lat, rng), lat
+        return lambda rng: mbb.LatticeBackend(lat, rng)
     raise ConfigError(f"unknown backend {backend!r}")
 
 
 def _run_stats(cfg) -> tuple[dict, list[dict]]:
-    factory, _ = _stats_backend_factory(cfg)
+    factory = _stats_backend_factory(cfg)
     shots = int(cfg.get("shots", 10000))
     n_braids = int(cfg.get("n_braids", 1))
     workers = int(os.environ.get("TWISTSIM_WORKERS", "1"))
     if workers > 1:
-        res = _parallel_stats(cfg, factory, n_braids, shots, workers)
+        res = _parallel_stats(cfg, n_braids, shots, workers)
     else:
         res = mbb.run_statistics(factory, n_braids, shots, cfg.get("seed", 0))
     expected = {0: 0.0, 1: 0.5, 2: 1.0, 3: 0.5}[n_braids % 4]
@@ -272,37 +271,22 @@ def _run_stats(cfg) -> tuple[dict, list[dict]]:
     return res, checks
 
 
-def _parallel_stats(cfg, factory, n_braids, shots, workers):
-    # deterministic regardless of worker count: per-shot seeds from one root
+def _parallel_stats(cfg, n_braids, shots, workers):
+    # deterministic regardless of worker count: shot k always runs on the
+    # k-th child seed of the one root, as in mbb.run_statistics
     from concurrent.futures import ProcessPoolExecutor
 
     chunks = np.array_split(np.arange(shots), workers)
-    args = [(cfg, n_braids, cfg.get("seed", 0), chunk[0], len(chunk))
-            for chunk in chunks if len(chunk)]
-    flips = 0
+    args = [(cfg, n_braids, chunk[0], len(chunk)) for chunk in chunks if len(chunk)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(_stats_chunk, args):
-            flips += part
-    freq = flips / shots
-    half = 3.0 * np.sqrt(max(freq * (1 - freq), 1e-12) / shots)
-    return {"n_braids": n_braids, "shots": shots, "flip_frequency": freq,
-            "confidence_3sigma": (max(0.0, freq - half), min(1.0, freq + half))}
+        flips = sum(pool.map(_stats_chunk, args))
+    return mbb.flip_statistics(n_braids, shots, flips)
 
 
 def _stats_chunk(packed):
-    cfg, n_braids, seed, start, count = packed
-    factory, _ = _stats_backend_factory(cfg)
-    root = np.random.SeedSequence(seed)
-    seeds = root.spawn(start + count)[start:]
-    flips = 0
-    for shot_seed in seeds:
-        rng = np.random.default_rng(shot_seed)
-        backend = factory(rng)
-        for _ in range(n_braids):
-            mbb.braid_once(backend)
-        n35, _ = backend.measure((3, 5))
-        flips += n35
-    return flips
+    cfg, n_braids, start, count = packed
+    seeds = np.random.SeedSequence(cfg.get("seed", 0)).spawn(start + count)[start:]
+    return mbb.run_shots(_stats_backend_factory(cfg), n_braids, seeds)
 
 
 def _run_oracle_check(cfg) -> tuple[dict, list[dict]]:

@@ -312,7 +312,10 @@ def parity_operator(lat: TwistLattice, path: JWPath, pair: int) -> PauliString:
     return mode_parity_operator(lat, path, modes[first.id], modes[second.id])
 
 
-def bracket_parity(lat: TwistLattice, path: JWPath, pair: int) -> PauliString:
+def bracket_parity(
+    lat: TwistLattice, path: JWPath, pair: int,
+    modes: list[MajoranaMode] | None = None,
+) -> PauliString:
     """Edge-mode pair parity bracketing a segment's two rows.
 
     A charge loop encircling a twist pair equals the pair parity times this
@@ -320,10 +323,13 @@ def bracket_parity(lat: TwistLattice, path: JWPath, pair: int) -> PauliString:
     r+1 on the same boundary column, and the two same-kind modes there absorb
     the disorder-string mismatch of the enclosed region. Pinning it at
     initialization makes the loop readout reproduce the pair parity.
+    ``modes`` are the path's twist modes, derived here when not given.
     """
     seg = lat.segments[pair]
     col = lat.width - 1 if seg.row % 2 else 0
-    kind = twist_modes(lat, path)[2 * pair].kind
+    if modes is None:
+        modes = twist_modes(lat, path)
+    kind = modes[2 * pair].kind
     m1 = MajoranaMode(lat.site_id(seg.row, col), kind)
     m2 = MajoranaMode(lat.site_id(seg.row + 1, col), kind)
     return mode_parity_operator(lat, path, m1, m2)

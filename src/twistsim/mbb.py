@@ -17,10 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
-from . import anyon, dense, jw, tableau
+from . import anyon, dense, tableau
 from .anyon import TopoState, make_state, transform_state
 from .dense import FockSpace
 from .lattice import TwistLattice
@@ -215,35 +216,33 @@ def _measure_involution(state, op, rng, force_sign=None):
 class LatticeBackend:
     """Twist modes on the planar code.
 
-    Pair parities are read out as projective measurements of the registered
-    parity strings (``scheme="string"``), which is what both code-level
-    readout schemes implement. The transversal per-site variant
-    (``scheme="direct"``) is faithful for a single readout but decoheres
-    spectator pair strings that cross the measured support, so it cannot be
-    chained through a braiding sequence; it is kept for single-readout use
-    and cross-checks.
+    Every mode pair's parity string is registered on the lattice's pinned
+    ground tableau, which each backend copies. Pair parities are read out as
+    projective measurements of those strings, which is what both code-level
+    readout schemes implement (``tableau.measure_parity_direct`` and
+    ``tableau.measure_parity_hole``).
     """
 
     name = "lattice"
 
-    def __init__(self, lat: TwistLattice, rng: np.random.Generator,
-                 scheme: str = "string"):
+    def __init__(self, lat: TwistLattice, rng: np.random.Generator):
         if 2 * lat.n_pairs not in (4, 6):
             raise ValueError("lattice must host 4 or 6 twists")
         self.n = 2 * lat.n_pairs
         self.lat = lat
         self.rng = rng
-        self.scheme = scheme
         if self.n == 6:
             pinned = [(0, 1), (2, 4), (3, 5)]  # modes (1,2),(3,5),(4,6), 0-based
         else:
             pinned = [(0, 1), (2, 3)]
-        base = _base_tableau(lat, tuple(pinned))
-        self.tab = base.copy()
+        # each pinned pair starts at its fusion-vacuum parity sign
+        pins = tuple((a, b, parity_sign_for((a + 1, b + 1), self.n))
+                     for a, b in pinned)
+        self.tab = tableau.code_context(lat).ground(pins).copy()
         self.tab.rng = rng
         self.strings = {
             (a + 1, b + 1): self.tab.logicals[f"parity_{a}_{b}"]
-            for a, b in _all_mode_pairs(lat.n_pairs * 2)
+            for a, b in combinations(range(self.n), 2)
         }
 
     def measure(self, pair: tuple[int, int], force: int | None = None
@@ -252,48 +251,13 @@ class LatticeBackend:
         sigma = parity_sign_for(pair, self.n)
         string = self.strings[pair]
         target = None if force is None else (1 if force == 0 else -1) * sigma
-        if self.scheme == "direct":
-            undetermined = self.tab.expectation_sign(string) is None
-            res = tableau.measure_parity_direct(self.tab, string, force=target)
-            outcome = res.outcome
-        else:
-            undetermined = self.tab.expectation_sign(string) is None
-            outcome = self.tab.measure(string, force=target)
+        undetermined = self.tab.expectation_sign(string) is None
+        outcome = self.tab.measure(string, force=target)
         n = 0 if outcome == sigma else 1
         return n, (0.5 if undetermined else 1.0)
 
     def apply_parity(self, pair: tuple[int, int]) -> None:
         self.tab.apply_pauli(self.strings[tuple(pair)])
-
-
-def _all_mode_pairs(n_modes: int):
-    return [(a, b) for a in range(n_modes) for b in range(a + 1, n_modes)]
-
-
-_BASE_CACHE: dict = {}
-
-
-def _base_tableau(lat: TwistLattice, pinned: tuple) -> "tableau.Tableau":
-    """Ground tableau with every mode-pair string registered and the initial
-    pairing pinned to its fusion-vacuum parity signs; cached per lattice."""
-    key = (id(lat), pinned)
-    if key in _BASE_CACHE:
-        return _BASE_CACHE[key]
-    n_modes = 2 * lat.n_pairs
-    pins = [
-        (a, b, parity_sign_for((a + 1, b + 1), n_modes)) for a, b in pinned
-    ]
-    t = tableau.init_ground(lat, seed=0, pinned_pairs=pins)
-    path = jw.default_path(lat)
-    modes = jw.twist_modes(lat, path)
-    for a, b in _all_mode_pairs(n_modes):
-        name = f"parity_{a}_{b}"
-        if name not in t.logicals:
-            t.logicals[name] = jw.reduce_by_stabilizers(
-                jw.mode_parity_operator(lat, path, modes[a], modes[b]), lat
-            )
-    _BASE_CACHE[key] = t
-    return t
 
 
 # -- protocol ------------------------------------------------------------------
@@ -351,19 +315,14 @@ def run_forced(backend, max_attempts: int = 64) -> MBBRecord:
     return MBBRecord(0, 0, 0, 0, backend.name, attempts=tuple(attempts))
 
 
-def run_statistics(
-    backend_factory, n_braids: int, shots: int, seed: int,
-    keep_records: bool = False,
-) -> dict:
-    """Fraction of shots whose (3,5) fusion label flips after n braids of 3,4."""
-    if shots <= 0:
-        raise ValueError("shots must be positive")
-    root = np.random.SeedSequence(seed)
+def run_shots(backend_factory, n_braids: int, shot_seeds,
+              records: list | None = None) -> int:
+    """Run one shot per seed: a fresh backend, ``n_braids`` braids of 3,4,
+    then a (3,5) label readout. Returns how many shots read label 1; appends
+    each shot's trace to ``records`` when given."""
     flips = 0
-    records = []
-    for shot_seed in root.spawn(shots):
-        rng = np.random.default_rng(shot_seed)
-        backend = backend_factory(rng)
+    for shot_seed in shot_seeds:
+        backend = backend_factory(np.random.default_rng(shot_seed))
         shot_trace = []
         for _ in range(n_braids):
             record, correction = braid_once(backend)
@@ -371,17 +330,39 @@ def run_statistics(
                 (record.n13, record.n14, record.n12_final, correction))
         n35, _ = backend.measure((3, 5))
         flips += n35
-        if keep_records:
+        if records is not None:
             records.append({"cycles": shot_trace, "n35": n35})
+    return flips
+
+
+def flip_statistics(n_braids: int, shots: int, flips: int) -> dict:
+    """Flip frequency over ``shots`` with its 3-sigma confidence band."""
     freq = flips / shots
     half_width = 3.0 * np.sqrt(max(freq * (1 - freq), 1e-12) / shots)
-    out = {
+    return {
         "n_braids": n_braids,
         "shots": shots,
         "flip_frequency": freq,
         "confidence_3sigma": (max(0.0, freq - half_width),
                               min(1.0, freq + half_width)),
     }
+
+
+def run_statistics(
+    backend_factory, n_braids: int, shots: int, seed: int,
+    keep_records: bool = False,
+) -> dict:
+    """Fraction of shots whose (3,5) fusion label flips after n braids of 3,4.
+
+    Shot k runs on the k-th child of ``SeedSequence(seed)``, so any split of
+    the shots over ``run_shots`` calls gives the same flips.
+    """
+    if shots <= 0:
+        raise ValueError("shots must be positive")
+    records = [] if keep_records else None
+    flips = run_shots(backend_factory, n_braids,
+                      np.random.SeedSequence(seed).spawn(shots), records)
+    out = flip_statistics(n_braids, shots, flips)
     if keep_records:
         out["records"] = records
     return out

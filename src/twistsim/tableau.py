@@ -4,19 +4,23 @@ The tableau carries n destabilizer and n stabilizer rows (binary symplectic
 vectors plus a sign bit). On top of the generic simulator this module
 implements the code-level machinery: ground-state preparation with pinned
 twist-pair parities, the direct (turn-off-and-measure) parity readout, and
-the indirect readout that drags a hole around the twists.
+the indirect readout that drags a hole around the twists. Everything these
+derive from a lattice alone lives in the lattice's ``CodeContext``.
 """
 
 from __future__ import annotations
 
+import copy
 import io
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import combinations
 
 import numpy as np
 
-from . import _gf2, _kernels
+from . import _gf2, _kernels, jw
 from .lattice import GeometryError, TwistLattice, all_plaquette_operators
-from .pauli import PauliString
+from .pauli import PauliString, product
 
 
 class InconsistentOutcomeError(ValueError):
@@ -41,7 +45,7 @@ class Tableau:
             self.z[n + i, i] = 1      # stabilizer Z_i
         self.rng = rng
         self.lattice: TwistLattice | None = None
-        self.plaquette_ops: list[PauliString] = []
+        self.plaquette_ops: tuple[PauliString, ...] = ()
         self.active: set[int] = set()
         self.logicals: dict[str, PauliString] = {}
         # last deliberately recorded sign of each stabilizer (the Pauli frame)
@@ -54,19 +58,16 @@ class Tableau:
         return cls(n, rng)
 
     def copy(self) -> "Tableau":
-        rng = np.random.Generator(type(self.rng.bit_generator)())
-        rng.bit_generator.state = self.rng.bit_generator.state
-        out = Tableau(self.n, rng)
+        """Independent state and registries; the generator continues from the
+        same state. The lattice and its plaquette operators are shared."""
+        out = copy.copy(self)
+        out.rng = np.random.Generator(copy.copy(self.rng.bit_generator))
         out.x = self.x.copy()
         out.z = self.z.copy()
         out.r = self.r.copy()
-        out.lattice = self.lattice
-        out.plaquette_ops = list(self.plaquette_ops)
         out.active = set(self.active)
         out.logicals = dict(self.logicals)
         out.reference_signs = dict(self.reference_signs)
-        if hasattr(self, "_flip_cache"):
-            out._flip_cache = self._flip_cache
         return out
 
     # -- row/operator conversions -------------------------------------------
@@ -181,6 +182,157 @@ class Tableau:
         return t
 
 
+# -- per-lattice derived data -------------------------------------------------
+
+
+class CodeContext:
+    """Everything the code-level operations derive from one lattice.
+
+    Each object is built at most once, on first use. ``code_context(lat)``
+    stores the context on the lattice, so it lives exactly as long as the
+    lattice. Entries that also depend on a tableau's registered logicals are
+    keyed on those logicals, never on how many there are.
+    """
+
+    def __init__(self, lat: TwistLattice):
+        self.lat = lat
+        self._parity_strings: dict[tuple[int, int], PauliString] = {}
+        self._bracket_strings: dict[int, PauliString] = {}
+        self._grounds: dict[tuple, Tableau] = {}
+        self._flip_bases: dict[tuple, list[np.ndarray]] = {}
+        self._flips: dict[tuple, PauliString] = {}
+        self._loops: dict[tuple, tuple[list, int]] = {}
+
+    @cached_property
+    def site_index(self) -> dict[int, int]:
+        return {s: s for s in self.lat.sites}
+
+    @cached_property
+    def plaquette_ops(self) -> tuple[PauliString, ...]:
+        return tuple(all_plaquette_operators(self.lat))
+
+    @cached_property
+    def stabilizer_matrix(self) -> np.ndarray:
+        """One (x|z) row per plaquette operator."""
+        return self.lat.stabilizer_matrix()
+
+    @cached_property
+    def path(self) -> jw.JWPath:
+        return jw.default_path(self.lat)
+
+    @cached_property
+    def modes(self) -> list[jw.MajoranaMode]:
+        """The unpaired mode of each twist along ``path``."""
+        return jw.twist_modes(self.lat, self.path)
+
+    def parity_string(self, a: int, b: int) -> PauliString:
+        """Stabilizer-reduced parity string of twist modes ``a`` and ``b``."""
+        if (a, b) not in self._parity_strings:
+            raw = jw.mode_parity_operator(self.lat, self.path,
+                                          self.modes[a], self.modes[b])
+            self._parity_strings[a, b] = jw.reduce_by_stabilizers(raw, self.lat)
+        return self._parity_strings[a, b]
+
+    def bracket_string(self, pair: int) -> PauliString:
+        """Stabilizer-reduced edge bracket of one segment's rows."""
+        if pair not in self._bracket_strings:
+            raw = jw.bracket_parity(self.lat, self.path, pair, self.modes)
+            self._bracket_strings[pair] = jw.reduce_by_stabilizers(raw, self.lat)
+        return self._bracket_strings[pair]
+
+    def ground(self, pins: tuple[tuple[int, int, int], ...]) -> Tableau:
+        """Seed-0 ground tableau with ``pins`` pinned (see ``init_ground``)
+        and every mode-pair parity string registered. Callers copy it."""
+        if pins not in self._grounds:
+            t = init_ground(self.lat, seed=0, pinned_pairs=list(pins))
+            for a, b in combinations(range(2 * self.lat.n_pairs), 2):
+                t.logicals.setdefault(f"parity_{a}_{b}", self.parity_string(a, b))
+            self._grounds[pins] = t
+        return self._grounds[pins]
+
+    def face_flip(self, pid: int, logicals: dict[str, PauliString]) -> PauliString:
+        """Pauli anticommuting with exactly one plaquette, ``pid``, and with
+        none of ``logicals``."""
+        registry = tuple(sorted(logicals.items()))
+        if (pid, registry) not in self._flips:
+            if registry not in self._flip_bases:
+                self._flip_bases[registry] = self._independent_logicals(registry)
+            constraints = [(v, 1 if k == pid else 0)
+                           for k, v in enumerate(self.stabilizer_matrix)]
+            constraints += [(v, 0) for v in self._flip_bases[registry]]
+            vec = _gf2.solve_symplectic(constraints, self.lat.n_sites)
+            if vec is None:  # pragma: no cover - independent commuting generators
+                raise GeometryError(f"no frame-flip operator exists for face {pid}")
+            self._flips[pid, registry] = _gf2.pauli_from_vector(
+                vec, list(self.lat.sites))
+        return self._flips[pid, registry]
+
+    def _independent_logicals(self, registry: tuple) -> list[np.ndarray]:
+        # registered logicals are not independent modulo the face group
+        # (products of pair parities can fall back into it); keep a maximal
+        # independent subset, which already pins the rest.
+        rows = list(self.stabilizer_matrix)
+        keep = []
+        r = _gf2.rank(np.array(rows, dtype=np.uint8))
+        for _, op in registry:
+            v = _gf2.symplectic_vector(op, self.site_index)
+            r_new = _gf2.rank(np.array(rows + [v], dtype=np.uint8))
+            if r_new > r:
+                rows.append(v)
+                keep.append(v)
+                r = r_new
+        return keep
+
+    def loop_decomposition(
+        self, loop: list[int], pair: int, encloses_pair: bool,
+        parity_string: PauliString, bracket: PauliString,
+    ) -> tuple[list[tuple[int | None, PauliString]], int]:
+        """Split the loop operator into factors with readable signs.
+
+        The loop operator, the product of the cut operators along ``loop``,
+        lies in the class of (pair parity) x (row bracket) x plaquettes when
+        the loop encircles the pair. Returns ``(factors, rel_sign)``: the
+        product of the factors (plaquette id or None for the bracket, and the
+        operator), times the pair parity if enclosed, is ``rel_sign`` times
+        the loop operator.
+        """
+        key = (tuple(loop), pair, parity_string, bracket)
+        if key not in self._loops:
+            lat = self.lat
+            loop_op = product(cut_operator(lat, f, g)
+                              for f, g in zip(loop, loop[1:] + loop[:1]))
+            target = loop_op * parity_string if encloses_pair else loop_op
+            full = np.vstack([self.stabilizer_matrix,
+                              _gf2.symplectic_vector(bracket, self.site_index)])
+            sel = _gf2.solve(full, _gf2.symplectic_vector(target, self.site_index))
+            if sel is None:
+                raise GeometryError(
+                    "loop operator is not in the expected logical class")
+            n_faces = len(self.plaquette_ops)
+            factors = []
+            known = PauliString.identity()
+            for k in np.flatnonzero(sel):
+                k = int(k)
+                op = self.plaquette_ops[k] if k < n_faces else bracket
+                factors.append((k if k < n_faces else None, op))
+                known = known * op
+            check = (parity_string * known) if encloses_pair else known
+            rel_sign = 1 if check == loop_op else -1
+            if rel_sign == -1 and check.negate() != loop_op:  # pragma: no cover
+                raise AssertionError("loop operator decomposition is inconsistent")
+            self._loops[key] = (factors, rel_sign)
+        return self._loops[key]
+
+
+def code_context(lat: TwistLattice) -> CodeContext:
+    """The lattice's ``CodeContext``, created on first use."""
+    ctx = lat.__dict__.get("_code_context")
+    if ctx is None:
+        ctx = CodeContext(lat)
+        object.__setattr__(lat, "_code_context", ctx)  # the lattice is frozen
+    return ctx
+
+
 # -- code-level operations ----------------------------------------------------
 
 
@@ -197,14 +349,10 @@ def init_ground(
     segment's own pair. The construction is fully deterministic; the seed
     only feeds later random measurements.
     """
-    from . import jw
-
-    t = Tableau.zero_state(
-        lat.n_sites,
-        seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed),
-    )
+    ctx = code_context(lat)
+    t = Tableau.zero_state(lat.n_sites, seed)
     t.lattice = lat
-    t.plaquette_ops = all_plaquette_operators(lat)
+    t.plaquette_ops = ctx.plaquette_ops
     t.active = {p.id for p in lat.plaquettes}
 
     generators: list[tuple[PauliString, int]] = [
@@ -213,31 +361,27 @@ def init_ground(
     if pinned_pairs is None:
         pinned_pairs = [(2 * k, 2 * k + 1) for k in range(lat.n_pairs)]
     if lat.n_pairs:
-        path = jw.default_path(lat)
-        modes = jw.twist_modes(lat, path)
         for entry in pinned_pairs:
             a, b = entry[0], entry[1]
             sign = entry[2] if len(entry) > 2 else -1
-            string = jw.reduce_by_stabilizers(
-                jw.mode_parity_operator(lat, path, modes[a], modes[b]), lat
-            )
+            string = ctx.parity_string(a, b)
             t.logicals[f"parity_{a}_{b}"] = string
             generators.append((string, sign))
         for pair in range(lat.n_pairs):
-            bracket = jw.reduce_by_stabilizers(jw.bracket_parity(lat, path, pair), lat)
+            bracket = ctx.bracket_string(pair)
             t.logicals[f"bracket_{pair}"] = bracket
             generators.append((bracket, +1))
 
     enforced: list[PauliString] = []
-    site_index = {s: s for s in lat.sites}
     for op, sign in generators:
         try:
             t.measure(op, force=sign)
         except InconsistentOutcomeError:
             # op is already in the enforced group with the opposite sign; flip
             # it with a Pauli that anticommutes with op only.
-            constraints = [(_gf2.symplectic_vector(g, site_index), 0) for g in enforced]
-            constraints.append((_gf2.symplectic_vector(op, site_index), 1))
+            constraints = [(_gf2.symplectic_vector(g, ctx.site_index), 0)
+                           for g in enforced]
+            constraints.append((_gf2.symplectic_vector(op, ctx.site_index), 1))
             vec = _gf2.solve_symplectic(constraints, lat.n_sites)
             if vec is None:  # pragma: no cover - generators are independent
                 raise GeometryError("cannot pin stabilizer sign; generators conflict")
@@ -246,45 +390,6 @@ def init_ground(
         enforced.append(op)
     t.reference_signs = {p.id: 1 for p in lat.plaquettes}
     return t
-
-
-def _face_flip_operator(t: Tableau, pid: int) -> PauliString:
-    """Pauli anticommuting with exactly one plaquette and with no registered
-    logical; cached on the tableau (the registry must be complete by now)."""
-    cache = getattr(t, "_flip_cache", None)
-    if cache is None:
-        cache = {}
-        t._flip_cache = cache
-    lat = t.lattice
-    site_index = {s: s for s in lat.sites}
-    basis_key = ("independent_logicals", len(t.logicals))
-    if basis_key not in cache:
-        # registered logicals are not independent modulo the face group
-        # (products of pair parities can fall back into it); keep a maximal
-        # independent subset, which already pins the rest.
-        rows = [_gf2.symplectic_vector(op, site_index) for op in t.plaquette_ops]
-        keep = []
-        r = _gf2.rank(np.array(rows, dtype=np.uint8))
-        for name in sorted(t.logicals):
-            v = _gf2.symplectic_vector(t.logicals[name], site_index)
-            r_new = _gf2.rank(np.array(rows + [v], dtype=np.uint8))
-            if r_new > r:
-                rows.append(v)
-                keep.append(v)
-                r = r_new
-        cache[basis_key] = keep
-    key = (pid, len(t.logicals))
-    if key not in cache:
-        constraints = [
-            (_gf2.symplectic_vector(op, site_index), 1 if k == pid else 0)
-            for k, op in enumerate(t.plaquette_ops)
-        ]
-        constraints += [(v, 0) for v in cache[basis_key]]
-        vec = _gf2.solve_symplectic(constraints, lat.n_sites)
-        if vec is None:  # pragma: no cover - independent commuting generators
-            raise GeometryError(f"no frame-flip operator exists for face {pid}")
-        cache[key] = _gf2.pauli_from_vector(vec, list(lat.sites))
-    return cache[key]
 
 
 def syndrome(t: Tableau) -> dict[int, int]:
@@ -357,9 +462,9 @@ def measure_parity_direct(
     # restore the Pauli frame: push every re-measured stabilizer back to +1
     # with flip operators chosen to commute with all registered logicals, so
     # spectator parities keep their meaning across repeated readouts.
-    flipped = [pid for pid, sign in repaired.items() if sign == -1]
-    for pid in flipped:
-        t.apply_pauli(_face_flip_operator(t, pid))
+    for pid, sign in repaired.items():
+        if sign == -1:
+            t.apply_pauli(code_context(t.lattice).face_flip(pid, t.logicals))
     for pid in overlapping:
         t.reference_signs[pid] = 1
 
@@ -373,9 +478,6 @@ def measure_parity_direct(
 
 
 # -- hole-based parity measurement --------------------------------------------
-
-
-_LOOP_DECOMPOSITIONS: dict = {}
 
 
 @dataclass
@@ -521,55 +623,20 @@ def measure_parity_hole(
     z1 = t.measure(z_logical)
 
     lam_product = 1
-    cut_ops: list[PauliString] = []
     for i in range(len(loop)):
         f, g = loop[i], loop[(i + 1) % len(loop)]
-        edge = cut_operator(lat, f, g)
-        cut_ops.append(edge)
         t.active.discard(g)            # extend the hole onto the next face
-        lam_product *= t.measure(edge)
+        lam_product *= t.measure(cut_operator(lat, f, g))
         t.reference_signs[f] = t.measure(t.plaquette_ops[f])  # heal vacated face
         t.active.add(f)
 
     z2 = t.measure(z_logical)
 
-    # loop operator = product of the cut operators. Encircling the pair it
-    # lies in the class of (pair parity) x (row bracket) x plaquettes; read
-    # every factor's current sign to solve for the pair parity. The
-    # decomposition is state independent, so cache it per loop.
-    cache_key = (tuple(loop), pair, encloses_pair, len(t.plaquette_ops))
-    decomposition = _LOOP_DECOMPOSITIONS.get(cache_key)
-    if decomposition is None:
-        loop_op = PauliString.identity()
-        for op in cut_ops:
-            loop_op = loop_op * op
-        bracket = t.logicals.get(f"bracket_{pair}", PauliString.identity())
-        target = loop_op
-        if encloses_pair:
-            target = target * parity_string
-        site_index = {s: s for s in lat.sites}
-        mat = lat.stabilizer_matrix()
-        extra = np.array([_gf2.symplectic_vector(bracket, site_index)],
-                         dtype=np.uint8)
-        full = np.vstack([mat, extra])
-        sel = _gf2.solve(full, _gf2.symplectic_vector(target, site_index))
-        if sel is None:
-            raise GeometryError("loop operator is not in the expected logical class")
-        factors = []
-        known = PauliString.identity()
-        for k in np.flatnonzero(sel):
-            k = int(k)
-            op = t.plaquette_ops[k] if k < len(t.plaquette_ops) else bracket
-            factors.append((k if k < len(t.plaquette_ops) else None, op))
-            known = known * op
-        check = (parity_string * known) if encloses_pair else known
-        rel_sign = 1 if check == loop_op else -1
-        if rel_sign == -1 and check.negate() != loop_op:  # pragma: no cover
-            raise AssertionError("loop operator decomposition is inconsistent")
-        decomposition = (factors, rel_sign)
-        _LOOP_DECOMPOSITIONS[cache_key] = decomposition
-
-    factors, rel_sign = decomposition
+    # the loop operator (product of the cut operators) is the pair parity
+    # times factors whose current signs the state fixes; read them all.
+    bracket = t.logicals.get(f"bracket_{pair}", PauliString.identity())
+    factors, rel_sign = code_context(lat).loop_decomposition(
+        loop, pair, encloses_pair, parity_string, bracket)
     sigma_product = 1
     for k, op in factors:
         if k is not None and k not in t.active:

@@ -98,3 +98,20 @@ def test_lattice_file_config(tmp_path, capsys):
     code, out, _ = run_cli(["derive", "--config", str(cfg)], capsys)
     assert code == 0
     assert len(json.loads(out)["results"]["unpaired_modes"]) == 2
+
+
+def test_stats_report_independent_of_worker_count(tmp_path, monkeypatch):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"backend": "anyon"}))
+    args = ["stats", "--config", str(cfg), "--seed", "4", "--shots", "300",
+            "--n-braids", "3"]
+    reports = []
+    for workers in (None, "2"):
+        if workers is None:
+            monkeypatch.delenv("TWISTSIM_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("TWISTSIM_WORKERS", workers)
+        out = tmp_path / f"report_{workers}.json"
+        assert main(args + ["--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]

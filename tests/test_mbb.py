@@ -1,9 +1,11 @@
 import collections
+import gc
+import weakref
 
 import numpy as np
 import pytest
 
-from twistsim import dense
+from twistsim import dense, jw
 from twistsim.lattice import build_lattice
 from twistsim.mbb import (AnyonBackend, FockBackend, LatticeBackend, MBBRecord,
                           apply_correction, braid_once, correction_for,
@@ -294,3 +296,27 @@ def test_cycle_vacuum_precondition():
     ok = AnyonBackend(4, np.random.default_rng(0), 1.0, 0.0)
     record = run_cycle(ok, check_vacuum=True)
     assert record.n12_initial == 0
+
+
+def test_lattice_backend_releases_its_lattice():
+    lat = build_lattice(8, 7, [(1, 2, 4), (4, 2, 4)])
+    LatticeBackend(lat, np.random.default_rng(0))
+    ref = weakref.ref(lat)
+    del lat
+    gc.collect()
+    assert ref() is None
+
+
+def test_lattice_backend_setup_derives_twist_modes_once(monkeypatch):
+    calls = []
+    twist_modes = jw.twist_modes
+
+    def counting(lat, path):
+        calls.append(lat)
+        return twist_modes(lat, path)
+
+    monkeypatch.setattr(jw, "twist_modes", counting)
+    lat = build_lattice(8, 7, [(1, 2, 4), (4, 2, 4)])
+    LatticeBackend(lat, np.random.default_rng(0))
+    LatticeBackend(lat, np.random.default_rng(1))
+    assert len(calls) == 1

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twistsim import _kernels, dense, jw
 from twistsim.lattice import GeometryError, build_lattice, \
     all_plaquette_operators, twist_logicals
 from twistsim.pauli import PauliString
-from twistsim.tableau import (InconsistentOutcomeError, Tableau, cut_operator,
-                              diamond_loop, init_ground, measure_parity_direct,
-                              measure_parity_hole, syndrome)
+from twistsim.tableau import (InconsistentOutcomeError, Tableau, code_context,
+                              cut_operator, diamond_loop, init_ground,
+                              measure_parity_direct, measure_parity_hole,
+                              syndrome)
 
 
 def random_string(rng, n_sites, hermitian=True):
@@ -255,15 +257,63 @@ def test_serialization_round_trip():
     assert text.startswith("twistsim-tableau v1")
 
 
-def test_kernel_paths_agree():
-    # numba and numpy kernels produce identical tableau evolution
-    rng = np.random.default_rng(0)
-    x = rng.integers(0, 2, size=(8, 4)).astype(np.uint8)
-    z = rng.integers(0, 2, size=(8, 4)).astype(np.uint8)
-    px = rng.integers(0, 2, size=4).astype(np.uint8)
-    pz = rng.integers(0, 2, size=4).astype(np.uint8)
-    got = _kernels.anticommute_mask(x, z, px, pz)
-    want = _kernels._anticommute_mask_numpy(x, z, px, pz)
-    assert np.array_equal(np.asarray(got) % 2, np.asarray(want) % 2)
-    assert _kernels.rowsum_phase(x[0], z[0], x[1], z[1]) == \
-        _kernels._rowsum_phase_numpy(x[0], z[0], x[1], z[1])
+def test_hole_readout_on_a_second_lattice():
+    # the same loop face ids on two lattices must not share a decomposition
+    for segment in [(5, 5, 8), (5, 5, 7)]:
+        lat = build_lattice(14, 12, [segment])
+        loop = diamond_loop(lat, 0, 3)
+        _, x_logical = twist_logicals(lat, 0)
+        for seed in range(4):
+            t = init_ground(lat, seed=seed)
+            if seed % 2:
+                t.apply_pauli(x_logical)
+            t2 = t.copy()
+            out_hole, _ = measure_parity_hole(t, 0, loop)
+            out_direct = measure_parity_direct(t2, t2.logicals["parity_0_1"]).outcome
+            assert out_hole == out_direct, (segment, seed)
+
+
+def test_face_flips_follow_replaced_logicals():
+    lat = build_lattice(8, 6, [(1, 2, 5)])
+    base = init_ground(lat, seed=0)
+    ctx = code_context(lat)
+    for p in lat.plaquettes:
+        ctx.face_flip(p.id, base.logicals)
+    t = base.copy()
+    t.logicals["bracket_0"] = twist_logicals(lat, 0)[1]
+    ops = all_plaquette_operators(lat)
+    for p in lat.plaquettes:
+        flip = ctx.face_flip(p.id, t.logicals)
+        for name, logical in t.logicals.items():
+            assert flip.commutes_with(logical), (p.id, name)
+        assert [k for k, op in enumerate(ops) if not flip.commutes_with(op)] == [p.id]
+
+
+def _pauli_bits(word: str):
+    x = np.array([c in "XY" for c in word], dtype=np.uint8)
+    z = np.array([c in "ZY" for c in word], dtype=np.uint8)
+    return x, z
+
+
+def _pauli_of(word: str) -> PauliString:
+    return PauliString.from_dict({i: c for i, c in enumerate(word) if c != "I"})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_kernels_match_pauli_algebra(data):
+    n = data.draw(st.integers(1, 12))
+    word = st.text(alphabet="IXYZ", min_size=n, max_size=n)
+    rows = data.draw(st.lists(word, min_size=1, max_size=8))
+    probe = data.draw(word)
+    x = np.array([_pauli_bits(w)[0] for w in rows])
+    z = np.array([_pauli_bits(w)[1] for w in rows])
+    px, pz = _pauli_bits(probe)
+    mask = _kernels.anticommute_mask(x, z, px, pz)
+    p = _pauli_of(probe)
+    assert [int(m) for m in mask] == \
+        [0 if _pauli_of(w).commutes_with(p) else 1 for w in rows]
+    for w in rows:
+        wx, wz = _pauli_bits(w)
+        assert _kernels.rowsum_phase(wx, wz, px, pz) == \
+            (_pauli_of(w) * p).phase.exponent
