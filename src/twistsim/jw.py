@@ -11,18 +11,32 @@ an ``x`` substitution exchanges X and Y (string letter X, X_j = i a_j b_j), a
 ``z`` substitution exchanges Z and Y (string letter Z, Z_j = i a_j b_j). The
 substituted maps keep the exact single-site Pauli algebra.
 
-Phases are exact throughout; monomials are canonicalized by sorting modes
-along the path and counting anticommutation transpositions.
+Phases are exact throughout. A monomial is a 2N-bit mask over the modes in
+path order (bit ``2k`` is the ``a`` mode and bit ``2k+1`` the ``b`` mode at
+path position ``k``) plus a power of i; its canonical product runs over the
+set bits in increasing order. Multiplying two monomials XORs the masks and
+adds one sign per transposition needed to sort the product, whose parity is a
+prefix-parity count. ``U_j`` is the mask of all bits below ``2j``, so mapping
+a spin operator takes prefix XORs of these masks.
+
+The stabilizer reduction works on the same idea one level down: Pauli
+strings and plaquettes as x/z bit rows in 64-bit words, weights as popcounts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
-from .lattice import GeometryError, TwistLattice, all_plaquette_operators, \
-    plaquette_operator
+import numpy as np
+
+from . import _gf2
+from .lattice import GeometryError, TwistLattice, plaquette_operator
 from .pauli import PauliString, Phase
+
+# Rows of one block of the exhaustive reduction walk: 2**12 = 4096 subsets.
+_BLOCK_BITS = 12
 
 
 class MajoranaMode(NamedTuple):
@@ -35,14 +49,29 @@ class MajoranaMode(NamedTuple):
 
 @dataclass(frozen=True)
 class MajoranaMonomial:
-    """Canonical ordered product of Majorana modes times a quartic phase."""
+    """Canonical ordered product of Majorana modes times a quartic phase.
 
-    factors: tuple[MajoranaMode, ...]
+    Bit ``2k`` (``2k+1``) of ``mask`` is the ``a`` (``b``) mode of the site
+    at position ``k`` of ``order``, the path the monomial was built on.
+    """
+
+    mask: int
     phase: Phase
+    order: tuple[int, ...] = field(repr=False)
+
+    @property
+    def factors(self) -> tuple[MajoranaMode, ...]:
+        out = []
+        mask = self.mask
+        while mask:
+            bit = (mask & -mask).bit_length() - 1
+            out.append(MajoranaMode(self.order[bit >> 1], "ab"[bit & 1]))
+            mask &= mask - 1
+        return tuple(out)
 
     @property
     def weight(self) -> int:
-        return len(self.factors)
+        return self.mask.bit_count()
 
     def modes(self) -> frozenset[MajoranaMode]:
         return frozenset(self.factors)
@@ -50,7 +79,7 @@ class MajoranaMonomial:
     def __str__(self) -> str:
         from .pauli import _PHASE_STR  # shared phase prefix convention
 
-        body = " ".join(str(m) for m in self.factors) if self.factors else "1"
+        body = " ".join(str(m) for m in self.factors) if self.mask else "1"
         return _PHASE_STR[self.phase.exponent] + body
 
 
@@ -95,6 +124,18 @@ class JWPath:
             return 1, (MajoranaMode(site, "a"), MajoranaMode(site, "b"))
         return 1, (MajoranaMode(site, "b"), MajoranaMode(site, "a"))
 
+    @cached_property
+    def _string_exponents(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Per path position ``k``: the phase exponent of the string letter's
+        image (mask ``0b11 << 2k``) and that of ``U_k`` (mask of all bits
+        below ``2k``). Both images are already in canonical order."""
+        own, prefix = [], [0]
+        for site in self.order:
+            own.append(canonicalize(self.pair_factors(site)[1], 1, self)
+                       .phase.exponent)
+            prefix.append((prefix[-1] + own[-1]) % 4)
+        return tuple(own), tuple(prefix)
+
 
 def snake_order(width: int, height: int) -> tuple[int, ...]:
     order: list[int] = []
@@ -127,33 +168,17 @@ def default_path(lat: TwistLattice, pair: int | None = None) -> JWPath:
 # -- monomial algebra ---------------------------------------------------------
 
 
-def _sort_count_inversions(keys: list[int], modes: list[MajoranaMode]):
-    """Merge sort by key, counting crossings of strictly unequal keys."""
-    n = len(keys)
-    if n < 2:
-        return keys, modes, 0
-    mid = n // 2
-    lk, lm, linv = _sort_count_inversions(keys[:mid], modes[:mid])
-    rk, rm, rinv = _sort_count_inversions(keys[mid:], modes[mid:])
-    merged_k: list[int] = []
-    merged_m: list[MajoranaMode] = []
-    inv = linv + rinv
-    i = j = 0
-    while i < len(lk) and j < len(rk):
-        if rk[j] < lk[i]:
-            inv += len(lk) - i
-            merged_k.append(rk[j])
-            merged_m.append(rm[j])
-            j += 1
-        else:
-            merged_k.append(lk[i])
-            merged_m.append(lm[i])
-            i += 1
-    merged_k.extend(lk[i:])
-    merged_m.extend(lm[i:])
-    merged_k.extend(rk[j:])
-    merged_m.extend(rm[j:])
-    return merged_k, merged_m, inv
+def _crossing_parity(left: int, right: int) -> int:
+    """Parity of the transpositions that sort the product ``left · right`` of
+    two canonical monomials: the pairs of a ``left`` mode above a ``right``
+    mode. Bit ``k`` of the prefix XOR below is the parity of ``left``'s bits
+    above ``k``."""
+    above = left >> 1
+    shift = 1
+    while shift < above.bit_length():
+        above ^= above >> shift
+        shift <<= 1
+    return (above & right).bit_count() & 1
 
 
 def canonicalize(
@@ -161,25 +186,22 @@ def canonicalize(
 ) -> MajoranaMonomial:
     """Sort modes by (path position, kind), cancel squared modes, track sign."""
     pos = path._pos()
-    modes = list(factors)
-    keys = [2 * pos[m.site] + (0 if m.kind == "a" else 1) for m in modes]
-    keys, modes, inversions = _sort_count_inversions(keys, modes)
-    exponent = (phase_exponent + 2 * inversions) % 4
-    out: list[MajoranaMode] = []
-    for m in modes:
-        if out and out[-1] == m:
-            out.pop()  # gamma^2 = 1, adjacent equal modes cancel signlessly
-        else:
-            out.append(m)
-    return MajoranaMonomial(tuple(out), Phase(exponent))
+    mask, exponent = 0, phase_exponent
+    for m in factors:
+        bit = 2 * pos[m.site] + (0 if m.kind == "a" else 1)
+        # the new mode moves left past every held mode above it; a repeated
+        # mode then meets its twin and squares to 1
+        exponent += 2 * (mask >> (bit + 1)).bit_count()
+        mask ^= 1 << bit
+    return MajoranaMonomial(mask, Phase(exponent), path.order)
 
 
 def multiply_monomials(
     m1: MajoranaMonomial, m2: MajoranaMonomial, path: JWPath
 ) -> MajoranaMonomial:
-    return canonicalize(
-        m1.factors + m2.factors, m1.phase.exponent + m2.phase.exponent, path
-    )
+    exponent = m1.phase.exponent + m2.phase.exponent \
+        + 2 * _crossing_parity(m1.mask, m2.mask)
+    return MajoranaMonomial(m1.mask ^ m2.mask, Phase(exponent), path.order)
 
 
 def pair_monomial(
@@ -198,37 +220,22 @@ def jw_map(p: PauliString, path: JWPath) -> MajoranaMonomial:
     for site in p.sites:
         if site not in pos:
             raise GeometryError(f"operator acts on site {site} not on the path")
+    own_exp, prefix_exp = path._string_exponents
 
-    # Precompute, along the path, the flattened mode list and phase of the
-    # running disorder-string product U_k = prod_{j<k} (string letter of j).
-    prefix_modes: list[MajoranaMode] = []
-    prefix_exp = [0]
-    prefix_len = [0]
-    for site in path.order:
-        k, pair = path.pair_factors(site)
-        prefix_modes.extend(pair)
-        prefix_exp.append((prefix_exp[-1] + k) % 4)
-        prefix_len.append(len(prefix_modes))
-
-    factors: list[MajoranaMode] = []
-    exponent = p.phase.exponent
+    mask, exponent = 0, p.phase.exponent
     for site, letter in sorted(p.support, key=lambda item: pos[item[0]]):
         j = pos[site]
         if letter == path.string_letter(site):
-            k, pair = path.pair_factors(site)
-            exponent += k
-            factors.extend(pair)
+            image, k = 0b11 << 2 * j, own_exp[j]
         elif letter == path.b_letter(site):
-            exponent += prefix_exp[j]
-            factors.extend(prefix_modes[: prefix_len[j]])
-            factors.append(MajoranaMode(site, "b"))
+            image, k = ((1 << 2 * j) - 1) | (1 << (2 * j + 1)), prefix_exp[j]
         elif letter == path.a_letter(site):
-            exponent += prefix_exp[j]
-            factors.extend(prefix_modes[: prefix_len[j]])
-            factors.append(MajoranaMode(site, "a"))
+            image, k = (1 << (2 * j + 1)) - 1, prefix_exp[j]
         else:  # pragma: no cover - letters are exhaustive
             raise AssertionError(f"unmapped letter {letter} at site {site}")
-    return canonicalize(factors, exponent, path)
+        exponent += k + 2 * _crossing_parity(mask, image)
+        mask ^= image
+    return MajoranaMonomial(mask, Phase(exponent), path.order)
 
 
 def spin_form(monomial: MajoranaMonomial, path: JWPath) -> PauliString:
@@ -264,14 +271,15 @@ def plaquette_images(
 
 def classify_modes(lat: TwistLattice, path: JWPath) -> ModeClassification:
     """Partition all 2N modes by whether any plaquette image uses them."""
-    used: set[MajoranaMode] = set()
+    used = 0
     for image in plaquette_images(lat, path).values():
-        used |= set(image.factors)
+        used |= image.mask
+    pos = path._pos()
     paired, unpaired, boundary = set(), set(), set()
     for site in lat.sites:
-        for kind in ("a", "b"):
+        for bit, kind in enumerate("ab"):
             mode = MajoranaMode(site, kind)
-            if mode in used:
+            if used >> (2 * pos[site] + bit) & 1:
                 paired.add(mode)
             elif lat.on_boundary(site):
                 boundary.add(mode)
@@ -338,56 +346,117 @@ def bracket_parity(
 # -- stabilizer reduction -----------------------------------------------------
 
 
+class PackedPlaquettes(NamedTuple):
+    """A lattice's plaquette operators as bit rows, one row per plaquette."""
+
+    x: np.ndarray      # (faces, words) uint64: sites with X or Y
+    z: np.ndarray      # (faces, words) uint64: sites with Z or Y
+    boxes: np.ndarray  # (faces, 4): min row, max row, min col, max col
+
+
+def pack_bits(bits: np.ndarray) -> np.ndarray:
+    """Pack the 0/1 columns of each row into little-endian 64-bit words."""
+    bits = np.atleast_2d(np.asarray(bits, dtype=np.uint8))
+    n_words = -(-bits.shape[1] // 64)
+    padded = np.zeros((bits.shape[0], 64 * n_words), dtype=np.uint8)
+    padded[:, : bits.shape[1]] = bits
+    return np.packbits(padded, axis=1, bitorder="little").view("<u8")
+
+
+def _subset_table(x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x and z words of the product of every subset of the rows: row ``i`` of
+    the table multiplies the rows selected by the bits of ``i``."""
+    k, n_words = x.shape
+    tx = np.zeros((1 << k, n_words), dtype=x.dtype)
+    tz = np.zeros((1 << k, n_words), dtype=z.dtype)
+    for j in range(k):
+        tx[1 << j: 2 << j] = tx[: 1 << j] ^ x[j]
+        tz[1 << j: 2 << j] = tz[: 1 << j] ^ z[j]
+    return tx, tz
+
+
+def _weights(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    return np.bitwise_count(x | z).sum(axis=1)
+
+
 def reduce_by_stabilizers(
     p: PauliString, lat: TwistLattice, max_exhaustive: int = 18
 ) -> PauliString:
     """Multiply ``p`` by plaquette operators to minimize its support weight.
 
-    The search is exact (exhaustive) over the plaquettes contained in the
-    bounding box of ``p``'s support; beyond ``max_exhaustive`` candidates it
-    falls back to a deterministic greedy descent. Ties break on the rendered
-    string, so results are reproducible.
+    The candidates are the plaquettes contained in the bounding box of
+    ``p``'s support. Up to ``max_exhaustive`` candidates the search is exact:
+    the weights of all subset products come from XOR tables of the packed
+    rows, built in blocks of at most 4096 subsets. Beyond that it is a greedy
+    descent that weighs every one-plaquette step at once and takes the best
+    while the key falls. The key is (weight, rendered string), so exact
+    ``PauliString`` products are formed only for minimum-weight ties, and the
+    result does not depend on the search order.
     """
-    ops = all_plaquette_operators(lat)
-    for op in ops:
-        if not p.commutes_with(op):
-            raise ValueError("operator is outside the plaquette commutant")
+    from .tableau import code_context  # local import: tableau builds on jw
+
+    ctx = code_context(lat)
+    rows = ctx.packed_plaquettes
+    if p.sites and not 0 <= p.sites[0] <= p.sites[-1] < lat.n_sites:
+        raise GeometryError("operator acts on a site off the lattice")
+    px, pz = pack_bits(_gf2.symplectic_vector(p, ctx.site_index).reshape(2, -1))
+    clashes = np.bitwise_count((rows.x & pz) ^ (rows.z & px)).sum(axis=1)
+    if (clashes & 1).any():
+        raise ValueError("operator is outside the plaquette commutant")
+    if not p.support:
+        return p
 
     coords = [lat.site_coords(s) for s in p.sites]
-    if not coords:
-        return p
     rmin = min(r for r, _ in coords)
     rmax = max(r for r, _ in coords)
     cmin = min(c for _, c in coords)
     cmax = max(c for _, c in coords)
+    boxes = rows.boxes
+    chosen = np.flatnonzero((boxes[:, 0] >= rmin) & (boxes[:, 1] <= rmax)
+                            & (boxes[:, 2] >= cmin) & (boxes[:, 3] <= cmax))
+    candidates = [ctx.plaquette_ops[int(k)] for k in chosen]
+    cx, cz = rows.x[chosen], rows.z[chosen]
 
-    def inside(op: PauliString) -> bool:
-        return all(
-            rmin <= r <= rmax and cmin <= c <= cmax
-            for r, c in (lat.site_coords(s) for s in op.sites)
-        )
+    def product(subset: int) -> PauliString:
+        q = p
+        for j, c in enumerate(candidates):
+            if subset >> j & 1:
+                q = q * c
+        return q
 
-    candidates = [op for op in ops if inside(op)]
-
-    def key(q: PauliString) -> tuple[int, str]:
-        return (q.weight, str(q))
+    if len(candidates) <= max_exhaustive:
+        # one table over the low candidates; each block XORs in one subset
+        # of the others, stepping through those subsets in Gray-code order
+        low = min(len(candidates), _BLOCK_BITS)
+        low_x, low_z = _subset_table(cx[:low], cz[:low])
+        low_x ^= px
+        low_z ^= pz
+        high_x, high_z = np.zeros_like(px), np.zeros_like(pz)
+        best_w, ties = None, []
+        for b in range(1 << (len(candidates) - low)):
+            if b:
+                j = low + (b & -b).bit_length() - 1
+                high_x ^= cx[j]
+                high_z ^= cz[j]
+            w = _weights(low_x ^ high_x, low_z ^ high_z)
+            m = int(w.min())
+            if best_w is None or m < best_w:
+                best_w, ties = m, []
+            if m == best_w:
+                high = (b ^ (b >> 1)) << low
+                ties.extend(high | int(i) for i in np.flatnonzero(w == m))
+        return min((product(s) for s in ties), key=str)
 
     best = p
-    if len(candidates) <= max_exhaustive:
-        # Gray-code walk: one multiplication per visited subset.
-        q = p
-        prev_gray = 0
-        for step in range(1, 1 << len(candidates)):
-            gray = step ^ (step >> 1)
-            q = q * candidates[(gray ^ prev_gray).bit_length() - 1]
-            prev_gray = gray
-            if key(q) < key(best):
-                best = q
-    else:
-        improved = True
-        while improved:
-            improved = False
-            step = min((best * c for c in candidates), key=key, default=best)
-            if key(step) < key(best):
-                best, improved = step, True
+    bx, bz = px, pz
+    while candidates:
+        w = _weights(cx ^ bx, cz ^ bz)
+        m = int(w.min())
+        if m > best.weight:
+            break
+        steps = {int(i): best * candidates[int(i)] for i in np.flatnonzero(w == m)}
+        i = min(steps, key=lambda i: str(steps[i]))
+        if (m, str(steps[i])) >= (best.weight, str(best)):
+            break
+        best, bx, bz = steps[i], bx ^ cx[i], bz ^ cz[i]
     return best

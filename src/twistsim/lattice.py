@@ -265,29 +265,10 @@ def twist_logicals(
     plaquette and with the other pairs' logicals, anticommutes with this
     pair's Z_logical, and is then weight-reduced.
     """
-    from . import jw  # local import: jw builds on this module
+    from .tableau import code_context  # local import: tableau builds on this module
 
-    z_logicals = [
-        jw.reduce_by_stabilizers(
-            jw.parity_operator(lat, jw.default_path(lat, pair), pair), lat
-        )
-        for pair in range(lat.n_pairs)
-    ]
-    z_logical = z_logicals[pair_index]
-
-    site_index = {s: s for s in lat.sites}
-    constraints: list[tuple[np.ndarray, int]] = []
-    for op in all_plaquette_operators(lat):
-        constraints.append((_gf2.symplectic_vector(op, site_index), 0))
-    for j, z in enumerate(z_logicals):
-        parity = 1 if j == pair_index else 0
-        constraints.append((_gf2.symplectic_vector(z, site_index), parity))
-    vec = _gf2.solve_symplectic(constraints, lat.n_sites)
-    if vec is None:  # pragma: no cover - cannot happen on a valid lattice
-        raise GeometryError("no logical X operator exists; lattice is inconsistent")
-    x_logical = _gf2.pauli_from_vector(vec, list(lat.sites))
-    x_logical = jw.reduce_by_stabilizers(x_logical, lat)
-    return z_logical, x_logical
+    ctx = code_context(lat)
+    return ctx.z_logicals[pair_index], ctx.x_logical(pair_index)
 
 
 # -- lattice description files ----------------------------------------------

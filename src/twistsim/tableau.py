@@ -117,8 +117,18 @@ class Tableau:
                 self.x, self.z, self.r, px, pz, pr, pivot, anti_rows, outcome_bit
             )
             return 1 if outcome_bit == 0 else -1
-        # deterministic: accumulate stabilizer rows whose destabilizer partner
-        # anticommutes with p; the product equals ±p and fixes the outcome.
+        outcome = self._fixed_outcome(px, pz, pr, mask)
+        if force is not None and force != outcome:
+            raise InconsistentOutcomeError(
+                f"outcome {force} requested for a measurement fixed at {outcome}"
+            )
+        return outcome
+
+    def _fixed_outcome(self, px, pz, pr, mask) -> int:
+        """Outcome of a measurement that commutes with every stabilizer; reads
+        the state without changing it. ``mask`` is ``anticommute_mask`` of p."""
+        # accumulate stabilizer rows whose destabilizer partner anticommutes
+        # with p; the product equals ±p and fixes the outcome.
         acc_x = np.zeros(self.n, dtype=np.uint8)
         acc_z = np.zeros(self.n, dtype=np.uint8)
         exponent = 0
@@ -130,12 +140,7 @@ class Tableau:
             acc_z ^= self.z[row]
         if not (np.array_equal(acc_x, px) and np.array_equal(acc_z, pz)):
             raise AssertionError("deterministic branch accumulated a wrong operator")
-        outcome = 1 if (exponent - 2 * pr) % 4 == 0 else -1
-        if force is not None and force != outcome:
-            raise InconsistentOutcomeError(
-                f"outcome {force} requested for a measurement fixed at {outcome}"
-            )
-        return outcome
+        return 1 if (exponent - 2 * pr) % 4 == 0 else -1
 
     def apply_pauli(self, p: PauliString) -> None:
         """Conjugate the state by a Pauli unitary (sign flips only)."""
@@ -147,9 +152,9 @@ class Tableau:
         """±1 if ``p`` is fixed by the state, None if the outcome is random."""
         px, pz, pr = self._bits_of(p)
         mask = _kernels.anticommute_mask(self.x, self.z, px, pz)
-        if np.flatnonzero(mask[self.n:]).size:
+        if mask[self.n:].any():
             return None
-        return self.copy().measure(p)
+        return self._fixed_outcome(px, pz, pr, mask)
 
     # -- serialization -------------------------------------------------------
 
@@ -198,6 +203,7 @@ class CodeContext:
         self.lat = lat
         self._parity_strings: dict[tuple[int, int], PauliString] = {}
         self._bracket_strings: dict[int, PauliString] = {}
+        self._x_logicals: dict[int, PauliString] = {}
         self._grounds: dict[tuple, Tableau] = {}
         self._flip_bases: dict[tuple, list[np.ndarray]] = {}
         self._flips: dict[tuple, PauliString] = {}
@@ -215,6 +221,18 @@ class CodeContext:
     def stabilizer_matrix(self) -> np.ndarray:
         """One (x|z) row per plaquette operator."""
         return self.lat.stabilizer_matrix()
+
+    @cached_property
+    def packed_plaquettes(self) -> jw.PackedPlaquettes:
+        """Plaquette operators as 64-bit words with their site bounding boxes,
+        the form the stabilizer reduction works on."""
+        n, mat = self.lat.n_sites, self.stabilizer_matrix
+        boxes = []
+        for op in self.plaquette_ops:
+            rows, cols = zip(*(self.lat.site_coords(s) for s in op.sites))
+            boxes.append((min(rows), max(rows), min(cols), max(cols)))
+        return jw.PackedPlaquettes(jw.pack_bits(mat[:, :n]), jw.pack_bits(mat[:, n:]),
+                                   np.array(boxes))
 
     @cached_property
     def path(self) -> jw.JWPath:
@@ -239,6 +257,33 @@ class CodeContext:
             raw = jw.bracket_parity(self.lat, self.path, pair, self.modes)
             self._bracket_strings[pair] = jw.reduce_by_stabilizers(raw, self.lat)
         return self._bracket_strings[pair]
+
+    @cached_property
+    def z_logicals(self) -> tuple[PauliString, ...]:
+        """Stabilizer-reduced parity of each twist pair, each on its own path
+        (see ``lattice.twist_logicals``)."""
+        return tuple(
+            jw.reduce_by_stabilizers(
+                jw.parity_operator(self.lat, jw.default_path(self.lat, pair), pair),
+                self.lat)
+            for pair in range(self.lat.n_pairs)
+        )
+
+    def x_logical(self, pair: int) -> PauliString:
+        """Weight-reduced conjugate of ``z_logicals[pair]``: it commutes with
+        every plaquette and every other pair's Z logical."""
+        if pair not in self._x_logicals:
+            constraints = [(v, 0) for v in self.stabilizer_matrix]
+            for j, z in enumerate(self.z_logicals):
+                constraints.append((_gf2.symplectic_vector(z, self.site_index),
+                                    1 if j == pair else 0))
+            vec = _gf2.solve_symplectic(constraints, self.lat.n_sites)
+            if vec is None:  # pragma: no cover - cannot happen on a valid lattice
+                raise GeometryError(
+                    "no logical X operator exists; lattice is inconsistent")
+            self._x_logicals[pair] = jw.reduce_by_stabilizers(
+                _gf2.pauli_from_vector(vec, list(self.lat.sites)), self.lat)
+        return self._x_logicals[pair]
 
     def ground(self, pins: tuple[tuple[int, int, int], ...]) -> Tableau:
         """Seed-0 ground tableau with ``pins`` pinned (see ``init_ground``)

@@ -4,9 +4,9 @@ import pytest
 from twistsim import _gf2, jw
 from twistsim.dense import FockSpace
 from twistsim.jw import JWPath, MajoranaMode, canonicalize
-from twistsim.lattice import build_lattice, all_plaquette_operators, \
-    plaquette_operator
-from twistsim.pauli import PauliString
+from twistsim.lattice import GeometryError, build_lattice, \
+    all_plaquette_operators, plaquette_operator
+from twistsim.pauli import PauliString, Phase
 
 rng = np.random.default_rng(31)
 
@@ -28,21 +28,39 @@ def test_single_letter_images():
     assert x0.phase.exponent == 0
 
 
+def lattices_and_paths():
+    """An untwisted lattice on its default path, and a one-pair lattice on
+    its default path with and without the pair's turn-site substitutions."""
+    plain = build_lattice(5, 4, [])
+    twisted = build_lattice(8, 6, [(1, 2, 5)])
+    return [(plain, jw.default_path(plain)), (twisted, jw.default_path(twisted)),
+            (twisted, jw.default_path(twisted, 0))]
+
+
 def test_map_is_exact_group_homomorphism():
-    lat = build_lattice(5, 4, [])
-    path = jw.default_path(lat)
-    for _ in range(60):
-        p, q = random_string(lat.n_sites), random_string(lat.n_sites)
-        lhs = jw.multiply_monomials(jw.jw_map(p, path), jw.jw_map(q, path), path)
-        assert lhs == jw.jw_map(p * q, path)
+    cases = lattices_and_paths()
+    assert cases[2][1].substitutions  # the pair path carries turn-site swaps
+    for lat, path in cases:
+        for _ in range(60):
+            p, q = random_string(lat.n_sites), random_string(lat.n_sites)
+            mp, mq = jw.jw_map(p, path), jw.jw_map(q, path)
+            lhs = jw.multiply_monomials(mp, mq, path)
+            assert lhs == jw.jw_map(p * q, path)
+            # the concatenated mode lists, canonicalized afresh
+            joined = canonicalize(mp.factors + mq.factors,
+                                  mp.phase.exponent + mq.phase.exponent, path)
+            assert joined == lhs
 
 
 def test_spin_form_inverts_the_map():
     lat = build_lattice(5, 4, [])
-    for substitutions in ({}, {3: "x", 4: "z"}):
-        path = JWPath(jw.snake_order(5, 4), substitutions)
+    cases = [(lat, JWPath(jw.snake_order(5, 4), {3: "x", 4: "z"}))]
+    cases += lattices_and_paths()
+    for lat, path in cases:
         for _ in range(40):
             p = random_string(lat.n_sites)
+            assert jw.spin_form(jw.jw_map(p, path), path) == p
+        for p in all_plaquette_operators(lat):
             assert jw.spin_form(jw.jw_map(p, path), path) == p
 
 
@@ -218,6 +236,8 @@ def test_reduction_requires_commutant():
     lat = build_lattice(6, 4, [])
     with pytest.raises(ValueError):
         jw.reduce_by_stabilizers(PauliString.single(lat.site_id(1, 1), "Z"), lat)
+    with pytest.raises(GeometryError):
+        jw.reduce_by_stabilizers(PauliString.single(lat.n_sites, "Z"), lat)
 
 
 def test_off_path_operator_rejected():
@@ -235,3 +255,120 @@ def test_bracket_parity_is_logical_and_commutes():
         assert bracket.commutes_with(op)
     parity = jw.parity_operator(lat, path, 0)
     assert bracket.commutes_with(parity)
+
+
+# -- stabilizer reduction against a plain loop over every subset --------------
+
+
+def box_candidates(p, lat):
+    """Plaquettes whose sites lie in the bounding box of ``p``'s support."""
+    coords = [lat.site_coords(s) for s in p.sites]
+    rows = [r for r, _ in coords]
+    cols = [c for _, c in coords]
+    return [
+        op for op in all_plaquette_operators(lat)
+        if all(min(rows) <= r <= max(rows) and min(cols) <= c <= max(cols)
+               for r, c in (lat.site_coords(s) for s in op.sites))
+    ]
+
+
+def key(q):
+    return (q.weight, str(q))
+
+
+def exhaustive_reference(p, candidates):
+    best = p
+    for subset in range(1 << len(candidates)):
+        q = p
+        for j, c in enumerate(candidates):
+            if subset >> j & 1:
+                q = q * c
+        if key(q) < key(best):
+            best = q
+    return best
+
+
+def greedy_reference(p, candidates):
+    best = p
+    while True:
+        step = min((best * c for c in candidates), key=key, default=best)
+        if key(step) >= key(best):
+            return best
+        best = step
+
+
+def commutant_samples(lat, count, max_candidates, seed):
+    """Random elements of the plaquette commutant with few box candidates: a
+    free-mode pair parity (or the identity) times plaquettes of a random
+    window, with a random phase."""
+    rng = np.random.default_rng(seed)
+    path = jw.default_path(lat)
+    cls = jw.classify_modes(lat, path)
+    free = sorted(cls.unpaired | cls.boundary)
+    seeds = [PauliString.identity()]
+    for i, m1 in enumerate(free):
+        for m2 in free[i + 1:]:
+            op = jw.mode_parity_operator(lat, path, m1, m2)
+            if op.weight <= 6:
+                seeds.append(op)
+    ops = all_plaquette_operators(lat)
+    out = []
+    while len(out) < count:
+        r0 = int(rng.integers(lat.height - 2))
+        c0 = int(rng.integers(lat.width - 3))
+        window = [op for op in ops if all(
+            r0 <= r <= r0 + 2 and c0 <= c <= c0 + 3
+            for r, c in (lat.site_coords(s) for s in op.sites))]
+        p = seeds[int(rng.integers(len(seeds)))]
+        for op in window:
+            if rng.random() < 0.5:
+                p = p * op
+        p = PauliString(p.support, p.phase * Phase(int(rng.integers(4))))
+        if p.support and len(box_candidates(p, lat)) <= max_candidates:
+            out.append(p)
+    return out
+
+
+@pytest.mark.parametrize("shape", [(8, 6, [(1, 2, 5)]), (6, 5, [])])
+def test_reduction_matches_a_loop_over_every_subset(shape):
+    lat = build_lattice(*shape)
+    samples = commutant_samples(lat, 40, 10, seed=7)
+    nontrivial = 0
+    for p in samples:
+        candidates = box_candidates(p, lat)
+        expected = exhaustive_reference(p, candidates)
+        got = jw.reduce_by_stabilizers(p, lat)
+        assert got == expected and str(got) == str(expected)
+        nontrivial += expected != p
+    assert nontrivial >= 10  # the samples exercise real reductions
+
+
+@pytest.mark.parametrize("max_exhaustive", [0, 2, 4])
+def test_greedy_reduction_matches_a_plain_descent(max_exhaustive):
+    lat = build_lattice(8, 6, [(1, 2, 5)])
+    samples = commutant_samples(lat, 30, 10, seed=11)
+    samples.append(jw.parity_operator(lat, jw.default_path(lat, 0), 0))
+    samples.append(jw.bracket_parity(lat, jw.default_path(lat), 0))
+    greedy = 0
+    for p in samples:
+        candidates = box_candidates(p, lat)
+        if len(candidates) <= max_exhaustive:
+            expected = exhaustive_reference(p, candidates)
+        else:
+            expected = greedy_reference(p, candidates)
+            greedy += 1
+        got = jw.reduce_by_stabilizers(p, lat, max_exhaustive=max_exhaustive)
+        assert got == expected and str(got) == str(expected)
+    assert greedy >= 10
+
+
+def test_exhaustive_reduction_spans_several_blocks():
+    # twist modes 1 and 2 of the default lattice: 14 candidates, so four
+    # blocks of 4096 subsets
+    lat = build_lattice(8, 12, [(2, 2, 4), (5, 2, 4), (8, 2, 4)])
+    path = jw.default_path(lat)
+    modes = jw.twist_modes(lat, path)
+    p = jw.mode_parity_operator(lat, path, modes[1], modes[2])
+    candidates = box_candidates(p, lat)
+    assert 12 < len(candidates) <= 18
+    assert jw.reduce_by_stabilizers(p, lat) == exhaustive_reference(p, candidates)

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from twistsim import _gf2
+from twistsim import _gf2, jw
 from twistsim.lattice import (GeometryError, Segment, SizeError, build_lattice,
                               all_plaquette_operators, excitations_of,
                               lattice_spec_dumps, lattice_spec_loads,
@@ -164,6 +164,22 @@ def test_twist_logicals_relations():
     for s in z.sites:
         r, c = lat.site_coords(s)
         assert rmin <= r <= rmax and cmin - 1 <= c <= cmax + 1
+
+
+def test_twist_logicals_derive_each_pair_once(monkeypatch):
+    calls = []
+    twist_modes = jw.twist_modes
+
+    def counting(lat, path):
+        calls.append(path)
+        return twist_modes(lat, path)
+
+    monkeypatch.setattr(jw, "twist_modes", counting)
+    lat = build_lattice(8, 12, [(2, 2, 4), (5, 2, 4), (8, 2, 4)])
+    first = [twist_logicals(lat, pair) for pair in range(lat.n_pairs)]
+    again = [twist_logicals(lat, pair) for pair in range(lat.n_pairs)]
+    assert len(calls) == 3  # one twist-mode derivation per pair path
+    assert first == again
 
 
 def test_unknown_pair_rejected():

@@ -289,6 +289,35 @@ def test_face_flips_follow_replaced_logicals():
         assert [k for k, op in enumerate(ops) if not flip.commutes_with(op)] == [p.id]
 
 
+def test_deterministic_expectation_sign_reads_without_copying(monkeypatch):
+    lat = build_lattice(8, 12, [(2, 2, 4), (5, 2, 4), (8, 2, 4)])
+    t = init_ground(lat, seed=5)
+    queries = list(t.plaquette_ops[:6])
+    queries += [t.logicals[name] for name in sorted(t.logicals)]
+    queries.append(queries[-1].negate())
+    expected = [t.copy().measure(q) for q in queries]
+    before = (t.x.copy(), t.z.copy(), t.r.copy(), set(t.active), dict(t.logicals),
+              dict(t.reference_signs), t.rng.bit_generator.state)
+
+    copies = []
+    original = Tableau.copy
+    monkeypatch.setattr(Tableau, "copy",
+                        lambda self: copies.append(self) or original(self))
+    signs = [t.expectation_sign(q) for q in queries]
+    bulk = PauliString.single(lat.site_id(6, 4), "Z")  # anticommutes: random
+    assert t.expectation_sign(bulk) is None
+
+    assert copies == []
+    assert signs == expected and None not in signs
+    after = (t.x, t.z, t.r, t.active, t.logicals, t.reference_signs,
+             t.rng.bit_generator.state)
+    for old, new in zip(before, after):
+        if isinstance(old, np.ndarray):
+            assert np.array_equal(old, new)
+        else:
+            assert old == new
+
+
 def _pauli_bits(word: str):
     x = np.array([c in "XY" for c in word], dtype=np.uint8)
     z = np.array([c in "ZY" for c in word], dtype=np.uint8)
