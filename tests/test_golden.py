@@ -1,20 +1,27 @@
-"""Exact reduced strings pinned against a recorded reference.
+"""Exact reduced strings and tableaux pinned against a recorded reference.
 
 The stabilizer reduction breaks weight ties on the rendered string, so a
 change to how it searches could swap one minimal string for another without
-any other test noticing. This module pins the ``derive`` report, every parity
-and bracket string of the default 8x12 lattice and the twist logicals of the
-two 14x12 readout lattices. To re-record the reference after an intended
-change of output, run ``PYTHONPATH=src python tests/test_golden.py``.
+any other test noticing; likewise a change to the tableau kernel could change
+which generators a state is written in without changing a single outcome.
+This module pins the ``derive`` report, every parity and bracket string of the
+default 8x12 lattice, the twist logicals of the two 14x12 readout lattices,
+the ground tableau of all three lattices, a lattice-backend tableau after
+three braids and fixed-seed lattice-backend statistics with their records.
+To re-record the reference after an intended change of output, run
+``PYTHONPATH=src python tests/test_golden.py``.
 """
 
+import hashlib
 import json
 import os
 import sys
 import tempfile
 from itertools import combinations
 
-from twistsim import cli, tableau
+import numpy as np
+
+from twistsim import cli, mbb, tableau
 from twistsim.lattice import build_lattice, twist_logicals
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden_outputs.json")
@@ -57,7 +64,21 @@ def golden_outputs() -> dict:
     for name in ("14x12_558", "14x12_557"):
         z, x = twist_logicals(build_lattice(*LATTICES[name]), 0)
         out["twist_logicals_0"][name] = [str(z), str(x)]
-    return out
+    out["init_ground_sha256"] = {
+        name: hashlib.sha256(tableau.init_ground(build_lattice(*shape), 0)
+                             .to_text().encode()).hexdigest()
+        for name, shape in LATTICES.items()
+    }
+    backend = mbb.LatticeBackend(lat, np.random.default_rng(17))
+    for _ in range(3):
+        mbb.braid_once(backend)
+    out["lattice_backend_after_3_braids"] = backend.tab.to_text()
+    out["lattice_statistics"] = {
+        str(n): mbb.run_statistics(lambda rng: mbb.LatticeBackend(lat, rng),
+                                   n, shots=12, seed=23, keep_records=True)
+        for n in range(4)
+    }
+    return json.loads(json.dumps(out))  # tuples as the JSON file has them
 
 
 def test_outputs_match_the_recorded_reference():
