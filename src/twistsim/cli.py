@@ -246,19 +246,38 @@ def _stats_backend_factory(cfg):
                 {"row": 8, "col_start": 2, "col_end": 4},
             ]}
         )
+        if lat.n_pairs != 3:
+            raise ConfigError(
+                f"stats reads the (3,5) label, so it needs 3 twist pairs; "
+                f"the lattice has {lat.n_pairs}")
         return lambda rng: mbb.LatticeBackend(lat, rng)
     raise ConfigError(f"unknown backend {backend!r}")
 
 
+def _count(cfg, key, default, minimum):
+    """``cfg[key]`` as an integer of at least ``minimum``."""
+    value = cfg.get(key, default)
+    try:
+        count = int(value)
+    except (TypeError, ValueError):
+        count = None
+    if isinstance(value, bool) or count is None or count < minimum:
+        raise ConfigError(f"{key} must be an integer >= {minimum}, got {value!r}")
+    return count
+
+
 def _run_stats(cfg) -> tuple[dict, list[dict]]:
+    shots = _count(cfg, "shots", 10000, 1)
+    n_braids = _count(cfg, "n_braids", 1, 0)
+    seed = cfg.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
     factory = _stats_backend_factory(cfg)
-    shots = int(cfg.get("shots", 10000))
-    n_braids = int(cfg.get("n_braids", 1))
     workers = int(os.environ.get("TWISTSIM_WORKERS", "1"))
     if workers > 1:
         res = _parallel_stats(cfg, n_braids, shots, workers)
     else:
-        res = mbb.run_statistics(factory, n_braids, shots, cfg.get("seed", 0))
+        res = mbb.run_statistics(factory, n_braids, shots, seed)
     expected = {0: 0.0, 1: 0.5, 2: 1.0, 3: 0.5}[n_braids % 4]
     sigma = np.sqrt(max(expected * (1 - expected), 0.25) / shots)
     tol = 3 * sigma if expected not in (0.0, 1.0) else 0.0

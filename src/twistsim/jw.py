@@ -31,7 +31,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from . import _gf2
+from . import _gf2, _kernels
 from .lattice import GeometryError, TwistLattice, plaquette_operator
 from .pauli import PauliString, Phase
 
@@ -354,15 +354,6 @@ class PackedPlaquettes(NamedTuple):
     boxes: np.ndarray  # (faces, 4): min row, max row, min col, max col
 
 
-def pack_bits(bits: np.ndarray) -> np.ndarray:
-    """Pack the 0/1 columns of each row into little-endian 64-bit words."""
-    bits = np.atleast_2d(np.asarray(bits, dtype=np.uint8))
-    n_words = -(-bits.shape[1] // 64)
-    padded = np.zeros((bits.shape[0], 64 * n_words), dtype=np.uint8)
-    padded[:, : bits.shape[1]] = bits
-    return np.packbits(padded, axis=1, bitorder="little").view("<u8")
-
-
 def _subset_table(x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """x and z words of the product of every subset of the rows: row ``i`` of
     the table multiplies the rows selected by the bits of ``i``."""
@@ -399,9 +390,9 @@ def reduce_by_stabilizers(
     rows = ctx.packed_plaquettes
     if p.sites and not 0 <= p.sites[0] <= p.sites[-1] < lat.n_sites:
         raise GeometryError("operator acts on a site off the lattice")
-    px, pz = pack_bits(_gf2.symplectic_vector(p, ctx.site_index).reshape(2, -1))
-    clashes = np.bitwise_count((rows.x & pz) ^ (rows.z & px)).sum(axis=1)
-    if (clashes & 1).any():
+    px, pz = _kernels.pack_bits(
+        _gf2.symplectic_vector(p, ctx.site_index).reshape(2, -1))
+    if _kernels.anticommute_mask(rows.x, rows.z, px, pz).any():
         raise ValueError("operator is outside the plaquette commutant")
     if not p.support:
         return p

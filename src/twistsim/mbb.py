@@ -251,10 +251,9 @@ class LatticeBackend:
         sigma = parity_sign_for(pair, self.n)
         string = self.strings[pair]
         target = None if force is None else (1 if force == 0 else -1) * sigma
-        undetermined = self.tab.expectation_sign(string) is None
         outcome = self.tab.measure(string, force=target)
         n = 0 if outcome == sigma else 1
-        return n, (0.5 if undetermined else 1.0)
+        return n, (0.5 if self.tab.last_random else 1.0)
 
     def apply_parity(self, pair: tuple[int, int]) -> None:
         self.tab.apply_pauli(self.strings[tuple(pair)])

@@ -32,18 +32,22 @@ class Tableau:
 
     ``active`` is the set of plaquette ids currently enforced by the code
     cycle; disabling a stabilizer is bookkeeping only and never touches the
-    quantum state.
+    quantum state. ``last_random`` tells whether the latest ``measure`` had a
+    random outcome (probability 1/2) rather than a fixed one.
     """
 
     def __init__(self, n: int, rng: np.random.Generator):
         self.n = n
-        self.x = np.zeros((2 * n, n), dtype=np.uint8)
-        self.z = np.zeros((2 * n, n), dtype=np.uint8)
+        # rows as 64-bit words, see ``_kernels``
+        self.x = np.zeros((2 * n, -(-n // 64)), dtype=np.uint64)
+        self.z = np.zeros_like(self.x)
         self.r = np.zeros(2 * n, dtype=np.uint8)
-        for i in range(n):
-            self.x[i, i] = 1          # destabilizer X_i
-            self.z[n + i, i] = 1      # stabilizer Z_i
+        site = np.arange(n)
+        bit = np.uint64(1) << (site % 64).astype(np.uint64)
+        self.x[site, site // 64] = bit          # destabilizer X_i
+        self.z[n + site, site // 64] = bit      # stabilizer Z_i
         self.rng = rng
+        self.last_random = False
         self.lattice: TwistLattice | None = None
         self.plaquette_ops: tuple[PauliString, ...] = ()
         self.active: set[int] = set()
@@ -75,26 +79,28 @@ class Tableau:
     def _bits_of(self, p: PauliString) -> tuple[np.ndarray, np.ndarray, int]:
         if not p.is_hermitian:
             raise ValueError(f"operator {p} is not Hermitian (phase must be ±1)")
-        px = np.zeros(self.n, dtype=np.uint8)
-        pz = np.zeros(self.n, dtype=np.uint8)
+        xbits = zbits = 0
         for site, letter in p.support:
-            if letter in ("X", "Y"):
-                px[site] = 1
-            if letter in ("Z", "Y"):
-                pz[site] = 1
+            if letter != "Z":
+                xbits |= 1 << site
+            if letter != "X":
+                zbits |= 1 << site
+        n_bytes = 8 * self.x.shape[1]
+        px = np.frombuffer(xbits.to_bytes(n_bytes, "little"), dtype="<u8")
+        pz = np.frombuffer(zbits.to_bytes(n_bytes, "little"), dtype="<u8")
         return px, pz, p.phase.exponent // 2
 
+    def _letters(self, rows=slice(None)) -> np.ndarray:
+        """One row of ASCII Pauli letters per selected tableau row."""
+        codes = (_kernels.unpack_bits(self.x[rows], self.n)
+                 + 2 * _kernels.unpack_bits(self.z[rows], self.n))
+        return np.frombuffer(b"IXZY", dtype=np.uint8)[codes]
+
     def row_operator(self, i: int) -> PauliString:
-        letters: dict[int, str] = {}
-        for j in range(self.n):
-            x, z = int(self.x[i, j]), int(self.z[i, j])
-            if x and z:
-                letters[j] = "Y"
-            elif x:
-                letters[j] = "X"
-            elif z:
-                letters[j] = "Z"
-        return PauliString.from_dict(letters, 2 * int(self.r[i]))
+        letters = self._letters([i])[0].tobytes().decode()
+        return PauliString.from_dict(
+            {j: letter for j, letter in enumerate(letters) if letter != "I"},
+            2 * int(self.r[i]))
 
     def stabilizer_generators(self) -> list[PauliString]:
         return [self.row_operator(self.n + i) for i in range(self.n)]
@@ -106,6 +112,7 @@ class Tableau:
         px, pz, pr = self._bits_of(p)
         mask = _kernels.anticommute_mask(self.x, self.z, px, pz)
         stab_anti = np.flatnonzero(mask[self.n:])
+        self.last_random = bool(stab_anti.size)
         if stab_anti.size:
             pivot = self.n + int(stab_anti[0])
             if force is None:
@@ -127,18 +134,17 @@ class Tableau:
     def _fixed_outcome(self, px, pz, pr, mask) -> int:
         """Outcome of a measurement that commutes with every stabilizer; reads
         the state without changing it. ``mask`` is ``anticommute_mask`` of p."""
-        # accumulate stabilizer rows whose destabilizer partner anticommutes
-        # with p; the product equals ±p and fixes the outcome.
-        acc_x = np.zeros(self.n, dtype=np.uint8)
-        acc_z = np.zeros(self.n, dtype=np.uint8)
-        exponent = 0
-        for i in np.flatnonzero(mask[: self.n]):
-            row = self.n + int(i)
-            exponent += 2 * int(self.r[row])
-            exponent += _kernels.rowsum_phase(acc_x, acc_z, self.x[row], self.z[row])
-            acc_x ^= self.x[row]
-            acc_z ^= self.z[row]
-        if not (np.array_equal(acc_x, px) and np.array_equal(acc_z, pz)):
+        # the stabilizer rows whose destabilizer partner anticommutes with p
+        # multiply to ±p. Row k of the running products is the product of
+        # rows 0..k-1, so step k's phase is that of (running product k) * row k.
+        rows = self.n + np.flatnonzero(mask[: self.n])
+        xs, zs = self.x[rows], self.z[rows]
+        start = np.zeros((1, xs.shape[1]), dtype=xs.dtype)
+        acc_x = np.bitwise_xor.accumulate(np.vstack([start, xs]), axis=0)
+        acc_z = np.bitwise_xor.accumulate(np.vstack([start, zs]), axis=0)
+        steps = _kernels.rowsum_phase(acc_x[:-1], acc_z[:-1], xs, zs)
+        exponent = 2 * int(self.r[rows].sum()) + int(steps.sum())
+        if not (np.array_equal(acc_x[-1], px) and np.array_equal(acc_z[-1], pz)):
             raise AssertionError("deterministic branch accumulated a wrong operator")
         return 1 if (exponent - 2 * pr) % 4 == 0 else -1
 
@@ -161,14 +167,10 @@ class Tableau:
     def to_text(self) -> str:
         buf = io.StringIO()
         buf.write(f"twistsim-tableau v1 n={self.n}\n")
-        for i in range(2 * self.n):
+        for i, letters in enumerate(self._letters()):
             kind = "D" if i < self.n else "S"
             sign = "-" if self.r[i] else "+"
-            letters = []
-            for j in range(self.n):
-                x, z = int(self.x[i, j]), int(self.z[i, j])
-                letters.append("IXZY"[x + 2 * z] if x + 2 * z != 3 else "Y")
-            buf.write(f"{kind}{sign}{''.join(letters)}\n")
+            buf.write(f"{kind}{sign}{letters.tobytes().decode()}\n")
         return buf.getvalue()
 
     @classmethod
@@ -179,11 +181,11 @@ class Tableau:
             raise ValueError(f"unsupported tableau format: {lines[0]!r}")
         n = int(header[2].split("=")[1])
         t = cls.zero_state(n, seed)
-        for i, line in enumerate(lines[1:]):
-            t.r[i] = 1 if line[1] == "-" else 0
-            for j, letter in enumerate(line[2:]):
-                t.x[i, j] = 1 if letter in "XY" else 0
-                t.z[i, j] = 1 if letter in "ZY" else 0
+        rows = lines[1:]
+        letters = np.array([list(line[2:]) for line in rows])
+        t.r[: len(rows)] = [1 if line[1] == "-" else 0 for line in rows]
+        t.x[: len(rows)] = _kernels.pack_bits((letters == "X") | (letters == "Y"))
+        t.z[: len(rows)] = _kernels.pack_bits((letters == "Z") | (letters == "Y"))
         return t
 
 
@@ -231,8 +233,8 @@ class CodeContext:
         for op in self.plaquette_ops:
             rows, cols = zip(*(self.lat.site_coords(s) for s in op.sites))
             boxes.append((min(rows), max(rows), min(cols), max(cols)))
-        return jw.PackedPlaquettes(jw.pack_bits(mat[:, :n]), jw.pack_bits(mat[:, n:]),
-                                   np.array(boxes))
+        return jw.PackedPlaquettes(_kernels.pack_bits(mat[:, :n]),
+                                   _kernels.pack_bits(mat[:, n:]), np.array(boxes))
 
     @cached_property
     def path(self) -> jw.JWPath:

@@ -1,5 +1,6 @@
 import json
 
+import pytest
 
 from twistsim.cli import main
 
@@ -115,3 +116,26 @@ def test_stats_report_independent_of_worker_count(tmp_path, monkeypatch):
         assert main(args + ["--out", str(out)]) == 0
         reports.append(out.read_bytes())
     assert reports[0] == reports[1]
+
+
+TWO_PAIRS = {"width": 8, "height": 9, "segments": [
+    {"row": 2, "col_start": 2, "col_end": 4}, {"row": 5, "col_start": 2, "col_end": 4}]}
+
+
+@pytest.mark.parametrize("cfg, flags, message", [
+    ({"backend": "lattice", "lattice": TWO_PAIRS}, [], "3 twist pairs"),
+    ({}, ["--shots", "0"], "shots"),
+    ({}, ["--seed", "-3"], "seed"),
+    ({}, ["--n-braids", "-1"], "n_braids"),
+], ids=["two_pair_lattice", "zero_shots", "negative_seed", "negative_braids"])
+def test_bad_stats_config_exits_with_config_error(tmp_path, capsys, cfg, flags,
+                                                  message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out_file = tmp_path / "report.json"
+    code, out, err = run_cli(
+        ["stats", "--config", str(path), "--shots", "5", "--out", str(out_file)]
+        + flags, capsys)
+    assert code == 1
+    assert out == "" and not out_file.exists()
+    assert "config error" in err and message in err

@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from twistsim import dense, jw
+from twistsim import _kernels, dense, jw
 from twistsim.lattice import build_lattice
 from twistsim.mbb import (AnyonBackend, FockBackend, LatticeBackend, MBBRecord,
                           apply_correction, braid_once, correction_for,
@@ -320,3 +320,37 @@ def test_lattice_backend_setup_derives_twist_modes_once(monkeypatch):
     LatticeBackend(lat, np.random.default_rng(0))
     LatticeBackend(lat, np.random.default_rng(1))
     assert len(calls) == 1
+
+
+def test_lattice_backend_probabilities_need_one_commutation_pass(monkeypatch):
+    passes = []
+    anticommute_mask = _kernels.anticommute_mask
+    monkeypatch.setattr(_kernels, "anticommute_mask",
+                        lambda *args: passes.append(1) or anticommute_mask(*args))
+    seen = set()
+    for seed in range(4):
+        bk = LatticeBackend(LAT6, np.random.default_rng(seed))
+        twin = LatticeBackend(LAT6, np.random.default_rng(seed))
+        for _ in range(seed):
+            labels, probabilities = [], []
+            for pair in ((1, 3), (1, 4), (1, 2)):
+                undetermined = bk.tab.expectation_sign(bk.strings[pair]) is None
+                before = len(passes)
+                n, prob = bk.measure(pair)
+                assert len(passes) - before == 1
+                assert prob == (0.5 if undetermined else 1.0)
+                labels.append(n)
+                probabilities.append(prob)
+            record = MBBRecord(0, *labels, "lattice")
+            apply_correction(bk, record)
+            twin_record, _ = braid_once(twin)
+            assert twin_record.probabilities == tuple(probabilities)
+            assert (twin_record.n13, twin_record.n14, twin_record.n12_final) == \
+                tuple(labels)
+            seen.update(probabilities)
+        undetermined = bk.tab.expectation_sign(bk.strings[(3, 5)]) is None
+        n35, prob = bk.measure((3, 5))
+        assert prob == (0.5 if undetermined else 1.0)
+        assert twin.measure((3, 5)) == (n35, prob)
+        seen.add(prob)
+    assert seen == {0.5, 1.0}

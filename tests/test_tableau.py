@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from twistsim import _kernels, dense, jw
 from twistsim.lattice import GeometryError, build_lattice, \
@@ -328,21 +328,109 @@ def _pauli_of(word: str) -> PauliString:
     return PauliString.from_dict({i: c for i, c in enumerate(word) if c != "I"})
 
 
+# Sizes around the 64-bit word boundaries: rows of 1, 2 and 3 words.
+WORD_EDGES = st.sampled_from([1, 2, 63, 64, 65, 127, 128, 129, 130])
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_kernels_match_pauli_algebra(data):
-    n = data.draw(st.integers(1, 12))
+    n = data.draw(st.one_of(WORD_EDGES, st.integers(1, 130)))
     word = st.text(alphabet="IXYZ", min_size=n, max_size=n)
     rows = data.draw(st.lists(word, min_size=1, max_size=8))
     probe = data.draw(word)
-    x = np.array([_pauli_bits(w)[0] for w in rows])
-    z = np.array([_pauli_bits(w)[1] for w in rows])
-    px, pz = _pauli_bits(probe)
-    mask = _kernels.anticommute_mask(x, z, px, pz)
+    x = _kernels.pack_bits(np.array([_pauli_bits(w)[0] for w in rows]))
+    z = _kernels.pack_bits(np.array([_pauli_bits(w)[1] for w in rows]))
+    assert x.shape == (len(rows), -(-n // 64)) and x.dtype == np.uint64
+    assert np.array_equal(_kernels.unpack_bits(x, n),
+                          [_pauli_bits(w)[0] for w in rows])
+    px, pz = (_kernels.pack_bits(b)[0] for b in _pauli_bits(probe))
     p = _pauli_of(probe)
+    mask = _kernels.anticommute_mask(x, z, px, pz)
     assert [int(m) for m in mask] == \
         [0 if _pauli_of(w).commutes_with(p) else 1 for w in rows]
-    for w in rows:
-        wx, wz = _pauli_bits(w)
-        assert _kernels.rowsum_phase(wx, wz, px, pz) == \
-            (_pauli_of(w) * p).phase.exponent
+    want = [(_pauli_of(w) * p).phase.exponent for w in rows]
+    assert [int(e) for e in _kernels.rowsum_phase(x, z, px, pz)] == want
+    assert [int(_kernels.rowsum_phase(x[k], z[k], px, pz))
+            for k in range(len(rows))] == want
+
+
+# Power of i of single-site products, Y = iXZ: XY = iZ, YX = -iZ, ...
+_SITE_PHASE = {("X", "Y"): 1, ("Y", "Z"): 1, ("Z", "X"): 1,
+               ("Y", "X"): 3, ("Z", "Y"): 3, ("X", "Z"): 3}
+
+
+def _reference_update(x, z, r, px, pz, pr, pivot, anti_rows, outcome_bit):
+    """The unpacked CHP update, one row at a time, on (2n, n) 0/1 arrays."""
+    n = x.shape[1]
+    letters = np.array(["I", "X", "Z", "Y"])
+    for i in anti_rows:
+        if i == pivot:
+            continue
+        phase = sum(_SITE_PHASE.get((a, b), 0) for a, b in zip(
+            letters[x[i] + 2 * z[i]], letters[x[pivot] + 2 * z[pivot]]))
+        r[i] = (r[i] + r[pivot] + (phase % 4) // 2) % 2
+        x[i] ^= x[pivot]
+        z[i] ^= z[pivot]
+    x[pivot - n], z[pivot - n], r[pivot - n] = x[pivot], z[pivot], r[pivot]
+    x[pivot], z[pivot], r[pivot] = px, pz, (pr + outcome_bit) % 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([63, 64, 65, 129]), seed=st.integers(0, 2**32 - 1),
+       density=st.sampled_from([0.05, 0.5]), pr=st.integers(0, 1),
+       outcome_bit=st.integers(0, 1))
+def test_measurement_update_matches_a_row_by_row_loop(n, seed, density, pr,
+                                                      outcome_bit):
+    rng = np.random.default_rng(seed)
+    x = (rng.random((2 * n, n)) < density).astype(np.uint8)
+    z = (rng.random((2 * n, n)) < density).astype(np.uint8)
+    r = rng.integers(2, size=2 * n).astype(np.uint8)
+    px = (rng.random(n) < density).astype(np.uint8)
+    pz = (rng.random(n) < density).astype(np.uint8)
+    anti = ((x & pz).sum(axis=1) + (z & px).sum(axis=1)) % 2
+    anti_rows = np.flatnonzero(anti)
+    stab_anti = anti_rows[anti_rows >= n]
+    assume(stab_anti.size)
+    pivot = int(stab_anti[0])
+
+    words = [_kernels.pack_bits(a) for a in (x, z)]
+    pw = [_kernels.pack_bits(a)[0] for a in (px, pz)]
+    assert np.array_equal(
+        _kernels.anticommute_mask(words[0], words[1], pw[0], pw[1]), anti)
+    packed_r = r.copy()
+    _kernels.measurement_update(words[0], words[1], packed_r, pw[0], pw[1], pr,
+                                pivot, anti_rows, outcome_bit)
+    _reference_update(x, z, r, px, pz, pr, pivot, anti_rows, outcome_bit)
+    assert np.array_equal(_kernels.unpack_bits(words[0], n), x)
+    assert np.array_equal(_kernels.unpack_bits(words[1], n), z)
+    assert np.array_equal(packed_r, r)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_measurement_sequences_match_the_state_vector(data):
+    n = data.draw(st.integers(1, 10))
+    word = st.text(alphabet="IXYZ", min_size=n, max_size=n)
+    words = data.draw(st.lists(word.filter(lambda w: w.strip("I")),
+                               min_size=1, max_size=12))
+    signs = data.draw(st.lists(st.sampled_from([0, 2]), min_size=len(words),
+                               max_size=len(words)))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    sites = list(range(n))
+    t = Tableau.zero_state(n, seed)
+    v = dense.zero_state(n)
+    for w, sign in zip(words, signs):
+        p = PauliString.from_dict(
+            {i: c for i, c in enumerate(w) if c != "I"}, sign)
+        p_plus = float(np.linalg.norm(dense.project_eigenvalue(v, p, sites, +1)) ** 2)
+        out = t.measure(p)
+        # a random tableau outcome is a fair coin; a fixed one is certain
+        assert (p_plus if out == 1 else 1 - p_plus) == \
+            pytest.approx(0.5 if t.last_random else 1.0)
+        out_v, v = dense.measure_projective(v, p, sites, None, force=out)
+        assert out_v == out
+        assert t.expectation_sign(p) == out
+    for k in range(n):
+        g = t.row_operator(n + k)
+        assert dense.expectation(v, g, sites) == pytest.approx(1.0)
