@@ -152,7 +152,7 @@ class Tableau:
         """Conjugate the state by a Pauli unitary (sign flips only)."""
         px, pz, _ = self._bits_of(p)
         mask = _kernels.anticommute_mask(self.x, self.z, px, pz)
-        self.r ^= mask.astype(np.uint8)
+        self.r ^= mask
 
     def expectation_sign(self, p: PauliString) -> int | None:
         """±1 if ``p`` is fixed by the state, None if the outcome is random."""
