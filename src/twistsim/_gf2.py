@@ -39,75 +39,47 @@ def pauli_from_vector(v: np.ndarray, sites: list[int], phase: int = 0) -> PauliS
     return PauliString.from_dict(letters, phase)
 
 
+def _rref(mat: np.ndarray, n_cols: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row-echelon form of a copy of ``mat`` over its first ``n_cols``
+    columns, with its pivot columns; row ``i`` has its leading 1 in column
+    ``pivots[i]``. Column ``c`` pivots on the first row at or below the
+    current one with a 1 there, and row operations span every column."""
+    a = np.array(mat, dtype=np.uint8) % 2
+    pivots: list[int] = []
+    for c in range(n_cols):
+        r = len(pivots)
+        if r == a.shape[0]:
+            break
+        hits = np.flatnonzero(a[r:, c])
+        if not hits.size:
+            continue
+        a[[r, r + hits[0]]] = a[[r + hits[0], r]]
+        mask = a[:, c] == 1
+        mask[r] = False
+        a[mask] ^= a[r]
+        pivots.append(c)
+    return a, pivots
+
+
 def rank(mat: np.ndarray) -> int:
     """Rank of a binary matrix over GF(2). ``mat`` is copied, rows x cols."""
-    a = np.array(mat, dtype=np.uint8) % 2
-    rows, cols = a.shape
-    r = 0
-    for c in range(cols):
-        pivot = None
-        for i in range(r, rows):
-            if a[i, c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        a[[r, pivot]] = a[[pivot, r]]
-        mask = a[:, c].copy()
-        mask[r] = 0
-        a[mask == 1] ^= a[r]
-        r += 1
-        if r == rows:
-            break
-    return r
+    return len(_rref(mat, mat.shape[1])[1])
 
 
 def solve(mat: np.ndarray, target: np.ndarray) -> np.ndarray | None:
     """Solve x·mat = target over GF(2) (x selects rows). None if insoluble."""
-    a = np.array(mat, dtype=np.uint8) % 2
-    rows, cols = a.shape
+    rows, cols = mat.shape
+    # reducing [mat | I] records in the right half which rows make each row
+    red, pivots = _rref(np.hstack([mat, np.eye(rows, dtype=np.uint8)]), cols)
     t = np.array(target, dtype=np.uint8) % 2
-    # Track row operations in an augmented identity.
-    combo = np.eye(rows, dtype=np.uint8)
-    r = 0
-    pivots: list[int] = []
-    for c in range(cols):
-        pivot = None
-        for i in range(r, rows):
-            if a[i, c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        a[[r, pivot]] = a[[pivot, r]]
-        combo[[r, pivot]] = combo[[pivot, r]]
-        mask = a[:, c].copy()
-        mask[r] = 0
-        combo[mask == 1] ^= combo[r]
-        a[mask == 1] ^= a[r]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    x = np.zeros(rows, dtype=np.uint8)
-    residual = t.copy()
-    for i, c in enumerate(pivots):
-        if residual[c]:
-            residual ^= a[i]
-            x ^= combo[i]
-    if residual.any():
+    combo = np.bitwise_xor.reduce(red[:len(pivots)][t[pivots] == 1], axis=0)
+    if (combo[:cols] != t).any():
         return None
-    return x
+    return combo[cols:]
 
 
 def in_span(mat: np.ndarray, target: np.ndarray) -> bool:
     return solve(mat, target) is not None
-
-
-def symplectic_product(u: np.ndarray, v: np.ndarray) -> int:
-    """Commutation pairing: 0 if the Paulis commute, 1 if they anticommute."""
-    n = len(u) // 2
-    return int((u[:n] @ v[n:] + u[n:] @ v[:n]) % 2)
 
 
 def solve_symplectic(
@@ -115,49 +87,20 @@ def solve_symplectic(
 ) -> np.ndarray | None:
     """Find a (x|z) vector with prescribed commutation pairings.
 
-    Each constraint is (vector, parity): the result must have
-    symplectic_product(result, vector) == parity. Returns None if the
-    system is inconsistent, otherwise a deterministic solution.
+    Each constraint is (vector, parity): the result must anticommute with
+    ``vector`` exactly when ``parity`` is 1. Returns None if the system is
+    inconsistent, otherwise the solution that is zero on every free
+    (non-pivot) column.
     """
-    if not constraints:
-        return np.zeros(2 * n_sites, dtype=np.uint8)
-    # symplectic_product(r, v) is linear in r: it is r · J(v) with J swapping
-    # the x and z halves, so this is an ordinary linear solve.
-    rows = []
-    rhs = []
-    for v, parity in constraints:
-        swapped = np.concatenate([v[n_sites:], v[:n_sites]])
-        rows.append(swapped)
-        rhs.append(parity)
-    a = np.array(rows, dtype=np.uint8)
-    b = np.array(rhs, dtype=np.uint8)
-    # Solve a · r^T = b by eliminating over the 2n unknowns.
-    m = a.shape[0]
-    aug = np.concatenate([a, b[:, None]], axis=1).astype(np.uint8)
-    r = 0
-    pivots = []
-    for c in range(2 * n_sites):
-        pivot = None
-        for i in range(r, m):
-            if aug[i, c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        aug[[r, pivot]] = aug[[pivot, r]]
-        mask = aug[:, c].copy()
-        mask[r] = 0
-        aug[mask == 1] ^= aug[r]
-        pivots.append(c)
-        r += 1
-    for i in range(r, m):
-        if aug[i, -1]:
-            return None
+    # the pairing of r with v is r · J(v), J swapping the x and z halves, so
+    # this is an ordinary linear solve on [J(v) | parity]
+    vecs = np.array([v for v, _ in constraints], dtype=np.uint8)
+    parities = np.array([p for _, p in constraints], dtype=np.uint8)
+    aug = np.hstack([np.roll(vecs.reshape(-1, 2 * n_sites), n_sites, axis=1),
+                     parities.reshape(-1, 1)])
+    red, pivots = _rref(aug, 2 * n_sites)
+    if red[len(pivots):, -1].any():
+        return None
     x = np.zeros(2 * n_sites, dtype=np.uint8)
-    for i in range(r - 1, -1, -1):
-        c = pivots[i]
-        val = aug[i, -1]
-        row = aug[i, :-1]
-        acc = int((row * x).sum() % 2) ^ int(row[c]) * int(x[c])
-        x[c] = (int(val) ^ acc) % 2
+    x[pivots] = red[:len(pivots), -1]
     return x

@@ -20,6 +20,7 @@ import sys
 import numpy as np
 
 from . import __version__, dense, jw, mbb
+from ._gf2 import rank
 from .lattice import (GeometryError, SizeError, build_lattice,
                       all_plaquette_operators, lattice_spec_loads)
 from .pauli import PauliString
@@ -54,7 +55,9 @@ def _load_config(args) -> dict:
         cfg["shots"] = args.shots
     if getattr(args, "n_braids", None) is not None:
         cfg["n_braids"] = args.n_braids
-    cfg.setdefault("seed", 0)
+    seed = cfg.setdefault("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
     return cfg
 
 
@@ -158,12 +161,11 @@ def _run_verify(cfg) -> tuple[dict, list[dict]]:
     )
     checks.append({"name": "plaquettes_commute", "passed": commuting,
                    "detail": f"{len(ops)} operators"})
-    from ._gf2 import rank
-    mat = lat.stabilizer_matrix()
+    r = rank(lat.stabilizer_matrix())
     checks.append({
         "name": "plaquettes_independent",
-        "passed": rank(mat) == len(ops),
-        "detail": f"rank {rank(mat)} of {len(ops)}",
+        "passed": r == len(ops),
+        "detail": f"rank {r} of {len(ops)}",
     })
     path = jw.default_path(lat)
     images = jw.plaquette_images(lat, path)
@@ -270,8 +272,6 @@ def _run_stats(cfg) -> tuple[dict, list[dict]]:
     shots = _count(cfg, "shots", 10000, 1)
     n_braids = _count(cfg, "n_braids", 1, 0)
     seed = cfg.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
     factory = _stats_backend_factory(cfg)
     workers = int(os.environ.get("TWISTSIM_WORKERS", "1"))
     if workers > 1:
@@ -316,7 +316,7 @@ def _run_oracle_check(cfg) -> tuple[dict, list[dict]]:
     if lat.n_sites > dense.MAX_DENSE_SITES:
         raise ConfigError("oracle-check lattice exceeds the dense-oracle cap")
     seed = cfg.get("seed", 0)
-    shots = int(cfg.get("shots", 200))
+    shots = _count(cfg, "shots", 200, 1)
     sites = list(lat.sites)
     ops = all_plaquette_operators(lat)
     mismatches = 0

@@ -180,32 +180,6 @@ class FockSpace:
         """Exchange of modes a and b: (1 + gamma_b gamma_a) / sqrt(2)."""
         return (np.eye(self.dim) + self.gamma(b) @ self.gamma(a)) / np.sqrt(2)
 
-    def measure_number(
-        self,
-        amps: np.ndarray,
-        a: int,
-        b: int,
-        rng: np.random.Generator,
-        force: int | None = None,
-    ) -> tuple[int, np.ndarray]:
-        """Measure the pair's fermion number; returns (n in {0,1}, state)."""
-        n_op = self.number_op(a, b)
-        pop = amps.conj() @ n_op @ amps
-        p1 = float(pop.real)
-        if force is None:
-            n = 1 if rng.random() < p1 else 0
-        else:
-            n = force
-            w = p1 if force == 1 else 1.0 - p1
-            if w < 1e-12:
-                raise ValueError(f"forced number {force} has zero probability")
-        proj = n_op if n == 1 else np.eye(self.dim) - n_op
-        post = proj @ amps
-        norm = np.linalg.norm(post)
-        if norm < 1e-12:
-            raise DegenerateStateError("measurement branch has vanishing norm")
-        return n, post / norm
-
     def pairing_basis(self, pairs: list[tuple[int, int]]) -> dict[tuple[int, ...], np.ndarray]:
         """Joint number eigenbasis of disjoint pairs, with a fixed gauge.
 

@@ -317,18 +317,14 @@ class CodeContext:
     def _independent_logicals(self, registry: tuple) -> list[np.ndarray]:
         # registered logicals are not independent modulo the face group
         # (products of pair parities can fall back into it); keep a maximal
-        # independent subset, which already pins the rest.
-        rows = list(self.stabilizer_matrix)
-        keep = []
-        r = _gf2.rank(np.array(rows, dtype=np.uint8))
-        for _, op in registry:
-            v = _gf2.symplectic_vector(op, self.site_index)
-            r_new = _gf2.rank(np.array(rows + [v], dtype=np.uint8))
-            if r_new > r:
-                rows.append(v)
-                keep.append(v)
-                r = r_new
-        return keep
+        # independent subset, which already pins the rest. The pivot columns
+        # of [faces; logicals]^T are the vectors outside the span of those
+        # before them, so this keeps the greedy choice in registry order.
+        vecs = [_gf2.symplectic_vector(op, self.site_index) for _, op in registry]
+        n_faces = len(self.stabilizer_matrix)
+        _, pivots = _gf2._rref(np.vstack([self.stabilizer_matrix, *vecs]).T,
+                               n_faces + len(vecs))
+        return [vecs[c - n_faces] for c in pivots if c >= n_faces]
 
     def loop_decomposition(
         self, loop: list[int], pair: int, encloses_pair: bool,

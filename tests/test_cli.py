@@ -122,20 +122,27 @@ TWO_PAIRS = {"width": 8, "height": 9, "segments": [
     {"row": 2, "col_start": 2, "col_end": 4}, {"row": 5, "col_start": 2, "col_end": 4}]}
 
 
-@pytest.mark.parametrize("cfg, flags, message", [
-    ({"backend": "lattice", "lattice": TWO_PAIRS}, [], "3 twist pairs"),
-    ({}, ["--shots", "0"], "shots"),
-    ({}, ["--seed", "-3"], "seed"),
-    ({}, ["--n-braids", "-1"], "n_braids"),
-], ids=["two_pair_lattice", "zero_shots", "negative_seed", "negative_braids"])
-def test_bad_stats_config_exits_with_config_error(tmp_path, capsys, cfg, flags,
-                                                  message):
+@pytest.mark.parametrize("command, cfg, flags, message", [
+    ("stats", {"backend": "lattice", "lattice": TWO_PAIRS}, [], "3 twist pairs"),
+    ("stats", {}, ["--shots", "0"], "shots"),
+    ("stats", {}, ["--seed", "-3"], "seed"),
+    ("stats", {}, ["--n-braids", "-1"], "n_braids"),
+    ("mbb", {}, ["--seed", "-3"], "seed"),
+    ("oracle-check", {}, ["--seed", "-3"], "seed"),
+    ("oracle-check", {}, ["--shots", "0"], "shots"),
+    ("oracle-check", {}, ["--shots", "-2"], "shots"),
+], ids=["two_pair_lattice", "zero_shots", "negative_seed", "negative_braids",
+        "mbb_negative_seed", "oracle_negative_seed", "oracle_zero_shots",
+        "oracle_negative_shots"])
+def test_bad_stats_config_exits_with_config_error(tmp_path, capsys, command, cfg,
+                                                  flags, message):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     out_file = tmp_path / "report.json"
     code, out, err = run_cli(
-        ["stats", "--config", str(path), "--shots", "5", "--out", str(out_file)]
+        [command, "--config", str(path), "--shots", "5", "--out", str(out_file)]
         + flags, capsys)
     assert code == 1
     assert out == "" and not out_file.exists()
     assert "config error" in err and message in err
+
