@@ -7,7 +7,9 @@ which generators a state is written in without changing a single outcome.
 This module pins the ``derive`` report, every parity and bracket string of the
 default 8x12 lattice, the twist logicals of the two 14x12 readout lattices,
 the ground tableau of all three lattices, a lattice-backend tableau after
-three braids and fixed-seed lattice-backend statistics with their records.
+three braids, fixed-seed lattice-backend statistics with their records, and
+the sha256 of fixed-seed ``stats`` reports on the anyon and Fock backends and
+of ``mbb`` reports (whose Fock probabilities and fidelity are floats).
 To re-record the reference after an intended change of output, run
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
@@ -34,19 +36,29 @@ LATTICES = {
 DERIVED = ("8x12", "14x12_557")
 
 
-def _derive(name: str) -> dict:
-    width, height, segments = LATTICES[name]
-    cfg = {"lattice": {"width": width, "height": height, "segments": [
-        {"row": r, "col_start": c1, "col_end": c2} for r, c1, c2 in segments]}}
+def _cli_report(command: str, cfg: dict, flags: list[str]) -> bytes:
+    """Bytes of the report ``twistsim command --config cfg flags`` writes."""
     with tempfile.TemporaryDirectory() as tmp:
         cfg_path = os.path.join(tmp, "cfg.json")
         out_path = os.path.join(tmp, "report.json")
         with open(cfg_path, "w") as fh:
             json.dump(cfg, fh)
-        assert cli.main(["derive", "--config", cfg_path, "--out", out_path]) == 0
-        with open(out_path) as fh:
-            results = json.load(fh)["results"]
+        assert cli.main([command, "--config", cfg_path, "--out", out_path]
+                        + flags) == 0
+        with open(out_path, "rb") as fh:
+            return fh.read()
+
+
+def _derive(name: str) -> dict:
+    width, height, segments = LATTICES[name]
+    cfg = {"lattice": {"width": width, "height": height, "segments": [
+        {"row": r, "col_start": c1, "col_end": c2} for r, c1, c2 in segments]}}
+    results = json.loads(_cli_report("derive", cfg, []))["results"]
     return {"text_report": results["text_report"], "parities": results["parities"]}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def golden_outputs() -> dict:
@@ -65,8 +77,8 @@ def golden_outputs() -> dict:
         z, x = twist_logicals(build_lattice(*LATTICES[name]), 0)
         out["twist_logicals_0"][name] = [str(z), str(x)]
     out["init_ground_sha256"] = {
-        name: hashlib.sha256(tableau.init_ground(build_lattice(*shape), 0)
-                             .to_text().encode()).hexdigest()
+        name: _sha256(tableau.init_ground(build_lattice(*shape), 0)
+                      .to_text().encode())
         for name, shape in LATTICES.items()
     }
     backend = mbb.LatticeBackend(lat, np.random.default_rng(17))
@@ -77,6 +89,17 @@ def golden_outputs() -> dict:
         str(n): mbb.run_statistics(lambda rng: mbb.LatticeBackend(lat, rng),
                                    n, shots=12, seed=23, keep_records=True)
         for n in range(4)
+    }
+    out["stats_report_sha256"] = {
+        f"{backend}_{n}": _sha256(_cli_report(
+            "stats", {"backend": backend},
+            ["--seed", "29", "--shots", "300", "--n-braids", str(n)]))
+        for backend in ("anyon", "fock") for n in range(4)
+    }
+    out["mbb_report_sha256"] = {
+        "seed_7": _sha256(_cli_report("mbb", {}, ["--seed", "7"])),
+        "alpha_0.6_beta_0.8j": _sha256(_cli_report(
+            "mbb", {"alpha": 0.6, "beta": "0.8j"}, ["--seed", "5"])),
     }
     return json.loads(json.dumps(out))  # tuples as the JSON file has them
 
