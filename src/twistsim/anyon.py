@@ -19,6 +19,8 @@ from itertools import product as iproduct
 
 import numpy as np
 
+from .dense import born_branch
+
 CHARGES = ("I", "sigma", "psi")
 
 _FUSION = {
@@ -233,6 +235,34 @@ def _pairing_with(state_pairing, pair, n_anyons) -> tuple[tuple[int, int], ...]:
     )
 
 
+def measure_label(
+    components: list[tuple[complex, TopoState]],
+    slot: int,
+    rng: np.random.Generator,
+    force: int | None = None,
+) -> tuple[int, float, list[tuple[complex, TopoState]]]:
+    """Born-rule measurement of the fusion label at ``slot`` of weighted
+    states in one pairing. Returns the label, its probability and the
+    renormalized components that survive the projection."""
+    p1 = 0.0
+    for w, s in components:
+        amps = np.asarray(s.amps)
+        p1 += abs(w) ** 2 * float(
+            sum(abs(a) ** 2 for a, lab in zip(amps, s.labels()) if lab[slot] == 1)
+        )
+    n, prob = born_branch(p1, rng, force)
+    kept = []
+    for w, s in components:
+        keep = np.array([1.0 if lab[slot] == n else 0.0 for lab in s.labels()])
+        post = np.asarray(s.amps, dtype=np.complex128) * keep
+        nrm = np.linalg.norm(post)
+        if nrm * abs(w) >= 1e-14:
+            kept.append((w * nrm, TopoState(s.n_anyons, s.pairing, s.sector,
+                                            tuple(post / nrm))))
+    total = np.hypot.reduce([abs(w) for w, _ in kept])
+    return n, prob, [(w / total, s) for w, s in kept]
+
+
 def measure_pair(
     state: TopoState,
     pair: tuple[int, int],
@@ -243,21 +273,9 @@ def measure_pair(
     pair = tuple(pair)
     if pair not in state.pairing:
         state = transform_state(state, _pairing_with(state.pairing, pair, state.n_anyons))
-    slot = state.pairing.index(pair)
-    labels = state.labels()
-    amps = np.asarray(state.amps, dtype=np.complex128)
-    p1 = float(sum(abs(a) ** 2 for a, lab in zip(amps, labels) if lab[slot] == 1))
-    if force is None:
-        n = 1 if rng.random() < p1 else 0
-    else:
-        n = force
-        w = p1 if n == 1 else 1.0 - p1
-        if w < 1e-12:
-            raise ValueError(f"forced label {force} has zero probability")
-    keep = np.array([1.0 if lab[slot] == n else 0.0 for lab in labels])
-    post = amps * keep
-    post = post / np.linalg.norm(post)
-    return n, TopoState(state.n_anyons, state.pairing, state.sector, tuple(post))
+    n, _, [(_, post)] = measure_label([(1.0, state)], state.pairing.index(pair),
+                                      rng, force)
+    return n, post
 
 
 def apply_pair_parity(state: TopoState, pair: tuple[int, int]) -> TopoState:

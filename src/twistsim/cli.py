@@ -3,18 +3,17 @@
 Subcommands: ``derive`` (Majorana-mode report), ``verify`` (invariant suite),
 ``mbb`` (one traced braid cycle), ``stats`` (Monte Carlo parity-flip
 frequencies), ``oracle-check`` (tableau vs dense cross-validation). Reports
-are deterministic for a fixed config and seed; set ``TWISTSIM_WORKERS`` to
-parallelize Monte Carlo shots.
+are deterministic for a fixed config and seed.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import hashlib
 import io
 import json
-import os
 import sys
 
 import numpy as np
@@ -196,26 +195,35 @@ def _run_verify(cfg) -> tuple[dict, list[dict]]:
     return results, checks
 
 
+def _amplitude(cfg, key, default) -> complex:
+    """``cfg[key]`` as a finite complex number: a JSON number or a string
+    that ``complex()`` parses."""
+    value = cfg.get(key, default)
+    try:
+        amp = None if isinstance(value, bool) else complex(value)
+    except (TypeError, ValueError):
+        amp = None
+    if amp is None or not cmath.isfinite(amp):
+        raise ConfigError(f"{key} must be a finite complex number, got {value!r}")
+    return amp
+
+
 def _run_mbb(cfg) -> tuple[dict, list[dict]]:
+    alpha = _amplitude(cfg, "alpha", 1.0)
+    beta = _amplitude(cfg, "beta", 0.0)
+    if alpha == 0 and beta == 0:
+        raise ConfigError("alpha and beta must not both be zero")
     rng = np.random.default_rng(cfg.get("seed", 0))
-    alpha = complex(cfg.get("alpha", 1.0))
-    beta = complex(cfg.get("beta", 0.0))
     backend = mbb.FockBackend(4, rng, alpha, beta)
     initial = backend.vector()
-    trace = []
-    record = None
-    for step, pair in enumerate([(1, 3), (1, 4), (1, 2)]):
-        n, prob = backend.measure(pair)
-        trace.append({"step": step, "pair": list(pair), "label": n, "prob": prob})
-        if step == 0:
-            n13 = n
-        elif step == 1:
-            n14 = n
-        else:
-            record = mbb.MBBRecord(0, n13, n14, n, "fock")
-    correction, pair = mbb.correction_for(record)
-    if pair is not None:
-        backend.apply_parity(pair)
+    record = mbb.run_cycle(backend)
+    correction = mbb.apply_correction(backend, record)
+    labels = (record.n13, record.n14, record.n12_final)
+    trace = [
+        {"step": step, "pair": list(pair), "label": n, "prob": prob}
+        for step, (pair, n, prob) in enumerate(
+            zip(mbb.CYCLE_PAIRS, labels, record.probabilities))
+    ]
     fidelity = mbb.verify_braid_equivalence(
         initial, backend.vector(), mbb.MBBRecord(0, 0, 0, 0, "fock"), backend.space
     )
@@ -273,11 +281,7 @@ def _run_stats(cfg) -> tuple[dict, list[dict]]:
     n_braids = _count(cfg, "n_braids", 1, 0)
     seed = cfg.get("seed", 0)
     factory = _stats_backend_factory(cfg)
-    workers = int(os.environ.get("TWISTSIM_WORKERS", "1"))
-    if workers > 1:
-        res = _parallel_stats(cfg, n_braids, shots, workers)
-    else:
-        res = mbb.run_statistics(factory, n_braids, shots, seed)
+    res = mbb.run_statistics(factory, n_braids, shots, seed)
     expected = {0: 0.0, 1: 0.5, 2: 1.0, 3: 0.5}[n_braids % 4]
     sigma = np.sqrt(max(expected * (1 - expected), 0.25) / shots)
     tol = 3 * sigma if expected not in (0.0, 1.0) else 0.0
@@ -288,24 +292,6 @@ def _run_stats(cfg) -> tuple[dict, list[dict]]:
         "detail": f"freq {res['flip_frequency']:.4f} vs expected {expected}",
     }]
     return res, checks
-
-
-def _parallel_stats(cfg, n_braids, shots, workers):
-    # deterministic regardless of worker count: shot k always runs on the
-    # k-th child seed of the one root, as in mbb.run_statistics
-    from concurrent.futures import ProcessPoolExecutor
-
-    chunks = np.array_split(np.arange(shots), workers)
-    args = [(cfg, n_braids, chunk[0], len(chunk)) for chunk in chunks if len(chunk)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        flips = sum(pool.map(_stats_chunk, args))
-    return mbb.flip_statistics(n_braids, shots, flips)
-
-
-def _stats_chunk(packed):
-    cfg, n_braids, start, count = packed
-    seeds = np.random.SeedSequence(cfg.get("seed", 0)).spawn(start + count)[start:]
-    return mbb.run_shots(_stats_backend_factory(cfg), n_braids, seeds)
 
 
 def _run_oracle_check(cfg) -> tuple[dict, list[dict]]:
@@ -324,20 +310,22 @@ def _run_oracle_check(cfg) -> tuple[dict, list[dict]]:
     for _ in range(shots):
         t = Tableau.zero_state(lat.n_sites, np.random.default_rng(rng.integers(2**32)))
         v = dense.zero_state(lat.n_sites)
+        strings = []
         for _step in range(6):
             letters = {int(s): "IXYZ"[rng.integers(4)] for s in sites}
             d = {s: x for s, x in letters.items() if x != "I"}
-            if not d:
-                continue
-            p = PauliString.from_dict(d)
+            if d:
+                strings.append(PauliString.from_dict(d))
+        for p in strings + ops:
             out_t = t.measure(p)
-            out_v, v = dense.measure_projective(v, p, sites, rng, force=out_t)
-            if out_t != out_v:
-                mismatches += 1
-        for op in ops:
-            out_t = t.measure(op)
-            out_v, v = dense.measure_projective(v, op, sites, rng, force=out_t)
-            if t.measure(op) != out_t or out_v != out_t:
+            # the dense probability of out_t: 1/2 if random, 1 if fixed
+            prob = (1 + out_t * dense.expectation(v, p, sites).real) / 2
+            try:
+                _, v = dense.measure_projective(v, p, sites, rng, force=out_t)
+            except dense.InconsistentOutcomeError:
+                mismatches += 1  # the states diverged; end this sequence
+                break
+            if t.last_random != (prob < 0.75) or t.measure(p) != out_t:
                 mismatches += 1
     checks = [{"name": "tableau_matches_dense", "passed": mismatches == 0,
                "detail": f"{mismatches} mismatches over {shots} sequences"}]

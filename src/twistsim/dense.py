@@ -24,6 +24,25 @@ class DegenerateStateError(ValueError):
     """A projection annihilated the state (norm below tolerance)."""
 
 
+class InconsistentOutcomeError(ValueError):
+    """A forced measurement outcome has zero probability."""
+
+
+def born_branch(p1: float, rng: np.random.Generator,
+                force: int | None = None) -> tuple[int, float]:
+    """Born-rule choice between branch 1, of probability ``p1``, and branch 0.
+
+    Unforced, it draws exactly one uniform number; forced, it draws nothing
+    and rejects a branch of probability below 1e-12. Returns the branch and
+    its probability.
+    """
+    branch = int(rng.random() < p1) if force is None else force
+    prob = p1 if branch == 1 else 1.0 - p1
+    if force is not None and prob < 1e-12:
+        raise InconsistentOutcomeError(f"forced branch {force} has zero probability")
+    return branch, prob
+
+
 def pauli_matrix(p: PauliString, sites: list[int]) -> np.ndarray:
     """Dense matrix of ``p`` over the given qubit ordering (site ids)."""
     n = len(sites)
@@ -121,14 +140,9 @@ def measure_projective(
         raise ValueError(f"cannot measure non-Hermitian operator {p}")
     plus = project_eigenvalue(amps, p, sites, +1)
     w_plus = float(np.linalg.norm(plus) ** 2)
-    if force is None:
-        outcome = 1 if rng.random() < w_plus else -1
-    else:
-        outcome = force
-        w = w_plus if force == 1 else 1.0 - w_plus
-        if w < 1e-12:
-            raise ValueError(f"forced outcome {force} has zero probability")
-    post = plus if outcome == 1 else project_eigenvalue(amps, p, sites, -1)
+    took_plus, _ = born_branch(w_plus, rng, None if force is None else int(force == 1))
+    outcome = 1 if took_plus else -1
+    post = plus if took_plus else project_eigenvalue(amps, p, sites, -1)
     norm = np.linalg.norm(post)
     if norm < 1e-12:
         raise DegenerateStateError("measurement branch has vanishing norm")

@@ -41,6 +41,19 @@ def _fock_vector(state: TopoState, space: FockSpace) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def _fock_setup(n_anyons: int) -> tuple[FockSpace, np.ndarray | None]:
+    """The ``n_anyons``-mode Fock space, built once per n, and the read-only
+    start vector for six anyons (four start in a state set by alpha, beta)."""
+    space = FockSpace(n_anyons)
+    if n_anyons != 6:
+        return space, None
+    vac = make_state(((1, 2), (3, 5), (4, 6)), "even", {(0, 0, 0): 1.0})
+    start = _fock_vector(vac, space)
+    start.flags.writeable = False
+    return space, start
+
+
+@lru_cache(maxsize=None)
 def vacuum_parity_sign(pairing: tuple, pair: tuple) -> int:
     """Sign s with: fusion label 0 of ``pair`` (in ``pairing``) <-> i g g = s.
 
@@ -48,8 +61,7 @@ def vacuum_parity_sign(pairing: tuple, pair: tuple) -> int:
     Majorana Fock space and reading the pair's parity expectation.
     """
     pairing = tuple(tuple(p) for p in pairing)
-    n = 2 * len(pairing)
-    space = FockSpace(n)
+    space, _ = _fock_setup(2 * len(pairing))
     vac = make_state(pairing, "even", {(0,) * len(pairing): 1.0})
     vec = _fock_vector(vac, space)
     expect = np.real(vec.conj() @ space.parity_op(*pair) @ vec)
@@ -123,37 +135,10 @@ class AnyonBackend:
 
     def measure(self, pair: tuple[int, int], force: int | None = None
                 ) -> tuple[int, float]:
-        pair = tuple(pair)
-        target = anyon._pairing_with(None, pair, self.n)
-        comps = [(w, transform_state(s, target)) for w, s in self.components]
-        p1 = 0.0
-        for w, s in comps:
-            amps = np.asarray(s.amps)
-            labels = s.labels()
-            p1 += abs(w) ** 2 * float(
-                sum(abs(a) ** 2 for a, lab in zip(amps, labels) if lab[0] == 1)
-            )
-        if force is None:
-            n = 1 if self.rng.random() < p1 else 0
-        else:
-            n = force
-            if (p1 if n == 1 else 1.0 - p1) < 1e-12:
-                raise ValueError(f"forced label {force} has zero probability")
-        prob = p1 if n == 1 else 1.0 - p1
-        new_components: list[tuple[complex, TopoState]] = []
-        for w, s in comps:
-            amps = np.asarray(s.amps, dtype=np.complex128)
-            keep = np.array([1.0 if lab[0] == n else 0.0 for lab in s.labels()])
-            kept = amps * keep
-            nrm = np.linalg.norm(kept)
-            if nrm * abs(w) < 1e-14:
-                continue
-            new_components.append(
-                (w * nrm, TopoState(s.n_anyons, s.pairing, s.sector,
-                                    tuple(kept / nrm)))
-            )
-        total = np.hypot.reduce([abs(w) for w, _ in new_components])
-        self.components = [(w / total, s) for w, s in new_components]
+        target = anyon._pairing_with(None, tuple(pair), self.n)
+        n, prob, self.components = anyon.measure_label(
+            [(w, transform_state(s, target)) for w, s in self.components],
+            0, self.rng, force)
         return n, prob
 
     def apply_parity(self, pair: tuple[int, int]) -> None:
@@ -171,46 +156,34 @@ class FockBackend:
                  alpha: complex = 1.0, beta: complex = 0.0):
         self.n = n_anyons
         self.rng = rng
-        self.space = FockSpace(n_anyons)
-        basis = self.space.pairing_basis(list(REFERENCE_PAIRINGS[n_anyons]))
+        self.space, start = _fock_setup(n_anyons)
         if n_anyons == 4:
+            basis = self.space.pairing_basis(list(REFERENCE_PAIRINGS[4]))
             norm = np.hypot(abs(alpha), abs(beta))
             self.state = (alpha * basis[(0, 0)] + beta * basis[(0, 1)]) / norm
         else:
-            vac = make_state(((1, 2), (3, 5), (4, 6)), "even", {(0, 0, 0): 1.0})
-            self.state = _fock_vector(vac, self.space)
+            self.state = start.copy()
 
     def measure(self, pair: tuple[int, int], force: int | None = None
                 ) -> tuple[int, float]:
-        sigma = parity_sign_for(tuple(pair), self.n)
-        target = None if force is None else (1 if force == 0 else -1) * sigma
-        outcome, self.state, prob = _measure_involution(
-            self.state, self.space.parity_op(*pair), self.rng, target
-        )
-        n = 0 if outcome == sigma else 1
-        return n, prob
+        """Projective measurement of i*g_a*g_b, whose +1 eigenspace is label
+        0 when the pair's vacuum sign is +1 and label 1 when it is -1."""
+        pair = tuple(pair)
+        plus_is_label_0 = parity_sign_for(pair, self.n) == 1
+        plus = 0.5 * (self.state + self.space.parity_op(*pair) @ self.state)
+        p_plus = float(np.real(np.vdot(plus, plus)))
+        took_plus, prob = dense.born_branch(
+            p_plus, self.rng,
+            None if force is None else int((force == 0) == plus_is_label_0))
+        post = plus if took_plus else self.state - plus
+        self.state = post / np.linalg.norm(post)
+        return int(took_plus != plus_is_label_0), prob
 
     def apply_parity(self, pair: tuple[int, int]) -> None:
         self.state = self.space.parity_op(*pair) @ self.state
 
     def vector(self) -> np.ndarray:
         return self.state.copy()
-
-
-def _measure_involution(state, op, rng, force_sign=None):
-    """Projective +-1 measurement of a Hermitian involution matrix."""
-    plus = 0.5 * (state + op @ state)
-    p_plus = float(np.real(np.vdot(plus, plus)))
-    if force_sign is None:
-        outcome = 1 if rng.random() < p_plus else -1
-    else:
-        outcome = force_sign
-        if (p_plus if outcome == 1 else 1.0 - p_plus) < 1e-12:
-            raise ValueError("forced outcome has zero probability")
-    post = plus if outcome == 1 else state - plus
-    norm = np.linalg.norm(post)
-    prob = p_plus if outcome == 1 else 1.0 - p_plus
-    return outcome, post / norm, prob
 
 
 class LatticeBackend:
@@ -262,6 +235,9 @@ class LatticeBackend:
 # -- protocol ------------------------------------------------------------------
 
 
+CYCLE_PAIRS = ((1, 3), (1, 4), (1, 2))
+
+
 def run_cycle(backend, force: tuple[int, int, int] | None = None,
               check_vacuum: bool = False) -> MBBRecord:
     """One braid cycle: measure the (1,3), (1,4), (1,2) labels in order.
@@ -274,10 +250,9 @@ def run_cycle(backend, force: tuple[int, int, int] | None = None,
         n12, _ = backend.measure((1, 2))
         if n12 != 0:
             raise ValueError("ancilla pair is not in the vacuum channel")
-    f13, f14, f12 = force if force is not None else (None, None, None)
-    n13, p13 = backend.measure((1, 3), f13)
-    n14, p14 = backend.measure((1, 4), f14)
-    n12, p12 = backend.measure((1, 2), f12)
+    forces = force if force is not None else (None, None, None)
+    (n13, p13), (n14, p14), (n12, p12) = (
+        backend.measure(pair, f) for pair, f in zip(CYCLE_PAIRS, forces))
     return MBBRecord(0, n13, n14, n12, backend.name,
                      probabilities=(p13, p14, p12))
 
@@ -334,24 +309,12 @@ def run_shots(backend_factory, n_braids: int, shot_seeds,
     return flips
 
 
-def flip_statistics(n_braids: int, shots: int, flips: int) -> dict:
-    """Flip frequency over ``shots`` with its 3-sigma confidence band."""
-    freq = flips / shots
-    half_width = 3.0 * np.sqrt(max(freq * (1 - freq), 1e-12) / shots)
-    return {
-        "n_braids": n_braids,
-        "shots": shots,
-        "flip_frequency": freq,
-        "confidence_3sigma": (max(0.0, freq - half_width),
-                              min(1.0, freq + half_width)),
-    }
-
-
 def run_statistics(
     backend_factory, n_braids: int, shots: int, seed: int,
     keep_records: bool = False,
 ) -> dict:
-    """Fraction of shots whose (3,5) fusion label flips after n braids of 3,4.
+    """Fraction of shots whose (3,5) fusion label flips after n braids of 3,4,
+    with its 3-sigma confidence band.
 
     Shot k runs on the k-th child of ``SeedSequence(seed)``, so any split of
     the shots over ``run_shots`` calls gives the same flips.
@@ -361,7 +324,15 @@ def run_statistics(
     records = [] if keep_records else None
     flips = run_shots(backend_factory, n_braids,
                       np.random.SeedSequence(seed).spawn(shots), records)
-    out = flip_statistics(n_braids, shots, flips)
+    freq = flips / shots
+    half_width = 3.0 * np.sqrt(max(freq * (1 - freq), 1e-12) / shots)
+    out = {
+        "n_braids": n_braids,
+        "shots": shots,
+        "flip_frequency": freq,
+        "confidence_3sigma": (max(0.0, freq - half_width),
+                              min(1.0, freq + half_width)),
+    }
     if keep_records:
         out["records"] = records
     return out

@@ -19,12 +19,9 @@ from itertools import combinations
 import numpy as np
 
 from . import _gf2, _kernels, jw
+from .dense import InconsistentOutcomeError
 from .lattice import GeometryError, TwistLattice, all_plaquette_operators
 from .pauli import PauliString, product
-
-
-class InconsistentOutcomeError(ValueError):
-    """A forced measurement outcome has zero probability."""
 
 
 class Tableau:

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from twistsim.cli import main
+from twistsim.tableau import Tableau
 
 
 def run_cli(args, capsys):
@@ -101,21 +102,28 @@ def test_lattice_file_config(tmp_path, capsys):
     assert len(json.loads(out)["results"]["unpaired_modes"]) == 2
 
 
-def test_stats_report_independent_of_worker_count(tmp_path, monkeypatch):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"backend": "anyon"}))
-    args = ["stats", "--config", str(cfg), "--seed", "4", "--shots", "300",
-            "--n-braids", "3"]
-    reports = []
-    for workers in (None, "2"):
-        if workers is None:
-            monkeypatch.delenv("TWISTSIM_WORKERS", raising=False)
-        else:
-            monkeypatch.setenv("TWISTSIM_WORKERS", workers)
-        out = tmp_path / f"report_{workers}.json"
-        assert main(args + ["--out", str(out)]) == 0
-        reports.append(out.read_bytes())
-    assert reports[0] == reports[1]
+def _flip_fixed_outcomes(measure):
+    def faulty(self, p, force=None):
+        out = measure(self, p, force)
+        return out if self.last_random else -out
+    return faulty
+
+
+def _negate_randomness_flag(measure):
+    def faulty(self, p, force=None):
+        out = measure(self, p, force)
+        self.last_random = not self.last_random
+        return out
+    return faulty
+
+
+@pytest.mark.parametrize("fault", [_flip_fixed_outcomes,
+                                   _negate_randomness_flag])
+def test_oracle_check_reports_a_faulty_tableau(monkeypatch, capsys, fault):
+    monkeypatch.setattr(Tableau, "measure", fault(Tableau.measure))
+    code, out, _ = run_cli(["oracle-check", "--shots", "5"], capsys)
+    assert code == 2
+    assert json.loads(out)["results"]["mismatches"] > 0
 
 
 TWO_PAIRS = {"width": 8, "height": 9, "segments": [
@@ -131,9 +139,11 @@ TWO_PAIRS = {"width": 8, "height": 9, "segments": [
     ("oracle-check", {}, ["--seed", "-3"], "seed"),
     ("oracle-check", {}, ["--shots", "0"], "shots"),
     ("oracle-check", {}, ["--shots", "-2"], "shots"),
+    ("mbb", {"alpha": "abc"}, [], "alpha"),
+    ("mbb", {"alpha": 0, "beta": 0}, [], "both be zero"),
 ], ids=["two_pair_lattice", "zero_shots", "negative_seed", "negative_braids",
         "mbb_negative_seed", "oracle_negative_seed", "oracle_zero_shots",
-        "oracle_negative_shots"])
+        "oracle_negative_shots", "mbb_unparsable_alpha", "mbb_zero_amplitudes"])
 def test_bad_stats_config_exits_with_config_error(tmp_path, capsys, command, cfg,
                                                   flags, message):
     path = tmp_path / "cfg.json"

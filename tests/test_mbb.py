@@ -9,7 +9,7 @@ from twistsim import _kernels, dense, jw
 from twistsim.lattice import build_lattice
 from twistsim.mbb import (AnyonBackend, FockBackend, LatticeBackend, MBBRecord,
                           apply_correction, braid_once, correction_for,
-                          parity_sign_for, run_cycle, run_forced,
+                          parity_sign_for, run_cycle, run_forced, run_shots,
                           run_statistics, verify_braid_equivalence)
 
 LAT6 = build_lattice(8, 12, [(2, 2, 4), (5, 2, 4), (8, 2, 4)])
@@ -214,6 +214,24 @@ def test_statistics_signature_anyon():
         else:
             sigma = np.sqrt(0.25 / 600)
             assert abs(res["flip_frequency"] - expected) <= 3 * sigma
+
+
+@pytest.mark.parametrize("factory, n_braids, shots", [
+    (lambda rng: AnyonBackend(6, rng), 3, 60),
+    (lambda rng: LatticeBackend(LAT6, rng), 1, 16),
+], ids=["anyon", "lattice"])
+def test_any_split_of_the_shot_range_gives_the_same_flips(factory, n_braids, shots):
+    seed = 4
+    whole = run_statistics(factory, n_braids, shots, seed, keep_records=True)
+    assert 0 < whole["flip_frequency"] < 1
+    seeds = np.random.SeedSequence(seed).spawn(shots)
+    for cuts in ([shots // 2], [1, 7, shots - 3], list(range(1, shots))):
+        records = []
+        bounds = [0] + cuts + [shots]
+        flips = sum(run_shots(factory, n_braids, seeds[lo:hi], records)
+                    for lo, hi in zip(bounds, bounds[1:]))
+        assert flips == round(whole["flip_frequency"] * shots)
+        assert records == whole["records"]
 
 
 def test_statistics_rejects_bad_shots():
