@@ -244,16 +244,17 @@ def measure_label(
     """Born-rule measurement of the fusion label at ``slot`` of weighted
     states in one pairing. Returns the label, its probability and the
     renormalized components that survive the projection."""
+    slot_labels = [[lab[slot] for lab in s.labels()] for _, s in components]
     p1 = 0.0
-    for w, s in components:
+    for (w, s), labels in zip(components, slot_labels):
         amps = np.asarray(s.amps)
         p1 += abs(w) ** 2 * float(
-            sum(abs(a) ** 2 for a, lab in zip(amps, s.labels()) if lab[slot] == 1)
+            sum(abs(a) ** 2 for a, lab in zip(amps, labels) if lab == 1)
         )
     n, prob = born_branch(p1, rng, force)
     kept = []
-    for w, s in components:
-        keep = np.array([1.0 if lab[slot] == n else 0.0 for lab in s.labels()])
+    for (w, s), labels in zip(components, slot_labels):
+        keep = np.array([1.0 if lab == n else 0.0 for lab in labels])
         post = np.asarray(s.amps, dtype=np.complex128) * keep
         nrm = np.linalg.norm(post)
         if nrm * abs(w) >= 1e-14:
