@@ -7,9 +7,11 @@ which generators a state is written in without changing a single outcome.
 This module pins the ``derive`` report, every parity and bracket string of the
 default 8x12 lattice, the twist logicals of the two 14x12 readout lattices,
 the ground tableau of all three lattices, a lattice-backend tableau after
-three braids, fixed-seed lattice-backend statistics with their records, and
-the sha256 of fixed-seed ``stats`` reports on the anyon and Fock backends and
-of ``mbb`` reports (whose Fock probabilities and fidelity are floats).
+three braids, fixed-seed lattice-backend statistics with their records, the
+fixed-seed shot records (labels and correction names only) of the six-anyon
+anyon and Fock backends, and the sha256 of fixed-seed ``stats`` reports on the
+anyon and Fock backends and of ``mbb`` reports (whose Fock probabilities and
+fidelity are floats).
 To re-record the reference after an intended change of output, run
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
@@ -88,6 +90,14 @@ def golden_outputs() -> dict:
     out["lattice_statistics"] = {
         str(n): mbb.run_statistics(lambda rng: mbb.LatticeBackend(lat, rng),
                                    n, shots=12, seed=23, keep_records=True)
+        for n in range(4)
+    }
+    out["oracle_backend_records"] = {
+        f"{name}_{n}": mbb.run_statistics(lambda rng: backend(6, rng), n,
+                                          shots=20, seed=31,
+                                          keep_records=True)["records"]
+        for name, backend in (("anyon", mbb.AnyonBackend),
+                              ("fock", mbb.FockBackend))
         for n in range(4)
     }
     out["stats_report_sha256"] = {
