@@ -19,7 +19,7 @@ from itertools import product as iproduct
 
 import numpy as np
 
-from .dense import born_branch
+from .dense import measure_involution
 
 CHARGES = ("I", "sigma", "psi")
 
@@ -71,6 +71,27 @@ def _chain_basis(n_anyons: int) -> list[tuple[int, ...]]:
     """Free intermediate charges (c2, c4, ..., c_{N-2}) as 0/1 tuples."""
     free = n_anyons // 2 - 1
     return [tuple(bits) for bits in iproduct((0, 1), repeat=free)]
+
+
+@lru_cache(maxsize=None)
+def _labels(n_anyons: int, total: int) -> tuple[tuple[int, ...], ...]:
+    """Fusion label tuple of each chain-basis entry, pair by pair."""
+    out = []
+    for b in _chain_basis(n_anyons):
+        charges = (0,) + b + (total,)
+        out.append(tuple(charges[i] ^ charges[i + 1]
+                         for i in range(len(charges) - 1)))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def label_signs(n_anyons: int, total: int, slot: int) -> np.ndarray:
+    """Label signs of the pair at ``slot`` of a pairing, +1 on fusion label 1
+    and -1 on label 0 (read-only): i*gamma_a*gamma_b up to the pair's vacuum
+    sign."""
+    signs = np.array([1.0 if lab[slot] else -1.0 for lab in _labels(n_anyons, total)])
+    signs.flags.writeable = False
+    return signs
 
 
 @lru_cache(maxsize=None)
@@ -191,14 +212,9 @@ class TopoState:
     def total(self) -> int:
         return 0 if self.sector == "even" else 1
 
-    def labels(self) -> list[tuple[int, ...]]:
+    def labels(self) -> tuple[tuple[int, ...], ...]:
         """Fusion label tuple of each basis entry, pair by pair."""
-        out = []
-        for b in _chain_basis(self.n_anyons):
-            charges = (0,) + b + (self.total,)
-            out.append(tuple(charges[i] ^ charges[i + 1]
-                             for i in range(len(charges) - 1)))
-        return out
+        return _labels(self.n_anyons, self.total)
 
     def amplitude(self, labels: tuple[int, ...]) -> complex:
         return dict(zip(self.labels(), self.amps))[labels]
@@ -208,10 +224,8 @@ def make_state(pairing, sector: str, amplitudes_by_label: dict) -> TopoState:
     """Build a state from {label tuple: amplitude}; normalizes exactly."""
     pairing = _norm_pairing(pairing)
     n = 2 * len(pairing)
-    probe = TopoState(n, pairing, sector,
-                      tuple(np.eye(len(_chain_basis(n)))[0]))
-    vec = np.zeros(len(_chain_basis(n)), dtype=np.complex128)
-    label_list = probe.labels()
+    label_list = _labels(n, 0 if sector == "even" else 1)
+    vec = np.zeros(len(label_list), dtype=np.complex128)
     for label, amp in amplitudes_by_label.items():
         vec[label_list.index(tuple(label))] = amp
     vec = vec / np.linalg.norm(vec)
@@ -227,7 +241,7 @@ def transform_state(state: TopoState, to_pairing) -> TopoState:
                      tuple(new / np.linalg.norm(new)))
 
 
-def _pairing_with(state_pairing, pair, n_anyons) -> tuple[tuple[int, int], ...]:
+def _pairing_with(pair, n_anyons) -> tuple[tuple[int, int], ...]:
     """A deterministic pairing whose first pair is ``pair``."""
     rest = sorted(set(range(1, n_anyons + 1)) - set(pair))
     return (tuple(pair),) + tuple(
@@ -235,33 +249,11 @@ def _pairing_with(state_pairing, pair, n_anyons) -> tuple[tuple[int, int], ...]:
     )
 
 
-def measure_label(
-    components: list[tuple[complex, TopoState]],
-    slot: int,
-    rng: np.random.Generator,
-    force: int | None = None,
-) -> tuple[int, float, list[tuple[complex, TopoState]]]:
-    """Born-rule measurement of the fusion label at ``slot`` of weighted
-    states in one pairing. Returns the label, its probability and the
-    renormalized components that survive the projection."""
-    slot_labels = [[lab[slot] for lab in s.labels()] for _, s in components]
-    p1 = 0.0
-    for (w, s), labels in zip(components, slot_labels):
-        amps = np.asarray(s.amps)
-        p1 += abs(w) ** 2 * float(
-            sum(abs(a) ** 2 for a, lab in zip(amps, labels) if lab == 1)
-        )
-    n, prob = born_branch(p1, rng, force)
-    kept = []
-    for (w, s), labels in zip(components, slot_labels):
-        keep = np.array([1.0 if lab == n else 0.0 for lab in labels])
-        post = np.asarray(s.amps, dtype=np.complex128) * keep
-        nrm = np.linalg.norm(post)
-        if nrm * abs(w) >= 1e-14:
-            kept.append((w * nrm, TopoState(s.n_anyons, s.pairing, s.sector,
-                                            tuple(post / nrm))))
-    total = np.hypot.reduce([abs(w) for w, _ in kept])
-    return n, prob, [(w / total, s) for w, s in kept]
+def _holding(state: TopoState, pair) -> tuple[TopoState, np.ndarray]:
+    """The state in a pairing that holds ``pair``, with the pair's label signs."""
+    if pair not in state.pairing:
+        state = transform_state(state, _pairing_with(pair, state.n_anyons))
+    return state, label_signs(state.n_anyons, state.total, state.pairing.index(pair))
 
 
 def measure_pair(
@@ -271,26 +263,15 @@ def measure_pair(
     force: int | None = None,
 ) -> tuple[int, TopoState]:
     """Born-rule measurement of a pair's fusion label (I=0, psi=1)."""
-    pair = tuple(pair)
-    if pair not in state.pairing:
-        state = transform_state(state, _pairing_with(state.pairing, pair, state.n_anyons))
-    n, _, [(_, post)] = measure_label([(1.0, state)], state.pairing.index(pair),
-                                      rng, force)
-    return n, post
+    state, signs = _holding(state, tuple(pair))
+    amps = np.asarray(state.amps, dtype=np.complex128)
+    n, _, post = measure_involution(amps, signs * amps, rng, force)
+    return n, TopoState(state.n_anyons, state.pairing, state.sector, tuple(post))
 
 
 def apply_pair_parity(state: TopoState, pair: tuple[int, int]) -> TopoState:
     """Apply i*gamma_a*gamma_b: sign (2n-1) on the pair's fusion label."""
-    pair = tuple(pair)
-    original = state.pairing
-    if pair not in state.pairing:
-        state = transform_state(state, _pairing_with(state.pairing, pair, state.n_anyons))
-    slot = state.pairing.index(pair)
-    amps = np.asarray(state.amps, dtype=np.complex128)
-    signed = amps * np.array(
-        [1.0 if lab[slot] == 1 else -1.0 for lab in state.labels()]
-    )
-    out = TopoState(state.n_anyons, state.pairing, state.sector, tuple(signed))
-    if out.pairing != original:
-        out = transform_state(out, original)
-    return out
+    held, signs = _holding(state, tuple(pair))
+    out = TopoState(held.n_anyons, held.pairing, held.sector,
+                    tuple(signs * np.asarray(held.amps, dtype=np.complex128)))
+    return transform_state(out, state.pairing) if held is not state else out

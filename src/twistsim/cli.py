@@ -64,15 +64,15 @@ def _build_lattice_from_cfg(cfg, default=None):
     spec = cfg.get("lattice", default)
     if spec is None:
         raise ConfigError("experiment requires a 'lattice' entry")
-    if isinstance(spec, str):
-        with open(spec) as fh:
-            return lattice_spec_loads(fh.read())
     try:
+        if isinstance(spec, str):
+            with open(spec) as fh:
+                return lattice_spec_loads(fh.read())
         segments = [
             (s["row"], s["col_start"], s["col_end"]) for s in spec.get("segments", [])
         ]
         return build_lattice(spec["width"], spec["height"], segments)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, AttributeError, ValueError, OSError) as exc:
         raise ConfigError(f"bad lattice description: {exc}") from exc
 
 

@@ -28,19 +28,27 @@ class InconsistentOutcomeError(ValueError):
     """A forced measurement outcome has zero probability."""
 
 
-def born_branch(p1: float, rng: np.random.Generator,
-                force: int | None = None) -> tuple[int, float]:
-    """Born-rule choice between branch 1, of probability ``p1``, and branch 0.
+def measure_involution(
+    state: np.ndarray,
+    o_state: np.ndarray,
+    rng: np.random.Generator,
+    force: int | None = None,
+) -> tuple[int, float, np.ndarray]:
+    """Born-rule measurement of a Hermitian involution O, given ``O @ state``.
 
-    Unforced, it draws exactly one uniform number; forced, it draws nothing
-    and rejects a branch of probability below 1e-12. Returns the branch and
-    its probability.
+    Branch 1 is O's +1 eigenspace, branch 0 its -1 eigenspace. Unforced, it
+    draws exactly one uniform number; forced, it draws nothing and rejects a
+    branch of probability below 1e-12. Returns the branch, its probability
+    and the normalized post-measurement state.
     """
-    branch = int(rng.random() < p1) if force is None else force
-    prob = p1 if branch == 1 else 1.0 - p1
+    plus = 0.5 * (state + o_state)
+    p_plus = float(np.real(np.vdot(plus, plus)))
+    branch = int(rng.random() < p_plus) if force is None else force
+    prob = p_plus if branch == 1 else 1.0 - p_plus
     if force is not None and prob < 1e-12:
         raise InconsistentOutcomeError(f"forced branch {force} has zero probability")
-    return branch, prob
+    post = plus if branch == 1 else state - plus
+    return branch, prob, post / np.linalg.norm(post)
 
 
 def pauli_matrix(p: PauliString, sites: list[int]) -> np.ndarray:
@@ -138,15 +146,10 @@ def measure_projective(
     """Born-rule measurement of a Hermitian Pauli string; returns (±1, state)."""
     if not p.is_hermitian:
         raise ValueError(f"cannot measure non-Hermitian operator {p}")
-    plus = project_eigenvalue(amps, p, sites, +1)
-    w_plus = float(np.linalg.norm(plus) ** 2)
-    took_plus, _ = born_branch(w_plus, rng, None if force is None else int(force == 1))
-    outcome = 1 if took_plus else -1
-    post = plus if took_plus else project_eigenvalue(amps, p, sites, -1)
-    norm = np.linalg.norm(post)
-    if norm < 1e-12:
-        raise DegenerateStateError("measurement branch has vanishing norm")
-    return outcome, post / norm
+    took_plus, _, post = measure_involution(
+        amps, apply_pauli(amps, p, sites), rng,
+        None if force is None else int(force == 1))
+    return (1 if took_plus else -1), post
 
 
 def fidelity_up_to_phase(u: np.ndarray, v: np.ndarray) -> float:

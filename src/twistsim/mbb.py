@@ -3,10 +3,17 @@ corrections, the forced-measurement variant, and the parity-flip statistics.
 
 The engine runs against three interchangeable backends:
 
-* ``AnyonBackend``   - fusion-label bookkeeping (4 or 6 sigma anyons),
+* ``AnyonBackend``   - fusion amplitudes in the start pairing (4 or 6 sigma
+                       anyons),
 * ``FockBackend``    - explicit Majorana matrices (the exactness oracle),
 * ``LatticeBackend`` - twist pairs on the planar code with stabilizer-
                        formalism parity measurements.
+
+The anyon and Fock backends are one state-vector backend with two
+constructors: each measures a pair through a Hermitian involution O (the
+label-sign matrix of the pair, or i*g_a*g_b itself), built once per pair,
+and knows whether O's +1 eigenspace is fusion label 0. Both share
+``measure``, ``apply_parity`` and ``vector``.
 
 A measured pair's fusion label relates to the Majorana parity i*g_a*g_b by a
 pairing-dependent sign (the vacuum sign): it is derived once per pairing from
@@ -27,16 +34,26 @@ from .dense import FockSpace
 from .lattice import TwistLattice
 
 REFERENCE_PAIRINGS = {4: ((1, 2), (3, 4)), 6: ((1, 2), (3, 4), (5, 6))}
+# every backend starts with each of these pairs in its fusion vacuum
+START_PAIRINGS = {4: ((1, 2), (3, 4)), 6: ((1, 2), (3, 5), (4, 6))}
 
 
 def _fock_vector(state: TopoState, space: FockSpace) -> np.ndarray:
-    """Even-sector fusion state as a Fock vector via the reference pairing."""
+    """Fusion state as a Fock vector via the reference pairing.
+
+    A chain-basis entry is the Fock pairing-basis state up to a sign: the
+    Majorana form of braiding leaves 2k, 2k+1 carries a Jordan-Wigner string
+    over the pairs before k, which the chain basis does not. The sign
+    (-1)^(sum of l_i * l_j over pairs j >= i + 2) absorbs it; it is 1 for
+    four anyons.
+    """
     ref = REFERENCE_PAIRINGS[state.n_anyons]
     stb = transform_state(state, ref)
     basis = space.pairing_basis(list(ref))
     vec = np.zeros(space.dim, dtype=np.complex128)
     for amp, label in zip(stb.amps, stb.labels()):
-        vec += amp * basis[label]
+        far = sum(label[i] * sum(label[i + 2:]) for i in range(len(label)))
+        vec += (-1) ** far * amp * basis[label]
     return vec
 
 
@@ -47,34 +64,29 @@ def _fock_setup(n_anyons: int) -> tuple[FockSpace, np.ndarray | None]:
     space = FockSpace(n_anyons)
     if n_anyons != 6:
         return space, None
-    vac = make_state(((1, 2), (3, 5), (4, 6)), "even", {(0, 0, 0): 1.0})
+    vac = make_state(START_PAIRINGS[6], "even", {(0, 0, 0): 1.0})
     start = _fock_vector(vac, space)
     start.flags.writeable = False
     return space, start
 
 
 @lru_cache(maxsize=None)
-def vacuum_parity_sign(pairing: tuple, pair: tuple) -> int:
-    """Sign s with: fusion label 0 of ``pair`` (in ``pairing``) <-> i g g = s.
+def parity_sign_for(pair: tuple[int, int], n_anyons: int) -> int:
+    """Sign s with: fusion label 0 of ``pair`` <-> i g_a g_b = s, in the
+    deterministic pairing used to measure it (the pair first, remaining
+    anyons paired in index order).
 
-    Derived by expressing the all-vacuum fusion state of the pairing in the
+    Derived by expressing the all-vacuum fusion state of that pairing in the
     Majorana Fock space and reading the pair's parity expectation.
     """
-    pairing = tuple(tuple(p) for p in pairing)
-    space, _ = _fock_setup(2 * len(pairing))
-    vac = make_state(pairing, "even", {(0,) * len(pairing): 1.0})
-    vec = _fock_vector(vac, space)
-    expect = np.real(vec.conj() @ space.parity_op(*pair) @ vec)
+    pairing = anyon._pairing_with(pair, n_anyons)
+    space, _ = _fock_setup(n_anyons)
+    vec = _fock_vector(make_state(pairing, "even", {(0,) * len(pairing): 1.0}),
+                       space)
+    expect = np.real(np.vdot(vec, space.parity_op(*pair) @ vec))
     if abs(abs(expect) - 1.0) > 1e-9:
         raise ValueError(f"pair {pair} has no definite parity in {pairing}")
     return 1 if expect > 0 else -1
-
-
-def parity_sign_for(pair: tuple[int, int], n_anyons: int) -> int:
-    """Vacuum sign of a pair within the deterministic pairing used to
-    measure it (the pair first, remaining anyons paired in index order)."""
-    pairing = anyon._pairing_with(None, tuple(pair), n_anyons)
-    return vacuum_parity_sign(pairing, tuple(pair))
 
 
 # -- records and corrections ---------------------------------------------------
@@ -107,83 +119,91 @@ def correction_for(record: MBBRecord) -> tuple[str, tuple[int, int] | None]:
 # -- backends ------------------------------------------------------------------
 
 
-class AnyonBackend:
-    """Fusion-label register; 4 anyons carry both parity sectors."""
+@lru_cache(maxsize=None)
+def _anyon_involution(n_anyons: int, pair: tuple[int, int]) -> tuple[np.ndarray, bool]:
+    """Label-sign matrix of ``pair`` (+1 on label 1, -1 on label 0) on fusion
+    amplitudes in the start pairing; four anyons stack the even block and the
+    odd block. Its +1 eigenspace is label 1."""
+    target = anyon._pairing_with(pair, n_anyons)
+    totals = (0, 1) if n_anyons == 4 else (0,)
+    dim = len(anyon._chain_basis(n_anyons))
+    op = np.zeros((dim * len(totals),) * 2, dtype=np.complex128)
+    for k, total in enumerate(totals):
+        # amplitudes in the target pairing are conj(u) @ amplitudes at start
+        u = anyon.basis_change(n_anyons, START_PAIRINGS[n_anyons], target, total)
+        op[k * dim:(k + 1) * dim, k * dim:(k + 1) * dim] = u.T @ (
+            anyon.label_signs(n_anyons, total, 0)[:, None] * u.conj())
+    op.flags.writeable = False
+    return op, False
 
-    name = "anyon"
+
+@lru_cache(maxsize=None)
+def _fock_involution(n_anyons: int, pair: tuple[int, int]) -> tuple[np.ndarray, bool]:
+    """i*g_a*g_b on the Fock space, whose +1 eigenspace is label 0 when the
+    pair's vacuum sign is +1 and label 1 when it is -1."""
+    op = _fock_setup(n_anyons)[0].parity_op(*pair)
+    op.flags.writeable = False
+    return op, parity_sign_for(pair, n_anyons) == 1
+
+
+class _VectorBackend:
+    """A state vector measured pair by pair. ``_involution(n, pair)`` gives
+    the pair's Hermitian involution O and whether its +1 eigenspace is label
+    0; ``apply_parity`` applies O, which is i*g_a*g_b up to a global sign."""
 
     def __init__(self, n_anyons: int, rng: np.random.Generator,
-                 alpha: complex = 1.0, beta: complex = 0.0):
+                 state: np.ndarray):
         self.n = n_anyons
         self.rng = rng
-        if n_anyons == 4:
-            norm = np.hypot(abs(alpha), abs(beta))
-            self.components: list[tuple[complex, TopoState]] = []
-            if abs(alpha) > 1e-14:
-                self.components.append(
-                    (alpha / norm, make_state(((1, 2), (3, 4)), "even", {(0, 0): 1.0}))
-                )
-            if abs(beta) > 1e-14:
-                self.components.append(
-                    (beta / norm, make_state(((1, 2), (3, 4)), "odd", {(0, 1): 1.0}))
-                )
-        else:
-            pairing = ((1, 2), (3, 5), (4, 6))
-            self.components = [
-                (1.0, make_state(pairing, "even", {(0, 0, 0): 1.0}))
-            ]
+        self.state = state
 
     def measure(self, pair: tuple[int, int], force: int | None = None
                 ) -> tuple[int, float]:
-        target = anyon._pairing_with(None, tuple(pair), self.n)
-        n, prob, self.components = anyon.measure_label(
-            [(w, transform_state(s, target)) for w, s in self.components],
-            0, self.rng, force)
-        return n, prob
-
-    def apply_parity(self, pair: tuple[int, int]) -> None:
-        self.components = [
-            (w, anyon.apply_pair_parity(s, tuple(pair))) for w, s in self.components
-        ]
-
-
-class FockBackend:
-    """Dense 4- or 6-mode Majorana oracle with full state access."""
-
-    name = "fock"
-
-    def __init__(self, n_anyons: int, rng: np.random.Generator,
-                 alpha: complex = 1.0, beta: complex = 0.0):
-        self.n = n_anyons
-        self.rng = rng
-        self.space, start = _fock_setup(n_anyons)
-        if n_anyons == 4:
-            basis = self.space.pairing_basis(list(REFERENCE_PAIRINGS[4]))
-            norm = np.hypot(abs(alpha), abs(beta))
-            self.state = (alpha * basis[(0, 0)] + beta * basis[(0, 1)]) / norm
-        else:
-            self.state = start.copy()
-
-    def measure(self, pair: tuple[int, int], force: int | None = None
-                ) -> tuple[int, float]:
-        """Projective measurement of i*g_a*g_b, whose +1 eigenspace is label
-        0 when the pair's vacuum sign is +1 and label 1 when it is -1."""
-        pair = tuple(pair)
-        plus_is_label_0 = parity_sign_for(pair, self.n) == 1
-        plus = 0.5 * (self.state + self.space.parity_op(*pair) @ self.state)
-        p_plus = float(np.real(np.vdot(plus, plus)))
-        took_plus, prob = dense.born_branch(
-            p_plus, self.rng,
+        op, plus_is_label_0 = self._involution(self.n, tuple(pair))
+        took_plus, prob, self.state = dense.measure_involution(
+            self.state, op @ self.state, self.rng,
             None if force is None else int((force == 0) == plus_is_label_0))
-        post = plus if took_plus else self.state - plus
-        self.state = post / np.linalg.norm(post)
         return int(took_plus != plus_is_label_0), prob
 
     def apply_parity(self, pair: tuple[int, int]) -> None:
-        self.state = self.space.parity_op(*pair) @ self.state
+        self.state = self._involution(self.n, tuple(pair))[0] @ self.state
 
     def vector(self) -> np.ndarray:
         return self.state.copy()
+
+
+class AnyonBackend(_VectorBackend):
+    """Fusion amplitudes in the start pairing: for 4 anyons the even block
+    then the odd block (both parity sectors), for 6 the even sector."""
+
+    name = "anyon"
+    _involution = staticmethod(_anyon_involution)
+
+    def __init__(self, n_anyons: int, rng: np.random.Generator,
+                 alpha: complex = 1.0, beta: complex = 0.0):
+        if n_anyons == 4:
+            # chain charge 0 carries labels (0, 0) when even, (0, 1) when odd
+            state = np.array([alpha, 0, beta, 0], dtype=np.complex128)
+            state /= np.hypot(abs(alpha), abs(beta))
+        else:
+            state = np.eye(4, dtype=np.complex128)[0]  # labels (0, 0, 0)
+        super().__init__(n_anyons, rng, state)
+
+
+class FockBackend(_VectorBackend):
+    """Dense 4- or 6-mode Majorana oracle with full state access."""
+
+    name = "fock"
+    _involution = staticmethod(_fock_involution)
+
+    def __init__(self, n_anyons: int, rng: np.random.Generator,
+                 alpha: complex = 1.0, beta: complex = 0.0):
+        self.space, start = _fock_setup(n_anyons)
+        if n_anyons == 4:
+            basis = self.space.pairing_basis(list(START_PAIRINGS[4]))
+            norm = np.hypot(abs(alpha), abs(beta))
+            start = (alpha * basis[(0, 0)] + beta * basis[(0, 1)]) / norm
+        super().__init__(n_anyons, rng, start)
 
 
 class LatticeBackend:
@@ -204,13 +224,9 @@ class LatticeBackend:
         self.n = 2 * lat.n_pairs
         self.lat = lat
         self.rng = rng
-        if self.n == 6:
-            pinned = [(0, 1), (2, 4), (3, 5)]  # modes (1,2),(3,5),(4,6), 0-based
-        else:
-            pinned = [(0, 1), (2, 3)]
-        # each pinned pair starts at its fusion-vacuum parity sign
-        pins = tuple((a, b, parity_sign_for((a + 1, b + 1), self.n))
-                     for a, b in pinned)
+        # each start pair is pinned, 0-based, at its fusion-vacuum parity sign
+        pins = tuple((a - 1, b - 1, parity_sign_for((a, b), self.n))
+                     for a, b in START_PAIRINGS[self.n])
         self.tab = tableau.code_context(lat).ground(pins).copy()
         self.tab.rng = rng
         self.strings = {

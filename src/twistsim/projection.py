@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .dense import FockSpace, pauli_matrix
 from .pauli import PauliString
-from .dense import pauli_matrix
 
 MAX_SITES = 5
 _TOL = 1e-12
@@ -38,62 +38,32 @@ class MajoranaCluster:
         if not (1 <= n_sites <= MAX_SITES):
             raise ValueError(f"cluster supports 1..{MAX_SITES} sites, got {n_sites}")
         self.n_sites = n_sites
-        self.n_fermions = 2 * n_sites
-        self.dim = 4**n_sites
-
-        eye = np.eye(2, dtype=np.complex128)
-        x = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-        y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
-        z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
-
-        def chain(k: int, local: np.ndarray) -> np.ndarray:
-            ops = [z] * k + [local] + [eye] * (self.n_fermions - k - 1)
-            mat = np.array([[1.0]], dtype=np.complex128)
-            for op in ops:
-                mat = np.kron(mat, op)
-            return mat
-
-        # majorana pair of fermion k: (c + c†) and i(c† - c) -> X and Y chains
-        majorana_pairs = [(chain(k, x), chain(k, y)) for k in range(self.n_fermions)]
-        self._gamma: dict[tuple[int, str], np.ndarray] = {}
-        for site in range(n_sites):
-            g_alpha, g_alpha2 = majorana_pairs[2 * site]       # a and d
-            g_beta, g_beta2 = majorana_pairs[2 * site + 1]     # c and b
-            self._gamma[(site, "a")] = g_alpha
-            self._gamma[(site, "d")] = g_alpha2
-            self._gamma[(site, "c")] = g_beta
-            self._gamma[(site, "b")] = g_beta2
+        # fermion 2s is (a, d) and fermion 2s+1 is (c, b): modes 4s..4s+3
+        self.space = FockSpace(4 * n_sites)
+        self.dim = self.space.dim
+        self._parities: dict[int, np.ndarray] = {}
 
         # even-parity (spin) isometry: per-site basis {|00>, |11>} of the
         # alpha/beta occupations, giving one effective spin per site.
-        n_ops = []
-        for k in range(self.n_fermions):
-            lower = 0.5 * (chain(k, x) + 1j * chain(k, y))  # annihilation
-            n_ops.append(lower.conj().T @ lower)
-        self._numbers = n_ops
-        basis_vectors = []
-        for spin_idx in range(2**n_sites):
-            occ = []
-            for site in range(n_sites):
-                bit = (spin_idx >> (n_sites - 1 - site)) & 1
-                occ += [bit, bit]  # |up> = |00>, |down> = |11>
-            fock_index = 0
-            for b in occ:
-                fock_index = (fock_index << 1) | b
-            vec = np.zeros(self.dim, dtype=np.complex128)
-            vec[fock_index] = 1.0
-            basis_vectors.append(vec)
-        self._isometry = np.array(basis_vectors, dtype=np.complex128).T
+        spins = range(2**n_sites)
+        fock = [int("".join(2 * bit for bit in f"{spin:0{n_sites}b}"), 2)
+                for spin in spins]
+        self._isometry = np.zeros((self.dim, len(spins)), dtype=np.complex128)
+        self._isometry[fock, spins] = 1.0
 
     def gamma(self, site: int, kind: str) -> np.ndarray:
         if kind not in _KINDS:
             raise ValueError(f"unknown Majorana kind {kind!r}")
-        return self._gamma[(site, kind)]
+        if not 0 <= site < self.n_sites:
+            raise ValueError(f"site {site} is outside the {self.n_sites}-site cluster")
+        return self.space.gammas[4 * site + "adcb".index(kind)]
 
     def site_parity(self, site: int) -> np.ndarray:
-        """D = gamma_a gamma_b gamma_c gamma_d of one site."""
-        a, b, c, d = (self.gamma(site, k) for k in _KINDS)
-        return a @ b @ c @ d
+        """D = gamma_a gamma_b gamma_c gamma_d of one site, built once."""
+        if site not in self._parities:
+            a, b, c, d = (self.gamma(site, k) for k in _KINDS)
+            self._parities[site] = a @ b @ c @ d
+        return self._parities[site]
 
     def link(self, kind: str, m: int, n: int) -> np.ndarray:
         """Link operator between neighboring sites: i gamma^x_m gamma^y_n.

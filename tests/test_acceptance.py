@@ -10,13 +10,13 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from twistsim import _gf2, dense, jw
+from twistsim import _gf2, anyon, dense, jw
 from twistsim.anyon import pair_transform
 from twistsim.jw import JWPath, MajoranaMode
 from twistsim.lattice import (build_lattice, all_plaquette_operators,
                               plaquette_operator, twist_logicals)
-from twistsim.mbb import (AnyonBackend, FockBackend, LatticeBackend,
-                          run_cycle, run_forced, run_statistics,
+from twistsim.mbb import (START_PAIRINGS, AnyonBackend, FockBackend,
+                          LatticeBackend, run_cycle, run_forced, run_statistics,
                           verify_braid_equivalence)
 from twistsim.pauli import PauliString
 from twistsim.projection import (MajoranaCluster, build_majorana_plaquette,
@@ -172,9 +172,12 @@ def test_criterion_6_mbb_exactness():
             reg = AnyonBackend(4, np.random.default_rng(trial), a, b)
             reg.measure((1, 3), force=n13)
             amps = {}
-            for w, st in reg.components:
-                for amp, lab in zip(st.amps, st.labels()):
-                    amps[(st.sector, lab)] = w * amp
+            for k, (sector, total) in enumerate((("even", 0), ("odd", 1))):
+                u = anyon.basis_change(4, START_PAIRINGS[4], ((1, 3), (2, 4)),
+                                       total)
+                for amp, lab in zip(np.conj(u) @ reg.state[2 * k:2 * k + 2],
+                                    anyon._labels(4, total)):
+                    amps[(sector, lab)] = amp
             ph = np.exp(-1j * np.pi / 8)
             if n13 == 0:
                 ok &= abs(amps.get(("even", (0, 0)), 0) - ph * a) < 1e-12

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from twistsim.anyon import (FRB, TopoState, basis_change, fuse, make_state,
-                            measure_pair, pair_transform, transform_state,
-                            apply_pair_parity)
+from twistsim.anyon import (FRB, TopoState, _labels, basis_change, fuse,
+                            make_state, measure_pair, pair_transform,
+                            transform_state, apply_pair_parity)
 from twistsim.dense import FockSpace
 from twistsim.mbb import _fock_vector
 
@@ -195,3 +195,29 @@ def test_state_validation():
         TopoState(5, BASE, "even", (1.0, 0.0))
     with pytest.raises(ValueError):
         TopoState(4, BASE, "mixed", (1.0, 0.0))
+
+
+def _pairings(anyons):
+    if not anyons:
+        yield ()
+        return
+    first, rest = anyons[0], anyons[1:]
+    for partner in rest:
+        others = [x for x in rest if x != partner]
+        for tail in _pairings(others):
+            yield ((first, partner),) + tail
+
+
+@pytest.mark.parametrize("n_anyons", [4, 6])
+def test_every_fusion_basis_state_is_a_fock_parity_eigenstate(n_anyons):
+    # each basis state of each pairing, in both sectors, must map to a joint
+    # eigenstate of the pairing's Majorana parities i*g_a*g_b
+    space = FockSpace(n_anyons)
+    for pairing in _pairings(list(range(1, n_anyons + 1))):
+        for sector in ("even", "odd"):
+            total = 0 if sector == "even" else 1
+            for label in _labels(n_anyons, total):
+                vec = _fock_vector(make_state(pairing, sector, {label: 1.0}), space)
+                for pair in pairing:
+                    parity = np.vdot(vec, space.parity_op(*pair) @ vec).real
+                    assert abs(abs(parity) - 1.0) < 1e-9, (pairing, label, pair)

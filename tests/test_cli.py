@@ -102,6 +102,31 @@ def test_lattice_file_config(tmp_path, capsys):
     assert len(json.loads(out)["results"]["unpaired_modes"]) == 2
 
 
+LATTICE_FILE = {"format": "twistsim-lattice/1", "width": 8, "height": 6,
+                "segments": [{"row": 1, "col_start": 2, "col_end": 5}]}
+
+
+@pytest.mark.parametrize("lattice", [
+    {**LATTICE_FILE, "format": "twistsim-lattice/0"},
+    {k: v for k, v in LATTICE_FILE.items() if k != "segments"},
+    [1, 2],
+    "directory",
+], ids=["wrong_format", "missing_segments", "list", "directory"])
+def test_malformed_lattice_exits_with_config_error(tmp_path, capsys, lattice):
+    if isinstance(lattice, dict):
+        lattice_file = tmp_path / "lat.json"
+        lattice_file.write_text(json.dumps(lattice))
+        lattice = str(lattice_file)
+    elif lattice == "directory":
+        lattice = str(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lattice": lattice}))
+    code, out, err = run_cli(["derive", "--config", str(cfg)], capsys)
+    assert code == 1
+    assert out == ""
+    assert "config error" in err and "lattice" in err
+
+
 def _flip_fixed_outcomes(measure):
     def faulty(self, p, force=None):
         out = measure(self, p, force)

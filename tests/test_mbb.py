@@ -1,16 +1,20 @@
 import collections
 import gc
 import weakref
+from itertools import combinations
 
 import numpy as np
 import pytest
 
-from twistsim import _kernels, dense, jw
+from twistsim import _kernels, anyon, dense, jw
 from twistsim.lattice import build_lattice
-from twistsim.mbb import (AnyonBackend, FockBackend, LatticeBackend, MBBRecord,
+from twistsim.dense import InconsistentOutcomeError
+from twistsim.mbb import (START_PAIRINGS, AnyonBackend, FockBackend,
+                          LatticeBackend, MBBRecord, _fock_vector,
                           apply_correction, braid_once, correction_for,
-                          parity_sign_for, run_cycle, run_forced, run_shots,
-                          run_statistics, verify_braid_equivalence)
+                          parity_sign_for,
+                          run_cycle, run_forced, run_shots, run_statistics,
+                          verify_braid_equivalence)
 
 LAT6 = build_lattice(8, 12, [(2, 2, 4), (5, 2, 4), (8, 2, 4)])
 
@@ -63,13 +67,17 @@ def test_all_eight_outcome_triples_occur():
     assert min(seen.values()) > 0
 
 
-def _branch_amplitudes(backend):
-    """Joint label amplitudes of a 4-anyon register, keyed by labels."""
+def _branch_amplitudes(backend, pair):
+    """Joint label amplitudes of a 4-anyon register in the pairing that
+    measures ``pair``, keyed by sector and labels."""
+    target = anyon._pairing_with(pair, 4)
     out = {}
-    for w, st in backend.components:
-        for amp, lab in zip(st.amps, st.labels()):
-            if abs(w * amp) > 1e-12:
-                out[(st.sector, lab)] = w * amp
+    for k, (sector, total) in enumerate((("even", 0), ("odd", 1))):
+        u = anyon.basis_change(4, START_PAIRINGS[4], target, total)
+        amps = np.conj(u) @ backend.state[2 * k:2 * k + 2]
+        for amp, lab in zip(amps, anyon._labels(4, total)):
+            if abs(amp) > 1e-12:
+                out[(sector, lab)] = amp
     return out
 
 
@@ -82,7 +90,7 @@ def test_intermediate_states_match_published_branches():
         for n13 in (0, 1):
             bk = AnyonBackend(4, np.random.default_rng(trial), a, b)
             bk.measure((1, 3), force=n13)
-            amp = _branch_amplitudes(bk)
+            amp = _branch_amplitudes(bk, (1, 3))
             ph = np.exp(-1j * np.pi / 8)
             if n13 == 0:
                 expected = {("even", (0, 0)): ph * a, ("odd", (0, 1)): ph * b}
@@ -102,7 +110,7 @@ def test_intermediate_states_match_published_branches():
             bk = AnyonBackend(4, np.random.default_rng(trial), a, b)
             bk.measure((1, 3), force=n13)
             bk.measure((1, 4), force=n14)
-            amp = _branch_amplitudes(bk)
+            amp = _branch_amplitudes(bk, (1, 4))
             ph = np.exp(-1j * np.pi / 4)
             scale = 1j if n13 == 1 else 1.0
             assert abs(amp.get(("even", even_lab), 0) - scale * ph * es * a) < 1e-12
@@ -128,7 +136,7 @@ def test_final_states_match_published_grouping_up_to_phase():
                 rec = run_cycle(bk, force=f)
             except ValueError:
                 continue
-            amp = _branch_amplitudes(bk)
+            amp = _branch_amplitudes(bk, (1, 2))
             expected = forms[(rec.n13 ^ rec.n14, rec.n12_final)](a, b)
             # compare up to one global phase
             ratio = None
@@ -268,6 +276,51 @@ def test_anyon_backend_matches_fock_under_injection():
         recF = run_cycle(bkF, force=f)
         recA = run_cycle(bkA, force=f)
         assert recF.probabilities == pytest.approx(recA.probabilities)
+
+
+def _forced(backend, pair, label):
+    """``backend.measure(pair, force=label)``, or None for a zero branch."""
+    try:
+        return backend.measure(pair, force=label)
+    except InconsistentOutcomeError:
+        return None
+
+
+@pytest.mark.parametrize("n_anyons", [4, 6])
+def test_anyon_backend_matches_fock_on_forced_sequences(n_anyons):
+    # forced labels on every pair, with parity flips on random pairs in
+    # between: the fusion-label vector and the Majorana Fock vector give the
+    # same probability to every branch and reject the same zero branches
+    rng = np.random.default_rng(40 + n_anyons)
+    pairs = list(combinations(range(1, n_anyons + 1), 2))
+    rejected = 0
+    for trial in range(8):
+        alpha, beta = 1.0, 0.0
+        if n_anyons == 4:
+            alpha, beta = rng.normal(size=2) + 1j * rng.normal(size=2)
+        bkA = AnyonBackend(n_anyons, np.random.default_rng(trial), alpha, beta)
+        bkF = FockBackend(n_anyons, np.random.default_rng(trial), alpha, beta)
+        for step in rng.permutation(3 * len(pairs)):
+            pair = pairs[step % len(pairs)]
+            if rng.random() < 0.3:
+                flip = pairs[rng.integers(len(pairs))]
+                bkA.apply_parity(flip)
+                bkF.apply_parity(flip)
+            label = int(rng.integers(2))
+            outA, outF = _forced(bkA, pair, label), _forced(bkF, pair, label)
+            assert (outA is None) == (outF is None), (pair, label)
+            if outA is None:
+                rejected += 1
+                label ^= 1
+                outA, outF = bkA.measure(pair, label), bkF.measure(pair, label)
+            assert outA[0] == outF[0] == label
+            assert abs(outA[1] - outF[1]) < 1e-12, (pair, label)
+        if n_anyons == 6:
+            state = anyon.TopoState(6, START_PAIRINGS[6], "even",
+                                    tuple(bkA.vector()))
+            fock = _fock_vector(state, bkF.space)
+            assert abs(dense.fidelity_up_to_phase(fock, bkF.vector()) - 1) < 1e-12
+    assert rejected > 0
 
 
 def test_lattice_backend_two_braids_flip_deterministically():
