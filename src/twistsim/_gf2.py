@@ -12,31 +12,22 @@ import numpy as np
 from .pauli import PauliString
 
 
-def symplectic_vector(p: PauliString, site_index: dict[int, int]) -> np.ndarray:
-    """(x|z) bit vector of a Pauli string over a fixed site ordering."""
-    n = len(site_index)
+def symplectic_vector(p: PauliString, n: int) -> np.ndarray:
+    """(x|z) bit vector of a Pauli string on sites 0..n-1."""
+    if p.support and not 0 <= p.support[0][0] <= p.support[-1][0] < n:
+        raise ValueError(f"{p} acts outside sites 0..{n - 1}")
     v = np.zeros(2 * n, dtype=np.uint8)
     for site, letter in p.support:
-        i = site_index[site]
-        if letter in ("X", "Y"):
-            v[i] = 1
-        if letter in ("Z", "Y"):
-            v[n + i] = 1
+        v[site], v[n + site] = letter != "Z", letter != "X"
     return v
 
 
-def pauli_from_vector(v: np.ndarray, sites: list[int], phase: int = 0) -> PauliString:
-    n = len(sites)
-    letters: dict[int, str] = {}
-    for i, site in enumerate(sites):
-        x, z = int(v[i]), int(v[n + i])
-        if x and z:
-            letters[site] = "Y"
-        elif x:
-            letters[site] = "X"
-        elif z:
-            letters[site] = "Z"
-    return PauliString.from_dict(letters, phase)
+def pauli_from_vector(v: np.ndarray) -> PauliString:
+    """Pauli string of an (x|z) bit vector on sites 0..len(v)/2-1."""
+    n = len(v) // 2
+    codes = v[:n] + 2 * v[n:]
+    return PauliString.from_dict(
+        {int(s): "IXZY"[codes[s]] for s in np.flatnonzero(codes)})
 
 
 def _rref(mat: np.ndarray, n_cols: int) -> tuple[np.ndarray, list[int]]:

@@ -8,7 +8,9 @@ published two-by-two transforms are reproduced exactly, global phases
 included, and are used as test vectors only.
 
 Label convention: fusion channel I is fermion number 0, psi is 1; amplitude
-vectors transform with the conjugate of the basis-vector matrix.
+vectors transform with the conjugate of the basis-vector matrix. A pair's
+measured label is read in the pairing that holds it first
+(``label_operator``), whatever pairing the state is written in.
 """
 
 from __future__ import annotations
@@ -82,16 +84,6 @@ def _labels(n_anyons: int, total: int) -> tuple[tuple[int, ...], ...]:
         out.append(tuple(charges[i] ^ charges[i + 1]
                          for i in range(len(charges) - 1)))
     return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def label_signs(n_anyons: int, total: int, slot: int) -> np.ndarray:
-    """Label signs of the pair at ``slot`` of a pairing, +1 on fusion label 1
-    and -1 on label 0 (read-only): i*gamma_a*gamma_b up to the pair's vacuum
-    sign."""
-    signs = np.array([1.0 if lab[slot] else -1.0 for lab in _labels(n_anyons, total)])
-    signs.flags.writeable = False
-    return signs
 
 
 @lru_cache(maxsize=None)
@@ -188,8 +180,10 @@ class TopoState:
     """Amplitudes of 4 or 6 sigma anyons in a declared pairing and sector.
 
     Basis entries are indexed by the chain charges (c2[, c4]) of the pairing
-    word; the fusion label of pair j is the charge product
-    c_{2j-2} * c_{2j}. Norm is preserved by every operation.
+    word; label tuples are these chain-basis coordinates, entry j being the
+    charge product c_{2j-2} * c_{2j}. A pair's measured label is read in the
+    pairing that holds it first, and for a braided slot the two differ: label
+    (0, 0) of ((1,3),(2,4)) measures (2,4) as 1. Every operation keeps norm.
     """
 
     n_anyons: int
@@ -221,7 +215,8 @@ class TopoState:
 
 
 def make_state(pairing, sector: str, amplitudes_by_label: dict) -> TopoState:
-    """Build a state from {label tuple: amplitude}; normalizes exactly."""
+    """Build a state from {chain-basis label tuple (see ``TopoState``):
+    amplitude}; normalizes exactly."""
     pairing = _norm_pairing(pairing)
     n = 2 * len(pairing)
     label_list = _labels(n, 0 if sector == "even" else 1)
@@ -249,11 +244,22 @@ def _pairing_with(pair, n_anyons) -> tuple[tuple[int, int], ...]:
     )
 
 
-def _holding(state: TopoState, pair) -> tuple[TopoState, np.ndarray]:
-    """The state in a pairing that holds ``pair``, with the pair's label signs."""
-    if pair not in state.pairing:
-        state = transform_state(state, _pairing_with(pair, state.n_anyons))
-    return state, label_signs(state.n_anyons, state.total, state.pairing.index(pair))
+@lru_cache(maxsize=None)
+def label_operator(n_anyons: int, pairing: tuple[tuple[int, int], ...],
+                   pair: tuple[int, int], total: int) -> np.ndarray:
+    """``pair``'s fusion label on amplitudes in ``pairing`` (read-only): +1 on
+    label 1, -1 on label 0. It is read in the pairing that holds the pair
+    first, where ``mbb.parity_sign_for`` derives the vacuum signs."""
+    home = _pairing_with(pair, n_anyons)
+    signs = np.array([1.0 if lab[0] else -1.0 for lab in _labels(n_anyons, total)])
+    if pairing == home:
+        op = np.diag(signs).astype(np.complex128)
+    else:
+        # amplitudes in ``home`` are conj(u) @ amplitudes in ``pairing``
+        u = basis_change(n_anyons, pairing, home, total)
+        op = u.T @ (signs[:, None] * u.conj())
+    op.flags.writeable = False
+    return op
 
 
 def measure_pair(
@@ -262,16 +268,16 @@ def measure_pair(
     rng: np.random.Generator,
     force: int | None = None,
 ) -> tuple[int, TopoState]:
-    """Born-rule measurement of a pair's fusion label (I=0, psi=1)."""
-    state, signs = _holding(state, tuple(pair))
+    """Born-rule measurement of a pair's fusion label (I=0, psi=1); the
+    post-measurement state stays in the input pairing."""
     amps = np.asarray(state.amps, dtype=np.complex128)
-    n, _, post = measure_involution(amps, signs * amps, rng, force)
+    op = label_operator(state.n_anyons, state.pairing, tuple(pair), state.total)
+    n, _, post = measure_involution(amps, op @ amps, rng, force)
     return n, TopoState(state.n_anyons, state.pairing, state.sector, tuple(post))
 
 
 def apply_pair_parity(state: TopoState, pair: tuple[int, int]) -> TopoState:
     """Apply i*gamma_a*gamma_b: sign (2n-1) on the pair's fusion label."""
-    held, signs = _holding(state, tuple(pair))
-    out = TopoState(held.n_anyons, held.pairing, held.sector,
-                    tuple(signs * np.asarray(held.amps, dtype=np.complex128)))
-    return transform_state(out, state.pairing) if held is not state else out
+    op = label_operator(state.n_anyons, state.pairing, tuple(pair), state.total)
+    amps = op @ np.asarray(state.amps, dtype=np.complex128)
+    return TopoState(state.n_anyons, state.pairing, state.sector, tuple(amps))

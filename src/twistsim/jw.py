@@ -391,7 +391,7 @@ def reduce_by_stabilizers(
     if p.sites and not 0 <= p.sites[0] <= p.sites[-1] < lat.n_sites:
         raise GeometryError("operator acts on a site off the lattice")
     px, pz = _kernels.pack_bits(
-        _gf2.symplectic_vector(p, ctx.site_index).reshape(2, -1))
+        _gf2.symplectic_vector(p, lat.n_sites).reshape(2, -1))
     if _kernels.anticommute_mask(rows.x, rows.z, px, pz).any():
         raise ValueError("operator is outside the plaquette commutant")
     if not p.support:

@@ -129,9 +129,8 @@ class TwistLattice:
 
     def stabilizer_matrix(self) -> np.ndarray:
         """Binary symplectic matrix with one row per plaquette operator."""
-        idx = {s: s for s in self.sites}
         rows = [
-            _gf2.symplectic_vector(plaquette_operator(self, p.id), idx)
+            _gf2.symplectic_vector(plaquette_operator(self, p.id), self.n_sites)
             for p in self.plaquettes
         ]
         return np.array(rows, dtype=np.uint8)

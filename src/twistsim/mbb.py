@@ -11,7 +11,7 @@ The engine runs against three interchangeable backends:
 
 The anyon and Fock backends are one state-vector backend with two
 constructors: each measures a pair through a Hermitian involution O (the
-label-sign matrix of the pair, or i*g_a*g_b itself), built once per pair,
+pair's ``anyon.label_operator``, or i*g_a*g_b itself), built once per pair,
 and knows whether O's +1 eigenspace is fusion label 0. Both share
 ``measure``, ``apply_parity`` and ``vector``.
 
@@ -34,7 +34,10 @@ from .dense import FockSpace
 from .lattice import TwistLattice
 
 REFERENCE_PAIRINGS = {4: ((1, 2), (3, 4)), 6: ((1, 2), (3, 4), (5, 6))}
-# every backend starts with each of these pairs in its fusion vacuum
+# The anyon and Fock backends start at chain label 0 on each pair (four
+# anyons: alpha on labels (0, 0), beta on (0, 1)), the lattice at measured
+# label 0. So a first measurement of (4,6) reads 1 on anyon and Fock but 0 on
+# the lattice; the braid protocol never measures anyon 6.
 START_PAIRINGS = {4: ((1, 2), (3, 4)), 6: ((1, 2), (3, 5), (4, 6))}
 
 
@@ -58,16 +61,20 @@ def _fock_vector(state: TopoState, space: FockSpace) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _fock_setup(n_anyons: int) -> tuple[FockSpace, np.ndarray | None]:
-    """The ``n_anyons``-mode Fock space, built once per n, and the read-only
-    start vector for six anyons (four start in a state set by alpha, beta)."""
+def _fock_setup(n_anyons: int) -> tuple[FockSpace, tuple[np.ndarray, ...]]:
+    """The ``n_anyons``-mode Fock space, built once per n, and its read-only
+    start vectors: the (0,0) and (0,1) states of the four-anyon start pairing
+    (mixed by alpha, beta), or the one six-anyon start vector."""
     space = FockSpace(n_anyons)
-    if n_anyons != 6:
-        return space, None
-    vac = make_state(START_PAIRINGS[6], "even", {(0, 0, 0): 1.0})
-    start = _fock_vector(vac, space)
-    start.flags.writeable = False
-    return space, start
+    if n_anyons == 4:
+        basis = space.pairing_basis(list(START_PAIRINGS[4]))
+        starts = (basis[(0, 0)], basis[(0, 1)])
+    else:
+        vac = make_state(START_PAIRINGS[6], "even", {(0, 0, 0): 1.0})
+        starts = (_fock_vector(vac, space),)
+    for vec in starts:
+        vec.flags.writeable = False
+    return space, starts
 
 
 @lru_cache(maxsize=None)
@@ -77,7 +84,8 @@ def parity_sign_for(pair: tuple[int, int], n_anyons: int) -> int:
     anyons paired in index order).
 
     Derived by expressing the all-vacuum fusion state of that pairing in the
-    Majorana Fock space and reading the pair's parity expectation.
+    Majorana Fock space and reading the pair's parity expectation; in the odd
+    sector a pair with one end on anyon 3 or 4 has label 0 at -s.
     """
     pairing = anyon._pairing_with(pair, n_anyons)
     space, _ = _fock_setup(n_anyons)
@@ -121,18 +129,15 @@ def correction_for(record: MBBRecord) -> tuple[str, tuple[int, int] | None]:
 
 @lru_cache(maxsize=None)
 def _anyon_involution(n_anyons: int, pair: tuple[int, int]) -> tuple[np.ndarray, bool]:
-    """Label-sign matrix of ``pair`` (+1 on label 1, -1 on label 0) on fusion
-    amplitudes in the start pairing; four anyons stack the even block and the
-    odd block. Its +1 eigenspace is label 1."""
-    target = anyon._pairing_with(pair, n_anyons)
-    totals = (0, 1) if n_anyons == 4 else (0,)
-    dim = len(anyon._chain_basis(n_anyons))
-    op = np.zeros((dim * len(totals),) * 2, dtype=np.complex128)
-    for k, total in enumerate(totals):
-        # amplitudes in the target pairing are conj(u) @ amplitudes at start
-        u = anyon.basis_change(n_anyons, START_PAIRINGS[n_anyons], target, total)
-        op[k * dim:(k + 1) * dim, k * dim:(k + 1) * dim] = u.T @ (
-            anyon.label_signs(n_anyons, total, 0)[:, None] * u.conj())
+    """``anyon.label_operator`` of ``pair`` on fusion amplitudes in the start
+    pairing; four anyons stack the even block and the odd block. Its +1
+    eigenspace is label 1."""
+    blocks = [anyon.label_operator(n_anyons, START_PAIRINGS[n_anyons], pair, total)
+              for total in ((0, 1) if n_anyons == 4 else (0,))]
+    dim = len(blocks[0])
+    op = np.zeros((dim * len(blocks),) * 2, dtype=np.complex128)
+    for k, block in enumerate(blocks):
+        op[k * dim:(k + 1) * dim, k * dim:(k + 1) * dim] = block
     op.flags.writeable = False
     return op, False
 
@@ -198,11 +203,10 @@ class FockBackend(_VectorBackend):
 
     def __init__(self, n_anyons: int, rng: np.random.Generator,
                  alpha: complex = 1.0, beta: complex = 0.0):
-        self.space, start = _fock_setup(n_anyons)
-        if n_anyons == 4:
-            basis = self.space.pairing_basis(list(START_PAIRINGS[4]))
-            norm = np.hypot(abs(alpha), abs(beta))
-            start = (alpha * basis[(0, 0)] + beta * basis[(0, 1)]) / norm
+        self.space, starts = _fock_setup(n_anyons)
+        start = starts[0]
+        if n_anyons == 4:  # starts are the (0,0) and (0,1) states
+            start = (alpha * start + beta * starts[1]) / np.hypot(abs(alpha), abs(beta))
         super().__init__(n_anyons, rng, start)
 
 

@@ -20,7 +20,8 @@ import numpy as np
 
 from . import _gf2, _kernels, jw
 from .dense import InconsistentOutcomeError
-from .lattice import GeometryError, TwistLattice, all_plaquette_operators
+from .lattice import (GeometryError, TwistLattice, all_plaquette_operators,
+                      plaquette_operator)
 from .pauli import PauliString, product
 
 
@@ -76,6 +77,9 @@ class Tableau:
     def _bits_of(self, p: PauliString) -> tuple[np.ndarray, np.ndarray, int]:
         if not p.is_hermitian:
             raise ValueError(f"operator {p} is not Hermitian (phase must be ±1)")
+        if p.support and not 0 <= p.support[0][0] <= p.support[-1][0] < self.n:
+            site = p.support[0][0] if p.support[0][0] < 0 else p.support[-1][0]
+            raise ValueError(f"site {site} of {p} is outside 0..{self.n - 1}")
         xbits = zbits = 0
         for site, letter in p.support:
             if letter != "Z":
@@ -209,10 +213,6 @@ class CodeContext:
         self._loops: dict[tuple, tuple[list, int]] = {}
 
     @cached_property
-    def site_index(self) -> dict[int, int]:
-        return {s: s for s in self.lat.sites}
-
-    @cached_property
     def plaquette_ops(self) -> tuple[PauliString, ...]:
         return tuple(all_plaquette_operators(self.lat))
 
@@ -274,14 +274,14 @@ class CodeContext:
         if pair not in self._x_logicals:
             constraints = [(v, 0) for v in self.stabilizer_matrix]
             for j, z in enumerate(self.z_logicals):
-                constraints.append((_gf2.symplectic_vector(z, self.site_index),
+                constraints.append((_gf2.symplectic_vector(z, self.lat.n_sites),
                                     1 if j == pair else 0))
             vec = _gf2.solve_symplectic(constraints, self.lat.n_sites)
             if vec is None:  # pragma: no cover - cannot happen on a valid lattice
                 raise GeometryError(
                     "no logical X operator exists; lattice is inconsistent")
             self._x_logicals[pair] = jw.reduce_by_stabilizers(
-                _gf2.pauli_from_vector(vec, list(self.lat.sites)), self.lat)
+                _gf2.pauli_from_vector(vec), self.lat)
         return self._x_logicals[pair]
 
     def ground(self, pins: tuple[tuple[int, int, int], ...]) -> Tableau:
@@ -307,8 +307,7 @@ class CodeContext:
             vec = _gf2.solve_symplectic(constraints, self.lat.n_sites)
             if vec is None:  # pragma: no cover - independent commuting generators
                 raise GeometryError(f"no frame-flip operator exists for face {pid}")
-            self._flips[pid, registry] = _gf2.pauli_from_vector(
-                vec, list(self.lat.sites))
+            self._flips[pid, registry] = _gf2.pauli_from_vector(vec)
         return self._flips[pid, registry]
 
     def _independent_logicals(self, registry: tuple) -> list[np.ndarray]:
@@ -317,7 +316,7 @@ class CodeContext:
         # independent subset, which already pins the rest. The pivot columns
         # of [faces; logicals]^T are the vectors outside the span of those
         # before them, so this keeps the greedy choice in registry order.
-        vecs = [_gf2.symplectic_vector(op, self.site_index) for _, op in registry]
+        vecs = [_gf2.symplectic_vector(op, self.lat.n_sites) for _, op in registry]
         n_faces = len(self.stabilizer_matrix)
         _, pivots = _gf2._rref(np.vstack([self.stabilizer_matrix, *vecs]).T,
                                n_faces + len(vecs))
@@ -343,8 +342,8 @@ class CodeContext:
                               for f, g in zip(loop, loop[1:] + loop[:1]))
             target = loop_op * parity_string if encloses_pair else loop_op
             full = np.vstack([self.stabilizer_matrix,
-                              _gf2.symplectic_vector(bracket, self.site_index)])
-            sel = _gf2.solve(full, _gf2.symplectic_vector(target, self.site_index))
+                              _gf2.symplectic_vector(bracket, self.lat.n_sites)])
+            sel = _gf2.solve(full, _gf2.symplectic_vector(target, self.lat.n_sites))
             if sel is None:
                 raise GeometryError(
                     "loop operator is not in the expected logical class")
@@ -419,13 +418,13 @@ def init_ground(
         except InconsistentOutcomeError:
             # op is already in the enforced group with the opposite sign; flip
             # it with a Pauli that anticommutes with op only.
-            constraints = [(_gf2.symplectic_vector(g, ctx.site_index), 0)
+            constraints = [(_gf2.symplectic_vector(g, lat.n_sites), 0)
                            for g in enforced]
-            constraints.append((_gf2.symplectic_vector(op, ctx.site_index), 1))
+            constraints.append((_gf2.symplectic_vector(op, lat.n_sites), 1))
             vec = _gf2.solve_symplectic(constraints, lat.n_sites)
             if vec is None:  # pragma: no cover - generators are independent
                 raise GeometryError("cannot pin stabilizer sign; generators conflict")
-            t.apply_pauli(_gf2.pauli_from_vector(vec, list(lat.sites)))
+            t.apply_pauli(_gf2.pauli_from_vector(vec))
             t.measure(op, force=sign)
         enforced.append(op)
     t.reference_signs = {p.id: 1 for p in lat.plaquettes}
@@ -541,8 +540,8 @@ def cut_operator(lat: TwistLattice, f1: int, f2: int) -> PauliString:
     if len(shared) != 1:
         raise GeometryError(f"faces {f1},{f2} are not diagonal neighbours")
     site = shared.pop()
-    la = dict(zip(lat.plaquette(f1).ordered_sites, ("X", "Z", "X", "Z", "Y")))[site]
-    lb = dict(zip(lat.plaquette(f2).ordered_sites, ("X", "Z", "X", "Z", "Y")))[site]
+    la = plaquette_operator(lat, f1).letter_at(site)
+    lb = plaquette_operator(lat, f2).letter_at(site)
     if la != lb:
         raise GeometryError(f"faces {f1},{f2} clash at site {site}; not a hop")
     other = {"X", "Z"} - {la}

@@ -1,11 +1,14 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
-from twistsim.anyon import (FRB, TopoState, _labels, basis_change, fuse,
+from twistsim.anyon import (FRB, TopoState, _labels, _pairing_with,
+                            basis_change, fuse,
                             make_state, measure_pair, pair_transform,
                             transform_state, apply_pair_parity)
 from twistsim.dense import FockSpace
-from twistsim.mbb import _fock_vector
+from twistsim.mbb import _fock_vector, parity_sign_for
 
 BASE = ((1, 2), (3, 4))
 
@@ -131,6 +134,66 @@ def test_zero_probability_forced_label():
     st = make_state(BASE, "even", {(0, 0): 1.0})
     with pytest.raises(ValueError):
         measure_pair(st, (1, 2), np.random.default_rng(0), force=1)
+
+
+def _forced_probability(state, pair, label):
+    """Probability of the forced ``label`` branch, |<state|post>|^2; the
+    post-measurement state stays in the state's pairing."""
+    _, post = measure_pair(state, pair, np.random.default_rng(0), force=label)
+    assert post.pairing == state.pairing
+    return abs(np.vdot(state.amps, post.amps)) ** 2
+
+
+def _vacuum_sign(pair, n, sector, space):
+    """Sign of i*g_a*g_b on label 0 of ``pair`` in the pairing that holds it
+    first, derived like ``parity_sign_for`` but in either sector."""
+    total = 0 if sector == "even" else 1
+    label = next(lab for lab in _labels(n, total) if lab[0] == 0)
+    vec = _fock_vector(make_state(_pairing_with(pair, n), sector, {label: 1.0}),
+                       space)
+    return round(np.vdot(vec, space.parity_op(*pair) @ vec).real)
+
+
+@pytest.mark.parametrize("pairings", [
+    [BASE, ((1, 3), (2, 4)), ((1, 4), (2, 3))],
+    [((1, 2), (3, 5), (4, 6)), ((1, 2), (3, 4), (5, 6)), ((1, 3), (2, 4), (5, 6))],
+])
+def test_pair_labels_do_not_depend_on_the_pairing(pairings):
+    # a pair's label is a property of the state: every pairing the state is
+    # written in gives the Fock probability of i*g_a*g_b at the pair's vacuum
+    # sign, and flipping the label commutes with changing the pairing
+    n = 2 * len(pairings[0])
+    space = FockSpace(n)
+    rng = np.random.default_rng(43)
+    flipped_in_odd = set()
+    for pair in combinations(range(1, n + 1), 2):
+        assert _vacuum_sign(pair, n, "even", space) == parity_sign_for(pair, n)
+        if _vacuum_sign(pair, n, "odd", space) != parity_sign_for(pair, n):
+            flipped_in_odd.add(pair)
+    # in the odd sector a pair with one end on anyon 3 or 4 has its label 0
+    # at the opposite parity, so ``parity_sign_for`` holds for even states only
+    assert flipped_in_odd == {(a, b) for a, b in combinations(range(1, n + 1), 2)
+                              if (a in (3, 4)) != (b in (3, 4))}
+    for start in pairings:
+        for sector in ("even", "odd"):
+            for _ in range(3):
+                amps = rng.normal(size=n - 2) + 1j * rng.normal(size=n - 2)
+                st = TopoState(n, start, sector, tuple(amps / np.linalg.norm(amps)))
+                vec = _fock_vector(st, space)
+                for pair in combinations(range(1, n + 1), 2):
+                    parity = np.vdot(vec, space.parity_op(*pair) @ vec).real
+                    s = _vacuum_sign(pair, n, sector, space)
+                    flipped = apply_pair_parity(st, pair)
+                    for target in pairings:
+                        moved = transform_state(st, target)
+                        for label in (0, 1):
+                            fock = (1 + (1 - 2 * label) * s * parity) / 2
+                            assert _forced_probability(moved, pair, label) == \
+                                pytest.approx(fock, abs=1e-10), \
+                                (start, sector, pair, target)
+                        assert np.allclose(
+                            transform_state(flipped, target).amps,
+                            apply_pair_parity(moved, pair).amps, atol=1e-10)
 
 
 def test_apply_pair_parity_signs():

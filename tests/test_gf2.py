@@ -10,9 +10,11 @@ frame flips and pinned ground tableaux are built from that solution.
 from itertools import product
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from twistsim import _gf2
+from twistsim.pauli import PauliString
 
 
 @st.composite
@@ -90,3 +92,13 @@ def test_solve_symplectic_meets_pairings_and_is_zero_on_free_columns(mat, data):
     assert not x[free].any()
     # fixing the free columns at zero leaves exactly one solution
     assert sum(not s[free].any() for s in solutions) == 1
+
+
+def test_symplectic_vector_round_trips_and_rejects_off_register_sites():
+    p = PauliString.from_dict({0: "X", 2: "Y", 4: "Z"})
+    v = _gf2.symplectic_vector(p, 5)
+    assert v.tolist() == [1, 0, 1, 0, 0, 0, 0, 1, 0, 1]
+    assert _gf2.pauli_from_vector(v) == p
+    for site in (5, -1):
+        with pytest.raises(ValueError):
+            _gf2.symplectic_vector(PauliString.single(site, "X"), 5)

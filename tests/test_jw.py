@@ -185,9 +185,8 @@ def test_parity_commutes_and_is_logical():
     parity = jw.parity_operator(lat, path, 0)
     ops = all_plaquette_operators(lat)
     assert all(parity.commutes_with(op) for op in ops)
-    idx = {s: s for s in lat.sites}
     assert not _gf2.in_span(lat.stabilizer_matrix(),
-                            _gf2.symplectic_vector(parity, idx))
+                            _gf2.symplectic_vector(parity, lat.n_sites))
 
 
 def test_reduction_of_a_plaquette_is_identity():
@@ -213,11 +212,10 @@ def test_reduced_parity_letter_pattern():
     assert top_run + bottom_run == ["X", "Y", "Y", "Z", "X", "Z"]
     assert reduced.phase.is_real  # a parity is Hermitian; its sign is exact
     # reduction preserved the operator class
-    idx = {s: s for s in lat.sites}
     assert _gf2.in_span(lat.stabilizer_matrix(),
-                        _gf2.symplectic_vector(parity * reduced, idx))
+                        _gf2.symplectic_vector(parity * reduced, lat.n_sites))
     sel = _gf2.solve(lat.stabilizer_matrix(),
-                     _gf2.symplectic_vector(parity * reduced, idx))
+                     _gf2.symplectic_vector(parity * reduced, lat.n_sites))
     prod = PauliString.identity()
     for k in np.flatnonzero(sel):
         prod = prod * plaquette_operator(lat, int(k))

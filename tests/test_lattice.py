@@ -154,9 +154,8 @@ def test_twist_logicals_relations():
         assert z.commutes_with(op)
         assert x.commutes_with(op)
     assert not z.commutes_with(x)
-    idx = {s: s for s in lat.sites}
     mat = lat.stabilizer_matrix()
-    assert not _gf2.in_span(mat, _gf2.symplectic_vector(z, idx))
+    assert not _gf2.in_span(mat, _gf2.symplectic_vector(z, lat.n_sites))
     # Z support stays within the bounding box spanned by the two twists
     t1, t2 = (lat.site_coords(t.twist_site) for t in lat.twists)
     rmin, rmax = sorted((t1[0], t2[0]))

@@ -378,6 +378,17 @@ def test_lattice_backend_releases_its_lattice():
     assert ref() is None
 
 
+def test_four_anyon_fock_backends_share_their_start_vectors(monkeypatch):
+    calls = []
+    pairing_basis = dense.FockSpace.pairing_basis
+    monkeypatch.setattr(dense.FockSpace, "pairing_basis",
+                        lambda self, pairs: calls.append(pairs)
+                        or pairing_basis(self, pairs))
+    for seed in range(50):
+        FockBackend(4, np.random.default_rng(seed), 0.6, 0.8j)
+    assert len(calls) <= 1
+
+
 def test_lattice_backend_setup_derives_twist_modes_once(monkeypatch):
     calls = []
     twist_modes = jw.twist_modes

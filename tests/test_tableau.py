@@ -132,6 +132,18 @@ def test_non_hermitian_rejected():
         t.measure(PauliString.single(0, "X", 1))
 
 
+@pytest.mark.parametrize("method, site", [
+    ("measure", 12), ("expectation_sign", 12), ("apply_pauli", 12),
+    ("measure", 70), ("measure", -1),
+])
+def test_strings_off_the_register_are_rejected(method, site):
+    t = Tableau.zero_state(10, seed=0)
+    signs = t.r.copy()
+    with pytest.raises(ValueError, match=f"site {site} "):
+        getattr(t, method)(PauliString.from_dict({3: "Z", site: "X"}))
+    assert np.array_equal(t.r, signs)
+
+
 def test_direct_parity_equals_string_measurement():
     lat = build_lattice(8, 6, [(1, 2, 5)])
     string = jw.reduce_by_stabilizers(
