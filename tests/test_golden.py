@@ -9,8 +9,8 @@ default 8x12 lattice, the twist logicals of the two 14x12 readout lattices,
 the ground tableau of all three lattices, a lattice-backend tableau after
 three braids, fixed-seed lattice-backend statistics with their records, the
 fixed-seed shot records (labels and correction names only) of the six-anyon
-anyon and Fock backends, and the sha256 of fixed-seed ``stats`` reports on the
-anyon and Fock backends and of ``mbb`` reports (whose Fock probabilities and
+anyon and Fock backends, and the sha256 of fixed-seed ``stats`` reports on all
+three backends and of ``mbb`` reports (whose Fock probabilities and
 fidelity are floats).
 To re-record the reference after an intended change of output, run
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -103,8 +103,9 @@ def golden_outputs() -> dict:
     out["stats_report_sha256"] = {
         f"{backend}_{n}": _sha256(_cli_report(
             "stats", {"backend": backend},
-            ["--seed", "29", "--shots", "300", "--n-braids", str(n)]))
-        for backend in ("anyon", "fock") for n in range(4)
+            ["--seed", "29", "--shots", str(shots), "--n-braids", str(n)]))
+        for backend, shots in (("anyon", 300), ("fock", 300), ("lattice", 100))
+        for n in range(4)
     }
     out["mbb_report_sha256"] = {
         "seed_7": _sha256(_cli_report("mbb", {}, ["--seed", "7"])),
