@@ -7,7 +7,9 @@ letter is X or Y, its ``z`` word the sites whose letter is Z or Y.
 Tableau layout (Aaronson–Gottesman style):
     x, z : uint64 arrays of shape (2n, ceil(n / 64)); rows i < n are
            destabilizers, rows n..2n-1 are stabilizers.
-    r    : uint8 array of length 2n; sign bit (0 -> +1, 1 -> -1).
+    r    : uint8 array of length 2n; sign bit (0 -> +1, 1 -> -1). The
+           measurement update also takes (2n, S) sign columns, one per shot,
+           that all share one x/z trajectory (Stim's frame idea).
 
 Commutation and product phases are popcounts over the words, so every kernel
 handles all rows of a measurement in a few array operations (the layout and
@@ -69,13 +71,17 @@ def anticommute_mask(x, z, px, pz):
 def measurement_update(x, z, r, px, pz, pr, pivot, anti_rows, outcome_bit):
     """CHP update for a random outcome: multiply the pivot stabilizer into
     every other anticommuting row, move it to its destabilizer slot, and put
-    the measured operator with the outcome's sign in its place."""
+    the measured operator with the outcome's sign in its place.
+
+    ``r`` may carry a trailing shot axis, (2n, S) sign columns that share
+    these x/z rows, with ``outcome_bit`` then one bit per shot."""
     rows = anti_rows[anti_rows != pivot]
     if rows.size:
         xr, zr = x[rows], z[rows]
         phase = _product_phase(xr, zr, x[pivot], z[pivot])
         # rows are Hermitian Paulis; the accumulated phase is always 0 or 2
-        r[rows] ^= r[pivot] ^ (phase >> 1).astype(np.uint8)
+        flip = (phase >> 1).astype(np.uint8)
+        r[rows] ^= r[pivot] ^ flip.reshape(flip.shape + (1,) * (r.ndim - 1))
         x[rows] = xr ^ x[pivot]
         z[rows] = zr ^ z[pivot]
     n = x.shape[0] // 2

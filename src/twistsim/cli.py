@@ -245,9 +245,9 @@ def _run_mbb(cfg) -> tuple[dict, list[dict]]:
 def _stats_backend_factory(cfg):
     backend = cfg.get("backend", "anyon")
     if backend == "anyon":
-        return lambda rng: mbb.AnyonBackend(6, rng)
+        return lambda rngs: mbb.ShotList(mbb.AnyonBackend(6, rng) for rng in rngs)
     if backend == "fock":
-        return lambda rng: mbb.FockBackend(6, rng)
+        return lambda rngs: mbb.ShotList(mbb.FockBackend(6, rng) for rng in rngs)
     if backend == "lattice":
         lat = _build_lattice_from_cfg(
             cfg, default={"width": 8, "height": 12, "segments": [
@@ -260,7 +260,7 @@ def _stats_backend_factory(cfg):
             raise ConfigError(
                 f"stats reads the (3,5) label, so it needs 3 twist pairs; "
                 f"the lattice has {lat.n_pairs}")
-        return lambda rng: mbb.LatticeBackend(lat, rng)
+        return lambda rngs: mbb.LatticeBatch(lat, rngs)
     raise ConfigError(f"unknown backend {backend!r}")
 
 

@@ -7,7 +7,9 @@ The engine runs against three interchangeable backends:
                        anyons),
 * ``FockBackend``    - explicit Majorana matrices (the exactness oracle),
 * ``LatticeBackend`` - twist pairs on the planar code with stabilizer-
-                       formalism parity measurements.
+                       formalism parity measurements (``LatticeBatch``: the
+                       same over a batch of shots that share one tableau
+                       trajectory).
 
 The anyon and Fock backends are one state-vector backend with two
 constructors: each measures a pair through a Hermitian involution O (the
@@ -24,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
 
@@ -210,33 +211,50 @@ class FockBackend(_VectorBackend):
         super().__init__(n_anyons, rng, start)
 
 
-class LatticeBackend:
-    """Twist modes on the planar code.
+class _PairStrings(dict):
+    """Parity string of each 1-based mode pair, reduced on first use (the
+    lattice's ``CodeContext`` caches it for every later backend)."""
 
-    Every mode pair's parity string is registered on the lattice's pinned
-    ground tableau, which each backend copies. Pair parities are read out as
-    projective measurements of those strings, which is what both code-level
-    readout schemes implement (``tableau.measure_parity_direct`` and
-    ``tableau.measure_parity_hole``).
+    def __init__(self, ctx: tableau.CodeContext):
+        super().__init__()
+        self.ctx = ctx
+
+    def __missing__(self, pair: tuple[int, int]):
+        a, b = pair
+        string = self[pair] = self.ctx.parity_string(a - 1, b - 1)
+        return string
+
+
+def _lattice_start(lat: TwistLattice):
+    """Twist count, a copy of the lattice's pinned ground tableau, and its
+    pair strings."""
+    n = 2 * lat.n_pairs
+    if n not in (4, 6):
+        raise ValueError("lattice must host 4 or 6 twists")
+    # each start pair is pinned, 0-based, at its fusion-vacuum parity sign
+    pins = tuple((a - 1, b - 1, parity_sign_for((a, b), n))
+                 for a, b in START_PAIRINGS[n])
+    ctx = tableau.code_context(lat)
+    return n, ctx.ground(pins).copy(), _PairStrings(ctx)
+
+
+class LatticeBackend:
+    """Twist modes on the planar code, one shot.
+
+    Each backend copies the lattice's pinned ground tableau. Pair parities are
+    read out as projective measurements of the pairs' parity strings, which
+    is what both code-level readout schemes implement
+    (``tableau.measure_parity_direct`` and ``tableau.measure_parity_hole``).
+    ``LatticeBatch`` runs the same measurements on many shots at once.
     """
 
     name = "lattice"
 
     def __init__(self, lat: TwistLattice, rng: np.random.Generator):
-        if 2 * lat.n_pairs not in (4, 6):
-            raise ValueError("lattice must host 4 or 6 twists")
-        self.n = 2 * lat.n_pairs
+        self.n, self.tab, self.strings = _lattice_start(lat)
         self.lat = lat
         self.rng = rng
-        # each start pair is pinned, 0-based, at its fusion-vacuum parity sign
-        pins = tuple((a - 1, b - 1, parity_sign_for((a, b), self.n))
-                     for a, b in START_PAIRINGS[self.n])
-        self.tab = tableau.code_context(lat).ground(pins).copy()
         self.tab.rng = rng
-        self.strings = {
-            (a + 1, b + 1): self.tab.logicals[f"parity_{a}_{b}"]
-            for a, b in combinations(range(self.n), 2)
-        }
 
     def measure(self, pair: tuple[int, int], force: int | None = None
                 ) -> tuple[int, float]:
@@ -250,6 +268,55 @@ class LatticeBackend:
 
     def apply_parity(self, pair: tuple[int, int]) -> None:
         self.tab.apply_pauli(self.strings[tuple(pair)])
+
+
+class LatticeBatch:
+    """``LatticeBackend`` over a batch of shots, one generator per shot.
+
+    Which rows a measurement touches, and whether it is random, depend only
+    on the measured strings; outcomes and corrections change signs only. So
+    one tableau carries the x/z trajectory every shot shares, and ``signs``
+    holds one sign column per shot (Stim's frame idea, arXiv:2103.02202,
+    applied to the CHP sign column). A random measurement draws one
+    ``integers(2)`` from each shot's generator, as ``LatticeBackend`` does, so
+    every shot reads what it would read alone.
+    """
+
+    def __init__(self, lat: TwistLattice, rngs: list[np.random.Generator]):
+        self.n, self.tab, self.strings = _lattice_start(lat)
+        self.rngs = rngs
+        self.signs = np.repeat(self.tab.r[:, None], len(rngs), axis=1)
+
+    def _draw(self) -> np.ndarray:
+        return np.fromiter((rng.integers(2) for rng in self.rngs), np.uint8,
+                           len(self.rngs))
+
+    def measure(self, pair: tuple[int, int]) -> np.ndarray:
+        """Each shot's fusion label of ``pair``."""
+        pair = tuple(pair)
+        bits = self.tab.measure_signs(self.strings[pair], self.signs, self._draw)
+        # outcome bit 0 is parity +1, which is label 0 when sigma is +1
+        return bits ^ np.uint8(parity_sign_for(pair, self.n) == -1)
+
+    def apply_parity(self, pair: tuple[int, int], shots: np.ndarray) -> None:
+        """Apply ``pair``'s parity to the shots marked 1 in ``shots``."""
+        flips = self.tab.sign_flips(self.strings[tuple(pair)])
+        self.signs ^= flips[:, None] & shots.astype(np.uint8)
+
+
+class ShotList:
+    """Per-shot backends behind the batch interface of ``run_shots``."""
+
+    def __init__(self, backends):
+        self.backends = list(backends)
+
+    def measure(self, pair: tuple[int, int]) -> np.ndarray:
+        return np.array([bk.measure(pair)[0] for bk in self.backends],
+                        dtype=np.uint8)
+
+    def apply_parity(self, pair: tuple[int, int], shots: np.ndarray) -> None:
+        for k in np.flatnonzero(shots):
+            self.backends[k].apply_parity(pair)
 
 
 # -- protocol ------------------------------------------------------------------
@@ -309,41 +376,60 @@ def run_forced(backend, max_attempts: int = 64) -> MBBRecord:
     return MBBRecord(0, 0, 0, 0, backend.name, attempts=tuple(attempts))
 
 
-def run_shots(backend_factory, n_braids: int, shot_seeds,
+def run_shots(batch_factory, n_braids: int, shot_seeds,
               records: list | None = None) -> int:
-    """Run one shot per seed: a fresh backend, ``n_braids`` braids of 3,4,
+    """Run one shot per seed, all in one batch: ``n_braids`` braids of 3,4,
     then a (3,5) label readout. Returns how many shots read label 1; appends
-    each shot's trace to ``records`` when given."""
-    flips = 0
-    for shot_seed in shot_seeds:
-        backend = backend_factory(np.random.default_rng(shot_seed))
-        shot_trace = []
-        for _ in range(n_braids):
-            record, correction = braid_once(backend)
-            shot_trace.append(
-                (record.n13, record.n14, record.n12_final, correction))
-        n35, _ = backend.measure((3, 5))
-        flips += n35
-        if records is not None:
-            records.append({"cycles": shot_trace, "n35": n35})
-    return flips
+    each shot's trace to ``records`` when given.
+
+    ``batch_factory`` takes one generator per shot and returns a backend over
+    the whole batch: ``measure(pair)`` gives one label per shot and
+    ``apply_parity(pair, shots)`` acts on the marked shots (``LatticeBatch``,
+    or per-shot backends in a ``ShotList``).
+    """
+    backend = batch_factory([np.random.default_rng(s) for s in shot_seeds])
+    cycles = []
+    for _ in range(n_braids):
+        n13, n14, n12 = (backend.measure(pair) for pair in CYCLE_PAIRS)
+        for (n13_n14, n12_final), (_, pair) in CORRECTIONS.items():
+            if pair is None:
+                continue
+            shots = ((n13 ^ n14) == n13_n14) & (n12 == n12_final)
+            if shots.any():
+                backend.apply_parity(pair, shots)
+        cycles.append((n13.tolist(), n14.tolist(), n12.tolist()))
+    n35 = backend.measure((3, 5))
+    if records is not None:
+        for k, label in enumerate(n35.tolist()):
+            trace = [(a[k], b[k], c[k], CORRECTIONS[(a[k] ^ b[k], c[k])][0])
+                     for a, b, c in cycles]
+            records.append({"cycles": trace, "n35": label})
+    return int(n35.sum())
+
+
+# Shots per ``run_shots`` batch, so that a long run holds at most this many
+# generators, backends and sign columns at a time.
+SHOT_BLOCK = 256
 
 
 def run_statistics(
-    backend_factory, n_braids: int, shots: int, seed: int,
+    batch_factory, n_braids: int, shots: int, seed: int,
     keep_records: bool = False,
 ) -> dict:
     """Fraction of shots whose (3,5) fusion label flips after n braids of 3,4,
     with its 3-sigma confidence band.
 
     Shot k runs on the k-th child of ``SeedSequence(seed)``, so any split of
-    the shots over ``run_shots`` calls gives the same flips.
+    the shots over ``run_shots`` calls gives the same flips; the shots run in
+    batches of ``SHOT_BLOCK``.
     """
     if shots <= 0:
         raise ValueError("shots must be positive")
     records = [] if keep_records else None
-    flips = run_shots(backend_factory, n_braids,
-                      np.random.SeedSequence(seed).spawn(shots), records)
+    seeds = np.random.SeedSequence(seed)
+    flips = sum(run_shots(batch_factory, n_braids,
+                          seeds.spawn(min(SHOT_BLOCK, shots - start)), records)
+                for start in range(0, shots, SHOT_BLOCK))
     freq = flips / shots
     half_width = 3.0 * np.sqrt(max(freq * (1 - freq), 1e-12) / shots)
     out = {

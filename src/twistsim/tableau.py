@@ -14,7 +14,6 @@ import copy
 import io
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
 
 import numpy as np
 
@@ -110,31 +109,43 @@ class Tableau:
 
     def measure(self, p: PauliString, force: int | None = None) -> int:
         """Projective measurement of a Hermitian Pauli string, returns ±1."""
-        px, pz, pr = self._bits_of(p)
-        mask = _kernels.anticommute_mask(self.x, self.z, px, pz)
-        stab_anti = np.flatnonzero(mask[self.n:])
-        self.last_random = bool(stab_anti.size)
-        if stab_anti.size:
-            pivot = self.n + int(stab_anti[0])
+        def draw() -> int:
             if force is None:
-                outcome_bit = int(self.rng.integers(2))
-            else:
-                outcome_bit = 0 if force == 1 else 1
-            anti_rows = np.flatnonzero(mask)
-            _kernels.measurement_update(
-                self.x, self.z, self.r, px, pz, pr, pivot, anti_rows, outcome_bit
-            )
-            return 1 if outcome_bit == 0 else -1
-        outcome = self._fixed_outcome(px, pz, pr, mask)
+                return int(self.rng.integers(2))
+            return 0 if force == 1 else 1
+
+        outcome = 1 - 2 * int(self.measure_signs(p, self.r, draw))
         if force is not None and force != outcome:
             raise InconsistentOutcomeError(
                 f"outcome {force} requested for a measurement fixed at {outcome}"
             )
         return outcome
 
-    def _fixed_outcome(self, px, pz, pr, mask) -> int:
-        """Outcome of a measurement that commutes with every stabilizer; reads
-        the state without changing it. ``mask`` is ``anticommute_mask`` of p."""
+    def measure_signs(self, p: PauliString, signs: np.ndarray, draw):
+        """Measure a Hermitian Pauli string; returns the outcome bit (0 for
+        +1).
+
+        ``signs`` is the sign column the rows carry: ``self.r``, or a (2n, S)
+        array of S shots' columns that all share these x/z rows. A random
+        outcome takes its bit(s) from ``draw()``; a fixed one is read from
+        ``signs``. Either way x and z evolve alike for every column.
+        """
+        px, pz, pr = self._bits_of(p)
+        mask = _kernels.anticommute_mask(self.x, self.z, px, pz)
+        stab_anti = np.flatnonzero(mask[self.n:])
+        self.last_random = bool(stab_anti.size)
+        if not stab_anti.size:
+            return self._fixed_outcome_bit(px, pz, pr, mask, signs)
+        outcome_bit = draw()
+        _kernels.measurement_update(
+            self.x, self.z, signs, px, pz, pr, self.n + int(stab_anti[0]),
+            np.flatnonzero(mask), outcome_bit)
+        return outcome_bit
+
+    def _fixed_outcome_bit(self, px, pz, pr, mask, signs):
+        """Outcome bit(s) of a measurement that commutes with every
+        stabilizer; reads the state without changing it. ``mask`` is
+        ``anticommute_mask`` of p, ``signs`` as in ``measure_signs``."""
         # the stabilizer rows whose destabilizer partner anticommutes with p
         # multiply to ±p. Row k of the running products is the product of
         # rows 0..k-1, so step k's phase is that of (running product k) * row k.
@@ -144,16 +155,21 @@ class Tableau:
         acc_x = np.bitwise_xor.accumulate(np.vstack([start, xs]), axis=0)
         acc_z = np.bitwise_xor.accumulate(np.vstack([start, zs]), axis=0)
         steps = _kernels.rowsum_phase(acc_x[:-1], acc_z[:-1], xs, zs)
-        exponent = 2 * int(self.r[rows].sum()) + int(steps.sum())
         if not (np.array_equal(acc_x[-1], px) and np.array_equal(acc_z[-1], pz)):
             raise AssertionError("deterministic branch accumulated a wrong operator")
-        return 1 if (exponent - 2 * pr) % 4 == 0 else -1
+        # the product's sign is (-1)^(sign bits) * i^steps, steps even since
+        # the rows commute; the outcome is that sign over p's own sign.
+        shared = (int(steps.sum()) // 2 + pr) % 2
+        return np.bitwise_xor.reduce(signs[rows], axis=0) ^ shared
 
     def apply_pauli(self, p: PauliString) -> None:
         """Conjugate the state by a Pauli unitary (sign flips only)."""
+        self.r ^= self.sign_flips(p)
+
+    def sign_flips(self, p: PauliString) -> np.ndarray:
+        """1 for each row whose sign conjugation by ``p`` flips, else 0."""
         px, pz, _ = self._bits_of(p)
-        mask = _kernels.anticommute_mask(self.x, self.z, px, pz)
-        self.r ^= mask
+        return _kernels.anticommute_mask(self.x, self.z, px, pz)
 
     def expectation_sign(self, p: PauliString) -> int | None:
         """±1 if ``p`` is fixed by the state, None if the outcome is random."""
@@ -161,7 +177,7 @@ class Tableau:
         mask = _kernels.anticommute_mask(self.x, self.z, px, pz)
         if mask[self.n:].any():
             return None
-        return self._fixed_outcome(px, pz, pr, mask)
+        return 1 - 2 * int(self._fixed_outcome_bit(px, pz, pr, mask, self.r))
 
     # -- serialization -------------------------------------------------------
 
@@ -285,13 +301,11 @@ class CodeContext:
         return self._x_logicals[pair]
 
     def ground(self, pins: tuple[tuple[int, int, int], ...]) -> Tableau:
-        """Seed-0 ground tableau with ``pins`` pinned (see ``init_ground``)
-        and every mode-pair parity string registered. Callers copy it."""
+        """Seed-0 ground tableau with ``pins`` pinned (see ``init_ground``).
+        Callers copy it; other pairs' strings come from ``parity_string``."""
         if pins not in self._grounds:
-            t = init_ground(self.lat, seed=0, pinned_pairs=list(pins))
-            for a, b in combinations(range(2 * self.lat.n_pairs), 2):
-                t.logicals.setdefault(f"parity_{a}_{b}", self.parity_string(a, b))
-            self._grounds[pins] = t
+            self._grounds[pins] = init_ground(self.lat, seed=0,
+                                              pinned_pairs=list(pins))
         return self._grounds[pins]
 
     def face_flip(self, pid: int, logicals: dict[str, PauliString]) -> PauliString:

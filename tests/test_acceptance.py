@@ -16,8 +16,8 @@ from twistsim.jw import JWPath, MajoranaMode
 from twistsim.lattice import (build_lattice, all_plaquette_operators,
                               plaquette_operator, twist_logicals)
 from twistsim.mbb import (START_PAIRINGS, AnyonBackend, FockBackend,
-                          LatticeBackend, run_cycle, run_forced, run_statistics,
-                          verify_braid_equivalence)
+                          LatticeBackend, LatticeBatch, ShotList, run_cycle,
+                          run_forced, run_statistics, verify_braid_equivalence)
 from twistsim.pauli import PauliString
 from twistsim.projection import (MajoranaCluster, build_majorana_plaquette,
                                  spin_plaquette_matrix, string_dressed_parity)
@@ -197,7 +197,9 @@ def test_criterion_7_statistics_anyon():
     ok = True
     details = []
     for n, expected in [(0, 0.0), (1, 0.5), (2, 1.0), (3, 0.5)]:
-        res = run_statistics(lambda rng: AnyonBackend(6, rng), n, SHOTS, seed=42 + n)
+        res = run_statistics(
+            lambda rngs: ShotList(AnyonBackend(6, rng) for rng in rngs), n,
+            SHOTS, seed=42 + n)
         freq = res["flip_frequency"]
         if expected in (0.0, 1.0):
             ok &= freq == expected
@@ -214,7 +216,7 @@ def test_criterion_8_statistics_lattice_and_oracle():
     ok = True
     details = []
     for n, expected in [(0, 0.0), (1, 0.5), (2, 1.0), (3, 0.5)]:
-        res = run_statistics(lambda rng: LatticeBackend(lat, rng), n, SHOTS,
+        res = run_statistics(lambda rngs: LatticeBatch(lat, rngs), n, SHOTS,
                              seed=77 + n)
         freq = res["flip_frequency"]
         if expected in (0.0, 1.0):

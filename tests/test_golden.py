@@ -88,14 +88,14 @@ def golden_outputs() -> dict:
         mbb.braid_once(backend)
     out["lattice_backend_after_3_braids"] = backend.tab.to_text()
     out["lattice_statistics"] = {
-        str(n): mbb.run_statistics(lambda rng: mbb.LatticeBackend(lat, rng),
+        str(n): mbb.run_statistics(lambda rngs: mbb.LatticeBatch(lat, rngs),
                                    n, shots=12, seed=23, keep_records=True)
         for n in range(4)
     }
     out["oracle_backend_records"] = {
-        f"{name}_{n}": mbb.run_statistics(lambda rng: backend(6, rng), n,
-                                          shots=20, seed=31,
-                                          keep_records=True)["records"]
+        f"{name}_{n}": mbb.run_statistics(
+            lambda rngs: mbb.ShotList(backend(6, rng) for rng in rngs), n,
+            shots=20, seed=31, keep_records=True)["records"]
         for name, backend in (("anyon", mbb.AnyonBackend),
                               ("fock", mbb.FockBackend))
         for n in range(4)

@@ -6,17 +6,22 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from twistsim import _kernels, anyon, dense, jw
+from twistsim import _kernels, anyon, dense, jw, mbb, tableau
 from twistsim.lattice import build_lattice
 from twistsim.dense import InconsistentOutcomeError
-from twistsim.mbb import (START_PAIRINGS, AnyonBackend, FockBackend,
-                          LatticeBackend, MBBRecord, _fock_vector,
-                          apply_correction, braid_once, correction_for,
-                          parity_sign_for,
+from twistsim.mbb import (CORRECTIONS, START_PAIRINGS, AnyonBackend,
+                          FockBackend, LatticeBackend, LatticeBatch, MBBRecord,
+                          ShotList, _fock_vector, apply_correction, braid_once,
+                          correction_for, parity_sign_for,
                           run_cycle, run_forced, run_shots, run_statistics,
                           verify_braid_equivalence)
 
 LAT6 = build_lattice(8, 12, [(2, 2, 4), (5, 2, 4), (8, 2, 4)])
+
+
+def anyon6(rngs):
+    """Batch factory of six-anyon backends, one per shot."""
+    return ShotList(AnyonBackend(6, rng) for rng in rngs)
 
 
 def test_correction_table():
@@ -216,7 +221,7 @@ def test_forced_max_attempts():
 
 def test_statistics_signature_anyon():
     for n, expected, exact in [(0, 0.0, True), (2, 1.0, True), (1, 0.5, False)]:
-        res = run_statistics(lambda rng: AnyonBackend(6, rng), n, 600, seed=5)
+        res = run_statistics(anyon6, n, 600, seed=5)
         if exact:
             assert res["flip_frequency"] == expected
         else:
@@ -225,10 +230,11 @@ def test_statistics_signature_anyon():
 
 
 @pytest.mark.parametrize("factory, n_braids, shots", [
-    (lambda rng: AnyonBackend(6, rng), 3, 60),
-    (lambda rng: LatticeBackend(LAT6, rng), 1, 16),
+    (anyon6, 3, 60),
+    (lambda rngs: LatticeBatch(LAT6, rngs), 1, 16),
 ], ids=["anyon", "lattice"])
-def test_any_split_of_the_shot_range_gives_the_same_flips(factory, n_braids, shots):
+def test_any_split_of_the_shot_range_gives_the_same_flips(monkeypatch, factory,
+                                                          n_braids, shots):
     seed = 4
     whole = run_statistics(factory, n_braids, shots, seed, keep_records=True)
     assert 0 < whole["flip_frequency"] < 1
@@ -240,11 +246,58 @@ def test_any_split_of_the_shot_range_gives_the_same_flips(factory, n_braids, sho
                     for lo, hi in zip(bounds, bounds[1:]))
         assert flips == round(whole["flip_frequency"] * shots)
         assert records == whole["records"]
+    # run_statistics itself splits the shots into blocks of SHOT_BLOCK
+    monkeypatch.setattr(mbb, "SHOT_BLOCK", 7)
+    blocked = run_statistics(factory, n_braids, shots, seed, keep_records=True)
+    assert blocked == whole
+
+
+def _reference_records(lat, n_braids, shots, seed):
+    """Stats records from one 1-D-sign tableau and one generator per shot."""
+    ctx = tableau.code_context(lat)
+    pins = tuple((a - 1, b - 1, parity_sign_for((a, b), 6))
+                 for a, b in START_PAIRINGS[6])
+
+    def string(pair):
+        return ctx.parity_string(pair[0] - 1, pair[1] - 1)
+
+    def label(tab, pair):
+        return int(tab.measure(string(pair)) != parity_sign_for(pair, 6))
+
+    records = []
+    for child in np.random.SeedSequence(seed).spawn(shots):
+        tab = ctx.ground(pins).copy()
+        tab.rng = np.random.default_rng(child)
+        cycles = []
+        for _ in range(n_braids):
+            n13, n14, n12 = (label(tab, p) for p in ((1, 3), (1, 4), (1, 2)))
+            name, pair = CORRECTIONS[(n13 ^ n14, n12)]
+            if pair is not None:
+                tab.apply_pauli(string(pair))
+            cycles.append((n13, n14, n12, name))
+        records.append({"cycles": cycles, "n35": label(tab, (3, 5))})
+    return records
+
+
+@pytest.mark.parametrize("lat", [
+    LAT6, build_lattice(10, 12, [(2, 2, 5), (5, 3, 6), (8, 2, 5)]),
+], ids=["8x12", "10x12"])
+def test_batched_lattice_records_match_per_shot_tableaux(lat):
+    for n_braids in range(6):
+        res = run_statistics(lambda rngs: LatticeBatch(lat, rngs), n_braids,
+                             24, seed=n_braids + 3, keep_records=True)
+        assert res["records"] == _reference_records(lat, n_braids, 24,
+                                                    n_braids + 3)
+        for record in res["records"]:
+            assert type(record["n35"]) is int
+            for *labels, name in record["cycles"]:
+                assert all(type(n) is int for n in labels)
+                assert type(name) is str
 
 
 def test_statistics_rejects_bad_shots():
     with pytest.raises(ValueError):
-        run_statistics(lambda rng: AnyonBackend(6, rng), 1, 0, seed=0)
+        run_statistics(anyon6, 1, 0, seed=0)
 
 
 def test_lattice_backend_matches_fock_under_injection():
@@ -340,7 +393,7 @@ def test_lattice_backend_rejects_wrong_twist_count():
 
 def test_four_braids_act_as_identity_up_to_phase():
     # two braids flip the crossed parity deterministically; four restore it
-    res = run_statistics(lambda rng: AnyonBackend(6, rng), 4, 300, seed=2)
+    res = run_statistics(anyon6, 4, 300, seed=2)
     assert res["flip_frequency"] == 0.0
     bk = FockBackend(4, np.random.default_rng(0), 0.6, 0.8j)
     initial = bk.vector()
@@ -350,7 +403,7 @@ def test_four_braids_act_as_identity_up_to_phase():
 
 
 def test_statistics_keep_records():
-    res = run_statistics(lambda rng: AnyonBackend(6, rng), 2, 5, seed=1,
+    res = run_statistics(anyon6, 2, 5, seed=1,
                          keep_records=True)
     assert len(res["records"]) == 5
     for rec in res["records"]:

@@ -446,3 +446,36 @@ def test_measurement_sequences_match_the_state_vector(data):
     for k in range(n):
         g = t.row_operator(n + k)
         assert dense.expectation(v, g, sites) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("n", [7, 65])
+def test_sign_columns_evolve_like_separate_tableaux(n):
+    # shots that share the x/z rows keep one sign column each; every column
+    # must read and evolve exactly as its own 1-D tableau, in both branches
+    rng = np.random.default_rng(n)
+    shots = [Tableau.zero_state(n, 0) for _ in range(4)]
+    for t in shots[1:]:
+        t.apply_pauli(random_string(rng, n))
+    shared = Tableau.zero_state(n, 0)
+    signs = np.stack([t.r for t in shots], axis=1)
+    seen = set()
+    for _ in range(30):
+        p = random_string(rng, n)
+        bits = rng.integers(2, size=len(shots)).astype(np.uint8)
+        for _repeat in range(2):  # the repeat is fixed
+            got = shared.measure_signs(p, signs, lambda: bits)
+            seen.add(shared.last_random)
+            for k, t in enumerate(shots):
+                want = t.measure_signs(p, t.r, lambda: int(bits[k]))
+                assert t.last_random == shared.last_random
+                assert int(got[k]) == int(want)
+            # a Pauli frame change on some shots only
+            flip = random_string(rng, n)
+            marked = rng.integers(2, size=len(shots)).astype(np.uint8)
+            signs ^= shared.sign_flips(flip)[:, None] & marked
+            for k in np.flatnonzero(marked):
+                shots[k].apply_pauli(flip)
+            assert np.array_equal(signs, np.stack([t.r for t in shots], axis=1))
+    for t in shots:
+        assert np.array_equal(t.x, shared.x) and np.array_equal(t.z, shared.z)
+    assert seen == {True, False}
