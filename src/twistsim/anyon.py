@@ -272,7 +272,8 @@ def measure_pair(
     post-measurement state stays in the input pairing."""
     amps = np.asarray(state.amps, dtype=np.complex128)
     op = label_operator(state.n_anyons, state.pairing, tuple(pair), state.total)
-    n, _, post = measure_involution(amps, op @ amps, rng, force)
+    n, _, post = measure_involution(amps, op @ amps, lambda: rng.random(),
+                                    force)
     return n, TopoState(state.n_anyons, state.pairing, state.sector, tuple(post))
 
 

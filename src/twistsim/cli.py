@@ -244,10 +244,10 @@ def _run_mbb(cfg) -> tuple[dict, list[dict]]:
 
 def _stats_backend_factory(cfg):
     backend = cfg.get("backend", "anyon")
-    if backend == "anyon":
-        return lambda rngs: mbb.ShotList(mbb.AnyonBackend(6, rng) for rng in rngs)
-    if backend == "fock":
-        return lambda rngs: mbb.ShotList(mbb.FockBackend(6, rng) for rng in rngs)
+    if backend in ("anyon", "fock"):
+        per_shot = mbb.AnyonBackend if backend == "anyon" else mbb.FockBackend
+        template = per_shot(6, None)  # the start vector; it draws nothing
+        return lambda rngs: mbb.VectorBatch(template, rngs)
     if backend == "lattice":
         lat = _build_lattice_from_cfg(
             cfg, default={"width": 8, "height": 12, "segments": [

@@ -28,27 +28,41 @@ class InconsistentOutcomeError(ValueError):
     """A forced measurement outcome has zero probability."""
 
 
-def measure_involution(
-    state: np.ndarray,
-    o_state: np.ndarray,
-    rng: np.random.Generator,
-    force: int | None = None,
-) -> tuple[int, float, np.ndarray]:
+def measure_involution(state: np.ndarray, o_state: np.ndarray, draw,
+                       force: int | None = None):
     """Born-rule measurement of a Hermitian involution O, given ``O @ state``.
 
-    Branch 1 is O's +1 eigenspace, branch 0 its -1 eigenspace. Unforced, it
-    draws exactly one uniform number; forced, it draws nothing and rejects a
-    branch of probability below 1e-12. Returns the branch, its probability
-    and the normalized post-measurement state.
+    ``state`` is one vector, or an (S, dim) array of S shots' vectors, one per
+    row. Branch 1 is O's +1 eigenspace, branch 0 its -1 eigenspace. Unforced,
+    it takes exactly one uniform number per shot from ``draw()`` (a float, or
+    S of them); forced, it draws nothing and rejects a branch of probability
+    below 1e-12. Returns the branch, its probability and the normalized
+    post-measurement state: an int, a float and a vector, or per row a uint8
+    array, a float array and an (S, dim) array.
     """
-    plus = 0.5 * (state + o_state)
-    p_plus = float(np.real(np.vdot(plus, plus)))
-    branch = int(rng.random() < p_plus) if force is None else force
-    prob = p_plus if branch == 1 else 1.0 - p_plus
-    if force is not None and prob < 1e-12:
+    plus = state + o_state
+    plus *= 0.5  # in place: a batch holds one (S, dim) temporary fewer
+    if state.ndim == 1:
+        # np.vdot and np.linalg.norm: a row-wise reduction can differ from them
+        # in the last bit, and the mbb report prints p. The choice is made in
+        # Python, as numpy calls on scalars cost microseconds.
+        p_plus = float(np.real(np.vdot(plus, plus)))
+        branch = int(draw() < p_plus) if force is None else force
+        prob, post = (p_plus, plus) if branch else (1.0 - p_plus, state - plus)
+        norm = np.linalg.norm(post)
+    else:
+        p_plus = np.vecdot(plus, plus).real
+        took = (draw() < p_plus if force is None
+                else np.full(len(state), force == 1))
+        prob = np.where(took, p_plus, 1.0 - p_plus)
+        post = state - plus
+        np.copyto(post, plus, where=took[:, None])
+        branch = took.astype(np.uint8)
+        norm = np.sqrt(np.vecdot(post, post).real)[:, None]
+    if force is not None and np.any(prob < 1e-12):
         raise InconsistentOutcomeError(f"forced branch {force} has zero probability")
-    post = plus if branch == 1 else state - plus
-    return branch, prob, post / np.linalg.norm(post)
+    post /= norm
+    return branch, prob, post
 
 
 def pauli_matrix(p: PauliString, sites: list[int]) -> np.ndarray:
@@ -147,7 +161,7 @@ def measure_projective(
     if not p.is_hermitian:
         raise ValueError(f"cannot measure non-Hermitian operator {p}")
     took_plus, _, post = measure_involution(
-        amps, apply_pauli(amps, p, sites), rng,
+        amps, apply_pauli(amps, p, sites), lambda: rng.random(),
         None if force is None else int(force == 1))
     return (1 if took_plus else -1), post
 

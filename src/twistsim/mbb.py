@@ -7,9 +7,12 @@ The engine runs against three interchangeable backends:
                        anyons),
 * ``FockBackend``    - explicit Majorana matrices (the exactness oracle),
 * ``LatticeBackend`` - twist pairs on the planar code with stabilizer-
-                       formalism parity measurements (``LatticeBatch``: the
-                       same over a batch of shots that share one tableau
-                       trajectory).
+                       formalism parity measurements.
+
+Each runs ``stats`` as a batch of shots: ``VectorBatch`` holds one anyon or
+Fock state vector per shot in one array, and ``LatticeBatch`` one sign column
+per shot on a shared tableau trajectory. Both draw each shot's random numbers
+from that shot's own generator, in the order the per-shot backend would.
 
 The anyon and Fock backends are one state-vector backend with two
 constructors: each measures a pair through a Hermitian involution O (the
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import methodcaller
 
 import numpy as np
 
@@ -167,7 +171,7 @@ class _VectorBackend:
                 ) -> tuple[int, float]:
         op, plus_is_label_0 = self._involution(self.n, tuple(pair))
         took_plus, prob, self.state = dense.measure_involution(
-            self.state, op @ self.state, self.rng,
+            self.state, op @ self.state, lambda: self.rng.random(),
             None if force is None else int((force == 0) == plus_is_label_0))
         return int(took_plus != plus_is_label_0), prob
 
@@ -209,6 +213,47 @@ class FockBackend(_VectorBackend):
         if n_anyons == 4:  # starts are the (0,0) and (0,1) states
             start = (alpha * start + beta * starts[1]) / np.hypot(abs(alpha), abs(beta))
         super().__init__(n_anyons, rng, start)
+
+
+def _draw_each(rngs: list[np.random.Generator], dtype, method: str,
+               *args) -> np.ndarray:
+    """One ``rng.<method>(*args)`` from each shot's own generator, in shot
+    order: what one random measurement of a batch draws."""
+    return np.fromiter(map(methodcaller(method, *args), rngs), dtype, len(rngs))
+
+
+class VectorBatch:
+    """``AnyonBackend`` or ``FockBackend`` over a batch of shots, one
+    generator per shot.
+
+    Every shot starts from ``template``'s vector; ``states`` holds one row per
+    shot, and a measurement is one product with the pair's involution for all
+    rows. It draws one ``random()`` from each shot's generator, as the
+    per-shot backend does, so every shot reads what it would read alone.
+    """
+
+    def __init__(self, template: _VectorBackend,
+                 rngs: list[np.random.Generator]):
+        self.n = template.n
+        self._involution = template._involution
+        self.rngs = rngs
+        self.states = np.repeat(template.state[None, :], len(rngs), axis=0)
+
+    def _draw(self) -> np.ndarray:
+        return _draw_each(self.rngs, np.float64, "random")
+
+    def measure(self, pair: tuple[int, int]) -> np.ndarray:
+        """Each shot's fusion label of ``pair``."""
+        op, plus_is_label_0 = self._involution(self.n, tuple(pair))
+        took_plus, _, self.states = dense.measure_involution(
+            self.states, self.states @ op.T, self._draw)
+        return took_plus ^ np.uint8(plus_is_label_0)
+
+    def apply_parity(self, pair: tuple[int, int], shots: np.ndarray) -> None:
+        """Apply ``pair``'s involution to the shots marked 1 in ``shots``."""
+        rows = np.flatnonzero(shots)
+        self.states[rows] = self.states[rows] @ self._involution(
+            self.n, tuple(pair))[0].T
 
 
 class _PairStrings(dict):
@@ -288,8 +333,7 @@ class LatticeBatch:
         self.signs = np.repeat(self.tab.r[:, None], len(rngs), axis=1)
 
     def _draw(self) -> np.ndarray:
-        return np.fromiter((rng.integers(2) for rng in self.rngs), np.uint8,
-                           len(self.rngs))
+        return _draw_each(self.rngs, np.uint8, "integers", 2)
 
     def measure(self, pair: tuple[int, int]) -> np.ndarray:
         """Each shot's fusion label of ``pair``."""
@@ -302,21 +346,6 @@ class LatticeBatch:
         """Apply ``pair``'s parity to the shots marked 1 in ``shots``."""
         flips = self.tab.sign_flips(self.strings[tuple(pair)])
         self.signs ^= flips[:, None] & shots.astype(np.uint8)
-
-
-class ShotList:
-    """Per-shot backends behind the batch interface of ``run_shots``."""
-
-    def __init__(self, backends):
-        self.backends = list(backends)
-
-    def measure(self, pair: tuple[int, int]) -> np.ndarray:
-        return np.array([bk.measure(pair)[0] for bk in self.backends],
-                        dtype=np.uint8)
-
-    def apply_parity(self, pair: tuple[int, int], shots: np.ndarray) -> None:
-        for k in np.flatnonzero(shots):
-            self.backends[k].apply_parity(pair)
 
 
 # -- protocol ------------------------------------------------------------------
@@ -384,8 +413,8 @@ def run_shots(batch_factory, n_braids: int, shot_seeds,
 
     ``batch_factory`` takes one generator per shot and returns a backend over
     the whole batch: ``measure(pair)`` gives one label per shot and
-    ``apply_parity(pair, shots)`` acts on the marked shots (``LatticeBatch``,
-    or per-shot backends in a ``ShotList``).
+    ``apply_parity(pair, shots)`` acts on the marked shots (``VectorBatch``
+    or ``LatticeBatch``).
     """
     backend = batch_factory([np.random.default_rng(s) for s in shot_seeds])
     cycles = []
@@ -397,7 +426,8 @@ def run_shots(batch_factory, n_braids: int, shot_seeds,
             shots = ((n13 ^ n14) == n13_n14) & (n12 == n12_final)
             if shots.any():
                 backend.apply_parity(pair, shots)
-        cycles.append((n13.tolist(), n14.tolist(), n12.tolist()))
+        if records is not None:
+            cycles.append((n13.tolist(), n14.tolist(), n12.tolist()))
     n35 = backend.measure((3, 5))
     if records is not None:
         for k, label in enumerate(n35.tolist()):
@@ -408,7 +438,7 @@ def run_shots(batch_factory, n_braids: int, shot_seeds,
 
 
 # Shots per ``run_shots`` batch, so that a long run holds at most this many
-# generators, backends and sign columns at a time.
+# generators, state vectors and sign columns at a time.
 SHOT_BLOCK = 256
 
 

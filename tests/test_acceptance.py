@@ -16,7 +16,7 @@ from twistsim.jw import JWPath, MajoranaMode
 from twistsim.lattice import (build_lattice, all_plaquette_operators,
                               plaquette_operator, twist_logicals)
 from twistsim.mbb import (START_PAIRINGS, AnyonBackend, FockBackend,
-                          LatticeBackend, LatticeBatch, ShotList, run_cycle,
+                          LatticeBackend, LatticeBatch, VectorBatch, run_cycle,
                           run_forced, run_statistics, verify_braid_equivalence)
 from twistsim.pauli import PauliString
 from twistsim.projection import (MajoranaCluster, build_majorana_plaquette,
@@ -198,7 +198,7 @@ def test_criterion_7_statistics_anyon():
     details = []
     for n, expected in [(0, 0.0), (1, 0.5), (2, 1.0), (3, 0.5)]:
         res = run_statistics(
-            lambda rngs: ShotList(AnyonBackend(6, rng) for rng in rngs), n,
+            lambda rngs: VectorBatch(AnyonBackend(6, None), rngs), n,
             SHOTS, seed=42 + n)
         freq = res["flip_frequency"]
         if expected in (0.0, 1.0):

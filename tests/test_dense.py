@@ -70,6 +70,32 @@ def test_forced_measurement_and_zero_probability():
         measure_projective(v, z, sites, rng, force=-1)
 
 
+def test_measure_involution_measures_each_row_of_a_batch():
+    # each row reads its own uniform and is projected with (1 +- O)/2
+    gen = np.random.default_rng(3)
+    op = FockSpace(6).parity_op(1, 4)
+    plus, minus = (np.eye(8) + op) / 2, (np.eye(8) - op) / 2
+    states = gen.normal(size=(6, 8)) + 1j * gen.normal(size=(6, 8))
+    states /= np.linalg.norm(states, axis=1, keepdims=True)
+    u = gen.random(6)
+    branch, prob, post = dense.measure_involution(states, states @ op.T,
+                                                  lambda: u)
+    assert branch.dtype == np.uint8
+    for k, row in enumerate(states):
+        p_plus = np.linalg.norm(plus @ row) ** 2
+        took = int(u[k] < p_plus)
+        proj = plus @ row if took else minus @ row
+        assert branch[k] == took
+        assert prob[k] == pytest.approx(p_plus if took else 1 - p_plus)
+        assert np.allclose(post[k], proj / np.linalg.norm(proj))
+    # a forced branch applies to every row; one row without it rejects all
+    forced, _, _ = dense.measure_involution(states, states @ op.T, None, 1)
+    assert forced.tolist() == [1] * 6
+    states[2] = minus @ states[2] / np.linalg.norm(minus @ states[2])
+    with pytest.raises(dense.InconsistentOutcomeError):
+        dense.measure_involution(states, states @ op.T, None, 1)
+
+
 def test_non_hermitian_rejected():
     with pytest.raises(ValueError):
         measure_projective(zero_state(1), PauliString.single(0, "X", 1), [0], rng)

@@ -94,7 +94,7 @@ def golden_outputs() -> dict:
     }
     out["oracle_backend_records"] = {
         f"{name}_{n}": mbb.run_statistics(
-            lambda rngs: mbb.ShotList(backend(6, rng) for rng in rngs), n,
+            lambda rngs: mbb.VectorBatch(backend(6, None), rngs), n,
             shots=20, seed=31, keep_records=True)["records"]
         for name, backend in (("anyon", mbb.AnyonBackend),
                               ("fock", mbb.FockBackend))

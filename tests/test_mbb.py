@@ -11,8 +11,8 @@ from twistsim.lattice import build_lattice
 from twistsim.dense import InconsistentOutcomeError
 from twistsim.mbb import (CORRECTIONS, START_PAIRINGS, AnyonBackend,
                           FockBackend, LatticeBackend, LatticeBatch, MBBRecord,
-                          ShotList, _fock_vector, apply_correction, braid_once,
-                          correction_for, parity_sign_for,
+                          VectorBatch, _fock_vector, apply_correction,
+                          braid_once, correction_for, parity_sign_for,
                           run_cycle, run_forced, run_shots, run_statistics,
                           verify_braid_equivalence)
 
@@ -20,8 +20,8 @@ LAT6 = build_lattice(8, 12, [(2, 2, 4), (5, 2, 4), (8, 2, 4)])
 
 
 def anyon6(rngs):
-    """Batch factory of six-anyon backends, one per shot."""
-    return ShotList(AnyonBackend(6, rng) for rng in rngs)
+    """Batch factory of six-anyon shots."""
+    return VectorBatch(AnyonBackend(6, None), rngs)
 
 
 def test_correction_table():
@@ -231,8 +231,9 @@ def test_statistics_signature_anyon():
 
 @pytest.mark.parametrize("factory, n_braids, shots", [
     (anyon6, 3, 60),
+    (lambda rngs: VectorBatch(FockBackend(6, None), rngs), 3, 60),
     (lambda rngs: LatticeBatch(LAT6, rngs), 1, 16),
-], ids=["anyon", "lattice"])
+], ids=["anyon", "fock", "lattice"])
 def test_any_split_of_the_shot_range_gives_the_same_flips(monkeypatch, factory,
                                                           n_braids, shots):
     seed = 4
@@ -293,6 +294,59 @@ def test_batched_lattice_records_match_per_shot_tableaux(lat):
             for *labels, name in record["cycles"]:
                 assert all(type(n) is int for n in labels)
                 assert type(name) is str
+
+
+def _reference_vector_shots(involution, start, n_braids, shots, seed):
+    """Stats records and final vectors from the projectors (1 +- O)/2 of each
+    pair's involution O and one generator per shot."""
+    records, finals, eye = [], [], np.eye(len(start))
+    for child in np.random.SeedSequence(seed).spawn(shots):
+        rng, vec, cycles = np.random.default_rng(child), start.copy(), []
+
+        def label(pair):
+            nonlocal vec
+            op, plus_is_label_0 = involution(6, pair)
+            plus, minus = (eye + op) / 2, (eye - op) / 2
+            took_plus = rng.random() < np.linalg.norm(plus @ vec) ** 2
+            vec = (plus if took_plus else minus) @ vec
+            vec = vec / np.linalg.norm(vec)
+            return int(took_plus != plus_is_label_0)
+
+        for _ in range(n_braids):
+            n13, n14, n12 = (label(p) for p in ((1, 3), (1, 4), (1, 2)))
+            name, pair = CORRECTIONS[(n13 ^ n14, n12)]
+            if pair is not None:
+                vec = involution(6, pair)[0] @ vec
+            cycles.append((n13, n14, n12, name))
+        records.append({"cycles": cycles, "n35": label((3, 5))})
+        finals.append(vec)
+    return records, np.array(finals)
+
+
+@pytest.mark.parametrize("block", [mbb.SHOT_BLOCK, 7])
+@pytest.mark.parametrize("per_shot, involution", [
+    (AnyonBackend, mbb._anyon_involution),
+    (FockBackend, mbb._fock_involution),
+], ids=["anyon", "fock"])
+def test_vector_batch_matches_per_shot_projectors(monkeypatch, per_shot,
+                                                  involution, block):
+    monkeypatch.setattr(mbb, "SHOT_BLOCK", block)
+    start = per_shot(6, None).vector()
+    for n_braids in range(6):
+        batches = []
+
+        def factory(rngs):
+            batches.append(VectorBatch(per_shot(6, None), rngs))
+            return batches[-1]
+
+        res = run_statistics(factory, n_braids, 24, seed=n_braids + 11,
+                             keep_records=True)
+        records, finals = _reference_vector_shots(involution, start, n_braids,
+                                                  24, n_braids + 11)
+        assert res["records"] == records
+        assert len(batches) == -(-24 // block)
+        rows = np.concatenate([batch.states for batch in batches])
+        assert np.abs(rows - finals).max() < 1e-12
 
 
 def test_statistics_rejects_bad_shots():
