@@ -15,6 +15,7 @@ import hashlib
 import io
 import json
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -247,7 +248,7 @@ def _stats_backend_factory(cfg):
     if backend in ("anyon", "fock"):
         per_shot = mbb.AnyonBackend if backend == "anyon" else mbb.FockBackend
         template = per_shot(6, None)  # the start vector; it draws nothing
-        return lambda rngs: mbb.VectorBatch(template, rngs)
+        return lambda streams: mbb.VectorBatch(template, streams)
     if backend == "lattice":
         lat = _build_lattice_from_cfg(
             cfg, default={"width": 8, "height": 12, "segments": [
@@ -260,7 +261,7 @@ def _stats_backend_factory(cfg):
             raise ConfigError(
                 f"stats reads the (3,5) label, so it needs 3 twist pairs; "
                 f"the lattice has {lat.n_pairs}")
-        return lambda rngs: mbb.LatticeBatch(lat, rngs)
+        return lambda streams: mbb.LatticeBatch(lat, streams)
     raise ConfigError(f"unknown backend {backend!r}")
 
 
@@ -341,7 +342,10 @@ _EXPERIMENTS = {
 }
 
 
-def main(argv=None) -> int:
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once: argparse formats every
+    ``add_argument``, which costs about a millisecond per build."""
     parser = argparse.ArgumentParser(
         prog="twistsim",
         description="Twist-defect surface-code simulator and verifier",
@@ -355,7 +359,11 @@ def main(argv=None) -> int:
         p.add_argument("--n-braids", dest="n_braids", type=int, default=None)
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=["json", "csv"], default="json")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         cfg = _load_config(args)

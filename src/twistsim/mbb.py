@@ -11,8 +11,10 @@ The engine runs against three interchangeable backends:
 
 Each runs ``stats`` as a batch of shots: ``VectorBatch`` holds one anyon or
 Fock state vector per shot in one array, and ``LatticeBatch`` one sign column
-per shot on a shared tableau trajectory. Both draw each shot's random numbers
-from that shot's own generator, in the order the per-shot backend would.
+per shot on a shared tableau trajectory. A batch computes every shot's random
+stream at once (``ShotStreams``): shot k's stream equals, draw for draw, that
+of numpy's PCG64 ``Generator`` on the k-th ``SeedSequence`` child, drawn in
+the order the per-shot backend would.
 
 The anyon and Fock backends are one state-vector backend with two
 constructors: each measures a pair through a Hermitian involution O (the
@@ -27,9 +29,9 @@ the fusion-basis states expressed in the Fock representation, never assumed.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import methodcaller
 
 import numpy as np
 
@@ -215,38 +217,154 @@ class FockBackend(_VectorBackend):
         super().__init__(n_anyons, rng, start)
 
 
-def _draw_each(rngs: list[np.random.Generator], dtype, method: str,
-               *args) -> np.ndarray:
-    """One ``rng.<method>(*args)`` from each shot's own generator, in shot
-    order: what one random measurement of a batch draws."""
-    return np.fromiter(map(methodcaller(method, *args), rngs), dtype, len(rngs))
+# -- shot streams --------------------------------------------------------------
+
+_M32 = 0xFFFF_FFFF
+# SeedSequence's hash constants (numpy.random.bit_generator)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+# PCG64's 128-bit LCG multiplier, as (high, low) 64-bit words
+_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+
+
+def _uint32_words(value: int) -> list[int]:
+    """``value`` as little-endian uint32 words, as SeedSequence reads an
+    integer (0 is one word)."""
+    return [(value >> (32 * i)) & _M32
+            for i in range(max(1, -(-value.bit_length() // 32)))]
+
+
+def _hash(values: np.ndarray, init: int, mult: int, first: int) -> np.ndarray:
+    """SeedSequence's hashmix of each row of ``values``, the rows being
+    consecutive calls: row i takes the hash constant ``first + i`` steps after
+    ``init``."""
+    consts = [init * pow(mult, k, 2**32) & _M32
+              for k in range(first, first + len(values) + 1)]
+    values = (values ^ np.array(consts[:-1], np.uint32)[:, None]) \
+        * np.array(consts[1:], np.uint32)[:, None]
+    return values ^ (values >> 16)
+
+
+def _mulhi64(a: np.ndarray, b: int) -> np.ndarray:
+    """High 64 bits of each 128-bit product ``a * b``, from 32-bit limbs."""
+    a0, a1, b0, b1 = a & _M32, a >> 32, b & _M32, b >> 32
+    t = a1 * b0 + ((a0 * b0) >> 32)
+    return a1 * b1 + (t >> 32) + (((t & _M32) + a0 * b1) >> 32)
+
+
+class ShotStreams:
+    """The random streams of shots ``start .. start + count - 1``, computed
+    for all of them at once.
+
+    Shot k's stream is, draw for draw, that of numpy's PCG64 ``Generator``
+    seeded with the k-th child of ``np.random.SeedSequence(seed).spawn``,
+    the child with spawn key ``(k,)``. The ``SeedSequence`` pool hashing runs
+    on uint32 lanes, one per shot, and PCG64 (M. E. O'Neill,
+    HMC-CS-2014-0905) seeds and steps its 128-bit state as (high, low) uint64
+    pairs. NEP 19 keeps both streams stable. ``random()`` and ``bit()`` draw
+    one value per shot, like ``Generator.random()`` and
+    ``Generator.integers(2)``; the latter is Lemire's method on PCG64's
+    buffered 32-bit output, which NEP 19 does not freeze, so the tests check
+    it against numpy itself.
+
+    Spawn keys of one range must hash as the same number of uint32 words, so
+    a range may not cross 2^32.
+    """
+
+    def __init__(self, seed: int, start: int, count: int):
+        seed, start, count = (operator.index(v) for v in (seed, start, count))
+        if seed < 0 or start < 0 or count <= 0:
+            raise ValueError("seed and start must be >= 0 and count > 0")
+        stop = start + count - 1
+        if stop >= 2**64 or len(_uint32_words(start)) != len(_uint32_words(stop)):
+            raise ValueError(f"spawn keys {start}..{stop} cross a uint32 word "
+                             "boundary")
+        self.count = count
+        keys = np.arange(start, start + count, dtype=np.uint64)
+        # SeedSequence.mix_entropy: the seed's words (padded to the pool size,
+        # as a spawned child pads them) come first and are the same for every
+        # shot, so numpy mixes them; each spawn-key word then takes one hash
+        # step per pool word, lane by lane.
+        run = _uint32_words(seed)
+        run += [0] * (_POOL_SIZE - len(run))
+        pool = np.random.SeedSequence(run).pool[:, None]
+        steps = _POOL_SIZE * len(run)  # hash steps that mixing ``run`` took
+        for i in range(len(_uint32_words(start))):
+            word = (keys >> (32 * i)).astype(np.uint32)
+            hashed = _hash(np.broadcast_to(word, (_POOL_SIZE, count)),
+                           _INIT_A, _MULT_A, steps + _POOL_SIZE * i)
+            pool = _MIX_MULT_L * pool - _MIX_MULT_R * hashed
+            pool ^= pool >> 16
+        # generate_state(4, np.uint64): eight uint32 words, low word first
+        words = _hash(pool[np.arange(8) % _POOL_SIZE], _INIT_B, _MULT_B, 0)
+        words = words.astype(np.uint64)
+        seed_hi, seed_lo, inc_hi, inc_lo = words[0::2] | (words[1::2] << 32)
+        # pcg_setseq_128_srandom_r: inc = 2*initseq + 1, then step, add, step
+        self._inc = ((inc_hi << 1) | (inc_lo >> 63), (inc_lo << 1) | 1)
+        lo = self._inc[1] + seed_lo
+        self._state = self._inc[0] + seed_hi + (lo < seed_lo), lo
+        self._step()
+        # PCG64's 32-bit buffer: bit 63 of an output whose low half was drawn
+        self._half = None
+
+    def __len__(self) -> int:
+        return self.count
+
+    def _step(self) -> None:
+        """state = state * multiplier + inc, mod 2^128."""
+        (hi, lo), (inc_hi, inc_lo) = self._state, self._inc
+        prod_lo = lo * _PCG_MULT_LO
+        new_lo = prod_lo + inc_lo
+        new_hi = (_mulhi64(lo, _PCG_MULT_LO) + hi * _PCG_MULT_LO
+                  + lo * _PCG_MULT_HI + inc_hi + (new_lo < prod_lo))
+        self._state = new_hi, new_lo
+
+    def _next64(self) -> np.ndarray:
+        """PCG64's next output per shot: step, then XSL-RR."""
+        self._step()
+        hi, lo = self._state
+        rot = hi >> 58
+        x = hi ^ lo
+        return (x >> rot) | (x << ((64 - rot) & 63))
+
+    def random(self) -> np.ndarray:
+        """One ``Generator.random()`` per shot."""
+        return (self._next64() >> 11) * (1.0 / 2**53)
+
+    def bit(self) -> np.ndarray:
+        """One ``Generator.integers(2)`` per shot, as uint8: bit 31 of a new
+        output, then bit 63 of the same output."""
+        if self._half is not None:
+            out, self._half = self._half, None
+            return out
+        out = self._next64()
+        self._half = (out >> 63).astype(np.uint8)
+        return ((out >> 31) & 1).astype(np.uint8)
 
 
 class VectorBatch:
-    """``AnyonBackend`` or ``FockBackend`` over a batch of shots, one
-    generator per shot.
+    """``AnyonBackend`` or ``FockBackend`` over a batch of shots.
 
     Every shot starts from ``template``'s vector; ``states`` holds one row per
     shot, and a measurement is one product with the pair's involution for all
-    rows. It draws one ``random()`` from each shot's generator, as the
-    per-shot backend does, so every shot reads what it would read alone.
+    rows. It takes one ``streams.random()`` per shot, the draw the per-shot
+    backend would take from the shot's own generator, so every shot reads
+    what it would read alone. ``streams`` is a ``ShotStreams``.
     """
 
-    def __init__(self, template: _VectorBackend,
-                 rngs: list[np.random.Generator]):
+    def __init__(self, template: _VectorBackend, streams: ShotStreams):
         self.n = template.n
         self._involution = template._involution
-        self.rngs = rngs
-        self.states = np.repeat(template.state[None, :], len(rngs), axis=0)
-
-    def _draw(self) -> np.ndarray:
-        return _draw_each(self.rngs, np.float64, "random")
+        self.streams = streams
+        self.states = np.repeat(template.state[None, :], len(streams), axis=0)
 
     def measure(self, pair: tuple[int, int]) -> np.ndarray:
         """Each shot's fusion label of ``pair``."""
         op, plus_is_label_0 = self._involution(self.n, tuple(pair))
         took_plus, _, self.states = dense.measure_involution(
-            self.states, self.states @ op.T, self._draw)
+            self.states, self.states @ op.T, self.streams.random)
         return took_plus ^ np.uint8(plus_is_label_0)
 
     def apply_parity(self, pair: tuple[int, int], shots: np.ndarray) -> None:
@@ -316,29 +434,28 @@ class LatticeBackend:
 
 
 class LatticeBatch:
-    """``LatticeBackend`` over a batch of shots, one generator per shot.
+    """``LatticeBackend`` over a batch of shots.
 
     Which rows a measurement touches, and whether it is random, depend only
     on the measured strings; outcomes and corrections change signs only. So
     one tableau carries the x/z trajectory every shot shares, and ``signs``
     holds one sign column per shot (Stim's frame idea, arXiv:2103.02202,
-    applied to the CHP sign column). A random measurement draws one
-    ``integers(2)`` from each shot's generator, as ``LatticeBackend`` does, so
-    every shot reads what it would read alone.
+    applied to the CHP sign column). A random measurement takes one
+    ``streams.bit()`` per shot, the ``integers(2)`` that ``LatticeBackend``
+    would draw from the shot's own generator, so every shot reads what it
+    would read alone.
     """
 
-    def __init__(self, lat: TwistLattice, rngs: list[np.random.Generator]):
+    def __init__(self, lat: TwistLattice, streams: ShotStreams):
         self.n, self.tab, self.strings = _lattice_start(lat)
-        self.rngs = rngs
-        self.signs = np.repeat(self.tab.r[:, None], len(rngs), axis=1)
-
-    def _draw(self) -> np.ndarray:
-        return _draw_each(self.rngs, np.uint8, "integers", 2)
+        self.streams = streams
+        self.signs = np.repeat(self.tab.r[:, None], len(streams), axis=1)
 
     def measure(self, pair: tuple[int, int]) -> np.ndarray:
         """Each shot's fusion label of ``pair``."""
         pair = tuple(pair)
-        bits = self.tab.measure_signs(self.strings[pair], self.signs, self._draw)
+        bits = self.tab.measure_signs(self.strings[pair], self.signs,
+                                      self.streams.bit)
         # outcome bit 0 is parity +1, which is label 0 when sigma is +1
         return bits ^ np.uint8(parity_sign_for(pair, self.n) == -1)
 
@@ -405,18 +522,18 @@ def run_forced(backend, max_attempts: int = 64) -> MBBRecord:
     return MBBRecord(0, 0, 0, 0, backend.name, attempts=tuple(attempts))
 
 
-def run_shots(batch_factory, n_braids: int, shot_seeds,
+def run_shots(batch_factory, n_braids: int, streams: ShotStreams,
               records: list | None = None) -> int:
-    """Run one shot per seed, all in one batch: ``n_braids`` braids of 3,4,
+    """Run the shots of ``streams`` in one batch: ``n_braids`` braids of 3,4,
     then a (3,5) label readout. Returns how many shots read label 1; appends
     each shot's trace to ``records`` when given.
 
-    ``batch_factory`` takes one generator per shot and returns a backend over
-    the whole batch: ``measure(pair)`` gives one label per shot and
+    ``batch_factory`` takes the ``ShotStreams`` and returns a backend over the
+    whole batch: ``measure(pair)`` gives one label per shot and
     ``apply_parity(pair, shots)`` acts on the marked shots (``VectorBatch``
     or ``LatticeBatch``).
     """
-    backend = batch_factory([np.random.default_rng(s) for s in shot_seeds])
+    backend = batch_factory(streams)
     cycles = []
     for _ in range(n_braids):
         n13, n14, n12 = (backend.measure(pair) for pair in CYCLE_PAIRS)
@@ -437,9 +554,24 @@ def run_shots(batch_factory, n_braids: int, shot_seeds,
     return int(n35.sum())
 
 
-# Shots per ``run_shots`` batch, so that a long run holds at most this many
-# generators, state vectors and sign columns at a time.
-SHOT_BLOCK = 256
+# Shots per ``run_shots`` batch. A batch holds arrays only: each shot's
+# 128-bit stream state and increment, and its state vector or sign column.
+# At 1024 a 400-shot stats job is one batch, which ran stats-anyon at about
+# 1.4x the shots/s of 256 on a 2-core host; a default 10^4-shot ``stats`` run
+# then peaks at 0.4 (anyon) to 0.7 MB (Fock) under tracemalloc. 4096 was
+# 10-25% faster on that run but peaked at 1.4 to 2.5 MB.
+SHOT_BLOCK = 1024
+
+
+def _blocks(shots: int):
+    """(start, count) of each ``run_shots`` batch: ``SHOT_BLOCK`` shots, cut
+    where a spawn key grows a uint32 word (at 2^32)."""
+    start = 0
+    while start < shots:
+        boundary = 1 << (32 * len(_uint32_words(start)))
+        stop = min(start + SHOT_BLOCK, shots, boundary)
+        yield start, stop - start
+        start = stop
 
 
 def run_statistics(
@@ -449,17 +581,18 @@ def run_statistics(
     """Fraction of shots whose (3,5) fusion label flips after n braids of 3,4,
     with its 3-sigma confidence band.
 
-    Shot k runs on the k-th child of ``SeedSequence(seed)``, so any split of
-    the shots over ``run_shots`` calls gives the same flips; the shots run in
-    batches of ``SHOT_BLOCK``.
+    Shot k draws, draw for draw, what numpy's PCG64 ``Generator`` would on
+    the k-th child of ``SeedSequence(seed)``, so any split of the shots over
+    ``run_shots`` calls gives the same flips. The shots run in batches of at
+    most ``SHOT_BLOCK``, and each batch computes every shot's stream at once
+    (``ShotStreams``).
     """
     if shots <= 0:
         raise ValueError("shots must be positive")
     records = [] if keep_records else None
-    seeds = np.random.SeedSequence(seed)
     flips = sum(run_shots(batch_factory, n_braids,
-                          seeds.spawn(min(SHOT_BLOCK, shots - start)), records)
-                for start in range(0, shots, SHOT_BLOCK))
+                          ShotStreams(seed, start, count), records)
+                for start, count in _blocks(shots))
     freq = flips / shots
     half_width = 3.0 * np.sqrt(max(freq * (1 - freq), 1e-12) / shots)
     out = {

@@ -198,7 +198,7 @@ def test_criterion_7_statistics_anyon():
     details = []
     for n, expected in [(0, 0.0), (1, 0.5), (2, 1.0), (3, 0.5)]:
         res = run_statistics(
-            lambda rngs: VectorBatch(AnyonBackend(6, None), rngs), n,
+            lambda streams: VectorBatch(AnyonBackend(6, None), streams), n,
             SHOTS, seed=42 + n)
         freq = res["flip_frequency"]
         if expected in (0.0, 1.0):
@@ -216,8 +216,8 @@ def test_criterion_8_statistics_lattice_and_oracle():
     ok = True
     details = []
     for n, expected in [(0, 0.0), (1, 0.5), (2, 1.0), (3, 0.5)]:
-        res = run_statistics(lambda rngs: LatticeBatch(lat, rngs), n, SHOTS,
-                             seed=77 + n)
+        res = run_statistics(lambda streams: LatticeBatch(lat, streams), n,
+                             SHOTS, seed=77 + n)
         freq = res["flip_frequency"]
         if expected in (0.0, 1.0):
             ok &= freq == expected

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import twistsim
 from twistsim.cli import main
 from twistsim.tableau import Tableau
 
@@ -62,6 +67,29 @@ def test_stats_deterministic_and_signature(tmp_path, capsys):
     assert out1 == out2
     report = json.loads(out1)
     assert report["results"]["flip_frequency"] == 1.0
+
+
+def _fresh_interpreter_report(args):
+    """The report of ``twistsim args`` from a new Python process."""
+    src = str(Path(twistsim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "twistsim.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_consecutive_main_calls_match_fresh_interpreters(capsys):
+    runs = [["stats", "--seed", "5", "--shots", "300", "--n-braids", "1"],
+            ["stats", "--seed", "8", "--shots", "120", "--n-braids", "3"]]
+    outs = []
+    for args in runs:
+        code, out, _ = run_cli(list(args), capsys)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] != outs[1]
+    assert outs == [_fresh_interpreter_report(args) for args in runs]
 
 
 def test_stats_csv_output(tmp_path, capsys):

@@ -88,13 +88,14 @@ def golden_outputs() -> dict:
         mbb.braid_once(backend)
     out["lattice_backend_after_3_braids"] = backend.tab.to_text()
     out["lattice_statistics"] = {
-        str(n): mbb.run_statistics(lambda rngs: mbb.LatticeBatch(lat, rngs),
-                                   n, shots=12, seed=23, keep_records=True)
+        str(n): mbb.run_statistics(
+            lambda streams: mbb.LatticeBatch(lat, streams),
+            n, shots=12, seed=23, keep_records=True)
         for n in range(4)
     }
     out["oracle_backend_records"] = {
         f"{name}_{n}": mbb.run_statistics(
-            lambda rngs: mbb.VectorBatch(backend(6, None), rngs), n,
+            lambda streams: mbb.VectorBatch(backend(6, None), streams), n,
             shots=20, seed=31, keep_records=True)["records"]
         for name, backend in (("anyon", mbb.AnyonBackend),
                               ("fock", mbb.FockBackend))

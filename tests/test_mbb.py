@@ -11,7 +11,8 @@ from twistsim.lattice import build_lattice
 from twistsim.dense import InconsistentOutcomeError
 from twistsim.mbb import (CORRECTIONS, START_PAIRINGS, AnyonBackend,
                           FockBackend, LatticeBackend, LatticeBatch, MBBRecord,
-                          VectorBatch, _fock_vector, apply_correction,
+                          ShotStreams, VectorBatch, _fock_vector,
+                          apply_correction,
                           braid_once, correction_for, parity_sign_for,
                           run_cycle, run_forced, run_shots, run_statistics,
                           verify_braid_equivalence)
@@ -19,9 +20,9 @@ from twistsim.mbb import (CORRECTIONS, START_PAIRINGS, AnyonBackend,
 LAT6 = build_lattice(8, 12, [(2, 2, 4), (5, 2, 4), (8, 2, 4)])
 
 
-def anyon6(rngs):
+def anyon6(streams):
     """Batch factory of six-anyon shots."""
-    return VectorBatch(AnyonBackend(6, None), rngs)
+    return VectorBatch(AnyonBackend(6, None), streams)
 
 
 def test_correction_table():
@@ -231,19 +232,19 @@ def test_statistics_signature_anyon():
 
 @pytest.mark.parametrize("factory, n_braids, shots", [
     (anyon6, 3, 60),
-    (lambda rngs: VectorBatch(FockBackend(6, None), rngs), 3, 60),
-    (lambda rngs: LatticeBatch(LAT6, rngs), 1, 16),
+    (lambda streams: VectorBatch(FockBackend(6, None), streams), 3, 60),
+    (lambda streams: LatticeBatch(LAT6, streams), 1, 16),
 ], ids=["anyon", "fock", "lattice"])
 def test_any_split_of_the_shot_range_gives_the_same_flips(monkeypatch, factory,
                                                           n_braids, shots):
     seed = 4
     whole = run_statistics(factory, n_braids, shots, seed, keep_records=True)
     assert 0 < whole["flip_frequency"] < 1
-    seeds = np.random.SeedSequence(seed).spawn(shots)
     for cuts in ([shots // 2], [1, 7, shots - 3], list(range(1, shots))):
         records = []
         bounds = [0] + cuts + [shots]
-        flips = sum(run_shots(factory, n_braids, seeds[lo:hi], records)
+        flips = sum(run_shots(factory, n_braids,
+                              ShotStreams(seed, lo, hi - lo), records)
                     for lo, hi in zip(bounds, bounds[1:]))
         assert flips == round(whole["flip_frequency"] * shots)
         assert records == whole["records"]
@@ -251,6 +252,76 @@ def test_any_split_of_the_shot_range_gives_the_same_flips(monkeypatch, factory,
     monkeypatch.setattr(mbb, "SHOT_BLOCK", 7)
     blocked = run_statistics(factory, n_braids, shots, seed, keep_records=True)
     assert blocked == whole
+
+
+# 2**128 + 7 has five uint32 words of entropy, more than SeedSequence's pool
+STREAM_SEEDS = [0, 29, 2**32, 2**64 - 1, 2**128 + 7]
+
+
+def _children(seed, start, count):
+    """numpy's own generators of shots start..start+count-1: children of
+    ``SeedSequence(seed)``, as ``run_statistics`` once spawned them."""
+    kids = np.random.SeedSequence(seed).spawn(start + count)[start:]
+    return [np.random.default_rng(kid) for kid in kids]
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_spawn_gives_child_k_the_spawn_key_k(seed):
+    seq = np.random.SeedSequence(seed)
+    keys = [kid.spawn_key for kid in seq.spawn(3) + seq.spawn(2)]
+    assert keys == [(k,) for k in range(5)]
+
+
+@pytest.mark.parametrize("start", [0, mbb.SHOT_BLOCK - 3])
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_shot_streams_match_numpy_draw_by_draw(seed, start):
+    for draws in range(1, 8):
+        streams, rngs = ShotStreams(seed, start, 6), _children(seed, start, 6)
+        for _ in range(draws):
+            got = streams.random()
+            assert got.dtype == np.float64
+            assert np.array_equal(got, [rng.random() for rng in rngs])
+        # odd and even counts: bit 31, then bit 63 of one 64-bit output
+        streams, rngs = ShotStreams(seed, start, 6), _children(seed, start, 6)
+        for _ in range(draws):
+            got = streams.bit()
+            assert got.dtype == np.uint8
+            assert np.array_equal(got, [rng.integers(2) for rng in rngs])
+
+
+def test_shot_streams_keep_a_half_used_output_across_random():
+    streams, rngs = ShotStreams(5, 0, 8), _children(5, 0, 8)
+    for draw in ("bit", "random", "bit", "bit", "random", "random", "bit"):
+        want = [rng.integers(2) if draw == "bit" else rng.random()
+                for rng in rngs]
+        assert np.array_equal(getattr(streams, draw)(), want)
+
+
+@pytest.mark.parametrize("start", [2**32 - 3, 2**32])
+@pytest.mark.parametrize("seed", [0, 29, 2**128 + 7])
+def test_shot_streams_on_either_side_of_the_spawn_key_word_boundary(seed, start):
+    rngs = [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
+            for k in range(start, start + 3)]
+    streams = ShotStreams(seed, start, 3)
+    for _ in range(3):
+        assert np.array_equal(streams.random(), [rng.random() for rng in rngs])
+
+
+@pytest.mark.parametrize("args", [
+    (0, 2**32 - 2, 3), (-1, 0, 4), (0, -1, 4), (0, 0, 0), (0, 2**64 - 1, 2),
+], ids=["across_2^32", "negative_seed", "negative_start", "no_shots",
+        "past_2^64"])
+def test_shot_streams_reject_bad_ranges(args):
+    with pytest.raises(ValueError):
+        ShotStreams(*args)
+
+
+def test_statistics_blocks_end_at_the_spawn_key_word_boundary(monkeypatch):
+    monkeypatch.setattr(mbb, "SHOT_BLOCK", 3 * 2**30)
+    assert list(mbb._blocks(2**32 + 3)) == [
+        (0, 3 * 2**30), (3 * 2**30, 2**30), (2**32, 3)]
+    monkeypatch.setattr(mbb, "SHOT_BLOCK", 7)
+    assert list(mbb._blocks(16)) == [(0, 7), (7, 7), (14, 2)]
 
 
 def _reference_records(lat, n_braids, shots, seed):
@@ -285,8 +356,8 @@ def _reference_records(lat, n_braids, shots, seed):
 ], ids=["8x12", "10x12"])
 def test_batched_lattice_records_match_per_shot_tableaux(lat):
     for n_braids in range(6):
-        res = run_statistics(lambda rngs: LatticeBatch(lat, rngs), n_braids,
-                             24, seed=n_braids + 3, keep_records=True)
+        res = run_statistics(lambda streams: LatticeBatch(lat, streams),
+                             n_braids, 24, seed=n_braids + 3, keep_records=True)
         assert res["records"] == _reference_records(lat, n_braids, 24,
                                                     n_braids + 3)
         for record in res["records"]:
@@ -335,8 +406,8 @@ def test_vector_batch_matches_per_shot_projectors(monkeypatch, per_shot,
     for n_braids in range(6):
         batches = []
 
-        def factory(rngs):
-            batches.append(VectorBatch(per_shot(6, None), rngs))
+        def factory(streams):
+            batches.append(VectorBatch(per_shot(6, None), streams))
             return batches[-1]
 
         res = run_statistics(factory, n_braids, 24, seed=n_braids + 11,
