@@ -14,7 +14,8 @@ Tableau layout (Aaronson–Gottesman style):
 Commutation and product phases are popcounts over the words, so every kernel
 handles all rows of a measurement in a few array operations (the layout and
 the phase formula follow Stim, arXiv:2103.02202). The stabilizer reduction in
-``jw`` packs plaquette rows the same way and uses the same commutation kernel.
+``jw`` holds plaquette rows as Python integers with the same bit order and
+multiplies them with the same phase formula (``int_product_phase``).
 """
 
 from __future__ import annotations
@@ -41,17 +42,31 @@ def unpack_bits(words: np.ndarray, n: int) -> np.ndarray:
     return np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")[:, :n]
 
 
-def _product_phase(x1, z1, x2, z2):
-    """Power of i (mod 4) of each product (x1|z1)*(x2|z2), words on the last
-    axis. With Y = iXZ, the sites multiplying as XY, YZ or ZX give +i and
-    those multiplying as XZ, YX or ZY give -i."""
+def _phase_sites(x1, z1, x2, z2):
+    """Bits of the sites where the product (x1|z1)*(x2|z2) picks up +i and
+    those where it picks up -i; on words or on Python integers alike. With
+    Y = iXZ, the sites multiplying as XY, YZ or ZX give +i and those
+    multiplying as XZ, YX or ZY give -i."""
     a = x1 & z2
     anti = a ^ (z1 & x2)                       # letters that anticommute
     # of those, XZ, YX and ZY are the sites where x1^x2^z1^z2^(x1&z2) is set
     minus = anti & (x1 ^ x2 ^ z1 ^ z2 ^ a)
-    plus = anti ^ minus                        # XY, YZ, ZX
+    return anti ^ minus, minus
+
+
+def _product_phase(x1, z1, x2, z2):
+    """Power of i (mod 4) of each product (x1|z1)*(x2|z2), words on the last
+    axis."""
+    plus, minus = _phase_sites(x1, z1, x2, z2)
     return (np.bitwise_count(plus).sum(axis=-1, dtype=np.int64)
             - np.bitwise_count(minus).sum(axis=-1, dtype=np.int64)) % 4
+
+
+def int_product_phase(x1: int, z1: int, x2: int, z2: int) -> int:
+    """``_product_phase`` of one product of rows held as Python integers
+    (bit ``j`` is qubit ``j``), not reduced mod 4."""
+    plus, minus = _phase_sites(x1, z1, x2, z2)
+    return plus.bit_count() - minus.bit_count()
 
 
 def rowsum_phase(x1, z1, x2, z2):

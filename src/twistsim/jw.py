@@ -20,7 +20,7 @@ prefix-parity count. ``U_j`` is the mask of all bits below ``2j``, so mapping
 a spin operator takes prefix XORs of these masks.
 
 The stabilizer reduction works on the same idea one level down: Pauli
-strings and plaquettes as x/z bit rows in 64-bit words, weights as popcounts.
+strings and plaquettes as x/z integer bit rows, weights as popcounts.
 """
 
 from __future__ import annotations
@@ -31,12 +31,18 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from . import _gf2, _kernels
-from .lattice import GeometryError, TwistLattice, plaquette_operator
+from . import _kernels
+from .lattice import GeometryError, TwistLattice
 from .pauli import PauliString, Phase
 
 # Rows of one block of the exhaustive reduction walk: 2**12 = 4096 subsets.
 _BLOCK_BITS = 12
+
+# The string, b and a letters of a site, by the site's substitution. A letter
+# of role 0 maps to a_j b_j, of role 1 to U_j b_j, of role 2 to U_j a_j.
+_LETTERS = {None: "YXZ", "x": "XYZ", "z": "ZXY"}
+_ROLES = {sub: {letter: role for role, letter in enumerate(letters)}
+          for sub, letters in _LETTERS.items()}
 
 
 class MajoranaMode(NamedTuple):
@@ -110,13 +116,13 @@ class JWPath:
         return cached
 
     def string_letter(self, site: int) -> str:
-        return {"x": "X", "z": "Z"}.get(self.substitutions.get(site, ""), "Y")
+        return _LETTERS[self.substitutions.get(site)][0]
 
     def b_letter(self, site: int) -> str:
-        return "Y" if self.substitutions.get(site) == "x" else "X"
+        return _LETTERS[self.substitutions.get(site)][1]
 
     def a_letter(self, site: int) -> str:
-        return "Y" if self.substitutions.get(site) == "z" else "Z"
+        return _LETTERS[self.substitutions.get(site)][2]
 
     def pair_factors(self, site: int) -> tuple[int, tuple[MajoranaMode, ...]]:
         """Majorana image (phase exponent, modes) of the site's string letter."""
@@ -135,6 +141,19 @@ class JWPath:
                        .phase.exponent)
             prefix.append((prefix[-1] + own[-1]) % 4)
         return tuple(own), tuple(prefix)
+
+    @cached_property
+    def _string_bits(self) -> tuple[tuple[int, int], ...]:
+        """Per path position ``k``: the (x, z) bit rows (``PauliString.bits``)
+        of the spin string ``U_k``, the string letters of positions below k."""
+        x = z = 0
+        out = [(x, z)]
+        for site in self.order:
+            letter = self.string_letter(site)
+            x |= (letter != "Z") << site
+            z |= (letter != "X") << site
+            out.append((x, z))
+        return tuple(out)
 
 
 def snake_order(width: int, height: int) -> tuple[int, ...]:
@@ -213,6 +232,14 @@ def pair_monomial(
 
 # -- the transformation -------------------------------------------------------
 
+def _letter_mask(j: int, role: int) -> int:
+    """Mode mask of the image of a letter with ``role`` at path position j."""
+    if role == 0:
+        return 0b11 << 2 * j
+    if role == 1:
+        return ((1 << 2 * j) - 1) | (2 << 2 * j)
+    return (2 << 2 * j) - 1
+
 
 def jw_map(p: PauliString, path: JWPath) -> MajoranaMonomial:
     """Exact Majorana image of a Pauli string, in canonical form."""
@@ -225,30 +252,30 @@ def jw_map(p: PauliString, path: JWPath) -> MajoranaMonomial:
     mask, exponent = 0, p.phase.exponent
     for site, letter in sorted(p.support, key=lambda item: pos[item[0]]):
         j = pos[site]
-        if letter == path.string_letter(site):
-            image, k = 0b11 << 2 * j, own_exp[j]
-        elif letter == path.b_letter(site):
-            image, k = ((1 << 2 * j) - 1) | (1 << (2 * j + 1)), prefix_exp[j]
-        elif letter == path.a_letter(site):
-            image, k = (1 << (2 * j + 1)) - 1, prefix_exp[j]
-        else:  # pragma: no cover - letters are exhaustive
-            raise AssertionError(f"unmapped letter {letter} at site {site}")
-        exponent += k + 2 * _crossing_parity(mask, image)
+        role = _ROLES[path.substitutions.get(site)][letter]
+        image = _letter_mask(j, role)
+        exponent += (own_exp[j] if role == 0 else prefix_exp[j]) \
+            + 2 * _crossing_parity(mask, image)
         mask ^= image
     return MajoranaMonomial(mask, Phase(exponent), path.order)
 
 
 def spin_form(monomial: MajoranaMonomial, path: JWPath) -> PauliString:
-    """Inverse map: spin representation of a Majorana monomial."""
+    """Inverse map: spin representation of a Majorana monomial.
+
+    Mode ``m`` at position ``j`` is ``U_j`` times its own letter at its site;
+    the modes' strings are multiplied on integer bit rows."""
     pos = path._pos()
-    result = PauliString.from_dict({}, monomial.phase.exponent)
+    x = z = 0
+    exponent = monomial.phase.exponent
     for mode in monomial.factors:
-        j = pos[mode.site]
-        letters = {path.order[q]: path.string_letter(path.order[q]) for q in range(j)}
+        mx, mz = path._string_bits[pos[mode.site]]
         own = path.b_letter(mode.site) if mode.kind == "b" else path.a_letter(mode.site)
-        letters[mode.site] = own
-        result = result * PauliString.from_dict(letters)
-    return result
+        mx |= (own != "Z") << mode.site
+        mz |= (own != "X") << mode.site
+        exponent += _kernels.int_product_phase(x, z, mx, mz)
+        x, z = x ^ mx, z ^ mz
+    return PauliString.from_bits(x, z, exponent)
 
 
 # -- mode bookkeeping ---------------------------------------------------------
@@ -261,19 +288,36 @@ class ModeClassification:
     boundary: frozenset[MajoranaMode]  # edge modes absent because of the boundary
 
 
+def _context(lat: TwistLattice):
+    """The lattice's ``tableau.CodeContext``, which owns its plaquette rows."""
+    from .tableau import code_context  # local import: tableau builds on jw
+
+    return code_context(lat)
+
+
 def plaquette_images(
     lat: TwistLattice, path: JWPath
 ) -> dict[int, MajoranaMonomial]:
-    return {
-        p.id: jw_map(plaquette_operator(lat, p.id), path) for p in lat.plaquettes
-    }
+    return {p.id: jw_map(op, path)
+            for p, op in zip(lat.plaquettes, _context(lat).plaquette_ops)}
+
+
+def _used_modes(lat: TwistLattice, path: JWPath) -> int:
+    """Mask of the modes that some plaquette image uses: the union of the
+    images' masks, which needs neither their phases nor their order."""
+    pos, subs = path._pos(), path.substitutions
+    used = 0
+    for op in _context(lat).plaquette_ops:
+        mask = 0
+        for site, letter in op.support:
+            mask ^= _letter_mask(pos[site], _ROLES[subs.get(site)][letter])
+        used |= mask
+    return used
 
 
 def classify_modes(lat: TwistLattice, path: JWPath) -> ModeClassification:
     """Partition all 2N modes by whether any plaquette image uses them."""
-    used = 0
-    for image in plaquette_images(lat, path).values():
-        used |= image.mask
+    used = _used_modes(lat, path)
     pos = path._pos()
     paired, unpaired, boundary = set(), set(), set()
     for site in lat.sites:
@@ -291,18 +335,19 @@ def classify_modes(lat: TwistLattice, path: JWPath) -> ModeClassification:
 
 def twist_modes(lat: TwistLattice, path: JWPath) -> list[MajoranaMode]:
     """The unpaired bulk mode of each twist, in twist registry order."""
-    unpaired = classify_modes(lat, path).unpaired
-    by_site: dict[int, list[MajoranaMode]] = {}
-    for mode in unpaired:
-        by_site.setdefault(mode.site, []).append(mode)
+    used = _used_modes(lat, path)
+    pos = path._pos()
     out: list[MajoranaMode] = []
     for twist in lat.twists:
-        modes = by_site.get(twist.twist_site, [])
-        if len(modes) != 1:
+        site = twist.twist_site
+        free = [] if lat.on_boundary(site) else [
+            kind for bit, kind in enumerate("ab")
+            if not used >> (2 * pos[site] + bit) & 1]
+        if len(free) != 1:
             raise GeometryError(
-                f"twist {twist.id} carries {len(modes)} unpaired modes, expected 1"
+                f"twist {twist.id} carries {len(free)} unpaired modes, expected 1"
             )
-        out.append(modes[0])
+        out.append(MajoranaMode(site, free[0]))
     return out
 
 
@@ -347,11 +392,18 @@ def bracket_parity(
 
 
 class PackedPlaquettes(NamedTuple):
-    """A lattice's plaquette operators as bit rows, one row per plaquette."""
+    """A lattice's plaquette operators as ``PauliString.bits`` rows, one per
+    plaquette."""
 
-    x: np.ndarray      # (faces, words) uint64: sites with X or Y
-    z: np.ndarray      # (faces, words) uint64: sites with Z or Y
-    boxes: np.ndarray  # (faces, 4): min row, max row, min col, max col
+    x: tuple[int, ...]  # bit s set where site s holds X or Y
+    z: tuple[int, ...]  # bit s set where site s holds Z or Y
+    boxes: np.ndarray   # (faces, 4): min row, max row, min col, max col
+
+
+def _words(rows: list[int], n_words: int) -> np.ndarray:
+    """Integer bit rows as little-endian 64-bit words, one array row each."""
+    data = b"".join(r.to_bytes(8 * n_words, "little") for r in rows)
+    return np.frombuffer(data, dtype="<u8").reshape(len(rows), n_words)
 
 
 def _subset_table(x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -370,6 +422,47 @@ def _weights(x: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.bitwise_count(x | z).sum(axis=1)
 
 
+# str() order of the phase prefixes, indexed by the exponent of i:
+# "-" < "-i·" < "" < "i·" (a body starts with a letter or "1").
+_PHASE_RANK = (2, 3, 0, 1)
+
+
+def _token(x: int, z: int, start: int) -> str:
+    """The rendered token (letter and site) of the lowest site at or above
+    ``start`` in the bit rows."""
+    above = (x | z) >> start
+    site = start + (above & -above).bit_length() - 1
+    bit = 1 << site
+    return ("Z" if not x & bit else "Y" if z & bit else "X") + str(site)
+
+
+def _before(a: tuple[int, int, int], b: tuple[int, int, int]) -> bool:
+    """Whether ``str()`` of string ``a`` sorts before that of ``b``; both are
+    (x, z, exponent) of one weight.
+
+    Unequal phase prefixes decide alone. Otherwise the tokens below the
+    lowest site where the letters differ are common, so the next token of
+    each decides: a space sorts below every token character, so a token
+    that is a prefix of the other sorts first, as in the whole strings.
+    """
+    if (a[2] - b[2]) % 4:
+        return _PHASE_RANK[a[2] % 4] < _PHASE_RANK[b[2] % 4]
+    diff = (a[0] ^ b[0]) | (a[1] ^ b[1])
+    if not diff:
+        return False
+    start = (diff & -diff).bit_length() - 1
+    return _token(a[0], a[1], start) < _token(b[0], b[1], start)
+
+
+def _least(strings: list[tuple[int, int, int]]) -> int:
+    """Index of the first of ``strings`` with the least ``str()``."""
+    best = 0
+    for i in range(1, len(strings)):
+        if _before(strings[i], strings[best]):
+            best = i
+    return best
+
+
 def reduce_by_stabilizers(
     p: PauliString, lat: TwistLattice, max_exhaustive: int = 18
 ) -> PauliString:
@@ -380,19 +473,21 @@ def reduce_by_stabilizers(
     the weights of all subset products come from XOR tables of the packed
     rows, built in blocks of at most 4096 subsets. Beyond that it is a greedy
     descent that weighs every one-plaquette step at once and takes the best
-    while the key falls. The key is (weight, rendered string), so exact
-    ``PauliString`` products are formed only for minimum-weight ties, and the
-    result does not depend on the search order.
-    """
-    from .tableau import code_context  # local import: tableau builds on jw
+    while the key falls.
 
-    ctx = code_context(lat)
-    rows = ctx.packed_plaquettes
+    The key is (weight, rendered string), so the result does not depend on
+    the search order. Products are formed on the integer bit rows, with the
+    phase of ``_kernels.int_product_phase``, and only for minimum-weight
+    ties; one ``PauliString`` is built, for the result. No tie is rendered:
+    two ties' strings compare by their phase prefixes ("-" < "-i·" < "" <
+    "i·") or, when those are equal, by the one token where they first
+    differ, at the lowest site where their letters differ.
+    """
+    rows = _context(lat).packed_plaquettes
     if p.sites and not 0 <= p.sites[0] <= p.sites[-1] < lat.n_sites:
         raise GeometryError("operator acts on a site off the lattice")
-    px, pz = _kernels.pack_bits(
-        _gf2.symplectic_vector(p, lat.n_sites).reshape(2, -1))
-    if _kernels.anticommute_mask(rows.x, rows.z, px, pz).any():
+    px, pz = p.bits()
+    if any(((x & pz) ^ (z & px)).bit_count() & 1 for x, z in zip(rows.x, rows.z)):
         raise ValueError("operator is outside the plaquette commutant")
     if not p.support:
         return p
@@ -405,30 +500,28 @@ def reduce_by_stabilizers(
     boxes = rows.boxes
     chosen = np.flatnonzero((boxes[:, 0] >= rmin) & (boxes[:, 1] <= rmax)
                             & (boxes[:, 2] >= cmin) & (boxes[:, 3] <= cmax))
-    candidates = [ctx.plaquette_ops[int(k)] for k in chosen]
-    cx, cz = rows.x[chosen], rows.z[chosen]
+    cx = [rows.x[k] for k in chosen]
+    cz = [rows.z[k] for k in chosen]
+    n = len(cx)
+    if not n:
+        return p
 
-    def product(subset: int) -> PauliString:
-        q = p
-        for j, c in enumerate(candidates):
-            if subset >> j & 1:
-                q = q * c
-        return q
-
-    if len(candidates) <= max_exhaustive:
+    if n <= max_exhaustive:
         # one table over the low candidates; each block XORs in one subset
         # of the others, stepping through those subsets in Gray-code order
-        low = min(len(candidates), _BLOCK_BITS)
-        low_x, low_z = _subset_table(cx[:low], cz[:low])
-        low_x ^= px
-        low_z ^= pz
-        high_x, high_z = np.zeros_like(px), np.zeros_like(pz)
+        n_words = -(-lat.n_sites // 64)
+        wx, wz = _words(cx, n_words), _words(cz, n_words)
+        low = min(n, _BLOCK_BITS)
+        low_x, low_z = _subset_table(wx[:low], wz[:low])
+        low_x ^= _words([px], n_words)
+        low_z ^= _words([pz], n_words)
+        high_x, high_z = np.zeros_like(low_x[0]), np.zeros_like(low_z[0])
         best_w, ties = None, []
-        for b in range(1 << (len(candidates) - low)):
+        for b in range(1 << (n - low)):
             if b:
                 j = low + (b & -b).bit_length() - 1
-                high_x ^= cx[j]
-                high_z ^= cz[j]
+                high_x ^= wx[j]
+                high_z ^= wz[j]
             w = _weights(low_x ^ high_x, low_z ^ high_z)
             m = int(w.min())
             if best_w is None or m < best_w:
@@ -436,18 +529,30 @@ def reduce_by_stabilizers(
             if m == best_w:
                 high = (b ^ (b >> 1)) << low
                 ties.extend(high | int(i) for i in np.flatnonzero(w == m))
-        return min((product(s) for s in ties), key=str)
+        products = []
+        for subset in ties:
+            qx, qz, e = px, pz, p.phase.exponent
+            for j in range(n):
+                if subset >> j & 1:
+                    e += _kernels.int_product_phase(qx, qz, cx[j], cz[j])
+                    qx, qz = qx ^ cx[j], qz ^ cz[j]
+            products.append((qx, qz, e))
+        return PauliString.from_bits(*products[_least(products)])
 
-    best = p
-    bx, bz = px, pz
-    while candidates:
-        w = _weights(cx ^ bx, cz ^ bz)
-        m = int(w.min())
-        if m > best.weight:
+    bx, bz, be, weight = px, pz, p.phase.exponent, p.weight
+    while True:
+        w = [((x ^ bx) | (z ^ bz)).bit_count() for x, z in zip(cx, cz)]
+        m = min(w)
+        if m > weight:
             break
-        steps = {int(i): best * candidates[int(i)] for i in np.flatnonzero(w == m)}
-        i = min(steps, key=lambda i: str(steps[i]))
-        if (m, str(steps[i])) >= (best.weight, str(best)):
+        ties = [i for i in range(n) if w[i] == m]
+        steps = [(bx ^ cx[i], bz ^ cz[i],
+                  be + _kernels.int_product_phase(bx, bz, cx[i], cz[i]))
+                 for i in ties]
+        if m == weight:  # a step must also beat the current string's key
+            steps.append((bx, bz, be))
+        k = _least(steps)
+        if k == len(ties):
             break
-        best, bx, bz = steps[i], bx ^ cx[i], bz ^ cz[i]
-    return best
+        (bx, bz, be), weight = steps[k], m
+    return PauliString.from_bits(bx, bz, be)

@@ -96,6 +96,30 @@ class PauliString:
     def weight(self) -> int:
         return len(self.support)
 
+    @staticmethod
+    def from_bits(x: int, z: int, phase: int = 0) -> "PauliString":
+        """Inverse of ``bits``: X where only ``x`` has a site's bit, Z where
+        only ``z`` has it, Y where both have it."""
+        support = []
+        sites = x | z
+        while sites:
+            low = sites & -sites
+            letter = "Z" if not x & low else "Y" if z & low else "X"
+            support.append((low.bit_length() - 1, letter))
+            sites ^= low
+        return PauliString(tuple(support), Phase(phase))
+
+    def bits(self) -> tuple[int, int]:
+        """The (x, z) bit rows of the letters, bit ``s`` for site ``s``: x
+        marks X and Y, z marks Z and Y. Sites must be non-negative."""
+        x = z = 0
+        for site, letter in self.support:
+            if letter != "Z":
+                x |= 1 << site
+            if letter != "X":
+                z |= 1 << site
+        return x, z
+
     def letter_at(self, site: int) -> str | None:
         for s, letter in self.support:
             if s == site:

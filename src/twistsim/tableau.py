@@ -79,12 +79,7 @@ class Tableau:
         if p.support and not 0 <= p.support[0][0] <= p.support[-1][0] < self.n:
             site = p.support[0][0] if p.support[0][0] < 0 else p.support[-1][0]
             raise ValueError(f"site {site} of {p} is outside 0..{self.n - 1}")
-        xbits = zbits = 0
-        for site, letter in p.support:
-            if letter != "Z":
-                xbits |= 1 << site
-            if letter != "X":
-                zbits |= 1 << site
+        xbits, zbits = p.bits()
         n_bytes = 8 * self.x.shape[1]
         px = np.frombuffer(xbits.to_bytes(n_bytes, "little"), dtype="<u8")
         pz = np.frombuffer(zbits.to_bytes(n_bytes, "little"), dtype="<u8")
@@ -239,15 +234,16 @@ class CodeContext:
 
     @cached_property
     def packed_plaquettes(self) -> jw.PackedPlaquettes:
-        """Plaquette operators as 64-bit words with their site bounding boxes,
-        the form the stabilizer reduction works on."""
-        n, mat = self.lat.n_sites, self.stabilizer_matrix
-        boxes = []
+        """Plaquette operators as integer bit rows with their site bounding
+        boxes, the form the stabilizer reduction works on."""
+        xs, zs, boxes = [], [], []
         for op in self.plaquette_ops:
+            x, z = op.bits()
+            xs.append(x)
+            zs.append(z)
             rows, cols = zip(*(self.lat.site_coords(s) for s in op.sites))
             boxes.append((min(rows), max(rows), min(cols), max(cols)))
-        return jw.PackedPlaquettes(_kernels.pack_bits(mat[:, :n]),
-                                   _kernels.pack_bits(mat[:, n:]), np.array(boxes))
+        return jw.PackedPlaquettes(tuple(xs), tuple(zs), np.array(boxes))
 
     @cached_property
     def path(self) -> jw.JWPath:

@@ -370,3 +370,81 @@ def test_exhaustive_reduction_spans_several_blocks():
     candidates = box_candidates(p, lat)
     assert 12 < len(candidates) <= 18
     assert jw.reduce_by_stabilizers(p, lat) == exhaustive_reference(p, candidates)
+
+
+STATS_LATTICES = {
+    "8x12": (8, 12, [(2, 2, 4), (5, 2, 4), (8, 2, 4)]),
+    "10x12": (10, 12, [(2, 2, 5), (5, 3, 6), (8, 2, 5)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STATS_LATTICES))
+def test_reduction_of_stats_strings_matches_the_references(name):
+    # every mode-pair and bracket string a stats job can reduce, at every
+    # phase; max_exhaustive 12 sends the longer strings down the greedy branch
+    lat = build_lattice(*STATS_LATTICES[name])
+    path = jw.default_path(lat)
+    modes = jw.twist_modes(lat, path)
+    strings = [jw.mode_parity_operator(lat, path, modes[a], modes[b])
+               for a in range(len(modes)) for b in range(a + 1, len(modes))]
+    strings += [jw.bracket_parity(lat, path, k, modes) for k in range(lat.n_pairs)]
+    branches = set()
+    for raw in strings:
+        candidates = box_candidates(raw, lat)
+        exhaustive = len(candidates) <= 12
+        branches.add(exhaustive)
+        for k in range(4):
+            p = PauliString(raw.support, raw.phase * Phase(k))
+            expected = (exhaustive_reference if exhaustive
+                        else greedy_reference)(p, candidates)
+            got = jw.reduce_by_stabilizers(p, lat, max_exhaustive=12)
+            assert got == expected and str(got) == str(expected)
+    assert branches == {True, False}
+
+
+def test_tie_order_is_the_rendered_string_order():
+    # equal-weight strings that share a prefix, over sites whose decimal
+    # forms are prefixes of each other (1, 12, 120)
+    sample = np.random.default_rng(5)
+    sites = [1, 2, 9, 10, 12, 19, 100, 120, 121]
+    for _ in range(400):
+        chosen = sample.choice(sites, size=4, replace=False)
+        a = PauliString.from_dict({int(s): "XYZ"[sample.integers(3)] for s in chosen},
+                                  int(sample.integers(4)))
+        moved = dict(a.support)
+        moved.pop(int(sample.choice(chosen)))
+        free = [s for s in sites if s not in moved]
+        moved[int(sample.choice(free))] = "XYZ"[sample.integers(3)]
+        b = PauliString.from_dict(moved, int(sample.integers(4)))
+        for p, q in ((a, b), (b, a), (a, a)):
+            left = (*p.bits(), p.phase.exponent)
+            right = (*q.bits(), q.phase.exponent)
+            assert jw._before(left, right) == (str(p) < str(q))
+
+
+MODE_LATTICES = {
+    "6x4": (6, 4, [(1, 1, 3)]),
+    **STATS_LATTICES,
+    "14x12_558": (14, 12, [(5, 5, 8)]),
+    "14x12_557": (14, 12, [(5, 5, 7)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MODE_LATTICES))
+def test_twist_modes_match_the_exact_image_union(name):
+    lat = build_lattice(*MODE_LATTICES[name])
+    paths = [jw.default_path(lat)]
+    paths += [jw.default_path(lat, pair) for pair in range(lat.n_pairs)]
+    for path in paths:
+        used = frozenset(m for image in jw.plaquette_images(lat, path).values()
+                         for m in image.factors)
+        modes = {MajoranaMode(s, kind) for s in lat.sites for kind in "ab"}
+        free = modes - used
+        boundary = frozenset(m for m in free if lat.on_boundary(m.site))
+        expected = jw.ModeClassification(used, free - boundary, boundary)
+        assert jw.classify_modes(lat, path) == expected
+        by_site = {t.twist_site: [m for m in expected.unpaired
+                                  if m.site == t.twist_site] for t in lat.twists}
+        assert all(len(found) == 1 for found in by_site.values())
+        assert jw.twist_modes(lat, path) == [by_site[t.twist_site][0]
+                                            for t in lat.twists]

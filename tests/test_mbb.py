@@ -394,7 +394,8 @@ def _reference_vector_shots(involution, start, n_braids, shots, seed):
     return records, np.array(finals)
 
 
-@pytest.mark.parametrize("block", [mbb.SHOT_BLOCK, 7])
+@pytest.mark.parametrize("block", [mbb.SHOT_BLOCK, 7],
+                         ids=["default-block", "block-7"])
 @pytest.mark.parametrize("per_shot, involution", [
     (AnyonBackend, mbb._anyon_involution),
     (FockBackend, mbb._fock_involution),
