@@ -11,9 +11,12 @@ Tableau layout (Aaronson–Gottesman style):
            measurement update also takes (2n, S) sign columns, one per shot,
            that all share one x/z trajectory (Stim's frame idea).
 
-Commutation and product phases are popcounts over the words, so every kernel
-handles all rows of a measurement in a few array operations (the layout and
-the phase formula follow Stim, arXiv:2103.02202). The stabilizer reduction in
+Product phases are popcounts over the words, so every kernel handles all rows
+of a measurement in a few array operations (the layout and the phase formula
+follow Stim, arXiv:2103.02202). Commutation reads only the words the Pauli
+touches: it XORs each touched word's clashing bits into one accumulator word
+per row and takes the parity of that word's popcount, so a single-site Pauli
+costs one column of the tableau, not all of it. The stabilizer reduction in
 ``jw`` holds plaquette rows as Python integers with the same bit order and
 multiplies them with the same phase formula (``int_product_phase``).
 """
@@ -78,9 +81,21 @@ def rowsum_phase(x1, z1, x2, z2):
 
 
 def anticommute_mask(x, z, px, pz):
-    """1 for each row that anticommutes with the Pauli (px|pz), else 0."""
-    clashes = np.bitwise_count((x & pz) ^ (z & px)).sum(axis=-1)
-    return (clashes & 1).astype(np.uint8)
+    """1 for each row that anticommutes with the Pauli (px|pz), else 0; a
+    uint8 array of shape ``x.shape[:-1]``.
+
+    A row anticommutes when its clashing sites, ``(x & pz) ^ (z & px)`` over
+    all words, are odd in number. The parity of a popcount is that of the XOR
+    of the words, so only the words where ``px`` or ``pz`` is nonzero are read,
+    each half only when its probe word is nonzero, and the touched words are
+    XORed into one word per row before a single popcount."""
+    acc = np.zeros(x.shape[:-1], dtype=np.uint64)
+    for w, (xw, zw) in enumerate(zip(px.tolist(), pz.tolist())):
+        if zw:
+            acc ^= x[..., w] & pz[w]
+        if xw:
+            acc ^= z[..., w] & px[w]
+    return np.bitwise_count(acc) & 1
 
 
 def measurement_update(x, z, r, px, pz, pr, pivot, anti_rows, outcome_bit):

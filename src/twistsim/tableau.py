@@ -127,24 +127,26 @@ class Tableau:
         """
         px, pz, pr = self._bits_of(p)
         mask = _kernels.anticommute_mask(self.x, self.z, px, pz)
-        stab_anti = np.flatnonzero(mask[self.n:])
-        self.last_random = bool(stab_anti.size)
-        if not stab_anti.size:
-            return self._fixed_outcome_bit(px, pz, pr, mask, signs)
+        anti_rows = np.flatnonzero(mask)
+        first_stab = int(anti_rows.searchsorted(self.n))
+        self.last_random = first_stab < anti_rows.size
+        if not self.last_random:
+            return self._fixed_outcome_bit(px, pz, pr, anti_rows, signs)
         outcome_bit = draw()
         _kernels.measurement_update(
-            self.x, self.z, signs, px, pz, pr, self.n + int(stab_anti[0]),
-            np.flatnonzero(mask), outcome_bit)
+            self.x, self.z, signs, px, pz, pr, int(anti_rows[first_stab]),
+            anti_rows, outcome_bit)
         return outcome_bit
 
-    def _fixed_outcome_bit(self, px, pz, pr, mask, signs):
+    def _fixed_outcome_bit(self, px, pz, pr, destab_rows, signs):
         """Outcome bit(s) of a measurement that commutes with every
-        stabilizer; reads the state without changing it. ``mask`` is
-        ``anticommute_mask`` of p, ``signs`` as in ``measure_signs``."""
+        stabilizer; reads the state without changing it. ``destab_rows`` are
+        the destabilizer rows that anticommute with p, ``signs`` as in
+        ``measure_signs``."""
         # the stabilizer rows whose destabilizer partner anticommutes with p
         # multiply to ±p. Row k of the running products is the product of
         # rows 0..k-1, so step k's phase is that of (running product k) * row k.
-        rows = self.n + np.flatnonzero(mask[: self.n])
+        rows = self.n + destab_rows
         xs, zs = self.x[rows], self.z[rows]
         start = np.zeros((1, xs.shape[1]), dtype=xs.dtype)
         acc_x = np.bitwise_xor.accumulate(np.vstack([start, xs]), axis=0)
@@ -169,10 +171,10 @@ class Tableau:
     def expectation_sign(self, p: PauliString) -> int | None:
         """±1 if ``p`` is fixed by the state, None if the outcome is random."""
         px, pz, pr = self._bits_of(p)
-        mask = _kernels.anticommute_mask(self.x, self.z, px, pz)
-        if mask[self.n:].any():
+        anti_rows = np.flatnonzero(_kernels.anticommute_mask(self.x, self.z, px, pz))
+        if anti_rows.size and anti_rows[-1] >= self.n:
             return None
-        return 1 - 2 * int(self._fixed_outcome_bit(px, pz, pr, mask, self.r))
+        return 1 - 2 * int(self._fixed_outcome_bit(px, pz, pr, anti_rows, self.r))
 
     # -- serialization -------------------------------------------------------
 
@@ -211,6 +213,16 @@ class CodeContext:
     stores the context on the lattice, so it lives exactly as long as the
     lattice. Entries that also depend on a tableau's registered logicals are
     keyed on those logicals, never on how many there are.
+
+    The readouts' geometry lives here too:
+
+    * ``cut(f, g)``: the cut operator of one hop (``cut_operator``);
+    * ``hole_plan(loop, pair)``: whether the loop encloses the pair
+      (``_validate_loop``) and the anchor face of the hole readout, keyed on
+      the loop and the pair; a loop that fails either check is not stored;
+    * ``string_faces(string)``: the plaquettes a parity string touches, in
+      face-id order, keyed on the string (the faces the direct readout turns
+      off).
     """
 
     def __init__(self, lat: TwistLattice):
@@ -222,6 +234,9 @@ class CodeContext:
         self._flip_bases: dict[tuple, list[np.ndarray]] = {}
         self._flips: dict[tuple, PauliString] = {}
         self._loops: dict[tuple, tuple[list, int]] = {}
+        self._cuts: dict[tuple[int, int], PauliString] = {}
+        self._hole_plans: dict[tuple, tuple[bool, int]] = {}
+        self._string_faces: dict[PauliString, list[int]] = {}
 
     @cached_property
     def plaquette_ops(self) -> tuple[PauliString, ...]:
@@ -332,6 +347,47 @@ class CodeContext:
                                n_faces + len(vecs))
         return [vecs[c - n_faces] for c in pivots if c >= n_faces]
 
+    def cut(self, f: int, g: int) -> PauliString:
+        """``cut_operator`` of the hop from face ``f`` to face ``g``."""
+        if (f, g) not in self._cuts:
+            self._cuts[f, g] = cut_operator(self.lat, f, g)
+        return self._cuts[f, g]
+
+    def hole_plan(self, loop: list[int], pair: int) -> tuple[bool, int | None]:
+        """``(encloses_pair, anchor)`` of a hole readout of ``pair`` along
+        ``loop``: whether the loop encloses the pair, and the fixed hole, a
+        square diagonal neighbour of ``loop[0]`` off the loop and outside it
+        (None when there is none). Raises ``GeometryError`` for an invalid
+        loop."""
+        key = (tuple(loop), pair)
+        if key in self._hole_plans:
+            return self._hole_plans[key]
+        lat = self.lat
+        encloses_pair = _validate_loop(lat, loop, pair)
+        anchor = None
+        for p in lat.plaquettes:
+            if p.id in loop or p.kind != "square":
+                continue
+            try:
+                cut_operator(lat, p.id, loop[0])
+            except GeometryError:
+                continue
+            if not _loop_encloses(lat, loop, p.ordered_sites[0]):
+                anchor = p.id
+                break
+        if anchor is not None:
+            self._hole_plans[key] = (encloses_pair, anchor)
+        return encloses_pair, anchor
+
+    def string_faces(self, string: PauliString) -> list[int]:
+        """Ids of the plaquettes sharing a site with ``string``, sorted."""
+        if string not in self._string_faces:
+            support = set(string.sites)
+            self._string_faces[string] = [
+                k for k, op in enumerate(self.plaquette_ops)
+                if not support.isdisjoint(op.sites)]
+        return self._string_faces[string]
+
     def loop_decomposition(
         self, loop: list[int], pair: int, encloses_pair: bool,
         parity_string: PauliString, bracket: PauliString,
@@ -347,8 +403,7 @@ class CodeContext:
         """
         key = (tuple(loop), pair, parity_string, bracket)
         if key not in self._loops:
-            lat = self.lat
-            loop_op = product(cut_operator(lat, f, g)
+            loop_op = product(self.cut(f, g)
                               for f, g in zip(loop, loop[1:] + loop[:1]))
             target = loop_op * parity_string if encloses_pair else loop_op
             full = np.vstack([self.stabilizer_matrix,
@@ -482,12 +537,10 @@ def measure_parity_direct(
             if sign != t.reference_signs.get(pid, sign)
         }
 
-    support = set(string.sites)
-    overlapping = [
-        pid for pid in sorted(t.active)
-        if support & set(t.plaquette_ops[pid].sites)
-    ]
-    t.active -= set(overlapping)
+    faces = (code_context(t.lattice).string_faces(string)
+             if t.lattice is not None else ())
+    overlapping = [pid for pid in faces if pid in t.active]
+    t.active.difference_update(overlapping)
 
     phase_sign = 1 if string.phase.exponent == 0 else -1
     site_outcomes: dict[int, int] = {}
@@ -645,27 +698,15 @@ def measure_parity_hole(
     lat = t.lattice
     if lat is None:
         raise ValueError("tableau carries no lattice")
-    encloses_pair = _validate_loop(lat, loop, pair)
+    ctx = code_context(lat)
+    encloses_pair, anchor = ctx.hole_plan(loop, pair)
     parity_string = t.logicals.get(f"parity_{2 * pair}_{2 * pair + 1}")
     if parity_string is None:
         raise ValueError(f"pair {pair} has no registered parity string")
-
-    # anchor hole: a diagonal neighbour of loop[0] that is not on the loop
-    anchor = None
-    for p in lat.plaquettes:
-        if p.id in loop or p.kind != "square":
-            continue
-        try:
-            cut_operator(lat, p.id, loop[0])
-        except GeometryError:
-            continue
-        if not _loop_encloses(lat, loop, p.ordered_sites[0]):
-            anchor = p.id
-            break
     if anchor is None:
         raise GeometryError("no anchor face available next to the loop")
 
-    z_logical = cut_operator(lat, anchor, loop[0])
+    z_logical = ctx.cut(anchor, loop[0])
     hole = HolePair(anchor, loop[0], z_logical, t.plaquette_ops[anchor])
 
     t.active -= {anchor, loop[0]}
@@ -675,7 +716,7 @@ def measure_parity_hole(
     for i in range(len(loop)):
         f, g = loop[i], loop[(i + 1) % len(loop)]
         t.active.discard(g)            # extend the hole onto the next face
-        lam_product *= t.measure(cut_operator(lat, f, g))
+        lam_product *= t.measure(ctx.cut(f, g))
         t.reference_signs[f] = t.measure(t.plaquette_ops[f])  # heal vacated face
         t.active.add(f)
 
@@ -684,7 +725,7 @@ def measure_parity_hole(
     # the loop operator (product of the cut operators) is the pair parity
     # times factors whose current signs the state fixes; read them all.
     bracket = t.logicals.get(f"bracket_{pair}", PauliString.identity())
-    factors, rel_sign = code_context(lat).loop_decomposition(
+    factors, rel_sign = ctx.loop_decomposition(
         loop, pair, encloses_pair, parity_string, bracket)
     sigma_product = 1
     for k, op in factors:

@@ -275,15 +275,42 @@ def key(q):
 
 
 def exhaustive_reference(p, candidates):
-    best = p
-    for subset in range(1 << len(candidates)):
-        q = p
-        for j, c in enumerate(candidates):
-            if subset >> j & 1:
-                q = q * c
+    """The least ``key`` among the products of ``p`` with every subset of the
+    candidates.
+
+    Subsets are visited in Gray-code order: subset k differs from subset
+    k - 1 in the candidate whose index is the number of trailing zeros of k,
+    so each step is one exact product. The running product is p times the
+    subset's product because the candidates are Hermitian (each squares to
+    the identity) and commute pairwise. The visiting order cannot change the
+    result because ``key`` is injective (``test_reduction_key_is_injective``):
+    equal keys mean equal operators, so the strict minimum is one operator
+    in any order."""
+    for i, c in enumerate(candidates):
+        assert c * c == PauliString.identity()
+        assert all(c.commutes_with(d) for d in candidates[i + 1:])
+    best = q = p
+    for k in range(1, 1 << len(candidates)):
+        q = q * candidates[(k & -k).bit_length() - 1]
         if key(q) < key(best):
             best = q
     return best
+
+
+def test_reduction_key_is_injective():
+    # str renders the phase and every (site, letter) pair, and from_str
+    # inverts it, so two strings with one key are one string
+    sample = np.random.default_rng(3)
+    sites = [0, 1, 2, 9, 10, 12, 19, 100, 120, 121]
+    strings = [PauliString((), Phase(k)) for k in range(4)]
+    for _ in range(400):
+        chosen = sample.choice(sites, size=int(sample.integers(1, 6)), replace=False)
+        strings.append(PauliString.from_dict(
+            {int(s): "XYZ"[sample.integers(3)] for s in chosen},
+            int(sample.integers(4))))
+    for q in strings:
+        assert PauliString.from_str(str(q)) == q
+    assert len({key(q) for q in strings}) == len(set(strings))
 
 
 def greedy_reference(p, candidates):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from twistsim import _kernels, dense, jw
+from twistsim import _kernels, dense, jw, tableau
 from twistsim.lattice import GeometryError, build_lattice, \
     all_plaquette_operators, twist_logicals
 from twistsim.pauli import PauliString
@@ -174,6 +174,15 @@ def test_direct_parity_outcome_decomposition():
     assert prod == res.outcome
 
 
+def test_direct_parity_without_a_lattice():
+    # a bare tableau has no plaquettes to switch off; the letters still read
+    t = Tableau.zero_state(5, 0)
+    t.apply_pauli(PauliString.single(1, "X"))
+    res = measure_parity_direct(t, PauliString.from_dict({0: "Z", 1: "Z", 3: "Z"}, 2))
+    assert res.site_outcomes == {0: 1, 1: -1, 3: 1}
+    assert res.outcome == 1 and res.repaired_signs == {}
+
+
 def test_direct_parity_restores_the_frame():
     lat = build_lattice(8, 6, [(1, 2, 5)])
     t = init_ground(lat, seed=3)
@@ -285,6 +294,78 @@ def test_hole_readout_on_a_second_lattice():
             assert out_hole == out_direct, (segment, seed)
 
 
+def test_readout_geometry_is_computed_once_per_lattice(monkeypatch):
+    # the hop cuts, the loop check and the anchor search run once per lattice
+    # and loop; the two 14x12 lattices share the loop's face ids, so a cache
+    # keyed on the loop alone would skip the second lattice's first readout
+    calls = {"cut_operator": 0, "_loop_encloses": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(tableau, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(tableau, name, counted)
+
+    preps = []
+    for segment in [(5, 5, 8), (5, 5, 7)]:
+        lat = build_lattice(14, 12, [segment])
+        base = init_ground(lat, seed=0)
+        ground_sign = base.expectation_sign(base.logicals["parity_0_1"])
+        preps.append((diamond_loop(lat, 0, 3), twist_logicals(lat, 0)[1], base,
+                      ground_sign))
+    assert preps[0][0] == preps[1][0]
+
+    def readouts(shot):
+        loop, x_logical, base, ground_sign = preps[shot % 2]
+        flip = (shot // 2) % 2 == 1
+        t = base.copy()
+        t.rng = np.random.default_rng(shot)
+        if flip:
+            t.apply_pauli(x_logical)
+        prepared = t.expectation_sign(t.logicals["parity_0_1"])
+        assert prepared == (-ground_sign if flip else ground_sign)
+        t2 = t.copy()
+        assert measure_parity_hole(t, 0, loop)[0] == prepared, shot
+        assert measure_parity_direct(t2, t2.logicals["parity_0_1"]).outcome \
+            == prepared, shot
+        counts = dict(calls)
+        calls.update(dict.fromkeys(calls, 0))
+        return counts
+
+    first, second = readouts(0), readouts(2)
+    assert first["cut_operator"] and first["_loop_encloses"]
+    assert second == {"cut_operator": 0, "_loop_encloses": 0}
+    other_lattice = readouts(1)
+    assert other_lattice["cut_operator"] and other_lattice["_loop_encloses"]
+    for shot in range(3, 12):
+        assert readouts(shot) == {"cut_operator": 0, "_loop_encloses": 0}, shot
+
+
+def test_failing_loops_raise_on_every_call(monkeypatch):
+    lat = build_lattice(14, 12, [(5, 5, 8), (8, 4, 6)])
+    t = init_ground(lat, seed=0)
+    wrong_pair = diamond_loop(lat, 1, 2)
+    calls = []
+    original = tableau._loop_encloses
+    monkeypatch.setattr(tableau, "_loop_encloses",
+                        lambda *args: calls.append(1) or original(*args))
+    for _ in range(2):
+        calls.clear()
+        with pytest.raises(GeometryError, match="encloses twists"):
+            measure_parity_hole(t, 0, wrong_pair)
+        assert calls  # checked again: nothing was stored for the bad loop
+    # the loop is checked before the tableau's parity string
+    del t.logicals["parity_0_1"]
+    with pytest.raises(GeometryError, match="encloses twists"):
+        measure_parity_hole(t, 0, wrong_pair)
+    keys = {}
+    for p in lat.plaquettes:
+        coords = [lat.site_coords(s) for s in p.ordered_sites]
+        keys[(min(r for r, _ in coords), min(c for _, c in coords))] = p.id
+    trivial = [keys[k] for k in [(3, 10), (2, 11), (1, 10), (2, 9)]]
+    with pytest.raises(ValueError, match="no registered parity string"):
+        measure_parity_hole(t, 0, trivial)
+
+
 def test_face_flips_follow_replaced_logicals():
     lat = build_lattice(8, 6, [(1, 2, 5)])
     base = init_ground(lat, seed=0)
@@ -365,6 +446,44 @@ def test_kernels_match_pauli_algebra(data):
     assert [int(e) for e in _kernels.rowsum_phase(x, z, px, pz)] == want
     assert [int(_kernels.rowsum_phase(x[k], z[k], px, pz))
             for k in range(len(rows))] == want
+
+
+def _check_mask(rows, probe):
+    x = _kernels.pack_bits(np.array([_pauli_bits(w)[0] for w in rows]))
+    z = _kernels.pack_bits(np.array([_pauli_bits(w)[1] for w in rows]))
+    px, pz = (_kernels.pack_bits(b)[0] for b in _pauli_bits(probe))
+    mask = _kernels.anticommute_mask(x, z, px, pz)
+    assert mask.dtype == np.uint8 and mask.shape == (len(rows),)
+    p = _pauli_of(probe)
+    assert mask.tolist() == [0 if _pauli_of(w).commutes_with(p) else 1 for w in rows]
+    return mask
+
+
+@pytest.mark.parametrize("n", [1, 64, 65, 129])
+def test_anticommute_mask_of_the_identity_touches_no_word(n):
+    rng = np.random.default_rng(n)
+    rows = ["".join(rng.choice(list("IXYZ"), n)) for _ in range(6)]
+    assert not _check_mask(rows, "I" * n).any()
+
+
+@pytest.mark.parametrize("n", [65, 129])
+def test_anticommute_mask_of_a_probe_in_the_last_partial_word(n):
+    # the last word holds only site n - 1; its other 63 bits are padding
+    rng = np.random.default_rng(n)
+    rows = ["".join(rng.choice(list("IXYZ"), n)) for _ in range(40)]
+    rows += ["I" * (n - 1) + letter for letter in "XYZ"]
+    for letter in "XYZ":
+        mask = _check_mask(rows, "I" * (n - 1) + letter)
+        assert 0 < mask.sum() < len(rows)
+
+
+@pytest.mark.parametrize("n", [5, 64, 129])
+def test_anticommute_mask_of_a_single_row(n):
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        row, probe = ("".join(rng.choice(list("IXYZ"), n)) for _ in range(2))
+        _check_mask([row], probe)
+    assert _check_mask(["X" + "I" * (n - 1)], "Z" + "I" * (n - 1)).tolist() == [1]
 
 
 # Power of i of single-site products, Y = iXZ: XY = iZ, YX = -iZ, ...
