@@ -23,10 +23,17 @@ from .lattice import (GeometryError, TwistLattice, all_plaquette_operators,
                       plaquette_operator)
 from .pauli import PauliString, product
 
+# a row's letters as the binary digits of its x and z integers
+_X_BITS = str.maketrans("IXZY", "0101")
+_Z_BITS = str.maketrans("IXZY", "0011")
+
 
 class Tableau:
     """Stabilizer state of ``n`` qubits plus code-level bookkeeping.
 
+    Rows ``x`` and ``z`` are lists of 2n Python integers, bit ``j`` for site
+    ``j``; ``cx`` and ``cz`` hold the same bits by site, bit ``i`` for row
+    ``i``, and ``r`` the sign bits as a uint8 array (see ``_kernels``).
     ``active`` is the set of plaquette ids currently enforced by the code
     cycle; disabling a stabilizer is bookkeeping only and never touches the
     quantum state. ``last_random`` tells whether the latest ``measure`` had a
@@ -35,14 +42,13 @@ class Tableau:
 
     def __init__(self, n: int, rng: np.random.Generator):
         self.n = n
-        # rows as 64-bit words, see ``_kernels``
-        self.x = np.zeros((2 * n, -(-n // 64)), dtype=np.uint64)
-        self.z = np.zeros_like(self.x)
+        # rows and their transposed columns as Python integers, see
+        # ``_kernels``: destabilizer i is X_i, stabilizer i is Z_i
+        self.x = [1 << i for i in range(n)] + [0] * n
+        self.z = [0] * n + [1 << i for i in range(n)]
+        self.cx = [1 << j for j in range(n)]
+        self.cz = [1 << (n + j) for j in range(n)]
         self.r = np.zeros(2 * n, dtype=np.uint8)
-        site = np.arange(n)
-        bit = np.uint64(1) << (site % 64).astype(np.uint64)
-        self.x[site, site // 64] = bit          # destabilizer X_i
-        self.z[n + site, site // 64] = bit      # stabilizer Z_i
         self.rng = rng
         self.last_random = False
         self.lattice: TwistLattice | None = None
@@ -63,8 +69,10 @@ class Tableau:
         same state. The lattice and its plaquette operators are shared."""
         out = copy.copy(self)
         out.rng = np.random.Generator(copy.copy(self.rng.bit_generator))
-        out.x = self.x.copy()
-        out.z = self.z.copy()
+        out.x = list(self.x)
+        out.z = list(self.z)
+        out.cx = list(self.cx)
+        out.cz = list(self.cz)
         out.r = self.r.copy()
         out.active = set(self.active)
         out.logicals = dict(self.logicals)
@@ -73,32 +81,28 @@ class Tableau:
 
     # -- row/operator conversions -------------------------------------------
 
-    def _bits_of(self, p: PauliString) -> tuple[np.ndarray, np.ndarray, int]:
+    def _bits_of(self, p: PauliString) -> tuple[int, int, int]:
         if not p.is_hermitian:
             raise ValueError(f"operator {p} is not Hermitian (phase must be ±1)")
         if p.support and not 0 <= p.support[0][0] <= p.support[-1][0] < self.n:
             site = p.support[0][0] if p.support[0][0] < 0 else p.support[-1][0]
             raise ValueError(f"site {site} of {p} is outside 0..{self.n - 1}")
-        xbits, zbits = p.bits()
-        n_bytes = 8 * self.x.shape[1]
-        px = np.frombuffer(xbits.to_bytes(n_bytes, "little"), dtype="<u8")
-        pz = np.frombuffer(zbits.to_bytes(n_bytes, "little"), dtype="<u8")
+        px, pz = p.bits()
         return px, pz, p.phase.exponent // 2
 
-    def _letters(self, rows=slice(None)) -> np.ndarray:
-        """One row of ASCII Pauli letters per selected tableau row."""
-        codes = (_kernels.unpack_bits(self.x[rows], self.n)
-                 + 2 * _kernels.unpack_bits(self.z[rows], self.n))
-        return np.frombuffer(b"IXZY", dtype=np.uint8)[codes]
+    def _letters(self) -> np.ndarray:
+        """One row of ASCII Pauli letters per tableau row."""
+        n_bytes = -(-self.n // 8)
+
+        def bits(rows):
+            raw = b"".join(v.to_bytes(n_bytes, "little") for v in rows)
+            packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(rows), n_bytes)
+            return np.unpackbits(packed, axis=1, bitorder="little")[:, :self.n]
+
+        return np.frombuffer(b"IXZY", dtype=np.uint8)[bits(self.x) + 2 * bits(self.z)]
 
     def row_operator(self, i: int) -> PauliString:
-        letters = self._letters([i])[0].tobytes().decode()
-        return PauliString.from_dict(
-            {j: letter for j, letter in enumerate(letters) if letter != "I"},
-            2 * int(self.r[i]))
-
-    def stabilizer_generators(self) -> list[PauliString]:
-        return [self.row_operator(self.n + i) for i in range(self.n)]
+        return PauliString.from_bits(self.x[i], self.z[i], 2 * int(self.r[i]))
 
     # -- measurement ---------------------------------------------------------
 
@@ -126,37 +130,31 @@ class Tableau:
         ``signs``. Either way x and z evolve alike for every column.
         """
         px, pz, pr = self._bits_of(p)
-        mask = _kernels.anticommute_mask(self.x, self.z, px, pz)
-        anti_rows = np.flatnonzero(mask)
-        first_stab = int(anti_rows.searchsorted(self.n))
-        self.last_random = first_stab < anti_rows.size
+        anti = _kernels.anticommuting_rows(self.cx, self.cz, px, pz)
+        stab = anti >> self.n
+        self.last_random = stab != 0
         if not self.last_random:
-            return self._fixed_outcome_bit(px, pz, pr, anti_rows, signs)
+            return self._fixed_outcome_bit(px, pz, pr, anti, signs)
         outcome_bit = draw()
-        _kernels.measurement_update(
-            self.x, self.z, signs, px, pz, pr, int(anti_rows[first_stab]),
-            anti_rows, outcome_bit)
+        pivot = self.n + (stab & -stab).bit_length() - 1
+        _kernels.random_update(self.x, self.z, self.cx, self.cz, signs, anti,
+                               pivot, px, pz, pr, outcome_bit)
         return outcome_bit
 
-    def _fixed_outcome_bit(self, px, pz, pr, destab_rows, signs):
+    def _fixed_outcome_bit(self, px, pz, pr, destabs, signs):
         """Outcome bit(s) of a measurement that commutes with every
-        stabilizer; reads the state without changing it. ``destab_rows`` are
+        stabilizer; reads the state without changing it. ``destabs`` marks
         the destabilizer rows that anticommute with p, ``signs`` as in
         ``measure_signs``."""
         # the stabilizer rows whose destabilizer partner anticommutes with p
-        # multiply to ±p. Row k of the running products is the product of
-        # rows 0..k-1, so step k's phase is that of (running product k) * row k.
-        rows = self.n + destab_rows
-        xs, zs = self.x[rows], self.z[rows]
-        start = np.zeros((1, xs.shape[1]), dtype=xs.dtype)
-        acc_x = np.bitwise_xor.accumulate(np.vstack([start, xs]), axis=0)
-        acc_z = np.bitwise_xor.accumulate(np.vstack([start, zs]), axis=0)
-        steps = _kernels.rowsum_phase(acc_x[:-1], acc_z[:-1], xs, zs)
-        if not (np.array_equal(acc_x[-1], px) and np.array_equal(acc_z[-1], pz)):
+        # multiply to ±p
+        rows = [self.n + i for i in _kernels.set_bits(destabs)]
+        acc_x, acc_z, exponent = _kernels.row_product(self.x, self.z, rows)
+        if acc_x != px or acc_z != pz:
             raise AssertionError("deterministic branch accumulated a wrong operator")
-        # the product's sign is (-1)^(sign bits) * i^steps, steps even since
-        # the rows commute; the outcome is that sign over p's own sign.
-        shared = (int(steps.sum()) // 2 + pr) % 2
+        # the product's sign is (-1)^(sign bits) * i^exponent, the exponent
+        # even since the rows commute; the outcome is that sign over p's own.
+        shared = (exponent % 4 // 2 + pr) % 2
         return np.bitwise_xor.reduce(signs[rows], axis=0) ^ shared
 
     def apply_pauli(self, p: PauliString) -> None:
@@ -166,15 +164,18 @@ class Tableau:
     def sign_flips(self, p: PauliString) -> np.ndarray:
         """1 for each row whose sign conjugation by ``p`` flips, else 0."""
         px, pz, _ = self._bits_of(p)
-        return _kernels.anticommute_mask(self.x, self.z, px, pz)
+        flips = np.zeros(2 * self.n, dtype=np.uint8)
+        flips[_kernels.set_bits(
+            _kernels.anticommuting_rows(self.cx, self.cz, px, pz))] = 1
+        return flips
 
     def expectation_sign(self, p: PauliString) -> int | None:
         """±1 if ``p`` is fixed by the state, None if the outcome is random."""
         px, pz, pr = self._bits_of(p)
-        anti_rows = np.flatnonzero(_kernels.anticommute_mask(self.x, self.z, px, pz))
-        if anti_rows.size and anti_rows[-1] >= self.n:
+        anti = _kernels.anticommuting_rows(self.cx, self.cz, px, pz)
+        if anti >> self.n:
             return None
-        return 1 - 2 * int(self._fixed_outcome_bit(px, pz, pr, anti_rows, self.r))
+        return 1 - 2 * int(self._fixed_outcome_bit(px, pz, pr, anti, self.r))
 
     # -- serialization -------------------------------------------------------
 
@@ -195,11 +196,11 @@ class Tableau:
             raise ValueError(f"unsupported tableau format: {lines[0]!r}")
         n = int(header[2].split("=")[1])
         t = cls.zero_state(n, seed)
-        rows = lines[1:]
-        letters = np.array([list(line[2:]) for line in rows])
-        t.r[: len(rows)] = [1 if line[1] == "-" else 0 for line in rows]
-        t.x[: len(rows)] = _kernels.pack_bits((letters == "X") | (letters == "Y"))
-        t.z[: len(rows)] = _kernels.pack_bits((letters == "Z") | (letters == "Y"))
+        for i, line in enumerate(lines[1:]):
+            t.r[i] = line[1] == "-"
+            letters = line[:1:-1]            # site 0 last: the lowest bit
+            _kernels.set_row(t.x, t.cx, i, int("0" + letters.translate(_X_BITS), 2))
+            _kernels.set_row(t.z, t.cz, i, int("0" + letters.translate(_Z_BITS), 2))
         return t
 
 

@@ -1,0 +1,173 @@
+"""The tableau against a textbook CHP simulator.
+
+``ReferenceCHP`` is the algorithm of Aaronson and Gottesman (quant-ph/0406196)
+on unpacked (2n + 1, n) bool matrices, one row sum at a time, with row 2n as
+the scratch row: no bit packing, no column index and no ``_kernels``. Replaying
+the measurements and Pauli frames of ``init_ground`` and of the readouts must
+give the same tableau text, destabilizer signs included. The golden file pins
+the ground tableaux of three lattices only; this covers six.
+"""
+
+import copy
+
+import numpy as np
+import pytest
+
+from twistsim import mbb
+from twistsim.dense import InconsistentOutcomeError
+from twistsim.lattice import build_lattice
+from twistsim.tableau import (Tableau, diamond_loop, init_ground,
+                              measure_parity_direct, measure_parity_hole)
+
+
+def _g(x1, z1, x2, z2):
+    """Power of i at each site of the product (x1|z1)*(x2|z2)."""
+    x2, z2 = x2.astype(int), z2.astype(int)
+    return np.where(x1 & z1, z2 - x2,
+                    np.where(x1, z2 * (2 * x2 - 1),
+                             np.where(z1, x2 * (1 - 2 * z2), 0)))
+
+
+class ReferenceCHP:
+    def __init__(self, n: int):
+        self.n = n
+        self.x = np.zeros((2 * n + 1, n), dtype=bool)
+        self.z = np.zeros((2 * n + 1, n), dtype=bool)
+        self.r = np.zeros(2 * n + 1, dtype=bool)
+        self.x[range(n), range(n)] = True
+        self.z[range(n, 2 * n), range(n)] = True
+
+    def _rowsum(self, h: int, i: int) -> None:
+        # row h <- row h * row i
+        e = 2 * int(self.r[h]) + 2 * int(self.r[i]) + int(
+            _g(self.x[h], self.z[h], self.x[i], self.z[i]).sum())
+        self.r[h] = e % 4 // 2
+        self.x[h] ^= self.x[i]
+        self.z[h] ^= self.z[i]
+
+    def _anticommuting(self, p):
+        px, pz = np.zeros(self.n, dtype=bool), np.zeros(self.n, dtype=bool)
+        for site, letter in p.support:
+            px[site], pz[site] = letter in "XY", letter in "ZY"
+        clashes = (self.x[:-1] & pz).sum(axis=1) + (self.z[:-1] & px).sum(axis=1)
+        return px, pz, np.flatnonzero(clashes % 2)
+
+    def measure(self, p, draw: int) -> int:
+        """±1; a random outcome is ``draw``."""
+        n, neg = self.n, p.phase.exponent == 2
+        px, pz, anti = self._anticommuting(p)
+        stabs = anti[anti >= n]
+        if stabs.size:
+            pivot = stabs[0]
+            for i in anti:
+                if i != pivot:
+                    self._rowsum(i, pivot)
+            for a in (self.x, self.z, self.r):
+                a[pivot - n] = a[pivot]
+            self.x[pivot], self.z[pivot] = px, pz
+            self.r[pivot] = (draw == -1) ^ neg
+            return draw
+        scratch = 2 * n
+        self.x[scratch], self.z[scratch], self.r[scratch] = False, False, False
+        for i in anti:
+            self._rowsum(scratch, i + n)
+        assert (self.x[scratch] == px).all() and (self.z[scratch] == pz).all()
+        return -1 if self.r[scratch] ^ neg else 1
+
+    def apply_pauli(self, p) -> None:
+        self.r[self._anticommuting(p)[2]] ^= True
+
+    def to_text(self) -> str:
+        n = self.n
+        letters = np.array(list("IXZY"))[self.x[:-1] + 2 * self.z[:-1]]
+        return "".join(
+            [f"twistsim-tableau v1 n={n}\n"]
+            + [f"{'D' if i < n else 'S'}{'-' if self.r[i] else '+'}"
+               f"{''.join(row)}\n" for i, row in enumerate(letters)])
+
+
+@pytest.fixture
+def recorder(monkeypatch):
+    """The state-changing tableau calls made while it is active, in order:
+    ("measure", p, force, outcome or None if refused) and ("pauli", p)."""
+    log = []
+    measure, apply_pauli = Tableau.measure, Tableau.apply_pauli
+
+    def logged_measure(self, p, force=None):
+        try:
+            out = measure(self, p, force)
+        except InconsistentOutcomeError:
+            log.append(("measure", p, force, None))
+            raise
+        log.append(("measure", p, force, out))
+        return out
+
+    def logged_pauli(self, p):
+        log.append(("pauli", p))
+        apply_pauli(self, p)
+
+    monkeypatch.setattr(Tableau, "measure", logged_measure)
+    monkeypatch.setattr(Tableau, "apply_pauli", logged_pauli)
+    return log
+
+
+def replay(ref: ReferenceCHP, log: list) -> None:
+    for kind, p, *call in log:
+        if kind == "pauli":
+            ref.apply_pauli(p)
+            continue
+        force, out = call
+        if out is None:  # the tableau refused a force against a fixed outcome
+            assert ref.measure(p, draw=force) == -force
+        else:
+            assert ref.measure(p, draw=out) == out
+    log.clear()
+
+
+LATTICES = {
+    "6x4": (6, 4, [(1, 1, 3)]),
+    "8x6": (8, 6, [(1, 2, 5)]),
+    "10x12": (10, 12, [(2, 2, 5), (6, 2, 6)]),
+    "8x12": (8, 12, [(2, 2, 4), (5, 2, 4), (8, 2, 4)]),
+    "14x12_558": (14, 12, [(5, 5, 8)]),
+    "14x12_557": (14, 12, [(5, 5, 7)]),
+}
+
+
+def _ground(name: str, log: list) -> tuple[Tableau, ReferenceCHP]:
+    lat = build_lattice(*LATTICES[name])
+    pins = None
+    if name == "8x12":  # the pins of the mbb lattice backend
+        pins = [(a - 1, b - 1, mbb.parity_sign_for((a, b), 6))
+                for a, b in mbb.START_PAIRINGS[6]]
+    t = init_ground(lat, seed=0, pinned_pairs=pins)
+    ref = ReferenceCHP(lat.n_sites)
+    assert log
+    replay(ref, log)
+    return t, ref
+
+
+@pytest.mark.parametrize("name", list(LATTICES))
+def test_init_ground_matches_textbook_chp(recorder, name):
+    t, ref = _ground(name, recorder)
+    assert t.to_text() == ref.to_text()
+
+
+@pytest.mark.parametrize("name", ["14x12_558", "14x12_557"])
+def test_readouts_match_textbook_chp(recorder, name):
+    ground, ground_ref = _ground(name, recorder)
+    loop = diamond_loop(ground.lattice, 0, 3)
+    string = ground.logicals["parity_0_1"]
+    repairs = 0
+    for seed in range(3):
+        for readout in ("hole", "direct"):
+            t, ref = ground.copy(), copy.deepcopy(ground_ref)
+            t.rng = np.random.default_rng(seed)
+            if readout == "hole":
+                measure_parity_hole(t, 0, loop)
+            else:
+                measure_parity_direct(t, string)
+                repairs += sum(entry[0] == "pauli" for entry in recorder)
+            replay(ref, recorder)
+            assert t.to_text() == ref.to_text()
+    assert repairs  # the direct readouts' frame repairs were replayed too

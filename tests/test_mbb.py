@@ -585,9 +585,9 @@ def test_lattice_backend_setup_derives_twist_modes_once(monkeypatch):
 
 def test_lattice_backend_probabilities_need_one_commutation_pass(monkeypatch):
     passes = []
-    anticommute_mask = _kernels.anticommute_mask
-    monkeypatch.setattr(_kernels, "anticommute_mask",
-                        lambda *args: passes.append(1) or anticommute_mask(*args))
+    anticommuting_rows = _kernels.anticommuting_rows
+    monkeypatch.setattr(_kernels, "anticommuting_rows",
+                        lambda *args: passes.append(1) or anticommuting_rows(*args))
     seen = set()
     for seed in range(4):
         bk = LatticeBackend(LAT6, np.random.default_rng(seed))

@@ -389,8 +389,9 @@ def test_deterministic_expectation_sign_reads_without_copying(monkeypatch):
     queries += [t.logicals[name] for name in sorted(t.logicals)]
     queries.append(queries[-1].negate())
     expected = [t.copy().measure(q) for q in queries]
-    before = (t.x.copy(), t.z.copy(), t.r.copy(), set(t.active), dict(t.logicals),
-              dict(t.reference_signs), t.rng.bit_generator.state)
+    before = (t.x.copy(), t.z.copy(), t.cx.copy(), t.cz.copy(), t.r.copy(),
+              set(t.active), dict(t.logicals), dict(t.reference_signs),
+              t.rng.bit_generator.state)
 
     copies = []
     original = Tableau.copy
@@ -402,7 +403,7 @@ def test_deterministic_expectation_sign_reads_without_copying(monkeypatch):
 
     assert copies == []
     assert signs == expected and None not in signs
-    after = (t.x, t.z, t.r, t.active, t.logicals, t.reference_signs,
+    after = (t.x, t.z, t.cx, t.cz, t.r, t.active, t.logicals, t.reference_signs,
              t.rng.bit_generator.state)
     for old, new in zip(before, after):
         if isinstance(old, np.ndarray):
@@ -411,17 +412,36 @@ def test_deterministic_expectation_sign_reads_without_copying(monkeypatch):
             assert old == new
 
 
-def _pauli_bits(word: str):
-    x = np.array([c in "XY" for c in word], dtype=np.uint8)
-    z = np.array([c in "ZY" for c in word], dtype=np.uint8)
-    return x, z
-
-
 def _pauli_of(word: str) -> PauliString:
     return PauliString.from_dict({i: c for i, c in enumerate(word) if c != "I"})
 
 
-# Sizes around the 64-bit word boundaries: rows of 1, 2 and 3 words.
+def _int_rows(words):
+    """(x, z) integer rows of Pauli words, bit j for letter j."""
+    x = [sum(1 << j for j, c in enumerate(w) if c in "XY") for w in words]
+    z = [sum(1 << j for j, c in enumerate(w) if c in "ZY") for w in words]
+    return x, z
+
+
+def _columns(rows, n):
+    """The transposed bitsets: bit i of column j is bit j of row i."""
+    return [sum(1 << i for i, v in enumerate(rows) if v >> j & 1)
+            for j in range(n)]
+
+
+class _ReadLog(list):
+    """A column list that records which columns are read."""
+
+    def __init__(self, cols):
+        super().__init__(cols)
+        self.read = set()
+
+    def __getitem__(self, j):
+        self.read.add(j)
+        return super().__getitem__(j)
+
+
+# Sizes around multiples of 64 sites: rows of 1, 2 and 3 machine words.
 WORD_EDGES = st.sampled_from([1, 2, 63, 64, 65, 127, 128, 129, 130])
 
 
@@ -432,30 +452,38 @@ def test_kernels_match_pauli_algebra(data):
     word = st.text(alphabet="IXYZ", min_size=n, max_size=n)
     rows = data.draw(st.lists(word, min_size=1, max_size=8))
     probe = data.draw(word)
-    x = _kernels.pack_bits(np.array([_pauli_bits(w)[0] for w in rows]))
-    z = _kernels.pack_bits(np.array([_pauli_bits(w)[1] for w in rows]))
-    assert x.shape == (len(rows), -(-n // 64)) and x.dtype == np.uint64
-    assert np.array_equal(_kernels.unpack_bits(x, n),
-                          [_pauli_bits(w)[0] for w in rows])
-    px, pz = (_kernels.pack_bits(b)[0] for b in _pauli_bits(probe))
+    x, z = _int_rows(rows)
+    assert [_pauli_of(w).bits() for w in rows] == list(zip(x, z))
+    assert all(_kernels.set_bits(v) == [j for j in range(n) if v >> j & 1]
+               for v in x + z)
+    (px,), (pz,) = _int_rows([probe])
     p = _pauli_of(probe)
-    mask = _kernels.anticommute_mask(x, z, px, pz)
-    assert [int(m) for m in mask] == \
-        [0 if _pauli_of(w).commutes_with(p) else 1 for w in rows]
+    mask = _kernels.anticommuting_rows(_columns(x, n), _columns(z, n), px, pz)
+    assert _kernels.set_bits(mask) == \
+        [k for k, w in enumerate(rows) if not _pauli_of(w).commutes_with(p)]
     want = [(_pauli_of(w) * p).phase.exponent for w in rows]
-    assert [int(e) for e in _kernels.rowsum_phase(x, z, px, pz)] == want
-    assert [int(_kernels.rowsum_phase(x[k], z[k], px, pz))
+    assert [_kernels.int_product_phase(x[k], z[k], px, pz) % 4
             for k in range(len(rows))] == want
+    # the ordered product of all rows, phase included
+    acc_x, acc_z, exponent = _kernels.row_product(x, z, range(len(rows)))
+    prod = PauliString.identity()
+    for w in rows:
+        prod = prod * _pauli_of(w)
+    assert PauliString.from_bits(acc_x, acc_z, exponent % 4) == prod
 
 
 def _check_mask(rows, probe):
-    x = _kernels.pack_bits(np.array([_pauli_bits(w)[0] for w in rows]))
-    z = _kernels.pack_bits(np.array([_pauli_bits(w)[1] for w in rows]))
-    px, pz = (_kernels.pack_bits(b)[0] for b in _pauli_bits(probe))
-    mask = _kernels.anticommute_mask(x, z, px, pz)
-    assert mask.dtype == np.uint8 and mask.shape == (len(rows),)
+    n = len(probe)
+    x, z = _int_rows(rows)
+    cx, cz = _ReadLog(_columns(x, n)), _ReadLog(_columns(z, n))
+    (px,), (pz,) = _int_rows([probe])
+    bits = _kernels.anticommuting_rows(cx, cz, px, pz)
+    mask = np.array([bits >> k & 1 for k in range(len(rows))], dtype=np.uint8)
+    assert bits >> len(rows) == 0
     p = _pauli_of(probe)
     assert mask.tolist() == [0 if _pauli_of(w).commutes_with(p) else 1 for w in rows]
+    # only the columns at the probe's sites are read
+    assert cx.read | cz.read == set(p.sites)
     return mask
 
 
@@ -468,7 +496,7 @@ def test_anticommute_mask_of_the_identity_touches_no_word(n):
 
 @pytest.mark.parametrize("n", [65, 129])
 def test_anticommute_mask_of_a_probe_in_the_last_partial_word(n):
-    # the last word holds only site n - 1; its other 63 bits are padding
+    # the probe sits only on site n - 1, at or beyond bit 64 of every row
     rng = np.random.default_rng(n)
     rows = ["".join(rng.choice(list("IXYZ"), n)) for _ in range(40)]
     rows += ["I" * (n - 1) + letter for letter in "XYZ"]
@@ -507,16 +535,26 @@ def _reference_update(x, z, r, px, pz, pr, pivot, anti_rows, outcome_bit):
     x[pivot], z[pivot], r[pivot] = px, pz, (pr + outcome_bit) % 2
 
 
+def _bit_matrix(ints, width):
+    """0/1 uint8 matrix with one row per integer, bit j in column j."""
+    n_bytes = max(1, -(-width // 8))
+    raw = b"".join(v.to_bytes(n_bytes, "little") for v in ints)
+    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(ints), n_bytes)
+    return np.unpackbits(packed, axis=1, bitorder="little")[:, :width]
+
+
 @settings(max_examples=40, deadline=None)
 @given(n=st.sampled_from([63, 64, 65, 129]), seed=st.integers(0, 2**32 - 1),
        density=st.sampled_from([0.05, 0.5]), pr=st.integers(0, 1),
-       outcome_bit=st.integers(0, 1))
+       shots=st.sampled_from([0, 3]))
 def test_measurement_update_matches_a_row_by_row_loop(n, seed, density, pr,
-                                                      outcome_bit):
+                                                      shots):
     rng = np.random.default_rng(seed)
     x = (rng.random((2 * n, n)) < density).astype(np.uint8)
     z = (rng.random((2 * n, n)) < density).astype(np.uint8)
-    r = rng.integers(2, size=2 * n).astype(np.uint8)
+    # shots == 0 is the 1-D sign column, else (2n, shots) columns
+    r = rng.integers(2, size=(2 * n, max(shots, 1))).astype(np.uint8)
+    outcome_bit = rng.integers(2, size=max(shots, 1)).astype(np.uint8)
     px = (rng.random(n) < density).astype(np.uint8)
     pz = (rng.random(n) < density).astype(np.uint8)
     anti = ((x & pz).sum(axis=1) + (z & px).sum(axis=1)) % 2
@@ -525,17 +563,24 @@ def test_measurement_update_matches_a_row_by_row_loop(n, seed, density, pr,
     assume(stab_anti.size)
     pivot = int(stab_anti[0])
 
-    words = [_kernels.pack_bits(a) for a in (x, z)]
-    pw = [_kernels.pack_bits(a)[0] for a in (px, pz)]
-    assert np.array_equal(
-        _kernels.anticommute_mask(words[0], words[1], pw[0], pw[1]), anti)
-    packed_r = r.copy()
-    _kernels.measurement_update(words[0], words[1], packed_r, pw[0], pw[1], pr,
-                                pivot, anti_rows, outcome_bit)
-    _reference_update(x, z, r, px, pz, pr, pivot, anti_rows, outcome_bit)
-    assert np.array_equal(_kernels.unpack_bits(words[0], n), x)
-    assert np.array_equal(_kernels.unpack_bits(words[1], n), z)
-    assert np.array_equal(packed_r, r)
+    def ints(m):
+        return [int("0" + "".join(map(str, row[::-1])), 2) for row in m]
+
+    xs, zs, (ipx,), (ipz,) = ints(x), ints(z), ints([px]), ints([pz])
+    cx, cz = _columns(xs, n), _columns(zs, n)
+    mask = _kernels.anticommuting_rows(cx, cz, ipx, ipz)
+    assert _kernels.set_bits(mask) == anti_rows.tolist()
+    signs = r.copy() if shots else r[:, 0].copy()
+    _kernels.random_update(xs, zs, cx, cz, signs, mask, pivot, ipx, ipz, pr,
+                           outcome_bit if shots else int(outcome_bit[0]))
+    for k, bit in enumerate(outcome_bit):
+        xk, zk, rk = x.copy(), z.copy(), r[:, k].copy()
+        _reference_update(xk, zk, rk, px, pz, pr, pivot, anti_rows, bit)
+        assert np.array_equal(signs[:, k] if shots else signs, rk)
+    assert np.array_equal(_bit_matrix(xs, n), xk)
+    assert np.array_equal(_bit_matrix(zs, n), zk)
+    assert np.array_equal(_bit_matrix(cx, 2 * n), xk.T)
+    assert np.array_equal(_bit_matrix(cz, 2 * n), zk.T)
 
 
 @settings(max_examples=60, deadline=None)
@@ -596,5 +641,70 @@ def test_sign_columns_evolve_like_separate_tableaux(n):
                 shots[k].apply_pauli(flip)
             assert np.array_equal(signs, np.stack([t.r for t in shots], axis=1))
     for t in shots:
-        assert np.array_equal(t.x, shared.x) and np.array_equal(t.z, shared.z)
+        assert t.x == shared.x and t.z == shared.z
     assert seen == {True, False}
+
+
+def _sparse_string(rng, n):
+    """A Hermitian Pauli on 1-6 sites (the plaquettes and single sites the
+    code measures), or now and then on every site."""
+    weight = n if rng.random() < 0.1 else int(rng.integers(1, min(n, 6) + 1))
+    sites = rng.choice(n, size=weight, replace=False)
+    return PauliString.from_dict(
+        {int(s): "XYZ"[rng.integers(3)] for s in sites}, 2 * int(rng.integers(2)))
+
+
+def _assert_columns_are_the_transpose(t: Tableau):
+    assert len(t.cx) == len(t.cz) == t.n and len(t.x) == len(t.z) == 2 * t.n
+    assert np.array_equal(_bit_matrix(t.cx, 2 * t.n), _bit_matrix(t.x, t.n).T)
+    assert np.array_equal(_bit_matrix(t.cz, 2 * t.n), _bit_matrix(t.z, t.n).T)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([1, 63, 64, 65, 130]), shots=st.sampled_from([0, 3]),
+       seed=st.integers(0, 2**32 - 1),
+       steps=st.lists(st.sampled_from(["measure", "force", "pauli", "copy"]),
+                      min_size=1, max_size=20))
+def test_column_bitsets_stay_the_transpose_of_the_rows(n, shots, seed, steps):
+    # shots == 0 runs the tableau's own 1-D signs, else (2n, shots) columns
+    rng = np.random.default_rng(seed)
+    t = Tableau.zero_state(n, seed)
+    signs = np.repeat(t.r[:, None], shots, axis=1) if shots else t.r
+
+    def step(t, signs, kind):
+        p = _sparse_string(rng, n)
+        if kind == "pauli":
+            if shots:
+                marked = rng.integers(2, size=shots).astype(np.uint8)
+                signs ^= t.sign_flips(p)[:, None] & marked
+            else:
+                t.apply_pauli(p)
+        elif shots:
+            bits = rng.integers(2, size=shots).astype(np.uint8)
+            if kind == "force":
+                bits[:] = bits[0]
+            t.measure_signs(p, signs, lambda: bits)
+        elif kind == "force":
+            before = t.to_text()
+            try:
+                t.measure(p, force=int(rng.choice([-1, 1])))
+            except InconsistentOutcomeError:
+                assert t.to_text() == before
+        else:
+            t.measure(p)
+
+    for kind in steps:
+        if kind == "copy":
+            twin = t.copy()
+            twin_signs = signs.copy() if shots else twin.r
+            text, r, held = t.to_text(), t.r.copy(), signs.copy()
+            for other in ("measure", "pauli", "force", "measure"):
+                step(twin, twin_signs, other)
+                _assert_columns_are_the_transpose(twin)
+            assert t.to_text() == text
+            assert np.array_equal(t.r, r) and np.array_equal(signs, held)
+            if rng.random() < 0.5:
+                t, signs = twin, twin_signs
+        else:
+            step(t, signs, kind)
+        _assert_columns_are_the_transpose(t)
