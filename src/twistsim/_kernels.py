@@ -9,9 +9,10 @@ Tableau layout (Aaronson–Gottesman style):
              n..2n-1 are stabilizers.
     cx, cz : lists of n column integers, the transpose of x and z: bit ``i``
              of ``cx[j]`` is bit ``j`` of ``x[i]``.
-    r      : uint8 array of length 2n; sign bit (0 -> +1, 1 -> -1). The
-             measurement update also takes (2n, S) sign columns, one per shot,
-             that all share one x/z trajectory (Stim's frame idea).
+    r      : uint8 array of sign bits (0 -> +1, 1 -> -1), shape (2n,), or
+             (2n, S) for a batch of S shots: one sign column per shot, all
+             sharing one x/z trajectory (Stim's frame idea). ``Tableau.r``
+             holds either form, and ``random_update`` takes both.
 
 The tableaux of the twisted code are sparse: a plaquette or a single-site
 Pauli touches a handful of columns, and a measurement rewrites a few dozen of
@@ -97,7 +98,7 @@ def random_update(x, z, cx, cz, r, anti, pivot, px, pz, pr, outcome_bit):
     in its place.
 
     ``r`` may carry a trailing shot axis, (2n, S) sign columns that share
-    these rows, with ``outcome_bit`` then one bit per shot."""
+    these rows, with ``outcome_bit`` then one bit per shot or one for all."""
     xp, zp = x[pivot], z[pivot]
     others = anti & ~(1 << pivot)
     if others:

@@ -246,9 +246,8 @@ def _run_mbb(cfg) -> tuple[dict, list[dict]]:
 def _stats_backend_factory(cfg):
     backend = cfg.get("backend", "anyon")
     if backend in ("anyon", "fock"):
-        per_shot = mbb.AnyonBackend if backend == "anyon" else mbb.FockBackend
-        template = per_shot(6, None)  # the start vector; it draws nothing
-        return lambda streams: mbb.VectorBatch(template, streams)
+        model = mbb.AnyonBackend if backend == "anyon" else mbb.FockBackend
+        return lambda streams: model(6, streams)
     if backend == "lattice":
         lat = _build_lattice_from_cfg(
             cfg, default={"width": 8, "height": 12, "segments": [
@@ -261,20 +260,16 @@ def _stats_backend_factory(cfg):
             raise ConfigError(
                 f"stats reads the (3,5) label, so it needs 3 twist pairs; "
                 f"the lattice has {lat.n_pairs}")
-        return lambda streams: mbb.LatticeBatch(lat, streams)
+        return lambda streams: mbb.LatticeBackend(lat, streams)
     raise ConfigError(f"unknown backend {backend!r}")
 
 
 def _count(cfg, key, default, minimum):
-    """``cfg[key]`` as an integer of at least ``minimum``."""
+    """``cfg[key]``, which must be an integer of at least ``minimum``."""
     value = cfg.get(key, default)
-    try:
-        count = int(value)
-    except (TypeError, ValueError):
-        count = None
-    if isinstance(value, bool) or count is None or count < minimum:
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
         raise ConfigError(f"{key} must be an integer >= {minimum}, got {value!r}")
-    return count
+    return value
 
 
 def _run_stats(cfg) -> tuple[dict, list[dict]]:

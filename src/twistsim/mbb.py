@@ -9,12 +9,16 @@ The engine runs against three interchangeable backends:
 * ``LatticeBackend`` - twist pairs on the planar code with stabilizer-
                        formalism parity measurements.
 
-Each runs ``stats`` as a batch of shots: ``VectorBatch`` holds one anyon or
-Fock state vector per shot in one array, and ``LatticeBatch`` one sign column
-per shot on a shared tableau trajectory. A batch computes every shot's random
-stream at once (``ShotStreams``): shot k's stream equals, draw for draw, that
-of numpy's PCG64 ``Generator`` on the k-th ``SeedSequence`` child, drawn in
-the order the per-shot backend would.
+Each backend takes its random source as its second argument, and the source
+sets the shot count: a numpy ``Generator`` runs one shot, whose ``measure``
+returns an int label and may be forced; a ``ShotStreams`` runs a batch of S
+shots, whose ``measure`` returns one uint8 label per shot and whose
+``apply_parity`` may act on marked shots only. A batch holds one anyon or
+Fock state vector per shot in one array, or one tableau sign column per shot
+on a shared x/z trajectory. ``ShotStreams`` computes every shot's random
+stream at once: shot k's stream equals, draw for draw, that of numpy's PCG64
+``Generator`` on the k-th ``SeedSequence`` child, and each shot draws in the
+order a one-shot backend would, so it reads what it would read alone.
 
 The anyon and Fock backends are one state-vector backend with two
 constructors: each measures a pair through a Hermitian involution O (the
@@ -159,26 +163,39 @@ def _fock_involution(n_anyons: int, pair: tuple[int, int]) -> tuple[np.ndarray, 
 
 
 class _VectorBackend:
-    """A state vector measured pair by pair. ``_involution(n, pair)`` gives
-    the pair's Hermitian involution O and whether its +1 eigenspace is label
-    0; ``apply_parity`` applies O, which is i*g_a*g_b up to a global sign."""
+    """State vectors measured pair by pair: one vector, or with a
+    ``ShotStreams`` source one row per shot of an (S, dim) array, all measured
+    by one product with the pair's involution. ``_involution(n, pair)`` gives
+    that Hermitian involution O and whether its +1 eigenspace is label 0;
+    ``apply_parity`` applies O, which is i*g_a*g_b up to a global sign."""
 
-    def __init__(self, n_anyons: int, rng: np.random.Generator,
+    def __init__(self, n_anyons: int, rng: np.random.Generator | ShotStreams,
                  state: np.ndarray):
         self.n = n_anyons
         self.rng = rng
+        if isinstance(rng, ShotStreams):
+            state = np.repeat(state[None, :], len(rng), axis=0)
         self.state = state
 
-    def measure(self, pair: tuple[int, int], force: int | None = None
-                ) -> tuple[int, float]:
+    def measure(self, pair: tuple[int, int], force: int | None = None):
+        """``(label, probability)`` of ``pair``, per shot on a batch. A
+        measurement takes one ``rng.random()`` (per shot), unless forced."""
         op, plus_is_label_0 = self._involution(self.n, tuple(pair))
         took_plus, prob, self.state = dense.measure_involution(
-            self.state, op @ self.state, lambda: self.rng.random(),
+            self.state, self.state @ op.T, self.rng.random,
             None if force is None else int((force == 0) == plus_is_label_0))
-        return int(took_plus != plus_is_label_0), prob
+        return took_plus ^ plus_is_label_0, prob
 
-    def apply_parity(self, pair: tuple[int, int]) -> None:
-        self.state = self._involution(self.n, tuple(pair))[0] @ self.state
+    def apply_parity(self, pair: tuple[int, int],
+                     shots: np.ndarray | None = None) -> None:
+        """Apply ``pair``'s involution to every shot, or to the shots marked 1
+        in ``shots``."""
+        op = self._involution(self.n, tuple(pair))[0]
+        if shots is None:
+            self.state = self.state @ op.T
+        else:
+            rows = np.flatnonzero(shots)
+            self.state[rows] = self.state[rows] @ op.T
 
     def vector(self) -> np.ndarray:
         return self.state.copy()
@@ -191,7 +208,7 @@ class AnyonBackend(_VectorBackend):
     name = "anyon"
     _involution = staticmethod(_anyon_involution)
 
-    def __init__(self, n_anyons: int, rng: np.random.Generator,
+    def __init__(self, n_anyons: int, rng: np.random.Generator | ShotStreams,
                  alpha: complex = 1.0, beta: complex = 0.0):
         if n_anyons == 4:
             # chain charge 0 carries labels (0, 0) when even, (0, 1) when odd
@@ -208,13 +225,72 @@ class FockBackend(_VectorBackend):
     name = "fock"
     _involution = staticmethod(_fock_involution)
 
-    def __init__(self, n_anyons: int, rng: np.random.Generator,
+    def __init__(self, n_anyons: int, rng: np.random.Generator | ShotStreams,
                  alpha: complex = 1.0, beta: complex = 0.0):
         self.space, starts = _fock_setup(n_anyons)
         start = starts[0]
         if n_anyons == 4:  # starts are the (0,0) and (0,1) states
             start = (alpha * start + beta * starts[1]) / np.hypot(abs(alpha), abs(beta))
         super().__init__(n_anyons, rng, start)
+
+
+class LatticeBackend:
+    """Twist modes on the planar code.
+
+    Each backend copies the lattice's pinned ground tableau. Pair parities are
+    read out as projective measurements of the pairs' parity strings, which
+    is what both code-level readout schemes implement
+    (``tableau.measure_parity_direct`` and ``tableau.measure_parity_hole``).
+
+    Which rows a measurement touches, and whether it is random, depend only
+    on the measured strings; outcomes and corrections change signs only. So
+    with a ``ShotStreams`` source of S shots one tableau carries the x/z
+    trajectory every shot shares, and ``tab.r`` holds one sign column per
+    shot (Stim's frame idea, arXiv:2103.02202, applied to the CHP sign
+    column). A random measurement takes one ``integers(2)`` from the
+    generator, or one ``bit()`` per shot from the streams, the same draw.
+    """
+
+    name = "lattice"
+
+    def __init__(self, lat: TwistLattice, rng: np.random.Generator | ShotStreams):
+        n = 2 * lat.n_pairs
+        if n not in (4, 6):
+            raise ValueError("lattice must host 4 or 6 twists")
+        # each start pair is pinned, 0-based, at its fusion-vacuum parity sign
+        pins = tuple((a - 1, b - 1, parity_sign_for((a, b), n))
+                     for a, b in START_PAIRINGS[n])
+        self.n = n
+        self.ctx = tableau.code_context(lat)
+        self.tab = self.ctx.ground(pins).copy()
+        if isinstance(rng, ShotStreams):
+            self.tab.r = np.repeat(self.tab.r[:, None], len(rng), axis=1)
+            self._bit = rng.bit
+        else:
+            self._bit = lambda: int(rng.integers(2))
+
+    def _string(self, pair: tuple[int, int]):
+        return self.ctx.parity_string(pair[0] - 1, pair[1] - 1)
+
+    def measure(self, pair: tuple[int, int], force: int | None = None):
+        """``(label, probability)`` of ``pair``, the label per shot on a
+        batch. A forced label must be possible; otherwise this raises
+        ``InconsistentOutcomeError`` and leaves the state as it was."""
+        pair = tuple(pair)
+        # outcome bit 0 is parity +1, label 0 when the vacuum sign is +1
+        flip = parity_sign_for(pair, self.n) == -1
+        draw = self._bit if force is None else lambda: force ^ flip
+        labels = self.tab.measure_signs(self._string(pair), draw) ^ flip
+        if force is not None and np.any(labels != force):
+            raise dense.InconsistentOutcomeError(
+                f"label {force} requested for a measurement fixed at {labels}")
+        return labels, (0.5 if self.tab.last_random else 1.0)
+
+    def apply_parity(self, pair: tuple[int, int],
+                     shots: np.ndarray | None = None) -> None:
+        """Apply ``pair``'s parity to every shot, or to the shots marked 1 in
+        ``shots``."""
+        self.tab.apply_pauli(self._string(pair), shots)
 
 
 # -- shot streams --------------------------------------------------------------
@@ -344,127 +420,6 @@ class ShotStreams:
         return ((out >> 31) & 1).astype(np.uint8)
 
 
-class VectorBatch:
-    """``AnyonBackend`` or ``FockBackend`` over a batch of shots.
-
-    Every shot starts from ``template``'s vector; ``states`` holds one row per
-    shot, and a measurement is one product with the pair's involution for all
-    rows. It takes one ``streams.random()`` per shot, the draw the per-shot
-    backend would take from the shot's own generator, so every shot reads
-    what it would read alone. ``streams`` is a ``ShotStreams``.
-    """
-
-    def __init__(self, template: _VectorBackend, streams: ShotStreams):
-        self.n = template.n
-        self._involution = template._involution
-        self.streams = streams
-        self.states = np.repeat(template.state[None, :], len(streams), axis=0)
-
-    def measure(self, pair: tuple[int, int]) -> np.ndarray:
-        """Each shot's fusion label of ``pair``."""
-        op, plus_is_label_0 = self._involution(self.n, tuple(pair))
-        took_plus, _, self.states = dense.measure_involution(
-            self.states, self.states @ op.T, self.streams.random)
-        return took_plus ^ np.uint8(plus_is_label_0)
-
-    def apply_parity(self, pair: tuple[int, int], shots: np.ndarray) -> None:
-        """Apply ``pair``'s involution to the shots marked 1 in ``shots``."""
-        rows = np.flatnonzero(shots)
-        self.states[rows] = self.states[rows] @ self._involution(
-            self.n, tuple(pair))[0].T
-
-
-class _PairStrings(dict):
-    """Parity string of each 1-based mode pair, reduced on first use (the
-    lattice's ``CodeContext`` caches it for every later backend)."""
-
-    def __init__(self, ctx: tableau.CodeContext):
-        super().__init__()
-        self.ctx = ctx
-
-    def __missing__(self, pair: tuple[int, int]):
-        a, b = pair
-        string = self[pair] = self.ctx.parity_string(a - 1, b - 1)
-        return string
-
-
-def _lattice_start(lat: TwistLattice):
-    """Twist count, a copy of the lattice's pinned ground tableau, and its
-    pair strings."""
-    n = 2 * lat.n_pairs
-    if n not in (4, 6):
-        raise ValueError("lattice must host 4 or 6 twists")
-    # each start pair is pinned, 0-based, at its fusion-vacuum parity sign
-    pins = tuple((a - 1, b - 1, parity_sign_for((a, b), n))
-                 for a, b in START_PAIRINGS[n])
-    ctx = tableau.code_context(lat)
-    return n, ctx.ground(pins).copy(), _PairStrings(ctx)
-
-
-class LatticeBackend:
-    """Twist modes on the planar code, one shot.
-
-    Each backend copies the lattice's pinned ground tableau. Pair parities are
-    read out as projective measurements of the pairs' parity strings, which
-    is what both code-level readout schemes implement
-    (``tableau.measure_parity_direct`` and ``tableau.measure_parity_hole``).
-    ``LatticeBatch`` runs the same measurements on many shots at once.
-    """
-
-    name = "lattice"
-
-    def __init__(self, lat: TwistLattice, rng: np.random.Generator):
-        self.n, self.tab, self.strings = _lattice_start(lat)
-        self.lat = lat
-        self.rng = rng
-        self.tab.rng = rng
-
-    def measure(self, pair: tuple[int, int], force: int | None = None
-                ) -> tuple[int, float]:
-        pair = tuple(pair)
-        sigma = parity_sign_for(pair, self.n)
-        string = self.strings[pair]
-        target = None if force is None else (1 if force == 0 else -1) * sigma
-        outcome = self.tab.measure(string, force=target)
-        n = 0 if outcome == sigma else 1
-        return n, (0.5 if self.tab.last_random else 1.0)
-
-    def apply_parity(self, pair: tuple[int, int]) -> None:
-        self.tab.apply_pauli(self.strings[tuple(pair)])
-
-
-class LatticeBatch:
-    """``LatticeBackend`` over a batch of shots.
-
-    Which rows a measurement touches, and whether it is random, depend only
-    on the measured strings; outcomes and corrections change signs only. So
-    one tableau carries the x/z trajectory every shot shares, and ``signs``
-    holds one sign column per shot (Stim's frame idea, arXiv:2103.02202,
-    applied to the CHP sign column). A random measurement takes one
-    ``streams.bit()`` per shot, the ``integers(2)`` that ``LatticeBackend``
-    would draw from the shot's own generator, so every shot reads what it
-    would read alone.
-    """
-
-    def __init__(self, lat: TwistLattice, streams: ShotStreams):
-        self.n, self.tab, self.strings = _lattice_start(lat)
-        self.streams = streams
-        self.signs = np.repeat(self.tab.r[:, None], len(streams), axis=1)
-
-    def measure(self, pair: tuple[int, int]) -> np.ndarray:
-        """Each shot's fusion label of ``pair``."""
-        pair = tuple(pair)
-        bits = self.tab.measure_signs(self.strings[pair], self.signs,
-                                      self.streams.bit)
-        # outcome bit 0 is parity +1, which is label 0 when sigma is +1
-        return bits ^ np.uint8(parity_sign_for(pair, self.n) == -1)
-
-    def apply_parity(self, pair: tuple[int, int], shots: np.ndarray) -> None:
-        """Apply ``pair``'s parity to the shots marked 1 in ``shots``."""
-        flips = self.tab.sign_flips(self.strings[tuple(pair)])
-        self.signs ^= flips[:, None] & shots.astype(np.uint8)
-
-
 # -- protocol ------------------------------------------------------------------
 
 
@@ -522,21 +477,21 @@ def run_forced(backend, max_attempts: int = 64) -> MBBRecord:
     return MBBRecord(0, 0, 0, 0, backend.name, attempts=tuple(attempts))
 
 
-def run_shots(batch_factory, n_braids: int, streams: ShotStreams,
+def run_shots(backend_factory, n_braids: int, streams: ShotStreams,
               records: list | None = None) -> int:
     """Run the shots of ``streams`` in one batch: ``n_braids`` braids of 3,4,
     then a (3,5) label readout. Returns how many shots read label 1; appends
     each shot's trace to ``records`` when given.
 
-    ``batch_factory`` takes the ``ShotStreams`` and returns a backend over the
-    whole batch: ``measure(pair)`` gives one label per shot and
-    ``apply_parity(pair, shots)`` acts on the marked shots (``VectorBatch``
-    or ``LatticeBatch``).
+    ``backend_factory`` takes the ``ShotStreams`` and returns a backend on
+    that source, such as ``lambda streams: AnyonBackend(6, streams)``: its
+    ``measure(pair)`` gives one label per shot and ``apply_parity(pair,
+    shots)`` acts on the marked shots.
     """
-    backend = batch_factory(streams)
+    backend = backend_factory(streams)
     cycles = []
     for _ in range(n_braids):
-        n13, n14, n12 = (backend.measure(pair) for pair in CYCLE_PAIRS)
+        n13, n14, n12 = (backend.measure(pair)[0] for pair in CYCLE_PAIRS)
         for (n13_n14, n12_final), (_, pair) in CORRECTIONS.items():
             if pair is None:
                 continue
@@ -545,7 +500,7 @@ def run_shots(batch_factory, n_braids: int, streams: ShotStreams,
                 backend.apply_parity(pair, shots)
         if records is not None:
             cycles.append((n13.tolist(), n14.tolist(), n12.tolist()))
-    n35 = backend.measure((3, 5))
+    n35, _ = backend.measure((3, 5))
     if records is not None:
         for k, label in enumerate(n35.tolist()):
             trace = [(a[k], b[k], c[k], CORRECTIONS[(a[k] ^ b[k], c[k])][0])
@@ -575,7 +530,7 @@ def _blocks(shots: int):
 
 
 def run_statistics(
-    batch_factory, n_braids: int, shots: int, seed: int,
+    backend_factory, n_braids: int, shots: int, seed: int,
     keep_records: bool = False,
 ) -> dict:
     """Fraction of shots whose (3,5) fusion label flips after n braids of 3,4,
@@ -590,7 +545,7 @@ def run_statistics(
     if shots <= 0:
         raise ValueError("shots must be positive")
     records = [] if keep_records else None
-    flips = sum(run_shots(batch_factory, n_braids,
+    flips = sum(run_shots(backend_factory, n_braids,
                           ShotStreams(seed, start, count), records)
                 for start, count in _blocks(shots))
     freq = flips / shots

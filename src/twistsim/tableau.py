@@ -33,7 +33,11 @@ class Tableau:
 
     Rows ``x`` and ``z`` are lists of 2n Python integers, bit ``j`` for site
     ``j``; ``cx`` and ``cz`` hold the same bits by site, bit ``i`` for row
-    ``i``, and ``r`` the sign bits as a uint8 array (see ``_kernels``).
+    ``i``, and ``r`` the sign bits as a uint8 array (see ``_kernels``): one
+    column, shape (2n,), or S columns, shape (2n, S), one per shot of a batch
+    that shares these x/z rows. ``measure``, ``expectation_sign`` and the text
+    format need the 1-D form.
+
     ``active`` is the set of plaquette ids currently enforced by the code
     cycle; disabling a stabilizer is bookkeeping only and never touches the
     quantum state. ``last_random`` tells whether the latest ``measure`` had a
@@ -113,39 +117,37 @@ class Tableau:
                 return int(self.rng.integers(2))
             return 0 if force == 1 else 1
 
-        outcome = 1 - 2 * int(self.measure_signs(p, self.r, draw))
+        outcome = 1 - 2 * self.measure_signs(p, draw)
         if force is not None and force != outcome:
             raise InconsistentOutcomeError(
                 f"outcome {force} requested for a measurement fixed at {outcome}"
             )
         return outcome
 
-    def measure_signs(self, p: PauliString, signs: np.ndarray, draw):
+    def measure_signs(self, p: PauliString, draw):
         """Measure a Hermitian Pauli string; returns the outcome bit (0 for
-        +1).
+        +1): an int for a 1-D ``r``, one uint8 per column for (2n, S) ``r``.
 
-        ``signs`` is the sign column the rows carry: ``self.r``, or a (2n, S)
-        array of S shots' columns that all share these x/z rows. A random
-        outcome takes its bit(s) from ``draw()``; a fixed one is read from
-        ``signs``. Either way x and z evolve alike for every column.
+        A random outcome takes its bit(s) from ``draw()``; a fixed one is read
+        from ``r``. Either way x and z evolve alike for every column.
         """
         px, pz, pr = self._bits_of(p)
         anti = _kernels.anticommuting_rows(self.cx, self.cz, px, pz)
         stab = anti >> self.n
         self.last_random = stab != 0
         if not self.last_random:
-            return self._fixed_outcome_bit(px, pz, pr, anti, signs)
+            return self._fixed_outcome_bit(px, pz, pr, anti)
         outcome_bit = draw()
         pivot = self.n + (stab & -stab).bit_length() - 1
-        _kernels.random_update(self.x, self.z, self.cx, self.cz, signs, anti,
+        _kernels.random_update(self.x, self.z, self.cx, self.cz, self.r, anti,
                                pivot, px, pz, pr, outcome_bit)
         return outcome_bit
 
-    def _fixed_outcome_bit(self, px, pz, pr, destabs, signs):
+    def _fixed_outcome_bit(self, px, pz, pr, destabs):
         """Outcome bit(s) of a measurement that commutes with every
-        stabilizer; reads the state without changing it. ``destabs`` marks
-        the destabilizer rows that anticommute with p, ``signs`` as in
-        ``measure_signs``."""
+        stabilizer, as ``measure_signs`` returns them; reads the state
+        without changing it. ``destabs`` marks the destabilizer rows that
+        anticommute with p."""
         # the stabilizer rows whose destabilizer partner anticommutes with p
         # multiply to ±p
         rows = [self.n + i for i in _kernels.set_bits(destabs)]
@@ -155,19 +157,15 @@ class Tableau:
         # the product's sign is (-1)^(sign bits) * i^exponent, the exponent
         # even since the rows commute; the outcome is that sign over p's own.
         shared = (exponent % 4 // 2 + pr) % 2
-        return np.bitwise_xor.reduce(signs[rows], axis=0) ^ shared
+        bits = np.bitwise_xor.reduce(self.r[rows], axis=0) ^ shared
+        return int(bits) if self.r.ndim == 1 else bits
 
-    def apply_pauli(self, p: PauliString) -> None:
-        """Conjugate the state by a Pauli unitary (sign flips only)."""
-        self.r ^= self.sign_flips(p)
-
-    def sign_flips(self, p: PauliString) -> np.ndarray:
-        """1 for each row whose sign conjugation by ``p`` flips, else 0."""
+    def apply_pauli(self, p: PauliString, shots: np.ndarray | None = None) -> None:
+        """Conjugate the state by a Pauli unitary (sign flips only): every
+        sign column, or with ``shots`` only the columns marked 1 in it."""
         px, pz, _ = self._bits_of(p)
-        flips = np.zeros(2 * self.n, dtype=np.uint8)
-        flips[_kernels.set_bits(
-            _kernels.anticommuting_rows(self.cx, self.cz, px, pz))] = 1
-        return flips
+        rows = _kernels.set_bits(_kernels.anticommuting_rows(self.cx, self.cz, px, pz))
+        self.r[rows] ^= 1 if shots is None else shots.astype(np.uint8)
 
     def expectation_sign(self, p: PauliString) -> int | None:
         """±1 if ``p`` is fixed by the state, None if the outcome is random."""
@@ -175,7 +173,7 @@ class Tableau:
         anti = _kernels.anticommuting_rows(self.cx, self.cz, px, pz)
         if anti >> self.n:
             return None
-        return 1 - 2 * int(self._fixed_outcome_bit(px, pz, pr, anti, self.r))
+        return 1 - 2 * self._fixed_outcome_bit(px, pz, pr, anti)
 
     # -- serialization -------------------------------------------------------
 

@@ -16,7 +16,7 @@ from twistsim.jw import JWPath, MajoranaMode
 from twistsim.lattice import (build_lattice, all_plaquette_operators,
                               plaquette_operator, twist_logicals)
 from twistsim.mbb import (START_PAIRINGS, AnyonBackend, FockBackend,
-                          LatticeBackend, LatticeBatch, VectorBatch, run_cycle,
+                          LatticeBackend, run_cycle,
                           run_forced, run_statistics, verify_braid_equivalence)
 from twistsim.pauli import PauliString
 from twistsim.projection import (MajoranaCluster, build_majorana_plaquette,
@@ -198,7 +198,7 @@ def test_criterion_7_statistics_anyon():
     details = []
     for n, expected in [(0, 0.0), (1, 0.5), (2, 1.0), (3, 0.5)]:
         res = run_statistics(
-            lambda streams: VectorBatch(AnyonBackend(6, None), streams), n,
+            lambda streams: AnyonBackend(6, streams), n,
             SHOTS, seed=42 + n)
         freq = res["flip_frequency"]
         if expected in (0.0, 1.0):
@@ -216,7 +216,7 @@ def test_criterion_8_statistics_lattice_and_oracle():
     ok = True
     details = []
     for n, expected in [(0, 0.0), (1, 0.5), (2, 1.0), (3, 0.5)]:
-        res = run_statistics(lambda streams: LatticeBatch(lat, streams), n,
+        res = run_statistics(lambda streams: LatticeBackend(lat, streams), n,
                              SHOTS, seed=77 + n)
         freq = res["flip_frequency"]
         if expected in (0.0, 1.0):

@@ -194,16 +194,24 @@ TWO_PAIRS = {"width": 8, "height": 9, "segments": [
     ("oracle-check", {}, ["--shots", "-2"], "shots"),
     ("mbb", {"alpha": "abc"}, [], "alpha"),
     ("mbb", {"alpha": 0, "beta": 0}, [], "both be zero"),
+    ("stats", {"shots": 2.7}, [], "shots"),
+    ("stats", {"n_braids": 1.5}, [], "n_braids"),
+    ("stats", {"shots": "5"}, [], "shots"),
+    ("oracle-check", {"shots": 3.0}, [], "shots"),
 ], ids=["two_pair_lattice", "zero_shots", "negative_seed", "negative_braids",
         "mbb_negative_seed", "oracle_negative_seed", "oracle_zero_shots",
-        "oracle_negative_shots", "mbb_unparsable_alpha", "mbb_zero_amplitudes"])
+        "oracle_negative_shots", "mbb_unparsable_alpha", "mbb_zero_amplitudes",
+        "fractional_shots", "fractional_braids", "string_shots",
+        "oracle_float_shots"])
 def test_bad_stats_config_exits_with_config_error(tmp_path, capsys, command, cfg,
                                                   flags, message):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     out_file = tmp_path / "report.json"
+    # --shots would override the config's own shots
+    shots = [] if "shots" in cfg else ["--shots", "5"]
     code, out, err = run_cli(
-        [command, "--config", str(path), "--shots", "5", "--out", str(out_file)]
+        [command, "--config", str(path), *shots, "--out", str(out_file)]
         + flags, capsys)
     assert code == 1
     assert out == "" and not out_file.exists()

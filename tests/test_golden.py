@@ -89,13 +89,13 @@ def golden_outputs() -> dict:
     out["lattice_backend_after_3_braids"] = backend.tab.to_text()
     out["lattice_statistics"] = {
         str(n): mbb.run_statistics(
-            lambda streams: mbb.LatticeBatch(lat, streams),
+            lambda streams: mbb.LatticeBackend(lat, streams),
             n, shots=12, seed=23, keep_records=True)
         for n in range(4)
     }
     out["oracle_backend_records"] = {
         f"{name}_{n}": mbb.run_statistics(
-            lambda streams: mbb.VectorBatch(backend(6, None), streams), n,
+            lambda streams: backend(6, streams), n,
             shots=20, seed=31, keep_records=True)["records"]
         for name, backend in (("anyon", mbb.AnyonBackend),
                               ("fock", mbb.FockBackend))

@@ -10,8 +10,8 @@ from twistsim import _kernels, anyon, dense, jw, mbb, tableau
 from twistsim.lattice import build_lattice
 from twistsim.dense import InconsistentOutcomeError
 from twistsim.mbb import (CORRECTIONS, START_PAIRINGS, AnyonBackend,
-                          FockBackend, LatticeBackend, LatticeBatch, MBBRecord,
-                          ShotStreams, VectorBatch, _fock_vector,
+                          FockBackend, LatticeBackend, MBBRecord,
+                          ShotStreams, _fock_vector,
                           apply_correction,
                           braid_once, correction_for, parity_sign_for,
                           run_cycle, run_forced, run_shots, run_statistics,
@@ -22,7 +22,12 @@ LAT6 = build_lattice(8, 12, [(2, 2, 4), (5, 2, 4), (8, 2, 4)])
 
 def anyon6(streams):
     """Batch factory of six-anyon shots."""
-    return VectorBatch(AnyonBackend(6, None), streams)
+    return AnyonBackend(6, streams)
+
+
+def pair_string(lat, pair):
+    """Parity string of a 1-based twist pair."""
+    return tableau.code_context(lat).parity_string(pair[0] - 1, pair[1] - 1)
 
 
 def test_correction_table():
@@ -232,8 +237,8 @@ def test_statistics_signature_anyon():
 
 @pytest.mark.parametrize("factory, n_braids, shots", [
     (anyon6, 3, 60),
-    (lambda streams: VectorBatch(FockBackend(6, None), streams), 3, 60),
-    (lambda streams: LatticeBatch(LAT6, streams), 1, 16),
+    (lambda streams: FockBackend(6, streams), 3, 60),
+    (lambda streams: LatticeBackend(LAT6, streams), 1, 16),
 ], ids=["anyon", "fock", "lattice"])
 def test_any_split_of_the_shot_range_gives_the_same_flips(monkeypatch, factory,
                                                           n_braids, shots):
@@ -356,7 +361,7 @@ def _reference_records(lat, n_braids, shots, seed):
 ], ids=["8x12", "10x12"])
 def test_batched_lattice_records_match_per_shot_tableaux(lat):
     for n_braids in range(6):
-        res = run_statistics(lambda streams: LatticeBatch(lat, streams),
+        res = run_statistics(lambda streams: LatticeBackend(lat, streams),
                              n_braids, 24, seed=n_braids + 3, keep_records=True)
         assert res["records"] == _reference_records(lat, n_braids, 24,
                                                     n_braids + 3)
@@ -403,12 +408,12 @@ def _reference_vector_shots(involution, start, n_braids, shots, seed):
 def test_vector_batch_matches_per_shot_projectors(monkeypatch, per_shot,
                                                   involution, block):
     monkeypatch.setattr(mbb, "SHOT_BLOCK", block)
-    start = per_shot(6, None).vector()
+    start = per_shot(6, np.random.default_rng(0)).vector()
     for n_braids in range(6):
         batches = []
 
         def factory(streams):
-            batches.append(VectorBatch(per_shot(6, None), streams))
+            batches.append(per_shot(6, streams))
             return batches[-1]
 
         res = run_statistics(factory, n_braids, 24, seed=n_braids + 11,
@@ -417,7 +422,7 @@ def test_vector_batch_matches_per_shot_projectors(monkeypatch, per_shot,
                                                   24, n_braids + 11)
         assert res["records"] == records
         assert len(batches) == -(-24 // block)
-        rows = np.concatenate([batch.states for batch in batches])
+        rows = np.concatenate([batch.vector() for batch in batches])
         assert np.abs(rows - finals).max() < 1e-12
 
 
@@ -595,7 +600,8 @@ def test_lattice_backend_probabilities_need_one_commutation_pass(monkeypatch):
         for _ in range(seed):
             labels, probabilities = [], []
             for pair in ((1, 3), (1, 4), (1, 2)):
-                undetermined = bk.tab.expectation_sign(bk.strings[pair]) is None
+                undetermined = bk.tab.expectation_sign(
+                    pair_string(LAT6, pair)) is None
                 before = len(passes)
                 n, prob = bk.measure(pair)
                 assert len(passes) - before == 1
@@ -609,9 +615,29 @@ def test_lattice_backend_probabilities_need_one_commutation_pass(monkeypatch):
             assert (twin_record.n13, twin_record.n14, twin_record.n12_final) == \
                 tuple(labels)
             seen.update(probabilities)
-        undetermined = bk.tab.expectation_sign(bk.strings[(3, 5)]) is None
+        undetermined = bk.tab.expectation_sign(
+            pair_string(LAT6, (3, 5))) is None
         n35, prob = bk.measure((3, 5))
         assert prob == (0.5 if undetermined else 1.0)
         assert twin.measure((3, 5)) == (n35, prob)
         seen.add(prob)
     assert seen == {0.5, 1.0}
+
+
+@pytest.mark.parametrize("make, snapshot", [
+    (lambda rng: AnyonBackend(6, rng), lambda bk: bk.vector().tobytes()),
+    (lambda rng: FockBackend(6, rng), lambda bk: bk.vector().tobytes()),
+    (lambda rng: LatticeBackend(LAT6, rng), lambda bk: bk.tab.to_text()),
+], ids=["anyon", "fock", "lattice"])
+def test_forcing_an_impossible_label_raises_and_keeps_the_state(make, snapshot):
+    bk = make(np.random.default_rng(3))
+    before = snapshot(bk)
+    with pytest.raises(InconsistentOutcomeError):
+        bk.measure((1, 2), force=1)  # the start pairs sit at label 0
+    assert snapshot(bk) == before
+    # one-shot labels and probabilities are Python scalars, which the mbb
+    # report writes with json: a fixed label, then a random one
+    for pair, prob in (((1, 2), 1.0), ((1, 3), 0.5)):
+        label, p = bk.measure(pair)
+        assert type(label) is int and type(p) is float
+        assert p == pytest.approx(prob)
