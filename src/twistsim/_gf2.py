@@ -1,4 +1,8 @@
-"""GF(2) linear algebra on dense uint8 bit matrices.
+"""GF(2) linear algebra on Python-integer rows.
+
+A vector is one ``int``, bit ``c`` for column ``c``; a Pauli string on sites
+0..n-1 is the symplectic row ``x | z << n`` of its ``PauliString.bits()``,
+the row layout of the tableau (Aaronson–Gottesman, quant-ph/0406196).
 
 Used for plaquette independence (rank), stabilizer-group membership and the
 symplectic solves that construct logical operators. Sizes here are tiny
@@ -7,91 +11,89 @@ symplectic solves that construct logical operators. Sizes here are tiny
 
 from __future__ import annotations
 
-import numpy as np
-
 from .pauli import PauliString
 
 
-def symplectic_vector(p: PauliString, n: int) -> np.ndarray:
-    """(x|z) bit vector of a Pauli string on sites 0..n-1."""
+def symplectic_vector(p: PauliString, n: int) -> int:
+    """(x|z) row ``x | z << n`` of a Pauli string on sites 0..n-1."""
     if p.support and not 0 <= p.support[0][0] <= p.support[-1][0] < n:
         raise ValueError(f"{p} acts outside sites 0..{n - 1}")
-    v = np.zeros(2 * n, dtype=np.uint8)
-    for site, letter in p.support:
-        v[site], v[n + site] = letter != "Z", letter != "X"
-    return v
+    x, z = p.bits()
+    return x | z << n
 
 
-def pauli_from_vector(v: np.ndarray) -> PauliString:
-    """Pauli string of an (x|z) bit vector on sites 0..len(v)/2-1."""
-    n = len(v) // 2
-    codes = v[:n] + 2 * v[n:]
-    return PauliString.from_dict(
-        {int(s): "IXZY"[codes[s]] for s in np.flatnonzero(codes)})
+def pauli_from_vector(v: int, n: int) -> PauliString:
+    """Pauli string of an (x|z) row on sites 0..n-1."""
+    return PauliString.from_bits(v & ((1 << n) - 1), v >> n)
 
 
-def _rref(mat: np.ndarray, n_cols: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row-echelon form of a copy of ``mat`` over its first ``n_cols``
-    columns, with its pivot columns; row ``i`` has its leading 1 in column
-    ``pivots[i]``. Column ``c`` pivots on the first row at or below the
+def _rref(rows: list[int], n_cols: int) -> tuple[list[int], list[int]]:
+    """Reduced row-echelon form of a copy of ``rows`` over columns
+    0..``n_cols``-1, with its pivot columns; row ``i`` has its leading 1 in
+    column ``pivots[i]``. Column ``c`` pivots on the first row at or below the
     current one with a 1 there, and row operations span every column."""
-    a = np.array(mat, dtype=np.uint8) % 2
+    a = list(rows)
     pivots: list[int] = []
     for c in range(n_cols):
         r = len(pivots)
-        if r == a.shape[0]:
+        if r == len(a):
             break
-        hits = np.flatnonzero(a[r:, c])
-        if not hits.size:
+        bit = 1 << c
+        hit = next((i for i in range(r, len(a)) if a[i] & bit), None)
+        if hit is None:
             continue
-        a[[r, r + hits[0]]] = a[[r + hits[0], r]]
-        mask = a[:, c] == 1
-        mask[r] = False
-        a[mask] ^= a[r]
+        a[r], a[hit] = a[hit], a[r]
+        pivot = a[r]
+        for i, row in enumerate(a):
+            if row & bit and i != r:
+                a[i] = row ^ pivot
         pivots.append(c)
     return a, pivots
 
 
-def rank(mat: np.ndarray) -> int:
-    """Rank of a binary matrix over GF(2). ``mat`` is copied, rows x cols."""
-    return len(_rref(mat, mat.shape[1])[1])
+def _width(rows: list[int]) -> int:
+    return max((row.bit_length() for row in rows), default=0)
 
 
-def solve(mat: np.ndarray, target: np.ndarray) -> np.ndarray | None:
-    """Solve x·mat = target over GF(2) (x selects rows). None if insoluble."""
-    rows, cols = mat.shape
-    # reducing [mat | I] records in the right half which rows make each row
-    red, pivots = _rref(np.hstack([mat, np.eye(rows, dtype=np.uint8)]), cols)
-    t = np.array(target, dtype=np.uint8) % 2
-    combo = np.bitwise_xor.reduce(red[:len(pivots)][t[pivots] == 1], axis=0)
-    if (combo[:cols] != t).any():
+def rank(rows: list[int]) -> int:
+    """Rank of a list of binary rows over GF(2)."""
+    return len(_rref(rows, _width(rows))[1])
+
+
+def solve(rows: list[int], target: int) -> int | None:
+    """Selection ``s`` with XOR of the rows ``i`` at the set bits of ``s``
+    equal to ``target``; None if ``target`` is outside the span."""
+    cols = _width(rows)
+    # reducing [rows | I] records above bit ``cols`` which rows make each row
+    red, pivots = _rref([row | 1 << (cols + i) for i, row in enumerate(rows)], cols)
+    combo = 0
+    for row, c in zip(red, pivots):
+        if target >> c & 1:
+            combo ^= row
+    if combo & ((1 << cols) - 1) != target:
         return None
-    return combo[cols:]
+    return combo >> cols
 
 
-def in_span(mat: np.ndarray, target: np.ndarray) -> bool:
-    return solve(mat, target) is not None
+def in_span(rows: list[int], target: int) -> bool:
+    return solve(rows, target) is not None
 
 
-def solve_symplectic(
-    constraints: list[tuple[np.ndarray, int]], n_sites: int
-) -> np.ndarray | None:
-    """Find a (x|z) vector with prescribed commutation pairings.
+def solve_symplectic(constraints: list[tuple[int, int]], n_sites: int) -> int | None:
+    """Find an (x|z) row with prescribed commutation pairings.
 
-    Each constraint is (vector, parity): the result must anticommute with
-    ``vector`` exactly when ``parity`` is 1. Returns None if the system is
+    Each constraint is (row, parity): the result must anticommute with
+    ``row`` exactly when ``parity`` is 1. Returns None if the system is
     inconsistent, otherwise the solution that is zero on every free
     (non-pivot) column.
     """
-    # the pairing of r with v is r · J(v), J swapping the x and z halves, so
+    # the pairing of u with v is u · J(v), J swapping the x and z halves, so
     # this is an ordinary linear solve on [J(v) | parity]
-    vecs = np.array([v for v, _ in constraints], dtype=np.uint8)
-    parities = np.array([p for _, p in constraints], dtype=np.uint8)
-    aug = np.hstack([np.roll(vecs.reshape(-1, 2 * n_sites), n_sites, axis=1),
-                     parities.reshape(-1, 1)])
-    red, pivots = _rref(aug, 2 * n_sites)
-    if red[len(pivots):, -1].any():
+    low = (1 << n_sites) - 1
+    width = 2 * n_sites
+    red, pivots = _rref(
+        [(v >> n_sites | (v & low) << n_sites) | parity << width
+         for v, parity in constraints], width)
+    if any(row >> width for row in red[len(pivots):]):
         return None
-    x = np.zeros(2 * n_sites, dtype=np.uint8)
-    x[pivots] = red[:len(pivots), -1]
-    return x
+    return sum(1 << c for row, c in zip(red, pivots) if row >> width)

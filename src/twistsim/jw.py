@@ -101,19 +101,10 @@ class JWPath:
             if sub not in ("x", "z"):
                 raise ValueError(f"unknown substitution {sub!r} at site {site}")
 
-    @property
+    @cached_property
     def positions(self) -> dict[int, int]:
+        """Path position of each site: ``positions[order[k]] == k``."""
         return {site: k for k, site in enumerate(self.order)}
-
-    def position(self, site: int) -> int:
-        return self._pos()[site]
-
-    def _pos(self) -> dict[int, int]:
-        cached = getattr(self, "_pos_cache", None)
-        if cached is None:
-            cached = self.positions
-            object.__setattr__(self, "_pos_cache", cached)
-        return cached
 
     def string_letter(self, site: int) -> str:
         return _LETTERS[self.substitutions.get(site)][0]
@@ -204,7 +195,7 @@ def canonicalize(
     factors: Iterable[MajoranaMode], phase_exponent: int, path: JWPath
 ) -> MajoranaMonomial:
     """Sort modes by (path position, kind), cancel squared modes, track sign."""
-    pos = path._pos()
+    pos = path.positions
     mask, exponent = 0, phase_exponent
     for m in factors:
         bit = 2 * pos[m.site] + (0 if m.kind == "a" else 1)
@@ -243,7 +234,7 @@ def _letter_mask(j: int, role: int) -> int:
 
 def jw_map(p: PauliString, path: JWPath) -> MajoranaMonomial:
     """Exact Majorana image of a Pauli string, in canonical form."""
-    pos = path._pos()
+    pos = path.positions
     for site in p.sites:
         if site not in pos:
             raise GeometryError(f"operator acts on site {site} not on the path")
@@ -265,7 +256,7 @@ def spin_form(monomial: MajoranaMonomial, path: JWPath) -> PauliString:
 
     Mode ``m`` at position ``j`` is ``U_j`` times its own letter at its site;
     the modes' strings are multiplied on integer bit rows."""
-    pos = path._pos()
+    pos = path.positions
     x = z = 0
     exponent = monomial.phase.exponent
     for mode in monomial.factors:
@@ -305,7 +296,7 @@ def plaquette_images(
 def _used_modes(lat: TwistLattice, path: JWPath) -> int:
     """Mask of the modes that some plaquette image uses: the union of the
     images' masks, which needs neither their phases nor their order."""
-    pos, subs = path._pos(), path.substitutions
+    pos, subs = path.positions, path.substitutions
     used = 0
     for op in _context(lat).plaquette_ops:
         mask = 0
@@ -318,7 +309,7 @@ def _used_modes(lat: TwistLattice, path: JWPath) -> int:
 def classify_modes(lat: TwistLattice, path: JWPath) -> ModeClassification:
     """Partition all 2N modes by whether any plaquette image uses them."""
     used = _used_modes(lat, path)
-    pos = path._pos()
+    pos = path.positions
     paired, unpaired, boundary = set(), set(), set()
     for site in lat.sites:
         for bit, kind in enumerate("ab"):
@@ -336,7 +327,7 @@ def classify_modes(lat: TwistLattice, path: JWPath) -> ModeClassification:
 def twist_modes(lat: TwistLattice, path: JWPath) -> list[MajoranaMode]:
     """The unpaired bulk mode of each twist, in twist registry order."""
     used = _used_modes(lat, path)
-    pos = path._pos()
+    pos = path.positions
     out: list[MajoranaMode] = []
     for twist in lat.twists:
         site = twist.twist_site

@@ -36,8 +36,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import _gf2
 from .pauli import PauliString
 
@@ -127,13 +125,10 @@ class TwistLattice:
     def n_pairs(self) -> int:
         return len(self.segments)
 
-    def stabilizer_matrix(self) -> np.ndarray:
-        """Binary symplectic matrix with one row per plaquette operator."""
-        rows = [
-            _gf2.symplectic_vector(plaquette_operator(self, p.id), self.n_sites)
-            for p in self.plaquettes
-        ]
-        return np.array(rows, dtype=np.uint8)
+    def stabilizer_matrix(self) -> list[int]:
+        """One (x|z) row (``_gf2.symplectic_vector``) per plaquette operator."""
+        return [_gf2.symplectic_vector(plaquette_operator(self, p.id), self.n_sites)
+                for p in self.plaquettes]
 
     def logical_qubit_count(self) -> int:
         return self.n_sites - _gf2.rank(self.stabilizer_matrix())
@@ -181,9 +176,12 @@ def build_lattice(
 
     # key -> (kind, ordered_sites); keys sort row-major for deterministic ids
     faces: list[tuple[tuple[int, int], str, tuple[int, ...]]] = []
-    segment_face_cols = {
-        seg.row: set(range(seg.col_start, seg.col_end + 1)) for seg in segments
-    }
+    # face columns taken by the segments of each face row, two segments on
+    # one row included
+    segment_face_cols: dict[int, set[int]] = {}
+    for seg in segments:
+        segment_face_cols.setdefault(seg.row, set()).update(
+            range(seg.col_start, seg.col_end + 1))
 
     for r in range(height - 1):
         taken = segment_face_cols.get(r, set())

@@ -13,7 +13,7 @@ from __future__ import annotations
 import copy
 import io
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, wraps
 
 import numpy as np
 
@@ -205,20 +205,41 @@ class Tableau:
 # -- per-lattice derived data -------------------------------------------------
 
 
+def _memo(method):
+    """Cache ``method`` per instance, keyed on its (hashable) positional
+    arguments. The entries live in the instance's ``__dict__`` under
+    ``_memo_<name>``, a key the method's own name never shadows, so they die
+    with the instance (``functools.lru_cache`` would keep every instance
+    alive in a class-level cache)."""
+    slot = f"_memo_{method.__name__}"
+
+    @wraps(method)
+    def cached(self, *args):
+        memo = self.__dict__.setdefault(slot, {})
+        if args not in memo:
+            memo[args] = method(self, *args)
+        return memo[args]
+
+    return cached
+
+
 class CodeContext:
     """Everything the code-level operations derive from one lattice.
 
-    Each object is built at most once, on first use. ``code_context(lat)``
-    stores the context on the lattice, so it lives exactly as long as the
-    lattice. Entries that also depend on a tableau's registered logicals are
-    keyed on those logicals, never on how many there are.
+    Each object is built at most once, on first use: the attributes through
+    ``cached_property``, the methods through ``_memo``, keyed on their
+    arguments. ``code_context(lat)`` stores the context on the lattice, so it
+    and every cached entry live exactly as long as the lattice. Entries that
+    also depend on a tableau's registered logicals are keyed on those
+    logicals, never on how many there are.
 
     The readouts' geometry lives here too:
 
     * ``cut(f, g)``: the cut operator of one hop (``cut_operator``);
     * ``hole_plan(loop, pair)``: whether the loop encloses the pair
       (``_validate_loop``) and the anchor face of the hole readout, keyed on
-      the loop and the pair; a loop that fails either check is not stored;
+      the loop and the pair; a loop that fails either check raises and is
+      not stored;
     * ``string_faces(string)``: the plaquettes a parity string touches, in
       face-id order, keyed on the string (the faces the direct readout turns
       off).
@@ -226,25 +247,16 @@ class CodeContext:
 
     def __init__(self, lat: TwistLattice):
         self.lat = lat
-        self._parity_strings: dict[tuple[int, int], PauliString] = {}
-        self._bracket_strings: dict[int, PauliString] = {}
-        self._x_logicals: dict[int, PauliString] = {}
-        self._grounds: dict[tuple, Tableau] = {}
-        self._flip_bases: dict[tuple, list[np.ndarray]] = {}
-        self._flips: dict[tuple, PauliString] = {}
-        self._loops: dict[tuple, tuple[list, int]] = {}
-        self._cuts: dict[tuple[int, int], PauliString] = {}
-        self._hole_plans: dict[tuple, tuple[bool, int]] = {}
-        self._string_faces: dict[PauliString, list[int]] = {}
 
     @cached_property
     def plaquette_ops(self) -> tuple[PauliString, ...]:
         return tuple(all_plaquette_operators(self.lat))
 
     @cached_property
-    def stabilizer_matrix(self) -> np.ndarray:
-        """One (x|z) row per plaquette operator."""
-        return self.lat.stabilizer_matrix()
+    def stabilizer_matrix(self) -> list[int]:
+        """One (x|z) row (``_gf2.symplectic_vector``) per plaquette operator."""
+        packed = self.packed_plaquettes
+        return [x | z << self.lat.n_sites for x, z in zip(packed.x, packed.z)]
 
     @cached_property
     def packed_plaquettes(self) -> jw.PackedPlaquettes:
@@ -268,20 +280,18 @@ class CodeContext:
         """The unpaired mode of each twist along ``path``."""
         return jw.twist_modes(self.lat, self.path)
 
+    @_memo
     def parity_string(self, a: int, b: int) -> PauliString:
         """Stabilizer-reduced parity string of twist modes ``a`` and ``b``."""
-        if (a, b) not in self._parity_strings:
-            raw = jw.mode_parity_operator(self.lat, self.path,
-                                          self.modes[a], self.modes[b])
-            self._parity_strings[a, b] = jw.reduce_by_stabilizers(raw, self.lat)
-        return self._parity_strings[a, b]
+        raw = jw.mode_parity_operator(self.lat, self.path,
+                                      self.modes[a], self.modes[b])
+        return jw.reduce_by_stabilizers(raw, self.lat)
 
+    @_memo
     def bracket_string(self, pair: int) -> PauliString:
         """Stabilizer-reduced edge bracket of one segment's rows."""
-        if pair not in self._bracket_strings:
-            raw = jw.bracket_parity(self.lat, self.path, pair, self.modes)
-            self._bracket_strings[pair] = jw.reduce_by_stabilizers(raw, self.lat)
-        return self._bracket_strings[pair]
+        raw = jw.bracket_parity(self.lat, self.path, pair, self.modes)
+        return jw.reduce_by_stabilizers(raw, self.lat)
 
     @cached_property
     def z_logicals(self) -> tuple[PauliString, ...]:
@@ -294,76 +304,67 @@ class CodeContext:
             for pair in range(self.lat.n_pairs)
         )
 
+    @_memo
     def x_logical(self, pair: int) -> PauliString:
         """Weight-reduced conjugate of ``z_logicals[pair]``: it commutes with
         every plaquette and every other pair's Z logical."""
-        if pair not in self._x_logicals:
-            constraints = [(v, 0) for v in self.stabilizer_matrix]
-            for j, z in enumerate(self.z_logicals):
-                constraints.append((_gf2.symplectic_vector(z, self.lat.n_sites),
-                                    1 if j == pair else 0))
-            vec = _gf2.solve_symplectic(constraints, self.lat.n_sites)
-            if vec is None:  # pragma: no cover - cannot happen on a valid lattice
-                raise GeometryError(
-                    "no logical X operator exists; lattice is inconsistent")
-            self._x_logicals[pair] = jw.reduce_by_stabilizers(
-                _gf2.pauli_from_vector(vec), self.lat)
-        return self._x_logicals[pair]
+        n = self.lat.n_sites
+        constraints = [(v, 0) for v in self.stabilizer_matrix]
+        for j, z in enumerate(self.z_logicals):
+            constraints.append((_gf2.symplectic_vector(z, n), 1 if j == pair else 0))
+        vec = _gf2.solve_symplectic(constraints, n)
+        if vec is None:  # pragma: no cover - cannot happen on a valid lattice
+            raise GeometryError("no logical X operator exists; lattice is inconsistent")
+        return jw.reduce_by_stabilizers(_gf2.pauli_from_vector(vec, n), self.lat)
 
+    @_memo
     def ground(self, pins: tuple[tuple[int, int, int], ...]) -> Tableau:
         """Seed-0 ground tableau with ``pins`` pinned (see ``init_ground``).
         Callers copy it; other pairs' strings come from ``parity_string``."""
-        if pins not in self._grounds:
-            self._grounds[pins] = init_ground(self.lat, seed=0,
-                                              pinned_pairs=list(pins))
-        return self._grounds[pins]
+        return init_ground(self.lat, seed=0, pinned_pairs=list(pins))
 
     def face_flip(self, pid: int, logicals: dict[str, PauliString]) -> PauliString:
         """Pauli anticommuting with exactly one plaquette, ``pid``, and with
         none of ``logicals``."""
-        registry = tuple(sorted(logicals.items()))
-        if (pid, registry) not in self._flips:
-            if registry not in self._flip_bases:
-                self._flip_bases[registry] = self._independent_logicals(registry)
-            constraints = [(v, 1 if k == pid else 0)
-                           for k, v in enumerate(self.stabilizer_matrix)]
-            constraints += [(v, 0) for v in self._flip_bases[registry]]
-            vec = _gf2.solve_symplectic(constraints, self.lat.n_sites)
-            if vec is None:  # pragma: no cover - independent commuting generators
-                raise GeometryError(f"no frame-flip operator exists for face {pid}")
-            self._flips[pid, registry] = _gf2.pauli_from_vector(vec)
-        return self._flips[pid, registry]
+        return self._face_flip(pid, tuple(sorted(logicals.items())))
 
-    def _independent_logicals(self, registry: tuple) -> list[np.ndarray]:
+    @_memo
+    def _face_flip(self, pid: int, registry: tuple) -> PauliString:
+        constraints = [(v, 1 if k == pid else 0)
+                       for k, v in enumerate(self.stabilizer_matrix)]
+        constraints += [(v, 0) for v in self._independent_logicals(registry)]
+        vec = _gf2.solve_symplectic(constraints, self.lat.n_sites)
+        if vec is None:  # pragma: no cover - independent commuting generators
+            raise GeometryError(f"no frame-flip operator exists for face {pid}")
+        return _gf2.pauli_from_vector(vec, self.lat.n_sites)
+
+    @_memo
+    def _independent_logicals(self, registry: tuple) -> list[int]:
         # registered logicals are not independent modulo the face group
         # (products of pair parities can fall back into it); keep a maximal
-        # independent subset, which already pins the rest. The pivot columns
-        # of [faces; logicals]^T are the vectors outside the span of those
-        # before them, so this keeps the greedy choice in registry order.
-        vecs = [_gf2.symplectic_vector(op, self.lat.n_sites) for _, op in registry]
-        n_faces = len(self.stabilizer_matrix)
-        _, pivots = _gf2._rref(np.vstack([self.stabilizer_matrix, *vecs]).T,
-                               n_faces + len(vecs))
-        return [vecs[c - n_faces] for c in pivots if c >= n_faces]
+        # independent subset, which already pins the rest: each logical
+        # outside the span of the faces and of the logicals kept before it.
+        kept: list[int] = []
+        for _, op in registry:
+            v = _gf2.symplectic_vector(op, self.lat.n_sites)
+            if not _gf2.in_span(self.stabilizer_matrix + kept, v):
+                kept.append(v)
+        return kept
 
+    @_memo
     def cut(self, f: int, g: int) -> PauliString:
         """``cut_operator`` of the hop from face ``f`` to face ``g``."""
-        if (f, g) not in self._cuts:
-            self._cuts[f, g] = cut_operator(self.lat, f, g)
-        return self._cuts[f, g]
+        return cut_operator(self.lat, f, g)
 
-    def hole_plan(self, loop: list[int], pair: int) -> tuple[bool, int | None]:
+    @_memo
+    def hole_plan(self, loop: tuple[int, ...], pair: int) -> tuple[bool, int | None]:
         """``(encloses_pair, anchor)`` of a hole readout of ``pair`` along
         ``loop``: whether the loop encloses the pair, and the fixed hole, a
         square diagonal neighbour of ``loop[0]`` off the loop and outside it
         (None when there is none). Raises ``GeometryError`` for an invalid
         loop."""
-        key = (tuple(loop), pair)
-        if key in self._hole_plans:
-            return self._hole_plans[key]
         lat = self.lat
         encloses_pair = _validate_loop(lat, loop, pair)
-        anchor = None
         for p in lat.plaquettes:
             if p.id in loop or p.kind != "square":
                 continue
@@ -372,23 +373,19 @@ class CodeContext:
             except GeometryError:
                 continue
             if not _loop_encloses(lat, loop, p.ordered_sites[0]):
-                anchor = p.id
-                break
-        if anchor is not None:
-            self._hole_plans[key] = (encloses_pair, anchor)
-        return encloses_pair, anchor
+                return encloses_pair, p.id
+        return encloses_pair, None
 
+    @_memo
     def string_faces(self, string: PauliString) -> list[int]:
         """Ids of the plaquettes sharing a site with ``string``, sorted."""
-        if string not in self._string_faces:
-            support = set(string.sites)
-            self._string_faces[string] = [
-                k for k, op in enumerate(self.plaquette_ops)
+        support = set(string.sites)
+        return [k for k, op in enumerate(self.plaquette_ops)
                 if not support.isdisjoint(op.sites)]
-        return self._string_faces[string]
 
+    @_memo
     def loop_decomposition(
-        self, loop: list[int], pair: int, encloses_pair: bool,
+        self, loop: tuple[int, ...], pair: int, encloses_pair: bool,
         parity_string: PauliString, bracket: PauliString,
     ) -> tuple[list[tuple[int | None, PauliString]], int]:
         """Split the loop operator into factors with readable signs.
@@ -400,31 +397,25 @@ class CodeContext:
         operator), times the pair parity if enclosed, is ``rel_sign`` times
         the loop operator.
         """
-        key = (tuple(loop), pair, parity_string, bracket)
-        if key not in self._loops:
-            loop_op = product(self.cut(f, g)
-                              for f, g in zip(loop, loop[1:] + loop[:1]))
-            target = loop_op * parity_string if encloses_pair else loop_op
-            full = np.vstack([self.stabilizer_matrix,
-                              _gf2.symplectic_vector(bracket, self.lat.n_sites)])
-            sel = _gf2.solve(full, _gf2.symplectic_vector(target, self.lat.n_sites))
-            if sel is None:
-                raise GeometryError(
-                    "loop operator is not in the expected logical class")
-            n_faces = len(self.plaquette_ops)
-            factors = []
-            known = PauliString.identity()
-            for k in np.flatnonzero(sel):
-                k = int(k)
-                op = self.plaquette_ops[k] if k < n_faces else bracket
-                factors.append((k if k < n_faces else None, op))
-                known = known * op
-            check = (parity_string * known) if encloses_pair else known
-            rel_sign = 1 if check == loop_op else -1
-            if rel_sign == -1 and check.negate() != loop_op:  # pragma: no cover
-                raise AssertionError("loop operator decomposition is inconsistent")
-            self._loops[key] = (factors, rel_sign)
-        return self._loops[key]
+        n = self.lat.n_sites
+        loop_op = product(self.cut(f, g) for f, g in zip(loop, loop[1:] + loop[:1]))
+        target = loop_op * parity_string if encloses_pair else loop_op
+        sel = _gf2.solve(self.stabilizer_matrix + [_gf2.symplectic_vector(bracket, n)],
+                         _gf2.symplectic_vector(target, n))
+        if sel is None:
+            raise GeometryError("loop operator is not in the expected logical class")
+        n_faces = len(self.plaquette_ops)
+        factors = []
+        known = PauliString.identity()
+        for k in _kernels.set_bits(sel):
+            op = self.plaquette_ops[k] if k < n_faces else bracket
+            factors.append((k if k < n_faces else None, op))
+            known = known * op
+        check = (parity_string * known) if encloses_pair else known
+        rel_sign = 1 if check == loop_op else -1
+        if rel_sign == -1 and check.negate() != loop_op:  # pragma: no cover
+            raise AssertionError("loop operator decomposition is inconsistent")
+        return factors, rel_sign
 
 
 def code_context(lat: TwistLattice) -> CodeContext:
@@ -488,7 +479,7 @@ def init_ground(
             vec = _gf2.solve_symplectic(constraints, lat.n_sites)
             if vec is None:  # pragma: no cover - generators are independent
                 raise GeometryError("cannot pin stabilizer sign; generators conflict")
-            t.apply_pauli(_gf2.pauli_from_vector(vec))
+            t.apply_pauli(_gf2.pauli_from_vector(vec, lat.n_sites))
             t.measure(op, force=sign)
         enforced.append(op)
     t.reference_signs = {p.id: 1 for p in lat.plaquettes}
@@ -698,6 +689,7 @@ def measure_parity_hole(
     if lat is None:
         raise ValueError("tableau carries no lattice")
     ctx = code_context(lat)
+    loop = tuple(loop)
     encloses_pair, anchor = ctx.hole_plan(loop, pair)
     parity_string = t.logicals.get(f"parity_{2 * pair}_{2 * pair + 1}")
     if parity_string is None:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from twistsim import _gf2, anyon, dense, jw
+from twistsim import _gf2, _kernels, anyon, dense, jw
 from twistsim.anyon import pair_transform
 from twistsim.jw import JWPath, MajoranaMode
 from twistsim.lattice import (build_lattice, all_plaquette_operators,
@@ -72,8 +72,8 @@ def test_criterion_2_parity_operator():
     ok &= sel is not None
     if sel is not None:
         prod = PauliString.identity()
-        for k in np.flatnonzero(sel):
-            prod = prod * plaquette_operator(lat, int(k))
+        for k in _kernels.set_bits(sel):
+            prod = prod * plaquette_operator(lat, k)
         ok &= prod == parity * reduced
     report(2, ok, "commutant, non-stabilizer, reduced letters X,Y,Y,Z,X,Z", t0)
 

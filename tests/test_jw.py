@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from twistsim import _gf2, jw
+from twistsim import _gf2, _kernels, jw
 from twistsim.dense import FockSpace
 from twistsim.jw import JWPath, MajoranaMode, canonicalize
 from twistsim.lattice import GeometryError, build_lattice, \
@@ -69,7 +69,7 @@ def test_canonicalization_against_matrices():
     fock = FockSpace(6)
 
     def matrix(mode):
-        label = 2 * path.position(mode.site) + (1 if mode.kind == "a" else 2)
+        label = 2 * path.positions[mode.site] + (1 if mode.kind == "a" else 2)
         return fock.gamma(label)
 
     for _ in range(150):
@@ -217,8 +217,8 @@ def test_reduced_parity_letter_pattern():
     sel = _gf2.solve(lat.stabilizer_matrix(),
                      _gf2.symplectic_vector(parity * reduced, lat.n_sites))
     prod = PauliString.identity()
-    for k in np.flatnonzero(sel):
-        prod = prod * plaquette_operator(lat, int(k))
+    for k in _kernels.set_bits(sel):
+        prod = prod * plaquette_operator(lat, k)
     assert prod == parity * reduced  # phases included
 
 

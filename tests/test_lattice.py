@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twistsim import _gf2, jw
 from twistsim.lattice import (GeometryError, Segment, SizeError, build_lattice,
@@ -9,6 +10,7 @@ from twistsim.lattice import (GeometryError, Segment, SizeError, build_lattice,
                               lattice_spec_dumps, lattice_spec_loads,
                               plaquette_operator, twist_logicals)
 from twistsim.pauli import PauliString
+from twistsim.tableau import code_context, init_ground, syndrome
 
 rng = np.random.default_rng(7)
 
@@ -144,6 +146,46 @@ def test_logical_count_grows_by_one_per_pair():
     two = build_lattice(10, 8, [(2, 2, 4), (5, 3, 5)]).logical_qubit_count()
     assert one == base + 1
     assert two == base + 2
+
+
+def assert_runs_the_pipeline(lat):
+    """One mode per twist, one logical qubit per pair on top of the twist-free
+    lattice's, and a ground state with every plaquette at +1."""
+    assert len(lat.plaquettes) == (lat.width - 1) * (lat.height - 1) - lat.n_pairs
+    assert len(code_context(lat).modes) == 2 * lat.n_pairs
+    base = build_lattice(lat.width, lat.height, []).logical_qubit_count()
+    assert lat.logical_qubit_count() == base + lat.n_pairs
+    assert set(syndrome(init_ground(lat, seed=0)).values()) == {1}
+
+
+def test_two_segments_on_one_row():
+    # each segment re-stitches its own face columns of the shared row
+    assert_runs_the_pipeline(build_lattice(12, 8, [(2, 1, 3), (2, 6, 8)]))
+
+
+@st.composite
+def accepted_layouts(draw):
+    """1-3 segments, often two on one face row, on a lattice just large
+    enough to hold them. Segments on rows two or more apart never overlap."""
+    segments = []
+    for k in range(draw(st.integers(1, 3))):
+        if k and draw(st.booleans()):  # beside the previous segment
+            row = segments[-1][0]
+            start = segments[-1][2] + 2 + draw(st.integers(0, 1))
+        else:
+            row = segments[-1][0] + draw(st.integers(2, 3)) if k else \
+                draw(st.integers(1, 2))
+            start = draw(st.integers(1, 2))
+        segments.append((row, start, start + draw(st.integers(2, 3))))
+    width = max(end for _, _, end in segments) + 3 + draw(st.integers(0, 2))
+    height = segments[-1][0] + 3 + draw(st.integers(0, 1))
+    return build_lattice(width, height, segments)
+
+
+@settings(max_examples=100, deadline=None)
+@given(accepted_layouts())
+def test_every_accepted_layout_runs_the_pipeline(lat):
+    assert_runs_the_pipeline(lat)
 
 
 def test_twist_logicals_relations():

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -380,6 +383,27 @@ def test_face_flips_follow_replaced_logicals():
         for name, logical in t.logicals.items():
             assert flip.commutes_with(logical), (p.id, name)
         assert [k for k, op in enumerate(ops) if not flip.commutes_with(op)] == [p.id]
+
+
+def test_filled_code_context_releases_its_lattice():
+    # every memo holds objects that point back at the lattice (the ground
+    # tableau does); the context must still die with the lattice
+    lat = build_lattice(14, 12, [(5, 5, 8)])
+    ctx = code_context(lat)
+    t = ctx.ground(((0, 1, -1),)).copy()
+    t.apply_pauli(twist_logicals(lat, 0)[1])
+    measure_parity_hole(t, 0, diamond_loop(lat, 0, 3))
+    measure_parity_direct(t, t.logicals["parity_0_1"])
+    ctx.face_flip(0, t.logicals)
+    memos = {name for name in vars(ctx) if name.startswith("_memo_")}
+    assert memos == {f"_memo_{name}" for name in (
+        "parity_string", "bracket_string", "x_logical", "ground", "_face_flip",
+        "_independent_logicals", "cut", "hole_plan", "string_faces",
+        "loop_decomposition")}
+    ref = weakref.ref(lat)
+    del lat, ctx, t
+    gc.collect()
+    assert ref() is None
 
 
 def test_deterministic_expectation_sign_reads_without_copying(monkeypatch):
