@@ -4,9 +4,10 @@ A vector is one ``int``, bit ``c`` for column ``c``; a Pauli string on sites
 0..n-1 is the symplectic row ``x | z << n`` of its ``PauliString.bits()``,
 the row layout of the tableau (Aaronson–Gottesman, quant-ph/0406196).
 
-Used for plaquette independence (rank), stabilizer-group membership and the
-symplectic solves that construct logical operators. Sizes here are tiny
-(hundreds of bits), so plain Gaussian elimination is plenty.
+Used for plaquette independence (rank), stabilizer-group membership
+(``outside_span``, ``in_span``, ``solve``) and the symplectic solves that
+construct logical operators. Sizes here are tiny (hundreds of bits), so plain
+Gaussian elimination is plenty.
 """
 
 from __future__ import annotations
@@ -75,8 +76,25 @@ def solve(rows: list[int], target: int) -> int | None:
     return combo >> cols
 
 
+def outside_span(rows: list[int], candidates: list[int]) -> list[int]:
+    """The candidates outside the span of ``rows`` and of the candidates kept
+    before them, in order: one reduction of ``rows``, then each candidate
+    reduced against the growing pivot set."""
+    basis = list(zip(*_rref(rows, _width(rows))))  # (row, its pivot column)
+    kept = []
+    for v in candidates:
+        w = v
+        for row, c in basis:  # each row is zero at the pivots before its own
+            if w >> c & 1:
+                w ^= row
+        if w:
+            kept.append(v)
+            basis.append((w, w.bit_length() - 1))
+    return kept
+
+
 def in_span(rows: list[int], target: int) -> bool:
-    return solve(rows, target) is not None
+    return not outside_span(rows, [target])
 
 
 def solve_symplectic(constraints: list[tuple[int, int]], n_sites: int) -> int | None:

@@ -127,8 +127,9 @@ class TwistLattice:
 
     def stabilizer_matrix(self) -> list[int]:
         """One (x|z) row (``_gf2.symplectic_vector``) per plaquette operator."""
-        return [_gf2.symplectic_vector(plaquette_operator(self, p.id), self.n_sites)
-                for p in self.plaquettes]
+        from .tableau import code_context  # local import: tableau builds on this module
+
+        return list(code_context(self).stabilizer_matrix)
 
     def logical_qubit_count(self) -> int:
         return self.n_sites - _gf2.rank(self.stabilizer_matrix())

@@ -206,15 +206,17 @@ class Tableau:
 
 
 def _memo(method):
-    """Cache ``method`` per instance, keyed on its (hashable) positional
-    arguments. The entries live in the instance's ``__dict__`` under
-    ``_memo_<name>``, a key the method's own name never shadows, so they die
-    with the instance (``functools.lru_cache`` would keep every instance
-    alive in a class-level cache)."""
+    """Cache ``method`` per instance, keyed on its positional arguments, each
+    list among them as its tuple, which the method then receives. The entries
+    live in the instance's ``__dict__`` under ``_memo_<name>``, a key the
+    method's own name never shadows, so they die with the instance
+    (``functools.lru_cache`` would keep every instance alive in a class-level
+    cache)."""
     slot = f"_memo_{method.__name__}"
 
     @wraps(method)
     def cached(self, *args):
+        args = tuple(tuple(a) if isinstance(a, list) else a for a in args)
         memo = self.__dict__.setdefault(slot, {})
         if args not in memo:
             memo[args] = method(self, *args)
@@ -344,12 +346,9 @@ class CodeContext:
         # (products of pair parities can fall back into it); keep a maximal
         # independent subset, which already pins the rest: each logical
         # outside the span of the faces and of the logicals kept before it.
-        kept: list[int] = []
-        for _, op in registry:
-            v = _gf2.symplectic_vector(op, self.lat.n_sites)
-            if not _gf2.in_span(self.stabilizer_matrix + kept, v):
-                kept.append(v)
-        return kept
+        return _gf2.outside_span(
+            self.stabilizer_matrix,
+            [_gf2.symplectic_vector(op, self.lat.n_sites) for _, op in registry])
 
     @_memo
     def cut(self, f: int, g: int) -> PauliString:
@@ -689,7 +688,6 @@ def measure_parity_hole(
     if lat is None:
         raise ValueError("tableau carries no lattice")
     ctx = code_context(lat)
-    loop = tuple(loop)
     encloses_pair, anchor = ctx.hole_plan(loop, pair)
     parity_string = t.logicals.get(f"parity_{2 * pair}_{2 * pair + 1}")
     if parity_string is None:

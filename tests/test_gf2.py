@@ -1,10 +1,11 @@
 """GF(2) eliminator against brute-force enumeration of every row combination.
 
-``rank``, ``solve`` and ``solve_symplectic`` share one row reduction. Each is
-checked on random integer rows of at most 8 columns against the span enumerated
-from all 2^k combinations of the k rows. ``solve_symplectic`` is also pinned
-to the one solution that is zero on every free column: the logical operators,
-frame flips and pinned ground tableaux are built from that solution.
+``rank``, ``solve``, ``outside_span`` and ``solve_symplectic`` share one row
+reduction. Each is checked on random integer rows of at most 8 columns against
+the span enumerated from all 2^k combinations of the k rows.
+``solve_symplectic`` is also pinned to the one solution that is zero on every
+free column: the logical operators, frame flips and pinned ground tableaux are
+built from that solution.
 """
 
 from itertools import product
@@ -66,6 +67,18 @@ def test_solve_selects_rows_exactly_when_target_in_span(mat, data):
                 if x >> i & 1:
                     combo ^= row
             assert combo == t
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(max_rows=5), st.data())
+def test_outside_span_keeps_each_candidate_that_grows_the_span(mat, data):
+    rows, cols = mat
+    candidates = data.draw(st.lists(st.integers(0, (1 << cols) - 1), max_size=4))
+    expected = []
+    for v in candidates:
+        if v not in span(rows + expected):
+            expected.append(v)
+    assert _gf2.outside_span(rows, candidates) == expected
 
 
 def pairing(u: int, v: int, n: int) -> int:

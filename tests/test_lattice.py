@@ -20,6 +20,7 @@ def assert_commuting_independent(lat):
     for a, b in itertools.combinations(ops, 2):
         assert a.commutes_with(b)
     mat = lat.stabilizer_matrix()
+    assert mat == [_gf2.symplectic_vector(op, lat.n_sites) for op in ops]
     assert _gf2.rank(mat) == len(ops)
 
 
@@ -165,12 +166,14 @@ def test_two_segments_on_one_row():
 
 @st.composite
 def accepted_layouts(draw):
-    """1-3 segments, often two on one face row, on a lattice just large
-    enough to hold them. Segments on rows two or more apart never overlap."""
+    """1-3 segments on a lattice just large enough to hold them. A segment
+    beside the previous one, on its face row or the next, starts two columns
+    past its end, where their sites are disjoint; one two or more rows below
+    it may start anywhere."""
     segments = []
     for k in range(draw(st.integers(1, 3))):
         if k and draw(st.booleans()):  # beside the previous segment
-            row = segments[-1][0]
+            row = segments[-1][0] + draw(st.integers(0, 1))
             start = segments[-1][2] + 2 + draw(st.integers(0, 1))
         else:
             row = segments[-1][0] + draw(st.integers(2, 3)) if k else \

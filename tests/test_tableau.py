@@ -406,6 +406,15 @@ def test_filled_code_context_releases_its_lattice():
     assert ref() is None
 
 
+def test_memo_keys_a_list_argument_as_its_tuple():
+    lat = build_lattice(14, 12, [(5, 5, 8)])
+    ctx = code_context(lat)
+    loop = tuple(diamond_loop(lat, 0, 3))
+    plan = ctx.hole_plan(list(loop), 0)
+    assert ctx.hole_plan(loop, 0) is plan
+    assert list(ctx._memo_hole_plan) == [(loop, 0)]
+
+
 def test_deterministic_expectation_sign_reads_without_copying(monkeypatch):
     lat = build_lattice(8, 12, [(2, 2, 4), (5, 2, 4), (8, 2, 4)])
     t = init_ground(lat, seed=5)
