@@ -1,8 +1,9 @@
 """GF(2) linear algebra on Python-integer rows.
 
 A vector is one ``int``, bit ``c`` for column ``c``; a Pauli string on sites
-0..n-1 is the symplectic row ``x | z << n`` of its ``PauliString.bits()``,
-the row layout of the tableau (Aaronson–Gottesman, quant-ph/0406196).
+0..n-1 is the symplectic row ``x | z << n`` of its ``PauliString.x`` and
+``.z`` rows, the row layout of the tableau (Aaronson–Gottesman,
+quant-ph/0406196).
 
 Used for plaquette independence (rank), stabilizer-group membership
 (``outside_span``, ``in_span``, ``solve``) and the symplectic solves that
@@ -17,10 +18,9 @@ from .pauli import PauliString
 
 def symplectic_vector(p: PauliString, n: int) -> int:
     """(x|z) row ``x | z << n`` of a Pauli string on sites 0..n-1."""
-    if p.support and not 0 <= p.support[0][0] <= p.support[-1][0] < n:
+    if (p.x | p.z) >> n:
         raise ValueError(f"{p} acts outside sites 0..{n - 1}")
-    x, z = p.bits()
-    return x | z << n
+    return p.x | p.z << n
 
 
 def pauli_from_vector(v: int, n: int) -> PauliString:

@@ -2,7 +2,7 @@
 
 A Pauli row is two Python integers: bit ``j`` of ``x`` marks site ``j`` as X
 or Y, bit ``j`` of ``z`` marks it as Z or Y, the layout of
-``PauliString.bits()`` and of the stabilizer reduction's rows in ``jw``.
+``PauliString.x``/``.z`` and of the stabilizer reduction's rows in ``jw``.
 
 Tableau layout (Aaronson–Gottesman style):
     x, z   : lists of 2n row integers; rows i < n are destabilizers, rows

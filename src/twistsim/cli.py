@@ -49,6 +49,9 @@ def _load_config(args) -> dict:
         unknown = set(cfg) - _KNOWN_KEYS
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+        if cfg.get("experiment", args.command) != args.command:
+            raise ConfigError(f"config is for experiment {cfg['experiment']!r}, "
+                              f"not {args.command!r}")
     if args.seed is not None:
         cfg["seed"] = args.seed
     if getattr(args, "shots", None) is not None:
@@ -58,6 +61,10 @@ def _load_config(args) -> dict:
     seed = cfg.setdefault("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+    if not isinstance(cfg.get("out", ""), str):
+        raise ConfigError(f"out must be a file path, got {cfg['out']!r}")
+    if cfg.get("format", "json") not in ("json", "csv"):
+        raise ConfigError(f"format must be 'json' or 'csv', got {cfg['format']!r}")
     return cfg
 
 
@@ -352,8 +359,9 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--shots", type=int, default=None)
         p.add_argument("--n-braids", dest="n_braids", type=int, default=None)
+        # --out and --format override the config's "out" and "format"
         p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=["json", "csv"], default="json")
+        p.add_argument("--format", choices=["json", "csv"], default=None)
     return parser
 
 
@@ -370,7 +378,8 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
     report = _report(cfg, results, checks)
-    _emit(report, args.out, args.format)
+    _emit(report, args.out or cfg.get("out"),
+          args.format or cfg.get("format", "json"))
     if not report["passed"]:
         failed = [c["name"] for c in checks if not c["passed"]]
         print(f"invariant violation: {failed}", file=sys.stderr)

@@ -82,6 +82,12 @@ class MajoranaMonomial:
     def modes(self) -> frozenset[MajoranaMode]:
         return frozenset(self.factors)
 
+    def __mul__(self, other: "MajoranaMonomial") -> "MajoranaMonomial":
+        """Product of two monomials on one path."""
+        exponent = self.phase.exponent + other.phase.exponent \
+            + 2 * _crossing_parity(self.mask, other.mask)
+        return MajoranaMonomial(self.mask ^ other.mask, Phase(exponent), self.order)
+
     def __str__(self) -> str:
         from .pauli import _PHASE_STR  # shared phase prefix convention
 
@@ -135,8 +141,9 @@ class JWPath:
 
     @cached_property
     def _string_bits(self) -> tuple[tuple[int, int], ...]:
-        """Per path position ``k``: the (x, z) bit rows (``PauliString.bits``)
-        of the spin string ``U_k``, the string letters of positions below k."""
+        """Per path position ``k``: the (x, z) bit rows (``PauliString.x``
+        and ``.z``) of the spin string ``U_k``, the string letters of
+        positions below k."""
         x = z = 0
         out = [(x, z)]
         for site in self.order:
@@ -204,14 +211,6 @@ def canonicalize(
         exponent += 2 * (mask >> (bit + 1)).bit_count()
         mask ^= 1 << bit
     return MajoranaMonomial(mask, Phase(exponent), path.order)
-
-
-def multiply_monomials(
-    m1: MajoranaMonomial, m2: MajoranaMonomial, path: JWPath
-) -> MajoranaMonomial:
-    exponent = m1.phase.exponent + m2.phase.exponent \
-        + 2 * _crossing_parity(m1.mask, m2.mask)
-    return MajoranaMonomial(m1.mask ^ m2.mask, Phase(exponent), path.order)
 
 
 def pair_monomial(
@@ -383,7 +382,7 @@ def bracket_parity(
 
 
 class PackedPlaquettes(NamedTuple):
-    """A lattice's plaquette operators as ``PauliString.bits`` rows, one per
+    """A lattice's plaquette operators as ``PauliString`` x/z rows, one per
     plaquette."""
 
     x: tuple[int, ...]  # bit s set where site s holds X or Y
@@ -475,12 +474,12 @@ def reduce_by_stabilizers(
     differ, at the lowest site where their letters differ.
     """
     rows = _context(lat).packed_plaquettes
-    if p.sites and not 0 <= p.sites[0] <= p.sites[-1] < lat.n_sites:
+    px, pz = p.x, p.z
+    if (px | pz) >> lat.n_sites:
         raise GeometryError("operator acts on a site off the lattice")
-    px, pz = p.bits()
     if any(((x & pz) ^ (z & px)).bit_count() & 1 for x, z in zip(rows.x, rows.z)):
         raise ValueError("operator is outside the plaquette commutant")
-    if not p.support:
+    if not px | pz:
         return p
 
     coords = [lat.site_coords(s) for s in p.sites]

@@ -1,31 +1,26 @@
-"""Exact phased Pauli-string algebra over an arbitrary set of integer site ids.
+"""Exact phased Pauli-string algebra on non-negative integer sites.
 
-Operators are stored sparsely: identity sites never appear in the support.
-Phases live in the cyclic group {+1, +i, -1, -i} and are tracked exactly as
-powers of i, never as floats.
+A string is two Python-integer rows and a phase. Bit ``s`` of ``x`` marks
+site ``s`` as X or Y, bit ``s`` of ``z`` marks it as Z or Y: the symplectic
+rows of Aaronson–Gottesman (quant-ph/0406196), the layout of the tableau,
+``_gf2`` and ``jw``. A product XORs the rows and takes its phase from
+``_kernels.int_product_phase``. Phases live in the cyclic group
+{+1, +i, -1, -i} and are tracked exactly as powers of i, never as floats.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
-LETTERS = ("X", "Y", "Z")
+from ._kernels import int_product_phase, set_bits
 
-# Single-site products L1 * L2 -> (letter or None, power of i).
-# Convention: X*Y = i Z, Y*Z = i X, Z*X = i Y (so Y = i X Z, X*Z = -i Y).
-_PRODUCT = {
-    ("X", "X"): (None, 0),
-    ("Y", "Y"): (None, 0),
-    ("Z", "Z"): (None, 0),
-    ("X", "Y"): ("Z", 1),
-    ("Y", "X"): ("Z", 3),
-    ("Y", "Z"): ("X", 1),
-    ("Z", "Y"): ("X", 3),
-    ("Z", "X"): ("Y", 1),
-    ("X", "Z"): ("Y", 3),
-}
+LETTERS = ("X", "Y", "Z")
+# a site's letter, indexed by its x bit plus twice its z bit
+_LETTER_OF_BITS = (None, "X", "Z", "Y")
 
 _PHASE_STR = {0: "", 1: "i·", 2: "-", 3: "-i·"}
 _PHASE_COMPLEX = {0: 1 + 0j, 1: 1j, 2: -1 + 0j, 3: -1j}
@@ -60,22 +55,31 @@ class Phase:
 
 @dataclass(frozen=True)
 class PauliString:
-    """Phased product of single-site Pauli letters, sparse over site ids.
+    """Phased product of single-site Pauli letters on non-negative sites.
 
-    ``support`` is stored canonically as a tuple of (site, letter) pairs
-    sorted by site id, which makes equality and hashing deterministic.
+    ``x`` and ``z`` are the letters' integer rows, ``phase`` the power of i in
+    front. Equality and hashing compare these three fields. ``support``, the
+    (site, letter) pairs sorted by site, is derived from the rows on first use.
     """
 
-    support: tuple[tuple[int, str], ...] = ()
+    x: int = 0
+    z: int = 0
     phase: Phase = Phase(0)
 
     @staticmethod
     def from_dict(letters: Mapping[int, str], phase: int = 0) -> "PauliString":
-        for site, letter in letters.items():
+        items = sorted((operator.index(s), letter) for s, letter in letters.items())
+        x = z = 0
+        for site, letter in items:
             if letter not in LETTERS:
                 raise ValueError(f"unknown Pauli letter {letter!r} at site {site}")
-        items = tuple(sorted(letters.items()))
-        return PauliString(items, Phase(phase))
+            if site < 0:
+                raise ValueError(f"site {site} is negative; sites are non-negative")
+            x |= (letter != "Z") << site
+            z |= (letter != "X") << site
+        out = PauliString(x, z, Phase(phase))
+        out.__dict__["support"] = tuple(items)  # spares deriving it again
+        return out
 
     @staticmethod
     def identity() -> "PauliString":
@@ -85,83 +89,50 @@ class PauliString:
     def single(site: int, letter: str, phase: int = 0) -> "PauliString":
         return PauliString.from_dict({site: letter}, phase)
 
+    @staticmethod
+    def from_bits(x: int, z: int, phase: int = 0) -> "PauliString":
+        """The string of rows ``x`` and ``z`` times i**``phase``."""
+        return PauliString(x, z, Phase(phase))
+
+    @cached_property
+    def support(self) -> tuple[tuple[int, str], ...]:
+        return tuple((s, self.letter_at(s)) for s in set_bits(self.x | self.z))
+
     def letters(self) -> dict[int, str]:
         return dict(self.support)
 
     @property
     def sites(self) -> tuple[int, ...]:
-        return tuple(s for s, _ in self.support)
+        return tuple(set_bits(self.x | self.z))
 
     @property
     def weight(self) -> int:
-        return len(self.support)
-
-    @staticmethod
-    def from_bits(x: int, z: int, phase: int = 0) -> "PauliString":
-        """Inverse of ``bits``: X where only ``x`` has a site's bit, Z where
-        only ``z`` has it, Y where both have it."""
-        support = []
-        sites = x | z
-        while sites:
-            low = sites & -sites
-            letter = "Z" if not x & low else "Y" if z & low else "X"
-            support.append((low.bit_length() - 1, letter))
-            sites ^= low
-        return PauliString(tuple(support), Phase(phase))
-
-    def bits(self) -> tuple[int, int]:
-        """The (x, z) bit rows of the letters, bit ``s`` for site ``s``: x
-        marks X and Y, z marks Z and Y. Sites must be non-negative."""
-        x = z = 0
-        for site, letter in self.support:
-            if letter != "Z":
-                x |= 1 << site
-            if letter != "X":
-                z |= 1 << site
-        return x, z
+        return (self.x | self.z).bit_count()
 
     def letter_at(self, site: int) -> str | None:
-        for s, letter in self.support:
-            if s == site:
-                return letter
-        return None
+        return _LETTER_OF_BITS[(self.x >> site & 1) | (self.z >> site & 1) << 1]
 
     def __mul__(self, other: "PauliString") -> "PauliString":
-        a, b = dict(self.support), dict(other.support)
-        exponent = self.phase.exponent + other.phase.exponent
-        out: dict[int, str] = {}
-        for site in set(a) | set(b):
-            la, lb = a.get(site), b.get(site)
-            if la is None:
-                out[site] = lb  # type: ignore[assignment]
-            elif lb is None:
-                out[site] = la
-            else:
-                letter, k = _PRODUCT[(la, lb)]
-                exponent += k
-                if letter is not None:
-                    out[site] = letter
-        return PauliString(tuple(sorted(out.items())), Phase(exponent))
+        x1, z1, x2, z2 = self.x, self.z, other.x, other.z
+        exponent = self.phase.exponent + other.phase.exponent \
+            + int_product_phase(x1, z1, x2, z2)
+        return PauliString(x1 ^ x2, z1 ^ z2, Phase(exponent))
 
     def commutes_with(self, other: "PauliString") -> bool:
-        b = dict(other.support)
-        clashes = 0
-        for site, la in self.support:
-            lb = b.get(site)
-            if lb is not None and lb != la:
-                clashes += 1
-        return clashes % 2 == 0
+        """True iff the two strings clash (differ, neither being I) on an
+        even number of sites."""
+        return not ((self.x & other.z) ^ (self.z & other.x)).bit_count() & 1
 
     @property
     def is_hermitian(self) -> bool:
         return self.phase.is_real
 
     def negate(self) -> "PauliString":
-        return PauliString(self.support, self.phase * Phase(2))
+        return PauliString(self.x, self.z, self.phase * Phase(2))
 
     def dagger(self) -> "PauliString":
         # A bare letter string is Hermitian; only the phase conjugates.
-        return PauliString(self.support, self.phase.inverse())
+        return PauliString(self.x, self.z, self.phase.inverse())
 
     def __str__(self) -> str:
         if not self.support:
@@ -179,7 +150,7 @@ class PauliString:
                 exponent, text = k, text[len(prefix):]
                 break
         if text == "1":
-            return PauliString((), Phase(exponent))
+            return PauliString(phase=Phase(exponent))
         letters: dict[int, str] = {}
         for token in text.split():
             m = re.fullmatch(r"([XYZ])(\d+)", token)
@@ -187,16 +158,6 @@ class PauliString:
                 raise ValueError(f"bad Pauli token {token!r}")
             letters[int(m.group(2))] = m.group(1)
         return PauliString.from_dict(letters, exponent)
-
-
-def multiply(p: PauliString, q: PauliString) -> PauliString:
-    """Group product p·q with exact phase."""
-    return p * q
-
-
-def commutes(p: PauliString, q: PauliString) -> bool:
-    """True iff pq = qp (parity of clashing non-identity letters)."""
-    return p.commutes_with(q)
 
 
 def product(ops: Iterable[PauliString]) -> PauliString:

@@ -88,22 +88,22 @@ class Tableau:
     def _bits_of(self, p: PauliString) -> tuple[int, int, int]:
         if not p.is_hermitian:
             raise ValueError(f"operator {p} is not Hermitian (phase must be ±1)")
-        if p.support and not 0 <= p.support[0][0] <= p.support[-1][0] < self.n:
-            site = p.support[0][0] if p.support[0][0] < 0 else p.support[-1][0]
+        if (p.x | p.z) >> self.n:
+            site = (p.x | p.z).bit_length() - 1
             raise ValueError(f"site {site} of {p} is outside 0..{self.n - 1}")
-        px, pz = p.bits()
-        return px, pz, p.phase.exponent // 2
+        return p.x, p.z, p.phase.exponent // 2
 
     def _letters(self) -> np.ndarray:
         """One row of ASCII Pauli letters per tableau row."""
         n_bytes = -(-self.n // 8)
 
-        def bits(rows):
+        def unpack(rows):
             raw = b"".join(v.to_bytes(n_bytes, "little") for v in rows)
             packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(rows), n_bytes)
             return np.unpackbits(packed, axis=1, bitorder="little")[:, :self.n]
 
-        return np.frombuffer(b"IXZY", dtype=np.uint8)[bits(self.x) + 2 * bits(self.z)]
+        letters = np.frombuffer(b"IXZY", dtype=np.uint8)
+        return letters[unpack(self.x) + 2 * unpack(self.z)]
 
     def row_operator(self, i: int) -> PauliString:
         return PauliString.from_bits(self.x[i], self.z[i], 2 * int(self.r[i]))
@@ -264,14 +264,13 @@ class CodeContext:
     def packed_plaquettes(self) -> jw.PackedPlaquettes:
         """Plaquette operators as integer bit rows with their site bounding
         boxes, the form the stabilizer reduction works on."""
-        xs, zs, boxes = [], [], []
-        for op in self.plaquette_ops:
-            x, z = op.bits()
-            xs.append(x)
-            zs.append(z)
-            rows, cols = zip(*(self.lat.site_coords(s) for s in op.sites))
+        boxes = []
+        for p in self.lat.plaquettes:
+            rows, cols = zip(*(self.lat.site_coords(s) for s in p.ordered_sites))
             boxes.append((min(rows), max(rows), min(cols), max(cols)))
-        return jw.PackedPlaquettes(tuple(xs), tuple(zs), np.array(boxes))
+        ops = self.plaquette_ops
+        return jw.PackedPlaquettes(tuple(op.x for op in ops),
+                                   tuple(op.z for op in ops), np.array(boxes))
 
     @cached_property
     def path(self) -> jw.JWPath:
@@ -378,43 +377,32 @@ class CodeContext:
     @_memo
     def string_faces(self, string: PauliString) -> list[int]:
         """Ids of the plaquettes sharing a site with ``string``, sorted."""
-        support = set(string.sites)
-        return [k for k, op in enumerate(self.plaquette_ops)
-                if not support.isdisjoint(op.sites)]
+        sites = string.x | string.z
+        return [k for k, op in enumerate(self.plaquette_ops) if (op.x | op.z) & sites]
 
     @_memo
     def loop_decomposition(
         self, loop: tuple[int, ...], pair: int, encloses_pair: bool,
         parity_string: PauliString, bracket: PauliString,
-    ) -> tuple[list[tuple[int | None, PauliString]], int]:
+    ) -> tuple[list[int], PauliString]:
         """Split the loop operator into factors with readable signs.
 
         The loop operator, the product of the cut operators along ``loop``,
         lies in the class of (pair parity) x (row bracket) x plaquettes when
-        the loop encircles the pair. Returns ``(factors, rel_sign)``: the
-        product of the factors (plaquette id or None for the bracket, and the
-        operator), times the pair parity if enclosed, is ``rel_sign`` times
-        the loop operator.
+        the loop encircles the pair. Returns ``(faces, factor)``: ``factor``
+        is the loop operator times the pair parity if enclosed, and equals
+        the product of the plaquettes ``faces`` (and of the bracket, where
+        the class needs it) up to its sign.
         """
         n = self.lat.n_sites
         loop_op = product(self.cut(f, g) for f, g in zip(loop, loop[1:] + loop[:1]))
-        target = loop_op * parity_string if encloses_pair else loop_op
+        factor = loop_op * parity_string if encloses_pair else loop_op
         sel = _gf2.solve(self.stabilizer_matrix + [_gf2.symplectic_vector(bracket, n)],
-                         _gf2.symplectic_vector(target, n))
+                         _gf2.symplectic_vector(factor, n))
         if sel is None:
             raise GeometryError("loop operator is not in the expected logical class")
         n_faces = len(self.plaquette_ops)
-        factors = []
-        known = PauliString.identity()
-        for k in _kernels.set_bits(sel):
-            op = self.plaquette_ops[k] if k < n_faces else bracket
-            factors.append((k if k < n_faces else None, op))
-            known = known * op
-        check = (parity_string * known) if encloses_pair else known
-        rel_sign = 1 if check == loop_op else -1
-        if rel_sign == -1 and check.negate() != loop_op:  # pragma: no cover
-            raise AssertionError("loop operator decomposition is inconsistent")
-        return factors, rel_sign
+        return [k for k in _kernels.set_bits(sel) if k < n_faces], factor
 
 
 def code_context(lat: TwistLattice) -> CodeContext:
@@ -712,22 +700,20 @@ def measure_parity_hole(
     z2 = t.measure(z_logical)
 
     # the loop operator (product of the cut operators) is the pair parity
-    # times factors whose current signs the state fixes; read them all.
+    # times a product of plaquettes and the bracket, whose sign the state
+    # fixes; read it.
     bracket = t.logicals.get(f"bracket_{pair}", PauliString.identity())
-    factors, rel_sign = ctx.loop_decomposition(
+    faces, factor = ctx.loop_decomposition(
         loop, pair, encloses_pair, parity_string, bracket)
-    sigma_product = 1
-    for k, op in factors:
-        if k is not None and k not in t.active:
-            raise GeometryError("loop decomposition touches an open hole")
-        sign = t.expectation_sign(op)
-        if sign is None:
-            raise InconsistentOutcomeError(
-                "loop readout needs a fixed edge bracket; state has none"
-            )
-        sigma_product *= sign
+    if not t.active.issuperset(faces):
+        raise GeometryError("loop decomposition touches an open hole")
+    sign = t.expectation_sign(factor)
+    if sign is None:
+        raise InconsistentOutcomeError(
+            "loop readout needs a fixed edge bracket; state has none"
+        )
 
-    outcome = z1 * z2 * lam_product * rel_sign * sigma_product
+    outcome = z1 * z2 * lam_product * sign
 
     # close the holes: re-measure and re-enable both hole stabilizers
     t.reference_signs[hole.mobile] = t.measure(t.plaquette_ops[hole.mobile])

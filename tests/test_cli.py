@@ -102,6 +102,22 @@ def test_stats_csv_output(tmp_path, capsys):
     assert "flip_frequency" in text and "0.0" in text
 
 
+def test_config_out_and_format_are_honoured(tmp_path, capsys):
+    out_file = tmp_path / "report.csv"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "verify", "out": str(out_file),
+                               "format": "csv"}))
+    code, out, _ = run_cli(["verify", "--config", str(cfg)], capsys)
+    assert code == 0 and out == ""
+    assert out_file.read_text().splitlines()[0] == "key,value"
+    # the flags override the config's entries
+    flag_file = tmp_path / "flag.json"
+    code, out, _ = run_cli(["verify", "--config", str(cfg), "--out", str(flag_file),
+                            "--format", "json"], capsys)
+    assert code == 0 and out == ""
+    assert json.loads(flag_file.read_text())["passed"]
+
+
 def test_mbb_trace(capsys):
     code, out, _ = run_cli(["mbb", "--seed", "9"], capsys)
     assert code == 0
@@ -198,11 +214,17 @@ TWO_PAIRS = {"width": 8, "height": 9, "segments": [
     ("stats", {"n_braids": 1.5}, [], "n_braids"),
     ("stats", {"shots": "5"}, [], "shots"),
     ("oracle-check", {"shots": 3.0}, [], "shots"),
+    ("verify", {"format": "xml"}, [], "format"),
+    ("verify", {"format": "xml"}, ["--format", "csv"], "format"),
+    ("verify", {"out": 3}, [], "out"),
+    ("verify", {"experiment": "mbb"}, [], "experiment"),
+    ("stats", {"experiment": "verify"}, [], "experiment"),
 ], ids=["two_pair_lattice", "zero_shots", "negative_seed", "negative_braids",
         "mbb_negative_seed", "oracle_negative_seed", "oracle_zero_shots",
         "oracle_negative_shots", "mbb_unparsable_alpha", "mbb_zero_amplitudes",
         "fractional_shots", "fractional_braids", "string_shots",
-        "oracle_float_shots"])
+        "oracle_float_shots", "unknown_format", "unknown_format_under_flag",
+        "non_path_out", "other_experiment", "stats_other_experiment"])
 def test_bad_stats_config_exits_with_config_error(tmp_path, capsys, command, cfg,
                                                   flags, message):
     path = tmp_path / "cfg.json"

@@ -3,7 +3,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from twistsim import _kernels, dense, jw, tableau
 from twistsim.lattice import GeometryError, build_lattice, \
@@ -242,6 +242,53 @@ def test_hole_readout_matches_direct():
         # repeatable
         out2, _ = measure_parity_hole(t, 0, loop)
         assert out2 == out_hole
+
+
+@st.composite
+def diamond_readouts(draw):
+    """A lattice 10-16 wide and 8-14 tall with one or two segments, one of
+    its pairs, and a diamond loop of radius 2-4 around it that encloses that
+    pair alone and has an anchor face."""
+    width, height = draw(st.integers(10, 16)), draw(st.integers(8, 14))
+    n_segments = draw(st.integers(1, 2))
+    pair = draw(st.integers(0, n_segments - 1))
+    segments = []
+    for k in range(n_segments):
+        # a loop of radius 2 around the pair's segment stays on the lattice
+        rows = (2, height - 4) if k == pair else (1, height - 3)
+        start = draw(st.integers(1, width - 5))
+        segments.append((draw(st.integers(*rows)), start,
+                         start + draw(st.integers(2, min(3, width - 3 - start)))))
+    row, start, end = segments[pair]
+    centre = (start + end) // 2
+    fit = min(4, row, height - 2 - row, centre, width - 2 - centre)
+    try:
+        lat = build_lattice(width, height, segments)
+        loop = diamond_loop(lat, pair, draw(st.integers(2, fit)))
+        encloses_pair, anchor = code_context(lat).hole_plan(loop, pair)
+    except GeometryError:  # overlapping segments, or a loop that does not fit
+        assume(False)
+    assume(encloses_pair and anchor is not None)
+    return lat, pair, loop
+
+
+# about half the drawn layouts overlap their segments or fit no loop
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(diamond_readouts())
+def test_hole_readout_matches_direct_wherever_a_diamond_fits(readout):
+    lat, pair, loop = readout
+    name = f"parity_{2 * pair}_{2 * pair + 1}"
+    ground = init_ground(lat, seed=0)
+    for flip in (False, True):
+        t = ground.copy()
+        if flip:
+            t.apply_pauli(twist_logicals(lat, pair)[1])
+        prepared = t.expectation_sign(t.logicals[name])
+        t2 = t.copy()
+        assert measure_parity_hole(t, pair, loop)[0] == prepared, flip
+        assert measure_parity_direct(t2, t2.logicals[name]).outcome == prepared, flip
+    assert prepared == -ground.expectation_sign(ground.logicals[name])
 
 
 def test_trivial_loop_always_plus_one():
@@ -486,7 +533,7 @@ def test_kernels_match_pauli_algebra(data):
     rows = data.draw(st.lists(word, min_size=1, max_size=8))
     probe = data.draw(word)
     x, z = _int_rows(rows)
-    assert [_pauli_of(w).bits() for w in rows] == list(zip(x, z))
+    assert [(_pauli_of(w).x, _pauli_of(w).z) for w in rows] == list(zip(x, z))
     assert all(_kernels.set_bits(v) == [j for j in range(n) if v >> j & 1]
                for v in x + z)
     (px,), (pz,) = _int_rows([probe])
