@@ -21,8 +21,7 @@ import numpy as np
 
 from . import __version__, dense, jw, mbb
 from ._gf2 import rank
-from .lattice import (GeometryError, SizeError, build_lattice,
-                      all_plaquette_operators, lattice_spec_loads)
+from .lattice import GeometryError, SizeError, build_lattice, lattice_spec_loads
 from .pauli import PauliString
 
 EXIT_OK = 0
@@ -161,7 +160,7 @@ def _run_verify(cfg) -> tuple[dict, list[dict]]:
                       "segments": [{"row": 1, "col_start": 2, "col_end": 5}]}
     )
     checks = []
-    ops = all_plaquette_operators(lat)
+    ops = lat.plaquette_ops
     commuting = all(
         ops[i].commutes_with(ops[j])
         for i in range(len(ops)) for j in range(i + 1, len(ops))
@@ -307,7 +306,7 @@ def _run_oracle_check(cfg) -> tuple[dict, list[dict]]:
     seed = cfg.get("seed", 0)
     shots = _count(cfg, "shots", 200, 1)
     sites = list(lat.sites)
-    ops = all_plaquette_operators(lat)
+    ops = list(lat.plaquette_ops)
     mismatches = 0
     rng = np.random.default_rng(seed)
     for _ in range(shots):
@@ -371,6 +370,8 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args)
         cfg["experiment"] = args.command
+        # where the report goes is not part of the experiment, nor of its hash
+        out, fmt = cfg.pop("out", None), cfg.pop("format", "json")
         results, checks = _EXPERIMENTS[args.command](cfg)
     except (ConfigError, SizeError, GeometryError, FileNotFoundError,
             json.JSONDecodeError) as exc:
@@ -378,8 +379,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
     report = _report(cfg, results, checks)
-    _emit(report, args.out or cfg.get("out"),
-          args.format or cfg.get("format", "json"))
+    _emit(report, args.out or out, args.format or fmt)
     if not report["passed"]:
         failed = [c["name"] for c in checks if not c["passed"]]
         print(f"invariant violation: {failed}", file=sys.stderr)

@@ -120,12 +120,11 @@ def prepare_ground(lat, pin_vacuum: bool = True) -> np.ndarray:
     its vacuum (-1) eigenvalue, fixing the logical sector deterministically.
     """
     from . import jw
-    from .lattice import all_plaquette_operators
 
     _check_size(lat.n_sites)
     sites = list(lat.sites)
     amps = zero_state(lat.n_sites)
-    for op in all_plaquette_operators(lat):
+    for op in lat.plaquette_ops:
         amps = project_eigenvalue(amps, op, sites, +1)
         norm = np.linalg.norm(amps)
         if norm < 1e-12:

@@ -20,7 +20,9 @@ prefix-parity count. ``U_j`` is the mask of all bits below ``2j``, so mapping
 a spin operator takes prefix XORs of these masks.
 
 The stabilizer reduction works on the same idea one level down: Pauli
-strings and plaquettes as x/z integer bit rows, weights as popcounts.
+strings and plaquettes as x/z integer bit rows, weights as popcounts. It
+reads the lattice's own plaquette operators (``TwistLattice.plaquette_ops``)
+and their bounding boxes (``TwistLattice.face_boxes``).
 """
 
 from __future__ import annotations
@@ -121,21 +123,15 @@ class JWPath:
     def a_letter(self, site: int) -> str:
         return _LETTERS[self.substitutions.get(site)][2]
 
-    def pair_factors(self, site: int) -> tuple[int, tuple[MajoranaMode, ...]]:
-        """Majorana image (phase exponent, modes) of the site's string letter."""
-        if site in self.substitutions:
-            return 1, (MajoranaMode(site, "a"), MajoranaMode(site, "b"))
-        return 1, (MajoranaMode(site, "b"), MajoranaMode(site, "a"))
-
     @cached_property
     def _string_exponents(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Per path position ``k``: the phase exponent of the string letter's
         image (mask ``0b11 << 2k``) and that of ``U_k`` (mask of all bits
-        below ``2k``). Both images are already in canonical order."""
+        below ``2k``), both in canonical order. The string letter is i·a·b at
+        a substituted site and i·b·a = -i·a·b elsewhere: exponent 1 or 3."""
         own, prefix = [], [0]
         for site in self.order:
-            own.append(canonicalize(self.pair_factors(site)[1], 1, self)
-                       .phase.exponent)
+            own.append(1 if site in self.substitutions else 3)
             prefix.append((prefix[-1] + own[-1]) % 4)
         return tuple(own), tuple(prefix)
 
@@ -278,18 +274,10 @@ class ModeClassification:
     boundary: frozenset[MajoranaMode]  # edge modes absent because of the boundary
 
 
-def _context(lat: TwistLattice):
-    """The lattice's ``tableau.CodeContext``, which owns its plaquette rows."""
-    from .tableau import code_context  # local import: tableau builds on jw
-
-    return code_context(lat)
-
-
 def plaquette_images(
     lat: TwistLattice, path: JWPath
 ) -> dict[int, MajoranaMonomial]:
-    return {p.id: jw_map(op, path)
-            for p, op in zip(lat.plaquettes, _context(lat).plaquette_ops)}
+    return {k: jw_map(op, path) for k, op in enumerate(lat.plaquette_ops)}
 
 
 def _used_modes(lat: TwistLattice, path: JWPath) -> int:
@@ -297,7 +285,7 @@ def _used_modes(lat: TwistLattice, path: JWPath) -> int:
     images' masks, which needs neither their phases nor their order."""
     pos, subs = path.positions, path.substitutions
     used = 0
-    for op in _context(lat).plaquette_ops:
+    for op in lat.plaquette_ops:
         mask = 0
         for site, letter in op.support:
             mask ^= _letter_mask(pos[site], _ROLES[subs.get(site)][letter])
@@ -381,15 +369,6 @@ def bracket_parity(
 # -- stabilizer reduction -----------------------------------------------------
 
 
-class PackedPlaquettes(NamedTuple):
-    """A lattice's plaquette operators as ``PauliString`` x/z rows, one per
-    plaquette."""
-
-    x: tuple[int, ...]  # bit s set where site s holds X or Y
-    z: tuple[int, ...]  # bit s set where site s holds Z or Y
-    boxes: np.ndarray   # (faces, 4): min row, max row, min col, max col
-
-
 def _words(rows: list[int], n_words: int) -> np.ndarray:
     """Integer bit rows as little-endian 64-bit words, one array row each."""
     data = b"".join(r.to_bytes(8 * n_words, "little") for r in rows)
@@ -460,10 +439,10 @@ def reduce_by_stabilizers(
 
     The candidates are the plaquettes contained in the bounding box of
     ``p``'s support. Up to ``max_exhaustive`` candidates the search is exact:
-    the weights of all subset products come from XOR tables of the packed
-    rows, built in blocks of at most 4096 subsets. Beyond that it is a greedy
-    descent that weighs every one-plaquette step at once and takes the best
-    while the key falls.
+    the weights of all subset products come from XOR tables of the
+    plaquettes' bit rows, built in blocks of at most 4096 subsets. Beyond
+    that it is a greedy descent that weighs every one-plaquette step at once
+    and takes the best while the key falls.
 
     The key is (weight, rendered string), so the result does not depend on
     the search order. Products are formed on the integer bit rows, with the
@@ -473,25 +452,21 @@ def reduce_by_stabilizers(
     "i·") or, when those are equal, by the one token where they first
     differ, at the lowest site where their letters differ.
     """
-    rows = _context(lat).packed_plaquettes
+    ops = lat.plaquette_ops
     px, pz = p.x, p.z
     if (px | pz) >> lat.n_sites:
         raise GeometryError("operator acts on a site off the lattice")
-    if any(((x & pz) ^ (z & px)).bit_count() & 1 for x, z in zip(rows.x, rows.z)):
+    if any(((op.x & pz) ^ (op.z & px)).bit_count() & 1 for op in ops):
         raise ValueError("operator is outside the plaquette commutant")
     if not px | pz:
         return p
 
-    coords = [lat.site_coords(s) for s in p.sites]
-    rmin = min(r for r, _ in coords)
-    rmax = max(r for r, _ in coords)
-    cmin = min(c for _, c in coords)
-    cmax = max(c for _, c in coords)
-    boxes = rows.boxes
+    rmin, rmax, cmin, cmax = lat.bounding_box(p.sites)
+    boxes = lat.face_boxes
     chosen = np.flatnonzero((boxes[:, 0] >= rmin) & (boxes[:, 1] <= rmax)
                             & (boxes[:, 2] >= cmin) & (boxes[:, 3] <= cmax))
-    cx = [rows.x[k] for k in chosen]
-    cz = [rows.z[k] for k in chosen]
+    cx = [ops[k].x for k in chosen]
+    cz = [ops[k].z for k in chosen]
     n = len(cx)
     if not n:
         return p

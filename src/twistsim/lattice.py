@@ -29,12 +29,20 @@ The pentagon operator keeps the alternating X/Z pattern on its four cycle
 corners and acts with Y on the twist site (``B2`` on the left, ``T2`` on the
 right). This is the unique letter assignment for which all operators commute
 and the twist sites drop out of every operator's Majorana image.
+
+The lattice owns these operators: ``TwistLattice.plaquette_ops`` builds them
+once, in face-id order, and ``TwistLattice.face_boxes`` holds each face's site
+bounding box. The Jordan-Wigner images, the stabilizer reduction, the
+tableau and both readouts all read this one form.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
 
 from . import _gf2
 from .pauli import PauliString
@@ -62,7 +70,6 @@ class Plaquette:
     id: int
     kind: str  # "square" or "pentagon"
     ordered_sites: tuple[int, ...]  # X,Z,X,Z corners (cyclic), then Y site
-    orientation: str  # path circulation tag: "clockwise" / "counterclockwise"
 
     @property
     def sites(self) -> tuple[int, ...]:
@@ -125,18 +132,31 @@ class TwistLattice:
     def n_pairs(self) -> int:
         return len(self.segments)
 
+    @cached_property
+    def plaquette_ops(self) -> tuple[PauliString, ...]:
+        """The plaquette operators in face-id order, built once."""
+        return tuple(all_plaquette_operators(self))
+
+    def bounding_box(self, sites) -> tuple[int, int, int, int]:
+        """Min row, max row, min column and max column of ``sites``."""
+        rows, cols = zip(*(self.site_coords(s) for s in sites))
+        return min(rows), max(rows), min(cols), max(cols)
+
+    @cached_property
+    def face_boxes(self) -> np.ndarray:
+        """(faces, 4) array: the ``bounding_box`` of each face's sites."""
+        return np.array([self.bounding_box(p.ordered_sites) for p in self.plaquettes])
+
     def stabilizer_matrix(self) -> list[int]:
         """One (x|z) row (``_gf2.symplectic_vector``) per plaquette operator."""
-        from .tableau import code_context  # local import: tableau builds on this module
-
-        return list(code_context(self).stabilizer_matrix)
+        return [op.x | op.z << self.n_sites for op in self.plaquette_ops]
 
     def logical_qubit_count(self) -> int:
         return self.n_sites - _gf2.rank(self.stabilizer_matrix())
 
 
-_SQUARE_LETTERS = ("X", "Z", "X", "Z")
-_PENTAGON_LETTERS = ("X", "Z", "X", "Z", "Y")
+# letters along a face's ordered sites; a square stops after the fourth
+_LETTERS = "XZXZY"
 
 
 def _segment_sites(width: int, seg: Segment) -> set[tuple[int, int]]:
@@ -171,9 +191,6 @@ def build_lattice(
 
     def sid(r: int, c: int) -> int:
         return r * width + c
-
-    def orientation(face_row: int) -> str:
-        return "clockwise" if face_row % 2 == 0 else "counterclockwise"
 
     # key -> (kind, ordered_sites); keys sort row-major for deterministic ids
     faces: list[tuple[tuple[int, int], str, tuple[int, ...]]] = []
@@ -212,7 +229,7 @@ def build_lattice(
     faces.sort(key=lambda item: item[0])
     key_to_id = {key: i for i, (key, _, _) in enumerate(faces)}
     plaquettes = tuple(
-        Plaquette(i, kind, ordered, orientation(key[0]))
+        Plaquette(i, kind, ordered)
         for i, (key, kind, ordered) in enumerate(faces)
     )
 
@@ -231,26 +248,25 @@ def build_lattice(
 
 
 def plaquette_operator(lat: TwistLattice, plaq_id: int) -> PauliString:
-    """X,Z,X,Z on the ordered corners (plus Y on a pentagon's twist site)."""
-    p = lat.plaquette(plaq_id)
-    letters = _SQUARE_LETTERS if p.kind == "square" else _PENTAGON_LETTERS
-    return PauliString.from_dict(dict(zip(p.ordered_sites, letters)))
+    """The operator of face ``plaq_id``, read from ``lat.plaquette_ops``."""
+    lat.plaquette(plaq_id)  # KeyError for an unknown id
+    return lat.plaquette_ops[plaq_id]
 
 
 def all_plaquette_operators(lat: TwistLattice) -> list[PauliString]:
-    return [plaquette_operator(lat, p.id) for p in lat.plaquettes]
+    """X,Z,X,Z on each face's ordered corners (plus Y on a pentagon's twist
+    site), in face-id order: the one builder, which ``lat.plaquette_ops``
+    calls once."""
+    return [PauliString.from_dict(dict(zip(p.ordered_sites, _LETTERS)))
+            for p in lat.plaquettes]
 
 
 def excitations_of(lat: TwistLattice, error: PauliString) -> set[int]:
     """Plaquettes whose operators anticommute with ``error``."""
-    for site in error.sites:
-        if not (0 <= site < lat.n_sites):
-            raise GeometryError(f"error acts on off-lattice site {site}")
-    return {
-        p.id
-        for p in lat.plaquettes
-        if not plaquette_operator(lat, p.id).commutes_with(error)
-    }
+    if (error.x | error.z) >> lat.n_sites:
+        raise GeometryError(f"error acts on off-lattice site {error.sites[-1]}")
+    return {k for k, op in enumerate(lat.plaquette_ops)
+            if not op.commutes_with(error)}
 
 
 def twist_logicals(

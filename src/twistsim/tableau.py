@@ -4,8 +4,10 @@ The tableau carries n destabilizer and n stabilizer rows (binary symplectic
 vectors plus a sign bit). On top of the generic simulator this module
 implements the code-level machinery: ground-state preparation with pinned
 twist-pair parities, the direct (turn-off-and-measure) parity readout, and
-the indirect readout that drags a hole around the twists. Everything these
-derive from a lattice alone lives in the lattice's ``CodeContext``.
+the indirect readout that drags a hole around the twists. The plaquette
+operators are the lattice's own (``TwistLattice.plaquette_ops``); what these
+operations derive from them through ``jw`` or a tableau lives in the
+lattice's ``CodeContext``.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ import numpy as np
 
 from . import _gf2, _kernels, jw
 from .dense import InconsistentOutcomeError
-from .lattice import (GeometryError, TwistLattice, all_plaquette_operators,
-                      plaquette_operator)
+from .lattice import GeometryError, TwistLattice, plaquette_operator
 from .pauli import PauliString, product
 
 # a row's letters as the binary digits of its x and z integers
@@ -226,7 +227,11 @@ def _memo(method):
 
 
 class CodeContext:
-    """Everything the code-level operations derive from one lattice.
+    """What the code-level operations derive from one lattice through ``jw``
+    or a tableau: the twist modes, the reduced parity and bracket strings,
+    the logicals, the ground tableau and the readouts' geometry. The
+    plaquette operators and their rows are the lattice's own
+    (``TwistLattice.plaquette_ops``, ``stabilizer_matrix()``, ``face_boxes``).
 
     Each object is built at most once, on first use: the attributes through
     ``cached_property``, the methods through ``_memo``, keyed on their
@@ -249,28 +254,6 @@ class CodeContext:
 
     def __init__(self, lat: TwistLattice):
         self.lat = lat
-
-    @cached_property
-    def plaquette_ops(self) -> tuple[PauliString, ...]:
-        return tuple(all_plaquette_operators(self.lat))
-
-    @cached_property
-    def stabilizer_matrix(self) -> list[int]:
-        """One (x|z) row (``_gf2.symplectic_vector``) per plaquette operator."""
-        packed = self.packed_plaquettes
-        return [x | z << self.lat.n_sites for x, z in zip(packed.x, packed.z)]
-
-    @cached_property
-    def packed_plaquettes(self) -> jw.PackedPlaquettes:
-        """Plaquette operators as integer bit rows with their site bounding
-        boxes, the form the stabilizer reduction works on."""
-        boxes = []
-        for p in self.lat.plaquettes:
-            rows, cols = zip(*(self.lat.site_coords(s) for s in p.ordered_sites))
-            boxes.append((min(rows), max(rows), min(cols), max(cols)))
-        ops = self.plaquette_ops
-        return jw.PackedPlaquettes(tuple(op.x for op in ops),
-                                   tuple(op.z for op in ops), np.array(boxes))
 
     @cached_property
     def path(self) -> jw.JWPath:
@@ -310,7 +293,7 @@ class CodeContext:
         """Weight-reduced conjugate of ``z_logicals[pair]``: it commutes with
         every plaquette and every other pair's Z logical."""
         n = self.lat.n_sites
-        constraints = [(v, 0) for v in self.stabilizer_matrix]
+        constraints = [(v, 0) for v in self.lat.stabilizer_matrix()]
         for j, z in enumerate(self.z_logicals):
             constraints.append((_gf2.symplectic_vector(z, n), 1 if j == pair else 0))
         vec = _gf2.solve_symplectic(constraints, n)
@@ -332,7 +315,7 @@ class CodeContext:
     @_memo
     def _face_flip(self, pid: int, registry: tuple) -> PauliString:
         constraints = [(v, 1 if k == pid else 0)
-                       for k, v in enumerate(self.stabilizer_matrix)]
+                       for k, v in enumerate(self.lat.stabilizer_matrix())]
         constraints += [(v, 0) for v in self._independent_logicals(registry)]
         vec = _gf2.solve_symplectic(constraints, self.lat.n_sites)
         if vec is None:  # pragma: no cover - independent commuting generators
@@ -346,7 +329,7 @@ class CodeContext:
         # independent subset, which already pins the rest: each logical
         # outside the span of the faces and of the logicals kept before it.
         return _gf2.outside_span(
-            self.stabilizer_matrix,
+            self.lat.stabilizer_matrix(),
             [_gf2.symplectic_vector(op, self.lat.n_sites) for _, op in registry])
 
     @_memo
@@ -378,7 +361,8 @@ class CodeContext:
     def string_faces(self, string: PauliString) -> list[int]:
         """Ids of the plaquettes sharing a site with ``string``, sorted."""
         sites = string.x | string.z
-        return [k for k, op in enumerate(self.plaquette_ops) if (op.x | op.z) & sites]
+        return [k for k, op in enumerate(self.lat.plaquette_ops)
+                if (op.x | op.z) & sites]
 
     @_memo
     def loop_decomposition(
@@ -397,11 +381,11 @@ class CodeContext:
         n = self.lat.n_sites
         loop_op = product(self.cut(f, g) for f, g in zip(loop, loop[1:] + loop[:1]))
         factor = loop_op * parity_string if encloses_pair else loop_op
-        sel = _gf2.solve(self.stabilizer_matrix + [_gf2.symplectic_vector(bracket, n)],
-                         _gf2.symplectic_vector(factor, n))
+        rows = self.lat.stabilizer_matrix() + [_gf2.symplectic_vector(bracket, n)]
+        sel = _gf2.solve(rows, _gf2.symplectic_vector(factor, n))
         if sel is None:
             raise GeometryError("loop operator is not in the expected logical class")
-        n_faces = len(self.plaquette_ops)
+        n_faces = len(self.lat.plaquettes)
         return [k for k in _kernels.set_bits(sel) if k < n_faces], factor
 
 
@@ -433,7 +417,7 @@ def init_ground(
     ctx = code_context(lat)
     t = Tableau.zero_state(lat.n_sites, seed)
     t.lattice = lat
-    t.plaquette_ops = ctx.plaquette_ops
+    t.plaquette_ops = lat.plaquette_ops
     t.active = {p.id for p in lat.plaquettes}
 
     generators: list[tuple[PauliString, int]] = [
@@ -574,20 +558,17 @@ def cut_operator(lat: TwistLattice, f1: int, f2: int) -> PauliString:
     with the same letter; the clashing letter of the other diagonal is the
     cut. Used both as hole-moving 'edge' operator and as chain segment.
     """
-    s1 = set(lat.plaquette(f1).sites)
-    s2 = set(lat.plaquette(f2).sites)
-    shared = s1 & s2
-    if len(shared) != 1:
+    op1, op2 = plaquette_operator(lat, f1), plaquette_operator(lat, f2)
+    shared = (op1.x | op1.z) & (op2.x | op2.z)
+    if shared.bit_count() != 1:
         raise GeometryError(f"faces {f1},{f2} are not diagonal neighbours")
-    site = shared.pop()
-    la = plaquette_operator(lat, f1).letter_at(site)
-    lb = plaquette_operator(lat, f2).letter_at(site)
+    site = shared.bit_length() - 1
+    la, lb = op1.letter_at(site), op2.letter_at(site)
     if la != lb:
         raise GeometryError(f"faces {f1},{f2} clash at site {site}; not a hop")
-    other = {"X", "Z"} - {la}
-    if not other:
-        raise GeometryError(f"cannot cut through letter {la} at site {site}")
-    return PauliString.single(site, other.pop())
+    if la == "Y":
+        raise GeometryError(f"cannot cut through letter Y at site {site}")
+    return PauliString.single(site, "Z" if la == "X" else "X")
 
 
 def diamond_loop(lat: TwistLattice, pair: int, radius: int) -> list[int]:
@@ -605,10 +586,8 @@ def diamond_loop(lat: TwistLattice, pair: int, radius: int) -> list[int]:
         r, c = r + dr, c + dc
     if (r, c) != key:  # pragma: no cover - construction is closed by design
         raise GeometryError("loop failed to close")
-    by_key = {}
-    for p in lat.plaquettes:
-        coords = [lat.site_coords(s) for s in p.ordered_sites]
-        by_key[(min(x for x, _ in coords), min(y for _, y in coords))] = p
+    by_key = {(r, c): p for p, (r, c)
+              in zip(lat.plaquettes, lat.face_boxes[:, [0, 2]].tolist())}
     loop = []
     for fk in face_keys:
         if fk not in by_key:

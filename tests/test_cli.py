@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -115,7 +116,17 @@ def test_config_out_and_format_are_honoured(tmp_path, capsys):
     code, out, _ = run_cli(["verify", "--config", str(cfg), "--out", str(flag_file),
                             "--format", "json"], capsys)
     assert code == 0 and out == ""
-    assert json.loads(flag_file.read_text())["passed"]
+    report = json.loads(flag_file.read_text())
+    assert report["passed"]
+    # where a report goes is not part of the experiment: one hash for both
+    # places, and for the report of the same experiment on stdout
+    with open(out_file, newline="") as fh:
+        csv_rows = dict(list(csv.reader(fh))[1:])
+    assert csv_rows["config_sha256"] == report["config_sha256"]
+    assert "out" not in report["config"] and "format" not in report["config"]
+    code, out, _ = run_cli(["verify"], capsys)
+    assert code == 0
+    assert json.loads(out)["config_sha256"] == report["config_sha256"]
 
 
 def test_mbb_trace(capsys):

@@ -1,9 +1,14 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import twistsim
 from twistsim import _gf2, jw
 from twistsim.lattice import (GeometryError, Segment, SizeError, build_lattice,
                               all_plaquette_operators, excitations_of,
@@ -78,6 +83,41 @@ def test_plaquette_operator_patterns():
     for twist in lat.twists:
         host = lat.plaquette(twist.host_plaquette_id)
         assert host.ordered_sites[4] == twist.twist_site
+
+
+def test_lattice_owns_one_operator_and_box_per_face():
+    lat = build_lattice(8, 12, [(2, 2, 4), (5, 2, 4), (8, 2, 4)])
+    assert len(lat.plaquette_ops) == len(lat.plaquettes)
+    assert lat.face_boxes.shape == (len(lat.plaquettes), 4)
+    for p, op, box in zip(lat.plaquettes, lat.plaquette_ops, lat.face_boxes):
+        assert op.weight == len(p.ordered_sites)
+        assert set(op.sites) == set(p.ordered_sites)
+        rows, cols = zip(*(lat.site_coords(s) for s in p.ordered_sites))
+        assert box.tolist() == [min(rows), max(rows), min(cols), max(cols)]
+        assert plaquette_operator(lat, p.id) is op
+    for bad in (-1, len(lat.plaquettes)):
+        with pytest.raises(KeyError):
+            plaquette_operator(lat, bad)
+
+
+def test_lattice_and_jw_readers_never_import_the_tableau():
+    script = """
+import sys
+from twistsim import jw
+from twistsim.lattice import build_lattice, excitations_of
+lat = build_lattice(8, 6, [(1, 2, 5)])
+path = jw.default_path(lat, 0)
+jw.classify_modes(lat, path)
+parity = jw.reduce_by_stabilizers(jw.parity_operator(lat, path, 0), lat)
+lat.stabilizer_matrix()
+assert excitations_of(lat, parity) == set()
+assert "twistsim.tableau" not in sys.modules
+"""
+    src = str(Path(twistsim.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src},
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_unknown_plaquette_id():

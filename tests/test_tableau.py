@@ -226,6 +226,18 @@ def test_cut_operator_excites_the_face_pair():
         break
 
 
+def test_cut_operator_refuses_a_shared_y_corner():
+    # faces 0 and 6 of a 6x6 grid are diagonal neighbours sharing site 7;
+    # give both a Y there, which no cut letter can split
+    lat = build_lattice(6, 6, [])
+    ops = list(lat.plaquette_ops)
+    for k in (0, 6):
+        ops[k] = PauliString.from_dict({**ops[k].letters(), 7: "Y"})
+    lat.__dict__["plaquette_ops"] = tuple(ops)
+    with pytest.raises(GeometryError, match="cannot cut through letter Y"):
+        cut_operator(lat, 0, 6)
+
+
 def test_hole_readout_matches_direct():
     lat = build_lattice(14, 12, [(5, 5, 8)])
     loop = diamond_loop(lat, 0, 3)
