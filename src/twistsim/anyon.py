@@ -272,9 +272,10 @@ def measure_pair(
     post-measurement state stays in the input pairing."""
     amps = np.asarray(state.amps, dtype=np.complex128)
     op = label_operator(state.n_anyons, state.pairing, tuple(pair), state.total)
-    n, _, post = measure_involution(amps, op @ amps, lambda: rng.random(),
-                                    force)
-    return n, TopoState(state.n_anyons, state.pairing, state.sector, tuple(post))
+    n, _, post = measure_involution(amps[None], (op @ amps)[None],
+                                    lambda: rng.random(), force)
+    return int(n[0]), TopoState(state.n_anyons, state.pairing, state.sector,
+                                tuple(post[0]))
 
 
 def apply_pair_parity(state: TopoState, pair: tuple[int, int]) -> TopoState:

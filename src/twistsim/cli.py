@@ -28,10 +28,12 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_INVARIANT = 2
 
-_KNOWN_KEYS = {
-    "experiment", "lattice", "backend", "seed", "shots", "n_braids",
-    "alpha", "beta", "out", "format",
-}
+# the keys each experiment reads besides experiment, seed, out and format;
+# any other key, from a flag or the file, is a config error
+_EXPERIMENT_KEYS = {"derive": {"lattice"}, "verify": {"lattice"},
+                    "mbb": {"alpha", "beta"},
+                    "stats": {"backend", "lattice", "shots", "n_braids"},
+                    "oracle-check": {"lattice", "shots"}}
 
 
 class ConfigError(ValueError):
@@ -45,18 +47,17 @@ def _load_config(args) -> dict:
             cfg = json.load(fh)
         if not isinstance(cfg, dict):
             raise ConfigError("config root must be a JSON object")
-        unknown = set(cfg) - _KNOWN_KEYS
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         if cfg.get("experiment", args.command) != args.command:
             raise ConfigError(f"config is for experiment {cfg['experiment']!r}, "
                               f"not {args.command!r}")
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if getattr(args, "shots", None) is not None:
-        cfg["shots"] = args.shots
-    if getattr(args, "n_braids", None) is not None:
-        cfg["n_braids"] = args.n_braids
+    for key in ("seed", "shots", "n_braids"):
+        if getattr(args, key) is not None:
+            cfg[key] = getattr(args, key)
+    unknown = set(cfg) - {"experiment", "seed", "out", "format"} \
+        - _EXPERIMENT_KEYS[args.command]
+    if unknown:
+        raise ConfigError(f"unknown config fields for {args.command}: "
+                          f"{sorted(unknown)}")
     seed = cfg.setdefault("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
@@ -221,10 +222,11 @@ def _run_mbb(cfg) -> tuple[dict, list[dict]]:
     if alpha == 0 and beta == 0:
         raise ConfigError("alpha and beta must not both be zero")
     rng = np.random.default_rng(cfg.get("seed", 0))
+    # a generator is a batch of one: the report reads shot 0 as Python scalars
     backend = mbb.FockBackend(4, rng, alpha, beta)
-    initial = backend.vector()
-    record = mbb.run_cycle(backend)
-    correction = mbb.apply_correction(backend, record)
+    initial = backend.vector()[0]
+    record = mbb.braid_once(backend).shot(0)
+    correction = mbb.correction_for(record)[0]
     labels = (record.n13, record.n14, record.n12_final)
     trace = [
         {"step": step, "pair": list(pair), "label": n, "prob": prob}
@@ -232,8 +234,8 @@ def _run_mbb(cfg) -> tuple[dict, list[dict]]:
             zip(mbb.CYCLE_PAIRS, labels, record.probabilities))
     ]
     fidelity = mbb.verify_braid_equivalence(
-        initial, backend.vector(), mbb.MBBRecord(0, 0, 0, 0, "fock"), backend.space
-    )
+        initial, backend.vector()[0], mbb.MBBRecord(0, 0, 0, 0, "fock"),
+        backend.space)
     checks = [{
         "name": "braid_equivalence_fidelity",
         "passed": bool(abs(fidelity - 1.0) < 1e-10),

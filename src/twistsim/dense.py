@@ -30,39 +30,31 @@ class InconsistentOutcomeError(ValueError):
 
 def measure_involution(state: np.ndarray, o_state: np.ndarray, draw,
                        force: int | None = None):
-    """Born-rule measurement of a Hermitian involution O, given ``O @ state``.
+    """Born-rule measurement of a Hermitian involution O on S shots, given
+    ``O @ state``: ``state`` is an (S, dim) array, one shot per row, and a
+    lone vector ``v`` is the batch of one ``v[None]``.
 
-    ``state`` is one vector, or an (S, dim) array of S shots' vectors, one per
-    row. Branch 1 is O's +1 eigenspace, branch 0 its -1 eigenspace. Unforced,
-    it takes exactly one uniform number per shot from ``draw()`` (a float, or
-    S of them); forced, it draws nothing and rejects a branch of probability
-    below 1e-12. Returns the branch, its probability and the normalized
-    post-measurement state: an int, a float and a vector, or per row a uint8
-    array, a float array and an (S, dim) array.
+    Branch 1 is O's +1 eigenspace, branch 0 its -1 eigenspace. Unforced, it
+    takes one uniform number per shot from ``draw()`` (a float, or S of
+    them); forced, it draws nothing and rejects a branch of probability below
+    1e-12. Returns per shot the branch (uint8), its probability and the
+    normalized post-measurement row. Each row's squared norms are the dot
+    products of ``np.vdot`` and ``np.linalg.norm`` (real and imaginary parts
+    apart), so a batch of one gives what those give on the lone vector, bit
+    for bit.
     """
     plus = state + o_state
     plus *= 0.5  # in place: a batch holds one (S, dim) temporary fewer
-    if state.ndim == 1:
-        # np.vdot and np.linalg.norm: a row-wise reduction can differ from them
-        # in the last bit, and the mbb report prints p. The choice is made in
-        # Python, as numpy calls on scalars cost microseconds.
-        p_plus = float(np.real(np.vdot(plus, plus)))
-        branch = int(draw() < p_plus) if force is None else force
-        prob, post = (p_plus, plus) if branch else (1.0 - p_plus, state - plus)
-        norm = np.linalg.norm(post)
-    else:
-        p_plus = np.vecdot(plus, plus).real
-        took = (draw() < p_plus if force is None
-                else np.full(len(state), force == 1))
-        prob = np.where(took, p_plus, 1.0 - p_plus)
-        post = state - plus
-        np.copyto(post, plus, where=took[:, None])
-        branch = took.astype(np.uint8)
-        norm = np.sqrt(np.vecdot(post, post).real)[:, None]
+    p_plus = np.vecdot(plus, plus).real
+    took = draw() < p_plus if force is None else np.full(len(state), force == 1)
+    prob = np.where(took, p_plus, 1.0 - p_plus)
     if force is not None and np.any(prob < 1e-12):
         raise InconsistentOutcomeError(f"forced branch {force} has zero probability")
-    post /= norm
-    return branch, prob, post
+    post = state - plus
+    np.copyto(post, plus, where=took[:, None])
+    post /= np.sqrt(np.vecdot(post.real, post.real)
+                    + np.vecdot(post.imag, post.imag))[:, None]
+    return took.astype(np.uint8), prob, post
 
 
 def pauli_matrix(p: PauliString, sites: list[int]) -> np.ndarray:
@@ -160,9 +152,9 @@ def measure_projective(
     if not p.is_hermitian:
         raise ValueError(f"cannot measure non-Hermitian operator {p}")
     took_plus, _, post = measure_involution(
-        amps, apply_pauli(amps, p, sites), lambda: rng.random(),
+        amps[None], apply_pauli(amps, p, sites)[None], lambda: rng.random(),
         None if force is None else int(force == 1))
-    return (1 if took_plus else -1), post
+    return (1 if took_plus[0] else -1), post[0]
 
 
 def fidelity_up_to_phase(u: np.ndarray, v: np.ndarray) -> float:

@@ -9,16 +9,17 @@ The engine runs against three interchangeable backends:
 * ``LatticeBackend`` - twist pairs on the planar code with stabilizer-
                        formalism parity measurements.
 
-Each backend takes its random source as its second argument, and the source
-sets the shot count: a numpy ``Generator`` runs one shot, whose ``measure``
-returns an int label and may be forced; a ``ShotStreams`` runs a batch of S
-shots, whose ``measure`` returns one uint8 label per shot and whose
+Every backend runs a batch of shots, and its random source, the second
+argument, sets the shot count: a ``ShotStreams`` runs S shots, a numpy
+``Generator`` is a batch of one. ``measure`` returns per-shot arrays, one
+uint8 label and one probability per shot, and may be forced;
 ``apply_parity`` may act on marked shots only. A batch holds one anyon or
-Fock state vector per shot in one array, or one tableau sign column per shot
-on a shared x/z trajectory. ``ShotStreams`` computes every shot's random
-stream at once: shot k's stream equals, draw for draw, that of numpy's PCG64
-``Generator`` on the k-th ``SeedSequence`` child, and each shot draws in the
-order a one-shot backend would, so it reads what it would read alone.
+Fock state vector per shot as the rows of one (S, dim) array, or one tableau
+sign column per shot on a shared x/z trajectory. ``ShotStreams`` computes
+every shot's random stream at once: shot k's stream equals, draw for draw,
+that of numpy's PCG64 ``Generator`` on the k-th ``SeedSequence`` child, and
+each shot draws in the order a lone shot would, so it reads what it would
+read alone.
 
 The anyon and Fock backends are one state-vector backend with two
 constructors: each measures a pair through a Hermitian involution O (the
@@ -113,13 +114,20 @@ def parity_sign_for(pair: tuple[int, int], n_anyons: int) -> int:
 
 @dataclass
 class MBBRecord:
+    """One cycle's labels and probabilities: per-shot arrays, or ints."""
     n12_initial: int
-    n13: int
-    n14: int
-    n12_final: int
+    n13: np.ndarray | int
+    n14: np.ndarray | int
+    n12_final: np.ndarray | int
     backend: str
     attempts: tuple[int, int, int] | None = None  # forced variant only
-    probabilities: tuple[float, float, float] = (0.5, 0.5, 0.5)
+    probabilities: tuple = (0.5, 0.5, 0.5)
+
+    def shot(self, k: int) -> MBBRecord:
+        """Shot ``k`` of a per-shot record, as Python scalars."""
+        return MBBRecord(self.n12_initial, self.n13[k].item(), self.n14[k].item(),
+                         self.n12_final[k].item(), self.backend, self.attempts,
+                         tuple(p[k].item() for p in self.probabilities))
 
 
 CORRECTIONS = {
@@ -131,7 +139,7 @@ CORRECTIONS = {
 
 
 def correction_for(record: MBBRecord) -> tuple[str, tuple[int, int] | None]:
-    """Outcome-dependent logical Pauli completing the braid."""
+    """Outcome-dependent logical Pauli completing one shot's braid."""
     return CORRECTIONS[(record.n13 ^ record.n14, record.n12_final)]
 
 
@@ -162,27 +170,32 @@ def _fock_involution(n_anyons: int, pair: tuple[int, int]) -> tuple[np.ndarray, 
     return op, parity_sign_for(pair, n_anyons) == 1
 
 
+def _shot_source(rng: np.random.Generator | ShotStreams):
+    """``(shots, random, bit)`` of a ``ShotStreams``, or of a ``Generator`` as
+    a batch of one: a uniform float and a uint8 bit per shot per draw."""
+    if isinstance(rng, ShotStreams):
+        return len(rng), rng.random, rng.bit
+    return 1, rng.random, lambda: np.array([rng.integers(2)], dtype=np.uint8)
+
+
 class _VectorBackend:
-    """State vectors measured pair by pair: one vector, or with a
-    ``ShotStreams`` source one row per shot of an (S, dim) array, all measured
-    by one product with the pair's involution. ``_involution(n, pair)`` gives
-    that Hermitian involution O and whether its +1 eigenspace is label 0;
+    """State vectors, one row per shot of an (S, dim) array, all measured by
+    one product with the pair's involution: ``_involution(n, pair)`` gives
+    that Hermitian involution O and whether its +1 eigenspace is label 0.
     ``apply_parity`` applies O, which is i*g_a*g_b up to a global sign."""
 
     def __init__(self, n_anyons: int, rng: np.random.Generator | ShotStreams,
                  state: np.ndarray):
         self.n = n_anyons
-        self.rng = rng
-        if isinstance(rng, ShotStreams):
-            state = np.repeat(state[None, :], len(rng), axis=0)
-        self.state = state
+        shots, self._random, _ = _shot_source(rng)
+        self.state = np.repeat(state[None, :], shots, axis=0)
 
     def measure(self, pair: tuple[int, int], force: int | None = None):
-        """``(label, probability)`` of ``pair``, per shot on a batch. A
-        measurement takes one ``rng.random()`` (per shot), unless forced."""
+        """``(labels, probabilities)`` of ``pair``, one per shot. A
+        measurement takes one uniform draw per shot, unless forced."""
         op, plus_is_label_0 = self._involution(self.n, tuple(pair))
         took_plus, prob, self.state = dense.measure_involution(
-            self.state, self.state @ op.T, self.rng.random,
+            self.state, self.state @ op.T, self._random,
             None if force is None else int((force == 0) == plus_is_label_0))
         return took_plus ^ plus_is_label_0, prob
 
@@ -191,11 +204,8 @@ class _VectorBackend:
         """Apply ``pair``'s involution to every shot, or to the shots marked 1
         in ``shots``."""
         op = self._involution(self.n, tuple(pair))[0]
-        if shots is None:
-            self.state = self.state @ op.T
-        else:
-            rows = np.flatnonzero(shots)
-            self.state[rows] = self.state[rows] @ op.T
+        rows = slice(None) if shots is None else np.flatnonzero(shots)
+        self.state[rows] = self.state[rows] @ op.T
 
     def vector(self) -> np.ndarray:
         return self.state.copy()
@@ -244,11 +254,11 @@ class LatticeBackend:
 
     Which rows a measurement touches, and whether it is random, depend only
     on the measured strings; outcomes and corrections change signs only. So
-    with a ``ShotStreams`` source of S shots one tableau carries the x/z
-    trajectory every shot shares, and ``tab.r`` holds one sign column per
-    shot (Stim's frame idea, arXiv:2103.02202, applied to the CHP sign
-    column). A random measurement takes one ``integers(2)`` from the
-    generator, or one ``bit()`` per shot from the streams, the same draw.
+    one tableau carries the x/z trajectory every shot shares, and ``tab.r``
+    holds one sign column per shot, shape (2n, S) (Stim's frame idea,
+    arXiv:2103.02202, applied to the CHP sign column). A random measurement
+    takes one bit per shot, ``Generator.integers(2)`` or ``ShotStreams.bit()``,
+    the same draw.
     """
 
     name = "lattice"
@@ -262,29 +272,27 @@ class LatticeBackend:
                      for a, b in START_PAIRINGS[n])
         self.n = n
         self.ctx = tableau.code_context(lat)
+        shots, _, self._bit = _shot_source(rng)
         self.tab = self.ctx.ground(pins).copy()
-        if isinstance(rng, ShotStreams):
-            self.tab.r = np.repeat(self.tab.r[:, None], len(rng), axis=1)
-            self._bit = rng.bit
-        else:
-            self._bit = lambda: int(rng.integers(2))
+        self.tab.r = np.repeat(self.tab.r[:, None], shots, axis=1)
 
     def _string(self, pair: tuple[int, int]):
         return self.ctx.parity_string(pair[0] - 1, pair[1] - 1)
 
     def measure(self, pair: tuple[int, int], force: int | None = None):
-        """``(label, probability)`` of ``pair``, the label per shot on a
-        batch. A forced label must be possible; otherwise this raises
-        ``InconsistentOutcomeError`` and leaves the state as it was."""
+        """``(labels, probabilities)`` of ``pair``, one per shot. An impossible
+        forced label raises ``InconsistentOutcomeError`` and keeps the state."""
         pair = tuple(pair)
+        shots = self.tab.r.shape[1]
         # outcome bit 0 is parity +1, label 0 when the vacuum sign is +1
         flip = parity_sign_for(pair, self.n) == -1
-        draw = self._bit if force is None else lambda: force ^ flip
+        draw = self._bit if force is None else \
+            lambda: np.full(shots, force ^ flip, dtype=np.uint8)
         labels = self.tab.measure_signs(self._string(pair), draw) ^ flip
         if force is not None and np.any(labels != force):
             raise dense.InconsistentOutcomeError(
                 f"label {force} requested for a measurement fixed at {labels}")
-        return labels, (0.5 if self.tab.last_random else 1.0)
+        return labels, np.full(shots, 0.5 if self.tab.last_random else 1.0)
 
     def apply_parity(self, pair: tuple[int, int],
                      shots: np.ndarray | None = None) -> None:
@@ -436,7 +444,7 @@ def run_cycle(backend, force: tuple[int, int, int] | None = None,
     """
     if check_vacuum:
         n12, _ = backend.measure((1, 2))
-        if n12 != 0:
+        if np.any(n12 != 0):
             raise ValueError("ancilla pair is not in the vacuum channel")
     forces = force if force is not None else (None, None, None)
     (n13, p13), (n14, p14), (n12, p12) = (
@@ -445,16 +453,21 @@ def run_cycle(backend, force: tuple[int, int, int] | None = None,
                      probabilities=(p13, p14, p12))
 
 
-def apply_correction(backend, record: MBBRecord) -> str:
-    name, pair = correction_for(record)
-    if pair is not None:
-        backend.apply_parity(pair)
-    return name
+def apply_correction(backend, record: MBBRecord) -> None:
+    """Apply each shot's ``correction_for``, one masked ``apply_parity`` each."""
+    parity = record.n13 ^ record.n14
+    for (n13_n14, n12_final), (_, pair) in CORRECTIONS.items():
+        if pair is None:
+            continue
+        shots = (parity == n13_n14) & (record.n12_final == n12_final)
+        if shots.any():
+            backend.apply_parity(pair, shots)
 
 
-def braid_once(backend, force=None) -> tuple[MBBRecord, str]:
+def braid_once(backend, force=None) -> MBBRecord:
     record = run_cycle(backend, force)
-    return record, apply_correction(backend, record)
+    apply_correction(backend, record)
+    return record
 
 
 def run_forced(backend, max_attempts: int = 64) -> MBBRecord:
@@ -484,27 +497,18 @@ def run_shots(backend_factory, n_braids: int, streams: ShotStreams,
     each shot's trace to ``records`` when given.
 
     ``backend_factory`` takes the ``ShotStreams`` and returns a backend on
-    that source, such as ``lambda streams: AnyonBackend(6, streams)``: its
-    ``measure(pair)`` gives one label per shot and ``apply_parity(pair,
-    shots)`` acts on the marked shots.
+    that source, such as ``lambda streams: AnyonBackend(6, streams)``. Each
+    braid is ``braid_once``, the same cycle a lone shot runs.
     """
     backend = backend_factory(streams)
-    cycles = []
-    for _ in range(n_braids):
-        n13, n14, n12 = (backend.measure(pair)[0] for pair in CYCLE_PAIRS)
-        for (n13_n14, n12_final), (_, pair) in CORRECTIONS.items():
-            if pair is None:
-                continue
-            shots = ((n13 ^ n14) == n13_n14) & (n12 == n12_final)
-            if shots.any():
-                backend.apply_parity(pair, shots)
-        if records is not None:
-            cycles.append((n13.tolist(), n14.tolist(), n12.tolist()))
+    braids = [braid_once(backend) for _ in range(n_braids)]
     n35, _ = backend.measure((3, 5))
     if records is not None:
+        cycles = [list(zip(r.n13.tolist(), r.n14.tolist(), r.n12_final.tolist()))
+                  for r in braids]
         for k, label in enumerate(n35.tolist()):
-            trace = [(a[k], b[k], c[k], CORRECTIONS[(a[k] ^ b[k], c[k])][0])
-                     for a, b, c in cycles]
+            trace = [(a, b, c, CORRECTIONS[(a ^ b, c)][0])
+                     for a, b, c in (cycle[k] for cycle in cycles)]
             records.append({"cycles": trace, "n35": label})
     return int(n35.sum())
 

@@ -36,8 +36,8 @@ class Tableau:
     ``j``; ``cx`` and ``cz`` hold the same bits by site, bit ``i`` for row
     ``i``, and ``r`` the sign bits as a uint8 array (see ``_kernels``): one
     column, shape (2n,), or S columns, shape (2n, S), one per shot of a batch
-    that shares these x/z rows. ``measure``, ``expectation_sign`` and the text
-    format need the 1-D form.
+    that shares these x/z rows (a ``LatticeBackend`` keeps S columns, one for
+    a lone shot). ``measure`` and ``expectation_sign`` need the 1-D form.
 
     ``active`` is the set of plaquette ids currently enforced by the code
     cycle; disabling a stabilizer is bookkeeping only and never touches the
@@ -57,7 +57,6 @@ class Tableau:
         self.rng = rng
         self.last_random = False
         self.lattice: TwistLattice | None = None
-        self.plaquette_ops: tuple[PauliString, ...] = ()
         self.active: set[int] = set()
         self.logicals: dict[str, PauliString] = {}
         # last deliberately recorded sign of each stabilizer (the Pauli frame)
@@ -71,7 +70,7 @@ class Tableau:
 
     def copy(self) -> "Tableau":
         """Independent state and registries; the generator continues from the
-        same state. The lattice and its plaquette operators are shared."""
+        same state. The lattice is shared."""
         out = copy.copy(self)
         out.rng = np.random.Generator(copy.copy(self.rng.bit_generator))
         out.x = list(self.x)
@@ -417,11 +416,10 @@ def init_ground(
     ctx = code_context(lat)
     t = Tableau.zero_state(lat.n_sites, seed)
     t.lattice = lat
-    t.plaquette_ops = lat.plaquette_ops
     t.active = {p.id for p in lat.plaquettes}
 
     generators: list[tuple[PauliString, int]] = [
-        (op, +1) for op in t.plaquette_ops
+        (op, +1) for op in lat.plaquette_ops
     ]
     if pinned_pairs is None:
         pinned_pairs = [(2 * k, 2 * k + 1) for k in range(lat.n_pairs)]
@@ -461,7 +459,7 @@ def syndrome(t: Tableau) -> dict[int, int]:
     """Deterministic sign of every active plaquette stabilizer."""
     out = {}
     for pid in sorted(t.active):
-        sign = t.expectation_sign(t.plaquette_ops[pid])
+        sign = t.expectation_sign(t.lattice.plaquette_ops[pid])
         out[pid] = 0 if sign is None else sign
     return out
 
@@ -520,7 +518,7 @@ def measure_parity_direct(
 
     repaired: dict[int, int] = {}
     for pid in overlapping:
-        repaired[pid] = t.measure(t.plaquette_ops[pid])
+        repaired[pid] = t.measure(t.lattice.plaquette_ops[pid])
         t.active.add(pid)
     # restore the Pauli frame: push every re-measured stabilizer back to +1
     # with flip operators chosen to commute with all registered logicals, so
@@ -663,7 +661,8 @@ def measure_parity_hole(
         raise GeometryError("no anchor face available next to the loop")
 
     z_logical = ctx.cut(anchor, loop[0])
-    hole = HolePair(anchor, loop[0], z_logical, t.plaquette_ops[anchor])
+    ops = lat.plaquette_ops
+    hole = HolePair(anchor, loop[0], z_logical, ops[anchor])
 
     t.active -= {anchor, loop[0]}
     z1 = t.measure(z_logical)
@@ -673,7 +672,7 @@ def measure_parity_hole(
         f, g = loop[i], loop[(i + 1) % len(loop)]
         t.active.discard(g)            # extend the hole onto the next face
         lam_product *= t.measure(ctx.cut(f, g))
-        t.reference_signs[f] = t.measure(t.plaquette_ops[f])  # heal vacated face
+        t.reference_signs[f] = t.measure(ops[f])  # heal vacated face
         t.active.add(f)
 
     z2 = t.measure(z_logical)
@@ -695,7 +694,7 @@ def measure_parity_hole(
     outcome = z1 * z2 * lam_product * sign
 
     # close the holes: re-measure and re-enable both hole stabilizers
-    t.reference_signs[hole.mobile] = t.measure(t.plaquette_ops[hole.mobile])
-    t.reference_signs[hole.anchor] = t.measure(t.plaquette_ops[hole.anchor])
+    t.reference_signs[hole.mobile] = t.measure(ops[hole.mobile])
+    t.reference_signs[hole.anchor] = t.measure(ops[hole.anchor])
     t.active |= {hole.anchor, hole.mobile}
     return outcome, hole

@@ -241,8 +241,10 @@ def test_bad_stats_config_exits_with_config_error(tmp_path, capsys, command, cfg
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     out_file = tmp_path / "report.json"
-    # --shots would override the config's own shots
-    shots = [] if "shots" in cfg else ["--shots", "5"]
+    # --shots would override the config's own shots, and only stats and
+    # oracle-check read shots at all
+    reads_shots = command in ("stats", "oracle-check") and "shots" not in cfg
+    shots = ["--shots", "5"] if reads_shots else []
     code, out, err = run_cli(
         [command, "--config", str(path), *shots, "--out", str(out_file)]
         + flags, capsys)
@@ -250,3 +252,31 @@ def test_bad_stats_config_exits_with_config_error(tmp_path, capsys, command, cfg
     assert out == "" and not out_file.exists()
     assert "config error" in err and message in err
 
+
+
+@pytest.mark.parametrize("command, cfg, flags, key", [
+    ("mbb", {}, ["--n-braids", "3"], "n_braids"),
+    ("mbb", {}, ["--shots", "4"], "shots"),
+    ("mbb", {"backend": "anyon"}, [], "backend"),
+    ("verify", {}, ["--shots", "7"], "shots"),
+    ("verify", {"alpha": 1.0}, [], "alpha"),
+    ("derive", {"lattice": TWO_PAIRS}, ["--n-braids", "1"], "n_braids"),
+    ("derive", {"lattice": TWO_PAIRS, "seed": 1, "shots": 5}, [], "shots"),
+    ("stats", {"alpha": 0.6}, [], "alpha"),
+    ("oracle-check", {}, ["--n-braids", "2"], "n_braids"),
+    ("oracle-check", {"backend": "fock"}, [], "backend"),
+], ids=["mbb_n_braids", "mbb_shots", "mbb_backend", "verify_shots",
+        "verify_alpha", "derive_n_braids", "derive_shots", "stats_alpha",
+        "oracle_n_braids", "oracle_backend"])
+def test_a_key_the_experiment_does_not_read_is_a_config_error(
+        tmp_path, capsys, command, cfg, flags, key):
+    # a parameter without effect would still enter the report's config and
+    # change its hash
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out_file = tmp_path / "report.json"
+    code, out, err = run_cli(
+        [command, "--config", str(path), "--out", str(out_file)] + flags, capsys)
+    assert code == 1
+    assert out == "" and not out_file.exists()
+    assert "config error" in err and repr(key) in err

@@ -96,6 +96,47 @@ def test_measure_involution_measures_each_row_of_a_batch():
         dense.measure_involution(states, states @ op.T, None, 1)
 
 
+def _lone_born_rule(v, ov, u, force):
+    """Branch, probability and post state of one vector through ``np.vdot``
+    and ``np.linalg.norm``, as a lone-vector measurement computes them."""
+    plus = v + ov
+    plus *= 0.5
+    p_plus = float(np.real(np.vdot(plus, plus)))
+    branch = int(u < p_plus) if force is None else force
+    prob, post = (p_plus, plus) if branch else (1.0 - p_plus, v - plus)
+    return branch, prob, post / np.linalg.norm(post)
+
+
+@pytest.mark.parametrize("n_anyons", [4, 6])
+@pytest.mark.parametrize("involution", ["anyon", "fock"])
+def test_a_batch_of_one_measures_a_lone_vector_bit_for_bit(involution, n_anyons):
+    from itertools import combinations
+
+    from twistsim import mbb
+    make = {"anyon": mbb._anyon_involution, "fock": mbb._fock_involution}
+    gen = np.random.default_rng(7 * n_anyons)
+    branches = set()
+    for pair in combinations(range(1, n_anyons + 1), 2):
+        op = make[involution](n_anyons, pair)[0]
+        for _ in range(25):
+            v = gen.normal(size=len(op)) + 1j * gen.normal(size=len(op))
+            v /= np.linalg.norm(v)
+            ov = v @ op.T
+            # the batch layout computes the lone product, bit for bit
+            assert np.array_equal((v[None] @ op.T)[0], ov)
+            u = gen.random()
+            for force in (None, 0, 1):
+                want = _lone_born_rule(v, ov, u, force)
+                branch, prob, post = dense.measure_involution(
+                    v[None], ov[None], lambda: u, force)
+                assert branch.shape == prob.shape == (1,)
+                assert np.array_equal(branch[0], want[0])
+                assert np.array_equal(prob[0], want[1])
+                assert np.array_equal(post[0], want[2])
+                branches.add(want[0])
+    assert branches == {0, 1}
+
+
 def test_non_hermitian_rejected():
     with pytest.raises(ValueError):
         measure_projective(zero_state(1), PauliString.single(0, "X", 1), [0], rng)

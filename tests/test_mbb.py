@@ -9,8 +9,8 @@ import pytest
 from twistsim import _kernels, anyon, dense, jw, mbb, tableau
 from twistsim.lattice import build_lattice
 from twistsim.dense import InconsistentOutcomeError
-from twistsim.mbb import (CORRECTIONS, START_PAIRINGS, AnyonBackend,
-                          FockBackend, LatticeBackend, MBBRecord,
+from twistsim.mbb import (CORRECTIONS, CYCLE_PAIRS, START_PAIRINGS,
+                          AnyonBackend, FockBackend, LatticeBackend, MBBRecord,
                           ShotStreams, _fock_vector,
                           apply_correction,
                           braid_once, correction_for, parity_sign_for,
@@ -63,7 +63,7 @@ def test_first_measurement_is_unbiased():
     shots = 2000
     for s in range(shots):
         backend = AnyonBackend(4, np.random.default_rng(s), 0.8, 0.6)
-        counts += run_cycle(backend).n13
+        counts += run_cycle(backend).shot(0).n13
     sigma = np.sqrt(0.25 / shots)
     assert abs(counts / shots - 0.5) <= 3 * sigma
 
@@ -72,7 +72,7 @@ def test_all_eight_outcome_triples_occur():
     seen = collections.Counter()
     for s in range(400):
         backend = AnyonBackend(4, np.random.default_rng(s), 0.6, 0.8j)
-        r = run_cycle(backend)
+        r = run_cycle(backend).shot(0)
         seen[(r.n13, r.n14, r.n12_final)] += 1
     assert len(seen) == 8
     assert min(seen.values()) > 0
@@ -85,7 +85,7 @@ def _branch_amplitudes(backend, pair):
     out = {}
     for k, (sector, total) in enumerate((("even", 0), ("odd", 1))):
         u = anyon.basis_change(4, START_PAIRINGS[4], target, total)
-        amps = np.conj(u) @ backend.state[2 * k:2 * k + 2]
+        amps = np.conj(u) @ backend.state[0, 2 * k:2 * k + 2]
         for amp, lab in zip(amps, anyon._labels(4, total)):
             if abs(amp) > 1e-12:
                 out[(sector, lab)] = amp
@@ -144,7 +144,7 @@ def test_final_states_match_published_grouping_up_to_phase():
             f = (branch >> 2 & 1, branch >> 1 & 1, branch & 1)
             bk = AnyonBackend(4, np.random.default_rng(trial), a, b)
             try:
-                rec = run_cycle(bk, force=f)
+                rec = run_cycle(bk, force=f).shot(0)
             except ValueError:
                 continue
             amp = _branch_amplitudes(bk, (1, 2))
@@ -170,12 +170,12 @@ def test_braid_equivalence_all_branches_fock():
         for branch in range(8):
             f = (branch >> 2 & 1, branch >> 1 & 1, branch & 1)
             bk = FockBackend(4, np.random.default_rng(branch), a, b)
-            initial = bk.vector()
+            initial = bk.vector()[0]
             try:
-                rec = run_cycle(bk, force=f)
+                rec = run_cycle(bk, force=f).shot(0)
             except ValueError:
                 continue
-            fid = verify_braid_equivalence(initial, bk.vector(), rec, bk.space)
+            fid = verify_braid_equivalence(initial, bk.vector()[0], rec, bk.space)
             assert abs(fid - 1.0) < 1e-10
 
 
@@ -184,11 +184,11 @@ def test_forced_measurement_matches_braid():
     for trial in range(40):
         a, b = rng0.normal(size=2) + 1j * rng0.normal(size=2)
         bk = FockBackend(4, np.random.default_rng(trial), a, b)
-        initial = bk.vector()
+        initial = bk.vector()[0]
         record = run_forced(bk)
         assert record.n13 == record.n14 == record.n12_final == 0
         rotated = bk.space.braid_op(3, 4) @ initial
-        assert abs(dense.fidelity_up_to_phase(rotated, bk.vector()) - 1) < 1e-10
+        assert abs(dense.fidelity_up_to_phase(rotated, bk.vector()[0]) - 1) < 1e-10
 
 
 def test_forced_with_immediate_successes_equals_plain_cycle():
@@ -199,7 +199,7 @@ def test_forced_with_immediate_successes_equals_plain_cycle():
         if rec.attempts == (1, 1, 1):
             bkC = FockBackend(4, np.random.default_rng(seed), a, b)
             rec2 = run_cycle(bkC, force=(0, 0, 0))
-            assert correction_for(rec2)[0] == "I"
+            assert correction_for(rec2.shot(0))[0] == "I"
             fid = dense.fidelity_up_to_phase(bkF.vector(), bkC.vector())
             assert abs(fid - 1.0) < 1e-10
             return
@@ -408,7 +408,7 @@ def _reference_vector_shots(involution, start, n_braids, shots, seed):
 def test_vector_batch_matches_per_shot_projectors(monkeypatch, per_shot,
                                                   involution, block):
     monkeypatch.setattr(mbb, "SHOT_BLOCK", block)
-    start = per_shot(6, np.random.default_rng(0)).vector()
+    start = per_shot(6, np.random.default_rng(0)).vector()[0]
     for n_braids in range(6):
         batches = []
 
@@ -426,6 +426,51 @@ def test_vector_batch_matches_per_shot_projectors(monkeypatch, per_shot,
         assert np.abs(rows - finals).max() < 1e-12
 
 
+@pytest.mark.parametrize("make, dim", [
+    (lambda rng: AnyonBackend(4, rng, 0.6, 0.8j), 4),
+    (lambda rng: FockBackend(6, rng), 8),
+    (lambda rng: LatticeBackend(LAT6, rng), None),
+], ids=["anyon", "fock", "lattice"])
+def test_a_generator_source_is_a_batch_of_one(make, dim):
+    bk = make(np.random.default_rng(2))
+    for pair in CYCLE_PAIRS + ((3, 4),):
+        labels, probs = bk.measure(pair)
+        assert labels.shape == probs.shape == (1,)
+        assert labels.dtype == np.uint8
+    if dim is None:
+        assert bk.tab.r.shape == (2 * LAT6.n_sites, 1)
+    else:
+        assert bk.vector().shape == (1, dim)
+
+
+@pytest.mark.parametrize("per_shot", [AnyonBackend, FockBackend],
+                         ids=["anyon", "fock"])
+def test_a_lone_generator_shot_equals_its_stream_bit_for_bit(per_shot):
+    # one shot on its own generator and the same shot as a batch of one
+    # stream draw the same numbers and run the same arithmetic
+    for k in range(6):
+        child = np.random.SeedSequence(12).spawn(k + 1)[k]
+        lone = per_shot(6, np.random.default_rng(child))
+        batch = per_shot(6, ShotStreams(12, k, 1))
+        for _ in range(3):
+            assert braid_once(lone).shot(0) == braid_once(batch).shot(0)
+        assert np.array_equal(lone.measure((3, 5)), batch.measure((3, 5)))
+        assert np.array_equal(lone.vector(), batch.vector())
+
+
+def test_run_shots_corrects_through_apply_correction(monkeypatch):
+    calls = []
+    apply = mbb.apply_correction
+    monkeypatch.setattr(mbb, "apply_correction", lambda backend, record: (
+        calls.append(len(record.n13)) or apply(backend, record)))
+    for n_braids in range(4):
+        calls.clear()
+        whole = run_shots(anyon6, n_braids, ShotStreams(3, 0, 16))
+        assert calls == [16] * n_braids
+        assert whole == sum(run_shots(anyon6, n_braids, ShotStreams(3, k, 1))
+                            for k in range(16))
+
+
 def test_statistics_rejects_bad_shots():
     with pytest.raises(ValueError):
         run_statistics(anyon6, 1, 0, seed=0)
@@ -440,13 +485,14 @@ def test_lattice_backend_matches_fock_under_injection():
         for f in branches:
             recF = run_cycle(bkF, force=f)
             recL = run_cycle(bkL, force=f)
-            assert recF.probabilities == pytest.approx(recL.probabilities)
-            assert (recF.n13, recF.n14, recF.n12_final) == \
-                (recL.n13, recL.n14, recL.n12_final)
+            oneF, oneL = recF.shot(0), recL.shot(0)
+            assert oneF.probabilities == pytest.approx(oneL.probabilities)
+            assert (oneF.n13, oneF.n14, oneF.n12_final) == \
+                (oneL.n13, oneL.n14, oneL.n12_final)
             apply_correction(bkF, recF)
             apply_correction(bkL, recL)
-        nF, pF = bkF.measure((3, 5))
-        nL, pL = bkL.measure((3, 5))
+        (nF,), (pF,) = bkF.measure((3, 5))
+        (nL,), (pL,) = bkL.measure((3, 5))
         assert pF == pytest.approx(pL)
         if pF == pytest.approx(1.0):
             assert nF == nL
@@ -457,8 +503,8 @@ def test_anyon_backend_matches_fock_under_injection():
         f = (trial & 1, (trial >> 1) & 1, 0)
         bkF = FockBackend(6, np.random.default_rng(0))
         bkA = AnyonBackend(6, np.random.default_rng(0))
-        recF = run_cycle(bkF, force=f)
-        recA = run_cycle(bkA, force=f)
+        recF = run_cycle(bkF, force=f).shot(0)
+        recA = run_cycle(bkA, force=f).shot(0)
         assert recF.probabilities == pytest.approx(recA.probabilities)
 
 
@@ -501,9 +547,9 @@ def test_anyon_backend_matches_fock_on_forced_sequences(n_anyons):
             assert abs(outA[1] - outF[1]) < 1e-12, (pair, label)
         if n_anyons == 6:
             state = anyon.TopoState(6, START_PAIRINGS[6], "even",
-                                    tuple(bkA.vector()))
+                                    tuple(bkA.vector()[0]))
             fock = _fock_vector(state, bkF.space)
-            assert abs(dense.fidelity_up_to_phase(fock, bkF.vector()) - 1) < 1e-12
+            assert abs(dense.fidelity_up_to_phase(fock, bkF.vector()[0]) - 1) < 1e-12
     assert rejected > 0
 
 
@@ -527,10 +573,10 @@ def test_four_braids_act_as_identity_up_to_phase():
     res = run_statistics(anyon6, 4, 300, seed=2)
     assert res["flip_frequency"] == 0.0
     bk = FockBackend(4, np.random.default_rng(0), 0.6, 0.8j)
-    initial = bk.vector()
+    initial = bk.vector()[0]
     for _ in range(4):
         braid_once(bk)
-    assert abs(dense.fidelity_up_to_phase(initial, bk.vector()) - 1.0) < 1e-10
+    assert abs(dense.fidelity_up_to_phase(initial, bk.vector()[0]) - 1.0) < 1e-10
 
 
 def test_statistics_keep_records():
@@ -603,23 +649,23 @@ def test_lattice_backend_probabilities_need_one_commutation_pass(monkeypatch):
                 undetermined = bk.tab.expectation_sign(
                     pair_string(LAT6, pair)) is None
                 before = len(passes)
-                n, prob = bk.measure(pair)
+                (n,), (prob,) = bk.measure(pair)
                 assert len(passes) - before == 1
                 assert prob == (0.5 if undetermined else 1.0)
                 labels.append(n)
                 probabilities.append(prob)
-            record = MBBRecord(0, *labels, "lattice")
+            record = MBBRecord(0, *(np.array([n]) for n in labels), "lattice")
             apply_correction(bk, record)
-            twin_record, _ = braid_once(twin)
+            twin_record = braid_once(twin).shot(0)
             assert twin_record.probabilities == tuple(probabilities)
             assert (twin_record.n13, twin_record.n14, twin_record.n12_final) == \
                 tuple(labels)
             seen.update(probabilities)
         undetermined = bk.tab.expectation_sign(
             pair_string(LAT6, (3, 5))) is None
-        n35, prob = bk.measure((3, 5))
+        (n35,), (prob,) = bk.measure((3, 5))
         assert prob == (0.5 if undetermined else 1.0)
-        assert twin.measure((3, 5)) == (n35, prob)
+        assert [out.tolist() for out in twin.measure((3, 5))] == [[n35], [prob]]
         seen.add(prob)
     assert seen == {0.5, 1.0}
 
@@ -635,9 +681,10 @@ def test_forcing_an_impossible_label_raises_and_keeps_the_state(make, snapshot):
     with pytest.raises(InconsistentOutcomeError):
         bk.measure((1, 2), force=1)  # the start pairs sit at label 0
     assert snapshot(bk) == before
-    # one-shot labels and probabilities are Python scalars, which the mbb
-    # report writes with json: a fixed label, then a random one
+    # a generator's shot is a batch of one: a label and a probability per
+    # shot, for a fixed label, then a random one
     for pair, prob in (((1, 2), 1.0), ((1, 3), 0.5)):
         label, p = bk.measure(pair)
-        assert type(label) is int and type(p) is float
-        assert p == pytest.approx(prob)
+        assert label.shape == p.shape == (1,)
+        assert label.dtype == np.uint8 and p.dtype == np.float64
+        assert p[0] == pytest.approx(prob)

@@ -1,5 +1,6 @@
 import gc
 import weakref
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -206,24 +207,21 @@ def test_syndrome_flags_injected_error():
     assert res2.syndrome_flags == set()
 
 
-def test_cut_operator_excites_the_face_pair():
+@pytest.mark.parametrize("shape", [(10, 10, []), (14, 12, [(5, 5, 8)])],
+                         ids=["10x10", "14x12_558"])
+def test_cut_operator_excites_the_face_pair(shape):
     from twistsim.lattice import excitations_of
-    lat = build_lattice(10, 10, [])
-    loop = diamond_loop.__wrapped__(lat, 0, 2) if hasattr(diamond_loop, "__wrapped__") \
-        else None
-    # build a small diamond by hand and check each hop
-    t = init_ground(lat, seed=0)
-    f1 = next(p.id for p in lat.plaquettes)
-    # find a diagonal neighbour
-    for p in lat.plaquettes:
-        if p.id == f1:
-            continue
+    lat = build_lattice(*shape)
+    squares = [p.id for p in lat.plaquettes if p.kind == "square"]
+    hops = 0
+    for f, g in permutations(squares, 2):
         try:
-            op = cut_operator(lat, f1, p.id)
+            op = cut_operator(lat, f, g)
         except GeometryError:
             continue
-        assert excitations_of(lat, op) == {f1, p.id}
-        break
+        assert excitations_of(lat, op) == {f, g}, (f, g)
+        hops += 1
+    assert hops >= len(squares)
 
 
 def test_cut_operator_refuses_a_shared_y_corner():
@@ -477,7 +475,7 @@ def test_memo_keys_a_list_argument_as_its_tuple():
 def test_deterministic_expectation_sign_reads_without_copying(monkeypatch):
     lat = build_lattice(8, 12, [(2, 2, 4), (5, 2, 4), (8, 2, 4)])
     t = init_ground(lat, seed=5)
-    queries = list(t.plaquette_ops[:6])
+    queries = list(t.lattice.plaquette_ops[:6])
     queries += [t.logicals[name] for name in sorted(t.logicals)]
     queries.append(queries[-1].negate())
     expected = [t.copy().measure(q) for q in queries]
