@@ -28,28 +28,48 @@ class InconsistentOutcomeError(ValueError):
     """A forced measurement outcome has zero probability."""
 
 
+# A forced branch below this probability is impossible.
+MIN_BRANCH_PROB = 1e-12
+
+
+def plus_branch(state: np.ndarray, o_state: np.ndarray):
+    """O's +1-eigenspace part of each row of ``state`` and its probability,
+    given ``O @ state`` (see ``measure_involution``)."""
+    plus = state + o_state
+    plus *= 0.5  # in place: a batch holds one (S, dim) temporary fewer
+    return plus, np.vecdot(plus, plus).real
+
+
+def born_branch(p_plus: np.ndarray, draw, force: int | None = None):
+    """Per shot, whether branch 1 is taken, and that branch's probability.
+
+    ``p_plus`` is each shot's probability of branch 1. Unforced, it takes one
+    uniform number per shot from ``draw()`` (a float, or one per shot) and
+    takes branch 1 below ``p_plus``; forced, it draws nothing and rejects a
+    branch of probability below ``MIN_BRANCH_PROB``.
+    """
+    took = draw() < p_plus if force is None else np.full(len(p_plus), force == 1)
+    prob = np.where(took, p_plus, 1.0 - p_plus)
+    if force is not None and np.any(prob < MIN_BRANCH_PROB):
+        raise InconsistentOutcomeError(f"forced branch {force} has zero probability")
+    return took, prob
+
+
 def measure_involution(state: np.ndarray, o_state: np.ndarray, draw,
                        force: int | None = None):
     """Born-rule measurement of a Hermitian involution O on S shots, given
     ``O @ state``: ``state`` is an (S, dim) array, one shot per row, and a
     lone vector ``v`` is the batch of one ``v[None]``.
 
-    Branch 1 is O's +1 eigenspace, branch 0 its -1 eigenspace. Unforced, it
-    takes one uniform number per shot from ``draw()`` (a float, or S of
-    them); forced, it draws nothing and rejects a branch of probability below
-    1e-12. Returns per shot the branch (uint8), its probability and the
-    normalized post-measurement row. Each row's squared norms are the dot
+    Branch 1 is O's +1 eigenspace, branch 0 its -1 eigenspace, chosen by
+    ``born_branch``. Returns per shot the branch (uint8), its probability and
+    the normalized post-measurement row. Each row's squared norms are the dot
     products of ``np.vdot`` and ``np.linalg.norm`` (real and imaginary parts
     apart), so a batch of one gives what those give on the lone vector, bit
     for bit.
     """
-    plus = state + o_state
-    plus *= 0.5  # in place: a batch holds one (S, dim) temporary fewer
-    p_plus = np.vecdot(plus, plus).real
-    took = draw() < p_plus if force is None else np.full(len(state), force == 1)
-    prob = np.where(took, p_plus, 1.0 - p_plus)
-    if force is not None and np.any(prob < 1e-12):
-        raise InconsistentOutcomeError(f"forced branch {force} has zero probability")
+    plus, p_plus = plus_branch(state, o_state)
+    took, prob = born_branch(p_plus, draw, force)
     post = state - plus
     np.copyto(post, plus, where=took[:, None])
     post /= np.sqrt(np.vecdot(post.real, post.real)

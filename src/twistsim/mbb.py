@@ -13,13 +13,20 @@ Every backend runs a batch of shots, and its random source, the second
 argument, sets the shot count: a ``ShotStreams`` runs S shots, a numpy
 ``Generator`` is a batch of one. ``measure`` returns per-shot arrays, one
 uint8 label and one probability per shot, and may be forced;
-``apply_parity`` may act on marked shots only. A batch holds one anyon or
-Fock state vector per shot as the rows of one (S, dim) array, or one tableau
-sign column per shot on a shared x/z trajectory. ``ShotStreams`` computes
-every shot's random stream at once: shot k's stream equals, draw for draw,
-that of numpy's PCG64 ``Generator`` on the k-th ``SeedSequence`` child, and
-each shot draws in the order a lone shot would, so it reads what it would
-read alone.
+``apply_parity`` may act on marked shots only. A batch holds one tableau
+sign column per shot on a shared x/z trajectory, or, on the anyon and Fock
+backends, one small integer per shot: the index of its state vector in a
+transition table. Pair measurements and parity flips are Clifford, so a start
+vector reaches a few hundred states at most; the table holds each state, with
+phase, and per pair its +1-branch probability and the successor of each
+branch and of a flip. It is filled lazily, at a state's first visit, by the
+same Born-rule arithmetic (``dense.measure_involution``) a lone vector would
+run, and shared by every backend on that start vector in the process, so a
+measurement is a few gathers and one uniform draw per shot.
+``ShotStreams`` computes every shot's random stream at once: shot k's stream
+equals, draw for draw, that of numpy's PCG64 ``Generator`` on the k-th
+``SeedSequence`` child, and each shot draws in the order a lone shot would,
+so it reads what it would read alone.
 
 The anyon and Fock backends are one state-vector backend with two
 constructors: each measures a pair through a Hermitian involution O (the
@@ -36,7 +43,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -178,37 +185,172 @@ def _shot_source(rng: np.random.Generator | ShotStreams):
     return 1, rng.random, lambda: np.array([rng.integers(2)], dtype=np.uint8)
 
 
+# States one transition table may hold. From the six-anyon start, measuring
+# every pair at either label and flipping every pair reaches 480 states with
+# phase kept (60 up to phase).
+TABLE_CAP = 512
+
+
+class _TransitionTable:
+    """The states a start vector reaches, with phase kept, and their moves.
+
+    ``vectors[s]`` is state s, state 0 the start. Per measured pair,
+    ``p_plus[s]`` is the probability of the involution's +1 branch (NaN until
+    s is visited) and ``succ[2 * s + b]`` the state after branch b (-1 where
+    b is impossible); per flipped pair, ``flip[s]`` is the state after the
+    involution (-1 until visited). A state's entries are filled at its first
+    visit by ``dense.measure_involution`` and ``@ op.T`` on the block of the
+    states met for the first time, so the Born-rule arithmetic stays in
+    ``dense``. A new vector within 1e-12 of a known state is that state: the vector seen
+    first stays.
+    """
+
+    def __init__(self, start: np.ndarray):
+        self.vectors = np.empty((TABLE_CAP, len(start)), dtype=np.complex128)
+        self.vectors[0] = start
+        self.size = 1
+        self._measures: dict = {}
+        self._flips: dict = {}
+
+    def _distinct(self, states: np.ndarray) -> np.ndarray:
+        """The distinct entries of ``states``, ascending."""
+        seen = np.zeros(self.size, dtype=bool)
+        seen[states] = True
+        return np.flatnonzero(seen)
+
+    def _index(self, rows: np.ndarray) -> np.ndarray:
+        """The state of each row, appending those not yet in the table. A
+        row is a state when no real or imaginary part of their difference
+        exceeds 1e-12; the first such state is taken."""
+        def close(a, b):
+            diff = (a[:, None] - b[None]).view(np.float64)
+            return np.abs(diff).max(axis=2) <= 1e-12
+
+        known = close(rows, self.vectors[:self.size])
+        out = np.where(known.any(axis=1), known.argmax(axis=1), -1)
+        new = np.flatnonzero(out < 0)
+        if new.size:
+            # the first of the new rows close to each other opens a state
+            leads = []
+            for k, same in enumerate(close(rows[new], rows[new]).tolist()):
+                lead = next((j for j in leads if same[j]), None)
+                if lead is None:
+                    out[new[k]] = self.size + len(leads)
+                    leads.append(k)
+                else:
+                    out[new[k]] = out[new[lead]]
+            if self.size + len(leads) > TABLE_CAP:
+                raise RuntimeError(f"more than {TABLE_CAP} states reached from "
+                                   "one start vector")
+            self.vectors[self.size:self.size + len(leads)] = rows[new[leads]]
+            self.size += len(leads)
+        return out
+
+    def measurement(self, pair: tuple[int, int], op: np.ndarray,
+                    states: np.ndarray):
+        """``(p, succ)``: the +1-branch probability of measuring ``pair``
+        through its involution ``op`` for each entry of ``states``, and the
+        table's successors of ``pair``."""
+        if pair not in self._measures:
+            self._measures[pair] = (np.full(TABLE_CAP, np.nan),
+                                    np.full(2 * TABLE_CAP, -1, dtype=np.intp))
+        p_plus, succ = self._measures[pair]
+        p = p_plus[states]
+        unvisited = np.isnan(p)
+        if unvisited.any():
+            new = self._distinct(states[unvisited])
+            block = self.vectors[new]
+            o_block = block @ op.T
+            _, p_new = dense.plus_branch(block, o_block)
+            slots, posts = [], []
+            for branch, prob in ((0, 1.0 - p_new), (1, p_new)):
+                rows = np.flatnonzero(prob >= dense.MIN_BRANCH_PROB)
+                slots.append(2 * new[rows] + branch)
+                posts.append(dense.measure_involution(block[rows], o_block[rows],
+                                                      None, branch)[2])
+            succ[np.concatenate(slots)] = self._index(np.concatenate(posts))
+            p_plus[new] = p_new
+            p = p_plus[states]
+        return p, succ
+
+    def flip(self, pair: tuple[int, int], op: np.ndarray,
+             states: np.ndarray) -> np.ndarray:
+        """The state after applying ``pair``'s involution ``op``, for each
+        entry of ``states``."""
+        if pair not in self._flips:
+            self._flips[pair] = np.full(TABLE_CAP, -1, dtype=np.intp)
+        succ = self._flips[pair]
+        out = succ[states]
+        unvisited = out < 0
+        if unvisited.any():
+            new = self._distinct(states[unvisited])
+            succ[new] = self._index(self.vectors[new] @ op.T)
+            out = succ[states]
+        return out
+
+
+@lru_cache(maxsize=32)
+def _transition_table(backend: type, n_anyons: int, start: bytes) -> _TransitionTable:
+    """The table of one backend class, anyon count and start vector."""
+    return _TransitionTable(np.frombuffer(start, dtype=np.complex128))
+
+
 class _VectorBackend:
-    """State vectors, one row per shot of an (S, dim) array, all measured by
-    one product with the pair's involution: ``_involution(n, pair)`` gives
-    that Hermitian involution O and whether its +1 eigenspace is label 0.
-    ``apply_parity`` applies O, which is i*g_a*g_b up to a global sign."""
+    """State vectors, held as one index per shot into the transition table of
+    the start vector (``_TransitionTable``), which every backend of the same
+    class, anyon count and start shares. A measurement gathers each shot's
+    +1-branch probability, draws its branch and gathers its next state; a
+    flip gathers the next state. ``_involution(n, pair)`` gives the pair's
+    Hermitian involution O and whether its +1 eigenspace is label 0.
+    ``apply_parity`` applies O, which is i*g_a*g_b up to a global sign.
+    """
 
     def __init__(self, n_anyons: int, rng: np.random.Generator | ShotStreams,
                  state: np.ndarray):
         self.n = n_anyons
         shots, self._random, _ = _shot_source(rng)
-        self.state = np.repeat(state[None, :], shots, axis=0)
+        self._start = state
+        self.index = np.zeros(shots, dtype=np.intp)
+
+    @property
+    def shots(self) -> int:
+        return len(self.index)
+
+    @cached_property
+    def _table(self) -> _TransitionTable:
+        # looked up at the first use, so constructing a backend builds nothing
+        return _transition_table(type(self), self.n, self._start.tobytes())
 
     def measure(self, pair: tuple[int, int], force: int | None = None):
         """``(labels, probabilities)`` of ``pair``, one per shot. A
-        measurement takes one uniform draw per shot, unless forced."""
-        op, plus_is_label_0 = self._involution(self.n, tuple(pair))
-        took_plus, prob, self.state = dense.measure_involution(
-            self.state, self.state @ op.T, self._random,
+        measurement takes one uniform draw per shot, unless forced; an
+        impossible forced label raises ``InconsistentOutcomeError`` and keeps
+        the state."""
+        pair = tuple(pair)
+        op, plus_is_label_0 = self._involution(self.n, pair)
+        p_plus, succ = self._table.measurement(pair, op, self.index)
+        took, prob = dense.born_branch(
+            p_plus, self._random,
             None if force is None else int((force == 0) == plus_is_label_0))
-        return took_plus ^ plus_is_label_0, prob
+        index = succ[2 * self.index + took]
+        if index.min() < 0:
+            raise RuntimeError(f"a shot drew a branch of {pair} whose "
+                               f"probability is below {dense.MIN_BRANCH_PROB}")
+        self.index = index
+        return took.astype(np.uint8) ^ plus_is_label_0, prob
 
     def apply_parity(self, pair: tuple[int, int],
                      shots: np.ndarray | None = None) -> None:
         """Apply ``pair``'s involution to every shot, or to the shots marked 1
         in ``shots``."""
-        op = self._involution(self.n, tuple(pair))[0]
+        pair = tuple(pair)
+        op = self._involution(self.n, pair)[0]
         rows = slice(None) if shots is None else np.flatnonzero(shots)
-        self.state[rows] = self.state[rows] @ op.T
+        self.index[rows] = self._table.flip(pair, op, self.index[rows])
 
     def vector(self) -> np.ndarray:
-        return self.state.copy()
+        """Each shot's state vector, one row per shot."""
+        return self._table.vectors[self.index]
 
 
 class AnyonBackend(_VectorBackend):
@@ -276,6 +418,10 @@ class LatticeBackend:
         self.tab = self.ctx.ground(pins).copy()
         self.tab.r = np.repeat(self.tab.r[:, None], shots, axis=1)
 
+    @property
+    def shots(self) -> int:
+        return self.tab.r.shape[1]
+
     def _string(self, pair: tuple[int, int]):
         return self.ctx.parity_string(pair[0] - 1, pair[1] - 1)
 
@@ -283,7 +429,7 @@ class LatticeBackend:
         """``(labels, probabilities)`` of ``pair``, one per shot. An impossible
         forced label raises ``InconsistentOutcomeError`` and keeps the state."""
         pair = tuple(pair)
-        shots = self.tab.r.shape[1]
+        shots = self.shots
         # outcome bit 0 is parity +1, label 0 when the vacuum sign is +1
         flip = parity_sign_for(pair, self.n) == -1
         draw = self._bit if force is None else \
@@ -471,8 +617,11 @@ def braid_once(backend, force=None) -> MBBRecord:
 
 
 def run_forced(backend, max_attempts: int = 64) -> MBBRecord:
-    """Forced-measurement braid: re-measure the previous pair and retry until
-    each of the three target labels comes out 0."""
+    """Forced-measurement braid of one shot: re-measure the previous pair and
+    retry until each of the three target labels comes out 0."""
+    if backend.shots != 1:
+        raise ValueError(f"run_forced runs one shot, not a batch of "
+                         f"{backend.shots}")
     steps = [((1, 3), (1, 2)), ((1, 4), (1, 3)), ((1, 2), (1, 4))]
     attempts = []
     for target, reset in steps:

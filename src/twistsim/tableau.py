@@ -29,6 +29,11 @@ _X_BITS = str.maketrans("IXZY", "0101")
 _Z_BITS = str.maketrans("IXZY", "0011")
 
 
+def _sign(bits):
+    """±1 of outcome bit(s) (0 for +1): an int, or int8 per column."""
+    return 1 - 2 * (bits if isinstance(bits, int) else bits.astype(np.int8))
+
+
 class Tableau:
     """Stabilizer state of ``n`` qubits plus code-level bookkeeping.
 
@@ -37,7 +42,8 @@ class Tableau:
     ``i``, and ``r`` the sign bits as a uint8 array (see ``_kernels``): one
     column, shape (2n,), or S columns, shape (2n, S), one per shot of a batch
     that shares these x/z rows (a ``LatticeBackend`` keeps S columns, one for
-    a lone shot). ``measure`` and ``expectation_sign`` need the 1-D form.
+    a lone shot). ``measure`` and ``expectation_sign`` return an int ±1 for
+    the 1-D form and one int8 ±1 per column for the 2-D form.
 
     ``active`` is the set of plaquette ids currently enforced by the code
     cycle; disabling a stabilizer is bookkeeping only and never touches the
@@ -110,18 +116,20 @@ class Tableau:
 
     # -- measurement ---------------------------------------------------------
 
-    def measure(self, p: PauliString, force: int | None = None) -> int:
-        """Projective measurement of a Hermitian Pauli string, returns ±1."""
-        def draw() -> int:
-            if force is None:
-                return int(self.rng.integers(2))
-            return 0 if force == 1 else 1
+    def measure(self, p: PauliString, force: int | None = None):
+        """Projective measurement of a Hermitian Pauli string, returns ±1 (per
+        column for (2n, S) ``r``). A forced outcome that some column rules out
+        raises ``InconsistentOutcomeError``."""
+        def draw():
+            bit = int(self.rng.integers(2)) if force is None else int(force != 1)
+            return bit if self.r.ndim == 1 else np.full(self.r.shape[1], bit, np.uint8)
 
-        outcome = 1 - 2 * self.measure_signs(p, draw)
-        if force is not None and force != outcome:
-            raise InconsistentOutcomeError(
-                f"outcome {force} requested for a measurement fixed at {outcome}"
-            )
+        outcome = _sign(self.measure_signs(p, draw))
+        if force is not None:
+            wrong = outcome != force
+            if wrong if self.r.ndim == 1 else wrong.any():
+                raise InconsistentOutcomeError(
+                    f"outcome {force} requested for a measurement fixed at {outcome}")
         return outcome
 
     def measure_signs(self, p: PauliString, draw):
@@ -167,13 +175,14 @@ class Tableau:
         rows = _kernels.set_bits(_kernels.anticommuting_rows(self.cx, self.cz, px, pz))
         self.r[rows] ^= 1 if shots is None else shots.astype(np.uint8)
 
-    def expectation_sign(self, p: PauliString) -> int | None:
-        """±1 if ``p`` is fixed by the state, None if the outcome is random."""
+    def expectation_sign(self, p: PauliString):
+        """±1 (per column for (2n, S) ``r``) if ``p`` is fixed by the state,
+        None if the outcome is random."""
         px, pz, pr = self._bits_of(p)
         anti = _kernels.anticommuting_rows(self.cx, self.cz, px, pz)
         if anti >> self.n:
             return None
-        return 1 - 2 * self._fixed_outcome_bit(px, pz, pr, anti)
+        return _sign(self._fixed_outcome_bit(px, pz, pr, anti))
 
     # -- serialization -------------------------------------------------------
 

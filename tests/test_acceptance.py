@@ -174,7 +174,7 @@ def test_criterion_6_mbb_exactness():
             for k, (sector, total) in enumerate((("even", 0), ("odd", 1))):
                 u = anyon.basis_change(4, START_PAIRINGS[4], ((1, 3), (2, 4)),
                                        total)
-                for amp, lab in zip(np.conj(u) @ reg.state[0, 2 * k:2 * k + 2],
+                for amp, lab in zip(np.conj(u) @ reg.vector()[0, 2 * k:2 * k + 2],
                                     anyon._labels(4, total)):
                     amps[(sector, lab)] = amp
             ph = np.exp(-1j * np.pi / 8)

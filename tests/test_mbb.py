@@ -1,4 +1,5 @@
 import collections
+import copy
 import gc
 import weakref
 from itertools import combinations
@@ -85,7 +86,7 @@ def _branch_amplitudes(backend, pair):
     out = {}
     for k, (sector, total) in enumerate((("even", 0), ("odd", 1))):
         u = anyon.basis_change(4, START_PAIRINGS[4], target, total)
-        amps = np.conj(u) @ backend.state[0, 2 * k:2 * k + 2]
+        amps = np.conj(u) @ backend.vector()[0, 2 * k:2 * k + 2]
         for amp, lab in zip(amps, anyon._labels(4, total)):
             if abs(amp) > 1e-12:
                 out[(sector, lab)] = amp
@@ -219,6 +220,7 @@ def test_forced_attempt_counts_are_geometric():
 def test_forced_max_attempts():
     class Always1:
         name = "stub"
+        shots = 1
         def measure(self, pair, force=None):
             return 1, 0.5
     with pytest.raises(RuntimeError):
@@ -553,6 +555,80 @@ def test_anyon_backend_matches_fock_on_forced_sequences(n_anyons):
     assert rejected > 0
 
 
+def _phase_free(vector):
+    """``vector`` with its first nonzero amplitude made real positive,
+    rounded, as a key of its state up to phase."""
+    lead = vector[np.flatnonzero(np.abs(vector) > 1e-9)[0]]
+    return tuple(np.round(vector * abs(lead) / lead, 9).tolist())
+
+
+def _twin(backend):
+    """A copy of a vector backend that moves on its own."""
+    twin = copy.copy(backend)
+    twin.index = backend.index.copy()
+    return twin
+
+
+def test_anyon_and_fock_agree_edge_for_edge():
+    # the whole graph the six-anyon start reaches: from every state, each of
+    # the 15 pairs measured at forced label 0 and 1, and each pair flipped.
+    # On every edge both backends give the same probability and reject the
+    # same branches, and their states correspond through ``_fock_vector``.
+    pairs = list(combinations(range(1, 7), 2))
+    start = (AnyonBackend(6, np.random.default_rng(0)),
+             FockBackend(6, np.random.default_rng(0)))
+    seen, todo = set(), [start]
+    tries = rejected = 0
+    while todo:
+        bkA, bkF = todo.pop()
+        key = (_phase_free(bkA.vector()[0]), _phase_free(bkF.vector()[0]))
+        if key in seen:
+            continue
+        seen.add(key)
+        state = anyon.TopoState(6, START_PAIRINGS[6], "even",
+                                tuple(bkA.vector()[0]))
+        fock = _fock_vector(state, bkF.space)
+        assert abs(dense.fidelity_up_to_phase(fock, bkF.vector()[0]) - 1) < 1e-12
+        for pair in pairs:
+            for label in (0, 1):
+                nextA, nextF = _twin(bkA), _twin(bkF)
+                outA, outF = _forced(nextA, pair, label), _forced(nextF, pair, label)
+                tries += 1
+                assert (outA is None) == (outF is None), (pair, label)
+                if outA is None:
+                    rejected += 1
+                    continue
+                assert outA[0] == outF[0] == label
+                assert abs(outA[1] - outF[1]) < 1e-12, (pair, label)
+                todo.append((nextA, nextF))
+            nextA, nextF = _twin(bkA), _twin(bkF)
+            nextA.apply_parity(pair)
+            nextF.apply_parity(pair)
+            todo.append((nextA, nextF))
+    assert len(seen) == 60
+    assert len({a for a, _ in seen}) == len({f for _, f in seen}) == 60
+    assert tries == 60 * 30 and rejected == 180
+
+
+def test_a_drawn_branch_below_the_threshold_raises_and_keeps_the_state():
+    # beta^2 ~ 1e-14: the odd sector's (3,4) label 1 is below 1e-12, so the
+    # table holds no successor for it, and a draw of 0 lands on it
+    bk = AnyonBackend(4, np.random.default_rng(0), 1.0, 1e-7)
+    bk._random = lambda: 0.0
+    before = bk.vector()
+    with pytest.raises(RuntimeError, match="below"):
+        bk.measure((3, 4))
+    assert np.array_equal(bk.vector(), before)
+
+
+def test_a_table_raises_past_its_cap(monkeypatch):
+    monkeypatch.setattr(mbb, "TABLE_CAP", 4)
+    bk = FockBackend(4, ShotStreams(0, 0, 64), 0.31, 0.77j)
+    with pytest.raises(RuntimeError, match="more than 4 states"):
+        for _ in range(3):
+            braid_once(bk)
+
+
 def test_lattice_backend_two_braids_flip_deterministically():
     for seed in range(10):
         bk = LatticeBackend(LAT6, np.random.default_rng(seed))
@@ -668,6 +744,20 @@ def test_lattice_backend_probabilities_need_one_commutation_pass(monkeypatch):
         assert [out.tolist() for out in twin.measure((3, 5))] == [[n35], [prob]]
         seen.add(prob)
     assert seen == {0.5, 1.0}
+
+
+def test_lattice_backend_reads_its_pinned_parities_as_signs():
+    bk = LatticeBackend(LAT6, np.random.default_rng(0))
+    for pair in START_PAIRINGS[6]:
+        sign = bk.tab.expectation_sign(pair_string(LAT6, pair))
+        assert sign.tolist() == [parity_sign_for(pair, 6)]
+
+
+def test_forced_braid_rejects_a_batch():
+    with pytest.raises(ValueError, match="one shot"):
+        run_forced(FockBackend(4, ShotStreams(0, 0, 2)))
+    with pytest.raises(ValueError, match="one shot"):
+        run_forced(LatticeBackend(LAT6, ShotStreams(0, 0, 3)))
 
 
 @pytest.mark.parametrize("make, snapshot", [

@@ -735,6 +735,28 @@ def test_sign_columns_evolve_like_separate_tableaux(n):
     assert seen == {True, False}
 
 
+def test_sign_columns_read_signed_outcomes_per_column():
+    # on (2n, S) sign columns, measure and expectation_sign give one signed
+    # ±1 per column (a -1 once read as uint8 255), and a forced outcome is
+    # checked column by column
+    t = Tableau.zero_state(2, seed=0)
+    t.r = np.zeros((4, 3), dtype=np.uint8)
+    z0, x0 = PauliString.single(0, "Z"), PauliString.single(0, "X")
+    t.apply_pauli(x0, np.array([1, 0, 1], dtype=np.uint8))
+    for read in (t.expectation_sign, t.measure):
+        out = read(z0)
+        assert out.dtype.kind == "i"
+        assert out.tolist() == [-1, 1, -1]
+    for force in (1, -1):
+        with pytest.raises(InconsistentOutcomeError):
+            t.measure(z0, force=force)
+    t.apply_pauli(x0, np.array([0, 1, 0], dtype=np.uint8))
+    assert t.measure(z0, force=-1).tolist() == [-1, -1, -1]
+    assert t.measure(x0, force=1).tolist() == [1, 1, 1]  # a random outcome
+    assert t.last_random
+    assert t.expectation_sign(x0).tolist() == [1, 1, 1]
+
+
 def _sparse_string(rng, n):
     """A Hermitian Pauli on 1-6 sites (the plaquettes and single sites the
     code measures), or now and then on every site."""
