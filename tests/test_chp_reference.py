@@ -171,3 +171,96 @@ def test_readouts_match_textbook_chp(recorder, name):
             replay(ref, recorder)
             assert t.to_text() == ref.to_text()
     assert repairs  # the direct readouts' frame repairs were replayed too
+
+
+# -- the braid sampler ---------------------------------------------------------
+
+
+def _shots(t: Tableau) -> int:
+    return t.r.shape[1] if t.r.ndim == 2 else 1
+
+
+def _per_shot(bits, shots: int) -> list[int]:
+    """Shot k's bit, for each k, of a per-shot outcome or shot mask."""
+    return np.broadcast_to(np.asarray(bits, dtype=np.uint8), (shots,)).tolist()
+
+
+def _shot_text(t: Tableau, k: int) -> str:
+    """The text of shot ``k`` of a batch, as a lone tableau."""
+    lone = t.copy()
+    lone.r = t.r[:, k]
+    return lone.to_text()
+
+
+@pytest.fixture
+def sign_log(monkeypatch):
+    """Every ``measure_signs`` and ``apply_pauli`` call, in order, with its
+    per-shot bits: ("measure", p, outcome bits) and ("pauli", p, marks)."""
+    log = []
+    measure_signs, apply_pauli = Tableau.measure_signs, Tableau.apply_pauli
+
+    def logged_measure(self, p, draw):
+        out = measure_signs(self, p, draw)
+        log.append(("measure", p, _per_shot(out, _shots(self))))
+        return out
+
+    def logged_pauli(self, p, shots=None):
+        apply_pauli(self, p, shots)
+        marks = 1 if shots is None else shots
+        log.append(("pauli", p, _per_shot(marks, _shots(self))))
+
+    monkeypatch.setattr(Tableau, "measure_signs", logged_measure)
+    monkeypatch.setattr(Tableau, "apply_pauli", logged_pauli)
+    return log
+
+
+def replay_shot(ref: ReferenceCHP, log: list, k: int) -> None:
+    """Replay shot ``k`` of ``log``, its outcomes as the draws."""
+    for kind, p, bits in log:
+        if kind == "pauli":
+            if bits[k]:
+                ref.apply_pauli(p)
+        else:
+            sign = 1 - 2 * bits[k]
+            assert ref.measure(p, draw=sign) == sign
+
+
+# the pair each sampler run reads after its braids: (3,5) is what ``stats``
+# reads on three pairs; two pairs have no anyon 5
+READOUT = {6: (3, 5), 4: (2, 3)}
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["random", "forced"])
+@pytest.mark.parametrize("name", ["8x12", "10x12"])
+def test_braid_sampler_matches_textbook_chp(sign_log, name, forced):
+    # the stats sampler's tableau calls, replayed shot by shot on the textbook
+    # simulator: lone shots (batch width 1) and every column of a batch of 13,
+    # which is not a whole number of bytes
+    lat = build_lattice(*LATTICES[name])
+    ground = mbb.LatticeBackend(lat, np.random.default_rng(0)).tab
+    ground_ref = ReferenceCHP(lat.n_sites)
+    replay_shot(ground_ref, sign_log, 0)
+    assert ground.to_text() == ground_ref.to_text()
+    rng = np.random.default_rng(len(name) + forced)
+    seen = set()
+    for n_braids in range(6):
+        for width, starts in ((1, range(3)), (13, [0])):
+            for start in starts:
+                sign_log.clear()
+                bk = mbb.LatticeBackend(lat, mbb.ShotStreams(n_braids, start, width))
+                for _ in range(n_braids):
+                    # a forced label may arrive as a numpy integer
+                    force = tuple([None, np.int64(0), np.int64(1)][rng.integers(3)]
+                                  for _ in range(3)) if forced else None
+                    mbb.braid_once(bk, force)
+                labels, _ = bk.measure(READOUT[bk.n])
+                if forced:  # the repeat is fixed: shot 0 rules this label out
+                    with pytest.raises(InconsistentOutcomeError):
+                        bk.measure(READOUT[bk.n], force=np.int64(1 - labels[0]))
+                for k in range(width):
+                    ref = copy.deepcopy(ground_ref)
+                    replay_shot(ref, sign_log, k)
+                    assert _shot_text(bk.tab, k) == ref.to_text()
+                seen.update(bits[k] for kind, _, bits in sign_log
+                            for k in range(width) if kind == "measure")
+    assert seen == {0, 1}
