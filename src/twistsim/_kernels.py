@@ -9,10 +9,10 @@ Tableau layout (Aaronson–Gottesman style):
              n..2n-1 are stabilizers.
     cx, cz : lists of n column integers, the transpose of x and z: bit ``i``
              of ``cx[j]`` is bit ``j`` of ``x[i]``.
-    r      : uint8 array of sign bits (0 -> +1, 1 -> -1), shape (2n,), or
-             (2n, S) for a batch of S shots: one sign column per shot, all
-             sharing one x/z trajectory (Stim's frame idea). ``Tableau.r``
-             holds either form, and ``random_update`` takes both.
+    r      : list of 2n sign integers: bit ``s`` of ``r[i]`` is shot ``s``'s
+             sign on row ``i`` (0 -> +1, 1 -> -1). The S shots of a batch
+             share the x/z rows (Stim's frame idea); a lone tableau is a
+             batch of one, each sign 0 or 1.
 
 The tableaux of the twisted code are sparse: a plaquette or a single-site
 Pauli touches a handful of columns, and a measurement rewrites a few dozen of
@@ -91,29 +91,20 @@ def row_product(x: list[int], z: list[int], rows: list[int]) -> tuple[int, int, 
     return ax, az, exponent
 
 
-def random_update(x, z, cx, cz, r, anti, pivot, px, pz, pr, outcome_bit):
+def random_update(x, z, cx, cz, r, ones, anti, pivot, px, pz, pr, outcome):
     """CHP update for a random outcome: multiply the pivot stabilizer into
     every other anticommuting row (``anti``, one bit per row), move it to its
-    destabilizer slot, and put the measured operator with the outcome's sign
-    in its place.
-
-    ``r`` may carry a trailing shot axis, (2n, S) sign columns that share
-    these rows, with ``outcome_bit`` then one bit per shot or one for all."""
-    xp, zp = x[pivot], z[pivot]
+    destabilizer slot, and put the measured operator (sign bit ``pr``) in its
+    place with the outcome bits ``outcome``. ``ones`` has one bit per shot."""
+    xp, zp, rp = x[pivot], z[pivot], r[pivot]
     others = anti & ~(1 << pivot)
     if others:
-        rows = set_bits(others)
-        flips = []
-        for i in rows:
+        for i in set_bits(others):
             xi, zi = x[i], z[i]
             # the product's sign flips when its power of i is 2 or 3 mod 4
-            if int_product_phase(xi, zi, xp, zp) & 2:
-                flips.append(i)
+            r[i] ^= rp ^ ones if int_product_phase(xi, zi, xp, zp) & 2 else rp
             x[i] = xi ^ xp
             z[i] = zi ^ zp
-        r[rows] ^= r[pivot]
-        if flips:
-            r[flips] ^= 1
         for j in set_bits(xp):
             cx[j] ^= others
         for j in set_bits(zp):
@@ -121,7 +112,7 @@ def random_update(x, z, cx, cz, r, anti, pivot, px, pz, pr, outcome_bit):
     n = len(cx)
     set_row(x, cx, pivot - n, xp)
     set_row(z, cz, pivot - n, zp)
-    r[pivot - n] = r[pivot]
+    r[pivot - n] = rp
     set_row(x, cx, pivot, px)
     set_row(z, cz, pivot, pz)
-    r[pivot] = (pr + outcome_bit) % 2
+    r[pivot] = outcome ^ ones if pr else outcome

@@ -14,6 +14,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import sys
 from functools import lru_cache
 
@@ -374,6 +375,10 @@ def main(argv=None) -> int:
         cfg["experiment"] = args.command
         # where the report goes is not part of the experiment, nor of its hash
         out, fmt = cfg.pop("out", None), cfg.pop("format", "json")
+        out, fmt = args.out or out, args.format or fmt
+        if out and (os.path.isdir(out)
+                    or not os.path.isdir(os.path.dirname(os.path.abspath(out)))):
+            raise ConfigError(f"out {out!r} is a directory, or its directory is missing")
         results, checks = _EXPERIMENTS[args.command](cfg)
     except (ConfigError, SizeError, GeometryError, FileNotFoundError,
             json.JSONDecodeError) as exc:
@@ -381,7 +386,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
     report = _report(cfg, results, checks)
-    _emit(report, args.out or out, args.format or fmt)
+    _emit(report, out, fmt)
     if not report["passed"]:
         failed = [c["name"] for c in checks if not c["passed"]]
         print(f"invariant violation: {failed}", file=sys.stderr)

@@ -14,7 +14,7 @@ argument, sets the shot count: a ``ShotStreams`` runs S shots, a numpy
 ``Generator`` is a batch of one. ``measure`` returns per-shot arrays, one
 uint8 label and one probability per shot, and may be forced;
 ``apply_parity`` may act on marked shots only. A batch holds one tableau
-sign column per shot on a shared x/z trajectory, or, on the anyon and Fock
+sign bit per shot per row on shared x/z rows, or, on the anyon and Fock
 backends, one small integer per shot: the index of its state vector in a
 transition table. Pair measurements and parity flips are Clifford, so a start
 vector reaches a few hundred states at most; the table holds each state, with
@@ -178,11 +178,12 @@ def _fock_involution(n_anyons: int, pair: tuple[int, int]) -> tuple[np.ndarray, 
 
 
 def _shot_source(rng: np.random.Generator | ShotStreams):
-    """``(shots, random, bit)`` of a ``ShotStreams``, or of a ``Generator`` as
-    a batch of one: a uniform float and a uint8 bit per shot per draw."""
+    """``(shots, random, bits)`` of a ``ShotStreams``, or of a ``Generator``
+    as a batch of one: per draw, a uniform float per shot, or one bit per shot
+    packed into an integer, bit ``s`` for shot ``s``."""
     if isinstance(rng, ShotStreams):
-        return len(rng), rng.random, rng.bit
-    return 1, rng.random, lambda: np.array([rng.integers(2)], dtype=np.uint8)
+        return len(rng), rng.random, lambda: _pack(rng.bit())
+    return 1, rng.random, lambda: int(rng.integers(2))
 
 
 # States one transition table may hold. From the six-anyon start, measuring
@@ -308,13 +309,9 @@ class _VectorBackend:
     def __init__(self, n_anyons: int, rng: np.random.Generator | ShotStreams,
                  state: np.ndarray):
         self.n = n_anyons
-        shots, self._random, _ = _shot_source(rng)
+        self.shots, self._random, _ = _shot_source(rng)
         self._start = state
-        self.index = np.zeros(shots, dtype=np.intp)
-
-    @property
-    def shots(self) -> int:
-        return len(self.index)
+        self.index = np.zeros(self.shots, dtype=np.intp)
 
     @cached_property
     def _table(self) -> _TransitionTable:
@@ -396,11 +393,11 @@ class LatticeBackend:
 
     Which rows a measurement touches, and whether it is random, depend only
     on the measured strings; outcomes and corrections change signs only. So
-    one tableau carries the x/z trajectory every shot shares, and ``tab.r``
-    holds one sign column per shot, shape (2n, S) (Stim's frame idea,
+    one tableau carries the x/z trajectory every shot shares, and bit ``s``
+    of each of its sign integers is shot ``s``'s sign (Stim's frame idea,
     arXiv:2103.02202, applied to the CHP sign column). A random measurement
     takes one bit per shot, ``Generator.integers(2)`` or ``ShotStreams.bit()``,
-    the same draw.
+    the same draw, packed into one integer; ``measure`` unpacks the labels.
     """
 
     name = "lattice"
@@ -414,13 +411,9 @@ class LatticeBackend:
                      for a, b in START_PAIRINGS[n])
         self.n = n
         self.ctx = tableau.code_context(lat)
-        shots, _, self._bit = _shot_source(rng)
+        self.shots, _, self._bits = _shot_source(rng)
         self.tab = self.ctx.ground(pins).copy()
-        self.tab.r = np.repeat(self.tab.r[:, None], shots, axis=1)
-
-    @property
-    def shots(self) -> int:
-        return self.tab.r.shape[1]
+        self.tab.spread(self.shots)
 
     def _string(self, pair: tuple[int, int]):
         return self.ctx.parity_string(pair[0] - 1, pair[1] - 1)
@@ -429,22 +422,29 @@ class LatticeBackend:
         """``(labels, probabilities)`` of ``pair``, one per shot. An impossible
         forced label raises ``InconsistentOutcomeError`` and keeps the state."""
         pair = tuple(pair)
-        shots = self.shots
         # outcome bit 0 is parity +1, label 0 when the vacuum sign is +1
         flip = parity_sign_for(pair, self.n) == -1
-        draw = self._bit if force is None else \
-            lambda: np.full(shots, force ^ flip, dtype=np.uint8)
-        labels = self.tab.measure_signs(self._string(pair), draw) ^ flip
-        if force is not None and np.any(labels != force):
+        forced = None if force is None else self.tab.all_shots * (int(force) ^ flip)
+        bits = self.tab.measure_signs(
+            self._string(pair), lambda: self._bits() if forced is None else forced)
+        # bit s of ``bits`` is shot s's outcome
+        raw = np.frombuffer(bits.to_bytes(-(-self.shots // 8), "little"), np.uint8)
+        labels = np.unpackbits(raw, count=self.shots, bitorder="little") ^ flip
+        if forced is not None and bits != forced:
             raise dense.InconsistentOutcomeError(
                 f"label {force} requested for a measurement fixed at {labels}")
-        return labels, np.full(shots, 0.5 if self.tab.last_random else 1.0)
+        return labels, np.full(self.shots, 0.5 if self.tab.last_random else 1.0)
 
     def apply_parity(self, pair: tuple[int, int],
                      shots: np.ndarray | None = None) -> None:
         """Apply ``pair``'s parity to every shot, or to the shots marked 1 in
         ``shots``."""
-        self.tab.apply_pauli(self._string(pair), shots)
+        self.tab.apply_pauli(self._string(pair), None if shots is None else _pack(shots))
+
+
+def _pack(bits: np.ndarray) -> int:
+    """The integer whose bit ``s`` is set where ``bits[s]`` is nonzero."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
 # -- shot streams --------------------------------------------------------------
@@ -662,8 +662,8 @@ def run_shots(backend_factory, n_braids: int, streams: ShotStreams,
     return int(n35.sum())
 
 
-# Shots per ``run_shots`` batch. A batch holds arrays only: each shot's
-# 128-bit stream state and increment, and its state vector or sign column.
+# Shots per ``run_shots`` batch. A batch holds each shot's 128-bit stream
+# state and increment, and its state index or one sign bit per tableau row.
 # At 1024 a 400-shot stats job is one batch, which ran stats-anyon at about
 # 1.4x the shots/s of 256 on a 2-core host; a default 10^4-shot ``stats`` run
 # then peaks at 0.4 (anyon) to 0.7 MB (Fock) under tracemalloc. 4096 was

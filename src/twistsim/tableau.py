@@ -29,21 +29,16 @@ _X_BITS = str.maketrans("IXZY", "0101")
 _Z_BITS = str.maketrans("IXZY", "0011")
 
 
-def _sign(bits):
-    """±1 of outcome bit(s) (0 for +1): an int, or int8 per column."""
-    return 1 - 2 * (bits if isinstance(bits, int) else bits.astype(np.int8))
-
-
 class Tableau:
     """Stabilizer state of ``n`` qubits plus code-level bookkeeping.
 
     Rows ``x`` and ``z`` are lists of 2n Python integers, bit ``j`` for site
     ``j``; ``cx`` and ``cz`` hold the same bits by site, bit ``i`` for row
-    ``i``, and ``r`` the sign bits as a uint8 array (see ``_kernels``): one
-    column, shape (2n,), or S columns, shape (2n, S), one per shot of a batch
-    that shares these x/z rows (a ``LatticeBackend`` keeps S columns, one for
-    a lone shot). ``measure`` and ``expectation_sign`` return an int ±1 for
-    the 1-D form and one int8 ±1 per column for the 2-D form.
+    ``i``. Bit ``s`` of the sign integer ``r[i]`` is shot ``s``'s sign, and
+    ``all_shots`` has one bit per shot (see ``_kernels``): a tableau is a lone
+    shot, a batch of one, until ``spread`` makes it a batch of shots that
+    share its rows. ``measure``, ``expectation_sign`` and ``to_text`` read a
+    lone tableau only.
 
     ``active`` is the set of plaquette ids currently enforced by the code
     cycle; disabling a stabilizer is bookkeeping only and never touches the
@@ -59,7 +54,8 @@ class Tableau:
         self.z = [0] * n + [1 << i for i in range(n)]
         self.cx = [1 << j for j in range(n)]
         self.cz = [1 << (n + j) for j in range(n)]
-        self.r = np.zeros(2 * n, dtype=np.uint8)
+        self.r = [0] * (2 * n)
+        self.all_shots = 1
         self.rng = rng
         self.last_random = False
         self.lattice: TwistLattice | None = None
@@ -83,11 +79,20 @@ class Tableau:
         out.z = list(self.z)
         out.cx = list(self.cx)
         out.cz = list(self.cz)
-        out.r = self.r.copy()
+        out.r = list(self.r)
         out.active = set(self.active)
         out.logicals = dict(self.logicals)
         out.reference_signs = dict(self.reference_signs)
         return out
+
+    def spread(self, shots: int) -> None:
+        """Make this lone tableau a batch of ``shots`` shots in its state."""
+        self.all_shots = (1 << shots) - 1
+        self.r = [-bit & self.all_shots for bit in self.r]
+
+    def _require_lone(self) -> None:
+        if self.all_shots != 1:
+            raise ValueError("a batch has one sign per shot: use measure_signs")
 
     # -- row/operator conversions -------------------------------------------
 
@@ -116,28 +121,24 @@ class Tableau:
 
     # -- measurement ---------------------------------------------------------
 
-    def measure(self, p: PauliString, force: int | None = None):
-        """Projective measurement of a Hermitian Pauli string, returns ±1 (per
-        column for (2n, S) ``r``). A forced outcome that some column rules out
-        raises ``InconsistentOutcomeError``."""
-        def draw():
-            bit = int(self.rng.integers(2)) if force is None else int(force != 1)
-            return bit if self.r.ndim == 1 else np.full(self.r.shape[1], bit, np.uint8)
-
-        outcome = _sign(self.measure_signs(p, draw))
-        if force is not None:
-            wrong = outcome != force
-            if wrong if self.r.ndim == 1 else wrong.any():
-                raise InconsistentOutcomeError(
-                    f"outcome {force} requested for a measurement fixed at {outcome}")
+    def measure(self, p: PauliString, force: int | None = None) -> int:
+        """Projective measurement of a Hermitian Pauli string on a lone
+        tableau, returns ±1. A forced outcome that the state rules out raises
+        ``InconsistentOutcomeError``."""
+        self._require_lone()
+        outcome = 1 - 2 * self.measure_signs(
+            p, lambda: int(self.rng.integers(2)) if force is None else int(force != 1))
+        if force is not None and outcome != force:
+            raise InconsistentOutcomeError(
+                f"outcome {force} requested for a measurement fixed at {outcome}")
         return outcome
 
-    def measure_signs(self, p: PauliString, draw):
-        """Measure a Hermitian Pauli string; returns the outcome bit (0 for
-        +1): an int for a 1-D ``r``, one uint8 per column for (2n, S) ``r``.
+    def measure_signs(self, p: PauliString, draw) -> int:
+        """Measure a Hermitian Pauli string; returns the outcome bits, bit
+        ``s`` for shot ``s`` (0 for +1).
 
-        A random outcome takes its bit(s) from ``draw()``; a fixed one is read
-        from ``r``. Either way x and z evolve alike for every column.
+        A random outcome takes its bits from ``draw()``; a fixed one is read
+        from ``r``. Either way x and z evolve alike for every shot.
         """
         px, pz, pr = self._bits_of(p)
         anti = _kernels.anticommuting_rows(self.cx, self.cz, px, pz)
@@ -145,17 +146,16 @@ class Tableau:
         self.last_random = stab != 0
         if not self.last_random:
             return self._fixed_outcome_bit(px, pz, pr, anti)
-        outcome_bit = draw()
+        outcome = draw()
         pivot = self.n + (stab & -stab).bit_length() - 1
-        _kernels.random_update(self.x, self.z, self.cx, self.cz, self.r, anti,
-                               pivot, px, pz, pr, outcome_bit)
-        return outcome_bit
+        _kernels.random_update(self.x, self.z, self.cx, self.cz, self.r, self.all_shots,
+                               anti, pivot, px, pz, pr, outcome)
+        return outcome
 
-    def _fixed_outcome_bit(self, px, pz, pr, destabs):
-        """Outcome bit(s) of a measurement that commutes with every
-        stabilizer, as ``measure_signs`` returns them; reads the state
-        without changing it. ``destabs`` marks the destabilizer rows that
-        anticommute with p."""
+    def _fixed_outcome_bit(self, px, pz, pr, destabs) -> int:
+        """Outcome bits of a measurement that commutes with every stabilizer,
+        as ``measure_signs`` returns them; reads the state without changing
+        it. ``destabs`` marks the destabilizer rows that anticommute with p."""
         # the stabilizer rows whose destabilizer partner anticommutes with p
         # multiply to ±p
         rows = [self.n + i for i in _kernels.set_bits(destabs)]
@@ -164,29 +164,33 @@ class Tableau:
             raise AssertionError("deterministic branch accumulated a wrong operator")
         # the product's sign is (-1)^(sign bits) * i^exponent, the exponent
         # even since the rows commute; the outcome is that sign over p's own.
-        shared = (exponent % 4 // 2 + pr) % 2
-        bits = np.bitwise_xor.reduce(self.r[rows], axis=0) ^ shared
-        return int(bits) if self.r.ndim == 1 else bits
+        bits = self.all_shots if (exponent % 4 // 2 + pr) % 2 else 0
+        for i in rows:
+            bits ^= self.r[i]
+        return bits
 
-    def apply_pauli(self, p: PauliString, shots: np.ndarray | None = None) -> None:
+    def apply_pauli(self, p: PauliString, shots: int | None = None) -> None:
         """Conjugate the state by a Pauli unitary (sign flips only): every
-        sign column, or with ``shots`` only the columns marked 1 in it."""
+        shot, or with ``shots`` only the shots whose bit is set in it."""
         px, pz, _ = self._bits_of(p)
-        rows = _kernels.set_bits(_kernels.anticommuting_rows(self.cx, self.cz, px, pz))
-        self.r[rows] ^= 1 if shots is None else shots.astype(np.uint8)
+        mask = self.all_shots if shots is None else shots
+        for i in _kernels.set_bits(_kernels.anticommuting_rows(self.cx, self.cz, px, pz)):
+            self.r[i] ^= mask
 
-    def expectation_sign(self, p: PauliString):
-        """±1 (per column for (2n, S) ``r``) if ``p`` is fixed by the state,
-        None if the outcome is random."""
+    def expectation_sign(self, p: PauliString) -> int | None:
+        """±1 if ``p`` is fixed by the lone tableau's state, None if the
+        outcome is random."""
+        self._require_lone()
         px, pz, pr = self._bits_of(p)
         anti = _kernels.anticommuting_rows(self.cx, self.cz, px, pz)
         if anti >> self.n:
             return None
-        return _sign(self._fixed_outcome_bit(px, pz, pr, anti))
+        return 1 - 2 * self._fixed_outcome_bit(px, pz, pr, anti)
 
     # -- serialization -------------------------------------------------------
 
     def to_text(self) -> str:
+        self._require_lone()
         buf = io.StringIO()
         buf.write(f"twistsim-tableau v1 n={self.n}\n")
         for i, letters in enumerate(self._letters()):
@@ -204,7 +208,7 @@ class Tableau:
         n = int(header[2].split("=")[1])
         t = cls.zero_state(n, seed)
         for i, line in enumerate(lines[1:]):
-            t.r[i] = line[1] == "-"
+            t.r[i] = int(line[1] == "-")
             letters = line[:1:-1]            # site 0 last: the lowest bit
             _kernels.set_row(t.x, t.cx, i, int("0" + letters.translate(_X_BITS), 2))
             _kernels.set_row(t.z, t.cz, i, int("0" + letters.translate(_Z_BITS), 2))

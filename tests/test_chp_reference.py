@@ -176,19 +176,16 @@ def test_readouts_match_textbook_chp(recorder, name):
 # -- the braid sampler ---------------------------------------------------------
 
 
-def _shots(t: Tableau) -> int:
-    return t.r.shape[1] if t.r.ndim == 2 else 1
-
-
-def _per_shot(bits, shots: int) -> list[int]:
-    """Shot k's bit, for each k, of a per-shot outcome or shot mask."""
-    return np.broadcast_to(np.asarray(bits, dtype=np.uint8), (shots,)).tolist()
+def _per_shot(bits: int, t: Tableau) -> list[int]:
+    """Shot k's bit, for each shot k of ``t``, of a per-shot outcome or shot
+    mask."""
+    return [(bits >> k) & 1 for k in range(t.all_shots.bit_length())]
 
 
 def _shot_text(t: Tableau, k: int) -> str:
     """The text of shot ``k`` of a batch, as a lone tableau."""
     lone = t.copy()
-    lone.r = t.r[:, k]
+    lone.r, lone.all_shots = [(v >> k) & 1 for v in t.r], 1
     return lone.to_text()
 
 
@@ -201,13 +198,13 @@ def sign_log(monkeypatch):
 
     def logged_measure(self, p, draw):
         out = measure_signs(self, p, draw)
-        log.append(("measure", p, _per_shot(out, _shots(self))))
+        log.append(("measure", p, _per_shot(out, self)))
         return out
 
     def logged_pauli(self, p, shots=None):
         apply_pauli(self, p, shots)
-        marks = 1 if shots is None else shots
-        log.append(("pauli", p, _per_shot(marks, _shots(self))))
+        marks = self.all_shots if shots is None else shots
+        log.append(("pauli", p, _per_shot(marks, self)))
 
     monkeypatch.setattr(Tableau, "measure_signs", logged_measure)
     monkeypatch.setattr(Tableau, "apply_pauli", logged_pauli)

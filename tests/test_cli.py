@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import twistsim
+from twistsim import cli
 from twistsim.cli import main
 from twistsim.tableau import Tableau
 
@@ -280,3 +281,21 @@ def test_a_key_the_experiment_does_not_read_is_a_config_error(
     assert code == 1
     assert out == "" and not out_file.exists()
     assert "config error" in err and repr(key) in err
+
+
+@pytest.mark.parametrize("where", ["existing_dir", "missing_dir", "config_missing_dir"])
+def test_a_destination_that_cannot_take_the_report_is_a_config_error(
+        tmp_path, capsys, monkeypatch, where):
+    # checked before the experiment runs, so a long run is never lost
+    monkeypatch.setitem(cli._EXPERIMENTS, "verify",
+                        lambda cfg: pytest.fail("the experiment ran"))
+    missing = tmp_path / "missing" / "report.json"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"out": str(missing)}))
+    flags = {"existing_dir": ["--out", str(tmp_path)],
+             "missing_dir": ["--out", str(missing)],
+             "config_missing_dir": ["--config", str(cfg)]}[where]
+    code, out, err = run_cli(["verify", *flags], capsys)
+    assert code == 1
+    assert out == "" and list(tmp_path.iterdir()) == [cfg]
+    assert "config error" in err and "its directory is missing" in err

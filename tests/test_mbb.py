@@ -440,7 +440,7 @@ def test_a_generator_source_is_a_batch_of_one(make, dim):
         assert labels.shape == probs.shape == (1,)
         assert labels.dtype == np.uint8
     if dim is None:
-        assert bk.tab.r.shape == (2 * LAT6.n_sites, 1)
+        assert len(bk.tab.r) == 2 * LAT6.n_sites and bk.tab.all_shots == 1
     else:
         assert bk.vector().shape == (1, dim)
 
@@ -750,7 +750,7 @@ def test_lattice_backend_reads_its_pinned_parities_as_signs():
     bk = LatticeBackend(LAT6, np.random.default_rng(0))
     for pair in START_PAIRINGS[6]:
         sign = bk.tab.expectation_sign(pair_string(LAT6, pair))
-        assert sign.tolist() == [parity_sign_for(pair, 6)]
+        assert type(sign) is int and sign == parity_sign_for(pair, 6)
 
 
 def test_forced_braid_rejects_a_batch():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from twistsim import _kernels, dense, jw, tableau
+from twistsim import _kernels, dense, jw, mbb, tableau
 from twistsim.lattice import GeometryError, build_lattice, \
     all_plaquette_operators, twist_logicals
 from twistsim.pauli import PauliString
@@ -142,10 +142,10 @@ def test_non_hermitian_rejected():
 ])
 def test_strings_off_the_register_are_rejected(method, site):
     t = Tableau.zero_state(10, seed=0)
-    signs = t.r.copy()
+    signs = list(t.r)
     with pytest.raises(ValueError, match=f"site {site} "):
         getattr(t, method)(PauliString.from_dict({3: "Z", site: "X"}))
-    assert np.array_equal(t.r, signs)
+    assert t.r == signs
 
 
 def test_direct_parity_equals_string_measurement():
@@ -479,7 +479,7 @@ def test_deterministic_expectation_sign_reads_without_copying(monkeypatch):
     queries += [t.logicals[name] for name in sorted(t.logicals)]
     queries.append(queries[-1].negate())
     expected = [t.copy().measure(q) for q in queries]
-    before = (t.x.copy(), t.z.copy(), t.cx.copy(), t.cz.copy(), t.r.copy(),
+    before = (list(t.x), list(t.z), list(t.cx), list(t.cz), list(t.r),
               set(t.active), dict(t.logicals), dict(t.reference_signs),
               t.rng.bit_generator.state)
 
@@ -495,11 +495,7 @@ def test_deterministic_expectation_sign_reads_without_copying(monkeypatch):
     assert signs == expected and None not in signs
     after = (t.x, t.z, t.cx, t.cz, t.r, t.active, t.logicals, t.reference_signs,
              t.rng.bit_generator.state)
-    for old, new in zip(before, after):
-        if isinstance(old, np.ndarray):
-            assert np.array_equal(old, new)
-        else:
-            assert old == new
+    assert after == before
 
 
 def _pauli_of(word: str) -> PauliString:
@@ -636,15 +632,15 @@ def _bit_matrix(ints, width):
 @settings(max_examples=40, deadline=None)
 @given(n=st.sampled_from([63, 64, 65, 129]), seed=st.integers(0, 2**32 - 1),
        density=st.sampled_from([0.05, 0.5]), pr=st.integers(0, 1),
-       shots=st.sampled_from([0, 3]))
+       shots=st.sampled_from([1, 3]))
 def test_measurement_update_matches_a_row_by_row_loop(n, seed, density, pr,
                                                       shots):
     rng = np.random.default_rng(seed)
     x = (rng.random((2 * n, n)) < density).astype(np.uint8)
     z = (rng.random((2 * n, n)) < density).astype(np.uint8)
-    # shots == 0 is the 1-D sign column, else (2n, shots) columns
-    r = rng.integers(2, size=(2 * n, max(shots, 1))).astype(np.uint8)
-    outcome_bit = rng.integers(2, size=max(shots, 1)).astype(np.uint8)
+    # column k of r is shot k's signs; shots == 1 is a lone tableau
+    r = rng.integers(2, size=(2 * n, shots)).astype(np.uint8)
+    outcome_bit = rng.integers(2, size=shots).astype(np.uint8)
     px = (rng.random(n) < density).astype(np.uint8)
     pz = (rng.random(n) < density).astype(np.uint8)
     anti = ((x & pz).sum(axis=1) + (z & px).sum(axis=1)) % 2
@@ -660,13 +656,15 @@ def test_measurement_update_matches_a_row_by_row_loop(n, seed, density, pr,
     cx, cz = _columns(xs, n), _columns(zs, n)
     mask = _kernels.anticommuting_rows(cx, cz, ipx, ipz)
     assert _kernels.set_bits(mask) == anti_rows.tolist()
-    signs = r.copy() if shots else r[:, 0].copy()
-    _kernels.random_update(xs, zs, cx, cz, signs, mask, pivot, ipx, ipz, pr,
-                           outcome_bit if shots else int(outcome_bit[0]))
+    # bit k of each sign integer is shot k's sign
+    signs, (outcome,) = ints(r), ints([outcome_bit])
+    ones = (1 << shots) - 1
+    _kernels.random_update(xs, zs, cx, cz, signs, ones, mask, pivot, ipx, ipz,
+                           pr, outcome)
     for k, bit in enumerate(outcome_bit):
         xk, zk, rk = x.copy(), z.copy(), r[:, k].copy()
         _reference_update(xk, zk, rk, px, pz, pr, pivot, anti_rows, bit)
-        assert np.array_equal(signs[:, k] if shots else signs, rk)
+        assert [v >> k & 1 for v in signs] == rk.tolist()
     assert np.array_equal(_bit_matrix(xs, n), xk)
     assert np.array_equal(_bit_matrix(zs, n), zk)
     assert np.array_equal(_bit_matrix(cx, 2 * n), xk.T)
@@ -702,59 +700,80 @@ def test_measurement_sequences_match_the_state_vector(data):
         assert dense.expectation(v, g, sites) == pytest.approx(1.0)
 
 
+def _packed(bits) -> int:
+    """One integer with bit k set where ``bits[k]`` is."""
+    return sum(int(b) << k for k, b in enumerate(bits))
+
+
 @pytest.mark.parametrize("n", [7, 65])
 def test_sign_columns_evolve_like_separate_tableaux(n):
-    # shots that share the x/z rows keep one sign column each; every column
-    # must read and evolve exactly as its own 1-D tableau, in both branches
+    # shots that share the x/z rows keep one sign bit each per row; every
+    # shot must read and evolve exactly as its own lone tableau, in both
+    # branches
     rng = np.random.default_rng(n)
     shots = [Tableau.zero_state(n, 0) for _ in range(4)]
     for t in shots[1:]:
         t.apply_pauli(random_string(rng, n))
     shared = Tableau.zero_state(n, 0)
-    shared.r = np.stack([t.r for t in shots], axis=1)
+    shared.spread(len(shots))
+    shared.r = [_packed(row) for row in zip(*(t.r for t in shots))]
     seen = set()
     for _ in range(30):
         p = random_string(rng, n)
-        bits = rng.integers(2, size=len(shots)).astype(np.uint8)
+        bits = rng.integers(2, size=len(shots))
         for _repeat in range(2):  # the repeat is fixed
-            got = shared.measure_signs(p, lambda: bits)
+            got = shared.measure_signs(p, lambda: _packed(bits))
             seen.add(shared.last_random)
             for k, t in enumerate(shots):
                 want = t.measure_signs(p, lambda: int(bits[k]))
                 assert t.last_random == shared.last_random
-                assert int(got[k]) == int(want)
+                assert got >> k & 1 == want
             # a Pauli frame change on some shots only
             flip = random_string(rng, n)
-            marked = rng.integers(2, size=len(shots)).astype(np.uint8)
-            shared.apply_pauli(flip, marked)
+            marked = rng.integers(2, size=len(shots))
+            shared.apply_pauli(flip, _packed(marked))
             for k in np.flatnonzero(marked):
                 shots[k].apply_pauli(flip)
-            assert np.array_equal(shared.r, np.stack([t.r for t in shots], axis=1))
+            assert shared.r == [_packed(row) for row in zip(*(t.r for t in shots))]
     for t in shots:
         assert t.x == shared.x and t.z == shared.z
     assert seen == {True, False}
 
 
 def test_sign_columns_read_signed_outcomes_per_column():
-    # on (2n, S) sign columns, measure and expectation_sign give one signed
-    # ±1 per column (a -1 once read as uint8 255), and a forced outcome is
-    # checked column by column
+    # bit s of measure_signs is shot s's outcome; the lone reads give a signed
+    # int ±1 (a -1 once read as uint8 255) and refuse a batch, whose forced
+    # labels a LatticeBackend checks shot by shot
+    def fixed():
+        raise AssertionError("a fixed outcome took a draw")
+
     t = Tableau.zero_state(2, seed=0)
-    t.r = np.zeros((4, 3), dtype=np.uint8)
     z0, x0 = PauliString.single(0, "Z"), PauliString.single(0, "X")
-    t.apply_pauli(x0, np.array([1, 0, 1], dtype=np.uint8))
+    t.apply_pauli(x0)
     for read in (t.expectation_sign, t.measure):
-        out = read(z0)
-        assert out.dtype.kind == "i"
-        assert out.tolist() == [-1, 1, -1]
-    for force in (1, -1):
-        with pytest.raises(InconsistentOutcomeError):
-            t.measure(z0, force=force)
-    t.apply_pauli(x0, np.array([0, 1, 0], dtype=np.uint8))
-    assert t.measure(z0, force=-1).tolist() == [-1, -1, -1]
-    assert t.measure(x0, force=1).tolist() == [1, 1, 1]  # a random outcome
+        assert type(read(z0)) is int and read(z0) == -1
+    t.spread(3)
+    t.apply_pauli(x0, 0b010)
+    assert t.measure_signs(z0, fixed) == 0b101
+    for read in (t.expectation_sign, t.measure):
+        with pytest.raises(ValueError, match="measure_signs"):
+            read(z0)
+    t.apply_pauli(x0, 0b010)
+    assert t.measure_signs(z0, fixed) == 0b111
+    assert t.measure_signs(x0, lambda: 0b000) == 0b000  # a random outcome
     assert t.last_random
-    assert t.expectation_sign(x0).tolist() == [1, 1, 1]
+    assert t.measure_signs(x0, fixed) == 0b000
+
+    lat = build_lattice(8, 12, [(2, 2, 4), (5, 2, 4), (8, 2, 4)])
+    bk = mbb.LatticeBackend(lat, mbb.ShotStreams(1, 0, 13))
+    labels, _ = bk.measure((1, 3))
+    assert labels.dtype == np.uint8 and set(labels.tolist()) == {0, 1}
+    state = (list(bk.tab.x), list(bk.tab.z), list(bk.tab.r))
+    for force in (0, 1):
+        with pytest.raises(InconsistentOutcomeError):
+            bk.measure((1, 3), force=force)
+        assert (bk.tab.x, bk.tab.z, bk.tab.r) == state
+    assert bk.measure((1, 3))[0].tolist() == labels.tolist()
 
 
 def _sparse_string(rng, n):
@@ -773,28 +792,28 @@ def _assert_columns_are_the_transpose(t: Tableau):
 
 
 @settings(max_examples=40, deadline=None)
-@given(n=st.sampled_from([1, 63, 64, 65, 130]), shots=st.sampled_from([0, 3]),
+@given(n=st.sampled_from([1, 63, 64, 65, 130]), shots=st.sampled_from([1, 3]),
        seed=st.integers(0, 2**32 - 1),
        steps=st.lists(st.sampled_from(["measure", "force", "pauli", "copy"]),
                       min_size=1, max_size=20))
 def test_column_bitsets_stay_the_transpose_of_the_rows(n, shots, seed, steps):
-    # shots == 0 runs the tableau's own 1-D signs, else (2n, shots) columns
+    # shots == 1 is a lone tableau, which measure and force read, else a
+    # batch of shots
     rng = np.random.default_rng(seed)
     t = Tableau.zero_state(n, seed)
-    if shots:
-        t.r = np.repeat(t.r[:, None], shots, axis=1)
+    t.spread(shots)
 
     def step(t, kind):
         p = _sparse_string(rng, n)
         if kind == "pauli":
-            if shots:
-                t.apply_pauli(p, rng.integers(2, size=shots).astype(np.uint8))
+            if shots > 1:
+                t.apply_pauli(p, int(rng.integers(1 << shots)))
             else:
                 t.apply_pauli(p)
-        elif shots:
-            bits = rng.integers(2, size=shots).astype(np.uint8)
+        elif shots > 1:
+            bits = int(rng.integers(1 << shots))
             if kind == "force":
-                bits[:] = bits[0]
+                bits = t.all_shots * (bits & 1)
             t.measure_signs(p, lambda: bits)
         elif kind == "force":
             before = t.to_text()
@@ -808,13 +827,14 @@ def test_column_bitsets_stay_the_transpose_of_the_rows(n, shots, seed, steps):
     for kind in steps:
         if kind == "copy":
             twin = t.copy()
-            rows, r = (list(t.x), list(t.z)), t.r.copy()
+            rows, r = (list(t.x), list(t.z)), list(t.r)
             for other in ("measure", "pauli", "force", "measure"):
                 step(twin, other)
                 _assert_columns_are_the_transpose(twin)
-            # the text format holds 1-D signs only, so compare rows and signs
+            # the text format holds a lone tableau only, so compare rows and
+            # signs
             assert (t.x, t.z) == rows
-            assert np.array_equal(t.r, r)
+            assert t.r == r
             if rng.random() < 0.5:
                 t = twin
         else:
