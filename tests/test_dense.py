@@ -68,6 +68,12 @@ def test_forced_measurement_and_zero_probability():
     assert out == 1
     with pytest.raises(ValueError):
         measure_projective(v, z, sites, rng, force=-1)
+    # a force is ±1, a forced branch 0 or 1: nothing else is read as one
+    with pytest.raises(ValueError, match="not ±1"):
+        measure_projective(v, z, sites, rng, force=3)
+    with pytest.raises(ValueError, match="not 0 or 1"):
+        dense.born_branch(np.array([0.5]), lambda: 0.0, force=2)
+    assert v.tolist() == [1, 0]
 
 
 def test_measure_involution_measures_each_row_of_a_batch():

@@ -771,6 +771,13 @@ def test_forcing_an_impossible_label_raises_and_keeps_the_state(make, snapshot):
     with pytest.raises(InconsistentOutcomeError):
         bk.measure((1, 2), force=1)  # the start pairs sit at label 0
     assert snapshot(bk) == before
+    # a label is 0 or 1: any other force is refused before the state
+    # changes, on a fixed pair and on a random one
+    for pair in ((1, 2), (1, 3)):
+        for force in (2, -1):
+            with pytest.raises(ValueError, match="not 0 or 1"):
+                bk.measure(pair, force=force)
+            assert snapshot(bk) == before
     # a generator's shot is a batch of one: a label and a probability per
     # shot, for a fixed label, then a random one
     for pair, prob in (((1, 2), 1.0), ((1, 3), 0.5)):

@@ -126,8 +126,20 @@ def test_forced_measurement_consistency():
     t = Tableau.zero_state(2, seed=0)
     z0 = PauliString.single(0, "Z")
     assert t.measure(z0, force=1) == 1
+    before = t.to_text()
     with pytest.raises(InconsistentOutcomeError):
         t.measure(z0, force=-1)
+    assert t.to_text() == before
+    # a force is ±1 (an outcome bit 0 or 1 in ``measure_signs``): any other is
+    # refused before a row changes, on a random (X0) and a fixed (Z0) outcome
+    for p in (PauliString.single(0, "X"), z0):
+        for force in (0, 3):
+            with pytest.raises(ValueError, match="not ±1"):
+                t.measure(p, force=force)
+            assert t.to_text() == before
+        with pytest.raises(ValueError, match="not 0 or 1"):
+            t.measure_signs(p, lambda: 0, force=2)
+        assert t.to_text() == before
 
 
 def test_non_hermitian_rejected():
