@@ -11,6 +11,10 @@ Label convention: fusion channel I is fermion number 0, psi is 1; amplitude
 vectors transform with the conjugate of the basis-vector matrix. A pair's
 measured label is read in the pairing that holds it first
 (``label_operator``), whatever pairing the state is written in.
+
+The module holds the algebra only and draws no random numbers: fusion labels
+are sampled by ``mbb.AnyonBackend``, which measures each pair through its
+``label_operator``.
 """
 
 from __future__ import annotations
@@ -20,8 +24,6 @@ from functools import lru_cache
 from itertools import product as iproduct
 
 import numpy as np
-
-from .dense import measure_involution
 
 CHARGES = ("I", "sigma", "psi")
 
@@ -261,25 +263,3 @@ def label_operator(n_anyons: int, pairing: tuple[tuple[int, int], ...],
     op.flags.writeable = False
     return op
 
-
-def measure_pair(
-    state: TopoState,
-    pair: tuple[int, int],
-    rng: np.random.Generator,
-    force: int | None = None,
-) -> tuple[int, TopoState]:
-    """Born-rule measurement of a pair's fusion label (I=0, psi=1); the
-    post-measurement state stays in the input pairing."""
-    amps = np.asarray(state.amps, dtype=np.complex128)
-    op = label_operator(state.n_anyons, state.pairing, tuple(pair), state.total)
-    n, _, post = measure_involution(amps[None], (op @ amps)[None],
-                                    lambda: rng.random(), force)
-    return int(n[0]), TopoState(state.n_anyons, state.pairing, state.sector,
-                                tuple(post[0]))
-
-
-def apply_pair_parity(state: TopoState, pair: tuple[int, int]) -> TopoState:
-    """Apply i*gamma_a*gamma_b: sign (2n-1) on the pair's fusion label."""
-    op = label_operator(state.n_anyons, state.pairing, tuple(pair), state.total)
-    amps = op @ np.asarray(state.amps, dtype=np.complex128)
-    return TopoState(state.n_anyons, state.pairing, state.sector, tuple(amps))

@@ -14,6 +14,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 from functools import lru_cache
@@ -220,8 +221,10 @@ def _amplitude(cfg, key, default) -> complex:
 def _run_mbb(cfg) -> tuple[dict, list[dict]]:
     alpha = _amplitude(cfg, "alpha", 1.0)
     beta = _amplitude(cfg, "beta", 0.0)
-    if alpha == 0 and beta == 0:
-        raise ConfigError("alpha and beta must not both be zero")
+    norm = math.hypot(alpha.real, alpha.imag, beta.real, beta.imag)
+    if not sys.float_info.min <= norm < math.inf:  # the backend divides by it
+        raise ConfigError(f"alpha and beta must not both be zero, and their norm "
+                          f"{norm} must be a normal float")
     rng = np.random.default_rng(cfg.get("seed", 0))
     # a generator is a batch of one: the report reads shot 0 as Python scalars
     backend = mbb.FockBackend(4, rng, alpha, beta)
@@ -235,7 +238,7 @@ def _run_mbb(cfg) -> tuple[dict, list[dict]]:
             zip(mbb.CYCLE_PAIRS, labels, record.probabilities))
     ]
     fidelity = mbb.verify_braid_equivalence(
-        initial, backend.vector()[0], mbb.MBBRecord(0, 0, 0, 0, "fock"),
+        initial, backend.vector()[0], mbb.MBBRecord(0, 0, 0),
         backend.space)
     checks = [{
         "name": "braid_equivalence_fidelity",

@@ -36,7 +36,7 @@ def plus_branch(state: np.ndarray, o_state: np.ndarray):
     """O's +1-eigenspace part of each row of ``state`` and its probability,
     given ``O @ state`` (see ``measure_involution``)."""
     plus = state + o_state
-    plus *= 0.5  # in place: a batch holds one (S, dim) temporary fewer
+    plus *= 0.5  # in place: one temporary of the rows' size fewer
     return plus, np.vecdot(plus, plus).real
 
 
@@ -45,9 +45,11 @@ def born_branch(p_plus: np.ndarray, draw, force: int | None = None):
 
     ``p_plus`` is each shot's probability of branch 1. Unforced, it takes one
     uniform number per shot from ``draw()`` (a float, or one per shot) and
-    takes branch 1 below ``p_plus``; forced, it draws nothing and rejects a
-    branch of probability below ``MIN_BRANCH_PROB``.
+    takes branch 1 below ``p_plus``. A forced branch, 0 or 1, draws nothing;
+    one of probability below ``MIN_BRANCH_PROB`` raises ``InconsistentOutcomeError``.
     """
+    if force not in (None, 0, 1):
+        raise ValueError(f"forced branch {force!r} is not 0 or 1")
     took = draw() < p_plus if force is None else np.full(len(p_plus), force == 1)
     prob = np.where(took, p_plus, 1.0 - p_plus)
     if force is not None and np.any(prob < MIN_BRANCH_PROB):
@@ -125,11 +127,11 @@ def project_eigenvalue(
     return 0.5 * (amps + sign * apply_pauli(amps, p, sites))
 
 
-def prepare_ground(lat, pin_vacuum: bool = True) -> np.ndarray:
+def prepare_ground(lat) -> np.ndarray:
     """Common +1 eigenstate of all plaquettes via sequential projection.
 
-    With ``pin_vacuum`` every twist pair's parity string is also projected to
-    its vacuum (-1) eigenvalue, fixing the logical sector deterministically.
+    Every twist pair's parity string is also projected to its vacuum (-1)
+    eigenvalue, fixing the logical sector deterministically.
     """
     from . import jw
 
@@ -145,15 +147,14 @@ def prepare_ground(lat, pin_vacuum: bool = True) -> np.ndarray:
                 "stabilizer set is inconsistent"
             )
         amps /= norm
-    if pin_vacuum:
-        for pair in range(lat.n_pairs):
-            path = jw.default_path(lat, pair)
-            parity = jw.parity_operator(lat, path, pair)
-            amps = project_eigenvalue(amps, parity, sites, -1)
-            norm = np.linalg.norm(amps)
-            if norm < 1e-12:
-                raise DegenerateStateError("parity projection annihilated the state")
-            amps /= norm
+    for pair in range(lat.n_pairs):
+        path = jw.default_path(lat, pair)
+        parity = jw.parity_operator(lat, path, pair)
+        amps = project_eigenvalue(amps, parity, sites, -1)
+        norm = np.linalg.norm(amps)
+        if norm < 1e-12:
+            raise DegenerateStateError("parity projection annihilated the state")
+        amps /= norm
     return amps
 
 
@@ -171,6 +172,8 @@ def measure_projective(
     """Born-rule measurement of a Hermitian Pauli string; returns (±1, state)."""
     if not p.is_hermitian:
         raise ValueError(f"cannot measure non-Hermitian operator {p}")
+    if force not in (None, 1, -1):
+        raise ValueError(f"forced outcome {force!r} is not ±1")
     took_plus, _, post = measure_involution(
         amps[None], apply_pauli(amps, p, sites)[None], lambda: rng.random(),
         None if force is None else int(force == 1))

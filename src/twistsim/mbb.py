@@ -122,18 +122,16 @@ def parity_sign_for(pair: tuple[int, int], n_anyons: int) -> int:
 @dataclass
 class MBBRecord:
     """One cycle's labels and probabilities: per-shot arrays, or ints."""
-    n12_initial: int
     n13: np.ndarray | int
     n14: np.ndarray | int
     n12_final: np.ndarray | int
-    backend: str
     attempts: tuple[int, int, int] | None = None  # forced variant only
     probabilities: tuple = (0.5, 0.5, 0.5)
 
     def shot(self, k: int) -> MBBRecord:
         """Shot ``k`` of a per-shot record, as Python scalars."""
-        return MBBRecord(self.n12_initial, self.n13[k].item(), self.n14[k].item(),
-                         self.n12_final[k].item(), self.backend, self.attempts,
+        return MBBRecord(self.n13[k].item(), self.n14[k].item(),
+                         self.n12_final[k].item(), self.attempts,
                          tuple(p[k].item() for p in self.probabilities))
 
 
@@ -320,15 +318,14 @@ class _VectorBackend:
 
     def measure(self, pair: tuple[int, int], force: int | None = None):
         """``(labels, probabilities)`` of ``pair``, one per shot. A
-        measurement takes one uniform draw per shot, unless forced; an
-        impossible forced label raises ``InconsistentOutcomeError`` and keeps
-        the state."""
+        measurement takes one uniform draw per shot, unless forced; a forced
+        label is refused as ``dense.born_branch`` refuses it."""
         pair = tuple(pair)
         op, plus_is_label_0 = self._involution(self.n, pair)
         p_plus, succ = self._table.measurement(pair, op, self.index)
         took, prob = dense.born_branch(
             p_plus, self._random,
-            None if force is None else int((force == 0) == plus_is_label_0))
+            None if force is None else int(force) ^ plus_is_label_0)
         index = succ[2 * self.index + took]
         if index.min() < 0:
             raise RuntimeError(f"a shot drew a branch of {pair} whose "
@@ -354,7 +351,6 @@ class AnyonBackend(_VectorBackend):
     """Fusion amplitudes in the start pairing: for 4 anyons the even block
     then the odd block (both parity sectors), for 6 the even sector."""
 
-    name = "anyon"
     _involution = staticmethod(_anyon_involution)
 
     def __init__(self, n_anyons: int, rng: np.random.Generator | ShotStreams,
@@ -371,7 +367,6 @@ class AnyonBackend(_VectorBackend):
 class FockBackend(_VectorBackend):
     """Dense 4- or 6-mode Majorana oracle with full state access."""
 
-    name = "fock"
     _involution = staticmethod(_fock_involution)
 
     def __init__(self, n_anyons: int, rng: np.random.Generator | ShotStreams,
@@ -400,8 +395,6 @@ class LatticeBackend:
     the same draw, packed into one integer; ``measure`` unpacks the labels.
     """
 
-    name = "lattice"
-
     def __init__(self, lat: TwistLattice, rng: np.random.Generator | ShotStreams):
         n = 2 * lat.n_pairs
         if n not in (4, 6):
@@ -419,20 +412,16 @@ class LatticeBackend:
         return self.ctx.parity_string(pair[0] - 1, pair[1] - 1)
 
     def measure(self, pair: tuple[int, int], force: int | None = None):
-        """``(labels, probabilities)`` of ``pair``, one per shot. An impossible
-        forced label raises ``InconsistentOutcomeError`` and keeps the state."""
+        """``(labels, probabilities)`` of ``pair``, one per shot. A forced
+        label is refused as ``Tableau.measure_signs`` refuses it."""
         pair = tuple(pair)
         # outcome bit 0 is parity +1, label 0 when the vacuum sign is +1
         flip = parity_sign_for(pair, self.n) == -1
-        forced = None if force is None else self.tab.all_shots * (int(force) ^ flip)
-        bits = self.tab.measure_signs(
-            self._string(pair), lambda: self._bits() if forced is None else forced)
+        bits = self.tab.measure_signs(self._string(pair), self._bits,
+                                      None if force is None else int(force) ^ flip)
         # bit s of ``bits`` is shot s's outcome
         raw = np.frombuffer(bits.to_bytes(-(-self.shots // 8), "little"), np.uint8)
         labels = np.unpackbits(raw, count=self.shots, bitorder="little") ^ flip
-        if forced is not None and bits != forced:
-            raise dense.InconsistentOutcomeError(
-                f"label {force} requested for a measurement fixed at {labels}")
         return labels, np.full(self.shots, 0.5 if self.tab.last_random else 1.0)
 
     def apply_parity(self, pair: tuple[int, int],
@@ -595,8 +584,7 @@ def run_cycle(backend, force: tuple[int, int, int] | None = None,
     forces = force if force is not None else (None, None, None)
     (n13, p13), (n14, p14), (n12, p12) = (
         backend.measure(pair, f) for pair, f in zip(CYCLE_PAIRS, forces))
-    return MBBRecord(0, n13, n14, n12, backend.name,
-                     probabilities=(p13, p14, p12))
+    return MBBRecord(n13, n14, n12, probabilities=(p13, p14, p12))
 
 
 def apply_correction(backend, record: MBBRecord) -> None:
@@ -636,7 +624,7 @@ def run_forced(backend, max_attempts: int = 64) -> MBBRecord:
             n, _ = backend.measure(target)
             count += 1
         attempts.append(count)
-    return MBBRecord(0, 0, 0, 0, backend.name, attempts=tuple(attempts))
+    return MBBRecord(0, 0, 0, attempts=tuple(attempts))
 
 
 def run_shots(backend_factory, n_braids: int, streams: ShotStreams,

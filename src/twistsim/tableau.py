@@ -123,30 +123,38 @@ class Tableau:
 
     def measure(self, p: PauliString, force: int | None = None) -> int:
         """Projective measurement of a Hermitian Pauli string on a lone
-        tableau, returns ±1. A forced outcome that the state rules out raises
-        ``InconsistentOutcomeError``."""
+        tableau, returns ±1; ``force`` (±1) sets the outcome, as in
+        ``measure_signs``."""
         self._require_lone()
-        outcome = 1 - 2 * self.measure_signs(
-            p, lambda: int(self.rng.integers(2)) if force is None else int(force != 1))
-        if force is not None and outcome != force:
-            raise InconsistentOutcomeError(
-                f"outcome {force} requested for a measurement fixed at {outcome}")
-        return outcome
+        if force not in (None, 1, -1):
+            raise ValueError(f"forced outcome {force!r} is not ±1")
+        return 1 - 2 * self.measure_signs(p, lambda: int(self.rng.integers(2)),
+                                          None if force is None else int(force == -1))
 
-    def measure_signs(self, p: PauliString, draw) -> int:
+    def measure_signs(self, p: PauliString, draw, force: int | None = None) -> int:
         """Measure a Hermitian Pauli string; returns the outcome bits, bit
         ``s`` for shot ``s`` (0 for +1).
 
         A random outcome takes its bits from ``draw()``; a fixed one is read
-        from ``r``. Either way x and z evolve alike for every shot.
+        from ``r``. Either way x and z evolve alike for every shot. ``force``,
+        the outcome bit of every shot, replaces the draw; a fixed outcome
+        that differs from it raises ``InconsistentOutcomeError``. A force
+        other than 0 or 1 raises ``ValueError``; neither error changes a row.
         """
+        if force not in (None, 0, 1):
+            raise ValueError(f"forced outcome bit {force!r} is not 0 or 1")
+        forced = self.all_shots if force else 0
         px, pz, pr = self._bits_of(p)
         anti = _kernels.anticommuting_rows(self.cx, self.cz, px, pz)
         stab = anti >> self.n
         self.last_random = stab != 0
         if not self.last_random:
-            return self._fixed_outcome_bit(px, pz, pr, anti)
-        outcome = draw()
+            bits = self._fixed_outcome_bit(px, pz, pr, anti)
+            if force is not None and bits != forced:
+                raise InconsistentOutcomeError(
+                    f"outcome bit {force} requested, but the outcome bits are {bits:b}")
+            return bits
+        outcome = draw() if force is None else forced
         pivot = self.n + (stab & -stab).bit_length() - 1
         _kernels.random_update(self.x, self.z, self.cx, self.cz, self.r, self.all_shots,
                                anti, pivot, px, pz, pr, outcome)
@@ -488,7 +496,6 @@ class DirectParityResult:
 def measure_parity_direct(
     t: Tableau,
     string: PauliString,
-    force: int | None = None,
     check_syndrome: bool = False,
 ) -> DirectParityResult:
     """Measure a parity string by single-site measurements of its letters.
@@ -516,15 +523,9 @@ def measure_parity_direct(
 
     phase_sign = 1 if string.phase.exponent == 0 else -1
     site_outcomes: dict[int, int] = {}
-    items = list(string.support)
     partial = 1
-    for k, (site, letter) in enumerate(items):
-        single = PauliString.single(site, letter)
-        if force is not None and k == len(items) - 1:
-            target = force * phase_sign * partial
-            lam = t.measure(single, force=target)
-        else:
-            lam = t.measure(single)
+    for site, letter in string.support:
+        lam = t.measure(PauliString.single(site, letter))
         site_outcomes[site] = lam
         partial *= lam
     outcome = phase_sign * partial

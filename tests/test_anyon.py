@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from twistsim.anyon import (FRB, TopoState, _labels, _pairing_with,
-                            basis_change, fuse,
-                            make_state, measure_pair, pair_transform,
-                            transform_state, apply_pair_parity)
+                            basis_change, fuse, label_operator,
+                            make_state, pair_transform, transform_state)
 from twistsim.dense import FockSpace
-from twistsim.mbb import _fock_vector, parity_sign_for
+from twistsim.mbb import AnyonBackend, ShotStreams, _fock_vector, parity_sign_for
 
 BASE = ((1, 2), (3, 4))
 
@@ -95,22 +94,51 @@ def test_transform_round_trip_preserves_state():
         assert abs(np.linalg.norm(there.amps) - 1) < 1e-12
 
 
+def _label(state, pair):
+    """``pair``'s label operator L on the state's amplitudes: +1 on label 1,
+    -1 on label 0."""
+    return label_operator(state.n_anyons, state.pairing, tuple(pair), state.total)
+
+
+def _projected(state, pair, label):
+    """The state's amplitudes projected on ``pair``'s ``label`` by
+    (1 -+ L)/2, not normalized: their squared norm is the label's
+    probability."""
+    amps = np.asarray(state.amps, dtype=np.complex128)
+    return (amps + (2 * label - 1) * (_label(state, pair) @ amps)) / 2
+
+
+def _post_state(state, pair, label):
+    """``(probability, post-measurement state)`` of ``label``, the state kept
+    in its pairing."""
+    amps = _projected(state, pair, label)
+    prob = np.vdot(amps, amps).real
+    return prob, TopoState(state.n_anyons, state.pairing, state.sector,
+                           tuple(amps / np.sqrt(prob)))
+
+
+def _flipped(state, pair):
+    """The state after i*g_a*g_b: sign (2n-1) on the pair's fusion label."""
+    amps = _label(state, pair) @ np.asarray(state.amps, dtype=np.complex128)
+    return TopoState(state.n_anyons, state.pairing, state.sector, tuple(amps))
+
+
 def test_measure_pair_definite_label():
     st = make_state(BASE, "even", {(0, 0): 1.0})
-    rng = np.random.default_rng(0)
-    n, post = measure_pair(st, (1, 2), rng)
-    assert n == 0
+    prob, post = _post_state(st, (1, 2), 0)
+    assert prob == pytest.approx(1.0)
     assert post.amplitude((0, 0)) == pytest.approx(1.0)
 
 
 def test_measure_pair_equal_split_after_transform():
     # the vacuum state in one pairing splits evenly in a crossed pairing
     st = make_state(BASE, "even", {(0, 0): 1.0})
-    counts = 0
+    assert _post_state(st, (1, 3), 1)[0] == pytest.approx(0.5)
+    # the four-anyon backend starts (alpha=1, beta=0) in the same vacuum
     shots = 2000
-    for s in range(shots):
-        n, _ = measure_pair(st, (1, 3), np.random.default_rng(s))
-        counts += n
+    labels, probs = AnyonBackend(4, ShotStreams(0, 0, shots)).measure((1, 3))
+    assert probs == pytest.approx(np.full(shots, 0.5))
+    counts = int(labels.sum())
     sigma = np.sqrt(0.25 / shots)
     assert abs(counts / shots - 0.5) <= 3 * sigma
 
@@ -122,8 +150,8 @@ def test_measured_branch_state_matches_published_form():
     moved = transform_state(st, ((1, 3), (2, 4)))
     expected = np.exp(-1j * np.pi / 8) / np.sqrt(2) * np.array([1, 1j])
     assert np.allclose(moved.amps, expected, atol=1e-12)
-    n, post = measure_pair(moved, (1, 3), np.random.default_rng(1), force=0)
-    assert n == 0
+    prob, post = _post_state(moved, (1, 3), 0)
+    assert prob == pytest.approx(0.5)
     assert np.allclose(
         post.amps, [np.exp(-1j * np.pi / 8) / abs(np.exp(-1j * np.pi / 8)), 0],
         atol=1e-12,
@@ -132,15 +160,17 @@ def test_measured_branch_state_matches_published_form():
 
 def test_zero_probability_forced_label():
     st = make_state(BASE, "even", {(0, 0): 1.0})
+    assert np.linalg.norm(_projected(st, (1, 2), 1)) == pytest.approx(0, abs=1e-12)
+    # the backend's four-anyon start is that vacuum: forcing label 1 is refused
     with pytest.raises(ValueError):
-        measure_pair(st, (1, 2), np.random.default_rng(0), force=1)
+        AnyonBackend(4, np.random.default_rng(0)).measure((1, 2), force=1)
 
 
 def _forced_probability(state, pair, label):
-    """Probability of the forced ``label`` branch, |<state|post>|^2; the
-    post-measurement state stays in the state's pairing."""
-    _, post = measure_pair(state, pair, np.random.default_rng(0), force=label)
-    assert post.pairing == state.pairing
+    """Probability of ``label``, |<state|post>|^2; the post-measurement state
+    has that label for certain."""
+    _, post = _post_state(state, pair, label)
+    assert _post_state(post, pair, label)[0] == pytest.approx(1.0, abs=1e-12)
     return abs(np.vdot(state.amps, post.amps)) ** 2
 
 
@@ -183,7 +213,7 @@ def test_pair_labels_do_not_depend_on_the_pairing(pairings):
                 for pair in combinations(range(1, n + 1), 2):
                     parity = np.vdot(vec, space.parity_op(*pair) @ vec).real
                     s = _vacuum_sign(pair, n, sector, space)
-                    flipped = apply_pair_parity(st, pair)
+                    flipped = _flipped(st, pair)
                     for target in pairings:
                         moved = transform_state(st, target)
                         for label in (0, 1):
@@ -193,12 +223,12 @@ def test_pair_labels_do_not_depend_on_the_pairing(pairings):
                                 (start, sector, pair, target)
                         assert np.allclose(
                             transform_state(flipped, target).amps,
-                            apply_pair_parity(moved, pair).amps, atol=1e-10)
+                            _flipped(moved, pair).amps, atol=1e-10)
 
 
 def test_apply_pair_parity_signs():
     st = make_state(BASE, "even", {(0, 0): 0.6, (1, 1): 0.8})
-    out = apply_pair_parity(st, (3, 4))
+    out = _flipped(st, (3, 4))
     assert out.amplitude((0, 0)) == pytest.approx(-0.6)
     assert out.amplitude((1, 1)) == pytest.approx(0.8)
 

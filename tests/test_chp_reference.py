@@ -83,7 +83,7 @@ class ReferenceCHP:
         return "".join(
             [f"twistsim-tableau v1 n={n}\n"]
             + [f"{'D' if i < n else 'S'}{'-' if self.r[i] else '+'}"
-               f"{''.join(row)}\n" for i, row in enumerate(letters)])
+               f"{''.join(row.tolist())}\n" for i, row in enumerate(letters)])
 
 
 @pytest.fixture
@@ -196,8 +196,8 @@ def sign_log(monkeypatch):
     log = []
     measure_signs, apply_pauli = Tableau.measure_signs, Tableau.apply_pauli
 
-    def logged_measure(self, p, draw):
-        out = measure_signs(self, p, draw)
+    def logged_measure(self, p, draw, force=None):
+        out = measure_signs(self, p, draw, force)
         log.append(("measure", p, _per_shot(out, self)))
         return out
 

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import twistsim
 from twistsim import cli
@@ -222,6 +223,9 @@ TWO_PAIRS = {"width": 8, "height": 9, "segments": [
     ("oracle-check", {}, ["--shots", "-2"], "shots"),
     ("mbb", {"alpha": "abc"}, [], "alpha"),
     ("mbb", {"alpha": 0, "beta": 0}, [], "both be zero"),
+    ("mbb", {"alpha": 1e-320, "beta": 0}, [], "normal float"),
+    ("mbb", {"alpha": 1.7e308, "beta": 1.7e308}, [], "normal float"),
+    ("mbb", {"alpha": "1.7e308+1.7e308j"}, [], "normal float"),
     ("stats", {"shots": 2.7}, [], "shots"),
     ("stats", {"n_braids": 1.5}, [], "n_braids"),
     ("stats", {"shots": "5"}, [], "shots"),
@@ -234,6 +238,7 @@ TWO_PAIRS = {"width": 8, "height": 9, "segments": [
 ], ids=["two_pair_lattice", "zero_shots", "negative_seed", "negative_braids",
         "mbb_negative_seed", "oracle_negative_seed", "oracle_zero_shots",
         "oracle_negative_shots", "mbb_unparsable_alpha", "mbb_zero_amplitudes",
+        "mbb_subnormal_amplitudes", "mbb_norm_overflows", "mbb_modulus_overflows",
         "fractional_shots", "fractional_braids", "string_shots",
         "oracle_float_shots", "unknown_format", "unknown_format_under_flag",
         "non_path_out", "other_experiment", "stats_other_experiment"])
@@ -299,3 +304,105 @@ def test_a_destination_that_cannot_take_the_report_is_a_config_error(
     assert code == 1
     assert out == "" and list(tmp_path.iterdir()) == [cfg]
     assert "config error" in err and "its directory is missing" in err
+
+
+# -- every config ends in exit 0, 1 or 2 ----------------------------------------
+
+THREE_PAIRS = {"width": 8, "height": 12, "segments": [
+    {"row": r, "col_start": 2, "col_end": 4} for r in (2, 5, 8)]}
+
+
+def _mostly(valid, *wrong):
+    """``valid`` about nine draws in ten, else one of ``wrong``."""
+    return st.integers(0, 9).flatmap(
+        lambda k: valid if k < 9 else st.sampled_from(wrong))
+
+
+@st.composite
+def _grids(draw, max_width=9, max_height=10, max_segments=2):
+    """A grid with up to ``max_segments`` short segments on rows 1 and 4.
+    On a small grid a segment runs off it, and two segments can overlap:
+    both are config errors."""
+    width = draw(st.integers(4, max_width))
+    height = draw(st.integers(4, max_height))
+    rows = draw(st.lists(st.sampled_from([1, 4]), unique=True, max_size=max_segments))
+    segments = []
+    for row in rows:
+        start = draw(st.integers(1, 3))
+        segments.append({"row": row, "col_start": start,
+                         "col_end": draw(st.integers(start + 2, start + 4))})
+    return {"width": width, "height": height, "segments": segments}
+
+
+# the lattices each experiment runs, kept small: oracle-check builds a dense
+# state of 2^sites amplitudes, and stats needs three pairs
+_LATTICES = {"derive": _grids(), "verify": _grids(),
+             "oracle-check": _grids(max_width=4, max_height=4, max_segments=0),
+             "stats": st.just(THREE_PAIRS)}
+_CONFIG_VALUES = {
+    "seed": _mostly(st.integers(0, 2**70), -1, True, 2.5, "5"),
+    "shots": _mostly(st.integers(1, 2), 0, -1, True, 2.5, "5", None),
+    "n_braids": _mostly(st.integers(0, 4), -1, 1.5, "2", None),
+    "backend": _mostly(st.sampled_from(["anyon", "fock", "lattice"]), "tableau", 3),
+    "alpha": _mostly(st.floats(-2, 2), float("nan"), float("inf"), 1e-320, "abc",
+                     "", True, None, "1.7e308+1.7e308j", "0.8j"),
+    "beta": _mostly(st.floats(-2, 2), float("-inf"), 1.7e308, 5e-324, "x", "0.8j"),
+    "format": _mostly(st.sampled_from(["json", "csv"]), "xml", 1),
+    "out": st.sampled_from([3, None]),  # the report's path comes from --out
+}
+
+
+@st.composite
+def cli_runs(draw, command):
+    """``(config, flags)`` of ``command``: a subset of the keys it reads,
+    now and then a key it does not read or a bad value, and small integer
+    flags. ``stats`` and ``oracle-check`` always get a small ``shots``, so
+    that no run takes their default hundreds or thousands of shots, and
+    ``derive`` nearly always gets the lattice it requires."""
+    keys = set(draw(st.lists(st.sampled_from(
+        sorted(cli._EXPERIMENT_KEYS[command]) + ["seed", "format"]))))
+    if command in ("stats", "oracle-check"):
+        keys.add("shots")
+    if command == "derive" and draw(_mostly(st.just(True), False)):
+        keys.add("lattice")
+    keys |= draw(_mostly(st.just(set()), {"out"}, {"alpha"}, {"backend"}))
+    cfg = {key: draw(_mostly(_LATTICES[command], TWO_PAIRS, {"width": 8},
+                             {"width": "8", "height": 6}, [1, 2], 7, "missing.json")
+                     if key == "lattice" else _CONFIG_VALUES[key])
+           for key in sorted(keys)}
+    cfg |= draw(_mostly(st.just({}), {"experiment": command},
+                        {"experiment": "verify"}))
+    names = ["--seed", "--n-braids"] if command == "stats" else ["--seed"]
+    flags = []
+    for flag in draw(st.lists(st.sampled_from(names), unique=True)):
+        flags += [flag, str(draw(_mostly(st.integers(0, 5), -1, -2)))]
+    return cfg, flags
+
+
+# examples per experiment: one oracle-check run builds dense states of
+# 2^16 amplitudes and takes about 0.1 s on a 2-core host, the others a few
+# milliseconds
+@pytest.mark.parametrize("command, examples", [
+    ("derive", 20), ("mbb", 20), ("oracle-check", 4), ("stats", 20), ("verify", 20)])
+def test_every_config_exits_0_1_or_2_and_reruns_alike(tmp_path_factory, capsys,
+                                                      command, examples):
+    @settings(max_examples=examples, deadline=None, derandomize=True, database=None)
+    @given(run=cli_runs(command))
+    def check(run):
+        cfg, flags = run
+        work = tmp_path_factory.mktemp("fuzz")
+        path, out = work / "cfg.json", work / "report"
+        path.write_text(json.dumps(cfg))
+        argv = [command, "--config", str(path), "--out", str(out), *flags]
+        code, stdout, _ = run_cli(argv, capsys)  # nothing escapes main
+        assert code in (0, 1, 2)
+        assert stdout == ""
+        if code == 1:
+            assert not out.exists()
+        if code == 0:
+            first = out.read_bytes()
+            out.unlink()
+            assert run_cli(argv, capsys)[:2] == (0, "")
+            assert out.read_bytes() == first
+
+    check()
