@@ -41,22 +41,15 @@ def set_bits(v: int) -> list[int]:
     return out
 
 
-def _phase_sites(x1, z1, x2, z2):
-    """Bits of the sites where the product (x1|z1)*(x2|z2) picks up +i and
-    those where it picks up -i. With Y = iXZ, the sites multiplying as XY, YZ
-    or ZX give +i and those multiplying as XZ, YX or ZY give -i."""
-    a = x1 & z2
-    anti = a ^ (z1 & x2)                       # letters that anticommute
-    # of those, XZ, YX and ZY are the sites where x1^x2^z1^z2^(x1&z2) is set
-    minus = anti & (x1 ^ x2 ^ z1 ^ z2 ^ a)
-    return anti ^ minus, minus
-
-
 def int_product_phase(x1: int, z1: int, x2: int, z2: int) -> int:
     """Power of i of the product of two unsigned rows (x1|z1)*(x2|z2), not
-    reduced mod 4."""
-    plus, minus = _phase_sites(x1, z1, x2, z2)
-    return plus.bit_count() - minus.bit_count()
+    reduced mod 4. With Y = iXZ, the anticommuting sites that multiply as XY,
+    YZ or ZX give +i and those that multiply as XZ, YX or ZY give -i: the
+    sites where x1^x2^z1^z2^(x1&z2) is set. So it is the anticommuting sites
+    less twice the -i ones."""
+    a = x1 & z2
+    anti = a ^ (z1 & x2)
+    return anti.bit_count() - 2 * (anti & (x1 ^ x2 ^ z1 ^ z2 ^ a)).bit_count()
 
 
 def anticommuting_rows(cx: list[int], cz: list[int], px: int, pz: int) -> int:
@@ -95,24 +88,36 @@ def random_update(x, z, cx, cz, r, ones, anti, pivot, px, pz, pr, outcome):
     """CHP update for a random outcome: multiply the pivot stabilizer into
     every other anticommuting row (``anti``, one bit per row), move it to its
     destabilizer slot, and put the measured operator (sign bit ``pr``) in its
-    place with the outcome bits ``outcome``. ``ones`` has one bit per shot."""
+    place with the outcome bits ``outcome``. ``ones`` has one bit per shot.
+    ``set_bits``, ``int_product_phase`` and ``set_row`` are written out."""
     xp, zp, rp = x[pivot], z[pivot], r[pivot]
     others = anti & ~(1 << pivot)
     if others:
-        for i in set_bits(others):
+        v = others
+        while v:
+            low = v & -v
+            v ^= low
+            i = low.bit_length() - 1
             xi, zi = x[i], z[i]
-            # the product's sign flips when its power of i is 2 or 3 mod 4
-            r[i] ^= rp ^ ones if int_product_phase(xi, zi, xp, zp) & 2 else rp
-            x[i] = xi ^ xp
-            z[i] = zi ^ zp
-        for j in set_bits(xp):
-            cx[j] ^= others
-        for j in set_bits(zp):
-            cz[j] ^= others
-    n = len(cx)
-    set_row(x, cx, pivot - n, xp)
-    set_row(z, cz, pivot - n, zp)
-    r[pivot - n] = rp
-    set_row(x, cx, pivot, px)
-    set_row(z, cz, pivot, pz)
+            # the sign flips when int_product_phase(xi, zi, xp, zp) is 2 or 3 mod 4
+            a = xi & zp
+            clash = a ^ (zi & xp)
+            minus = clash & (xi ^ xp ^ zi ^ zp ^ a)
+            r[i] ^= rp ^ ones if (clash.bit_count() - 2 * minus.bit_count()) & 2 else rp
+            x[i], z[i] = xi ^ xp, zi ^ zp
+        for sites, cols in ((xp, cx), (zp, cz)):
+            while sites:
+                low = sites & -sites
+                sites ^= low
+                cols[low.bit_length() - 1] ^= others
+    # the destabilizer slot takes the pivot's row, the pivot the measured one
+    destab = pivot - len(cx)
+    for i, new_x, new_z in ((destab, xp, zp), (pivot, px, pz)):
+        for rows, cols, new in ((x, cx, new_x), (z, cz, new_z)):
+            change, rows[i] = rows[i] ^ new, new
+            while change:
+                low = change & -change
+                change ^= low
+                cols[low.bit_length() - 1] ^= 1 << i
+    r[destab] = rp
     r[pivot] = outcome ^ ones if pr else outcome

@@ -14,7 +14,6 @@ import csv
 import hashlib
 import io
 import json
-import math
 import os
 import sys
 from functools import lru_cache
@@ -221,10 +220,10 @@ def _amplitude(cfg, key, default) -> complex:
 def _run_mbb(cfg) -> tuple[dict, list[dict]]:
     alpha = _amplitude(cfg, "alpha", 1.0)
     beta = _amplitude(cfg, "beta", 0.0)
-    norm = math.hypot(alpha.real, alpha.imag, beta.real, beta.imag)
-    if not sys.float_info.min <= norm < math.inf:  # the backend divides by it
-        raise ConfigError(f"alpha and beta must not both be zero, and their norm "
-                          f"{norm} must be a normal float")
+    try:
+        mbb.amplitude_norm(alpha, beta)  # the check the backends make
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     rng = np.random.default_rng(cfg.get("seed", 0))
     # a generator is a batch of one: the report reads shot 0 as Python scalars
     backend = mbb.FockBackend(4, rng, alpha, beta)
@@ -326,10 +325,11 @@ def _run_oracle_check(cfg) -> tuple[dict, list[dict]]:
                 strings.append(PauliString.from_dict(d))
         for p in strings + ops:
             out_t = t.measure(p)
-            # the dense probability of out_t: 1/2 if random, 1 if fixed
-            prob = (1 + out_t * dense.expectation(v, p, sites).real) / 2
+            # project the dense state on out_t, applying p once; prob is
+            # out_t's probability, 1/2 if random and 1 if fixed
             try:
-                _, v = dense.measure_projective(v, p, sites, rng, force=out_t)
+                _, (prob,), (v,) = dense.measure_involution(
+                    v[None], dense.apply_pauli(v, p, sites)[None], None, int(out_t == 1))
             except dense.InconsistentOutcomeError:
                 mismatches += 1  # the states diverged; end this sequence
                 break

@@ -21,8 +21,10 @@ a spin operator takes prefix XORs of these masks.
 
 The stabilizer reduction works on the same idea one level down: Pauli
 strings and plaquettes as x/z integer bit rows, weights as popcounts. It
-reads the lattice's own plaquette operators (``TwistLattice.plaquette_ops``)
-and their bounding boxes (``TwistLattice.face_boxes``).
+reads the lattice's plaquette operators (``TwistLattice.plaquette_ops``) and
+the faces at each site (``TwistLattice.site_faces``): only a face sharing a
+site with a string can anticommute with it, and a greedy step weighs again
+only the candidates that share a site with the step's plaquette.
 """
 
 from __future__ import annotations
@@ -39,6 +41,9 @@ from .pauli import PauliString, Phase
 
 # Rows of one block of the exhaustive reduction walk: 2**12 = 4096 subsets.
 _BLOCK_BITS = 12
+# Up to this many candidates the exhaustive reduction walks its subsets on
+# Python integers; up to the break-even, 8 or 9, numpy's set-up costs more.
+_SMALL_SEARCH = 8
 
 # The string, b and a letters of a site, by the site's substitution. A letter
 # of role 0 maps to a_j b_j, of role 1 to U_j b_j, of role 2 to U_j a_j.
@@ -387,10 +392,6 @@ def _subset_table(x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return tx, tz
 
 
-def _weights(x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(x | z).sum(axis=1)
-
-
 # str() order of the phase prefixes, indexed by the exponent of i:
 # "-" < "-i·" < "" < "i·" (a body starts with a letter or "1").
 _PHASE_RANK = (2, 3, 0, 1)
@@ -437,12 +438,16 @@ def reduce_by_stabilizers(
 ) -> PauliString:
     """Multiply ``p`` by plaquette operators to minimize its support weight.
 
-    The candidates are the plaquettes contained in the bounding box of
-    ``p``'s support. Up to ``max_exhaustive`` candidates the search is exact:
-    the weights of all subset products come from XOR tables of the
-    plaquettes' bit rows, built in blocks of at most 4096 subsets. Beyond
-    that it is a greedy descent that weighs every one-plaquette step at once
-    and takes the best while the key falls.
+    ``p`` must commute with the plaquettes; only those sharing a site with
+    it (``TwistLattice.site_faces``) can fail to, so only those are checked.
+    The candidates are the plaquettes inside the bounding box of ``p``'s
+    support. Up to ``max_exhaustive`` of them the search is exact: it walks
+    every subset in Gray-code order, on the integer rows up to
+    ``_SMALL_SEARCH`` candidates and on XOR tables of blocks of at most 4096
+    subsets beyond. Past that it is a greedy descent that takes the best
+    one-plaquette step while the key falls. A step changes the string on its
+    plaquette's sites only, so only the candidates sharing a site with it
+    have their weight change computed again.
 
     The key is (weight, rendered string), so the result does not depend on
     the search order. Products are formed on the integer bit rows, with the
@@ -454,46 +459,61 @@ def reduce_by_stabilizers(
     """
     ops = lat.plaquette_ops
     px, pz = p.x, p.z
-    if (px | pz) >> lat.n_sites:
+    support = px | pz
+    if support >> lat.n_sites:
         raise GeometryError("operator acts on a site off the lattice")
-    if any(((op.x & pz) ^ (op.z & px)).bit_count() & 1 for op in ops):
-        raise ValueError("operator is outside the plaquette commutant")
-    if not px | pz:
+    near = 0
+    for s in _kernels.set_bits(support):
+        near |= lat.site_faces[s]
+    for k in _kernels.set_bits(near):
+        if ((ops[k].x & pz) ^ (ops[k].z & px)).bit_count() & 1:
+            raise ValueError("operator is outside the plaquette commutant")
+    if not support:
         return p
 
-    rmin, rmax, cmin, cmax = lat.bounding_box(p.sites)
-    boxes = lat.face_boxes
-    chosen = np.flatnonzero((boxes[:, 0] >= rmin) & (boxes[:, 1] <= rmax)
-                            & (boxes[:, 2] >= cmin) & (boxes[:, 3] <= cmax))
-    cx = [ops[k].x for k in chosen]
-    cz = [ops[k].z for k in chosen]
+    # the sites outside the box, as a mask
+    w = lat.width
+    rows, cols = zip(*(divmod(s, w) for s in _kernels.set_bits(support)))
+    span = (2 << max(cols)) - (1 << min(cols))
+    outside = ~sum(span << (r * w) for r in range(min(rows), max(rows) + 1))
+    chosen = [op for op in ops if not (op.x | op.z) & outside]
+    cx, cz = [op.x for op in chosen], [op.z for op in chosen]
     n = len(cx)
-    if not n:
-        return p
 
     if n <= max_exhaustive:
-        # one table over the low candidates; each block XORs in one subset
-        # of the others, stepping through those subsets in Gray-code order
-        n_words = -(-lat.n_sites // 64)
-        wx, wz = _words(cx, n_words), _words(cz, n_words)
-        low = min(n, _BLOCK_BITS)
-        low_x, low_z = _subset_table(wx[:low], wz[:low])
-        low_x ^= _words([px], n_words)
-        low_z ^= _words([pz], n_words)
-        high_x, high_z = np.zeros_like(low_x[0]), np.zeros_like(low_z[0])
-        best_w, ties = None, []
-        for b in range(1 << (n - low)):
-            if b:
-                j = low + (b & -b).bit_length() - 1
-                high_x ^= wx[j]
-                high_z ^= wz[j]
-            w = _weights(low_x ^ high_x, low_z ^ high_z)
-            m = int(w.min())
-            if best_w is None or m < best_w:
-                best_w, ties = m, []
-            if m == best_w:
-                high = (b ^ (b >> 1)) << low
-                ties.extend(high | int(i) for i in np.flatnonzero(w == m))
+        if n <= _SMALL_SEARCH:
+            qx, qz, best_w, ties = px, pz, support.bit_count(), [0]
+            for b in range(1, 1 << n):
+                j = (b & -b).bit_length() - 1
+                qx, qz = qx ^ cx[j], qz ^ cz[j]
+                weight = (qx | qz).bit_count()
+                if weight < best_w:
+                    best_w, ties = weight, []
+                if weight == best_w:
+                    ties.append(b ^ (b >> 1))
+        else:
+            # one table over the low candidates; each block XORs in one
+            # subset of the others, stepping through them in Gray-code order
+            n_words = -(-lat.n_sites // 64)
+            wx, wz = _words(cx, n_words), _words(cz, n_words)
+            low = min(n, _BLOCK_BITS)
+            low_x, low_z = _subset_table(wx[:low], wz[:low])
+            low_x ^= _words([px], n_words)
+            low_z ^= _words([pz], n_words)
+            high_x, high_z = np.zeros_like(low_x[0]), np.zeros_like(low_z[0])
+            best_w, ties = None, []
+            for b in range(1 << (n - low)):
+                if b:
+                    j = low + (b & -b).bit_length() - 1
+                    high_x ^= wx[j]
+                    high_z ^= wz[j]
+                weights = np.bitwise_count(low_x ^ high_x | low_z ^ high_z).sum(1)
+                m = int(weights.min())
+                if best_w is None or m < best_w:
+                    best_w, ties = m, []
+                if m == best_w:
+                    high = (b ^ (b >> 1)) << low
+                    ties.extend(high | int(i) for i in np.flatnonzero(weights == m))
         products = []
         for subset in ties:
             qx, qz, e = px, pz, p.phase.exponent
@@ -505,19 +525,24 @@ def reduce_by_stabilizers(
         return PauliString.from_bits(*products[_least(products)])
 
     bx, bz, be, weight = px, pz, p.phase.exponent, p.weight
-    while True:
-        w = [((x ^ bx) | (z ^ bz)).bit_count() for x, z in zip(cx, cz)]
-        m = min(w)
-        if m > weight:
-            break
-        ties = [i for i in range(n) if w[i] == m]
-        steps = [(bx ^ cx[i], bz ^ cz[i],
-                  be + _kernels.int_product_phase(bx, bz, cx[i], cz[i]))
-                 for i in ties]
-        if m == weight:  # a step must also beat the current string's key
+    masks = [x | z for x, z in zip(cx, cz)]
+    delta = [((x ^ bx) | (z ^ bz)).bit_count() - weight for x, z in zip(cx, cz)]
+    while (m := min(delta)) <= 0:
+        ties = [i for i in range(n) if delta[i] == m]
+        steps = []
+        for i in ties:  # the power of i is _kernels.int_product_phase's
+            x, z, a = cx[i], cz[i], bx & cz[i]
+            clash = a ^ (bz & x)
+            steps.append((bx ^ x, bz ^ z, be + clash.bit_count()
+                          - 2 * (clash & (bx ^ x ^ bz ^ z ^ a)).bit_count()))
+        if not m:  # a step must also beat the current string's key
             steps.append((bx, bz, be))
         k = _least(steps)
         if k == len(ties):
             break
-        (bx, bz, be), weight = steps[k], m
+        (bx, bz, be), weight = steps[k], weight + m
+        step_sites = masks[ties[k]]
+        for i in range(n):
+            if masks[i] & step_sites:
+                delta[i] = ((cx[i] ^ bx) | (cz[i] ^ bz)).bit_count() - weight
     return PauliString.from_bits(bx, bz, be)

@@ -31,9 +31,10 @@ right). This is the unique letter assignment for which all operators commute
 and the twist sites drop out of every operator's Majorana image.
 
 The lattice owns these operators: ``TwistLattice.plaquette_ops`` builds them
-once, in face-id order, and ``TwistLattice.face_boxes`` holds each face's site
-bounding box. The Jordan-Wigner images, the stabilizer reduction, the
-tableau and both readouts all read this one form.
+once, in face-id order, ``TwistLattice.face_boxes`` holds each face's site
+bounding box and ``TwistLattice.site_faces`` the faces at each site. The
+Jordan-Wigner images, the stabilizer reduction, the tableau and both readouts
+all read this one form.
 """
 
 from __future__ import annotations
@@ -137,15 +138,24 @@ class TwistLattice:
         """The plaquette operators in face-id order, built once."""
         return tuple(all_plaquette_operators(self))
 
-    def bounding_box(self, sites) -> tuple[int, int, int, int]:
-        """Min row, max row, min column and max column of ``sites``."""
-        rows, cols = zip(*(self.site_coords(s) for s in sites))
-        return min(rows), max(rows), min(cols), max(cols)
-
     @cached_property
     def face_boxes(self) -> np.ndarray:
-        """(faces, 4) array: the ``bounding_box`` of each face's sites."""
-        return np.array([self.bounding_box(p.ordered_sites) for p in self.plaquettes])
+        """(faces, 4) array: each face's min row, max row, min column and max
+        column; ids are row-major, so the least and greatest site give rows."""
+        w = self.width
+        faces = [p.ordered_sites for p in self.plaquettes]
+        cols = [[s % w for s in sites] for sites in faces]
+        return np.array([(min(s) // w, max(s) // w, min(c), max(c))
+                         for s, c in zip(faces, cols)])
+
+    @cached_property
+    def site_faces(self) -> list[int]:
+        """Per site, the faces acting on it: bit ``k`` for face ``k``."""
+        out = [0] * self.n_sites
+        for k, p in enumerate(self.plaquettes):
+            for s in p.ordered_sites:
+                out[s] |= 1 << k
+        return out
 
     def stabilizer_matrix(self) -> list[int]:
         """One (x|z) row (``_gf2.symplectic_vector``) per plaquette operator."""
@@ -257,8 +267,15 @@ def all_plaquette_operators(lat: TwistLattice) -> list[PauliString]:
     """X,Z,X,Z on each face's ordered corners (plus Y on a pentagon's twist
     site), in face-id order: the one builder, which ``lat.plaquette_ops``
     calls once."""
-    return [PauliString.from_dict(dict(zip(p.ordered_sites, _LETTERS)))
-            for p in lat.plaquettes]
+    ops = []
+    for p in lat.plaquettes:
+        s = p.ordered_sites
+        y = 1 << s[4] if len(s) == 5 else 0
+        # the dataclass default phase: one Phase(0) shared by every operator
+        op = PauliString(1 << s[0] | 1 << s[2] | y, 1 << s[1] | 1 << s[3] | y)
+        op.__dict__["support"] = tuple(sorted(zip(s, _LETTERS)))  # read by jw
+        ops.append(op)
+    return ops
 
 
 def excitations_of(lat: TwistLattice, error: PauliString) -> set[int]:

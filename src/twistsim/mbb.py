@@ -41,7 +41,9 @@ the fusion-basis states expressed in the Fock representation, never assumed.
 
 from __future__ import annotations
 
+import math
 import operator
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -347,6 +349,16 @@ class _VectorBackend:
         return self._table.vectors[self.index]
 
 
+def amplitude_norm(alpha: complex, beta: complex) -> float:
+    """The norm the four-anyon start ``alpha``, ``beta`` is divided by;
+    ``ValueError`` unless it is a normal float."""
+    norm = math.hypot(alpha.real, alpha.imag, beta.real, beta.imag)
+    if not sys.float_info.min <= norm < math.inf:
+        raise ValueError(f"alpha and beta must not both be zero, and their norm "
+                         f"{norm} must be a normal float")
+    return np.hypot(abs(alpha), abs(beta))
+
+
 class AnyonBackend(_VectorBackend):
     """Fusion amplitudes in the start pairing: for 4 anyons the even block
     then the odd block (both parity sectors), for 6 the even sector."""
@@ -358,7 +370,7 @@ class AnyonBackend(_VectorBackend):
         if n_anyons == 4:
             # chain charge 0 carries labels (0, 0) when even, (0, 1) when odd
             state = np.array([alpha, 0, beta, 0], dtype=np.complex128)
-            state /= np.hypot(abs(alpha), abs(beta))
+            state /= amplitude_norm(alpha, beta)
         else:
             state = np.eye(4, dtype=np.complex128)[0]  # labels (0, 0, 0)
         super().__init__(n_anyons, rng, state)
@@ -374,7 +386,8 @@ class FockBackend(_VectorBackend):
         self.space, starts = _fock_setup(n_anyons)
         start = starts[0]
         if n_anyons == 4:  # starts are the (0,0) and (0,1) states
-            start = (alpha * start + beta * starts[1]) / np.hypot(abs(alpha), abs(beta))
+            norm = amplitude_norm(alpha, beta)  # raises before any arithmetic
+            start = (alpha * start + beta * starts[1]) / norm
         super().__init__(n_anyons, rng, start)
 
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -292,7 +294,8 @@ def exhaustive_reference(p, candidates):
     best = q = p
     for k in range(1, 1 << len(candidates)):
         q = q * candidates[(k & -k).bit_length() - 1]
-        if key(q) < key(best):
+        # key(q) < key(best), rendering only the strings of equal weight
+        if q.weight < best.weight or q.weight == best.weight and str(q) < str(best):
             best = q
     return best
 
@@ -313,19 +316,24 @@ def test_reduction_key_is_injective():
     assert len({key(q) for q in strings}) == len(set(strings))
 
 
-def greedy_reference(p, candidates):
+def greedy_reference(p, candidates, trail=None):
+    """The plain descent: the least key among one-candidate steps while it
+    falls. Each step taken is appended to ``trail`` when given."""
     best = p
     while True:
         step = min((best * c for c in candidates), key=key, default=best)
         if key(step) >= key(best):
             return best
         best = step
+        if trail is not None:
+            trail.append(step)
 
 
-def commutant_samples(lat, count, max_candidates, seed):
-    """Random elements of the plaquette commutant with few box candidates: a
-    free-mode pair parity (or the identity) times plaquettes of a random
-    window, with a random phase."""
+def commutant_draws(lat, seed, window=(3, 4)):
+    """Endless random elements of the plaquette commutant: a free-mode pair
+    parity (or the identity) times plaquettes of a random window of
+    ``window`` (rows, columns) sites, with a random phase; the identity is
+    skipped."""
     rng = np.random.default_rng(seed)
     path = jw.default_path(lat)
     cls = jw.classify_modes(lat, path)
@@ -337,27 +345,52 @@ def commutant_samples(lat, count, max_candidates, seed):
             if op.weight <= 6:
                 seeds.append(op)
     ops = all_plaquette_operators(lat)
-    out = []
-    while len(out) < count:
-        r0 = int(rng.integers(lat.height - 2))
-        c0 = int(rng.integers(lat.width - 3))
-        window = [op for op in ops if all(
-            r0 <= r <= r0 + 2 and c0 <= c <= c0 + 3
+    rows, cols = window
+    while True:
+        r0 = int(rng.integers(lat.height - rows + 1))
+        c0 = int(rng.integers(lat.width - cols + 1))
+        inside = [op for op in ops if all(
+            r0 <= r < r0 + rows and c0 <= c < c0 + cols
             for r, c in (lat.site_coords(s) for s in op.sites))]
         p = seeds[int(rng.integers(len(seeds)))]
-        for op in window:
+        for op in inside:
             if rng.random() < 0.5:
                 p = p * op
         p = PauliString(p.x, p.z, p.phase * Phase(int(rng.integers(4))))
-        if p.support and len(box_candidates(p, lat)) <= max_candidates:
+        if p.support:
+            yield p
+
+
+def commutant_samples(lat, count, max_candidates, seed):
+    """``count`` commutant draws with at most ``max_candidates`` box
+    candidates."""
+    draws = (p for p in commutant_draws(lat, seed)
+             if len(box_candidates(p, lat)) <= max_candidates)
+    return list(itertools.islice(draws, count))
+
+
+def sized_samples(lat, sizes, seed, window):
+    """One commutant draw per entry of ``sizes``, with exactly that many box
+    candidates."""
+    wanted, out = list(sizes), []
+    for p in commutant_draws(lat, seed, window):
+        n = len(box_candidates(p, lat))
+        if n in wanted:
+            wanted.remove(n)
             out.append(p)
-    return out
+            if not wanted:
+                return out
 
 
 @pytest.mark.parametrize("shape", [(8, 6, [(1, 2, 5)]), (6, 5, [])])
 def test_reduction_matches_a_loop_over_every_subset(shape):
     lat = build_lattice(*shape)
     samples = commutant_samples(lat, 40, 10, seed=7)
+    # both sides of the switch from the integer walk to the numpy tables
+    switch = jw._SMALL_SEARCH
+    samples += sized_samples(lat, [switch, switch, switch + 1], seed=8, window=(4, 5))
+    if shape[2]:  # the largest exhaustive search, which the 6x5 box cannot hold
+        samples += sized_samples(lat, [18], seed=12, window=(4, 7))
     nontrivial = 0
     for p in samples:
         candidates = box_candidates(p, lat)
@@ -368,23 +401,36 @@ def test_reduction_matches_a_loop_over_every_subset(shape):
     assert nontrivial >= 10  # the samples exercise real reductions
 
 
-@pytest.mark.parametrize("max_exhaustive", [0, 2, 4])
+@pytest.mark.parametrize("max_exhaustive", [0, 2, 4, 18])
 def test_greedy_reduction_matches_a_plain_descent(max_exhaustive):
     lat = build_lattice(8, 6, [(1, 2, 5)])
     samples = commutant_samples(lat, 30, 10, seed=11)
     samples.append(jw.parity_operator(lat, jw.default_path(lat, 0), 0))
     samples.append(jw.bracket_parity(lat, jw.default_path(lat), 0))
-    greedy = 0
-    for p in samples:
-        candidates = box_candidates(p, lat)
+    samples += sized_samples(lat, [19], seed=12, window=(4, 7))  # past the default
+    cases = [(lat, p) for p in samples]
+    if not max_exhaustive:  # long descents: the strings a stats job reduces
+        stats = build_lattice(*STATS_LATTICES["8x12"])
+        path = jw.default_path(stats)
+        modes = jw.twist_modes(stats, path)
+        cases += [(stats, jw.mode_parity_operator(stats, path, modes[a], modes[b]))
+                  for a in range(len(modes)) for b in range(a + 1, len(modes))]
+        cases += [(stats, jw.bracket_parity(stats, path, k, modes))
+                  for k in range(stats.n_pairs)]
+    greedy, stats_steps = 0, []
+    for on, p in cases:
+        candidates = box_candidates(p, on)
         if len(candidates) <= max_exhaustive:
             expected = exhaustive_reference(p, candidates)
         else:
-            expected = greedy_reference(p, candidates)
+            expected = greedy_reference(p, candidates,
+                                        None if on is lat else stats_steps)
             greedy += 1
-        got = jw.reduce_by_stabilizers(p, lat, max_exhaustive=max_exhaustive)
+        got = jw.reduce_by_stabilizers(p, on, max_exhaustive=max_exhaustive)
         assert got == expected and str(got) == str(expected)
-    assert greedy >= 10
+    assert greedy >= (10 if max_exhaustive < 18 else 1)
+    if not max_exhaustive:
+        assert len(stats_steps) >= 10
 
 
 def test_exhaustive_reduction_spans_several_blocks():

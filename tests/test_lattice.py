@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import twistsim
 from twistsim import _gf2, jw
@@ -229,6 +229,48 @@ def accepted_layouts(draw):
 @given(accepted_layouts())
 def test_every_accepted_layout_runs_the_pipeline(lat):
     assert_runs_the_pipeline(lat)
+
+
+@settings(max_examples=100, deadline=None)
+@given(accepted_layouts())
+@example(build_lattice(12, 8, [(2, 1, 3), (2, 6, 8)]))
+def test_set_up_data_matches_plain_references(lat):
+    # the operators from a letter map, the boxes from each site's coordinates
+    plain = [PauliString.from_dict(dict(zip(p.ordered_sites, "XZXZY")))
+             for p in lat.plaquettes]
+    assert len(lat.plaquette_ops) == len(plain)
+    for op, ref in zip(lat.plaquette_ops, plain):
+        assert op == ref and op.support == ref.support
+    assert lat.face_boxes.dtype.kind == "i"
+    boxes = []
+    for p in lat.plaquettes:
+        rows, cols = zip(*(lat.site_coords(s) for s in p.ordered_sites))
+        boxes.append([min(rows), max(rows), min(cols), max(cols)])
+    assert lat.face_boxes.tolist() == boxes
+    assert lat.site_faces == [sum(1 << k for k, p in enumerate(lat.plaquettes)
+                                  if s in p.ordered_sites) for s in lat.sites]
+    # the reduction checks the commutant on the faces that touch a string:
+    # it refuses exactly the strings that a scan over every plaquette does
+    draw = np.random.default_rng(lat.n_sites)
+    strings = [PauliString.single(s, letter) for s in lat.sites for letter in "XYZ"]
+    for _ in range(60):
+        a = int(draw.integers(lat.n_sites))
+        b = (a + int(draw.choice([1, lat.width])) if draw.random() < 0.5
+             else int(draw.integers(lat.n_sites))) % lat.n_sites
+        if a != b:
+            strings.append(PauliString.from_dict(
+                {a: "XYZ"[draw.integers(3)], b: "XYZ"[draw.integers(3)]}))
+    refused = 0
+    for q in strings:
+        outside = not all(op.commutes_with(q) for op in plain)
+        try:
+            jw.reduce_by_stabilizers(q, lat)
+        except ValueError:
+            assert outside
+            refused += 1
+        else:
+            assert not outside
+    assert 0 < refused < len(strings)
 
 
 def test_twist_logicals_relations():

@@ -782,3 +782,13 @@ def test_forcing_an_impossible_label_raises_and_keeps_the_state(make, snapshot):
         assert label.shape == p.shape == (1,)
         assert label.dtype == np.uint8 and p.dtype == np.float64
         assert p[0] == pytest.approx(prob)
+
+
+@pytest.mark.parametrize("alpha, beta", [(1e-320, 0), (0, 0), (1.7e308, 1.7e308)],
+                         ids=["subnormal", "zero", "overflowing"])
+def test_four_anyon_start_needs_a_normal_norm(alpha, beta):
+    # each would divide by a subnormal, zero or overflowing norm: a NaN or
+    # all-zero start
+    for backend in (AnyonBackend, FockBackend):
+        with pytest.raises(ValueError, match="normal float"):
+            backend(4, np.random.default_rng(0), alpha, beta)
