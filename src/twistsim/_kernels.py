@@ -58,10 +58,14 @@ def anticommuting_rows(cx: list[int], cz: list[int], px: int, pz: int) -> int:
     this is the XOR of the x columns at p's Z sites and the z columns at p's X
     sites."""
     acc = 0
-    for j in set_bits(pz):
-        acc ^= cx[j]
-    for j in set_bits(px):
-        acc ^= cz[j]
+    while pz:
+        low = pz & -pz
+        pz ^= low
+        acc ^= cx[low.bit_length() - 1]
+    while px:
+        low = px & -px
+        px ^= low
+        acc ^= cz[low.bit_length() - 1]
     return acc
 
 

@@ -433,13 +433,32 @@ def _least(strings: list[tuple[int, int, int]]) -> int:
     return best
 
 
+def check_commutant(p: PauliString, lat: TwistLattice) -> PauliString:
+    """Return ``p`` if it lies on the lattice and commutes with every
+    plaquette. Only the faces sharing a site with it
+    (``TwistLattice.site_faces``) can fail to commute, so only those are
+    checked. Raises ``GeometryError`` for a site off the lattice and
+    ``ValueError`` outside the commutant."""
+    ops = lat.plaquette_ops
+    px, pz = p.x, p.z
+    support = px | pz
+    if support >> lat.n_sites:
+        raise GeometryError("operator acts on a site off the lattice")
+    near = 0
+    for s in _kernels.set_bits(support):
+        near |= lat.site_faces[s]
+    for k in _kernels.set_bits(near):
+        if ((ops[k].x & pz) ^ (ops[k].z & px)).bit_count() & 1:
+            raise ValueError("operator is outside the plaquette commutant")
+    return p
+
+
 def reduce_by_stabilizers(
     p: PauliString, lat: TwistLattice, max_exhaustive: int = 18
 ) -> PauliString:
     """Multiply ``p`` by plaquette operators to minimize its support weight.
 
-    ``p`` must commute with the plaquettes; only those sharing a site with
-    it (``TwistLattice.site_faces``) can fail to, so only those are checked.
+    ``p`` must pass ``check_commutant``, which this checks first.
     The candidates are the plaquettes inside the bounding box of ``p``'s
     support. Up to ``max_exhaustive`` of them the search is exact: it walks
     every subset in Gray-code order, on the integer rows up to
@@ -457,17 +476,10 @@ def reduce_by_stabilizers(
     "i·") or, when those are equal, by the one token where they first
     differ, at the lowest site where their letters differ.
     """
+    check_commutant(p, lat)
     ops = lat.plaquette_ops
     px, pz = p.x, p.z
     support = px | pz
-    if support >> lat.n_sites:
-        raise GeometryError("operator acts on a site off the lattice")
-    near = 0
-    for s in _kernels.set_bits(support):
-        near |= lat.site_faces[s]
-    for k in _kernels.set_bits(near):
-        if ((ops[k].x & pz) ^ (ops[k].z & px)).bit_count() & 1:
-            raise ValueError("operator is outside the plaquette commutant")
     if not support:
         return p
 

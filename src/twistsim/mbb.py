@@ -398,6 +398,11 @@ class LatticeBackend:
     read out as projective measurements of the pairs' parity strings, which
     is what both code-level readout schemes implement
     (``tableau.measure_parity_direct`` and ``tableau.measure_parity_hole``).
+    The ground, the measurements and the corrections use the raw
+    Jordan-Wigner strings (``CodeContext.raw_parity_string``), not the
+    reduced ones: a projective measurement reads the same label on any string
+    that differs by plaquettes, which the ground fixes at +1, so the backend
+    runs no stabilizer reduction.
 
     Which rows a measurement touches, and whether it is random, depend only
     on the measured strings; outcomes and corrections change signs only. So
@@ -422,7 +427,7 @@ class LatticeBackend:
         self.tab.spread(self.shots)
 
     def _string(self, pair: tuple[int, int]):
-        return self.ctx.parity_string(pair[0] - 1, pair[1] - 1)
+        return self.ctx.raw_parity_string(pair[0] - 1, pair[1] - 1)
 
     def measure(self, pair: tuple[int, int], force: int | None = None):
         """``(labels, probabilities)`` of ``pair``, one per shot. A forced

@@ -248,10 +248,20 @@ def _memo(method):
 
 class CodeContext:
     """What the code-level operations derive from one lattice through ``jw``
-    or a tableau: the twist modes, the reduced parity and bracket strings,
-    the logicals, the ground tableau and the readouts' geometry. The
-    plaquette operators and their rows are the lattice's own
+    or a tableau: the twist modes, the parity and bracket strings, the
+    logicals, the ground tableau and the readouts' geometry. The plaquette
+    operators and their rows are the lattice's own
     (``TwistLattice.plaquette_ops``, ``stabilizer_matrix()``, ``face_boxes``).
+
+    A parity or bracket string is a logical operator: any string that
+    differs from it by plaquettes has the same eigenvalue on a state whose
+    plaquettes read +1. ``raw_parity_string`` and ``raw_bracket_string`` are
+    the strings as the Jordan-Wigner map gives them; ``parity_string`` and
+    ``bracket_string`` are their stabilizer-reduced, minimum-weight forms.
+    The reduced forms serve ``init_ground`` and the readouts, since the
+    direct readout measures a string site by site, and ``derive``. ``ground``
+    pins the raw forms: a projective measurement takes any form, so the
+    lattice backend's ground and braids run no reduction.
 
     Each object is built at most once, on first use: the attributes through
     ``cached_property``, the methods through ``_memo``, keyed on their
@@ -285,17 +295,28 @@ class CodeContext:
         return jw.twist_modes(self.lat, self.path)
 
     @_memo
+    def raw_parity_string(self, a: int, b: int) -> PauliString:
+        """Jordan-Wigner parity string of twist modes ``a`` and ``b``, as
+        ``jw`` derives it, checked to commute with the plaquettes."""
+        return jw.check_commutant(jw.mode_parity_operator(
+            self.lat, self.path, self.modes[a], self.modes[b]), self.lat)
+
+    @_memo
+    def raw_bracket_string(self, pair: int) -> PauliString:
+        """Jordan-Wigner edge bracket of one segment's rows, as ``jw``
+        derives it, checked to commute with the plaquettes."""
+        return jw.check_commutant(
+            jw.bracket_parity(self.lat, self.path, pair, self.modes), self.lat)
+
+    @_memo
     def parity_string(self, a: int, b: int) -> PauliString:
-        """Stabilizer-reduced parity string of twist modes ``a`` and ``b``."""
-        raw = jw.mode_parity_operator(self.lat, self.path,
-                                      self.modes[a], self.modes[b])
-        return jw.reduce_by_stabilizers(raw, self.lat)
+        """Stabilizer-reduced ``raw_parity_string``."""
+        return jw.reduce_by_stabilizers(self.raw_parity_string(a, b), self.lat)
 
     @_memo
     def bracket_string(self, pair: int) -> PauliString:
-        """Stabilizer-reduced edge bracket of one segment's rows."""
-        raw = jw.bracket_parity(self.lat, self.path, pair, self.modes)
-        return jw.reduce_by_stabilizers(raw, self.lat)
+        """Stabilizer-reduced ``raw_bracket_string``."""
+        return jw.reduce_by_stabilizers(self.raw_bracket_string(pair), self.lat)
 
     @cached_property
     def z_logicals(self) -> tuple[PauliString, ...]:
@@ -323,9 +344,12 @@ class CodeContext:
 
     @_memo
     def ground(self, pins: tuple[tuple[int, int, int], ...]) -> Tableau:
-        """Seed-0 ground tableau with ``pins`` pinned (see ``init_ground``).
-        Callers copy it; other pairs' strings come from ``parity_string``."""
-        return init_ground(self.lat, seed=0, pinned_pairs=list(pins))
+        """Seed-0 ground tableau with ``pins`` pinned as ``init_ground`` pins
+        them, but on the raw strings, which it also registers. Each raw
+        string is its reduced string times plaquettes, which the ground fixes
+        at +1 first, so both pin the same value. Callers copy it."""
+        return _pinned_ground(self.lat, 0, list(pins),
+                              self.raw_parity_string, self.raw_bracket_string)
 
     def face_flip(self, pid: int, logicals: dict[str, PauliString]) -> PauliString:
         """Pauli anticommuting with exactly one plaquette, ``pid``, and with
@@ -432,9 +456,18 @@ def init_ground(
     whose parity strings are pinned, optionally with an explicit sign as a
     third entry (default -1, the bare-convention vacuum). Defaults to each
     segment's own pair. The construction is fully deterministic; the seed
-    only feeds later random measurements.
+    only feeds later random measurements. The pinned and registered strings
+    are the stabilizer-reduced ones (``CodeContext.parity_string`` and
+    ``bracket_string``), which the readouts measure.
     """
     ctx = code_context(lat)
+    return _pinned_ground(lat, seed, pinned_pairs,
+                          ctx.parity_string, ctx.bracket_string)
+
+
+def _pinned_ground(lat, seed, pinned_pairs, parity_string, bracket_string) -> Tableau:
+    """``init_ground`` with the strings of mode pair ``(a, b)`` and segment
+    ``pair`` taken from ``parity_string(a, b)`` and ``bracket_string(pair)``."""
     t = Tableau.zero_state(lat.n_sites, seed)
     t.lattice = lat
     t.active = {p.id for p in lat.plaquettes}
@@ -448,11 +481,11 @@ def init_ground(
         for entry in pinned_pairs:
             a, b = entry[0], entry[1]
             sign = entry[2] if len(entry) > 2 else -1
-            string = ctx.parity_string(a, b)
+            string = parity_string(a, b)
             t.logicals[f"parity_{a}_{b}"] = string
             generators.append((string, sign))
         for pair in range(lat.n_pairs):
-            bracket = ctx.bracket_string(pair)
+            bracket = bracket_string(pair)
             t.logicals[f"bracket_{pair}"] = bracket
             generators.append((bracket, +1))
 

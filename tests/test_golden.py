@@ -7,7 +7,10 @@ which generators a state is written in without changing a single outcome.
 This module pins the ``derive`` report, every parity and bracket string of the
 default 8x12 lattice, the twist logicals of the two 14x12 readout lattices,
 the ground tableau of all three lattices, a lattice-backend tableau after
-three braids, fixed-seed lattice-backend statistics with their records, the
+three braids (written in the raw Jordan-Wigner strings the backend pins,
+measures and applies; ``test_recorded_braid_tableau_is_the_reduced_string_state``
+checks that it is the state the reduced strings reach), fixed-seed
+lattice-backend statistics with their records, the
 fixed-seed shot records (labels and correction names only) of the six-anyon
 anyon and Fock backends, and the sha256 of fixed-seed ``stats`` reports on all
 three backends and of ``mbb`` reports (whose Fock probabilities and
@@ -114,6 +117,37 @@ def golden_outputs() -> dict:
             "mbb", {"alpha": 0.6, "beta": "0.8j"}, ["--seed", "5"])),
     }
     return json.loads(json.dumps(out))  # tuples as the JSON file has them
+
+
+def test_recorded_braid_tableau_is_the_reduced_string_state():
+    # the recorded lattice-backend tableau pins, measures and applies raw
+    # strings; replaying its labels as forced outcomes with the reduced
+    # strings on a lone init_ground tableau must reach the same state: every
+    # stabilizer row of each tableau, with its sign, is fixed at +1 in the
+    # other
+    lat = build_lattice(*LATTICES["8x12"])
+    ctx = tableau.code_context(lat)
+    backend = mbb.LatticeBackend(lat, np.random.default_rng(17))
+    records = [mbb.braid_once(backend).shot(0) for _ in range(3)]
+    pins = [(a - 1, b - 1, mbb.parity_sign_for((a, b), 6))
+            for a, b in mbb.START_PAIRINGS[6]]
+    replay = tableau.init_ground(lat, 0, pins)
+
+    def reduced(pair):
+        return ctx.parity_string(pair[0] - 1, pair[1] - 1)
+
+    for record in records:
+        labels = (record.n13, record.n14, record.n12_final)
+        for pair, label in zip(mbb.CYCLE_PAIRS, labels):
+            replay.measure(reduced(pair),
+                           force=mbb.parity_sign_for(pair, 6) * (1 - 2 * label))
+        _, pair = mbb.correction_for(record)
+        if pair is not None:
+            replay.apply_pauli(reduced(pair))
+    assert {(r.n13, r.n14, r.n12_final) for r in records} != {(0, 0, 0)}
+    for a, b in ((backend.tab, replay), (replay, backend.tab)):
+        for i in range(a.n, 2 * a.n):
+            assert b.expectation_sign(a.row_operator(i)) == 1, i
 
 
 def test_outputs_match_the_recorded_reference():

@@ -249,8 +249,9 @@ def test_set_up_data_matches_plain_references(lat):
     assert lat.face_boxes.tolist() == boxes
     assert lat.site_faces == [sum(1 << k for k, p in enumerate(lat.plaquettes)
                                   if s in p.ordered_sites) for s in lat.sites]
-    # the reduction checks the commutant on the faces that touch a string:
-    # it refuses exactly the strings that a scan over every plaquette does
+    # the commutant check reads only the faces that touch a string: it, and
+    # the reduction that calls it, refuse exactly the strings that a scan
+    # over every plaquette does
     draw = np.random.default_rng(lat.n_sites)
     strings = [PauliString.single(s, letter) for s in lat.sites for letter in "XYZ"]
     for _ in range(60):
@@ -263,13 +264,14 @@ def test_set_up_data_matches_plain_references(lat):
     refused = 0
     for q in strings:
         outside = not all(op.commutes_with(q) for op in plain)
-        try:
-            jw.reduce_by_stabilizers(q, lat)
-        except ValueError:
-            assert outside
-            refused += 1
-        else:
-            assert not outside
+        for check in (jw.check_commutant, jw.reduce_by_stabilizers):
+            try:
+                check(q, lat)
+            except ValueError:
+                assert outside, check.__name__
+            else:
+                assert not outside, check.__name__
+        refused += outside
     assert 0 < refused < len(strings)
 
 

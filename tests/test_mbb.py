@@ -372,6 +372,35 @@ def test_batched_lattice_records_match_per_shot_tableaux(lat):
                 assert type(name) is str
 
 
+def test_lattice_backend_runs_no_stabilizer_reduction(monkeypatch):
+    # the backend pins, measures and applies the raw strings, each checked
+    # against the plaquettes; the reduced ones stay what init_ground
+    # registers and the readouts measure
+    calls, checked = [], []
+    reduce, check = jw.reduce_by_stabilizers, jw.check_commutant
+
+    def counting(p, lat, *args):
+        calls.append(p)
+        return reduce(p, lat, *args)
+
+    monkeypatch.setattr(jw, "reduce_by_stabilizers", counting)
+    monkeypatch.setattr(jw, "check_commutant",
+                        lambda p, lat: check(checked.append(p) or p, lat))
+    lat = build_lattice(8, 12, [(2, 2, 4), (5, 2, 4), (8, 2, 4)])
+    backend = LatticeBackend(lat, np.random.default_rng(0))
+    for _ in range(3):
+        braid_once(backend)
+    backend.measure((3, 5))
+    assert calls == []
+    ctx = tableau.code_context(lat)
+    used = (list(ctx._memo_raw_parity_string.values())
+            + list(ctx._memo_raw_bracket_string.values()))
+    assert len(used) >= 8 and all(any(u is c for c in checked) for u in used)
+    assert tableau.init_ground(lat).logicals["parity_0_1"] == ctx.parity_string(0, 1)
+    assert ctx.parity_string(0, 1) == reduce(ctx.raw_parity_string(0, 1), lat)
+    assert calls
+
+
 def _reference_vector_shots(involution, start, n_braids, shots, seed):
     """Stats records and final vectors from the projectors (1 +- O)/2 of each
     pair's involution O and one generator per shot."""

@@ -456,17 +456,20 @@ def test_face_flips_follow_replaced_logicals():
 
 def test_filled_code_context_releases_its_lattice():
     # every memo holds objects that point back at the lattice (the ground
-    # tableau does); the context must still die with the lattice
+    # tableau does); the context must still die with the lattice. The ground
+    # pins the raw strings, the direct readout reads the reduced one.
     lat = build_lattice(14, 12, [(5, 5, 8)])
     ctx = code_context(lat)
     t = ctx.ground(((0, 1, -1),)).copy()
     t.apply_pauli(twist_logicals(lat, 0)[1])
     measure_parity_hole(t, 0, diamond_loop(lat, 0, 3))
-    measure_parity_direct(t, t.logicals["parity_0_1"])
+    measure_parity_direct(t, ctx.parity_string(0, 1))
+    ctx.bracket_string(0)
     ctx.face_flip(0, t.logicals)
     memos = {name for name in vars(ctx) if name.startswith("_memo_")}
     assert memos == {f"_memo_{name}" for name in (
-        "parity_string", "bracket_string", "x_logical", "ground", "_face_flip",
+        "raw_parity_string", "raw_bracket_string", "parity_string",
+        "bracket_string", "x_logical", "ground", "_face_flip",
         "_independent_logicals", "cut", "hole_plan", "string_faces",
         "loop_decomposition")}
     ref = weakref.ref(lat)
