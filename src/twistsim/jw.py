@@ -23,8 +23,9 @@ The stabilizer reduction works on the same idea one level down: Pauli
 strings and plaquettes as x/z integer bit rows, weights as popcounts. It
 reads the lattice's plaquette operators (``TwistLattice.plaquette_ops``) and
 the faces at each site (``TwistLattice.site_faces``): only a face sharing a
-site with a string can anticommute with it, and a greedy step weighs again
-only the candidates that share a site with the step's plaquette.
+site with a string can anticommute with it. Its search is exact up to
+``_MAX_EXHAUSTIVE`` candidate plaquettes and greedy beyond; strings of equal
+weight are ordered by their rendered form.
 """
 
 from __future__ import annotations
@@ -39,11 +40,10 @@ from . import _kernels
 from .lattice import GeometryError, TwistLattice
 from .pauli import PauliString, Phase
 
+# Up to this many box candidates the stabilizer reduction is exact.
+_MAX_EXHAUSTIVE = 18
 # Rows of one block of the exhaustive reduction walk: 2**12 = 4096 subsets.
 _BLOCK_BITS = 12
-# Up to this many candidates the exhaustive reduction walks its subsets on
-# Python integers; up to the break-even, 8 or 9, numpy's set-up costs more.
-_SMALL_SEARCH = 8
 
 # The string, b and a letters of a site, by the site's substitution. A letter
 # of role 0 maps to a_j b_j, of role 1 to U_j b_j, of role 2 to U_j a_j.
@@ -392,47 +392,6 @@ def _subset_table(x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return tx, tz
 
 
-# str() order of the phase prefixes, indexed by the exponent of i:
-# "-" < "-i·" < "" < "i·" (a body starts with a letter or "1").
-_PHASE_RANK = (2, 3, 0, 1)
-
-
-def _token(x: int, z: int, start: int) -> str:
-    """The rendered token (letter and site) of the lowest site at or above
-    ``start`` in the bit rows."""
-    above = (x | z) >> start
-    site = start + (above & -above).bit_length() - 1
-    bit = 1 << site
-    return ("Z" if not x & bit else "Y" if z & bit else "X") + str(site)
-
-
-def _before(a: tuple[int, int, int], b: tuple[int, int, int]) -> bool:
-    """Whether ``str()`` of string ``a`` sorts before that of ``b``; both are
-    (x, z, exponent) of one weight.
-
-    Unequal phase prefixes decide alone. Otherwise the tokens below the
-    lowest site where the letters differ are common, so the next token of
-    each decides: a space sorts below every token character, so a token
-    that is a prefix of the other sorts first, as in the whole strings.
-    """
-    if (a[2] - b[2]) % 4:
-        return _PHASE_RANK[a[2] % 4] < _PHASE_RANK[b[2] % 4]
-    diff = (a[0] ^ b[0]) | (a[1] ^ b[1])
-    if not diff:
-        return False
-    start = (diff & -diff).bit_length() - 1
-    return _token(a[0], a[1], start) < _token(b[0], b[1], start)
-
-
-def _least(strings: list[tuple[int, int, int]]) -> int:
-    """Index of the first of ``strings`` with the least ``str()``."""
-    best = 0
-    for i in range(1, len(strings)):
-        if _before(strings[i], strings[best]):
-            best = i
-    return best
-
-
 def check_commutant(p: PauliString, lat: TwistLattice) -> PauliString:
     """Return ``p`` if it lies on the lattice and commutes with every
     plaquette. Only the faces sharing a site with it
@@ -453,33 +412,23 @@ def check_commutant(p: PauliString, lat: TwistLattice) -> PauliString:
     return p
 
 
-def reduce_by_stabilizers(
-    p: PauliString, lat: TwistLattice, max_exhaustive: int = 18
-) -> PauliString:
+def reduce_by_stabilizers(p: PauliString, lat: TwistLattice) -> PauliString:
     """Multiply ``p`` by plaquette operators to minimize its support weight.
 
     ``p`` must pass ``check_commutant``, which this checks first.
     The candidates are the plaquettes inside the bounding box of ``p``'s
-    support. Up to ``max_exhaustive`` of them the search is exact: it walks
-    every subset in Gray-code order, on the integer rows up to
-    ``_SMALL_SEARCH`` candidates and on XOR tables of blocks of at most 4096
-    subsets beyond. Past that it is a greedy descent that takes the best
-    one-plaquette step while the key falls. A step changes the string on its
-    plaquette's sites only, so only the candidates sharing a site with it
-    have their weight change computed again.
+    support. Up to ``_MAX_EXHAUSTIVE`` of them the search is exact: it walks
+    every subset, on XOR tables of blocks of at most 4096 subsets. Past that
+    it is a greedy descent that takes the best one-plaquette step while the
+    key falls, weighing every candidate again at each step.
 
     The key is (weight, rendered string), so the result does not depend on
-    the search order. Products are formed on the integer bit rows, with the
-    phase of ``_kernels.int_product_phase``, and only for minimum-weight
-    ties; one ``PauliString`` is built, for the result. No tie is rendered:
-    two ties' strings compare by their phase prefixes ("-" < "-i·" < "" <
-    "i·") or, when those are equal, by the one token where they first
-    differ, at the lowest site where their letters differ.
+    the search order. Weights are popcounts of the integer bit rows; a
+    string is built, with ``PauliString.__mul__``, only at the least weight,
+    and rendered only when more than one ties there.
     """
     check_commutant(p, lat)
-    ops = lat.plaquette_ops
-    px, pz = p.x, p.z
-    support = px | pz
+    support = p.x | p.z
     if not support:
         return p
 
@@ -488,73 +437,52 @@ def reduce_by_stabilizers(
     rows, cols = zip(*(divmod(s, w) for s in _kernels.set_bits(support)))
     span = (2 << max(cols)) - (1 << min(cols))
     outside = ~sum(span << (r * w) for r in range(min(rows), max(rows) + 1))
-    chosen = [op for op in ops if not (op.x | op.z) & outside]
-    cx, cz = [op.x for op in chosen], [op.z for op in chosen]
-    n = len(cx)
+    chosen = [op for op in lat.plaquette_ops if not (op.x | op.z) & outside]
+    n = len(chosen)
 
-    if n <= max_exhaustive:
-        if n <= _SMALL_SEARCH:
-            qx, qz, best_w, ties = px, pz, support.bit_count(), [0]
-            for b in range(1, 1 << n):
-                j = (b & -b).bit_length() - 1
-                qx, qz = qx ^ cx[j], qz ^ cz[j]
-                weight = (qx | qz).bit_count()
-                if weight < best_w:
-                    best_w, ties = weight, []
-                if weight == best_w:
-                    ties.append(b ^ (b >> 1))
-        else:
-            # one table over the low candidates; each block XORs in one
-            # subset of the others, stepping through them in Gray-code order
-            n_words = -(-lat.n_sites // 64)
-            wx, wz = _words(cx, n_words), _words(cz, n_words)
-            low = min(n, _BLOCK_BITS)
-            low_x, low_z = _subset_table(wx[:low], wz[:low])
-            low_x ^= _words([px], n_words)
-            low_z ^= _words([pz], n_words)
-            high_x, high_z = np.zeros_like(low_x[0]), np.zeros_like(low_z[0])
-            best_w, ties = None, []
-            for b in range(1 << (n - low)):
-                if b:
-                    j = low + (b & -b).bit_length() - 1
-                    high_x ^= wx[j]
-                    high_z ^= wz[j]
-                weights = np.bitwise_count(low_x ^ high_x | low_z ^ high_z).sum(1)
-                m = int(weights.min())
-                if best_w is None or m < best_w:
-                    best_w, ties = m, []
-                if m == best_w:
-                    high = (b ^ (b >> 1)) << low
-                    ties.extend(high | int(i) for i in np.flatnonzero(weights == m))
-        products = []
-        for subset in ties:
-            qx, qz, e = px, pz, p.phase.exponent
-            for j in range(n):
-                if subset >> j & 1:
-                    e += _kernels.int_product_phase(qx, qz, cx[j], cz[j])
-                    qx, qz = qx ^ cx[j], qz ^ cz[j]
-            products.append((qx, qz, e))
-        return PauliString.from_bits(*products[_least(products)])
+    if n > _MAX_EXHAUSTIVE:
+        best = p
+        while True:
+            weights = [((op.x ^ best.x) | (op.z ^ best.z)).bit_count()
+                       for op in chosen]
+            m = min(weights)
+            if m > best.weight:
+                return best
+            # the current string comes first, so an equal key stops the descent
+            ties = [best] if m == best.weight else []
+            ties += [best * op for op, k in zip(chosen, weights) if k == m]
+            step = min(ties, key=str) if len(ties) > 1 else ties[0]
+            if step is best:
+                return best
+            best = step
 
-    bx, bz, be, weight = px, pz, p.phase.exponent, p.weight
-    masks = [x | z for x, z in zip(cx, cz)]
-    delta = [((x ^ bx) | (z ^ bz)).bit_count() - weight for x, z in zip(cx, cz)]
-    while (m := min(delta)) <= 0:
-        ties = [i for i in range(n) if delta[i] == m]
-        steps = []
-        for i in ties:  # the power of i is _kernels.int_product_phase's
-            x, z, a = cx[i], cz[i], bx & cz[i]
-            clash = a ^ (bz & x)
-            steps.append((bx ^ x, bz ^ z, be + clash.bit_count()
-                          - 2 * (clash & (bx ^ x ^ bz ^ z ^ a)).bit_count()))
-        if not m:  # a step must also beat the current string's key
-            steps.append((bx, bz, be))
-        k = _least(steps)
-        if k == len(ties):
-            break
-        (bx, bz, be), weight = steps[k], weight + m
-        step_sites = masks[ties[k]]
-        for i in range(n):
-            if masks[i] & step_sites:
-                delta[i] = ((cx[i] ^ bx) | (cz[i] ^ bz)).bit_count() - weight
-    return PauliString.from_bits(bx, bz, be)
+    # one table over the low candidates; each block XORs in one subset of
+    # the others, stepping through them in Gray-code order
+    n_words = -(-lat.n_sites // 64)
+    wx = _words([op.x for op in chosen], n_words)
+    wz = _words([op.z for op in chosen], n_words)
+    low = min(n, _BLOCK_BITS)
+    low_x, low_z = _subset_table(wx[:low], wz[:low])
+    low_x ^= _words([p.x], n_words)
+    low_z ^= _words([p.z], n_words)
+    high_x, high_z = np.zeros_like(low_x[0]), np.zeros_like(low_z[0])
+    best_w, ties = None, []
+    for b in range(1 << (n - low)):
+        if b:
+            j = low + (b & -b).bit_length() - 1
+            high_x ^= wx[j]
+            high_z ^= wz[j]
+        weights = np.bitwise_count(low_x ^ high_x | low_z ^ high_z).sum(1)
+        m = int(weights.min())
+        if best_w is None or m < best_w:
+            best_w, ties = m, []
+        if m == best_w:
+            high = (b ^ (b >> 1)) << low
+            ties.extend(high | int(i) for i in np.flatnonzero(weights == m))
+    products = []
+    for subset in ties:
+        q = p
+        for j in _kernels.set_bits(subset):
+            q = q * chosen[j]
+        products.append(q)
+    return min(products, key=str) if len(products) > 1 else products[0]

@@ -31,10 +31,9 @@ right). This is the unique letter assignment for which all operators commute
 and the twist sites drop out of every operator's Majorana image.
 
 The lattice owns these operators: ``TwistLattice.plaquette_ops`` builds them
-once, in face-id order, ``TwistLattice.face_boxes`` holds each face's site
-bounding box and ``TwistLattice.site_faces`` the faces at each site. The
-Jordan-Wigner images, the stabilizer reduction, the tableau and both readouts
-all read this one form.
+once, in face-id order, and ``TwistLattice.site_faces`` holds the faces at
+each site. The Jordan-Wigner images, the stabilizer reduction, the tableau
+and both readouts all read this one form.
 """
 
 from __future__ import annotations
@@ -42,8 +41,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-
-import numpy as np
 
 from . import _gf2
 from .pauli import PauliString
@@ -137,16 +134,6 @@ class TwistLattice:
     def plaquette_ops(self) -> tuple[PauliString, ...]:
         """The plaquette operators in face-id order, built once."""
         return tuple(all_plaquette_operators(self))
-
-    @cached_property
-    def face_boxes(self) -> np.ndarray:
-        """(faces, 4) array: each face's min row, max row, min column and max
-        column; ids are row-major, so the least and greatest site give rows."""
-        w = self.width
-        faces = [p.ordered_sites for p in self.plaquettes]
-        cols = [[s % w for s in sites] for sites in faces]
-        return np.array([(min(s) // w, max(s) // w, min(c), max(c))
-                         for s, c in zip(faces, cols)])
 
     @cached_property
     def site_faces(self) -> list[int]:

@@ -251,7 +251,7 @@ class CodeContext:
     or a tableau: the twist modes, the parity and bracket strings, the
     logicals, the ground tableau and the readouts' geometry. The plaquette
     operators and their rows are the lattice's own
-    (``TwistLattice.plaquette_ops``, ``stabilizer_matrix()``, ``face_boxes``).
+    (``TwistLattice.plaquette_ops``, ``stabilizer_matrix()``).
 
     A parity or bracket string is a logical operator: any string that
     differs from it by plaquettes has the same eigenvalue on a state whose
@@ -631,8 +631,10 @@ def diamond_loop(lat: TwistLattice, pair: int, radius: int) -> list[int]:
         r, c = r + dr, c + dc
     if (r, c) != key:  # pragma: no cover - construction is closed by design
         raise GeometryError("loop failed to close")
-    by_key = {(r, c): p for p, (r, c)
-              in zip(lat.plaquettes, lat.face_boxes[:, [0, 2]].tolist())}
+    # a face's key is its least row and least column; ids are row-major
+    w = lat.width
+    by_key = {(min(p.ordered_sites) // w, min(s % w for s in p.ordered_sites)): p
+              for p in lat.plaquettes}
     loop = []
     for fk in face_keys:
         if fk not in by_key:

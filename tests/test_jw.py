@@ -6,9 +6,10 @@ import pytest
 from twistsim import _gf2, _kernels, jw
 from twistsim.dense import FockSpace
 from twistsim.jw import JWPath, MajoranaMode, canonicalize
-from twistsim.lattice import GeometryError, build_lattice, \
+from twistsim.lattice import GeometryError, build_lattice, twist_logicals, \
     all_plaquette_operators, plaquette_operator
 from twistsim.pauli import PauliString, Phase
+from twistsim.tableau import code_context
 
 rng = np.random.default_rng(31)
 
@@ -386,10 +387,12 @@ def sized_samples(lat, sizes, seed, window):
 def test_reduction_matches_a_loop_over_every_subset(shape):
     lat = build_lattice(*shape)
     samples = commutant_samples(lat, 40, 10, seed=7)
-    # both sides of the switch from the integer walk to the numpy tables
-    switch = jw._SMALL_SEARCH
-    samples += sized_samples(lat, [switch, switch, switch + 1], seed=8, window=(4, 5))
-    if shape[2]:  # the largest exhaustive search, which the 6x5 box cannot hold
+    samples += sized_samples(lat, [8, 8, 9], seed=8, window=(4, 5))
+    if shape[2]:
+        # every small box, down to the empty one, takes the numpy tables too
+        counts = {len(box_candidates(p, lat)) for p in samples}
+        assert {0, *range(2, 10)} <= counts
+        # the largest exhaustive search, which the 6x5 box cannot hold
         samples += sized_samples(lat, [18], seed=12, window=(4, 7))
     nontrivial = 0
     for p in samples:
@@ -402,14 +405,17 @@ def test_reduction_matches_a_loop_over_every_subset(shape):
 
 
 @pytest.mark.parametrize("max_exhaustive", [0, 2, 4, 18])
-def test_greedy_reduction_matches_a_plain_descent(max_exhaustive):
+def test_greedy_reduction_matches_a_plain_descent(max_exhaustive, monkeypatch):
+    monkeypatch.setattr(jw, "_MAX_EXHAUSTIVE", max_exhaustive)
     lat = build_lattice(8, 6, [(1, 2, 5)])
     samples = commutant_samples(lat, 30, 10, seed=11)
     samples.append(jw.parity_operator(lat, jw.default_path(lat, 0), 0))
     samples.append(jw.bracket_parity(lat, jw.default_path(lat), 0))
     samples += sized_samples(lat, [19], seed=12, window=(4, 7))  # past the default
     cases = [(lat, p) for p in samples]
-    if not max_exhaustive:  # long descents: the strings a stats job reduces
+    if not max_exhaustive:
+        # long descents: the mode-pair and bracket strings of a three-pair
+        # lattice, as derive and init_ground reduce them
         stats = build_lattice(*STATS_LATTICES["8x12"])
         path = jw.default_path(stats)
         modes = jw.twist_modes(stats, path)
@@ -426,7 +432,7 @@ def test_greedy_reduction_matches_a_plain_descent(max_exhaustive):
             expected = greedy_reference(p, candidates,
                                         None if on is lat else stats_steps)
             greedy += 1
-        got = jw.reduce_by_stabilizers(p, on, max_exhaustive=max_exhaustive)
+        got = jw.reduce_by_stabilizers(p, on)
         assert got == expected and str(got) == str(expected)
     assert greedy >= (10 if max_exhaustive < 18 else 1)
     if not max_exhaustive:
@@ -452,9 +458,11 @@ STATS_LATTICES = {
 
 
 @pytest.mark.parametrize("name", sorted(STATS_LATTICES))
-def test_reduction_of_stats_strings_matches_the_references(name):
-    # every mode-pair and bracket string a stats job can reduce, at every
-    # phase; max_exhaustive 12 sends the longer strings down the greedy branch
+def test_reduction_of_stats_strings_matches_the_references(name, monkeypatch):
+    # every mode-pair and bracket string of a stats lattice, as derive and
+    # init_ground reduce them, at every phase; an exhaustive bound of 12
+    # sends the longer strings down the greedy branch
+    monkeypatch.setattr(jw, "_MAX_EXHAUSTIVE", 12)
     lat = build_lattice(*STATS_LATTICES[name])
     path = jw.default_path(lat)
     modes = jw.twist_modes(lat, path)
@@ -470,29 +478,9 @@ def test_reduction_of_stats_strings_matches_the_references(name):
             p = PauliString(raw.x, raw.z, raw.phase * Phase(k))
             expected = (exhaustive_reference if exhaustive
                         else greedy_reference)(p, candidates)
-            got = jw.reduce_by_stabilizers(p, lat, max_exhaustive=12)
+            got = jw.reduce_by_stabilizers(p, lat)
             assert got == expected and str(got) == str(expected)
     assert branches == {True, False}
-
-
-def test_tie_order_is_the_rendered_string_order():
-    # equal-weight strings that share a prefix, over sites whose decimal
-    # forms are prefixes of each other (1, 12, 120)
-    sample = np.random.default_rng(5)
-    sites = [1, 2, 9, 10, 12, 19, 100, 120, 121]
-    for _ in range(400):
-        chosen = sample.choice(sites, size=4, replace=False)
-        a = PauliString.from_dict({int(s): "XYZ"[sample.integers(3)] for s in chosen},
-                                  int(sample.integers(4)))
-        moved = dict(a.support)
-        moved.pop(int(sample.choice(chosen)))
-        free = [s for s in sites if s not in moved]
-        moved[int(sample.choice(free))] = "XYZ"[sample.integers(3)]
-        b = PauliString.from_dict(moved, int(sample.integers(4)))
-        for p, q in ((a, b), (b, a), (a, a)):
-            left = (p.x, p.z, p.phase.exponent)
-            right = (q.x, q.z, q.phase.exponent)
-            assert jw._before(left, right) == (str(p) < str(q))
 
 
 MODE_LATTICES = {
@@ -521,3 +509,50 @@ def test_twist_modes_match_the_exact_image_union(name):
         assert all(len(found) == 1 for found in by_site.values())
         assert jw.twist_modes(lat, path) == [by_site[t.twist_site][0]
                                             for t in lat.twists]
+
+
+def coset_pairs(name):
+    """(raw, reduced) string pairs of a lattice: on the three-pair stats
+    lattice every mode-pair and bracket string, reduced here; on a one-pair
+    readout lattice the parity and bracket strings that ``init_ground``
+    pins and the twist logicals, as the code context reduces them."""
+    lat = build_lattice(*MODE_LATTICES[name])
+    if lat.n_pairs > 1:
+        path = jw.default_path(lat)
+        modes = jw.twist_modes(lat, path)
+        raws = [jw.mode_parity_operator(lat, path, modes[a], modes[b])
+                for a in range(len(modes)) for b in range(a + 1, len(modes))]
+        raws += [jw.bracket_parity(lat, path, k, modes) for k in range(lat.n_pairs)]
+        return lat, [(raw, jw.reduce_by_stabilizers(raw, lat)) for raw in raws]
+    ctx = code_context(lat)
+    z, x = twist_logicals(lat, 0)
+    n = lat.n_sites
+    constraints = [(v, 0) for v in lat.stabilizer_matrix()]
+    constraints.append((_gf2.symplectic_vector(z, n), 1))
+    raw_x = _gf2.pauli_from_vector(_gf2.solve_symplectic(constraints, n), n)
+    return lat, [
+        (ctx.raw_parity_string(0, 1), ctx.parity_string(0, 1)),
+        (ctx.raw_bracket_string(0), ctx.bracket_string(0)),
+        (jw.parity_operator(lat, jw.default_path(lat, 0), 0), z),
+        (raw_x, x),
+    ]
+
+
+@pytest.mark.parametrize("name", ["8x12", "14x12_558", "14x12_557"])
+def test_reduced_strings_are_the_raw_strings_times_plaquettes(name):
+    # independent of the search: the plaquettes that turn each raw string
+    # into its reduced form come from a GF(2) solve over the stabilizer
+    # rows, and their product is replayed with its exact phase
+    lat, pairs = coset_pairs(name)
+    rows, ops = lat.stabilizer_matrix(), lat.plaquette_ops
+    for raw, reduced in pairs:
+        diff = _gf2.symplectic_vector(raw, lat.n_sites) \
+            ^ _gf2.symplectic_vector(reduced, lat.n_sites)
+        selection = _gf2.solve(rows, diff)
+        assert selection is not None
+        replayed = raw
+        for k in _kernels.set_bits(selection):
+            replayed = replayed * ops[k]
+        assert replayed == reduced and str(replayed) == str(reduced)
+        assert reduced.weight <= raw.weight
+    assert any(reduced != raw for raw, reduced in pairs)

@@ -88,12 +88,9 @@ def test_plaquette_operator_patterns():
 def test_lattice_owns_one_operator_and_box_per_face():
     lat = build_lattice(8, 12, [(2, 2, 4), (5, 2, 4), (8, 2, 4)])
     assert len(lat.plaquette_ops) == len(lat.plaquettes)
-    assert lat.face_boxes.shape == (len(lat.plaquettes), 4)
-    for p, op, box in zip(lat.plaquettes, lat.plaquette_ops, lat.face_boxes):
+    for p, op in zip(lat.plaquettes, lat.plaquette_ops):
         assert op.weight == len(p.ordered_sites)
         assert set(op.sites) == set(p.ordered_sites)
-        rows, cols = zip(*(lat.site_coords(s) for s in p.ordered_sites))
-        assert box.tolist() == [min(rows), max(rows), min(cols), max(cols)]
         assert plaquette_operator(lat, p.id) is op
     for bad in (-1, len(lat.plaquettes)):
         with pytest.raises(KeyError):
@@ -235,18 +232,12 @@ def test_every_accepted_layout_runs_the_pipeline(lat):
 @given(accepted_layouts())
 @example(build_lattice(12, 8, [(2, 1, 3), (2, 6, 8)]))
 def test_set_up_data_matches_plain_references(lat):
-    # the operators from a letter map, the boxes from each site's coordinates
+    # the operators from a letter map, the faces at each site from a scan
     plain = [PauliString.from_dict(dict(zip(p.ordered_sites, "XZXZY")))
              for p in lat.plaquettes]
     assert len(lat.plaquette_ops) == len(plain)
     for op, ref in zip(lat.plaquette_ops, plain):
         assert op == ref and op.support == ref.support
-    assert lat.face_boxes.dtype.kind == "i"
-    boxes = []
-    for p in lat.plaquettes:
-        rows, cols = zip(*(lat.site_coords(s) for s in p.ordered_sites))
-        boxes.append([min(rows), max(rows), min(cols), max(cols)])
-    assert lat.face_boxes.tolist() == boxes
     assert lat.site_faces == [sum(1 << k for k, p in enumerate(lat.plaquettes)
                                   if s in p.ordered_sites) for s in lat.sites]
     # the commutant check reads only the faces that touch a string: it, and
