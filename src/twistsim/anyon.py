@@ -25,8 +25,6 @@ from itertools import product as iproduct
 
 import numpy as np
 
-CHARGES = ("I", "sigma", "psi")
-
 _FUSION = {
     ("I", "I"): {"I"}, ("I", "sigma"): {"sigma"}, ("I", "psi"): {"psi"},
     ("sigma", "I"): {"sigma"}, ("psi", "I"): {"psi"},

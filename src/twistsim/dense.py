@@ -128,13 +128,9 @@ def project_eigenvalue(
 
 
 def prepare_ground(lat) -> np.ndarray:
-    """Common +1 eigenstate of all plaquettes via sequential projection.
-
-    Every twist pair's parity string is also projected to its vacuum (-1)
-    eigenvalue, fixing the logical sector deterministically.
-    """
-    from . import jw
-
+    """Common +1 eigenstate of all plaquettes via sequential projection, the
+    ground of a twist-free lattice: no lattice within the size cap hosts a
+    twist pair (the smallest, 6x4 with segment (1, 1, 3), has 24 sites)."""
     _check_size(lat.n_sites)
     sites = list(lat.sites)
     amps = zero_state(lat.n_sites)
@@ -146,14 +142,6 @@ def prepare_ground(lat) -> np.ndarray:
                 "plaquette projection annihilated the state; "
                 "stabilizer set is inconsistent"
             )
-        amps /= norm
-    for pair in range(lat.n_pairs):
-        path = jw.default_path(lat, pair)
-        parity = jw.parity_operator(lat, path, pair)
-        amps = project_eigenvalue(amps, parity, sites, -1)
-        norm = np.linalg.norm(amps)
-        if norm < 1e-12:
-            raise DegenerateStateError("parity projection annihilated the state")
         amps /= norm
     return amps
 

@@ -86,9 +86,6 @@ class MajoranaMonomial:
     def weight(self) -> int:
         return self.mask.bit_count()
 
-    def modes(self) -> frozenset[MajoranaMode]:
-        return frozenset(self.factors)
-
     def __mul__(self, other: "MajoranaMonomial") -> "MajoranaMonomial":
         """Product of two monomials on one path."""
         exponent = self.phase.exponent + other.phase.exponent \

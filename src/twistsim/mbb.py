@@ -178,12 +178,12 @@ def _fock_involution(n_anyons: int, pair: tuple[int, int]) -> tuple[np.ndarray, 
 
 
 def _shot_source(rng: np.random.Generator | ShotStreams):
-    """``(shots, random, bits)`` of a ``ShotStreams``, or of a ``Generator``
-    as a batch of one: per draw, a uniform float per shot, or one bit per shot
-    packed into an integer, bit ``s`` for shot ``s``."""
-    if isinstance(rng, ShotStreams):
-        return len(rng), rng.random, lambda: _pack(rng.bit())
-    return 1, rng.random, lambda: int(rng.integers(2))
+    """``(shots, random, bits)`` of a ``Generator``, a batch of one, or of a
+    ``ShotStreams`` or any source with ``__len__``, ``random`` and ``bit``: per
+    draw, a uniform float per shot, or one bit per shot packed into an int."""
+    if isinstance(rng, np.random.Generator):
+        return 1, rng.random, lambda: int(rng.integers(2))
+    return len(rng), rng.random, lambda: _pack(rng.bit())
 
 
 # States one transition table may hold. From the six-anyon start, measuring

@@ -8,64 +8,91 @@ and the physical (spin) sector is the joint +1 eigenspace of the on-site
 parities D_n = gamma_a gamma_b gamma_c gamma_d. Projecting link-operator
 products to that sector reproduces the spin plaquette operators, which makes
 this module an independent consistency check on the lattice conventions and
-on the string-dressed pair parity. Capped at 5 sites (dimension 4^5).
+on the string-dressed pair parity. Every operator here is a product of
+Majoranas, held exactly as a signed permutation of the Fock basis
+(``SignedPermutation``), not as a dense 4^n x 4^n matrix. Capped at 5 sites
+(dimension 4^5).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .dense import FockSpace, pauli_matrix
+from .dense import pauli_matrix
 from .pauli import PauliString
 
 MAX_SITES = 5
-_TOL = 1e-12
 
 _KINDS = ("a", "b", "c", "d")
+_POWERS_OF_I = np.array([1, 1j, -1, -1j])
+_EXPONENT = {1: 0, 1j: 1, -1: 2, -1j: 3}
 
 
 class ProjectionError(ValueError):
     """Operator does not act within the even-parity (spin) sector."""
 
 
-class MajoranaCluster:
-    """Dense Fock representation of n_sites, four Majorana modes each.
+class SignedPermutation:
+    """Fock operator with one nonzero entry per column: i**phase[j] in row
+    rows[j] of column j. ``==`` is exact; ``z * op`` takes z in {±1, ±1j}."""
 
-    Fermion mode order is site-major: (alpha_0, beta_0, alpha_1, beta_1, ...).
-    """
+    def __init__(self, rows: np.ndarray, phase: np.ndarray):
+        self.rows = rows
+        self.phase = phase % 4
+
+    def __matmul__(self, other: SignedPermutation) -> SignedPermutation:
+        return SignedPermutation(self.rows[other.rows],
+                                 self.phase[other.rows] + other.phase)
+
+    def __rmul__(self, scalar) -> SignedPermutation:
+        return SignedPermutation(self.rows, self.phase + _EXPONENT[scalar])
+
+    def __eq__(self, other) -> bool:
+        return (np.array_equal(self.rows, other.rows)
+                and np.array_equal(self.phase, other.phase))
+
+    def dense(self) -> np.ndarray:
+        """The matrix itself, for checks on small clusters."""
+        return np.eye(len(self.rows))[:, self.rows] * _POWERS_OF_I[self.phase]
+
+
+class MajoranaCluster:
+    """Fock representation of n_sites, four Majorana modes each.
+
+    Fermion mode order is site-major, (alpha_0, beta_0, alpha_1, beta_1, ...),
+    with fermion 0 in the top bit of a Fock index, as in ``dense.FockSpace``."""
 
     def __init__(self, n_sites: int):
         if not (1 <= n_sites <= MAX_SITES):
             raise ValueError(f"cluster supports 1..{MAX_SITES} sites, got {n_sites}")
         self.n_sites = n_sites
-        # fermion 2s is (a, d) and fermion 2s+1 is (c, b): modes 4s..4s+3
-        self.space = FockSpace(4 * n_sites)
-        self.dim = self.space.dim
-        self._parities: dict[int, np.ndarray] = {}
-
-        # even-parity (spin) isometry: per-site basis {|00>, |11>} of the
+        self.dim = 4**n_sites
+        # even-parity (spin) sector: per-site basis {|00>, |11>} of the
         # alpha/beta occupations, giving one effective spin per site.
-        spins = range(2**n_sites)
-        fock = [int("".join(2 * bit for bit in f"{spin:0{n_sites}b}"), 2)
-                for spin in spins]
-        self._isometry = np.zeros((self.dim, len(spins)), dtype=np.complex128)
-        self._isometry[fock, spins] = 1.0
+        self._sector = np.array(
+            [int("".join(2 * bit for bit in f"{spin:0{n_sites}b}"), 2)
+             for spin in range(2**n_sites)])
 
-    def gamma(self, site: int, kind: str) -> np.ndarray:
+    def gamma(self, site: int, kind: str) -> SignedPermutation:
+        """Z on every fermion before the mode's own, then X (a, c) or Y (d, b)
+        on its own: fermion 2*site is (a, d) and 2*site + 1 is (c, b)."""
         if kind not in _KINDS:
             raise ValueError(f"unknown Majorana kind {kind!r}")
         if not 0 <= site < self.n_sites:
             raise ValueError(f"site {site} is outside the {self.n_sites}-site cluster")
-        return self.space.gammas[4 * site + "adcb".index(kind)]
+        shift = 2 * (self.n_sites - site) - 1 - (kind in "cb")  # the fermion's bit
+        index = np.arange(self.dim)
+        phase = 2 * np.bitwise_count(index >> (shift + 1))
+        if kind in "db":
+            phase = phase + 1 + 2 * ((index >> shift) & 1)  # Y|0> = i|1>, Y|1> = -i|0>
+        return SignedPermutation(index ^ (1 << shift), phase)
 
-    def site_parity(self, site: int) -> np.ndarray:
-        """D = gamma_a gamma_b gamma_c gamma_d of one site, built once."""
-        if site not in self._parities:
-            a, b, c, d = (self.gamma(site, k) for k in _KINDS)
-            self._parities[site] = a @ b @ c @ d
-        return self._parities[site]
+    def site_parity(self, site: int) -> SignedPermutation:
+        """D = gamma_a gamma_b gamma_c gamma_d of one site."""
+        a, b, c, d = (self.gamma(site, k) for k in _KINDS)
+        return a @ b @ c @ d
 
-    def link(self, kind: str, m: int, n: int) -> np.ndarray:
+    def link(self, kind: str, m: int, n: int) -> SignedPermutation:
         """Link operator between neighboring sites: i gamma^x_m gamma^y_n.
 
         ``kind`` is "ac" (horizontal bonds) or "bd" (vertical bonds).
@@ -74,57 +101,42 @@ class MajoranaCluster:
             raise ValueError(f"unknown link kind {kind!r}")
         return 1j * self.gamma(m, kind[0]) @ self.gamma(n, kind[1])
 
-    def commutes_with_parities(self, op: np.ndarray) -> bool:
-        return all(
-            np.linalg.norm(op @ self.site_parity(s) - self.site_parity(s) @ op) < _TOL
-            for s in range(self.n_sites)
-        )
+    def commutes_with_parities(self, op: SignedPermutation) -> bool:
+        return all(op @ self.site_parity(s) == self.site_parity(s) @ op
+                   for s in range(self.n_sites))
 
-    def project_to_spins(self, op: np.ndarray) -> np.ndarray:
+    def project_to_spins(self, op: SignedPermutation) -> np.ndarray:
         """Compression of ``op`` to the even-parity sector, in the spin basis."""
         if not self.commutes_with_parities(op):
             raise ProjectionError("operator does not commute with every site parity")
-        v = self._isometry
-        inside = v.conj().T @ op @ v
-        # the operator must not leak out of the sector
-        leak = op @ v - v @ inside
-        if np.linalg.norm(leak) > 1e-9:
+        image = op.rows[self._sector]
+        if not np.isin(image, self._sector).all():  # no leak out of the sector
             raise ProjectionError("operator maps out of the even-parity sector")
-        return inside
+        return SignedPermutation(np.searchsorted(self._sector, image),
+                                 op.phase[self._sector]).dense()
 
 
 def build_majorana_plaquette(
     cluster: MajoranaCluster, kind: str, sites: list[int]
-) -> np.ndarray:
+) -> SignedPermutation:
     """Plaquette operator as a product of link terms around the face.
 
-    Square (sites [s1, s2, s3, s4], cyclic): two vertical bd links and two
-    horizontal ac links. Pentagon (5 sites): the extra corner splits one
-    horizontal edge in two and the twist site's b/d modes drop out entirely.
+    Square (sites [s1, s2, s3, s4], cyclic): a vertical bd link s1-s2, a
+    horizontal ac link s2-s3, the d-b factor s3-s4, and one c-a factor per
+    corner from s4 back to s1. The pentagon's extra corner s5 splits that
+    last horizontal edge in two, and the twist site's b/d modes drop out.
     """
-    c = cluster
-    if kind == "square":
-        if len(sites) != 4:
-            raise ValueError(f"square plaquette needs 4 sites, got {len(sites)}")
-        s1, s2, s3, s4 = sites
-        return (
-            c.link("bd", s1, s2)
-            @ c.link("ac", s2, s3)
-            @ (1j * c.gamma(s3, "d") @ c.gamma(s4, "b"))
-            @ (1j * c.gamma(s4, "c") @ c.gamma(s1, "a"))
-        )
-    if kind == "pentagon":
-        if len(sites) != 5:
-            raise ValueError(f"pentagon plaquette needs 5 sites, got {len(sites)}")
-        s1, s2, s3, s4, s5 = sites
-        return (
-            c.link("bd", s1, s2)
-            @ c.link("ac", s2, s3)
-            @ (1j * c.gamma(s3, "d") @ c.gamma(s4, "b"))
-            @ (1j * c.gamma(s4, "c") @ c.gamma(s5, "a"))
-            @ (1j * c.gamma(s5, "c") @ c.gamma(s1, "a"))
-        )
-    raise ValueError(f"unknown plaquette kind {kind!r}")
+    corners = {"square": 4, "pentagon": 5}.get(kind)
+    if corners is None:
+        raise ValueError(f"unknown plaquette kind {kind!r}")
+    if len(sites) != corners:
+        raise ValueError(f"{kind} plaquette needs {corners} sites, got {len(sites)}")
+    s1, s2, s3, s4 = sites[:4]
+    op = (cluster.link("bd", s1, s2) @ cluster.link("ac", s2, s3)
+          @ (1j * cluster.gamma(s3, "d") @ cluster.gamma(s4, "b")))
+    for m, n in zip(sites[3:], [*sites[4:], s1]):
+        op = op @ (1j * cluster.gamma(m, "c") @ cluster.gamma(n, "a"))
+    return op
 
 
 def spin_plaquette_matrix(kind: str, sites: list[int], n_sites: int) -> np.ndarray:
@@ -138,7 +150,7 @@ def string_dressed_parity(
     cluster: MajoranaCluster,
     endpoints: tuple[int, int],
     chain: list[tuple[str, int, int]],
-) -> np.ndarray:
+) -> SignedPermutation:
     """i gamma^b_p gamma^d_q dressed with a product of link operators."""
     p, q = endpoints
     op = 1j * cluster.gamma(p, "b") @ cluster.gamma(q, "d")

@@ -467,7 +467,9 @@ def init_ground(
 
 def _pinned_ground(lat, seed, pinned_pairs, parity_string, bracket_string) -> Tableau:
     """``init_ground`` with the strings of mode pair ``(a, b)`` and segment
-    ``pair`` taken from ``parity_string(a, b)`` and ``bracket_string(pair)``."""
+    ``pair`` taken from ``parity_string(a, b)`` and ``bracket_string(pair)``.
+    Refuses, before any measurement, a mode outside 0..2*n_pairs-1 and a pin
+    sharing one mode with an earlier pin, whose sign it would randomize."""
     t = Tableau.zero_state(lat.n_sites, seed)
     t.lattice = lat
     t.active = {p.id for p in lat.plaquettes}
@@ -477,17 +479,19 @@ def _pinned_ground(lat, seed, pinned_pairs, parity_string, bracket_string) -> Ta
     ]
     if pinned_pairs is None:
         pinned_pairs = [(2 * k, 2 * k + 1) for k in range(lat.n_pairs)]
-    if lat.n_pairs:
-        for entry in pinned_pairs:
-            a, b = entry[0], entry[1]
-            sign = entry[2] if len(entry) > 2 else -1
-            string = parity_string(a, b)
-            t.logicals[f"parity_{a}_{b}"] = string
-            generators.append((string, sign))
-        for pair in range(lat.n_pairs):
-            bracket = bracket_string(pair)
-            t.logicals[f"bracket_{pair}"] = bracket
-            generators.append((bracket, +1))
+    modes = range(2 * lat.n_pairs)
+    for k, (a, b, *pin_sign) in enumerate(pinned_pairs):
+        if a not in modes or b not in modes:
+            raise ValueError(f"pinned mode outside 0..{len(modes) - 1}: ({a}, {b})")
+        if any(len({a, b} & set(pin[:2])) == 1 for pin in pinned_pairs[:k]):
+            raise ValueError(f"pin ({a}, {b}) shares one mode with an earlier pin")
+        string = parity_string(a, b)
+        t.logicals[f"parity_{a}_{b}"] = string
+        generators.append((string, pin_sign[0] if pin_sign else -1))
+    for pair in range(lat.n_pairs):
+        bracket = bracket_string(pair)
+        t.logicals[f"bracket_{pair}"] = bracket
+        generators.append((bracket, +1))
 
     enforced: list[PauliString] = []
     for op, sign in generators:
@@ -495,12 +499,12 @@ def _pinned_ground(lat, seed, pinned_pairs, parity_string, bracket_string) -> Ta
             t.measure(op, force=sign)
         except InconsistentOutcomeError:
             # op is already in the enforced group with the opposite sign; flip
-            # it with a Pauli that anticommutes with op only.
+            # it with a Pauli that anticommutes with op only, if one exists.
             constraints = [(_gf2.symplectic_vector(g, lat.n_sites), 0)
                            for g in enforced]
             constraints.append((_gf2.symplectic_vector(op, lat.n_sites), 1))
             vec = _gf2.solve_symplectic(constraints, lat.n_sites)
-            if vec is None:  # pragma: no cover - generators are independent
+            if vec is None:
                 raise GeometryError("cannot pin stabilizer sign; generators conflict")
             t.apply_pauli(_gf2.pauli_from_vector(vec, lat.n_sites))
             t.measure(op, force=sign)

@@ -38,6 +38,15 @@ def test_prepare_ground_size_cap():
         prepare_ground(lat)
 
 
+def test_the_smallest_twist_lattice_is_past_the_size_cap():
+    # 6x4 with one segment (1, 1, 3) is the smallest lattice that hosts a
+    # twist pair, so the dense ground only ever sees twist-free lattices
+    lat = build_lattice(6, 4, [(1, 1, 3)])
+    assert (lat.n_sites, lat.n_pairs) == (24, 1)
+    with pytest.raises(ValueError, match="capped at 20 sites, got 24"):
+        prepare_ground(lat)
+
+
 def test_measurement_of_stabilizer_is_deterministic():
     lat = build_lattice(4, 4, [])
     sites = list(lat.sites)

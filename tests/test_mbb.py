@@ -2,6 +2,7 @@ import collections
 import copy
 import gc
 import weakref
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -19,6 +20,7 @@ from twistsim.mbb import (CORRECTIONS, CYCLE_PAIRS, START_PAIRINGS,
                           verify_braid_equivalence)
 
 LAT6 = build_lattice(8, 12, [(2, 2, 4), (5, 2, 4), (8, 2, 4)])
+LAT6_WIDE = build_lattice(10, 12, [(2, 2, 5), (5, 3, 6), (8, 2, 5)])
 
 
 def anyon6(streams):
@@ -259,6 +261,71 @@ def test_any_split_of_the_shot_range_gives_the_same_flips(monkeypatch, factory,
     assert blocked == whole
 
 
+class BranchEnumeration:
+    """Every branch of the stats protocol as one batch: shot ``s`` takes bit
+    ``k`` of ``s`` at its ``k``-th draw. ``bit()`` gives that bit, and
+    ``random()`` 0.25 for bit 1 and 0.75 for bit 0, which stay clear of a
+    branch probability of 1/2 up to rounding. Each random outcome of the
+    protocol has probability 1/2 and every other one 0 or 1, so with at
+    least as many bits as the protocol draws, every shot weighs the same."""
+
+    def __init__(self, draws: int):
+        self.shots = np.arange(2**draws)
+        self.draws = 0
+
+    def __len__(self):
+        return len(self.shots)
+
+    def bit(self):
+        out = ((self.shots >> self.draws) & 1).astype(np.uint8)
+        self.draws += 1
+        return out
+
+    def random(self):
+        return 0.75 - 0.5 * self.bit()
+
+
+ENUMERATED_BACKENDS = {
+    "anyon": anyon6,
+    "fock": lambda source: FockBackend(6, source),
+    "lattice-8x12": lambda source: LatticeBackend(LAT6, source),
+    "lattice-10x12": lambda source: LatticeBackend(LAT6_WIDE, source),
+}
+
+
+def enumerate_branches(factory, n_braids: int, records=None) -> Fraction:
+    """Exact flip frequency of ``n_braids`` braids: ``run_shots`` on every
+    branch of its at most 3 * n_braids + 1 draws."""
+    source = BranchEnumeration(3 * n_braids + 1)
+    flips = run_shots(factory, n_braids, source, records)
+    assert source.draws <= 3 * n_braids + 1
+    return Fraction(flips, len(source))
+
+
+@pytest.mark.parametrize("factory", ENUMERATED_BACKENDS.values(),
+                         ids=ENUMERATED_BACKENDS.keys())
+def test_branch_enumeration_gives_the_exact_braid_signature(factory):
+    signature = [enumerate_branches(factory, n) for n in range(6)]
+    half = Fraction(1, 2)
+    assert signature == [0, half, 1, half, 0, half]
+
+
+def test_branch_enumeration_gives_every_backend_one_trace_distribution():
+    # compared as distributions, not leaf by leaf: each backend maps a draw
+    # to a label in its own way, and the lattice draws nothing on a fixed
+    # outcome (6 draws at 2 braids, where the vector backends take 7)
+    for n_braids in range(5):
+        distributions = []
+        for factory in ENUMERATED_BACKENDS.values():
+            records = []
+            enumerate_branches(factory, n_braids, records)
+            counts = collections.Counter(
+                (tuple(r["cycles"]), r["n35"]) for r in records)
+            distributions.append({trace: Fraction(k, len(records))
+                                  for trace, k in counts.items()})
+        assert all(d == distributions[0] for d in distributions[1:]), n_braids
+
+
 # 2**128 + 7 has five uint32 words of entropy, more than SeedSequence's pool
 STREAM_SEEDS = [0, 29, 2**32, 2**64 - 1, 2**128 + 7]
 
@@ -356,9 +423,7 @@ def _reference_records(lat, n_braids, shots, seed):
     return records
 
 
-@pytest.mark.parametrize("lat", [
-    LAT6, build_lattice(10, 12, [(2, 2, 5), (5, 3, 6), (8, 2, 5)]),
-], ids=["8x12", "10x12"])
+@pytest.mark.parametrize("lat", [LAT6, LAT6_WIDE], ids=["8x12", "10x12"])
 def test_batched_lattice_records_match_per_shot_tableaux(lat):
     for n_braids in range(6):
         res = run_statistics(lambda streams: LatticeBackend(lat, streams),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from twistsim import jw
-from twistsim.dense import pauli_matrix
+from twistsim.dense import FockSpace, pauli_matrix
 from twistsim.jw import JWPath, MajoranaMode
 from twistsim.pauli import PauliString
 from twistsim.projection import (MajoranaCluster, ProjectionError,
@@ -18,7 +18,7 @@ TOL = 1e-12
 
 def test_square_plaquette_is_hermitian_involution():
     c = MajoranaCluster(4)
-    a = build_majorana_plaquette(c, "square", [0, 1, 2, 3])
+    a = build_majorana_plaquette(c, "square", [0, 1, 2, 3]).dense()
     assert np.linalg.norm(a - a.conj().T) < TOL
     assert np.linalg.norm(a @ a - np.eye(c.dim)) < TOL
 
@@ -36,7 +36,19 @@ def test_pentagon_projects_and_omits_twist_mode():
     s = c.project_to_spins(a)
     assert np.linalg.norm(s - spin_plaquette_matrix("pentagon", list(range(5)), 5)) < TOL
     gb = c.gamma(4, "b")  # the twist site's b mode never enters
-    assert np.linalg.norm(a @ gb - gb @ a) < TOL
+    assert a @ gb == gb @ a
+
+
+@pytest.mark.parametrize("n_sites", [1, 2, 3])
+def test_gammas_and_site_parities_match_the_dense_fock_space(n_sites):
+    # the cluster's gamma(site, kind) is FockSpace mode 4*site + "adcb".index(kind)
+    c, space = MajoranaCluster(n_sites), FockSpace(4 * n_sites)
+    for site in range(n_sites):
+        dense = {k: space.gammas[4 * site + "adcb".index(k)] for k in "abcd"}
+        for kind, mat in dense.items():
+            assert np.array_equal(c.gamma(site, kind).dense(), mat)
+        assert np.array_equal(c.site_parity(site).dense(),
+                              dense["a"] @ dense["b"] @ dense["c"] @ dense["d"])
 
 
 def test_wrong_arity_rejected():
@@ -67,7 +79,7 @@ def test_link_operators_commute_with_plaquette():
     # the plaquette's own bonds share two Majorana modes with it
     for kind, m, n in [("bd", 0, 1), ("ac", 1, 2), ("bd", 3, 2), ("ac", 0, 3)]:
         u = c.link(kind, m, n)
-        assert np.linalg.norm(a @ u - u @ a) < TOL
+        assert a @ u == u @ a
 
 
 def test_projection_is_an_algebra_homomorphism():

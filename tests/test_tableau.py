@@ -855,3 +855,34 @@ def test_column_bitsets_stay_the_transpose_of_the_rows(n, shots, seed, steps):
         else:
             step(t, kind)
         _assert_columns_are_the_transpose(t)
+
+
+LAT6 = build_lattice(8, 12, [(2, 2, 4), (5, 2, 4), (8, 2, 4)])
+GROUND_ENTRY_POINTS = [
+    pytest.param(lambda lat, pins: init_ground(lat, 0, pins), id="init_ground"),
+    pytest.param(lambda lat, pins: code_context(lat).ground(tuple(pins)),
+                 id="CodeContext.ground"),
+]
+
+
+@pytest.mark.parametrize("ground", GROUND_ENTRY_POINTS)
+def test_pins_sharing_one_mode_are_refused(ground):
+    # parity_0_2 anticommutes with parity_0_1: pinning it would randomize
+    # the first pin, which stays registered
+    with pytest.raises(ValueError, match="shares one mode"):
+        ground(LAT6, [(0, 1, -1), (0, 2, -1)])
+
+
+@pytest.mark.parametrize("ground", GROUND_ENTRY_POINTS)
+@pytest.mark.parametrize("pin", [(-1, 1, -1), (0, 6, -1), (6, 7, 1)],
+                         ids=["negative", "one-past-last", "both-past-last"])
+def test_pins_outside_the_modes_are_refused(ground, pin):
+    # a negative mode would wrap round to the last mode by list indexing
+    with pytest.raises(ValueError, match="outside 0..5"):
+        ground(LAT6, [pin])
+
+
+@pytest.mark.parametrize("ground", GROUND_ENTRY_POINTS)
+def test_a_pair_pinned_twice_at_opposite_signs_conflicts(ground):
+    with pytest.raises(GeometryError, match="generators conflict"):
+        ground(LAT6, [(0, 1, -1), (0, 1, 1)])
