@@ -28,26 +28,51 @@ def pauli_from_vector(v: int, n: int) -> PauliString:
     return PauliString.from_bits(v & ((1 << n) - 1), v >> n)
 
 
+def _bits(v: int):
+    """Indices of the set bits of ``v``, lowest first."""
+    while v:
+        low = v & -v
+        yield low.bit_length() - 1
+        v ^= low
+
+
 def _rref(rows: list[int], n_cols: int) -> tuple[list[int], list[int]]:
     """Reduced row-echelon form of a copy of ``rows`` over columns
     0..``n_cols``-1, with its pivot columns; row ``i`` has its leading 1 in
     column ``pivots[i]``. Column ``c`` pivots on the first row at or below the
-    current one with a 1 there, and row operations span every column."""
+    current one with a 1 there, and row operations span every column.
+
+    Each column keeps the bitset of the rows with a 1 in it, so a pivot's
+    row and the rows it clears are read off that bitset, not found by a scan
+    of every row."""
     a = list(rows)
+    mask = (1 << n_cols) - 1
+    col_rows = [0] * n_cols  # bit i of col_rows[c]: row i has a 1 in column c
+    for i, row in enumerate(a):
+        for c in _bits(row & mask):
+            col_rows[c] |= 1 << i
     pivots: list[int] = []
     for c in range(n_cols):
         r = len(pivots)
         if r == len(a):
             break
-        bit = 1 << c
-        hit = next((i for i in range(r, len(a)) if a[i] & bit), None)
-        if hit is None:
+        below = col_rows[c] >> r
+        if not below:
             continue
-        a[r], a[hit] = a[hit], a[r]
+        hit = r + (below & -below).bit_length() - 1
+        # the rows to clear: row r, moved to ``hit``, has a 0 in column c
+        others = col_rows[c] ^ 1 << hit
+        later = c + 1  # the columns still to pivot, the only ones read again
+        if hit != r:
+            swap = 1 << r | 1 << hit
+            for k in _bits(((a[r] ^ a[hit]) & mask) >> later):
+                col_rows[later + k] ^= swap
+            a[r], a[hit] = a[hit], a[r]
         pivot = a[r]
-        for i, row in enumerate(a):
-            if row & bit and i != r:
-                a[i] = row ^ pivot
+        for i in _bits(others):
+            a[i] ^= pivot
+        for k in _bits((pivot & mask) >> later):
+            col_rows[later + k] ^= others
         pivots.append(c)
     return a, pivots
 

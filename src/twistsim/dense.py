@@ -2,8 +2,8 @@
 
 The state-vector side handles lattices up to 20 sites (qubit order = site id
 order) and is the cross-validation target for the tableau simulator. The Fock
-side builds explicit Majorana matrices for up to 6 modes and backs the
-braiding equivalence checks.
+side writes explicit Majorana matrices, each a signed permutation, for up to
+6 modes and backs the braiding equivalence checks.
 """
 
 from __future__ import annotations
@@ -177,9 +177,15 @@ def fidelity_up_to_phase(u: np.ndarray, v: np.ndarray) -> float:
 class FockSpace:
     """Explicit matrices for ``n_modes`` Majorana operators (n_modes even).
 
-    Mode 2k/2k+1 come from fermion k under the usual chain construction, so
-    the matrices square to one and pairwise anticommute. Numbering is
-    1-based to match the anyon labels used elsewhere.
+    Mode 2k/2k+1 are Z⊗…⊗Z⊗X⊗I⊗…⊗I and Z⊗…⊗Z⊗Y⊗I⊗…⊗I with X or Y on
+    fermion k, the usual chain construction (fermion 0 is the top bit of a
+    Fock index), so the matrices square to one and pairwise anticommute.
+    Numbering is 1-based to match the anyon labels used elsewhere.
+
+    Each is a signed permutation, written into the dense array without a
+    Kronecker product: column j goes to row j ^ bit(k), with the sign
+    (-1)^(filled fermions before k), times 1 for X and, for Y, +i on an empty
+    fermion k and -i on a filled one.
     """
 
     def __init__(self, n_modes: int):
@@ -189,14 +195,17 @@ class FockSpace:
         self.n_fermions = n_modes // 2
         self.dim = 2**self.n_fermions
         self.gammas: list[np.ndarray] = []
-        for mode in range(n_modes):
-            k, which = divmod(mode, 2)
-            ops = [_Z] * k + [_X if which == 0 else _Y]
-            ops += [np.eye(2)] * (self.n_fermions - k - 1)
-            mat = np.array([[1.0]], dtype=np.complex128)
-            for op in ops:
-                mat = np.kron(mat, op)
-            self.gammas.append(mat)
+        cols = np.arange(self.dim)
+        string = np.ones(self.dim)  # the Z string over the fermions before k
+        for k in range(self.n_fermions):
+            bit = 1 << (self.n_fermions - 1 - k)
+            rows = cols ^ bit
+            y_phase = np.where(cols & bit, -1j, 1j)
+            for value in (string, string * y_phase):
+                mat = np.zeros((self.dim, self.dim), dtype=np.complex128)
+                mat[rows, cols] = value
+                self.gammas.append(mat)
+            string = np.where(cols & bit, -string, string)
 
     def gamma(self, label: int) -> np.ndarray:
         """Majorana matrix for 1-based mode label."""

@@ -37,6 +37,10 @@ and knows whether O's +1 eigenspace is fusion label 0. Both share
 A measured pair's fusion label relates to the Majorana parity i*g_a*g_b by a
 pairing-dependent sign (the vacuum sign): it is derived once per pairing from
 the fusion-basis states expressed in the Fock representation, never assumed.
+Two caches hold the Fock side: ``_fock_space(n)`` the space and its
+reference-pairing basis, which the vacuum signs and ``_fock_vector`` read,
+and ``_fock_setup(n)`` the start vectors, which only ``FockBackend`` reads; a
+``LatticeBackend`` builds no start vector.
 """
 
 from __future__ import annotations
@@ -62,8 +66,20 @@ REFERENCE_PAIRINGS = {4: ((1, 2), (3, 4)), 6: ((1, 2), (3, 4), (5, 6))}
 START_PAIRINGS = {4: ((1, 2), (3, 4)), 6: ((1, 2), (3, 5), (4, 6))}
 
 
-def _fock_vector(state: TopoState, space: FockSpace) -> np.ndarray:
-    """Fusion state as a Fock vector via the reference pairing.
+@lru_cache(maxsize=None)
+def _fock_space(n_anyons: int) -> tuple[FockSpace, dict[tuple[int, ...], np.ndarray]]:
+    """The ``n_anyons``-mode Fock space, built once per n, and its read-only
+    basis of ``REFERENCE_PAIRINGS[n_anyons]`` (``FockSpace.pairing_basis``)."""
+    space = FockSpace(n_anyons)
+    basis = space.pairing_basis(list(REFERENCE_PAIRINGS[n_anyons]))
+    for vec in basis.values():
+        vec.flags.writeable = False
+    return space, basis
+
+
+def _fock_vector(state: TopoState) -> np.ndarray:
+    """Fusion state as a Fock vector via the reference pairing, on the
+    cached basis of ``_fock_space``.
 
     A chain-basis entry is the Fock pairing-basis state up to a sign: the
     Majorana form of braiding leaves 2k, 2k+1 carries a Jordan-Wigner string
@@ -71,9 +87,8 @@ def _fock_vector(state: TopoState, space: FockSpace) -> np.ndarray:
     (-1)^(sum of l_i * l_j over pairs j >= i + 2) absorbs it; it is 1 for
     four anyons.
     """
-    ref = REFERENCE_PAIRINGS[state.n_anyons]
-    stb = transform_state(state, ref)
-    basis = space.pairing_basis(list(ref))
+    space, basis = _fock_space(state.n_anyons)
+    stb = transform_state(state, REFERENCE_PAIRINGS[state.n_anyons])
     vec = np.zeros(space.dim, dtype=np.complex128)
     for amp, label in zip(stb.amps, stb.labels()):
         far = sum(label[i] * sum(label[i + 2:]) for i in range(len(label)))
@@ -82,20 +97,18 @@ def _fock_vector(state: TopoState, space: FockSpace) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _fock_setup(n_anyons: int) -> tuple[FockSpace, tuple[np.ndarray, ...]]:
-    """The ``n_anyons``-mode Fock space, built once per n, and its read-only
-    start vectors: the (0,0) and (0,1) states of the four-anyon start pairing
-    (mixed by alpha, beta), or the one six-anyon start vector."""
-    space = FockSpace(n_anyons)
+def _fock_setup(n_anyons: int) -> tuple[np.ndarray, ...]:
+    """The Fock backend's read-only start vectors: the (0,0) and (0,1) states
+    of the four-anyon start pairing, which alpha and beta mix (that pairing
+    is the reference pairing, so they are entries of the cached basis), or
+    the one six-anyon start vector. Only ``FockBackend`` reads them."""
     if n_anyons == 4:
-        basis = space.pairing_basis(list(START_PAIRINGS[4]))
-        starts = (basis[(0, 0)], basis[(0, 1)])
-    else:
-        vac = make_state(START_PAIRINGS[6], "even", {(0, 0, 0): 1.0})
-        starts = (_fock_vector(vac, space),)
-    for vec in starts:
-        vec.flags.writeable = False
-    return space, starts
+        basis = _fock_space(4)[1]
+        return basis[(0, 0)], basis[(0, 1)]
+    vac = make_state(START_PAIRINGS[6], "even", {(0, 0, 0): 1.0})
+    start = _fock_vector(vac)
+    start.flags.writeable = False
+    return (start,)
 
 
 @lru_cache(maxsize=None)
@@ -105,13 +118,13 @@ def parity_sign_for(pair: tuple[int, int], n_anyons: int) -> int:
     anyons paired in index order).
 
     Derived by expressing the all-vacuum fusion state of that pairing in the
-    Majorana Fock space and reading the pair's parity expectation; in the odd
-    sector a pair with one end on anyon 3 or 4 has label 0 at -s.
+    Majorana Fock space of ``_fock_space`` and reading the pair's parity
+    expectation; in the odd sector a pair with one end on anyon 3 or 4 has
+    label 0 at -s.
     """
     pairing = anyon._pairing_with(pair, n_anyons)
-    space, _ = _fock_setup(n_anyons)
-    vec = _fock_vector(make_state(pairing, "even", {(0,) * len(pairing): 1.0}),
-                       space)
+    space = _fock_space(n_anyons)[0]
+    vec = _fock_vector(make_state(pairing, "even", {(0,) * len(pairing): 1.0}))
     expect = np.real(np.vdot(vec, space.parity_op(*pair) @ vec))
     if abs(abs(expect) - 1.0) > 1e-9:
         raise ValueError(f"pair {pair} has no definite parity in {pairing}")
@@ -172,7 +185,7 @@ def _anyon_involution(n_anyons: int, pair: tuple[int, int]) -> tuple[np.ndarray,
 def _fock_involution(n_anyons: int, pair: tuple[int, int]) -> tuple[np.ndarray, bool]:
     """i*g_a*g_b on the Fock space, whose +1 eigenspace is label 0 when the
     pair's vacuum sign is +1 and label 1 when it is -1."""
-    op = _fock_setup(n_anyons)[0].parity_op(*pair)
+    op = _fock_space(n_anyons)[0].parity_op(*pair)
     op.flags.writeable = False
     return op, parity_sign_for(pair, n_anyons) == 1
 
@@ -383,7 +396,8 @@ class FockBackend(_VectorBackend):
 
     def __init__(self, n_anyons: int, rng: np.random.Generator | ShotStreams,
                  alpha: complex = 1.0, beta: complex = 0.0):
-        self.space, starts = _fock_setup(n_anyons)
+        self.space = _fock_space(n_anyons)[0]
+        starts = _fock_setup(n_anyons)
         start = starts[0]
         if n_anyons == 4:  # starts are the (0,0) and (0,1) states
             norm = amplitude_norm(alpha, beta)  # raises before any arithmetic

@@ -468,8 +468,9 @@ def init_ground(
 def _pinned_ground(lat, seed, pinned_pairs, parity_string, bracket_string) -> Tableau:
     """``init_ground`` with the strings of mode pair ``(a, b)`` and segment
     ``pair`` taken from ``parity_string(a, b)`` and ``bracket_string(pair)``.
-    Refuses, before any measurement, a mode outside 0..2*n_pairs-1 and a pin
-    sharing one mode with an earlier pin, whose sign it would randomize."""
+    Refuses, before any measurement, a mode outside 0..2*n_pairs-1, a pin of
+    a mode with itself, whose string is i·1, and a pin sharing one mode with
+    an earlier pin, whose sign it would randomize."""
     t = Tableau.zero_state(lat.n_sites, seed)
     t.lattice = lat
     t.active = {p.id for p in lat.plaquettes}
@@ -483,6 +484,8 @@ def _pinned_ground(lat, seed, pinned_pairs, parity_string, bracket_string) -> Ta
     for k, (a, b, *pin_sign) in enumerate(pinned_pairs):
         if a not in modes or b not in modes:
             raise ValueError(f"pinned mode outside 0..{len(modes) - 1}: ({a}, {b})")
+        if a == b:
+            raise ValueError(f"pin ({a}, {b}) pairs a mode with itself")
         if any(len({a, b} & set(pin[:2])) == 1 for pin in pinned_pairs[:k]):
             raise ValueError(f"pin ({a}, {b}) shares one mode with an earlier pin")
         string = parity_string(a, b)

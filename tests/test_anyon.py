@@ -179,8 +179,7 @@ def _vacuum_sign(pair, n, sector, space):
     first, derived like ``parity_sign_for`` but in either sector."""
     total = 0 if sector == "even" else 1
     label = next(lab for lab in _labels(n, total) if lab[0] == 0)
-    vec = _fock_vector(make_state(_pairing_with(pair, n), sector, {label: 1.0}),
-                       space)
+    vec = _fock_vector(make_state(_pairing_with(pair, n), sector, {label: 1.0}))
     return round(np.vdot(vec, space.parity_op(*pair) @ vec).real)
 
 
@@ -209,7 +208,7 @@ def test_pair_labels_do_not_depend_on_the_pairing(pairings):
             for _ in range(3):
                 amps = rng.normal(size=n - 2) + 1j * rng.normal(size=n - 2)
                 st = TopoState(n, start, sector, tuple(amps / np.linalg.norm(amps)))
-                vec = _fock_vector(st, space)
+                vec = _fock_vector(st)
                 for pair in combinations(range(1, n + 1), 2):
                     parity = np.vdot(vec, space.parity_op(*pair) @ vec).real
                     s = _vacuum_sign(pair, n, sector, space)
@@ -235,7 +234,6 @@ def test_apply_pair_parity_signs():
 
 def test_transforms_match_fock_oracle_up_to_sector_phase():
     rng = np.random.default_rng(11)
-    space = FockSpace(4)
     pairings = [BASE, ((1, 3), (2, 4)), ((1, 4), (2, 3))]
     for sector in ("even", "odd"):
         for target in pairings[1:]:
@@ -243,8 +241,8 @@ def test_transforms_match_fock_oracle_up_to_sector_phase():
             amps /= np.linalg.norm(amps)
             st = TopoState(4, BASE, sector, tuple(amps))
             moved = transform_state(st, target)
-            v1 = _fock_vector(st, space)
-            v2 = _fock_vector(moved, space)
+            v1 = _fock_vector(st)
+            v2 = _fock_vector(moved)
             fid = abs(np.vdot(v1, v2))
             assert abs(fid - 1.0) < 1e-10  # same physical state, any pairing
 
@@ -269,15 +267,14 @@ def test_six_anyon_subset_transform_matches_four_anyon():
 
 def test_six_anyon_transform_against_fock():
     rng = np.random.default_rng(2)
-    space = FockSpace(6)
     start = ((1, 2), (3, 5), (4, 6))
     target = ((1, 3), (2, 4), (5, 6))
     amps = rng.normal(size=4) + 1j * rng.normal(size=4)
     amps /= np.linalg.norm(amps)
     st = TopoState(6, start, "even", tuple(amps))
     moved = transform_state(st, target)
-    v1 = _fock_vector(st, space)
-    v2 = _fock_vector(moved, space)
+    v1 = _fock_vector(st)
+    v2 = _fock_vector(moved)
     assert abs(abs(np.vdot(v1, v2)) - 1.0) < 1e-10
 
 
@@ -310,7 +307,7 @@ def test_every_fusion_basis_state_is_a_fock_parity_eigenstate(n_anyons):
         for sector in ("even", "odd"):
             total = 0 if sector == "even" else 1
             for label in _labels(n_anyons, total):
-                vec = _fock_vector(make_state(pairing, sector, {label: 1.0}), space)
+                vec = _fock_vector(make_state(pairing, sector, {label: 1.0}))
                 for pair in pairing:
                     parity = np.vdot(vec, space.parity_op(*pair) @ vec).real
                     assert abs(abs(parity) - 1.0) < 1e-9, (pairing, label, pair)

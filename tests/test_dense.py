@@ -177,6 +177,32 @@ def test_fock_space_algebra():
             assert np.linalg.norm(anti) < 1e-12
 
 
+def kronecker_gammas(n_modes):
+    """The chain construction as a Kronecker product: mode 2k (2k+1) is
+    Z on the fermions before k, X (Y) on fermion k, I after it."""
+    x = np.array([[0, 1], [1, 0]])
+    y = np.array([[0, -1j], [1j, 0]])
+    z = np.diag([1, -1])
+    m = n_modes // 2
+    gammas = []
+    for k in range(m):
+        for own in (x, y):
+            mat = np.ones((1, 1))
+            for op in [z] * k + [own] + [np.eye(2)] * (m - k - 1):
+                mat = np.kron(mat, op)
+            gammas.append(mat)
+    return gammas
+
+
+@pytest.mark.parametrize("n_modes", range(2, 13, 2))
+def test_fock_gammas_equal_the_kronecker_chain(n_modes):
+    gammas = FockSpace(n_modes).gammas
+    assert len(gammas) == n_modes
+    for k, (mat, want) in enumerate(zip(gammas, kronecker_gammas(n_modes))):
+        assert mat.dtype == np.complex128
+        assert np.array_equal(mat, want), k
+
+
 def test_fock_pairing_basis_eigenstates():
     f = FockSpace(4)
     basis = f.pairing_basis([(1, 3), (2, 4)])

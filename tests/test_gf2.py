@@ -43,11 +43,46 @@ def brute_rank(rows: list[int]) -> int:
     return len(span(rows)).bit_length() - 1
 
 
+def dense_rref(rows: list[int], n_cols: int) -> tuple[list[int], list[int]]:
+    """``_gf2._rref`` on a dense 0/1 matrix: the same pivot rule (first row at
+    or below the current one), the same swaps and the same XORs, found by
+    scanning every row of every column."""
+    width = max([n_cols] + [row.bit_length() for row in rows])
+    a = [[row >> c & 1 for c in range(width)] for row in rows]
+    pivots = []
+    for c in range(n_cols):
+        r = len(pivots)
+        hit = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if hit is None:
+            continue
+        a[r], a[hit] = a[hit], a[r]
+        for i in range(len(a)):
+            if i != r and a[i][c]:
+                a[i] = [x ^ y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return [sum(bit << c for c, bit in enumerate(row)) for row in a], pivots
+
+
 @settings(max_examples=150, deadline=None)
 @given(matrices())
 def test_rank_is_log2_of_span_size(mat):
     rows, _ = mat
     assert _gf2.rank(rows) == brute_rank(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 60), st.integers(0, 8), st.data())
+def test_rref_matches_a_dense_elimination(n_cols, extra, data):
+    # up to 30 rows and 10 sums of them, with ``extra`` bits above the
+    # eliminated columns, as the identity bits of ``solve`` and the parity
+    # bit of ``solve_symplectic``
+    rows = data.draw(st.lists(st.integers(0, (1 << n_cols + extra) - 1),
+                              max_size=30))
+    # repeated rows and sums of rows make dependent, partly cleared columns
+    picks = data.draw(st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39)),
+                               max_size=10))
+    rows += [rows[i % len(rows)] ^ rows[j % len(rows)] for i, j in picks if rows]
+    assert _gf2._rref(rows, n_cols) == dense_rref(rows, n_cols)
 
 
 @settings(max_examples=150, deadline=None)

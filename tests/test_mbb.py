@@ -43,13 +43,16 @@ def test_correction_table():
 
 def test_parity_sign_dictionary():
     # vacuum channel of the straight pairs sits at parity -1, of the crossed
-    # pairs at +1; derived from the Fock oracle and frozen here
-    assert parity_sign_for((1, 2), 4) == -1
-    assert parity_sign_for((3, 4), 4) == -1
-    assert parity_sign_for((1, 3), 4) == +1
-    assert parity_sign_for((1, 4), 4) == +1
-    assert parity_sign_for((1, 2), 6) == -1
-    assert parity_sign_for((3, 5), 6) == +1
+    # pairs at +1; derived from the Fock oracle and frozen here, every pair
+    # of four and of six anyons
+    four = {(1, 2): -1, (1, 3): 1, (1, 4): 1, (2, 3): 1, (2, 4): 1, (3, 4): -1}
+    six = {(1, 2): -1, (1, 3): 1, (1, 4): 1, (1, 5): -1, (1, 6): -1,
+           (2, 3): 1, (2, 4): 1, (2, 5): -1, (2, 6): -1, (3, 4): -1,
+           (3, 5): 1, (3, 6): 1, (4, 5): 1, (4, 6): 1, (5, 6): -1}
+    for n, signs in ((4, four), (6, six)):
+        assert set(signs) == set(combinations(range(1, n + 1), 2))
+        for pair, sign in signs.items():
+            assert parity_sign_for(pair, n) == sign, (n, pair)
 
 
 def test_cycle_is_exactly_three_measurements():
@@ -642,7 +645,7 @@ def test_anyon_backend_matches_fock_on_forced_sequences(n_anyons):
         if n_anyons == 6:
             state = anyon.TopoState(6, START_PAIRINGS[6], "even",
                                     tuple(bkA.vector()[0]))
-            fock = _fock_vector(state, bkF.space)
+            fock = _fock_vector(state)
             assert abs(dense.fidelity_up_to_phase(fock, bkF.vector()[0]) - 1) < 1e-12
     assert rejected > 0
 
@@ -679,7 +682,7 @@ def test_anyon_and_fock_agree_edge_for_edge():
         seen.add(key)
         state = anyon.TopoState(6, START_PAIRINGS[6], "even",
                                 tuple(bkA.vector()[0]))
-        fock = _fock_vector(state, bkF.space)
+        fock = _fock_vector(state)
         assert abs(dense.fidelity_up_to_phase(fock, bkF.vector()[0]) - 1) < 1e-12
         for pair in pairs:
             for label in (0, 1):
@@ -784,6 +787,19 @@ def test_four_anyon_fock_backends_share_their_start_vectors(monkeypatch):
     for seed in range(50):
         FockBackend(4, np.random.default_rng(seed), 0.6, 0.8j)
     assert len(calls) <= 1
+
+
+def test_lattice_backend_builds_no_fock_start_vector():
+    # the vacuum signs read the cached Fock space and its reference basis;
+    # the start vectors are the Fock backend's alone
+    for cached in vars(mbb).values():
+        if hasattr(cached, "cache_clear") and cached.__module__ == mbb.__name__:
+            cached.cache_clear()
+    LatticeBackend(LAT6, np.random.default_rng(0))
+    assert mbb.parity_sign_for.cache_info().currsize == 3
+    assert mbb._fock_setup.cache_info().currsize == 0
+    FockBackend(6, np.random.default_rng(0))
+    assert mbb._fock_setup.cache_info().currsize == 1
 
 
 def test_lattice_backend_setup_derives_twist_modes_once(monkeypatch):

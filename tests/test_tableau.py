@@ -883,6 +883,20 @@ def test_pins_outside_the_modes_are_refused(ground, pin):
 
 
 @pytest.mark.parametrize("ground", GROUND_ENTRY_POINTS)
+def test_a_mode_pinned_with_itself_is_refused_before_any_measurement(
+        ground, monkeypatch):
+    # the string of (0, 0) is i·1, which no measurement can pin
+    calls = []
+    measure = Tableau.measure
+    monkeypatch.setattr(Tableau, "measure",
+                        lambda self, *args, **kw: calls.append(args)
+                        or measure(self, *args, **kw))
+    with pytest.raises(ValueError, match=r"pin \(0, 0\) pairs a mode with itself"):
+        ground(LAT6, [(0, 0, -1)])
+    assert calls == []
+
+
+@pytest.mark.parametrize("ground", GROUND_ENTRY_POINTS)
 def test_a_pair_pinned_twice_at_opposite_signs_conflicts(ground):
     with pytest.raises(GeometryError, match="generators conflict"):
         ground(LAT6, [(0, 1, -1), (0, 1, 1)])
