@@ -16,6 +16,7 @@ import copy
 import io
 from dataclasses import dataclass, field
 from functools import cached_property, wraps
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,6 +29,72 @@ from .pauli import PauliString, product
 _X_BITS = str.maketrans("IXZY", "0101")
 _Z_BITS = str.maketrans("IXZY", "0011")
 
+# Moves one family of tableau copies stores (see ``_SharedRows``), so at most
+# as many x/z states. The hole and direct readouts of one 14x12 lattice,
+# flipped and unflipped, store 52 to 57.
+SHARED_MOVES = 256
+
+
+class _Family:
+    """How many moves the ``_SharedRows`` reached from one first ``copy``
+    store together."""
+
+    __slots__ = ("stored",)
+
+    def __init__(self):
+        self.stored = 0
+
+
+class _SharedRows:
+    """An x/z state that tableau copies share and never write.
+
+    ``Tableau.copy`` hands the copy the original's x, z, cx and cz lists and
+    makes both tableaux read them from here; each keeps its own signs. The x/z
+    rows a measurement leads to depend only on the rows and on the measured
+    ``(p.x, p.z)``, never on an outcome, and a Pauli changes signs only. So
+    each state stores, keyed on ``(p.x, p.z)``, what the first copy to
+    measure ``p`` computed (``moves``) and which signs applying ``p`` flips
+    (``flips``); a later copy replays it and runs only the sign updates. The
+    CHP update split into a shared x/z move and a per-copy sign step is the
+    frame idea of Gidney (arXiv:2103.02202) carried across copies over time.
+    A family stores at most ``SHARED_MOVES`` moves. Past that, a random
+    outcome's next state belongs to no family (``family`` is None): the
+    tableau that computed it takes its rows as its own.
+    """
+
+    __slots__ = ("x", "z", "cx", "cz", "family", "moves", "flips")
+
+    def __init__(self, x, z, cx, cz, family: _Family | None):
+        self.x, self.z, self.cx, self.cz = x, z, cx, cz
+        self.family = family
+        self.moves: dict[tuple[int, int], _Fixed | _Random] = {}
+        self.flips: dict[tuple[int, int], list[int]] = {}
+
+    def store(self, table: dict, key: tuple[int, int], move) -> None:
+        """Store ``move`` under ``key`` in ``table``, one of this state's two,
+        if the family has room."""
+        if self.family.stored < SHARED_MOVES:
+            self.family.stored += 1
+            table[key] = move
+
+
+class _Fixed(NamedTuple):
+    """A fixed outcome: its sign is ``phase`` times the signs of ``rows``,
+    the stabilizer rows that multiply to ±p, over p's own sign."""
+    rows: list[int]
+    phase: int
+
+
+class _Random(NamedTuple):
+    """A random outcome's sign program: the rows ``same`` take the pivot's
+    sign, the rows ``negated`` its negation, the pivot's destabilizer takes
+    it, and the pivot takes the outcome over p's sign. ``after`` is the next
+    x/z state."""
+    after: _SharedRows
+    pivot: int
+    same: list[int]
+    negated: list[int]
+
 
 class Tableau:
     """Stabilizer state of ``n`` qubits plus code-level bookkeeping.
@@ -38,7 +105,9 @@ class Tableau:
     ``all_shots`` has one bit per shot (see ``_kernels``): a tableau is a lone
     shot, a batch of one, until ``spread`` makes it a batch of shots that
     share its rows. ``measure``, ``expectation_sign`` and ``to_text`` read a
-    lone tableau only.
+    lone tableau only. A fresh tableau owns its rows and updates them in
+    place; ``copy`` makes the copy and the original share them instead (see
+    ``_SharedRows``), and ``spread`` takes them back.
 
     ``active`` is the set of plaquette ids currently enforced by the code
     cycle; disabling a stabilizer is bookkeeping only and never touches the
@@ -56,6 +125,7 @@ class Tableau:
         self.cz = [1 << (n + j) for j in range(n)]
         self.r = [0] * (2 * n)
         self.all_shots = 1
+        self._shared: _SharedRows | None = None  # None: the rows are its own
         self.rng = rng
         self.last_random = False
         self.lattice: TwistLattice | None = None
@@ -71,14 +141,13 @@ class Tableau:
         return cls(n, rng)
 
     def copy(self) -> "Tableau":
-        """Independent state and registries; the generator continues from the
-        same state. The lattice is shared."""
+        """Independent signs and registries; the generator continues from the
+        same state. The lattice is shared, and so are the x/z rows, which
+        neither tableau writes from then on (``_SharedRows``)."""
+        if self._shared is None:
+            self._shared = _SharedRows(self.x, self.z, self.cx, self.cz, _Family())
         out = copy.copy(self)
         out.rng = np.random.Generator(copy.copy(self.rng.bit_generator))
-        out.x = list(self.x)
-        out.z = list(self.z)
-        out.cx = list(self.cx)
-        out.cz = list(self.cz)
         out.r = list(self.r)
         out.active = set(self.active)
         out.logicals = dict(self.logicals)
@@ -86,7 +155,15 @@ class Tableau:
         return out
 
     def spread(self, shots: int) -> None:
-        """Make this lone tableau a batch of ``shots`` shots in its state."""
+        """Make this lone tableau a batch of ``shots`` shots in its state,
+        with rows of its own."""
+        self._require_lone()
+        if shots < 1:
+            raise ValueError(f"a batch needs at least one shot, not {shots}")
+        if self._shared is not None:
+            self.x, self.z, self.cx, self.cz = (
+                list(v) for v in (self.x, self.z, self.cx, self.cz))
+            self._shared = None
         self.all_shots = (1 << shots) - 1
         self.r = [-bit & self.all_shots for bit in self.r]
 
@@ -140,40 +217,88 @@ class Tableau:
         the outcome bit of every shot, replaces the draw; a fixed outcome
         that differs from it raises ``InconsistentOutcomeError``. A force
         other than 0 or 1 raises ``ValueError``; neither error changes a row.
+        On rows shared with copies, the x/z update is a stored move (see
+        ``_SharedRows``) and this tableau writes only its signs.
         """
         if force not in (None, 0, 1):
             raise ValueError(f"forced outcome bit {force!r} is not 0 or 1")
         forced = self.all_shots if force else 0
         px, pz, pr = self._bits_of(p)
-        anti = _kernels.anticommuting_rows(self.cx, self.cz, px, pz)
-        stab = anti >> self.n
-        self.last_random = stab != 0
+        shared = self._shared
+        move = None if shared is None else shared.moves.get((px, pz))
+        if move is None:
+            anti = _kernels.anticommuting_rows(self.cx, self.cz, px, pz)
+            stab = anti >> self.n
+            if stab and shared is None:  # rows of its own: the CHP update in place
+                self.last_random = True
+                outcome = draw() if force is None else forced
+                pivot = self.n + (stab & -stab).bit_length() - 1
+                _kernels.random_update(self.x, self.z, self.cx, self.cz, self.r,
+                                       self.all_shots, anti, pivot, px, pz, pr, outcome)
+                return outcome
+            move = self._move(px, pz, anti)
+        self.last_random = type(move) is _Random
         if not self.last_random:
-            bits = self._fixed_outcome_bit(px, pz, pr, anti)
+            bits = self._fixed_bits(move, pr)
             if force is not None and bits != forced:
                 raise InconsistentOutcomeError(
                     f"outcome bit {force} requested, but the outcome bits are {bits:b}")
             return bits
         outcome = draw() if force is None else forced
-        pivot = self.n + (stab & -stab).bit_length() - 1
-        _kernels.random_update(self.x, self.z, self.cx, self.cz, self.r, self.all_shots,
-                               anti, pivot, px, pz, pr, outcome)
+        r, ones, pivot = self.r, self.all_shots, move.pivot
+        rp = r[pivot]
+        for i in move.same:
+            r[i] ^= rp
+        rp_negated = rp ^ ones
+        for i in move.negated:
+            r[i] ^= rp_negated
+        r[pivot - self.n] = rp
+        r[pivot] = outcome ^ ones if pr else outcome
+        after = move.after
+        self.x, self.z, self.cx, self.cz = after.x, after.z, after.cx, after.cz
+        self._shared = after if after.family is not None else None
         return outcome
 
-    def _fixed_outcome_bit(self, px, pz, pr, destabs) -> int:
-        """Outcome bits of a measurement that commutes with every stabilizer,
-        as ``measure_signs`` returns them; reads the state without changing
-        it. ``destabs`` marks the destabilizer rows that anticommute with p."""
-        # the stabilizer rows whose destabilizer partner anticommutes with p
-        # multiply to ±p
-        rows = [self.n + i for i in _kernels.set_bits(destabs)]
-        acc_x, acc_z, exponent = _kernels.row_product(self.x, self.z, rows)
-        if acc_x != px or acc_z != pz:
-            raise AssertionError("deterministic branch accumulated a wrong operator")
-        # the product's sign is (-1)^(sign bits) * i^exponent, the exponent
-        # even since the rows commute; the outcome is that sign over p's own.
-        bits = self.all_shots if (exponent % 4 // 2 + pr) % 2 else 0
-        for i in rows:
+    def _move(self, px: int, pz: int, anti: int) -> _Fixed | _Random:
+        """What measuring (px|pz), whose anticommuting rows ``anti`` marks,
+        does to this tableau: a ``_Fixed`` for a fixed outcome, a ``_Random``
+        for a random one on shared rows. A move on shared rows is stored
+        while the family has room."""
+        n, shared = self.n, self._shared
+        stab = anti >> n
+        if not stab:
+            # the stabilizer rows whose destabilizer partner anticommutes
+            # with p multiply to ±p
+            rows = [n + i for i in _kernels.set_bits(anti)]
+            acc_x, acc_z, exponent = _kernels.row_product(self.x, self.z, rows)
+            if acc_x != px or acc_z != pz:
+                raise AssertionError("deterministic branch accumulated a wrong operator")
+            # the product's sign is (-1)^(sign bits) * i^exponent, the
+            # exponent even since the rows commute
+            move = _Fixed(rows, exponent % 4 // 2)
+        else:
+            # the CHP update on copies of the rows, with probe signs: one
+            # pivot sign 0b01 over two shots leaves 0b01 on the rows that take
+            # it and 0b10 on the rows that take its negation
+            pivot = n + (stab & -stab).bit_length() - 1
+            copies = [list(v) for v in (self.x, self.z, self.cx, self.cz)]
+            probe = [0] * (2 * n)
+            probe[pivot] = 0b01
+            _kernels.random_update(*copies, probe, 0b11, anti, pivot, px, pz, 0, 0)
+            signed = _kernels.set_bits(anti & ~(1 << pivot | 1 << (pivot - n)))
+            family = shared.family if shared.family.stored < SHARED_MOVES else None
+            move = _Random(_SharedRows(*copies, family), pivot,
+                           [i for i in signed if probe[i] == 0b01],
+                           [i for i in signed if probe[i] == 0b10])
+        if shared is not None:
+            shared.store(shared.moves, (px, pz), move)
+        return move
+
+    def _fixed_bits(self, move: _Fixed, pr: int) -> int:
+        """Outcome bits of a fixed measurement, as ``measure_signs`` returns
+        them: the sign of its rows' product over p's own, sign bit ``pr``."""
+        bits = self.all_shots if move.phase ^ pr else 0
+        for i in move.rows:
             bits ^= self.r[i]
         return bits
 
@@ -182,18 +307,30 @@ class Tableau:
         shot, or with ``shots`` only the shots whose bit is set in it."""
         px, pz, _ = self._bits_of(p)
         mask = self.all_shots if shots is None else shots
-        for i in _kernels.set_bits(_kernels.anticommuting_rows(self.cx, self.cz, px, pz)):
-            self.r[i] ^= mask
+        shared = self._shared
+        rows = None if shared is None else shared.flips.get((px, pz))
+        if rows is None:
+            rows = _kernels.set_bits(_kernels.anticommuting_rows(self.cx, self.cz, px, pz))
+            if shared is not None:
+                shared.store(shared.flips, (px, pz), rows)
+        r = self.r
+        for i in rows:
+            r[i] ^= mask
 
     def expectation_sign(self, p: PauliString) -> int | None:
         """±1 if ``p`` is fixed by the lone tableau's state, None if the
         outcome is random."""
         self._require_lone()
         px, pz, pr = self._bits_of(p)
-        anti = _kernels.anticommuting_rows(self.cx, self.cz, px, pz)
-        if anti >> self.n:
+        move = None if self._shared is None else self._shared.moves.get((px, pz))
+        if move is None:
+            anti = _kernels.anticommuting_rows(self.cx, self.cz, px, pz)
+            if anti >> self.n:
+                return None
+            move = self._move(px, pz, anti)
+        if type(move) is _Random:
             return None
-        return 1 - 2 * self._fixed_outcome_bit(px, pz, pr, anti)
+        return 1 - 2 * self._fixed_bits(move, pr)
 
     # -- serialization -------------------------------------------------------
 

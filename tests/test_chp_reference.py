@@ -5,17 +5,21 @@ on unpacked (2n + 1, n) bool matrices, one row sum at a time, with row 2n as
 the scratch row: no bit packing, no column index and no ``_kernels``. Replaying
 the measurements and Pauli frames of ``init_ground`` and of the readouts must
 give the same tableau text, destabilizer signs included. The golden file pins
-the ground tableaux of three lattices only; this covers six.
+the ground tableaux of three lattices only; this covers six. Copies of a
+tableau share its x/z rows and replay stored moves; they are checked against
+the reference call by call.
 """
 
+import collections
 import copy
 
 import numpy as np
 import pytest
 
-from twistsim import mbb
+from twistsim import mbb, tableau
 from twistsim.dense import InconsistentOutcomeError
-from twistsim.lattice import build_lattice
+from twistsim.lattice import build_lattice, twist_logicals
+from twistsim.pauli import PauliString
 from twistsim.tableau import (Tableau, diamond_loop, init_ground,
                               measure_parity_direct, measure_parity_hole)
 
@@ -57,6 +61,7 @@ class ReferenceCHP:
         n, neg = self.n, p.phase.exponent == 2
         px, pz, anti = self._anticommuting(p)
         stabs = anti[anti >= n]
+        self.last_random = bool(stabs.size)
         if stabs.size:
             pivot = stabs[0]
             for i in anti:
@@ -78,12 +83,14 @@ class ReferenceCHP:
         self.r[self._anticommuting(p)[2]] ^= True
 
     def to_text(self) -> str:
+        # one line per row: kind, sign, letters, newline, as bytes
         n = self.n
-        letters = np.array(list("IXZY"))[self.x[:-1] + 2 * self.z[:-1]]
-        return "".join(
-            [f"twistsim-tableau v1 n={n}\n"]
-            + [f"{'D' if i < n else 'S'}{'-' if self.r[i] else '+'}"
-               f"{''.join(row.tolist())}\n" for i, row in enumerate(letters)])
+        lines = np.empty((2 * n, n + 3), dtype=np.uint8)
+        lines[:, 0] = np.frombuffer(b"DS", np.uint8)[np.arange(2 * n) // n]
+        lines[:, 1] = np.frombuffer(b"+-", np.uint8)[self.r[:-1].astype(np.intp)]
+        lines[:, 2:-1] = np.frombuffer(b"IXZY", np.uint8)[self.x[:-1] + 2 * self.z[:-1]]
+        lines[:, -1] = ord("\n")
+        return f"twistsim-tableau v1 n={n}\n" + lines.tobytes().decode()
 
 
 @pytest.fixture
@@ -109,6 +116,46 @@ def recorder(monkeypatch):
     monkeypatch.setattr(Tableau, "measure", logged_measure)
     monkeypatch.setattr(Tableau, "apply_pauli", logged_pauli)
     return log
+
+
+@pytest.fixture
+def lockstep(monkeypatch):
+    """``(pairs, calls)``: each ``measure`` and ``apply_pauli`` call on a
+    tableau paired with a reference in ``pairs`` runs on the reference at
+    once, and the outcome, ``last_random`` and the text must agree after it.
+    ``calls`` counts the checked calls: "random", "fixed", "refused" and
+    "pauli"."""
+    pairs, calls = {}, collections.Counter()
+    measure, apply_pauli = Tableau.measure, Tableau.apply_pauli
+
+    def checked_measure(self, p, force=None):
+        ref = pairs.get(self)
+        try:
+            out = measure(self, p, force)
+        except InconsistentOutcomeError:
+            if ref is not None:
+                calls["refused"] += 1
+                assert ref.measure(p, draw=force) == -force
+                assert not ref.last_random and self.to_text() == ref.to_text()
+            raise
+        if ref is not None:
+            assert ref.measure(p, draw=out) == out
+            calls["random" if ref.last_random else "fixed"] += 1
+            assert self.last_random == ref.last_random
+            assert self.to_text() == ref.to_text()
+        return out
+
+    def checked_pauli(self, p):
+        apply_pauli(self, p)
+        ref = pairs.get(self)
+        if ref is not None:
+            calls["pauli"] += 1
+            ref.apply_pauli(p)
+            assert self.to_text() == ref.to_text()
+
+    monkeypatch.setattr(Tableau, "measure", checked_measure)
+    monkeypatch.setattr(Tableau, "apply_pauli", checked_pauli)
+    return pairs, calls
 
 
 def replay(ref: ReferenceCHP, log: list) -> None:
@@ -153,24 +200,80 @@ def test_init_ground_matches_textbook_chp(recorder, name):
     assert t.to_text() == ref.to_text()
 
 
+def _rows_and_signs(t: Tableau) -> list[list[int]]:
+    return [list(v) for v in (t.x, t.z, t.cx, t.cz, t.r)]
+
+
 @pytest.mark.parametrize("name", ["14x12_558", "14x12_557"])
-def test_readouts_match_textbook_chp(recorder, name):
+def test_readouts_match_textbook_chp(recorder, lockstep, name):
+    # copies of one ground share its x/z rows: the first copy to reach a
+    # state computes a move and stores it, the later ones replay it; each
+    # call is checked as it happens, flipped and unflipped, over both
+    # readouts, their fixed outcomes and the direct readout's frame repairs
+    pairs, calls = lockstep
     ground, ground_ref = _ground(name, recorder)
-    loop = diamond_loop(ground.lattice, 0, 3)
+    lat = ground.lattice
+    loop = diamond_loop(lat, 0, 3)
     string = ground.logicals["parity_0_1"]
-    repairs = 0
-    for seed in range(3):
-        for readout in ("hole", "direct"):
-            t, ref = ground.copy(), copy.deepcopy(ground_ref)
-            t.rng = np.random.default_rng(seed)
-            if readout == "hole":
-                measure_parity_hole(t, 0, loop)
-            else:
-                measure_parity_direct(t, string)
-                repairs += sum(entry[0] == "pauli" for entry in recorder)
-            replay(ref, recorder)
-            assert t.to_text() == ref.to_text()
-    assert repairs  # the direct readouts' frame repairs were replayed too
+    _, x_logical = twist_logicals(lat, 0)
+    parity = ground.expectation_sign(string)
+    face = lat.plaquette_ops[loop[0]]
+    flips = 0
+    for seed in range(4):
+        for flip in (False, True):
+            for readout in ("hole", "direct"):
+                t = ground.copy()
+                pairs[t] = copy.deepcopy(ground_ref)
+                t.rng = np.random.default_rng(seed)
+                if flip:
+                    t.apply_pauli(x_logical)
+                    flips += 1
+                if readout == "hole":
+                    out, _ = measure_parity_hole(t, 0, loop)
+                else:
+                    out = measure_parity_direct(t, string).outcome
+                assert out == (-parity if flip else parity)
+                # a refused force changes no row and no sign
+                before = _rows_and_signs(t)
+                with pytest.raises(InconsistentOutcomeError):
+                    t.measure(face, force=-t.expectation_sign(face))
+                assert _rows_and_signs(t) == before
+    assert calls["random"] and calls["fixed"] and calls["refused"] == 16
+    assert calls["pauli"] > flips  # the direct readouts' frame repairs
+    # 16 readouts measured from one family, which stored each move once
+    stored = ground._shared.family.stored
+    assert stored < calls["random"] + calls["fixed"] and stored < tableau.SHARED_MOVES
+
+
+def _stored_states(shared) -> int:
+    """The x/z states stored from ``shared`` on, itself included."""
+    return 1 + sum(_stored_states(move.after) for move in shared.moves.values()
+                   if type(move) is tableau._Random)
+
+
+def test_copies_past_the_move_bound_own_their_rows(lockstep):
+    # more random measurements than one family stores: the first copy stores
+    # moves up to the bound and then owns its rows; a sibling replays the
+    # stored moves and computes the rest on rows of its own
+    pairs, calls = lockstep
+    n, rng = 5, np.random.default_rng(3)
+    strings = [PauliString.from_dict(
+        {int(s): "XYZ"[rng.integers(3)] for s in rng.choice(n, 2, replace=False)},
+        2 * int(rng.integers(2))) for _ in range(tableau.SHARED_MOVES + 80)]
+    base = Tableau.zero_state(n, 0)
+    first, sibling = base.copy(), base.copy()
+    text = base.to_text()
+    for seed, t in enumerate((first, sibling)):
+        assert t.to_text() == text  # the other copy's calls left it alone
+        pairs[t] = ReferenceCHP(n)
+        t.rng = np.random.default_rng(seed)
+        for p in strings:
+            t.measure(p)
+        assert t._shared is None
+    assert calls["random"] > 2 * tableau.SHARED_MOVES
+    assert base.to_text() == text
+    assert base._shared.family.stored == tableau.SHARED_MOVES
+    assert _stored_states(base._shared) <= tableau.SHARED_MOVES
 
 
 # -- the braid sampler ---------------------------------------------------------

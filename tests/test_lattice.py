@@ -202,13 +202,13 @@ def test_two_segments_on_one_row():
 
 
 @st.composite
-def accepted_layouts(draw):
-    """1-3 segments on a lattice just large enough to hold them. A segment
-    beside the previous one, on its face row or the next, starts two columns
-    past its end, where their sites are disjoint; one two or more rows below
-    it may start anywhere."""
+def accepted_layouts(draw, counts=st.integers(1, 3)):
+    """``counts`` segments, 1-3 by default, on a lattice just large enough to
+    hold them. A segment beside the previous one, on its face row or the
+    next, starts two columns past its end, where their sites are disjoint;
+    one two or more rows below it may start anywhere."""
     segments = []
-    for k in range(draw(st.integers(1, 3))):
+    for k in range(draw(counts)):
         if k and draw(st.booleans()):  # beside the previous segment
             row = segments[-1][0] + draw(st.integers(0, 1))
             start = segments[-1][2] + 2 + draw(st.integers(0, 1))

@@ -7,6 +7,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twistsim import _kernels, anyon, dense, jw, mbb, tableau
 from twistsim.lattice import build_lattice
@@ -18,6 +19,8 @@ from twistsim.mbb import (CORRECTIONS, CYCLE_PAIRS, START_PAIRINGS,
                           braid_once, correction_for, parity_sign_for,
                           run_cycle, run_forced, run_shots, run_statistics,
                           verify_braid_equivalence)
+
+from test_lattice import accepted_layouts
 
 LAT6 = build_lattice(8, 12, [(2, 2, 4), (5, 2, 4), (8, 2, 4)])
 LAT6_WIDE = build_lattice(10, 12, [(2, 2, 5), (5, 3, 6), (8, 2, 5)])
@@ -311,6 +314,15 @@ def test_branch_enumeration_gives_the_exact_braid_signature(factory):
     signature = [enumerate_branches(factory, n) for n in range(6)]
     half = Fraction(1, 2)
     assert signature == [0, half, 1, half, 0, half]
+
+
+@settings(max_examples=20, deadline=None)
+@given(accepted_layouts(counts=st.just(3)))
+def test_branch_enumeration_on_generated_three_pair_layouts(lat):
+    signature = [enumerate_branches(lambda source: LatticeBackend(lat, source), n)
+                 for n in range(4)]
+    half = Fraction(1, 2)
+    assert signature == [0, half, 1, half]
 
 
 def test_branch_enumeration_gives_every_backend_one_trace_distribution():

@@ -791,6 +791,56 @@ def test_sign_columns_read_signed_outcomes_per_column():
     assert bk.measure((1, 3))[0].tolist() == labels.tolist()
 
 
+def test_spread_refuses_a_batch_and_a_shot_count_below_one():
+    t = Tableau.zero_state(2, seed=0)
+    t.apply_pauli(PauliString.single(0, "X"))  # stabilizer Z_0's sign is 1
+    for shots in (0, -1):
+        with pytest.raises(ValueError, match="at least one shot"):
+            t.spread(shots)
+    assert (t.all_shots, t.r) == (1, [0, 0, 1, 0])
+    t.spread(4)
+    with pytest.raises(ValueError, match="measure_signs"):
+        t.spread(8)
+    assert (t.all_shots, t.r) == (0b1111, [0, 0, 0b1111, 0])
+
+
+def _row_lists(t: Tableau) -> list[list[int]]:
+    return [t.x, t.z, t.cx, t.cz]
+
+
+def test_copies_share_rows_but_not_signs():
+    # a copy reads the original's x/z rows until a measurement moves it to
+    # another state; no measurement or Pauli on one copy shows on another
+    lat = build_lattice(8, 6, [(1, 2, 5)])
+    base = init_ground(lat, seed=0)
+    first, sibling = base.copy(), base.copy()
+    assert all(a is b for a, b in zip(_row_lists(first), _row_lists(base)))
+    texts = base.to_text(), sibling.to_text()
+    _, x_logical = twist_logicals(lat, 0)
+    bulk = [PauliString.single(lat.site_id(2, c), "X") for c in range(1, 5)]
+    first.apply_pauli(x_logical)
+    for p in bulk:
+        first.measure(p)
+        assert first.last_random
+    assert (base.to_text(), sibling.to_text()) == texts
+    after = first.to_text()
+    sibling.apply_pauli(x_logical)
+    for p in bulk:  # replays the stored moves
+        sibling.measure(p)
+    assert (base.to_text(), first.to_text()) == (texts[0], after)
+    assert all(a is b for a, b in zip(_row_lists(first), _row_lists(sibling)))
+
+
+def test_lattice_backend_owns_its_rows():
+    lat = build_lattice(8, 12, [(2, 2, 4), (5, 2, 4), (8, 2, 4)])
+    bk = mbb.LatticeBackend(lat, mbb.ShotStreams(0, 0, 5))
+    [ground] = code_context(lat)._memo_ground.values()
+    text = ground.to_text()
+    assert not {id(v) for v in _row_lists(bk.tab)} & {id(v) for v in _row_lists(ground)}
+    mbb.braid_once(bk)
+    assert ground.to_text() == text
+
+
 def _sparse_string(rng, n):
     """A Hermitian Pauli on 1-6 sites (the plaquettes and single sites the
     code measures), or now and then on every site."""
