@@ -135,10 +135,19 @@ class PauliString:
         return PauliString(self.x, self.z, self.phase.inverse())
 
     def __str__(self) -> str:
-        if not self.support:
+        # read from the rows, site by site: rendering does not build (and
+        # cache) ``support``
+        x, z = self.x, self.z
+        sites = x | z
+        if not sites:
             return _PHASE_STR[self.phase.exponent] + "1"
-        body = " ".join(f"{letter}{site}" for site, letter in self.support)
-        return _PHASE_STR[self.phase.exponent] + body
+        tokens = []
+        while sites:
+            low = sites & -sites
+            sites ^= low
+            letter = _LETTER_OF_BITS[bool(x & low) + 2 * bool(z & low)]
+            tokens.append(f"{letter}{low.bit_length() - 1}")
+        return _PHASE_STR[self.phase.exponent] + " ".join(tokens)
 
     @staticmethod
     def from_str(text: str) -> "PauliString":

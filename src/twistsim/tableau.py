@@ -12,8 +12,6 @@ lattice's ``CodeContext``.
 
 from __future__ import annotations
 
-import copy
-import io
 from dataclasses import dataclass, field
 from functools import cached_property, wraps
 from typing import NamedTuple
@@ -28,6 +26,8 @@ from .pauli import PauliString, product
 # a row's letters as the binary digits of its x and z integers
 _X_BITS = str.maketrans("IXZY", "0101")
 _Z_BITS = str.maketrans("IXZY", "0011")
+# a site's letter from its x bit plus twice its z bit, as bytes
+_LETTER_OF_CODE = bytes.maketrans(bytes(range(4)), b"IXZY")
 
 # Moves one family of tableau copies stores (see ``_SharedRows``), so at most
 # as many x/z states. The hole and direct readouts of one 14x12 lattice,
@@ -146,8 +146,14 @@ class Tableau:
         neither tableau writes from then on (``_SharedRows``)."""
         if self._shared is None:
             self._shared = _SharedRows(self.x, self.z, self.cx, self.cz, _Family())
-        out = copy.copy(self)
-        out.rng = np.random.Generator(copy.copy(self.rng.bit_generator))
+        out = object.__new__(type(self))
+        out.__dict__.update(self.__dict__)
+        # the same seed sequence and state, the buffered 32-bit half included,
+        # without the pickle round trip of ``copy.copy``
+        bits = self.rng.bit_generator
+        clone = type(bits)(bits.seed_seq)
+        clone.state = bits.state
+        out.rng = np.random.Generator(clone)
         out.r = list(self.r)
         out.active = set(self.active)
         out.logicals = dict(self.logicals)
@@ -174,15 +180,18 @@ class Tableau:
     # -- row/operator conversions -------------------------------------------
 
     def _bits_of(self, p: PauliString) -> tuple[int, int, int]:
-        if not p.is_hermitian:
+        exponent = p.phase.exponent
+        if exponent & 1:
             raise ValueError(f"operator {p} is not Hermitian (phase must be ±1)")
-        if (p.x | p.z) >> self.n:
-            site = (p.x | p.z).bit_length() - 1
+        px, pz = p.x, p.z
+        if (px | pz) >> self.n:
+            site = (px | pz).bit_length() - 1
             raise ValueError(f"site {site} of {p} is outside 0..{self.n - 1}")
-        return p.x, p.z, p.phase.exponent // 2
+        return px, pz, exponent >> 1
 
-    def _letters(self) -> np.ndarray:
-        """One row of ASCII Pauli letters per tableau row."""
+    def _codes(self) -> np.ndarray:
+        """Per tableau row, each site's x bit plus twice its z bit (the
+        index of its letter in "IXZY")."""
         n_bytes = -(-self.n // 8)
 
         def unpack(rows):
@@ -190,8 +199,7 @@ class Tableau:
             packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(rows), n_bytes)
             return np.unpackbits(packed, axis=1, bitorder="little")[:, :self.n]
 
-        letters = np.frombuffer(b"IXZY", dtype=np.uint8)
-        return letters[unpack(self.x) + 2 * unpack(self.z)]
+        return unpack(self.x) + 2 * unpack(self.z)
 
     def row_operator(self, i: int) -> PauliString:
         return PauliString.from_bits(self.x[i], self.z[i], 2 * int(self.r[i]))
@@ -203,10 +211,15 @@ class Tableau:
         tableau, returns ±1; ``force`` (±1) sets the outcome, as in
         ``measure_signs``."""
         self._require_lone()
-        if force not in (None, 1, -1):
-            raise ValueError(f"forced outcome {force!r} is not ±1")
-        return 1 - 2 * self.measure_signs(p, lambda: int(self.rng.integers(2)),
-                                          None if force is None else int(force == -1))
+        if force is not None:
+            if force not in (1, -1):
+                raise ValueError(f"forced outcome {force!r} is not ±1")
+            force = int(force == -1)
+        return 1 - 2 * self.measure_signs(p, self._draw, force)
+
+    def _draw(self) -> int:
+        """A lone tableau's random outcome bit."""
+        return int(self.rng.integers(2))
 
     def measure_signs(self, p: PauliString, draw, force: int | None = None) -> int:
         """Measure a Hermitian Pauli string; returns the outcome bits, bit
@@ -245,16 +258,18 @@ class Tableau:
                     f"outcome bit {force} requested, but the outcome bits are {bits:b}")
             return bits
         outcome = draw() if force is None else forced
-        r, ones, pivot = self.r, self.all_shots, move.pivot
+        after, pivot, same, negated = move
+        r, ones = self.r, self.all_shots
         rp = r[pivot]
-        for i in move.same:
-            r[i] ^= rp
+        if rp:  # a sign of 0 flips no row
+            for i in same:
+                r[i] ^= rp
         rp_negated = rp ^ ones
-        for i in move.negated:
-            r[i] ^= rp_negated
+        if rp_negated:
+            for i in negated:
+                r[i] ^= rp_negated
         r[pivot - self.n] = rp
         r[pivot] = outcome ^ ones if pr else outcome
-        after = move.after
         self.x, self.z, self.cx, self.cz = after.x, after.z, after.cx, after.cz
         self._shared = after if after.family is not None else None
         return outcome
@@ -335,14 +350,18 @@ class Tableau:
     # -- serialization -------------------------------------------------------
 
     def to_text(self) -> str:
+        """A header line, then per row its kind (D or S), its sign and its
+        letters, site 0 first."""
         self._require_lone()
-        buf = io.StringIO()
-        buf.write(f"twistsim-tableau v1 n={self.n}\n")
-        for i, letters in enumerate(self._letters()):
-            kind = "D" if i < self.n else "S"
-            sign = "-" if self.r[i] else "+"
-            buf.write(f"{kind}{sign}{letters.tobytes().decode()}\n")
-        return buf.getvalue()
+        n = self.n
+        lines = np.empty((2 * n, n + 3), dtype=np.uint8)
+        lines[:n, 0], lines[n:, 0] = ord("D"), ord("S")
+        lines[:, 1] = np.frombuffer(b"+-", dtype=np.uint8)[self.r]
+        lines[:, 2:-1] = self._codes()
+        lines[:, -1] = ord("\n")
+        # codes 0-3 become letters; the other columns hold no byte below 4
+        text = lines.tobytes().translate(_LETTER_OF_CODE).decode()
+        return f"twistsim-tableau v1 n={n}\n" + text
 
     @classmethod
     def from_text(cls, text: str, seed: int = 0) -> "Tableau":
@@ -369,18 +388,45 @@ def _memo(method):
     live in the instance's ``__dict__`` under ``_memo_<name>``, a key the
     method's own name never shadows, so they die with the instance
     (``functools.lru_cache`` would keep every instance alive in a class-level
-    cache)."""
+    cache). A hit costs two dictionary lookups; a list argument, which cannot
+    be a key, costs its conversion, so hot callers pass tuples."""
     slot = f"_memo_{method.__name__}"
 
     @wraps(method)
     def cached(self, *args):
-        args = tuple(tuple(a) if isinstance(a, list) else a for a in args)
-        memo = self.__dict__.setdefault(slot, {})
-        if args not in memo:
-            memo[args] = method(self, *args)
-        return memo[args]
+        memo = self.__dict__.get(slot)
+        if memo is None:
+            memo = self.__dict__[slot] = {}
+        try:
+            return memo[args]
+        except KeyError:
+            pass
+        except TypeError:  # unhashable: key each list as its tuple
+            args = tuple(tuple(a) if isinstance(a, list) else a for a in args)
+            if args in memo:
+                return memo[args]
+        out = memo[args] = method(self, *args)
+        return out
 
     return cached
+
+
+class HolePlan(NamedTuple):
+    """The route of a hole readout of one pair along one loop (see
+    ``CodeContext.hole_plan``)."""
+    encloses_pair: bool
+    anchor: int | None               # the fixed hole, None when there is none
+    z_logical: PauliString | None    # the cut from the anchor to loop[0]
+    # per hop: the face left, the face entered, the hop's cut operator and
+    # the left face's plaquette operator
+    hops: tuple[tuple[int, int, PauliString, PauliString], ...]
+
+
+class DirectPlan(NamedTuple):
+    """What a direct readout of one string measures (see
+    ``CodeContext.direct_plan``)."""
+    faces: tuple[int, ...]                           # turned off, id order
+    sites: tuple[tuple[int, PauliString], ...]       # site, single-site operator
 
 
 class CodeContext:
@@ -409,14 +455,15 @@ class CodeContext:
 
     The readouts' geometry lives here too:
 
-    * ``cut(f, g)``: the cut operator of one hop (``cut_operator``);
-    * ``hole_plan(loop, pair)``: whether the loop encloses the pair
-      (``_validate_loop``) and the anchor face of the hole readout, keyed on
-      the loop and the pair; a loop that fails either check raises and is
-      not stored;
-    * ``string_faces(string)``: the plaquettes a parity string touches, in
-      face-id order, keyed on the string (the faces the direct readout turns
-      off).
+    * ``hole_plan(loop, pair)``: the hole readout's whole route, keyed on
+      the loop and the pair: whether the loop encloses the pair
+      (``_validate_loop``), the anchor face and its cut, and each hop's cut
+      and vacated face; an invalid loop raises and is not stored;
+    * ``direct_plan(string)``: the plaquettes a parity string touches, in
+      face-id order, which the direct readout turns off, and the string's
+      single-site operators, keyed on the string.
+
+    A readout shot thus reads its geometry from one entry.
     """
 
     def __init__(self, lat: TwistLattice):
@@ -514,40 +561,42 @@ class CodeContext:
             [_gf2.symplectic_vector(op, self.lat.n_sites) for _, op in registry])
 
     @_memo
-    def cut(self, f: int, g: int) -> PauliString:
-        """``cut_operator`` of the hop from face ``f`` to face ``g``."""
-        return cut_operator(self.lat, f, g)
-
-    @_memo
-    def hole_plan(self, loop: tuple[int, ...], pair: int) -> tuple[bool, int | None]:
-        """``(encloses_pair, anchor)`` of a hole readout of ``pair`` along
-        ``loop``: whether the loop encloses the pair, and the fixed hole, a
-        square diagonal neighbour of ``loop[0]`` off the loop and outside it
-        (None when there is none). Raises ``GeometryError`` for an invalid
-        loop."""
+    def hole_plan(self, loop: tuple[int, ...], pair: int) -> HolePlan:
+        """The route of a hole readout of ``pair`` along ``loop``: whether
+        the loop encloses the pair; the fixed hole, a square diagonal
+        neighbour of ``loop[0]`` off the loop and outside it (None when there
+        is none), and its cut to ``loop[0]``; and each hop of the loop with
+        its ``cut_operator``. Raises ``GeometryError`` for an invalid loop or
+        a hop without a cut operator."""
         lat = self.lat
         encloses_pair = _validate_loop(lat, loop, pair)
+        ops = lat.plaquette_ops
+        hops = tuple((f, g, cut_operator(lat, f, g), ops[f])
+                     for f, g in zip(loop, loop[1:] + loop[:1]))
         for p in lat.plaquettes:
             if p.id in loop or p.kind != "square":
                 continue
             try:
-                cut_operator(lat, p.id, loop[0])
+                z_logical = cut_operator(lat, p.id, loop[0])
             except GeometryError:
                 continue
             if not _loop_encloses(lat, loop, p.ordered_sites[0]):
-                return encloses_pair, p.id
-        return encloses_pair, None
+                return HolePlan(encloses_pair, p.id, z_logical, hops)
+        return HolePlan(encloses_pair, None, None, hops)
 
     @_memo
-    def string_faces(self, string: PauliString) -> list[int]:
-        """Ids of the plaquettes sharing a site with ``string``, sorted."""
+    def direct_plan(self, string: PauliString) -> DirectPlan:
+        """Ids of the plaquettes sharing a site with ``string``, sorted, and
+        the string's single-site operators."""
         sites = string.x | string.z
-        return [k for k, op in enumerate(self.lat.plaquette_ops)
-                if (op.x | op.z) & sites]
+        return DirectPlan(
+            tuple(k for k, op in enumerate(self.lat.plaquette_ops)
+                  if (op.x | op.z) & sites),
+            _site_operators(string))
 
     @_memo
     def loop_decomposition(
-        self, loop: tuple[int, ...], pair: int, encloses_pair: bool,
+        self, loop: tuple[int, ...], pair: int,
         parity_string: PauliString, bracket: PauliString,
     ) -> tuple[list[int], PauliString]:
         """Split the loop operator into factors with readable signs.
@@ -560,8 +609,9 @@ class CodeContext:
         the class needs it) up to its sign.
         """
         n = self.lat.n_sites
-        loop_op = product(self.cut(f, g) for f, g in zip(loop, loop[1:] + loop[:1]))
-        factor = loop_op * parity_string if encloses_pair else loop_op
+        plan = self.hole_plan(loop, pair)
+        loop_op = product(cut for _, _, cut, _ in plan.hops)
+        factor = loop_op * parity_string if plan.encloses_pair else loop_op
         rows = self.lat.stabilizer_matrix() + [_gf2.symplectic_vector(bracket, n)]
         sel = _gf2.solve(rows, _gf2.symplectic_vector(factor, n))
         if sel is None:
@@ -693,16 +743,18 @@ def measure_parity_direct(
             if sign != t.reference_signs.get(pid, sign)
         }
 
-    faces = (code_context(t.lattice).string_faces(string)
-             if t.lattice is not None else ())
+    if t.lattice is not None:
+        faces, sites = code_context(t.lattice).direct_plan(string)
+    else:
+        faces, sites = (), _site_operators(string)
     overlapping = [pid for pid in faces if pid in t.active]
     t.active.difference_update(overlapping)
 
     phase_sign = 1 if string.phase.exponent == 0 else -1
     site_outcomes: dict[int, int] = {}
     partial = 1
-    for site, letter in string.support:
-        lam = t.measure(PauliString.single(site, letter))
+    for site, op in sites:
+        lam = t.measure(op)
         site_outcomes[site] = lam
         partial *= lam
     outcome = phase_sign * partial
@@ -727,6 +779,12 @@ def measure_parity_direct(
             if sign != t.reference_signs.get(pid, sign)
         }
     return DirectParityResult(outcome, site_outcomes, repaired, flags)
+
+
+def _site_operators(string: PauliString) -> tuple[tuple[int, PauliString], ...]:
+    """Each site of ``string`` with its letter as a single-site operator."""
+    return tuple((site, PauliString.single(site, letter))
+                 for site, letter in string.support)
 
 
 # -- hole-based parity measurement --------------------------------------------
@@ -846,14 +904,15 @@ def measure_parity_hole(
     if lat is None:
         raise ValueError("tableau carries no lattice")
     ctx = code_context(lat)
-    encloses_pair, anchor = ctx.hole_plan(loop, pair)
+    loop = tuple(loop)
+    plan = ctx.hole_plan(loop, pair)
     parity_string = t.logicals.get(f"parity_{2 * pair}_{2 * pair + 1}")
     if parity_string is None:
         raise ValueError(f"pair {pair} has no registered parity string")
+    anchor, z_logical = plan.anchor, plan.z_logical
     if anchor is None:
         raise GeometryError("no anchor face available next to the loop")
 
-    z_logical = ctx.cut(anchor, loop[0])
     ops = lat.plaquette_ops
     hole = HolePair(anchor, loop[0], z_logical, ops[anchor])
 
@@ -861,11 +920,10 @@ def measure_parity_hole(
     z1 = t.measure(z_logical)
 
     lam_product = 1
-    for i in range(len(loop)):
-        f, g = loop[i], loop[(i + 1) % len(loop)]
+    for f, g, cut, face in plan.hops:
         t.active.discard(g)            # extend the hole onto the next face
-        lam_product *= t.measure(ctx.cut(f, g))
-        t.reference_signs[f] = t.measure(ops[f])  # heal vacated face
+        lam_product *= t.measure(cut)
+        t.reference_signs[f] = t.measure(face)  # heal vacated face
         t.active.add(f)
 
     z2 = t.measure(z_logical)
@@ -874,8 +932,7 @@ def measure_parity_hole(
     # times a product of plaquettes and the bracket, whose sign the state
     # fixes; read it.
     bracket = t.logicals.get(f"bracket_{pair}", PauliString.identity())
-    faces, factor = ctx.loop_decomposition(
-        loop, pair, encloses_pair, parity_string, bracket)
+    faces, factor = ctx.loop_decomposition(loop, pair, parity_string, bracket)
     if not t.active.issuperset(faces):
         raise GeometryError("loop decomposition touches an open hole")
     sign = t.expectation_sign(factor)

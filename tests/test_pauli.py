@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from twistsim.dense import pauli_matrix
 from twistsim.pauli import PauliString, Phase
@@ -104,6 +105,21 @@ def test_rendering_and_parsing_round_trip():
     assert PauliString.from_str(text) == p
     assert str(PauliString.identity()) == "1"
     assert PauliString.from_str("-i·X3") == PauliString.single(3, "X", 3)
+
+
+@given(x=st.integers(0, 2**140 - 1), z=st.integers(0, 2**140 - 1),
+       exponent=st.integers(0, 3))
+@example(x=0, z=0, exponent=0)
+@example(x=0, z=0, exponent=1)
+@example(x=0, z=0, exponent=2)
+@example(x=0, z=0, exponent=3)
+def test_rendering_reads_the_rows_as_support_does(x, z, exponent):
+    p = PauliString.from_bits(x, z, exponent)
+    text = str(p)
+    assert "support" not in p.__dict__  # rendered from the rows
+    body = " ".join(f"{letter}{site}" for site, letter in p.support) or "1"
+    assert text == {0: "", 1: "i·", 2: "-", 3: "-i·"}[exponent] + body
+    assert PauliString.from_str(text) == p
 
 
 def test_hermiticity_and_dagger():

@@ -287,10 +287,10 @@ def diamond_readouts(draw):
     try:
         lat = build_lattice(width, height, segments)
         loop = diamond_loop(lat, pair, draw(st.integers(2, fit)))
-        encloses_pair, anchor = code_context(lat).hole_plan(loop, pair)
+        plan = code_context(lat).hole_plan(loop, pair)
     except GeometryError:  # overlapping segments, or a loop that does not fit
         assume(False)
-    assume(encloses_pair and anchor is not None)
+    assume(plan.encloses_pair and plan.anchor is not None)
     return lat, pair, loop
 
 
@@ -470,12 +470,45 @@ def test_filled_code_context_releases_its_lattice():
     assert memos == {f"_memo_{name}" for name in (
         "raw_parity_string", "raw_bracket_string", "parity_string",
         "bracket_string", "x_logical", "ground", "_face_flip",
-        "_independent_logicals", "cut", "hole_plan", "string_faces",
+        "_independent_logicals", "hole_plan", "direct_plan",
         "loop_decomposition")}
     ref = weakref.ref(lat)
     del lat, ctx, t
     gc.collect()
     assert ref() is None
+
+
+def test_plan_memos_are_per_lattice_and_die_with_it():
+    # the (5,5,8) and (5,5,7) lattices give the diamond loop the same face
+    # ids and the same hole route, but the loop's factor and the faces the
+    # parity string touches differ: a plan keyed on the loop or the string
+    # alone would read one lattice's values on the other
+    lats = [build_lattice(14, 12, [segment]) for segment in ((5, 5, 8), (5, 5, 7))]
+    loop = tuple(diamond_loop(lats[0], 0, 3))
+    assert tuple(diamond_loop(lats[1], 0, 3)) == loop
+    ctxs = [code_context(lat) for lat in lats]
+    strings = [(ctx.parity_string(0, 1), ctx.bracket_string(0)) for ctx in ctxs]
+    routes = [ctx.hole_plan(loop, 0) for ctx in ctxs]
+    factors = [ctx.loop_decomposition(loop, 0, *pair)[1]
+               for ctx, pair in zip(ctxs, strings)]
+    directs = [ctx.direct_plan(pair[0]) for ctx, pair in zip(ctxs, strings)]
+    assert routes[0] == routes[1] and routes[0] is not routes[1]
+    assert factors[0] != factors[1]
+    assert directs[0].faces != directs[1].faces
+    for segment, route, factor, direct in zip(((5, 5, 8), (5, 5, 7)), routes,
+                                               factors, directs):
+        fresh = code_context(build_lattice(14, 12, [segment]))
+        pair = fresh.parity_string(0, 1), fresh.bracket_string(0)
+        assert fresh.hole_plan(loop, 0) == route
+        assert fresh.loop_decomposition(loop, 0, *pair)[1] == factor
+        assert fresh.direct_plan(pair[0]) == direct
+    # one lattice's plans die with it; the other's stay
+    ref = weakref.ref(lats[0])
+    del lats[0], ctxs[0]
+    gc.collect()
+    assert ref() is None
+    assert ctxs[0].hole_plan(loop, 0) is routes[1]
+    assert ctxs[0].direct_plan(strings[1][0]) is directs[1]
 
 
 def test_memo_keys_a_list_argument_as_its_tuple():
@@ -829,6 +862,55 @@ def test_copies_share_rows_but_not_signs():
         sibling.measure(p)
     assert (base.to_text(), first.to_text()) == (texts[0], after)
     assert all(a is b for a, b in zip(_row_lists(first), _row_lists(sibling)))
+
+
+def test_copy_clones_the_generator_with_its_buffered_half():
+    t = Tableau.zero_state(3, seed=11)
+    for _ in range(3):  # an odd number of bits: half a 64-bit word is buffered
+        t.rng.integers(2)
+    assert t.rng.bit_generator.state["has_uint32"] == 1
+    c = t.copy()
+    assert c.rng.bit_generator.seed_seq is t.rng.bit_generator.seed_seq
+    assert c.rng.bit_generator.state == t.rng.bit_generator.state
+    ahead = [int(t.rng.integers(2)) for _ in range(65)]
+    assert c.rng.bit_generator.state != t.rng.bit_generator.state
+    assert [int(c.rng.integers(2)) for _ in range(65)] == ahead
+    # draws on the copy do not move the original, nor the original's the copy
+    state = t.rng.bit_generator.state
+    c.rng.integers(2, size=7)
+    assert t.rng.bit_generator.state == state
+    # measurements draw the same outcomes from both
+    t2 = t.copy()
+    ops = [PauliString.single(q, "X") for q in range(3)]
+    assert [t.measure(p) for p in ops] == [t2.measure(p) for p in ops]
+    assert t.last_random and t2.last_random
+
+
+def _per_row_text(t: Tableau) -> str:
+    """``to_text`` row by row, each letter read from ``row_operator``."""
+    lines = [f"twistsim-tableau v1 n={t.n}"]
+    for i in range(2 * t.n):
+        row = t.row_operator(i)
+        lines.append(("D" if i < t.n else "S") + ("-" if row.phase.exponent else "+")
+                     + "".join(row.letter_at(j) or "I" for j in range(t.n)))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n", [1, 5, 8, 13, 64, 67])
+def test_to_text_matches_the_per_row_rendering(n):
+    rng = np.random.default_rng(n)
+    t = Tableau.zero_state(n, seed=n)
+    assert t.to_text() == _per_row_text(t)
+    for step in range(12):
+        p = _sparse_string(rng, n)
+        if step % 3 == 2:
+            t.apply_pauli(p)
+        else:
+            t.measure(p)
+        if step == 5:
+            t = t.copy()  # rows shared from here on
+        assert t.to_text() == _per_row_text(t), step
+    assert Tableau.from_text(t.to_text()).to_text() == t.to_text()
 
 
 def test_lattice_backend_owns_its_rows():
