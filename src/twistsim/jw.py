@@ -163,10 +163,12 @@ def snake_order(width: int, height: int) -> tuple[int, ...]:
 def default_path(lat: TwistLattice, pair: int | None = None) -> JWPath:
     """Boustrophedon path; with ``pair`` given, adds the boundary letter-swaps
     at the two path-turn sites between that pair's twists so the pair's parity
-    string avoids a residual two-letter tail at the turn."""
+    string avoids a residual two-letter tail at the turn. Raises ``KeyError``
+    for a pair outside 0..n_pairs-1."""
     order = snake_order(lat.width, lat.height)
     substitutions: dict[int, str] = {}
     if pair is not None:
+        lat.twist_pair(pair)
         seg = lat.segments[pair]
         r, w = seg.row, lat.width
         if r % 2 == 0:  # row r runs left->right, turn at the right boundary
@@ -357,7 +359,9 @@ def bracket_parity(
     the disorder-string mismatch of the enclosed region. Pinning it at
     initialization makes the loop readout reproduce the pair parity.
     ``modes`` are the path's twist modes, derived here when not given.
+    Raises ``KeyError`` for a pair outside 0..n_pairs-1.
     """
+    lat.twist_pair(pair)
     seg = lat.segments[pair]
     col = lat.width - 1 if seg.row % 2 else 0
     if modes is None:

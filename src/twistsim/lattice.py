@@ -281,10 +281,12 @@ def twist_logicals(
     Z_logical is the stabilizer-reduced spin form of the pair's Majorana
     parity. X_logical is found by a symplectic solve: it commutes with every
     plaquette and with the other pairs' logicals, anticommutes with this
-    pair's Z_logical, and is then weight-reduced.
+    pair's Z_logical, and is then weight-reduced. Raises ``KeyError`` outside
+    0..n_pairs-1.
     """
     from .tableau import code_context  # local import: tableau builds on this module
 
+    lat.twist_pair(pair_index)
     ctx = code_context(lat)
     return ctx.z_logicals[pair_index], ctx.x_logical(pair_index)
 

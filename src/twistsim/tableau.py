@@ -4,10 +4,13 @@ The tableau carries n destabilizer and n stabilizer rows (binary symplectic
 vectors plus a sign bit). On top of the generic simulator this module
 implements the code-level machinery: ground-state preparation with pinned
 twist-pair parities, the direct (turn-off-and-measure) parity readout, and
-the indirect readout that drags a hole around the twists. The plaquette
+the indirect readout that drags a hole around the twists. Each readout runs
+on a ``Tableau.copy`` of the ground, which owns only what a shot changes: its
+signs, its registered logicals and its Pauli frame. Which faces a readout
+switches off is the readout's geometry, not tableau state. The plaquette
 operators are the lattice's own (``TwistLattice.plaquette_ops``); what these
-operations derive from them through ``jw`` or a tableau lives in the
-lattice's ``CodeContext``.
+operations derive from them through ``jw`` or a tableau, the readouts'
+geometry included, lives in the lattice's ``CodeContext``.
 """
 
 from __future__ import annotations
@@ -97,7 +100,7 @@ class _Random(NamedTuple):
 
 
 class Tableau:
-    """Stabilizer state of ``n`` qubits plus code-level bookkeeping.
+    """Stabilizer state of ``n`` qubits, its signs and its Pauli frame.
 
     Rows ``x`` and ``z`` are lists of 2n Python integers, bit ``j`` for site
     ``j``; ``cx`` and ``cz`` hold the same bits by site, bit ``i`` for row
@@ -109,10 +112,12 @@ class Tableau:
     place; ``copy`` makes the copy and the original share them instead (see
     ``_SharedRows``), and ``spread`` takes them back.
 
-    ``active`` is the set of plaquette ids currently enforced by the code
-    cycle; disabling a stabilizer is bookkeeping only and never touches the
-    quantum state. ``last_random`` tells whether the latest ``measure`` had a
-    random outcome (probability 1/2) rather than a fixed one.
+    Besides its stabilizer state a tableau carries only its registered
+    ``logicals`` and its Pauli frame, ``reference_signs``. Its generator
+    ``rng`` draws the random outcomes of ``measure``; a copy shares it, so a
+    caller that wants a separate stream sets ``rng`` on the copy.
+    ``last_random`` tells whether the latest ``measure`` had a random outcome
+    (probability 1/2) rather than a fixed one.
     """
 
     def __init__(self, n: int, rng: np.random.Generator):
@@ -129,7 +134,6 @@ class Tableau:
         self.rng = rng
         self.last_random = False
         self.lattice: TwistLattice | None = None
-        self.active: set[int] = set()
         self.logicals: dict[str, PauliString] = {}
         # last deliberately recorded sign of each stabilizer (the Pauli frame)
         self.reference_signs: dict[int, int] = {}
@@ -141,21 +145,14 @@ class Tableau:
         return cls(n, rng)
 
     def copy(self) -> "Tableau":
-        """Independent signs and registries; the generator continues from the
-        same state. The lattice is shared, and so are the x/z rows, which
-        neither tableau writes from then on (``_SharedRows``)."""
+        """Independent signs and registries. The lattice and the generator are
+        shared, and so are the x/z rows, which neither tableau writes from
+        then on (``_SharedRows``)."""
         if self._shared is None:
             self._shared = _SharedRows(self.x, self.z, self.cx, self.cz, _Family())
         out = object.__new__(type(self))
         out.__dict__.update(self.__dict__)
-        # the same seed sequence and state, the buffered 32-bit half included,
-        # without the pickle round trip of ``copy.copy``
-        bits = self.rng.bit_generator
-        clone = type(bits)(bits.seed_seq)
-        clone.state = bits.state
-        out.rng = np.random.Generator(clone)
         out.r = list(self.r)
-        out.active = set(self.active)
         out.logicals = dict(self.logicals)
         out.reference_signs = dict(self.reference_signs)
         return out
@@ -365,13 +362,24 @@ class Tableau:
 
     @classmethod
     def from_text(cls, text: str, seed: int = 0) -> "Tableau":
-        lines = text.strip().splitlines()
+        """The tableau ``to_text`` wrote; raises ``ValueError`` unless the
+        text has 2n rows, n D rows then n S rows, each a sign of + or - and n
+        letters of IXYZ."""
+        lines = text.strip().splitlines() or [""]
         header = lines[0].split()
-        if header[0] != "twistsim-tableau" or header[1] != "v1":
+        if header[:2] != ["twistsim-tableau", "v1"] or len(header) != 3 \
+                or not header[2].startswith("n="):
             raise ValueError(f"unsupported tableau format: {lines[0]!r}")
-        n = int(header[2].split("=")[1])
+        n = int(header[2][2:])
+        if len(lines) != 2 * n + 1:
+            raise ValueError(f"a tableau of n={n} has {2 * n} rows, not {len(lines) - 1}")
         t = cls.zero_state(n, seed)
         for i, line in enumerate(lines[1:]):
+            kind = "D" if i < n else "S"
+            if len(line) != n + 2 or line[0] != kind or line[1] not in "+-" \
+                    or line[2:].strip("IXYZ"):
+                raise ValueError(f"row {i} is not {kind}, a sign and {n} letters "
+                                 f"of IXYZ: {line!r}")
             t.r[i] = int(line[1] == "-")
             letters = line[:1:-1]            # site 0 last: the lowest bit
             _kernels.set_row(t.x, t.cx, i, int("0" + letters.translate(_X_BITS), 2))
@@ -383,13 +391,12 @@ class Tableau:
 
 
 def _memo(method):
-    """Cache ``method`` per instance, keyed on its positional arguments, each
-    list among them as its tuple, which the method then receives. The entries
-    live in the instance's ``__dict__`` under ``_memo_<name>``, a key the
-    method's own name never shadows, so they die with the instance
-    (``functools.lru_cache`` would keep every instance alive in a class-level
-    cache). A hit costs two dictionary lookups; a list argument, which cannot
-    be a key, costs its conversion, so hot callers pass tuples."""
+    """Cache ``method`` per instance, keyed on its positional arguments, which
+    must be hashable (a loop is a tuple, not a list). The entries live in the
+    instance's ``__dict__`` under ``_memo_<name>``, a key the method's own
+    name never shadows, so they die with the instance (``functools.lru_cache``
+    would keep every instance alive in a class-level cache). A hit costs two
+    dictionary lookups."""
     slot = f"_memo_{method.__name__}"
 
     @wraps(method)
@@ -401,10 +408,6 @@ def _memo(method):
             return memo[args]
         except KeyError:
             pass
-        except TypeError:  # unhashable: key each list as its tuple
-            args = tuple(tuple(a) if isinstance(a, list) else a for a in args)
-            if args in memo:
-                return memo[args]
         out = memo[args] = method(self, *args)
         return out
 
@@ -516,7 +519,9 @@ class CodeContext:
     @_memo
     def x_logical(self, pair: int) -> PauliString:
         """Weight-reduced conjugate of ``z_logicals[pair]``: it commutes with
-        every plaquette and every other pair's Z logical."""
+        every plaquette and every other pair's Z logical. Raises
+        ``KeyError`` outside 0..n_pairs-1."""
+        self.lat.twist_pair(pair)
         n = self.lat.n_sites
         constraints = [(v, 0) for v in self.lat.stabilizer_matrix()]
         for j, z in enumerate(self.z_logicals):
@@ -660,7 +665,6 @@ def _pinned_ground(lat, seed, pinned_pairs, parity_string, bracket_string) -> Ta
     an earlier pin, whose sign it would randomize."""
     t = Tableau.zero_state(lat.n_sites, seed)
     t.lattice = lat
-    t.active = {p.id for p in lat.plaquettes}
 
     generators: list[tuple[PauliString, int]] = [
         (op, +1) for op in lat.plaquette_ops
@@ -704,10 +708,12 @@ def _pinned_ground(lat, seed, pinned_pairs, parity_string, bracket_string) -> Ta
 
 
 def syndrome(t: Tableau) -> dict[int, int]:
-    """Deterministic sign of every active plaquette stabilizer."""
+    """Sign of every plaquette stabilizer of the tableau's lattice, 0 where it
+    is random; empty without a lattice."""
+    ops = () if t.lattice is None else t.lattice.plaquette_ops
     out = {}
-    for pid in sorted(t.active):
-        sign = t.expectation_sign(t.lattice.plaquette_ops[pid])
+    for pid, op in enumerate(ops):
+        sign = t.expectation_sign(op)
         out[pid] = 0 if sign is None else sign
     return out
 
@@ -727,11 +733,12 @@ def measure_parity_direct(
 ) -> DirectParityResult:
     """Measure a parity string by single-site measurements of its letters.
 
-    Stabilizers overlapping the string are switched off, each letter is
-    measured individually, their product (times the string's sign) is the
-    parity, and the stabilizers are re-measured afterwards. The parity is a
-    quantum non-demolition readout: the string commutes with every plaquette,
-    so re-enabling cannot change it.
+    The stabilizers overlapping the string (``CodeContext.direct_plan``)
+    are switched off, each letter is measured individually, their product
+    (times the string's sign) is the parity, and the stabilizers are
+    re-measured afterwards. The parity is a quantum non-demolition readout:
+    the string commutes with every plaquette, so re-enabling cannot change
+    it.
     """
     if not string.is_hermitian:
         raise ValueError("parity string must be Hermitian")
@@ -747,8 +754,6 @@ def measure_parity_direct(
         faces, sites = code_context(t.lattice).direct_plan(string)
     else:
         faces, sites = (), _site_operators(string)
-    overlapping = [pid for pid in faces if pid in t.active]
-    t.active.difference_update(overlapping)
 
     phase_sign = 1 if string.phase.exponent == 0 else -1
     site_outcomes: dict[int, int] = {}
@@ -759,17 +764,13 @@ def measure_parity_direct(
         partial *= lam
     outcome = phase_sign * partial
 
-    repaired: dict[int, int] = {}
-    for pid in overlapping:
-        repaired[pid] = t.measure(t.lattice.plaquette_ops[pid])
-        t.active.add(pid)
+    repaired = {pid: t.measure(t.lattice.plaquette_ops[pid]) for pid in faces}
     # restore the Pauli frame: push every re-measured stabilizer back to +1
     # with flip operators chosen to commute with all registered logicals, so
     # spectator parities keep their meaning across repeated readouts.
     for pid, sign in repaired.items():
         if sign == -1:
             t.apply_pauli(code_context(t.lattice).face_flip(pid, t.logicals))
-    for pid in overlapping:
         t.reference_signs[pid] = 1
 
     if check_syndrome:
@@ -788,14 +789,6 @@ def _site_operators(string: PauliString) -> tuple[tuple[int, PauliString], ...]:
 
 
 # -- hole-based parity measurement --------------------------------------------
-
-
-@dataclass
-class HolePair:
-    anchor: int              # plaquette id of the fixed hole
-    mobile: int              # plaquette id of the moving hole
-    z_logical: PauliString   # chain connecting the two holes
-    x_logical: PauliString   # the anchor hole's stabilizer
 
 
 def cut_operator(lat: TwistLattice, f1: int, f2: int) -> PauliString:
@@ -820,6 +813,7 @@ def cut_operator(lat: TwistLattice, f1: int, f2: int) -> PauliString:
 
 def diamond_loop(lat: TwistLattice, pair: int, radius: int) -> list[int]:
     """Closed staircase loop of same-colour faces around a twist pair."""
+    lat.twist_pair(pair)  # raises KeyError outside 0..n_pairs-1
     seg = lat.segments[pair]
     center_r = seg.row
     center_c = (seg.col_start + seg.col_end) // 2
@@ -892,13 +886,16 @@ def _validate_loop(lat: TwistLattice, loop: list[int], pair: int) -> bool:
 
 def measure_parity_hole(
     t: Tableau, pair: int, loop: list[int]
-) -> tuple[int, HolePair]:
+) -> tuple[int, HolePlan]:
     """Parity readout by braiding a measurement hole around the twist pair.
 
-    Creates a two-hole ancilla qubit next to the loop, measures its connecting
+    Creates a two-hole ancilla qubit next to the loop, the fixed hole at the
+    plan's anchor and the mobile one at ``loop[0]``, measures its connecting
     logical, drags the mobile hole once around the loop (extend with the edge
     operator, heal the vacated stabilizer, tracking every sign), re-measures
     the logical, and combines the record into the enclosed pair parity.
+    Returns the parity and the route, ``CodeContext.hole_plan``. Every
+    refusal of the geometry comes before the first measurement.
     """
     lat = t.lattice
     if lat is None:
@@ -909,42 +906,34 @@ def measure_parity_hole(
     parity_string = t.logicals.get(f"parity_{2 * pair}_{2 * pair + 1}")
     if parity_string is None:
         raise ValueError(f"pair {pair} has no registered parity string")
-    anchor, z_logical = plan.anchor, plan.z_logical
+    anchor, mobile, z_logical = plan.anchor, loop[0], plan.z_logical
     if anchor is None:
         raise GeometryError("no anchor face available next to the loop")
-
-    ops = lat.plaquette_ops
-    hole = HolePair(anchor, loop[0], z_logical, ops[anchor])
-
-    t.active -= {anchor, loop[0]}
-    z1 = t.measure(z_logical)
-
-    lam_product = 1
-    for f, g, cut, face in plan.hops:
-        t.active.discard(g)            # extend the hole onto the next face
-        lam_product *= t.measure(cut)
-        t.reference_signs[f] = t.measure(face)  # heal vacated face
-        t.active.add(f)
-
-    z2 = t.measure(z_logical)
-
     # the loop operator (product of the cut operators) is the pair parity
     # times a product of plaquettes and the bracket, whose sign the state
-    # fixes; read it.
+    # fixes once the hole is back at loop[0]; none of those plaquettes may be
+    # one of the two holes.
     bracket = t.logicals.get(f"bracket_{pair}", PauliString.identity())
     faces, factor = ctx.loop_decomposition(loop, pair, parity_string, bracket)
-    if not t.active.issuperset(faces):
+    if anchor in faces or mobile in faces:
         raise GeometryError("loop decomposition touches an open hole")
+
+    z1 = t.measure(z_logical)
+    lam_product = 1
+    for f, _, cut, face in plan.hops:
+        lam_product *= t.measure(cut)  # extend the hole onto the next face
+        t.reference_signs[f] = t.measure(face)  # heal vacated face
+    z2 = t.measure(z_logical)
+
     sign = t.expectation_sign(factor)
     if sign is None:
         raise InconsistentOutcomeError(
             "loop readout needs a fixed edge bracket; state has none"
         )
-
     outcome = z1 * z2 * lam_product * sign
 
-    # close the holes: re-measure and re-enable both hole stabilizers
-    t.reference_signs[hole.mobile] = t.measure(ops[hole.mobile])
-    t.reference_signs[hole.anchor] = t.measure(ops[hole.anchor])
-    t.active |= {hole.anchor, hole.mobile}
-    return outcome, hole
+    # close the holes: re-measure both hole stabilizers
+    ops = lat.plaquette_ops
+    t.reference_signs[mobile] = t.measure(ops[mobile])
+    t.reference_signs[anchor] = t.measure(ops[anchor])
+    return outcome, plan

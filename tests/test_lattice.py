@@ -15,7 +15,7 @@ from twistsim.lattice import (GeometryError, Segment, SizeError, build_lattice,
                               lattice_spec_dumps, lattice_spec_loads,
                               plaquette_operator, twist_logicals)
 from twistsim.pauli import PauliString
-from twistsim.tableau import code_context, init_ground, syndrome
+from twistsim.tableau import code_context, diamond_loop, init_ground, syndrome
 
 rng = np.random.default_rng(7)
 
@@ -305,6 +305,27 @@ def test_unknown_pair_rejected():
     lat = build_lattice(8, 6, [(1, 2, 5)])
     with pytest.raises(KeyError):
         lat.twist_pair(3)
+
+
+PAIR_READERS = [
+    pytest.param(twist_logicals, id="twist_logicals"),
+    pytest.param(lambda lat, pair: code_context(lat).x_logical(pair), id="x_logical"),
+    pytest.param(lambda lat, pair: diamond_loop(lat, pair, 3), id="diamond_loop"),
+    pytest.param(jw.default_path, id="default_path"),
+    pytest.param(lambda lat, pair: jw.bracket_parity(lat, jw.default_path(lat), pair),
+                 id="bracket_parity"),
+]
+
+
+@pytest.mark.parametrize("reader", PAIR_READERS)
+@pytest.mark.parametrize("pair", [-1, 1])
+def test_every_pair_reader_refuses_an_unknown_pair(reader, pair):
+    # the 14x12 (5,5,8) lattice has one pair; -1 used to wrap to it, and
+    # twist_logicals read the identity as its X logical
+    lat = build_lattice(14, 12, [(5, 5, 8)])
+    with pytest.raises(KeyError, match=f"unknown twist pair {pair}"):
+        reader(lat, pair)
+    assert not getattr(code_context(lat), "_memo_x_logical", {})
 
 
 def test_lattice_spec_round_trip():

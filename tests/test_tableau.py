@@ -257,10 +257,10 @@ def test_hole_readout_matches_direct():
         if seed % 2:
             t.apply_pauli(x_logical)
         t2 = t.copy()
-        out_hole, hole = measure_parity_hole(t, 0, loop)
+        out_hole, plan = measure_parity_hole(t, 0, loop)
         out_direct = measure_parity_direct(t2, t2.logicals["parity_0_1"]).outcome
         assert out_hole == out_direct
-        assert not hole.z_logical.commutes_with(hole.x_logical)
+        assert not plan.z_logical.commutes_with(lat.plaquette_ops[plan.anchor])
         # repeatable
         out2, _ = measure_parity_hole(t, 0, loop)
         assert out2 == out_hole
@@ -287,7 +287,7 @@ def diamond_readouts(draw):
     try:
         lat = build_lattice(width, height, segments)
         loop = diamond_loop(lat, pair, draw(st.integers(2, fit)))
-        plan = code_context(lat).hole_plan(loop, pair)
+        plan = code_context(lat).hole_plan(tuple(loop), pair)
     except GeometryError:  # overlapping segments, or a loop that does not fit
         assume(False)
     assume(plan.encloses_pair and plan.anchor is not None)
@@ -348,6 +348,27 @@ def test_serialization_round_trip():
     again = Tableau.from_text(text)
     assert again.to_text() == text
     assert text.startswith("twistsim-tableau v1")
+
+
+_TEXT = "twistsim-tableau v1 n=2\nD+XI\nD-IX\nS+ZI\nS+IZ\n"
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param(_TEXT.replace("S+IZ\n", ""), id="missing_row"),
+    pytest.param(_TEXT + "S+ZZ\n", id="extra_row"),
+    pytest.param(_TEXT.replace("D-IX", "D-X"), id="short_row"),
+    pytest.param(_TEXT.replace("D-IX", "D-IXZ"), id="long_row"),
+    pytest.param(_TEXT.replace("D-IX", "D*IX"), id="bad_sign"),
+    pytest.param(_TEXT.replace("S+ZI", "S+ZQ"), id="bad_letter"),
+    pytest.param(_TEXT.replace("D+XI", "S+XI"), id="S_row_first"),
+    pytest.param(_TEXT.replace("S+IZ", "D+IZ"), id="D_row_last"),
+    pytest.param(_TEXT.replace("n=2", "2"), id="bad_header"),
+    pytest.param("", id="empty"),
+])
+def test_malformed_text_is_refused(text):
+    assert Tableau.from_text(_TEXT).to_text() == _TEXT
+    with pytest.raises(ValueError):
+        Tableau.from_text(text)
 
 
 def test_hole_readout_on_a_second_lattice():
@@ -511,13 +532,37 @@ def test_plan_memos_are_per_lattice_and_die_with_it():
     assert ctxs[0].direct_plan(strings[1][0]) is directs[1]
 
 
-def test_memo_keys_a_list_argument_as_its_tuple():
+def test_memo_keys_on_the_positional_arguments():
     lat = build_lattice(14, 12, [(5, 5, 8)])
     ctx = code_context(lat)
     loop = tuple(diamond_loop(lat, 0, 3))
-    plan = ctx.hole_plan(list(loop), 0)
-    assert ctx.hole_plan(loop, 0) is plan
+    plan = ctx.hole_plan(loop, 0)
+    assert ctx.hole_plan(tuple(loop), 0) is plan
     assert list(ctx._memo_hole_plan) == [(loop, 0)]
+    with pytest.raises(TypeError, match="unhashable"):  # a list is no key
+        ctx.hole_plan(list(loop), 0)
+
+
+def test_hole_readout_returns_its_memoized_plan():
+    lat = build_lattice(14, 12, [(5, 5, 8)])
+    loop = diamond_loop(lat, 0, 3)
+    out, plan = measure_parity_hole(init_ground(lat, seed=0), 0, loop)
+    assert out in (-1, 1)
+    assert plan is code_context(lat).hole_plan(tuple(loop), 0)
+
+
+def test_a_refused_hole_readout_leaves_the_tableau_untouched():
+    # with the X logical as the pair's bracket the loop operator is in no
+    # class the decomposition knows; the readout refuses it before it
+    # measures anything
+    lat = build_lattice(14, 12, [(5, 5, 8)])
+    loop = diamond_loop(lat, 0, 3)
+    t = init_ground(lat, seed=0)
+    t.logicals["bracket_0"] = twist_logicals(lat, 0)[1]
+    before = (t.to_text(), dict(t.reference_signs), t.rng.bit_generator.state)
+    with pytest.raises(GeometryError, match="expected logical class"):
+        measure_parity_hole(t, 0, loop)
+    assert (t.to_text(), t.reference_signs, t.rng.bit_generator.state) == before
 
 
 def test_deterministic_expectation_sign_reads_without_copying(monkeypatch):
@@ -528,8 +573,7 @@ def test_deterministic_expectation_sign_reads_without_copying(monkeypatch):
     queries.append(queries[-1].negate())
     expected = [t.copy().measure(q) for q in queries]
     before = (list(t.x), list(t.z), list(t.cx), list(t.cz), list(t.r),
-              set(t.active), dict(t.logicals), dict(t.reference_signs),
-              t.rng.bit_generator.state)
+              dict(t.logicals), dict(t.reference_signs), t.rng.bit_generator.state)
 
     copies = []
     original = Tableau.copy
@@ -541,7 +585,7 @@ def test_deterministic_expectation_sign_reads_without_copying(monkeypatch):
 
     assert copies == []
     assert signs == expected and None not in signs
-    after = (t.x, t.z, t.cx, t.cz, t.r, t.active, t.logicals, t.reference_signs,
+    after = (t.x, t.z, t.cx, t.cz, t.r, t.logicals, t.reference_signs,
              t.rng.bit_generator.state)
     assert after == before
 
@@ -864,26 +908,24 @@ def test_copies_share_rows_but_not_signs():
     assert all(a is b for a, b in zip(_row_lists(first), _row_lists(sibling)))
 
 
-def test_copy_clones_the_generator_with_its_buffered_half():
+def test_copy_shares_the_generator_until_one_is_set():
     t = Tableau.zero_state(3, seed=11)
-    for _ in range(3):  # an odd number of bits: half a 64-bit word is buffered
-        t.rng.integers(2)
-    assert t.rng.bit_generator.state["has_uint32"] == 1
     c = t.copy()
-    assert c.rng.bit_generator.seed_seq is t.rng.bit_generator.seed_seq
-    assert c.rng.bit_generator.state == t.rng.bit_generator.state
-    ahead = [int(t.rng.integers(2)) for _ in range(65)]
-    assert c.rng.bit_generator.state != t.rng.bit_generator.state
-    assert [int(c.rng.integers(2)) for _ in range(65)] == ahead
-    # draws on the copy do not move the original, nor the original's the copy
+    assert c.rng is t.rng
+    # a random measurement on either draws from the one stream
     state = t.rng.bit_generator.state
-    c.rng.integers(2, size=7)
-    assert t.rng.bit_generator.state == state
-    # measurements draw the same outcomes from both
-    t2 = t.copy()
-    ops = [PauliString.single(q, "X") for q in range(3)]
-    assert [t.measure(p) for p in ops] == [t2.measure(p) for p in ops]
-    assert t.last_random and t2.last_random
+    c.measure(PauliString.single(0, "X"))
+    assert c.last_random and t.rng.bit_generator.state != state
+    state = c.rng.bit_generator.state
+    t.measure(PauliString.single(1, "X"))
+    assert t.last_random and c.rng.bit_generator.state != state
+    # a generator set on the copy separates them
+    c.rng = np.random.default_rng(12)
+    state = t.rng.bit_generator.state
+    c.measure(PauliString.single(2, "X"))
+    assert c.last_random and t.rng.bit_generator.state == state
+    t.measure(PauliString.single(2, "X"))
+    assert t.last_random and c.rng.bit_generator.state != state
 
 
 def _per_row_text(t: Tableau) -> str:
