@@ -738,7 +738,8 @@ def measure_parity_direct(
     (times the string's sign) is the parity, and the stabilizers are
     re-measured afterwards. The parity is a quantum non-demolition readout:
     the string commutes with every plaquette, so re-enabling cannot change
-    it.
+    it, and the flips that push a -1 face back to +1 commute with the string,
+    registered or not, so the tableau is left at the returned outcome.
     """
     if not string.is_hermitian:
         raise ValueError("parity string must be Hermitian")
@@ -767,10 +768,16 @@ def measure_parity_direct(
     repaired = {pid: t.measure(t.lattice.plaquette_ops[pid]) for pid in faces}
     # restore the Pauli frame: push every re-measured stabilizer back to +1
     # with flip operators chosen to commute with all registered logicals, so
-    # spectator parities keep their meaning across repeated readouts.
+    # spectator parities keep their meaning across repeated readouts, and
+    # with the string just read, so the tableau keeps its outcome. Unless
+    # registered, the string goes first (key ""), so it is the one
+    # ``_independent_logicals`` keeps when a registered one depends on it.
+    logicals = t.logicals
     for pid, sign in repaired.items():
         if sign == -1:
-            t.apply_pauli(code_context(t.lattice).face_flip(pid, t.logicals))
+            if string not in logicals.values():
+                logicals = {**logicals, "": string}
+            t.apply_pauli(code_context(t.lattice).face_flip(pid, logicals))
         t.reference_signs[pid] = 1
 
     if check_syndrome:

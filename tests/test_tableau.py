@@ -1,6 +1,6 @@
 import gc
 import weakref
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -204,6 +204,27 @@ def test_direct_parity_restores_the_frame():
     t = init_ground(lat, seed=3)
     measure_parity_direct(t, t.logicals["parity_0_1"])
     assert all(v == 1 for v in syndrome(t).values())
+
+
+@pytest.mark.parametrize("registered", ["reduced", "raw"])
+def test_direct_parity_leaves_every_pair_string_at_its_outcome(registered):
+    # the ground registers three of the fifteen reduced pair strings
+    # (init_ground) or none of them (the raw strings, CodeContext.ground); the
+    # frame repair must commute with the string read, registered or not
+    lat = build_lattice(8, 12, [(r, 2, 4) for r in (2, 5, 8)])
+    ctx = code_context(lat)
+    pins = tuple((a - 1, b - 1, mbb.parity_sign_for((a, b), 6))
+                 for a, b in mbb.START_PAIRINGS[6])
+    ground = init_ground(lat, 0, list(pins)) if registered == "reduced" \
+        else ctx.ground(pins)
+    for a, b in combinations(range(6), 2):
+        string = ctx.parity_string(a, b)
+        for seed in range(20):
+            t = ground.copy()
+            t.rng = np.random.default_rng(seed)
+            res = measure_parity_direct(t, string)
+            assert t.expectation_sign(string) == res.outcome, (a, b, seed)
+            assert all(v == 1 for v in syndrome(t).values())
 
 
 def test_syndrome_flags_injected_error():
