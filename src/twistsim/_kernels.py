@@ -56,16 +56,17 @@ def anticommuting_rows(cx: list[int], cz: list[int], px: int, pz: int) -> int:
     """Bit ``i`` set for each row ``i`` that anticommutes with the Pauli
     (px|pz): a row anticommutes when its clashing sites are odd in number, so
     this is the XOR of the x columns at p's Z sites and the z columns at p's X
-    sites."""
+    sites. Like ``random_update`` it walks the set bits from the highest
+    down, one ``bit_length`` per bit."""
     acc = 0
     while pz:
-        low = pz & -pz
-        pz ^= low
-        acc ^= cx[low.bit_length() - 1]
+        j = pz.bit_length() - 1
+        pz ^= 1 << j
+        acc ^= cx[j]
     while px:
-        low = px & -px
-        px ^= low
-        acc ^= cz[low.bit_length() - 1]
+        j = px.bit_length() - 1
+        px ^= 1 << j
+        acc ^= cz[j]
     return acc
 
 
@@ -93,35 +94,47 @@ def random_update(x, z, cx, cz, r, ones, anti, pivot, px, pz, pr, outcome):
     every other anticommuting row (``anti``, one bit per row), move it to its
     destabilizer slot, and put the measured operator (sign bit ``pr``) in its
     place with the outcome bits ``outcome``. ``ones`` has one bit per shot.
-    ``set_bits``, ``int_product_phase`` and ``set_row`` are written out."""
+    ``set_bits`` and ``int_product_phase`` are written out, and the set bits
+    are walked from the highest down: each row and column is XORed once, so
+    the order does not matter."""
     xp, zp, rp = x[pivot], z[pivot], r[pivot]
-    others = anti & ~(1 << pivot)
-    if others:
-        v = others
+    destab = pivot - len(cx)
+    xd, zd = x[destab], z[destab]
+    dbit, pbit = 1 << destab, 1 << pivot
+    others = anti & ~pbit
+    v = others
+    if v:
+        negated, xzp = rp ^ ones, xp ^ zp
         while v:
-            low = v & -v
-            v ^= low
-            i = low.bit_length() - 1
+            i = v.bit_length() - 1
+            v ^= 1 << i
             xi, zi = x[i], z[i]
-            # the sign flips when int_product_phase(xi, zi, xp, zp) is 2 or 3 mod 4
+            # the sign flips when int_product_phase(xi, zi, xp, zp) is 2 or 3
+            # mod 4: bit 1 of clash - 2 * minus is bit 1 of clash xor bit 0
+            # of minus
             a = xi & zp
             clash = a ^ (zi & xp)
-            minus = clash & (xi ^ xp ^ zi ^ zp ^ a)
-            r[i] ^= rp ^ ones if (clash.bit_count() - 2 * minus.bit_count()) & 2 else rp
-            x[i], z[i] = xi ^ xp, zi ^ zp
-        for sites, cols in ((xp, cx), (zp, cz)):
-            while sites:
-                low = sites & -sites
-                sites ^= low
-                cols[low.bit_length() - 1] ^= others
+            if (clash.bit_count() >> 1 ^ (clash & (xi ^ zi ^ xzp ^ a)).bit_count()) & 1:
+                r[i] ^= negated
+            else:
+                r[i] ^= rp
+            x[i] = xi ^ xp
+            z[i] = zi ^ zp
+    # One pass over the columns for the whole update: at a site of the pivot
+    # row, the other rows take its bit, and the destabilizer slot and the
+    # pivot lose their old bit (the pivot's own) and take their new one; at
+    # the sites of the slot's old row and of the measured operator, the slot
+    # and the pivot flip. The slot's row is read before the loop above, which
+    # may have multiplied it by the pivot: then ``others`` holds it and the
+    # pivot's sites flip it once, not twice.
+    flip = others | dbit | pbit
+    for sites, cols, bit in ((xp, cx, flip), (zp, cz, flip), (xd, cx, dbit),
+                             (zd, cz, dbit), (px, cx, pbit), (pz, cz, pbit)):
+        while sites:
+            j = sites.bit_length() - 1
+            sites ^= 1 << j
+            cols[j] ^= bit
     # the destabilizer slot takes the pivot's row, the pivot the measured one
-    destab = pivot - len(cx)
-    for i, new_x, new_z in ((destab, xp, zp), (pivot, px, pz)):
-        for rows, cols, new in ((x, cx, new_x), (z, cz, new_z)):
-            change, rows[i] = rows[i] ^ new, new
-            while change:
-                low = change & -change
-                change ^= low
-                cols[low.bit_length() - 1] ^= 1 << i
+    x[destab], z[destab], x[pivot], z[pivot] = xp, zp, px, pz
     r[destab] = rp
     r[pivot] = outcome ^ ones if pr else outcome

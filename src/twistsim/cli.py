@@ -4,12 +4,6 @@ Subcommands: ``derive`` (Majorana-mode report), ``verify`` (invariant suite),
 ``mbb`` (one traced braid cycle), ``stats`` (Monte Carlo parity-flip
 frequencies), ``oracle-check`` (tableau vs dense cross-validation). Reports
 are deterministic for a fixed config and seed.
-
-In-process calls of ``main`` (a Python driver, the tests, the benchmark
-harness) reuse the lattice of the previous job when its spec, or its lattice
-file's text, is the same, and with it everything derived from it: its twist
-modes, parity strings and pinned ground. A report does not change by a byte.
-A lone ``twistsim`` process runs one job and gains nothing from this.
 """
 
 from __future__ import annotations
@@ -28,8 +22,7 @@ import numpy as np
 
 from . import __version__, dense, jw, mbb
 from ._gf2 import rank
-from .lattice import (GeometryError, SizeError, TwistLattice, build_lattice,
-                      lattice_spec_loads)
+from .lattice import GeometryError, SizeError, build_lattice, lattice_spec_loads
 from .pauli import PauliString
 
 EXIT_OK = 0
@@ -83,27 +76,13 @@ def _build_lattice_from_cfg(cfg, default=None):
     try:
         if isinstance(spec, str):
             with open(spec) as fh:
-                return _lattice(fh.read(), True)
-        # the canonical JSON text tells 8, 8.0 and true apart, as the
-        # builder does, where a dict key would not (8 == 8.0 == True)
-        return _lattice(json.dumps(spec, sort_keys=True), False)
+                return lattice_spec_loads(fh.read())
+        segments = [
+            (s["row"], s["col_start"], s["col_end"]) for s in spec.get("segments", [])
+        ]
+        return build_lattice(spec["width"], spec["height"], segments)
     except (KeyError, TypeError, AttributeError, ValueError, OSError) as exc:
         raise ConfigError(f"bad lattice description: {exc}") from exc
-
-
-@lru_cache(maxsize=1)
-def _lattice(text: str, is_file: bool) -> TwistLattice:
-    """The lattice of a lattice file's text, or of a spec's canonical JSON
-    text. The last one built is kept, so in-process jobs on one spec share
-    its lattice and, through its ``CodeContext``, its twist modes, strings
-    and pinned ground; a spec that raises is not kept."""
-    if is_file:
-        return lattice_spec_loads(text)
-    spec = json.loads(text)
-    segments = [
-        (s["row"], s["col_start"], s["col_end"]) for s in spec.get("segments", [])
-    ]
-    return build_lattice(spec["width"], spec["height"], segments)
 
 
 def _report(cfg: dict, results: dict, checks: list[dict]) -> dict:

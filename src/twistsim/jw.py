@@ -22,10 +22,10 @@ a spin operator takes prefix XORs of these masks.
 The stabilizer reduction works on the same idea one level down: Pauli
 strings and plaquettes as x/z integer bit rows, weights as popcounts. It
 reads the lattice's plaquette operators (``TwistLattice.plaquette_ops``) and
-the faces at each site (``TwistLattice.site_faces``): only a face sharing a
-site with a string can anticommute with it. Its search is exact up to
-``_MAX_EXHAUSTIVE`` candidate plaquettes and greedy beyond; strings of equal
-weight are ordered by their rendered form.
+checks a string against them through their columns
+(``TwistLattice.face_columns``), as a tableau finds its anticommuting rows.
+Its search is exact up to ``_MAX_EXHAUSTIVE`` candidate plaquettes and greedy
+beyond; strings of equal weight are ordered by their rendered form.
 """
 
 from __future__ import annotations
@@ -142,12 +142,16 @@ class JWPath:
         """Per path position ``k``: the (x, z) bit rows (``PauliString.x``
         and ``.z``) of the spin string ``U_k``, the string letters of
         positions below k."""
+        subs = self.substitutions
         x = z = 0
         out = [(x, z)]
         for site in self.order:
-            letter = self.string_letter(site)
-            x |= (letter != "Z") << site
-            z |= (letter != "X") << site
+            # the string letter is Y, or X at an "x" and Z at a "z" site
+            sub = subs.get(site)
+            if sub != "z":
+                x |= 1 << site
+            if sub != "x":
+                z |= 1 << site
             out.append((x, z))
         return tuple(out)
 
@@ -395,21 +399,15 @@ def _subset_table(x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 def check_commutant(p: PauliString, lat: TwistLattice) -> PauliString:
     """Return ``p`` if it lies on the lattice and commutes with every
-    plaquette. Only the faces sharing a site with it
-    (``TwistLattice.site_faces``) can fail to commute, so only those are
-    checked. Raises ``GeometryError`` for a site off the lattice and
-    ``ValueError`` outside the commutant."""
-    ops = lat.plaquette_ops
+    plaquette. The faces it anticommutes with are the XOR of the plaquette
+    columns (``TwistLattice.face_columns``) at its sites, one integer
+    operation per site. Raises ``GeometryError`` for a site off the lattice
+    and ``ValueError`` outside the commutant."""
     px, pz = p.x, p.z
-    support = px | pz
-    if support >> lat.n_sites:
+    if (px | pz) >> lat.n_sites:
         raise GeometryError("operator acts on a site off the lattice")
-    near = 0
-    for s in _kernels.set_bits(support):
-        near |= lat.site_faces[s]
-    for k in _kernels.set_bits(near):
-        if ((ops[k].x & pz) ^ (ops[k].z & px)).bit_count() & 1:
-            raise ValueError("operator is outside the plaquette commutant")
+    if _kernels.anticommuting_rows(*lat.face_columns, px, pz):
+        raise ValueError("operator is outside the plaquette commutant")
     return p
 
 

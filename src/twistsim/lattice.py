@@ -31,9 +31,9 @@ right). This is the unique letter assignment for which all operators commute
 and the twist sites drop out of every operator's Majorana image.
 
 The lattice owns these operators: ``TwistLattice.plaquette_ops`` builds them
-once, in face-id order, and ``TwistLattice.site_faces`` holds the faces at
-each site. The Jordan-Wigner images, the stabilizer reduction, the tableau
-and both readouts all read this one form.
+once, in face-id order, and ``TwistLattice.face_columns`` holds the faces at
+each site, split by letter. The Jordan-Wigner images, the stabilizer
+reduction, the tableau and both readouts all read this one form.
 """
 
 from __future__ import annotations
@@ -136,13 +136,21 @@ class TwistLattice:
         return tuple(all_plaquette_operators(self))
 
     @cached_property
-    def site_faces(self) -> list[int]:
-        """Per site, the faces acting on it: bit ``k`` for face ``k``."""
-        out = [0] * self.n_sites
-        for k, p in enumerate(self.plaquettes):
-            for s in p.ordered_sites:
-                out[s] |= 1 << k
-        return out
+    def face_columns(self) -> tuple[list[int], list[int]]:
+        """Per site, the faces acting there with X or Y, and those acting
+        with Z or Y: bit ``k`` for face ``k``. These are the plaquettes'
+        columns in the layout ``_kernels`` gives a tableau's (``cx``,
+        ``cz``), so ``_kernels.anticommuting_rows`` reads off the faces a
+        string anticommutes with."""
+        cx, cz = [0] * self.n_sites, [0] * self.n_sites
+        for k, op in enumerate(self.plaquette_ops):
+            bit = 1 << k
+            for s, letter in op.support:
+                if letter != "Z":
+                    cx[s] |= bit
+                if letter != "X":
+                    cz[s] |= bit
+        return cx, cz
 
     def stabilizer_matrix(self) -> list[int]:
         """One (x|z) row (``_gf2.symplectic_vector``) per plaquette operator."""

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import twistsim
-from twistsim import cli, mbb, tableau
+from twistsim import cli
 from twistsim.cli import main
 from twistsim.tableau import Tableau
 
@@ -406,123 +406,3 @@ def test_every_config_exits_0_1_or_2_and_reruns_alike(tmp_path_factory, capsys,
             assert out.read_bytes() == first
 
     check()
-
-
-# -- one lattice per spec per process ------------------------------------------
-
-# THREE_PAIRS with its first segment moved one column right: another spec
-OTHER_THREE_PAIRS = {**THREE_PAIRS, "segments": [
-    {"row": 2, "col_start": 3, "col_end": 5}, *THREE_PAIRS["segments"][1:]]}
-
-
-def _argv(tmp_path, command, cfg, *flags):
-    """The arguments that run ``command`` on ``cfg``, written to a new file."""
-    path = tmp_path / f"cfg{len(list(tmp_path.iterdir()))}.json"
-    path.write_text(json.dumps(cfg))
-    return [command, "--config", str(path), *flags]
-
-
-def _after_clearing(capsys, argv):
-    """``main(argv)``'s result with no lattice kept from an earlier job."""
-    cli._lattice.cache_clear()
-    return run_cli(argv, capsys)
-
-
-def test_reused_lattices_change_no_report_byte(tmp_path, capsys):
-    lattice = {"backend": "lattice"}  # stats's default is THREE_PAIRS
-    jobs = [
-        ("stats", lattice, "--shots", "100", "--n-braids", "0", "--seed", "5"),
-        ("derive", {"lattice": THREE_PAIRS}),
-        # 1030 shots cross SHOT_BLOCK: two batches copy the one ground
-        ("stats", lattice, "--shots", "1030", "--n-braids", "1", "--seed", "5"),
-        ("verify", {"lattice": THREE_PAIRS}),
-        # another spec takes the one slot
-        ("stats", {**lattice, "lattice": OTHER_THREE_PAIRS}, "--shots", "200",
-         "--n-braids", "2", "--seed", "6"),
-        ("stats", lattice, "--shots", "200", "--n-braids", "2", "--seed", "6"),
-        # the dense oracle refuses 96 sites after the lattice is built
-        ("oracle-check", {"lattice": THREE_PAIRS}, "--shots", "2"),
-        ("stats", {**lattice, "lattice": THREE_PAIRS}, "--shots", "300",
-         "--n-braids", "3", "--seed", "7"),
-    ]
-    argvs = [_argv(tmp_path, *job) for job in jobs]
-    results = [run_cli(argv, capsys) for argv in argvs]
-    assert [code for code, _, _ in results] == [0, 0, 0, 0, 0, 0, 1, 0]
-    assert "dense-oracle cap" in results[6][2]
-    assert results == [_after_clearing(capsys, argv) for argv in argvs]
-
-
-def test_consecutive_jobs_on_one_spec_share_lattice_and_ground(
-        monkeypatch, tmp_path, capsys):
-    seen, grounds = [], []
-
-    class Recording(mbb.LatticeBackend):
-        def __init__(self, lat, rng):
-            super().__init__(lat, rng)
-            seen.append(lat)
-
-    def counted(*args):
-        grounds.append(args)
-        return pinned_ground(*args)
-
-    pinned_ground = tableau._pinned_ground
-    monkeypatch.setattr(mbb, "LatticeBackend", Recording)
-    monkeypatch.setattr(tableau, "_pinned_ground", counted)
-    cli._lattice.cache_clear()
-    for shots in ("1030", "100"):
-        argv = _argv(tmp_path, "stats", {"backend": "lattice"},
-                     "--shots", shots, "--n-braids", "1")
-        assert run_cli(argv, capsys)[0] == 0
-    assert len(seen) == 3  # two batches, then one
-    assert all(lat is seen[0] for lat in seen)
-    assert len(grounds) == 1
-
-
-@pytest.mark.parametrize("width, code", [(8, 0), (8.0, 1), (True, 1)],
-                         ids=["int", "float", "bool"])
-def test_specs_equal_in_python_but_not_in_json_are_not_shared(
-        tmp_path, capsys, width, code):
-    # 8 == 8.0 == True as dictionary keys, but not for the builder: after a
-    # job on width 8, each behaves as in a fresh process
-    spec = {**THREE_PAIRS, "width": width}
-    previous = _argv(tmp_path, "derive", {"lattice": THREE_PAIRS})
-    for argv in [_argv(tmp_path, "derive", {"lattice": spec}),
-                 _argv(tmp_path, "stats", {"backend": "lattice", "lattice": spec},
-                       "--shots", "20", "--n-braids", "1")]:
-        run_cli(previous, capsys)
-        result = run_cli(argv, capsys)
-        assert result == _after_clearing(capsys, argv)
-        assert result[0] == code
-
-
-def test_a_spec_that_raises_is_not_kept(tmp_path, capsys):
-    cli._lattice.cache_clear()
-    lat = cli._build_lattice_from_cfg({"lattice": THREE_PAIRS})
-    code, _, err = run_cli(_argv(tmp_path, "derive",
-                                 {"lattice": {**THREE_PAIRS, "width": 8.0}}), capsys)
-    assert code == 1 and "config error" in err
-    assert cli._lattice.cache_info().currsize == 1
-    assert cli._build_lattice_from_cfg({"lattice": THREE_PAIRS}) is lat
-    cli._lattice.cache_clear()
-    code, _, err = run_cli(_argv(tmp_path, "derive",
-                                 {"lattice": {**THREE_PAIRS, "height": 2}}), capsys)
-    assert code == 1 and "config error" in err
-    assert cli._lattice.cache_info().currsize == 0
-    code, out, _ = run_cli(_argv(tmp_path, "derive", {"lattice": THREE_PAIRS}), capsys)
-    assert code == 0 and len(json.loads(out)["results"]["unpaired_modes"]) == 6
-
-
-def test_a_rewritten_lattice_file_gives_the_new_lattice(tmp_path, capsys):
-    lattice_file = tmp_path / "lat.json"
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"lattice": str(lattice_file)}))
-    argv = ["derive", "--config", str(cfg)]
-    outs = []
-    for spec in (LATTICE_FILE, {**THREE_PAIRS, "format": LATTICE_FILE["format"]}):
-        lattice_file.write_text(json.dumps(spec))
-        code, out, _ = run_cli(argv, capsys)
-        assert code == 0
-        assert (code, out, "") == _after_clearing(capsys, argv)
-        outs.append(out)
-    assert [len(json.loads(out)["results"]["unpaired_modes"]) for out in outs] \
-        == [2, 6]

@@ -238,10 +238,11 @@ def test_set_up_data_matches_plain_references(lat):
     assert len(lat.plaquette_ops) == len(plain)
     for op, ref in zip(lat.plaquette_ops, plain):
         assert op == ref and op.support == ref.support
-    assert lat.site_faces == [sum(1 << k for k, p in enumerate(lat.plaquettes)
-                                  if s in p.ordered_sites) for s in lat.sites]
-    # the commutant check reads only the faces that touch a string: it, and
-    # the reduction that calls it, refuse exactly the strings that a scan
+    assert lat.face_columns == tuple(
+        [sum(1 << k for k, op in enumerate(plain) if op.letter_at(s) in letters)
+         for s in lat.sites] for letters in (("X", "Y"), ("Z", "Y")))
+    # the commutant check reads the faces' columns at a string's sites: it,
+    # and the reduction that calls it, refuse exactly the strings that a scan
     # over every plaquette does
     draw = np.random.default_rng(lat.n_sites)
     strings = [PauliString.single(s, letter) for s in lat.sites for letter in "XYZ"]
