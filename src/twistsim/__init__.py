@@ -13,4 +13,4 @@ dense reference implementations (``dense``), and a batch CLI (``cli``).
 __version__ = "0.1.0"
 
 from .lattice import Segment, TwistLattice, build_lattice  # noqa: F401
-from .pauli import PauliString, Phase  # noqa: F401
+from .pauli import PauliString  # noqa: F401

@@ -25,7 +25,7 @@ def symplectic_vector(p: PauliString, n: int) -> int:
 
 def pauli_from_vector(v: int, n: int) -> PauliString:
     """Pauli string of an (x|z) row on sites 0..n-1."""
-    return PauliString.from_bits(v & ((1 << n) - 1), v >> n)
+    return PauliString(v & ((1 << n) - 1), v >> n)
 
 
 def _bits(v: int):

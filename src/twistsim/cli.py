@@ -179,7 +179,7 @@ def _run_verify(cfg) -> tuple[dict, list[dict]]:
     images = jw.plaquette_images(lat, path)
     pairlike = all(
         im.weight == 4 and len({m.kind for m in im.factors}) == 1
-        and im.phase.is_real
+        and im.phase in (0, 2)
         for im in images.values()
     )
     checks.append({"name": "majorana_images_pairwise", "passed": pairlike,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .pauli import PauliString
+from .pauli import _PHASE_COMPLEX, PauliString
 
 MAX_DENSE_SITES = 20
 
@@ -82,7 +82,7 @@ def measure_involution(state: np.ndarray, o_state: np.ndarray, draw,
 def pauli_matrix(p: PauliString, sites: list[int]) -> np.ndarray:
     """Dense matrix of ``p`` over the given qubit ordering (site ids)."""
     n = len(sites)
-    mat = np.array([[p.phase.value]], dtype=np.complex128)
+    mat = np.array([[_PHASE_COMPLEX[p.phase]]], dtype=np.complex128)
     letters = p.letters()
     for site in sites:
         mat = np.kron(mat, _LETTER_MATRIX.get(letters.get(site, "I"), np.eye(2)))
@@ -105,7 +105,7 @@ def apply_pauli(amps: np.ndarray, p: PauliString, sites: list[int]) -> np.ndarra
         if letter == "Y":
             # flip-then-sign realizes Z·X = i·Y, so a uniform -i completes Y
             out = out * (-1j)
-    return (p.phase.value * out).reshape(-1)
+    return (_PHASE_COMPLEX[p.phase] * out).reshape(-1)
 
 
 def _check_size(n: int):

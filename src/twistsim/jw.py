@@ -13,7 +13,8 @@ substituted maps keep the exact single-site Pauli algebra.
 
 Phases are exact throughout. A monomial is a 2N-bit mask over the modes in
 path order (bit ``2k`` is the ``a`` mode and bit ``2k+1`` the ``b`` mode at
-path position ``k``) plus a power of i; its canonical product runs over the
+path position ``k``) plus a power of i, its exponent a plain ``int`` mod 4
+as on a ``PauliString``; its canonical product runs over the
 set bits in increasing order. Multiplying two monomials XORs the masks and
 adds one sign per transposition needed to sort the product, whose parity is a
 prefix-parity count. ``U_j`` is the mask of all bits below ``2j``, so mapping
@@ -38,7 +39,7 @@ import numpy as np
 
 from . import _kernels
 from .lattice import GeometryError, TwistLattice
-from .pauli import PauliString, Phase
+from .pauli import _PHASE_STR, PauliString
 
 # Up to this many box candidates the stabilizer reduction is exact.
 _MAX_EXHAUSTIVE = 18
@@ -65,12 +66,16 @@ class MajoranaMonomial:
     """Canonical ordered product of Majorana modes times a quartic phase.
 
     Bit ``2k`` (``2k+1``) of ``mask`` is the ``a`` (``b``) mode of the site
-    at position ``k`` of ``order``, the path the monomial was built on.
+    at position ``k`` of ``order``, the path the monomial was built on;
+    ``phase`` is the exponent of the power of i in front, taken mod 4.
     """
 
     mask: int
-    phase: Phase
+    phase: int
     order: tuple[int, ...] = field(repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "phase", self.phase % 4)
 
     @property
     def factors(self) -> tuple[MajoranaMode, ...]:
@@ -88,15 +93,12 @@ class MajoranaMonomial:
 
     def __mul__(self, other: "MajoranaMonomial") -> "MajoranaMonomial":
         """Product of two monomials on one path."""
-        exponent = self.phase.exponent + other.phase.exponent \
-            + 2 * _crossing_parity(self.mask, other.mask)
-        return MajoranaMonomial(self.mask ^ other.mask, Phase(exponent), self.order)
+        phase = self.phase + other.phase + 2 * _crossing_parity(self.mask, other.mask)
+        return MajoranaMonomial(self.mask ^ other.mask, phase, self.order)
 
     def __str__(self) -> str:
-        from .pauli import _PHASE_STR  # shared phase prefix convention
-
         body = " ".join(str(m) for m in self.factors) if self.mask else "1"
-        return _PHASE_STR[self.phase.exponent] + body
+        return _PHASE_STR[self.phase] + body
 
 
 @dataclass(frozen=True)
@@ -115,9 +117,6 @@ class JWPath:
     def positions(self) -> dict[int, int]:
         """Path position of each site: ``positions[order[k]] == k``."""
         return {site: k for k, site in enumerate(self.order)}
-
-    def string_letter(self, site: int) -> str:
-        return _LETTERS[self.substitutions.get(site)][0]
 
     def b_letter(self, site: int) -> str:
         return _LETTERS[self.substitutions.get(site)][1]
@@ -214,7 +213,7 @@ def canonicalize(
         # mode then meets its twin and squares to 1
         exponent += 2 * (mask >> (bit + 1)).bit_count()
         mask ^= 1 << bit
-    return MajoranaMonomial(mask, Phase(exponent), path.order)
+    return MajoranaMonomial(mask, exponent, path.order)
 
 
 def pair_monomial(
@@ -243,7 +242,7 @@ def jw_map(p: PauliString, path: JWPath) -> MajoranaMonomial:
             raise GeometryError(f"operator acts on site {site} not on the path")
     own_exp, prefix_exp = path._string_exponents
 
-    mask, exponent = 0, p.phase.exponent
+    mask, exponent = 0, p.phase
     for site, letter in sorted(p.support, key=lambda item: pos[item[0]]):
         j = pos[site]
         role = _ROLES[path.substitutions.get(site)][letter]
@@ -251,7 +250,7 @@ def jw_map(p: PauliString, path: JWPath) -> MajoranaMonomial:
         exponent += (own_exp[j] if role == 0 else prefix_exp[j]) \
             + 2 * _crossing_parity(mask, image)
         mask ^= image
-    return MajoranaMonomial(mask, Phase(exponent), path.order)
+    return MajoranaMonomial(mask, exponent, path.order)
 
 
 def spin_form(monomial: MajoranaMonomial, path: JWPath) -> PauliString:
@@ -261,7 +260,7 @@ def spin_form(monomial: MajoranaMonomial, path: JWPath) -> PauliString:
     the modes' strings are multiplied on integer bit rows."""
     pos = path.positions
     x = z = 0
-    exponent = monomial.phase.exponent
+    exponent = monomial.phase
     for mode in monomial.factors:
         mx, mz = path._string_bits[pos[mode.site]]
         own = path.b_letter(mode.site) if mode.kind == "b" else path.a_letter(mode.site)
@@ -269,7 +268,7 @@ def spin_form(monomial: MajoranaMonomial, path: JWPath) -> PauliString:
         mz |= (own != "X") << mode.site
         exponent += _kernels.int_product_phase(x, z, mx, mz)
         x, z = x ^ mx, z ^ mz
-    return PauliString.from_bits(x, z, exponent)
+    return PauliString(x, z, exponent)
 
 
 # -- mode bookkeeping ---------------------------------------------------------

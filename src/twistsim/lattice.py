@@ -42,7 +42,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from . import _gf2
+from . import _gf2, _kernels
 from .pauli import PauliString
 
 
@@ -266,7 +266,6 @@ def all_plaquette_operators(lat: TwistLattice) -> list[PauliString]:
     for p in lat.plaquettes:
         s = p.ordered_sites
         y = 1 << s[4] if len(s) == 5 else 0
-        # the dataclass default phase: one Phase(0) shared by every operator
         op = PauliString(1 << s[0] | 1 << s[2] | y, 1 << s[1] | 1 << s[3] | y)
         op.__dict__["support"] = tuple(sorted(zip(s, _LETTERS)))  # read by jw
         ops.append(op)
@@ -274,11 +273,12 @@ def all_plaquette_operators(lat: TwistLattice) -> list[PauliString]:
 
 
 def excitations_of(lat: TwistLattice, error: PauliString) -> set[int]:
-    """Plaquettes whose operators anticommute with ``error``."""
+    """Plaquettes whose operators anticommute with ``error``: the XOR of
+    the plaquette columns (``TwistLattice.face_columns``) at its sites."""
     if (error.x | error.z) >> lat.n_sites:
         raise GeometryError(f"error acts on off-lattice site {error.sites[-1]}")
-    return {k for k, op in enumerate(lat.plaquette_ops)
-            if not op.commutes_with(error)}
+    return set(_kernels.set_bits(
+        _kernels.anticommuting_rows(*lat.face_columns, error.x, error.z)))
 
 
 def twist_logicals(

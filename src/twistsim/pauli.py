@@ -4,8 +4,9 @@ A string is two Python-integer rows and a phase. Bit ``s`` of ``x`` marks
 site ``s`` as X or Y, bit ``s`` of ``z`` marks it as Z or Y: the symplectic
 rows of Aaronson–Gottesman (quant-ph/0406196), the layout of the tableau,
 ``_gf2`` and ``jw``. A product XORs the rows and takes its phase from
-``_kernels.int_product_phase``. Phases live in the cyclic group
-{+1, +i, -1, -i} and are tracked exactly as powers of i, never as floats.
+``_kernels.int_product_phase``. A phase is a plain ``int``, the exponent k
+of i**k, reduced mod 4 when the string is built: exact, never a float, and
+the same exponent ``jw`` and the tableau kernels carry.
 """
 
 from __future__ import annotations
@@ -27,44 +28,21 @@ _PHASE_COMPLEX = {0: 1 + 0j, 1: 1j, 2: -1 + 0j, 3: -1j}
 
 
 @dataclass(frozen=True)
-class Phase:
-    """Element of {+1, +i, -1, -i}, stored as the exponent of i (mod 4)."""
-
-    exponent: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "exponent", self.exponent % 4)
-
-    def __mul__(self, other: "Phase") -> "Phase":
-        return Phase(self.exponent + other.exponent)
-
-    def inverse(self) -> "Phase":
-        return Phase(-self.exponent)
-
-    @property
-    def value(self) -> complex:
-        return _PHASE_COMPLEX[self.exponent]
-
-    @property
-    def is_real(self) -> bool:
-        return self.exponent % 2 == 0
-
-    def __str__(self) -> str:
-        return {0: "+1", 1: "+i", 2: "-1", 3: "-i"}[self.exponent]
-
-
-@dataclass(frozen=True)
 class PauliString:
     """Phased product of single-site Pauli letters on non-negative sites.
 
-    ``x`` and ``z`` are the letters' integer rows, ``phase`` the power of i in
-    front. Equality and hashing compare these three fields. ``support``, the
-    (site, letter) pairs sorted by site, is derived from the rows on first use.
+    ``x`` and ``z`` are the letters' integer rows, ``phase`` the exponent of
+    the power of i in front, taken mod 4. Equality and hashing compare these
+    three fields. ``support``, the (site, letter) pairs sorted by site, is
+    derived from the rows on first use.
     """
 
     x: int = 0
     z: int = 0
-    phase: Phase = Phase(0)
+    phase: int = 0
+
+    def __post_init__(self):
+        object.__setattr__(self, "phase", self.phase % 4)
 
     @staticmethod
     def from_dict(letters: Mapping[int, str], phase: int = 0) -> "PauliString":
@@ -77,7 +55,7 @@ class PauliString:
                 raise ValueError(f"site {site} is negative; sites are non-negative")
             x |= (letter != "Z") << site
             z |= (letter != "X") << site
-        out = PauliString(x, z, Phase(phase))
+        out = PauliString(x, z, phase)
         out.__dict__["support"] = tuple(items)  # spares deriving it again
         return out
 
@@ -88,11 +66,6 @@ class PauliString:
     @staticmethod
     def single(site: int, letter: str, phase: int = 0) -> "PauliString":
         return PauliString.from_dict({site: letter}, phase)
-
-    @staticmethod
-    def from_bits(x: int, z: int, phase: int = 0) -> "PauliString":
-        """The string of rows ``x`` and ``z`` times i**``phase``."""
-        return PauliString(x, z, Phase(phase))
 
     @cached_property
     def support(self) -> tuple[tuple[int, str], ...]:
@@ -114,9 +87,8 @@ class PauliString:
 
     def __mul__(self, other: "PauliString") -> "PauliString":
         x1, z1, x2, z2 = self.x, self.z, other.x, other.z
-        exponent = self.phase.exponent + other.phase.exponent \
-            + int_product_phase(x1, z1, x2, z2)
-        return PauliString(x1 ^ x2, z1 ^ z2, Phase(exponent))
+        phase = self.phase + other.phase + int_product_phase(x1, z1, x2, z2)
+        return PauliString(x1 ^ x2, z1 ^ z2, phase)
 
     def commutes_with(self, other: "PauliString") -> bool:
         """True iff the two strings clash (differ, neither being I) on an
@@ -125,14 +97,14 @@ class PauliString:
 
     @property
     def is_hermitian(self) -> bool:
-        return self.phase.is_real
+        return not self.phase & 1
 
     def negate(self) -> "PauliString":
-        return PauliString(self.x, self.z, self.phase * Phase(2))
+        return PauliString(self.x, self.z, self.phase + 2)
 
     def dagger(self) -> "PauliString":
         # A bare letter string is Hermitian; only the phase conjugates.
-        return PauliString(self.x, self.z, self.phase.inverse())
+        return PauliString(self.x, self.z, -self.phase)
 
     def __str__(self) -> str:
         # read from the rows, site by site: rendering does not build (and
@@ -140,14 +112,14 @@ class PauliString:
         x, z = self.x, self.z
         sites = x | z
         if not sites:
-            return _PHASE_STR[self.phase.exponent] + "1"
+            return _PHASE_STR[self.phase] + "1"
         tokens = []
         while sites:
             low = sites & -sites
             sites ^= low
             letter = _LETTER_OF_BITS[bool(x & low) + 2 * bool(z & low)]
             tokens.append(f"{letter}{low.bit_length() - 1}")
-        return _PHASE_STR[self.phase.exponent] + " ".join(tokens)
+        return _PHASE_STR[self.phase] + " ".join(tokens)
 
     @staticmethod
     def from_str(text: str) -> "PauliString":
@@ -159,7 +131,7 @@ class PauliString:
                 exponent, text = k, text[len(prefix):]
                 break
         if text == "1":
-            return PauliString(phase=Phase(exponent))
+            return PauliString(phase=exponent)
         letters: dict[int, str] = {}
         for token in text.split():
             m = re.fullmatch(r"([XYZ])(\d+)", token)

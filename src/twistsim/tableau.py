@@ -177,14 +177,13 @@ class Tableau:
     # -- row/operator conversions -------------------------------------------
 
     def _bits_of(self, p: PauliString) -> tuple[int, int, int]:
-        exponent = p.phase.exponent
-        if exponent & 1:
+        if p.phase & 1:
             raise ValueError(f"operator {p} is not Hermitian (phase must be ±1)")
         px, pz = p.x, p.z
         if (px | pz) >> self.n:
             site = (px | pz).bit_length() - 1
             raise ValueError(f"site {site} of {p} is outside 0..{self.n - 1}")
-        return px, pz, exponent >> 1
+        return px, pz, p.phase >> 1
 
     def _codes(self) -> np.ndarray:
         """Per tableau row, each site's x bit plus twice its z bit (the
@@ -199,7 +198,7 @@ class Tableau:
         return unpack(self.x) + 2 * unpack(self.z)
 
     def row_operator(self, i: int) -> PauliString:
-        return PauliString.from_bits(self.x[i], self.z[i], 2 * int(self.r[i]))
+        return PauliString(self.x[i], self.z[i], 2 * int(self.r[i]))
 
     # -- measurement ---------------------------------------------------------
 
@@ -756,7 +755,7 @@ def measure_parity_direct(
     else:
         faces, sites = (), _site_operators(string)
 
-    phase_sign = 1 if string.phase.exponent == 0 else -1
+    phase_sign = 1 if string.phase == 0 else -1
     site_outcomes: dict[int, int] = {}
     partial = 1
     for site, op in sites:

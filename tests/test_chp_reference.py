@@ -58,7 +58,7 @@ class ReferenceCHP:
 
     def measure(self, p, draw: int) -> int:
         """±1; a random outcome is ``draw``."""
-        n, neg = self.n, p.phase.exponent == 2
+        n, neg = self.n, p.phase == 2
         px, pz, anti = self._anticommuting(p)
         stabs = anti[anti >= n]
         self.last_random = bool(stabs.size)

@@ -78,7 +78,7 @@ def test_plaquette_operator_patterns():
             assert letters == ["X", "Z", "X", "Z"]
         else:
             assert letters == ["X", "Z", "X", "Z", "Y"]
-        assert op.phase.exponent == 0
+        assert op.phase == 0
     # Y sits on the twist site, the fifth entry of the host pentagon
     for twist in lat.twists:
         host = lat.plaquette(twist.host_plaquette_id)
@@ -159,6 +159,21 @@ def test_excitations_of_product_is_symmetric_difference():
         p, q = rand_err(), rand_err()
         assert excitations_of(lat, p * q) == \
             excitations_of(lat, p) ^ excitations_of(lat, q)
+
+
+@pytest.mark.parametrize("shape", [(8, 12, [(2, 2, 4), (5, 2, 4), (8, 2, 4)]),
+                                   (14, 12, [(5, 5, 8)])])
+def test_excitations_match_a_loop_over_every_face(shape):
+    lat = build_lattice(*shape)
+    sample = np.random.default_rng(11)
+    for _ in range(40):
+        sites = sample.choice(lat.n_sites, size=int(sample.integers(1, 12)),
+                              replace=False)
+        err = PauliString.from_dict({int(s): "XYZ"[sample.integers(3)]
+                                     for s in sites})
+        assert excitations_of(lat, err) == {
+            k for k, op in enumerate(lat.plaquette_ops)
+            if not op.commutes_with(err)}
 
 
 def test_off_lattice_error_rejected():

@@ -906,6 +906,25 @@ def test_forcing_an_impossible_label_raises_and_keeps_the_state(make, snapshot):
         assert p[0] == pytest.approx(prob)
 
 
+@pytest.mark.parametrize("force", [0.7, 2, "1"])
+@pytest.mark.parametrize("make, state", [
+    (lambda rng: AnyonBackend(6, rng), lambda bk: bk.index.tolist()),
+    (lambda rng: FockBackend(6, rng), lambda bk: bk.index.tolist()),
+    (lambda rng: LatticeBackend(LAT6, ShotStreams(0, 0, 3)),
+     lambda bk: (list(bk.tab.r), list(bk.tab.x))),
+], ids=["anyon", "fock", "lattice"])
+def test_a_forced_label_is_checked_before_the_vacuum_flip(make, state, force):
+    # a label is None, 0 or 1 as the caller gave it, checked before the
+    # vacuum flip: any other is refused under its own name on every pair
+    bk = make(np.random.default_rng(5))
+    bk.measure((1, 3))
+    before = state(bk)
+    for pair in ((1, 2), (1, 4), (4, 6)):
+        with pytest.raises(ValueError, match=f"forced label {force!r} is not"):
+            bk.measure(pair, force=force)
+        assert state(bk) == before
+
+
 @pytest.mark.parametrize("alpha, beta", [(1e-320, 0), (0, 0), (1.7e308, 1.7e308)],
                          ids=["subnormal", "zero", "overflowing"])
 def test_four_anyon_start_needs_a_normal_norm(alpha, beta):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from twistsim.dense import pauli_matrix
-from twistsim.pauli import PauliString, Phase
+from twistsim.pauli import PauliString
 
 rng = np.random.default_rng(20240811)
 
@@ -92,10 +92,26 @@ def test_product_matches_dense_exhaustively_two_sites():
             )
 
 
-def test_phase_group():
-    assert Phase(1) * Phase(1) == Phase(2)
-    assert (Phase(3) * Phase(3)).value == -1
-    assert Phase(2).is_real and not Phase(1).is_real
+@pytest.mark.parametrize("raw, reduced", [(5, 1), (-1, 3), (4, 0), (-6, 2)])
+def test_phase_is_an_int_exponent_taken_mod_4(raw, reduced):
+    for x, z in ((0, 0), (0b101, 0b110)):
+        p, q = PauliString(x, z, raw), PauliString(x, z, reduced)
+        assert p.phase == reduced and type(p.phase) is int
+        assert p == q and hash(p) == hash(q)
+    assert PauliString.from_dict({3: "Y"}, raw) == PauliString.single(3, "Y", reduced)
+
+
+def test_phase_products_stay_in_0_to_3():
+    i_x = PauliString.single(0, "X", 1)
+    assert (i_x * i_x).phase == 2
+    assert (i_x * i_x * i_x * i_x).phase == 0
+    assert i_x.negate().phase == 3 and i_x.dagger().phase == 3
+
+
+@pytest.mark.parametrize("phase", range(4))
+def test_every_phase_round_trips_through_its_rendering(phase):
+    for p in (PauliString(phase=phase), PauliString.from_dict({2: "Z", 5: "Y"}, phase)):
+        assert PauliString.from_str(str(p)) == p
 
 
 def test_rendering_and_parsing_round_trip():
@@ -114,7 +130,7 @@ def test_rendering_and_parsing_round_trip():
 @example(x=0, z=0, exponent=2)
 @example(x=0, z=0, exponent=3)
 def test_rendering_reads_the_rows_as_support_does(x, z, exponent):
-    p = PauliString.from_bits(x, z, exponent)
+    p = PauliString(x, z, exponent)
     text = str(p)
     assert "support" not in p.__dict__  # rendered from the rows
     body = " ".join(f"{letter}{site}" for site, letter in p.support) or "1"
@@ -125,7 +141,7 @@ def test_rendering_reads_the_rows_as_support_does(x, z, exponent):
 def test_hermiticity_and_dagger():
     p = PauliString.from_dict({0: "X", 1: "Y"}, 1)
     assert not p.is_hermitian
-    assert p.dagger().phase == Phase(3)
+    assert p.dagger().phase == 3
     assert PauliString.from_dict({0: "X"}, 2).is_hermitian
 
 
@@ -150,7 +166,7 @@ def test_numpy_integer_sites_make_the_int_keyed_string():
 
 def test_reading_support_keeps_equality_and_hash():
     p = random_string(range(9))
-    q = PauliString.from_bits(p.x, p.z, p.phase.exponent)  # support not yet derived
+    q = PauliString(p.x, p.z, p.phase)  # support not yet derived
     assert "support" not in q.__dict__
     before = hash(q)
     assert q.support == p.support
@@ -176,7 +192,7 @@ LETTER_MATRICES = {
 def kron_matrix(p, sites):
     """Dense matrix of ``p`` from the letter matrices above, site order
     ``sites``."""
-    mat = np.array([[1j ** p.phase.exponent]])
+    mat = np.array([[1j ** p.phase]])
     for s in sites:
         mat = np.kron(mat, LETTER_MATRICES[p.letter_at(s) or "I"])
     return mat
