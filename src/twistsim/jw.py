@@ -38,7 +38,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from . import _kernels
-from .lattice import GeometryError, TwistLattice
+from .lattice import _LETTERS as _FACE_LETTERS, GeometryError, TwistLattice
 from .pauli import _PHASE_STR, PauliString
 
 # Up to this many box candidates the stabilizer reduction is exact.
@@ -289,12 +289,13 @@ def plaquette_images(
 
 def _used_modes(lat: TwistLattice, path: JWPath) -> int:
     """Mask of the modes that some plaquette image uses: the union of the
-    images' masks, which needs neither their phases nor their order."""
+    images' masks, which needs neither their phases nor their order, so it
+    reads each face's letters along its ordered sites."""
     pos, subs = path.positions, path.substitutions
     used = 0
-    for op in lat.plaquette_ops:
+    for p in lat.plaquettes:
         mask = 0
-        for site, letter in op.support:
+        for site, letter in zip(p.ordered_sites, _FACE_LETTERS):
             mask ^= _letter_mask(pos[site], _ROLES[subs.get(site)][letter])
         used |= mask
     return used

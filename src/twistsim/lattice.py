@@ -143,9 +143,9 @@ class TwistLattice:
         ``cz``), so ``_kernels.anticommuting_rows`` reads off the faces a
         string anticommutes with."""
         cx, cz = [0] * self.n_sites, [0] * self.n_sites
-        for k, op in enumerate(self.plaquette_ops):
+        for k, p in enumerate(self.plaquettes):
             bit = 1 << k
-            for s, letter in op.support:
+            for s, letter in zip(p.ordered_sites, _LETTERS):
                 if letter != "Z":
                     cx[s] |= bit
                 if letter != "X":
@@ -160,7 +160,9 @@ class TwistLattice:
         return self.n_sites - _gf2.rank(self.stabilizer_matrix())
 
 
-# letters along a face's ordered sites; a square stops after the fourth
+# letters along a face's ordered sites; a square stops after the fourth. The
+# readers of a face's letters (``TwistLattice.face_columns``, the twist modes
+# in ``jw``) zip them with ``Plaquette.ordered_sites``.
 _LETTERS = "XZXZY"
 
 
@@ -266,9 +268,7 @@ def all_plaquette_operators(lat: TwistLattice) -> list[PauliString]:
     for p in lat.plaquettes:
         s = p.ordered_sites
         y = 1 << s[4] if len(s) == 5 else 0
-        op = PauliString(1 << s[0] | 1 << s[2] | y, 1 << s[1] | 1 << s[3] | y)
-        op.__dict__["support"] = tuple(sorted(zip(s, _LETTERS)))  # read by jw
-        ops.append(op)
+        ops.append(PauliString(1 << s[0] | 1 << s[2] | y, 1 << s[1] | 1 << s[3] | y))
     return ops
 
 

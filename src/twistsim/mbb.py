@@ -419,8 +419,9 @@ class FockBackend(_VectorBackend):
 class LatticeBackend:
     """Twist modes on the planar code.
 
-    Each backend copies the lattice's pinned ground tableau. Pair parities are
-    read out as projective measurements of the pairs' parity strings.
+    Each backend takes a copy of the lattice's pinned ground tableau
+    (``CodeContext.ground``). Pair parities are read out as projective
+    measurements of the pairs' parity strings.
     Acceptance criterion 9 checks only that the two code-level readouts
     (``tableau.measure_parity_direct`` and ``tableau.measure_parity_hole``)
     agree on one pair's own registered parity string; a direct readout of a
@@ -450,7 +451,7 @@ class LatticeBackend:
         self.n = n
         self.ctx = tableau.code_context(lat)
         self.shots, _, self._bits = _shot_source(rng)
-        self.tab = self.ctx.ground(pins).copy()
+        self.tab = self.ctx.ground(pins)
         self.tab.spread(self.shots)
 
     def _string(self, pair: tuple[int, int]):

@@ -10,13 +10,17 @@ signs, its registered logicals and its Pauli frame. Which faces a readout
 switches off is the readout's geometry, not tableau state. The plaquette
 operators are the lattice's own (``TwistLattice.plaquette_ops``); what these
 operations derive from them through ``jw`` or a tableau, the readouts'
-geometry included, lives in the lattice's ``CodeContext``.
+geometry included, a ``CodeContext`` keeps in a store that the lattice owns.
+The lattice owns the store, a context owns its lattice, and so does every
+tableau ``CodeContext.ground`` hands out; nothing in the store points back
+at a lattice or a context, so a job's lattice dies by reference counting as
+soon as the job drops it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, wraps
+from functools import wraps
 from typing import NamedTuple
 
 import numpy as np
@@ -390,19 +394,18 @@ class Tableau:
 
 
 def _memo(method):
-    """Cache ``method`` per instance, keyed on its positional arguments, which
+    """Cache ``method`` per context, keyed on its positional arguments, which
     must be hashable (a loop is a tuple, not a list). The entries live in the
-    instance's ``__dict__`` under ``_memo_<name>``, a key the method's own
-    name never shadows, so they die with the instance (``functools.lru_cache``
-    would keep every instance alive in a class-level cache). A hit costs two
-    dictionary lookups."""
-    slot = f"_memo_{method.__name__}"
+    context's ``store`` under the method's name, so they die with the lattice
+    that owns the store (``functools.lru_cache`` would keep every lattice
+    alive in a class-level cache). A hit costs two dictionary lookups."""
+    name = method.__name__
 
     @wraps(method)
     def cached(self, *args):
-        memo = self.__dict__.get(slot)
+        memo = self.store.get(name)
         if memo is None:
-            memo = self.__dict__[slot] = {}
+            memo = self.store[name] = {}
         try:
             return memo[args]
         except KeyError:
@@ -448,12 +451,18 @@ class CodeContext:
     pins the raw forms: a projective measurement takes any form, so the
     lattice backend's ground and braids run no reduction.
 
-    Each object is built at most once, on first use: the attributes through
-    ``cached_property``, the methods through ``_memo``, keyed on their
-    arguments. ``code_context(lat)`` stores the context on the lattice, so it
-    and every cached entry live exactly as long as the lattice. Entries that
-    also depend on a tableau's registered logicals are keyed on those
-    logicals, never on how many there are.
+    Each object is built at most once, on first use, through ``_memo``,
+    keyed on its arguments (none for ``path``, ``modes`` and
+    ``z_logicals``). Who owns whom: the lattice owns ``store``, a plain dict
+    that holds every entry; a context owns its lattice and reads and writes
+    the lattice's store; a tableau that ``ground`` hands out owns its
+    lattice too. Nothing in the store points back at a lattice or a
+    context: the stored ground holds no lattice. So a context keeps its
+    lattice alive, and dropping the last context, tableau and lattice of a
+    job frees them all by reference counting, without waiting for the
+    cyclic garbage collector. Entries that also depend on a tableau's
+    registered logicals are keyed on those logicals, never on how many
+    there are.
 
     The readouts' geometry lives here too:
 
@@ -468,14 +477,19 @@ class CodeContext:
     A readout shot thus reads its geometry from one entry.
     """
 
-    def __init__(self, lat: TwistLattice):
-        self.lat = lat
+    __slots__ = ("lat", "store")
 
-    @cached_property
+    def __init__(self, lat: TwistLattice, store: dict):
+        self.lat = lat
+        self.store = store
+
+    @property
+    @_memo
     def path(self) -> jw.JWPath:
         return jw.default_path(self.lat)
 
-    @cached_property
+    @property
+    @_memo
     def modes(self) -> list[jw.MajoranaMode]:
         """The unpaired mode of each twist along ``path``."""
         return jw.twist_modes(self.lat, self.path)
@@ -504,7 +518,8 @@ class CodeContext:
         """Stabilizer-reduced ``raw_bracket_string``."""
         return jw.reduce_by_stabilizers(self.raw_bracket_string(pair), self.lat)
 
-    @cached_property
+    @property
+    @_memo
     def z_logicals(self) -> tuple[PauliString, ...]:
         """Stabilizer-reduced parity of each twist pair, each on its own path
         (see ``lattice.twist_logicals``)."""
@@ -530,14 +545,22 @@ class CodeContext:
             raise GeometryError("no logical X operator exists; lattice is inconsistent")
         return jw.reduce_by_stabilizers(_gf2.pauli_from_vector(vec, n), self.lat)
 
-    @_memo
     def ground(self, pins: tuple[tuple[int, int, int], ...]) -> Tableau:
         """Seed-0 ground tableau with ``pins`` pinned as ``init_ground`` pins
         them, but on the raw strings, which it also registers. Each raw
         string is its reduced string times plaquettes, which the ground fixes
-        at +1 first, so both pin the same value. Callers copy it."""
-        return _pinned_ground(self.lat, 0, list(pins),
-                              self.raw_parity_string, self.raw_bracket_string)
+        at +1 first, so both pin the same value. Each call returns a fresh
+        lone ``copy`` of the stored ground, on this context's lattice."""
+        t = self._ground(pins).copy()
+        t.lattice = self.lat
+        return t
+
+    @_memo
+    def _ground(self, pins: tuple[tuple[int, int, int], ...]) -> Tableau:
+        t = _pinned_ground(self.lat, 0, list(pins),
+                           self.raw_parity_string, self.raw_bracket_string)
+        t.lattice = None  # the store points back at no lattice
+        return t
 
     def face_flip(self, pid: int, logicals: dict[str, PauliString]) -> PauliString:
         """Pauli anticommuting with exactly one plaquette, ``pid``, and with
@@ -625,12 +648,14 @@ class CodeContext:
 
 
 def code_context(lat: TwistLattice) -> CodeContext:
-    """The lattice's ``CodeContext``, created on first use."""
-    ctx = lat.__dict__.get("_code_context")
-    if ctx is None:
-        ctx = CodeContext(lat)
-        object.__setattr__(lat, "_code_context", ctx)  # the lattice is frozen
-    return ctx
+    """A ``CodeContext`` on the lattice's store, which the lattice owns and
+    which is created on first use. Every context of one lattice reads the
+    same entries; the context owns the lattice, never the other way round."""
+    store = lat.__dict__.get("_code_store")
+    if store is None:
+        store = {}
+        object.__setattr__(lat, "_code_store", store)  # the lattice is frozen
+    return CodeContext(lat, store)
 
 
 # -- code-level operations ----------------------------------------------------

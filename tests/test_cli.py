@@ -1,8 +1,10 @@
 import csv
+import gc
 import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,8 @@ import twistsim
 from twistsim import cli
 from twistsim.cli import main
 from twistsim.tableau import Tableau
+
+from test_tableau import cyclic_gc_off
 
 
 def run_cli(args, capsys):
@@ -93,6 +97,52 @@ def test_consecutive_main_calls_match_fresh_interpreters(capsys):
         outs.append(out)
     assert outs[0] != outs[1]
     assert outs == [_fresh_interpreter_report(args) for args in runs]
+
+
+def _lattice_stats_job(tmp_path, seed):
+    cfg = tmp_path / "lattice.json"
+    cfg.write_text(json.dumps({"backend": "lattice", "shots": 60,
+                               "n_braids": seed % 4, "seed": seed}))
+    assert main(["stats", "--config", str(cfg),
+                 "--out", str(tmp_path / "report.json")]) in (0, 2)
+
+
+def test_a_lattice_stats_job_frees_its_lattice_by_reference_counting(
+        tmp_path, monkeypatch):
+    refs, build = [], cli.build_lattice
+
+    def build_lattice(*args):
+        lat = build(*args)
+        refs.append(weakref.ref(lat))
+        return lat
+
+    monkeypatch.setattr(cli, "build_lattice", build_lattice)
+    with cyclic_gc_off():
+        _lattice_stats_job(tmp_path, 3)
+        assert len(refs) == 1 and refs[0]() is None
+
+
+def test_lattice_stats_jobs_leave_no_lattice_objects_to_the_collector(tmp_path):
+    # what a job builds is freed by reference counting; the cyclic garbage
+    # it leaves (the indenting JSON encoder's closures) holds none of it
+    from twistsim.lattice import Plaquette, TwistLattice
+    from twistsim.pauli import PauliString
+    from twistsim.tableau import CodeContext
+
+    _lattice_stats_job(tmp_path, 0)
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for seed in range(20):
+            _lattice_stats_job(tmp_path, seed)
+        gc.collect()
+        kept = [type(o).__name__ for o in gc.garbage if isinstance(
+            o, (TwistLattice, CodeContext, Tableau, Plaquette, PauliString))]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    assert kept == []
 
 
 def test_stats_csv_output(tmp_path, capsys):

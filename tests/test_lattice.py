@@ -247,15 +247,28 @@ def test_every_accepted_layout_runs_the_pipeline(lat):
 @given(accepted_layouts())
 @example(build_lattice(12, 8, [(2, 1, 3), (2, 6, 8)]))
 def test_set_up_data_matches_plain_references(lat):
-    # the operators from a letter map, the faces at each site from a scan
-    plain = [PauliString.from_dict(dict(zip(p.ordered_sites, "XZXZY")))
-             for p in lat.plaquettes]
+    # the operators from a letter map, the faces at each site from a scan;
+    # an operator derives its support only when a reader asks for it
+    letter_maps = [dict(zip(p.ordered_sites, "XZXZY")) for p in lat.plaquettes]
+    plain = [PauliString.from_dict(letters) for letters in letter_maps]
+    assert not any("support" in vars(op) for op in all_plaquette_operators(lat))
     assert len(lat.plaquette_ops) == len(plain)
-    for op, ref in zip(lat.plaquette_ops, plain):
-        assert op == ref and op.support == ref.support
+    for op, ref, letters in zip(lat.plaquette_ops, plain, letter_maps):
+        assert op == ref and op.support == tuple(sorted(letters.items()))
     assert lat.face_columns == tuple(
         [sum(1 << k for k, op in enumerate(plain) if op.letter_at(s) in letters)
          for s in lat.sites] for letters in (("X", "Y"), ("Z", "Y")))
+    # the twist modes and the mode classes from the letter maps' images
+    for path in [jw.default_path(lat)] + [jw.default_path(lat, pair)
+                                         for pair in range(lat.n_pairs)]:
+        used = frozenset(m for ref in plain for m in jw.jw_map(ref, path).factors)
+        free = {jw.MajoranaMode(s, kind) for s in lat.sites for kind in "ab"} - used
+        boundary = frozenset(m for m in free if lat.on_boundary(m.site))
+        assert jw.classify_modes(lat, path) == jw.ModeClassification(
+            used, frozenset(free) - boundary, boundary)
+        assert jw.twist_modes(lat, path) == [
+            m for t in lat.twists for m in sorted(free - boundary)
+            if m.site == t.twist_site]
     # the commutant check reads the faces' columns at a string's sites: it,
     # and the reduction that calls it, refuse exactly the strings that a scan
     # over every plaquette does
@@ -341,7 +354,7 @@ def test_every_pair_reader_refuses_an_unknown_pair(reader, pair):
     lat = build_lattice(14, 12, [(5, 5, 8)])
     with pytest.raises(KeyError, match=f"unknown twist pair {pair}"):
         reader(lat, pair)
-    assert not getattr(code_context(lat), "_memo_x_logical", {})
+    assert not code_context(lat).store.get("x_logical")
 
 
 def test_lattice_spec_round_trip():

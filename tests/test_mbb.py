@@ -425,7 +425,7 @@ def _reference_records(lat, n_braids, shots, seed):
 
     records = []
     for child in np.random.SeedSequence(seed).spawn(shots):
-        tab = ctx.ground(pins).copy()
+        tab = ctx.ground(pins)
         tab.rng = np.random.default_rng(child)
         cycles = []
         for _ in range(n_braids):
@@ -473,8 +473,8 @@ def test_lattice_backend_runs_no_stabilizer_reduction(monkeypatch):
     backend.measure((3, 5))
     assert calls == []
     ctx = tableau.code_context(lat)
-    used = (list(ctx._memo_raw_parity_string.values())
-            + list(ctx._memo_raw_bracket_string.values()))
+    used = (list(ctx.store["raw_parity_string"].values())
+            + list(ctx.store["raw_bracket_string"].values()))
     assert len(used) >= 8 and all(any(u is c for c in checked) for u in used)
     assert tableau.init_ground(lat).logicals["parity_0_1"] == ctx.parity_string(0, 1)
     assert ctx.parity_string(0, 1) == reduce(ctx.raw_parity_string(0, 1), lat)

@@ -1,5 +1,6 @@
 import gc
 import weakref
+from contextlib import contextmanager
 from itertools import combinations, permutations
 
 import numpy as np
@@ -496,28 +497,87 @@ def test_face_flips_follow_replaced_logicals():
         assert [k for k, op in enumerate(ops) if not flip.commutes_with(op)] == [p.id]
 
 
+@contextmanager
+def cyclic_gc_off():
+    """Run the block with the cyclic garbage collector off, so that only
+    reference counting frees objects."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_filled_code_context_releases_its_lattice():
-    # every memo holds objects that point back at the lattice (the ground
-    # tableau does); the context must still die with the lattice. The ground
-    # pins the raw strings, the direct readout reads the reduced one.
-    lat = build_lattice(14, 12, [(5, 5, 8)])
-    ctx = code_context(lat)
-    t = ctx.ground(((0, 1, -1),)).copy()
-    t.apply_pauli(twist_logicals(lat, 0)[1])
-    measure_parity_hole(t, 0, diamond_loop(lat, 0, 3))
-    measure_parity_direct(t, ctx.parity_string(0, 1))
-    ctx.bracket_string(0)
-    ctx.face_flip(0, t.logicals)
-    memos = {name for name in vars(ctx) if name.startswith("_memo_")}
-    assert memos == {f"_memo_{name}" for name in (
-        "raw_parity_string", "raw_bracket_string", "parity_string",
-        "bracket_string", "x_logical", "ground", "_face_flip",
-        "_independent_logicals", "hole_plan", "direct_plan",
-        "loop_decomposition")}
-    ref = weakref.ref(lat)
-    del lat, ctx, t
+    # the lattice owns the store, the context and the ground copies own the
+    # lattice, and nothing in the store points back: dropping them frees the
+    # lattice with no collection. The ground pins the raw strings, the direct
+    # readout reads the reduced one.
+    with cyclic_gc_off():
+        lat = build_lattice(14, 12, [(5, 5, 8)])
+        ctx = code_context(lat)
+        t = ctx.ground(((0, 1, -1),))
+        t.apply_pauli(twist_logicals(lat, 0)[1])
+        measure_parity_hole(t, 0, diamond_loop(lat, 0, 3))
+        measure_parity_direct(t, ctx.parity_string(0, 1))
+        ctx.bracket_string(0)
+        ctx.face_flip(0, t.logicals)
+        assert set(ctx.store) == {
+            "path", "modes", "z_logicals", "raw_parity_string",
+            "raw_bracket_string", "parity_string", "bracket_string",
+            "x_logical", "_ground", "_face_flip", "_independent_logicals",
+            "hole_plan", "direct_plan", "loop_decomposition"}
+        ref = weakref.ref(lat)
+        del lat, ctx, t
+        assert ref() is None
+
+
+def test_a_dropped_lattice_backend_frees_its_lattice_by_reference_counting():
+    with cyclic_gc_off():
+        lat = build_lattice(8, 12, [(2, 2, 4), (5, 2, 4), (8, 2, 4)])
+        bk = mbb.LatticeBackend(lat, mbb.ShotStreams(0, 0, 5))
+        mbb.braid_once(bk)
+        ref = weakref.ref(lat)
+        del lat, bk
+        assert ref() is None
+
+
+def test_a_context_keeps_its_lattice_alive():
+    ctx = code_context(build_lattice(14, 12, [(5, 5, 8)]))
     gc.collect()
-    assert ref() is None
+    assert ctx.lat.n_pairs == 1
+    assert ctx.parity_string(0, 1) == code_context(ctx.lat).parity_string(0, 1)
+    assert ctx.ground(((0, 1, -1),)).lattice is ctx.lat
+
+
+def test_each_ground_call_hands_out_a_fresh_lone_tableau():
+    lat = build_lattice(8, 12, [(2, 2, 4), (5, 2, 4), (8, 2, 4)])
+    ctx = code_context(lat)
+    pins = tuple((a - 1, b - 1, mbb.parity_sign_for((a, b), 6))
+                 for a, b in mbb.START_PAIRINGS[6])
+    text = ctx.ground(pins).to_text()
+    probe = ctx.raw_parity_string(0, 2)  # random on the ground
+    x_logical = ctx.x_logical(0)
+
+    def measure(t):
+        t.rng = np.random.default_rng(1)
+        t.measure(probe)
+
+    def spread(t):
+        t.spread(3)
+        t.measure_signs(probe, lambda: 0b101)
+
+    for change in (measure, lambda t: t.apply_pauli(x_logical), spread):
+        t = ctx.ground(pins)
+        assert t.lattice is lat and t.all_shots == 1
+        assert t.to_text() == text
+        change(t)
+        assert t.r != ctx.ground(pins).r
+    [stored] = ctx.store["_ground"].values()
+    assert stored.lattice is None
+    assert ctx.ground(pins).to_text() == text
 
 
 def test_plan_memos_are_per_lattice_and_die_with_it():
@@ -559,7 +619,7 @@ def test_memo_keys_on_the_positional_arguments():
     loop = tuple(diamond_loop(lat, 0, 3))
     plan = ctx.hole_plan(loop, 0)
     assert ctx.hole_plan(tuple(loop), 0) is plan
-    assert list(ctx._memo_hole_plan) == [(loop, 0)]
+    assert list(ctx.store["hole_plan"]) == [(loop, 0)]
     with pytest.raises(TypeError, match="unhashable"):  # a list is no key
         ctx.hole_plan(list(loop), 0)
 
@@ -979,7 +1039,7 @@ def test_to_text_matches_the_per_row_rendering(n):
 def test_lattice_backend_owns_its_rows():
     lat = build_lattice(8, 12, [(2, 2, 4), (5, 2, 4), (8, 2, 4)])
     bk = mbb.LatticeBackend(lat, mbb.ShotStreams(0, 0, 5))
-    [ground] = code_context(lat)._memo_ground.values()
+    [ground] = code_context(lat).store["_ground"].values()
     text = ground.to_text()
     assert not {id(v) for v in _row_lists(bk.tab)} & {id(v) for v in _row_lists(ground)}
     mbb.braid_once(bk)
