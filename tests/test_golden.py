@@ -12,9 +12,12 @@ measures and applies; ``test_recorded_braid_tableau_is_the_reduced_string_state`
 checks that it is the state the reduced strings reach), fixed-seed
 lattice-backend statistics with their records, the
 fixed-seed shot records (labels and correction names only) of the six-anyon
-anyon and Fock backends, and the sha256 of fixed-seed ``stats`` reports on all
+anyon and Fock backends, the sha256 of fixed-seed ``stats`` reports on all
 three backends and of ``mbb`` reports (whose Fock probabilities and
-fidelity are floats).
+fidelity are floats), and the readouts (``readout_records``): the hole and
+direct readouts of 64 shots per 14x12 lattice, and one direct readout of
+each reduced pair string of the pinned 8x12 ground, most of them strings the
+ground does not register, whose frame flips commute with the string read.
 To re-record the reference after an intended change of output, run
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
@@ -64,6 +67,52 @@ def _derive(name: str) -> dict:
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _state_sha256(t: tableau.Tableau) -> str:
+    """sha256 of a tableau's text and its Pauli frame."""
+    frame = json.dumps(sorted(t.reference_signs.items()))
+    return _sha256((t.to_text() + frame).encode())
+
+
+def readout_records() -> dict:
+    """Readout-sweep's shot pattern on each 14x12 lattice, and one direct
+    readout of each reduced pair string on the 8x12 ground pinned at
+    ``mbb.START_PAIRINGS``."""
+    out: dict = {}
+    for name in ("14x12_558", "14x12_557"):
+        lat = build_lattice(*LATTICES[name])
+        loop = tableau.diamond_loop(lat, 0, 3)
+        x_logical = twist_logicals(lat, 0)[1]
+        ground = tableau.init_ground(lat, 0)
+        shots = []
+        for k in range(64):
+            t = ground.copy()
+            t.rng = np.random.default_rng(k)
+            if k % 2:
+                t.apply_pauli(x_logical)
+            t2 = t.copy()
+            hole, _ = tableau.measure_parity_hole(t, 0, loop)
+            direct = tableau.measure_parity_direct(t2, t2.logicals["parity_0_1"])
+            shots.append({
+                "hole": hole, "direct": direct.outcome,
+                "site_outcomes": direct.site_outcomes,
+                "repaired_signs": direct.repaired_signs,
+                "sha256": [_state_sha256(t), _state_sha256(t2)],
+            })
+        out[name] = shots
+    lat = build_lattice(*LATTICES["8x12"])
+    ctx = tableau.code_context(lat)
+    pins = [(a - 1, b - 1, mbb.parity_sign_for((a, b), 6))
+            for a, b in mbb.START_PAIRINGS[6]]
+    ground = tableau.init_ground(lat, 0, pins)
+    out["direct_8x12_pinned"] = {}
+    for k, (a, b) in enumerate(combinations(range(2 * lat.n_pairs), 2)):
+        t = ground.copy()
+        t.rng = np.random.default_rng(k)
+        tableau.measure_parity_direct(t, ctx.parity_string(a, b))
+        out["direct_8x12_pinned"][f"{a}_{b}"] = _state_sha256(t)
+    return out
 
 
 def golden_outputs() -> dict:
@@ -116,6 +165,7 @@ def golden_outputs() -> dict:
         "alpha_0.6_beta_0.8j": _sha256(_cli_report(
             "mbb", {"alpha": 0.6, "beta": "0.8j"}, ["--seed", "5"])),
     }
+    out["readout_records"] = readout_records()
     return json.loads(json.dumps(out))  # tuples as the JSON file has them
 
 
