@@ -13,6 +13,7 @@ Gaussian elimination is plenty.
 
 from __future__ import annotations
 
+from ._kernels import set_bits
 from .pauli import PauliString
 
 
@@ -28,14 +29,6 @@ def pauli_from_vector(v: int, n: int) -> PauliString:
     return PauliString(v & ((1 << n) - 1), v >> n)
 
 
-def _bits(v: int):
-    """Indices of the set bits of ``v``, lowest first."""
-    while v:
-        low = v & -v
-        yield low.bit_length() - 1
-        v ^= low
-
-
 def _rref(rows: list[int], n_cols: int) -> tuple[list[int], list[int]]:
     """Reduced row-echelon form of a copy of ``rows`` over columns
     0..``n_cols``-1, with its pivot columns; row ``i`` has its leading 1 in
@@ -49,7 +42,7 @@ def _rref(rows: list[int], n_cols: int) -> tuple[list[int], list[int]]:
     mask = (1 << n_cols) - 1
     col_rows = [0] * n_cols  # bit i of col_rows[c]: row i has a 1 in column c
     for i, row in enumerate(a):
-        for c in _bits(row & mask):
+        for c in set_bits(row & mask):
             col_rows[c] |= 1 << i
     pivots: list[int] = []
     for c in range(n_cols):
@@ -65,13 +58,13 @@ def _rref(rows: list[int], n_cols: int) -> tuple[list[int], list[int]]:
         later = c + 1  # the columns still to pivot, the only ones read again
         if hit != r:
             swap = 1 << r | 1 << hit
-            for k in _bits(((a[r] ^ a[hit]) & mask) >> later):
+            for k in set_bits(((a[r] ^ a[hit]) & mask) >> later):
                 col_rows[later + k] ^= swap
             a[r], a[hit] = a[hit], a[r]
         pivot = a[r]
-        for i in _bits(others):
+        for i in set_bits(others):
             a[i] ^= pivot
-        for k in _bits((pivot & mask) >> later):
+        for k in set_bits((pivot & mask) >> later):
             col_rows[later + k] ^= others
         pivots.append(c)
     return a, pivots

@@ -77,10 +77,7 @@ class Plaquette:
 @dataclass(frozen=True)
 class TwistDefect:
     id: int
-    host_plaquette_id: int
     twist_site: int
-    partner_twist_id: int
-    segment_index: int
 
 
 @dataclass(frozen=True)
@@ -215,8 +212,8 @@ def build_lattice(
                 ordered = (sid(r, c + 1), sid(r + 1, c + 1), sid(r + 1, c), sid(r, c))
                 faces.append(((r, c), "square", ordered))
 
-    twist_records: list[tuple[tuple[int, int], int, int]] = []  # (face key, site, seg#)
-    for seg_index, seg in enumerate(segments):
+    twist_sites: list[int] = []  # per segment, its top twist, then its bottom one
+    for seg in segments:
         r, c1, c2 = seg.row, seg.col_start, seg.col_end
         # left pentagon: twist on the bottom-middle spin
         left = (sid(r, c1 + 1), sid(r + 1, c1 + 2), sid(r + 1, c1), sid(r, c1),
@@ -230,8 +227,7 @@ def build_lattice(
         right = (sid(r, c2 + 1), sid(r + 1, c2 + 1), sid(r + 1, c2), sid(r, c2 - 1),
                  sid(r, c2))
         faces.append(((r, c2 - 1), "pentagon", right))
-        twist_records.append(((r, c2 - 1), sid(r, c2), seg_index))       # top twist
-        twist_records.append(((r, c1), sid(r + 1, c1 + 1), seg_index))   # bottom twist
+        twist_sites += [sid(r, c2), sid(r + 1, c1 + 1)]
 
     faces.sort(key=lambda item: item[0])
     key_to_id = {key: i for i, (key, _, _) in enumerate(faces)}
@@ -240,10 +236,7 @@ def build_lattice(
         for i, (key, kind, ordered) in enumerate(faces)
     )
 
-    twists = []
-    for t, (face_key, site, seg_index) in enumerate(twist_records):
-        partner = t + 1 if t % 2 == 0 else t - 1
-        twists.append(TwistDefect(t, key_to_id[face_key], site, partner, seg_index))
+    twists = tuple(TwistDefect(t, site) for t, site in enumerate(twist_sites))
 
     coloring = {
         key_to_id[(r, c)]: ("dark" if (r + c) % 2 == 0 else "light")
@@ -251,7 +244,7 @@ def build_lattice(
         if kind == "square" and c not in segment_face_cols.get(r, set())
     }
 
-    return TwistLattice(width, height, segments, plaquettes, tuple(twists), coloring)
+    return TwistLattice(width, height, segments, plaquettes, twists, coloring)
 
 
 def plaquette_operator(lat: TwistLattice, plaq_id: int) -> PauliString:

@@ -7,10 +7,11 @@ twist-pair parities, the direct (turn-off-and-measure) parity readout, and
 the indirect readout that drags a hole around the twists. Each readout runs
 on a ``Tableau.copy`` of the ground, which owns only what a shot changes: its
 signs, its registered logicals and its Pauli frame. Which faces a readout
-switches off is the readout's geometry, not tableau state. The plaquette
-operators are the lattice's own (``TwistLattice.plaquette_ops``); what these
-operations derive from them through ``jw`` or a tableau, the readouts'
-geometry included, a ``CodeContext`` keeps in a store that the lattice owns.
+switches off is part of the readout's program, not tableau state. The
+plaquette operators are the lattice's own (``TwistLattice.plaquette_ops``);
+what these operations derive from them through ``jw`` or a tableau, the
+readouts' programs included, a ``CodeContext`` keeps in a store that the
+lattice owns.
 The lattice owns the store, a context owns its lattice, and so does every
 tableau ``CodeContext.ground`` hands out; nothing in the store points back
 at a lattice or a context, so a job's lattice dies by reference counting as
@@ -417,27 +418,30 @@ def _memo(method):
 
 
 class HolePlan(NamedTuple):
-    """The route of a hole readout of one pair along one loop (see
+    """The whole program of a hole readout of one pair along one loop (see
     ``CodeContext.hole_plan``)."""
     encloses_pair: bool
-    anchor: int | None               # the fixed hole, None when there is none
-    z_logical: PauliString | None    # the cut from the anchor to loop[0]
+    anchor: int                      # the fixed hole
+    z_logical: PauliString           # the cut from the anchor to loop[0]
     # per hop: the face left, the face entered, the hop's cut operator and
     # the left face's plaquette operator
     hops: tuple[tuple[int, int, PauliString, PauliString], ...]
+    factor: PauliString              # the loop factor whose sign the state fixes
 
 
 class DirectPlan(NamedTuple):
-    """What a direct readout of one string measures (see
+    """The whole program of a direct readout of one string (see
     ``CodeContext.direct_plan``)."""
-    faces: tuple[int, ...]                           # turned off, id order
     sites: tuple[tuple[int, PauliString], ...]       # site, single-site operator
+    # per face turned off, in id order: its id, its plaquette operator and
+    # the frame flip that takes it back to +1
+    faces: tuple[tuple[int, PauliString, PauliString], ...]
 
 
 class CodeContext:
     """What the code-level operations derive from one lattice through ``jw``
     or a tableau: the twist modes, the parity and bracket strings, the
-    logicals, the ground tableau and the readouts' geometry. The plaquette
+    logicals, the ground tableau and the readouts' programs. The plaquette
     operators and their rows are the lattice's own
     (``TwistLattice.plaquette_ops``, ``stabilizer_matrix()``).
 
@@ -464,17 +468,17 @@ class CodeContext:
     registered logicals are keyed on those logicals, never on how many
     there are.
 
-    The readouts' geometry lives here too:
+    Each readout's whole program lives here too, one entry per readout:
 
-    * ``hole_plan(loop, pair)``: the hole readout's whole route, keyed on
-      the loop and the pair: whether the loop encloses the pair
-      (``_validate_loop``), the anchor face and its cut, and each hop's cut
-      and vacated face; an invalid loop raises and is not stored;
-    * ``direct_plan(string)``: the plaquettes a parity string touches, in
-      face-id order, which the direct readout turns off, and the string's
-      single-site operators, keyed on the string.
+    * ``hole_plan(loop, pair, parity_string, bracket)``: whether the loop
+      encloses the pair (``_validate_loop``), the anchor face and its cut,
+      each hop's cut and vacated face, and the loop factor whose sign the
+      state fixes; a refused readout raises and is not stored;
+    * ``direct_plan(string, registry)``: the string's single-site operators
+      and, per plaquette it touches, the plaquette operator and its frame
+      flip (``face_flip`` against the registered logicals ``registry``).
 
-    A readout shot thus reads its geometry from one entry.
+    A readout shot thus reads its program from one entry.
     """
 
     __slots__ = ("lat", "store")
@@ -564,42 +568,55 @@ class CodeContext:
 
     def face_flip(self, pid: int, logicals: dict[str, PauliString]) -> PauliString:
         """Pauli anticommuting with exactly one plaquette, ``pid``, and with
-        none of ``logicals``."""
-        return self._face_flip(pid, tuple(sorted(logicals.items())))
+        none of ``logicals``; solved on every call (``direct_plan`` keeps the
+        flips a direct readout needs)."""
+        return self._face_flips([pid], logicals)[0]
 
-    @_memo
-    def _face_flip(self, pid: int, registry: tuple) -> PauliString:
-        constraints = [(v, 1 if k == pid else 0)
-                       for k, v in enumerate(self.lat.stabilizer_matrix())]
-        constraints += [(v, 0) for v in self._independent_logicals(registry)]
-        vec = _gf2.solve_symplectic(constraints, self.lat.n_sites)
-        if vec is None:  # pragma: no cover - independent commuting generators
-            raise GeometryError(f"no frame-flip operator exists for face {pid}")
-        return _gf2.pauli_from_vector(vec, self.lat.n_sites)
-
-    @_memo
-    def _independent_logicals(self, registry: tuple) -> list[int]:
+    def _face_flips(self, faces: list[int], logicals: dict[str, PauliString]
+                    ) -> list[PauliString]:
+        n = self.lat.n_sites
+        stabs = self.lat.stabilizer_matrix()
         # registered logicals are not independent modulo the face group
         # (products of pair parities can fall back into it); keep a maximal
-        # independent subset, which already pins the rest: each logical
-        # outside the span of the faces and of the logicals kept before it.
-        return _gf2.outside_span(
-            self.lat.stabilizer_matrix(),
-            [_gf2.symplectic_vector(op, self.lat.n_sites) for _, op in registry])
+        # independent subset, which already pins the rest: in name order,
+        # each logical outside the span of the faces and of those kept before
+        kept = _gf2.outside_span(stabs, [_gf2.symplectic_vector(op, n)
+                                         for _, op in sorted(logicals.items())])
+        flips = []
+        for pid in faces:
+            constraints = [(v, int(k == pid)) for k, v in enumerate(stabs)]
+            vec = _gf2.solve_symplectic(constraints + [(v, 0) for v in kept], n)
+            if vec is None:  # pragma: no cover - independent commuting generators
+                raise GeometryError(f"no frame-flip operator exists for face {pid}")
+            flips.append(_gf2.pauli_from_vector(vec, n))
+        return flips
 
     @_memo
-    def hole_plan(self, loop: tuple[int, ...], pair: int) -> HolePlan:
-        """The route of a hole readout of ``pair`` along ``loop``: whether
-        the loop encloses the pair; the fixed hole, a square diagonal
-        neighbour of ``loop[0]`` off the loop and outside it (None when there
-        is none), and its cut to ``loop[0]``; and each hop of the loop with
-        its ``cut_operator``. Raises ``GeometryError`` for an invalid loop or
-        a hop without a cut operator."""
+    def hole_plan(self, loop: tuple[int, ...], pair: int,
+                  parity_string: PauliString | None,
+                  bracket: PauliString) -> HolePlan:
+        """The program of a hole readout of ``pair`` along ``loop``, given
+        the pair's registered parity string (None without one) and bracket:
+        whether the loop encloses the pair; the fixed hole, a square
+        diagonal neighbour of ``loop[0]`` off the loop and outside it, and
+        its cut to ``loop[0]``; each hop with its ``cut_operator``; and the
+        loop factor. The loop operator, the product of the cuts, lies in the
+        class of (pair parity) x (bracket) x plaquettes when the loop
+        encircles the pair; the factor, the loop operator times the pair
+        parity if enclosed, is thus a product of plaquettes and the bracket
+        up to its sign, which the state fixes once the hole is back.
+
+        Refuses, in this order: an invalid loop or a hop without a cut
+        (``GeometryError``), no parity string (``ValueError``), then no
+        anchor, a factor outside that class, or one whose plaquettes include
+        either hole (``GeometryError``)."""
         lat = self.lat
         encloses_pair = _validate_loop(lat, loop, pair)
         ops = lat.plaquette_ops
         hops = tuple((f, g, cut_operator(lat, f, g), ops[f])
                      for f, g in zip(loop, loop[1:] + loop[:1]))
+        if parity_string is None:
+            raise ValueError(f"pair {pair} has no registered parity string")
         for p in lat.plaquettes:
             if p.id in loop or p.kind != "square":
                 continue
@@ -608,43 +625,43 @@ class CodeContext:
             except GeometryError:
                 continue
             if not _loop_encloses(lat, loop, p.ordered_sites[0]):
-                return HolePlan(encloses_pair, p.id, z_logical, hops)
-        return HolePlan(encloses_pair, None, None, hops)
-
-    @_memo
-    def direct_plan(self, string: PauliString) -> DirectPlan:
-        """Ids of the plaquettes sharing a site with ``string``, sorted, and
-        the string's single-site operators."""
-        sites = string.x | string.z
-        return DirectPlan(
-            tuple(k for k, op in enumerate(self.lat.plaquette_ops)
-                  if (op.x | op.z) & sites),
-            _site_operators(string))
-
-    @_memo
-    def loop_decomposition(
-        self, loop: tuple[int, ...], pair: int,
-        parity_string: PauliString, bracket: PauliString,
-    ) -> tuple[list[int], PauliString]:
-        """Split the loop operator into factors with readable signs.
-
-        The loop operator, the product of the cut operators along ``loop``,
-        lies in the class of (pair parity) x (row bracket) x plaquettes when
-        the loop encircles the pair. Returns ``(faces, factor)``: ``factor``
-        is the loop operator times the pair parity if enclosed, and equals
-        the product of the plaquettes ``faces`` (and of the bracket, where
-        the class needs it) up to its sign.
-        """
-        n = self.lat.n_sites
-        plan = self.hole_plan(loop, pair)
-        loop_op = product(cut for _, _, cut, _ in plan.hops)
-        factor = loop_op * parity_string if plan.encloses_pair else loop_op
-        rows = self.lat.stabilizer_matrix() + [_gf2.symplectic_vector(bracket, n)]
-        sel = _gf2.solve(rows, _gf2.symplectic_vector(factor, n))
+                anchor = p.id
+                break
+        else:
+            raise GeometryError("no anchor face available next to the loop")
+        loop_op = product(cut for _, _, cut, _ in hops)
+        factor = loop_op * parity_string if encloses_pair else loop_op
+        n = lat.n_sites
+        sel = _gf2.solve(lat.stabilizer_matrix() + [_gf2.symplectic_vector(bracket, n)],
+                         _gf2.symplectic_vector(factor, n))
         if sel is None:
             raise GeometryError("loop operator is not in the expected logical class")
-        n_faces = len(self.lat.plaquettes)
-        return [k for k in _kernels.set_bits(sel) if k < n_faces], factor
+        if sel >> anchor & 1 or sel >> loop[0] & 1:  # bit k < n_faces: face k
+            raise GeometryError("loop decomposition touches an open hole")
+        return HolePlan(encloses_pair, anchor, z_logical, hops, factor)
+
+    @_memo
+    def direct_plan(self, string: PauliString,
+                    registry: tuple[tuple[str, PauliString], ...]) -> DirectPlan:
+        """The string's single-site operators, and per plaquette sharing a
+        site with it, in id order, the plaquette operator and its flip: the
+        ``face_flip`` against the registered logicals ``registry`` (name,
+        string pairs) and, unless registered, the string itself, which goes
+        first (name ""), so that it is the one kept when a registered one
+        depends on it."""
+        cx, cz = self.lat.face_columns
+        touched = 0
+        for site in string.sites:
+            touched |= cx[site] | cz[site]
+        faces = _kernels.set_bits(touched)
+        logicals = dict(registry)
+        if string not in logicals.values():
+            logicals[""] = string
+        ops = self.lat.plaquette_ops
+        return DirectPlan(
+            _site_operators(string),
+            tuple(zip(faces, (ops[k] for k in faces),
+                      self._face_flips(faces, logicals))))
 
 
 def code_context(lat: TwistLattice) -> CodeContext:
@@ -757,13 +774,15 @@ def measure_parity_direct(
 ) -> DirectParityResult:
     """Measure a parity string by single-site measurements of its letters.
 
-    The stabilizers overlapping the string (``CodeContext.direct_plan``)
-    are switched off, each letter is measured individually, their product
-    (times the string's sign) is the parity, and the stabilizers are
-    re-measured afterwards. The parity is a quantum non-demolition readout:
-    the string commutes with every plaquette, so re-enabling cannot change
-    it, and the flips that push a -1 face back to +1 commute with the string,
-    registered or not, so the tableau is left at the returned outcome.
+    The stabilizers overlapping the string are switched off, each letter is
+    measured individually, their product (times the string's sign) is the
+    parity, and the stabilizers are re-measured afterwards. The parity is a
+    quantum non-demolition readout: the string commutes with every
+    plaquette, so re-enabling cannot change it, and the flips that push a -1
+    face back to +1 commute with the string, registered or not, so the
+    tableau is left at the returned outcome. The whole program is one
+    ``CodeContext.direct_plan`` entry; a tableau without a lattice measures
+    the letters alone.
     """
     if not string.is_hermitian:
         raise ValueError("parity string must be Hermitian")
@@ -776,9 +795,10 @@ def measure_parity_direct(
         }
 
     if t.lattice is not None:
-        faces, sites = code_context(t.lattice).direct_plan(string)
+        sites, faces = code_context(t.lattice).direct_plan(
+            string, tuple(t.logicals.items()))
     else:
-        faces, sites = (), _site_operators(string)
+        sites, faces = _site_operators(string), ()
 
     phase_sign = 1 if string.phase == 0 else -1
     site_outcomes: dict[int, int] = {}
@@ -789,19 +809,14 @@ def measure_parity_direct(
         partial *= lam
     outcome = phase_sign * partial
 
-    repaired = {pid: t.measure(t.lattice.plaquette_ops[pid]) for pid in faces}
+    repaired = {pid: t.measure(op) for pid, op, _ in faces}
     # restore the Pauli frame: push every re-measured stabilizer back to +1
-    # with flip operators chosen to commute with all registered logicals, so
+    # with the plan's flips, which commute with all registered logicals, so
     # spectator parities keep their meaning across repeated readouts, and
-    # with the string just read, so the tableau keeps its outcome. Unless
-    # registered, the string goes first (key ""), so it is the one
-    # ``_independent_logicals`` keeps when a registered one depends on it.
-    logicals = t.logicals
-    for pid, sign in repaired.items():
-        if sign == -1:
-            if string not in logicals.values():
-                logicals = {**logicals, "": string}
-            t.apply_pauli(code_context(t.lattice).face_flip(pid, logicals))
+    # with the string just read, so the tableau keeps its outcome
+    for pid, _, flip in faces:
+        if repaired[pid] == -1:
+            t.apply_pauli(flip)
         t.reference_signs[pid] = 1
 
     if check_syndrome:
@@ -925,38 +940,27 @@ def measure_parity_hole(
     logical, drags the mobile hole once around the loop (extend with the edge
     operator, heal the vacated stabilizer, tracking every sign), re-measures
     the logical, and combines the record into the enclosed pair parity.
-    Returns the parity and the route, ``CodeContext.hole_plan``. Every
-    refusal of the geometry comes before the first measurement.
+    Returns the parity and the readout's program, ``CodeContext.hole_plan``,
+    keyed on the tableau's registered parity and bracket strings of the pair
+    (the identity without a bracket). Every refusal of the plan comes before
+    the first measurement.
     """
     lat = t.lattice
     if lat is None:
         raise ValueError("tableau carries no lattice")
-    ctx = code_context(lat)
-    loop = tuple(loop)
-    plan = ctx.hole_plan(loop, pair)
-    parity_string = t.logicals.get(f"parity_{2 * pair}_{2 * pair + 1}")
-    if parity_string is None:
-        raise ValueError(f"pair {pair} has no registered parity string")
-    anchor, mobile, z_logical = plan.anchor, loop[0], plan.z_logical
-    if anchor is None:
-        raise GeometryError("no anchor face available next to the loop")
-    # the loop operator (product of the cut operators) is the pair parity
-    # times a product of plaquettes and the bracket, whose sign the state
-    # fixes once the hole is back at loop[0]; none of those plaquettes may be
-    # one of the two holes.
-    bracket = t.logicals.get(f"bracket_{pair}", PauliString.identity())
-    faces, factor = ctx.loop_decomposition(loop, pair, parity_string, bracket)
-    if anchor in faces or mobile in faces:
-        raise GeometryError("loop decomposition touches an open hole")
+    logicals = t.logicals
+    plan = code_context(lat).hole_plan(
+        tuple(loop), pair, logicals.get(f"parity_{2 * pair}_{2 * pair + 1}"),
+        logicals.get(f"bracket_{pair}", PauliString()))
 
-    z1 = t.measure(z_logical)
+    z1 = t.measure(plan.z_logical)
     lam_product = 1
     for f, _, cut, face in plan.hops:
         lam_product *= t.measure(cut)  # extend the hole onto the next face
         t.reference_signs[f] = t.measure(face)  # heal vacated face
-    z2 = t.measure(z_logical)
+    z2 = t.measure(plan.z_logical)
 
-    sign = t.expectation_sign(factor)
+    sign = t.expectation_sign(plan.factor)
     if sign is None:
         raise InconsistentOutcomeError(
             "loop readout needs a fixed edge bracket; state has none"
@@ -965,6 +969,6 @@ def measure_parity_hole(
 
     # close the holes: re-measure both hole stabilizers
     ops = lat.plaquette_ops
-    t.reference_signs[mobile] = t.measure(ops[mobile])
-    t.reference_signs[anchor] = t.measure(ops[anchor])
+    t.reference_signs[loop[0]] = t.measure(ops[loop[0]])
+    t.reference_signs[plan.anchor] = t.measure(ops[plan.anchor])
     return outcome, plan
