@@ -7,11 +7,12 @@ twist-pair parities, the direct (turn-off-and-measure) parity readout, and
 the indirect readout that drags a hole around the twists. Each readout runs
 on a ``Tableau.copy`` of the ground, which owns only what a shot changes: its
 signs, its registered logicals and its Pauli frame. Which faces a readout
-switches off is part of the readout's program, not tableau state. The
-plaquette operators are the lattice's own (``TwistLattice.plaquette_ops``);
-what these operations derive from them through ``jw`` or a tableau, the
-readouts' programs included, a ``CodeContext`` keeps in a store that the
-lattice owns.
+switches off is part of the readout's plan, not tableau state; what a readout
+does to the signs is its program, recorded once per plan and start state
+(``_readout``). The plaquette operators are the lattice's own
+(``TwistLattice.plaquette_ops``); what these operations derive from them
+through ``jw`` or a tableau, the readouts' plans included, a ``CodeContext``
+keeps in a store that the lattice owns.
 The lattice owns the store, a context owns its lattice, and so does every
 tableau ``CodeContext.ground`` hands out; nothing in the store points back
 at a lattice or a context, so a job's lattice dies by reference counting as
@@ -37,72 +38,6 @@ _Z_BITS = str.maketrans("IXZY", "0011")
 # a site's letter from its x bit plus twice its z bit, as bytes
 _LETTER_OF_CODE = bytes.maketrans(bytes(range(4)), b"IXZY")
 
-# Moves one family of tableau copies stores (see ``_SharedRows``), so at most
-# as many x/z states. The hole and direct readouts of one 14x12 lattice,
-# flipped and unflipped, store 52 to 57.
-SHARED_MOVES = 256
-
-
-class _Family:
-    """How many moves the ``_SharedRows`` reached from one first ``copy``
-    store together."""
-
-    __slots__ = ("stored",)
-
-    def __init__(self):
-        self.stored = 0
-
-
-class _SharedRows:
-    """An x/z state that tableau copies share and never write.
-
-    ``Tableau.copy`` hands the copy the original's x, z, cx and cz lists and
-    makes both tableaux read them from here; each keeps its own signs. The x/z
-    rows a measurement leads to depend only on the rows and on the measured
-    ``(p.x, p.z)``, never on an outcome, and a Pauli changes signs only. So
-    each state stores, keyed on ``(p.x, p.z)``, what the first copy to
-    measure ``p`` computed (``moves``) and which signs applying ``p`` flips
-    (``flips``); a later copy replays it and runs only the sign updates. The
-    CHP update split into a shared x/z move and a per-copy sign step is the
-    frame idea of Gidney (arXiv:2103.02202) carried across copies over time.
-    A family stores at most ``SHARED_MOVES`` moves. Past that, a random
-    outcome's next state belongs to no family (``family`` is None): the
-    tableau that computed it takes its rows as its own.
-    """
-
-    __slots__ = ("x", "z", "cx", "cz", "family", "moves", "flips")
-
-    def __init__(self, x, z, cx, cz, family: _Family | None):
-        self.x, self.z, self.cx, self.cz = x, z, cx, cz
-        self.family = family
-        self.moves: dict[tuple[int, int], _Fixed | _Random] = {}
-        self.flips: dict[tuple[int, int], list[int]] = {}
-
-    def store(self, table: dict, key: tuple[int, int], move) -> None:
-        """Store ``move`` under ``key`` in ``table``, one of this state's two,
-        if the family has room."""
-        if self.family.stored < SHARED_MOVES:
-            self.family.stored += 1
-            table[key] = move
-
-
-class _Fixed(NamedTuple):
-    """A fixed outcome: its sign is ``phase`` times the signs of ``rows``,
-    the stabilizer rows that multiply to ±p, over p's own sign."""
-    rows: list[int]
-    phase: int
-
-
-class _Random(NamedTuple):
-    """A random outcome's sign program: the rows ``same`` take the pivot's
-    sign, the rows ``negated`` its negation, the pivot's destabilizer takes
-    it, and the pivot takes the outcome over p's sign. ``after`` is the next
-    x/z state."""
-    after: _SharedRows
-    pivot: int
-    same: list[int]
-    negated: list[int]
-
 
 class Tableau:
     """Stabilizer state of ``n`` qubits, its signs and its Pauli frame.
@@ -114,8 +49,10 @@ class Tableau:
     shot, a batch of one, until ``spread`` makes it a batch of shots that
     share its rows. ``measure``, ``expectation_sign`` and ``to_text`` read a
     lone tableau only. A fresh tableau owns its rows and updates them in
-    place; ``copy`` makes the copy and the original share them instead (see
-    ``_SharedRows``), and ``spread`` takes them back.
+    place; ``copy`` makes the copy and the original share them copy-on-write,
+    and whichever first updates them in place, or ``spread``s, takes a copy
+    of its own. Rows that copies share carry the readout programs recorded
+    from them (``_programs``, see ``_readout``).
 
     Besides its stabilizer state a tableau carries only its registered
     ``logicals`` and its Pauli frame, ``reference_signs``. Its generator
@@ -135,7 +72,9 @@ class Tableau:
         self.cz = [1 << (n + j) for j in range(n)]
         self.r = [0] * (2 * n)
         self.all_shots = 1
-        self._shared: _SharedRows | None = None  # None: the rows are its own
+        # None while the rows are its own; once copies share them, the readout
+        # programs recorded from them, by plan
+        self._programs: dict[int, tuple] | None = None
         self.rng = rng
         self.last_random = False
         self.lattice: TwistLattice | None = None
@@ -151,10 +90,9 @@ class Tableau:
 
     def copy(self) -> "Tableau":
         """Independent signs and registries. The lattice and the generator are
-        shared, and so are the x/z rows, which neither tableau writes from
-        then on (``_SharedRows``)."""
-        if self._shared is None:
-            self._shared = _SharedRows(self.x, self.z, self.cx, self.cz, _Family())
+        shared, and so are the x/z rows, copy-on-write."""
+        if self._programs is None:
+            self._programs = {}
         out = object.__new__(type(self))
         out.__dict__.update(self.__dict__)
         out.r = list(self.r)
@@ -162,16 +100,20 @@ class Tableau:
         out.reference_signs = dict(self.reference_signs)
         return out
 
+    def _own_rows(self) -> None:
+        """Take a copy of rows shared with copies, before writing them."""
+        if self._programs is not None:
+            self.x, self.z, self.cx, self.cz = (
+                list(v) for v in (self.x, self.z, self.cx, self.cz))
+            self._programs = None
+
     def spread(self, shots: int) -> None:
         """Make this lone tableau a batch of ``shots`` shots in its state,
         with rows of its own."""
         self._require_lone()
         if shots < 1:
             raise ValueError(f"a batch needs at least one shot, not {shots}")
-        if self._shared is not None:
-            self.x, self.z, self.cx, self.cz = (
-                list(v) for v in (self.x, self.z, self.cx, self.cz))
-            self._shared = None
+        self._own_rows()
         self.all_shots = (1 << shots) - 1
         self.r = [-bit & self.all_shots for bit in self.r]
 
@@ -231,90 +173,43 @@ class Tableau:
         the outcome bit of every shot, replaces the draw; a fixed outcome
         that differs from it raises ``InconsistentOutcomeError``. A force
         other than 0 or 1 raises ``ValueError``; neither error changes a row.
-        On rows shared with copies, the x/z update is a stored move (see
-        ``_SharedRows``) and this tableau writes only its signs.
+        Every sign update is an XOR of signs, outcome bits and ``all_shots``,
+        so it is linear over GF(2) with ``all_shots`` as 1 (see ``_readout``).
         """
         if force not in (None, 0, 1):
             raise ValueError(f"forced outcome bit {force!r} is not 0 or 1")
         forced = self.all_shots if force else 0
         px, pz, pr = self._bits_of(p)
-        shared = self._shared
-        move = None if shared is None else shared.moves.get((px, pz))
-        if move is None:
-            anti = _kernels.anticommuting_rows(self.cx, self.cz, px, pz)
-            stab = anti >> self.n
-            if stab and shared is None:  # rows of its own: the CHP update in place
-                self.last_random = True
-                outcome = draw() if force is None else forced
-                pivot = self.n + (stab & -stab).bit_length() - 1
-                _kernels.random_update(self.x, self.z, self.cx, self.cz, self.r,
-                                       self.all_shots, anti, pivot, px, pz, pr, outcome)
-                return outcome
-            move = self._move(px, pz, anti)
-        self.last_random = type(move) is _Random
-        if not self.last_random:
-            bits = self._fixed_bits(move, pr)
+        anti = _kernels.anticommuting_rows(self.cx, self.cz, px, pz)
+        stab = anti >> self.n
+        self.last_random = bool(stab)
+        if not stab:
+            bits = self._fixed_bits(px, pz, pr, anti)
             if force is not None and bits != forced:
                 raise InconsistentOutcomeError(
                     f"outcome bit {force} requested, but the outcome bits are {bits:b}")
             return bits
         outcome = draw() if force is None else forced
-        after, pivot, same, negated = move
-        r, ones = self.r, self.all_shots
-        rp = r[pivot]
-        if rp:  # a sign of 0 flips no row
-            for i in same:
-                r[i] ^= rp
-        rp_negated = rp ^ ones
-        if rp_negated:
-            for i in negated:
-                r[i] ^= rp_negated
-        r[pivot - self.n] = rp
-        r[pivot] = outcome ^ ones if pr else outcome
-        self.x, self.z, self.cx, self.cz = after.x, after.z, after.cx, after.cz
-        self._shared = after if after.family is not None else None
+        self._own_rows()
+        pivot = self.n + (stab & -stab).bit_length() - 1
+        _kernels.random_update(self.x, self.z, self.cx, self.cz, self.r,
+                               self.all_shots, anti, pivot, px, pz, pr, outcome)
         return outcome
 
-    def _move(self, px: int, pz: int, anti: int) -> _Fixed | _Random:
-        """What measuring (px|pz), whose anticommuting rows ``anti`` marks,
-        does to this tableau: a ``_Fixed`` for a fixed outcome, a ``_Random``
-        for a random one on shared rows. A move on shared rows is stored
-        while the family has room."""
-        n, shared = self.n, self._shared
-        stab = anti >> n
-        if not stab:
-            # the stabilizer rows whose destabilizer partner anticommutes
-            # with p multiply to ±p
-            rows = [n + i for i in _kernels.set_bits(anti)]
-            acc_x, acc_z, exponent = _kernels.row_product(self.x, self.z, rows)
-            if acc_x != px or acc_z != pz:
-                raise AssertionError("deterministic branch accumulated a wrong operator")
-            # the product's sign is (-1)^(sign bits) * i^exponent, the
-            # exponent even since the rows commute
-            move = _Fixed(rows, exponent % 4 // 2)
-        else:
-            # the CHP update on copies of the rows, with probe signs: one
-            # pivot sign 0b01 over two shots leaves 0b01 on the rows that take
-            # it and 0b10 on the rows that take its negation
-            pivot = n + (stab & -stab).bit_length() - 1
-            copies = [list(v) for v in (self.x, self.z, self.cx, self.cz)]
-            probe = [0] * (2 * n)
-            probe[pivot] = 0b01
-            _kernels.random_update(*copies, probe, 0b11, anti, pivot, px, pz, 0, 0)
-            signed = _kernels.set_bits(anti & ~(1 << pivot | 1 << (pivot - n)))
-            family = shared.family if shared.family.stored < SHARED_MOVES else None
-            move = _Random(_SharedRows(*copies, family), pivot,
-                           [i for i in signed if probe[i] == 0b01],
-                           [i for i in signed if probe[i] == 0b10])
-        if shared is not None:
-            shared.store(shared.moves, (px, pz), move)
-        return move
-
-    def _fixed_bits(self, move: _Fixed, pr: int) -> int:
-        """Outcome bits of a fixed measurement, as ``measure_signs`` returns
-        them: the sign of its rows' product over p's own, sign bit ``pr``."""
-        bits = self.all_shots if move.phase ^ pr else 0
-        for i in move.rows:
+    def _fixed_bits(self, px: int, pz: int, pr: int, anti: int) -> int:
+        """Outcome bits of a fixed measurement of (px|pz), sign bit ``pr``,
+        whose anticommuting rows ``anti`` are all destabilizers: the sign of
+        the product of their stabilizer partners, which is ±p, over p's own."""
+        # the stabilizer rows whose destabilizer partner anticommutes with p
+        # multiply to ±p
+        rows = [self.n + i for i in _kernels.set_bits(anti)]
+        acc_x, acc_z, exponent = _kernels.row_product(self.x, self.z, rows)
+        if acc_x != px or acc_z != pz:
+            raise AssertionError("deterministic branch accumulated a wrong operator")
+        # the product's sign is (-1)^(sign bits) * i^exponent, the exponent
+        # even since the rows commute
+        bits = self.all_shots if exponent % 4 // 2 ^ pr else 0
+        for i in rows:
             bits ^= self.r[i]
         return bits
 
@@ -323,14 +218,8 @@ class Tableau:
         shot, or with ``shots`` only the shots whose bit is set in it."""
         px, pz, _ = self._bits_of(p)
         mask = self.all_shots if shots is None else shots
-        shared = self._shared
-        rows = None if shared is None else shared.flips.get((px, pz))
-        if rows is None:
-            rows = _kernels.set_bits(_kernels.anticommuting_rows(self.cx, self.cz, px, pz))
-            if shared is not None:
-                shared.store(shared.flips, (px, pz), rows)
         r = self.r
-        for i in rows:
+        for i in _kernels.set_bits(_kernels.anticommuting_rows(self.cx, self.cz, px, pz)):
             r[i] ^= mask
 
     def expectation_sign(self, p: PauliString) -> int | None:
@@ -338,15 +227,10 @@ class Tableau:
         outcome is random."""
         self._require_lone()
         px, pz, pr = self._bits_of(p)
-        move = None if self._shared is None else self._shared.moves.get((px, pz))
-        if move is None:
-            anti = _kernels.anticommuting_rows(self.cx, self.cz, px, pz)
-            if anti >> self.n:
-                return None
-            move = self._move(px, pz, anti)
-        if type(move) is _Random:
+        anti = _kernels.anticommuting_rows(self.cx, self.cz, px, pz)
+        if anti >> self.n:
             return None
-        return 1 - 2 * self._fixed_bits(move, pr)
+        return 1 - 2 * self._fixed_bits(px, pz, pr, anti)
 
     # -- serialization -------------------------------------------------------
 
@@ -418,7 +302,7 @@ def _memo(method):
 
 
 class HolePlan(NamedTuple):
-    """The whole program of a hole readout of one pair along one loop (see
+    """The whole plan of a hole readout of one pair along one loop (see
     ``CodeContext.hole_plan``)."""
     encloses_pair: bool
     anchor: int                      # the fixed hole
@@ -430,7 +314,7 @@ class HolePlan(NamedTuple):
 
 
 class DirectPlan(NamedTuple):
-    """The whole program of a direct readout of one string (see
+    """The whole plan of a direct readout of one string (see
     ``CodeContext.direct_plan``)."""
     sites: tuple[tuple[int, PauliString], ...]       # site, single-site operator
     # per face turned off, in id order: its id, its plaquette operator and
@@ -441,7 +325,7 @@ class DirectPlan(NamedTuple):
 class CodeContext:
     """What the code-level operations derive from one lattice through ``jw``
     or a tableau: the twist modes, the parity and bracket strings, the
-    logicals, the ground tableau and the readouts' programs. The plaquette
+    logicals, the ground tableau and the readouts' plans. The plaquette
     operators and their rows are the lattice's own
     (``TwistLattice.plaquette_ops``, ``stabilizer_matrix()``).
 
@@ -468,7 +352,7 @@ class CodeContext:
     registered logicals are keyed on those logicals, never on how many
     there are.
 
-    Each readout's whole program lives here too, one entry per readout:
+    Each readout's whole plan lives here too, one entry per readout:
 
     * ``hole_plan(loop, pair, parity_string, bracket)``: whether the loop
       encloses the pair (``_validate_loop``), the anchor face and its cut,
@@ -478,7 +362,7 @@ class CodeContext:
       and, per plaquette it touches, the plaquette operator and its frame
       flip (``face_flip`` against the registered logicals ``registry``).
 
-    A readout shot thus reads its program from one entry.
+    A readout shot thus reads its plan from one entry.
     """
 
     __slots__ = ("lat", "store")
@@ -595,7 +479,7 @@ class CodeContext:
     def hole_plan(self, loop: tuple[int, ...], pair: int,
                   parity_string: PauliString | None,
                   bracket: PauliString) -> HolePlan:
-        """The program of a hole readout of ``pair`` along ``loop``, given
+        """The plan of a hole readout of ``pair`` along ``loop``, given
         the pair's registered parity string (None without one) and bracket:
         whether the loop encloses the pair; the fixed hole, a square
         diagonal neighbour of ``loop[0]`` off the loop and outside it, and
@@ -648,7 +532,9 @@ class CodeContext:
         ``face_flip`` against the registered logicals ``registry`` (name,
         string pairs) and, unless registered, the string itself, which goes
         first (name ""), so that it is the one kept when a registered one
-        depends on it."""
+        depends on it. Refuses a string that ``jw.check_commutant`` refuses
+        (``GeometryError`` or ``ValueError``)."""
+        jw.check_commutant(string, self.lat)
         cx, cz = self.lat.face_columns
         touched = 0
         for site in string.sites:
@@ -748,6 +634,69 @@ def _pinned_ground(lat, seed, pinned_pairs, parity_string, bracket_string) -> Ta
     return t
 
 
+class _Program(NamedTuple):
+    """A readout run once on one x/z state, with symbolic signs (see
+    ``_readout``). A form is an integer over GF(2): bit 8i is row i's start
+    sign, bit 1 the constant 1, bit 16n + k the k-th draw."""
+    signs: tuple[tuple[int, int], ...]   # each changed sign's row and form
+    bits: tuple[int, ...]                # each result bit's form
+    draws: int
+    # the end x, z, cx and cz and the programs recorded from them; None if
+    # the readout made no random measurement, which leaves the rows as they
+    # were
+    end: tuple | None
+
+
+def _readout(t: Tableau, plan, body, stored: bool) -> list[int]:
+    """The result bits of a readout, ``body``, on the lone tableau ``t``.
+
+    ``body(s, draw)`` runs the readout's measurements on ``s`` with
+    ``measure_signs`` and ``apply_pauli`` and returns its result bits, but
+    only on a copy whose sign of row i is the variable 8i, whose
+    ``all_shots`` is the constant and whose k-th ``draw`` is a new variable:
+    every sign update is linear, so each sign and result bit is an affine
+    form of the start signs and the draws, and the x/z rows at the end are
+    the same for every shot. That run is the readout's ``_Program``, which a
+    ``stored`` readout keeps on the start rows, keyed on its plan's
+    identity, for every copy that shares them; it dies with them. A
+    refusal in ``body`` comes before ``t`` changes. Each shot draws once
+    per random measurement, in order, as ``measure`` does, evaluates the
+    forms and takes the end rows, shared copy-on-write.
+    """
+    t._require_lone()
+    if t._programs is None:
+        t._programs = {}  # rows of its own: the record's copy will share them
+    entry = t._programs.get(id(plan)) if stored else None
+    if entry is None:
+        s = t.copy()
+        s.r = [1 << 8 * i for i in range(2 * t.n)]
+        s.all_shots = 0b10
+        draws = []
+
+        def draw():
+            draws.append(1 << 16 * t.n + len(draws))
+            return draws[-1]
+
+        bits = tuple(body(s, draw))
+        signs = tuple((i, form) for i, form in enumerate(s.r) if form != 1 << 8 * i)
+        end = None if s._programs is not None else (s.x, s.z, s.cx, s.cz, {})
+        program = _Program(signs, bits, len(draws), end)
+        if stored:  # the entry keeps the plan, and so its identity, alive
+            t._programs[id(plan)] = plan, program
+    else:
+        program = entry[1]
+    drawn = 0
+    for k in range(program.draws):
+        drawn |= t._draw() << k
+    start = int.from_bytes(bytes(t.r), "little") | 0b10 | drawn << 16 * t.n
+    r = t.r
+    for i, form in program.signs:
+        r[i] = (form & start).bit_count() & 1
+    if program.end is not None:
+        t.x, t.z, t.cx, t.cz, t._programs = program.end
+    return [(form & start).bit_count() & 1 for form in program.bits]
+
+
 def syndrome(t: Tableau) -> dict[int, int]:
     """Sign of every plaquette stabilizer of the tableau's lattice, 0 where it
     is random; empty without a lattice."""
@@ -780,9 +729,10 @@ def measure_parity_direct(
     quantum non-demolition readout: the string commutes with every
     plaquette, so re-enabling cannot change it, and the flips that push a -1
     face back to +1 commute with the string, registered or not, so the
-    tableau is left at the returned outcome. The whole program is one
-    ``CodeContext.direct_plan`` entry; a tableau without a lattice measures
-    the letters alone.
+    tableau is left at the returned outcome. The whole plan is one
+    ``CodeContext.direct_plan`` entry, which refuses a string off the lattice
+    or outside the plaquette commutant before the tableau changes; a tableau
+    without a lattice measures the letters alone.
     """
     if not string.is_hermitian:
         raise ValueError("parity string must be Hermitian")
@@ -795,28 +745,16 @@ def measure_parity_direct(
         }
 
     if t.lattice is not None:
-        sites, faces = code_context(t.lattice).direct_plan(
-            string, tuple(t.logicals.items()))
+        plan = code_context(t.lattice).direct_plan(string, tuple(t.logicals.items()))
     else:
-        sites, faces = _site_operators(string), ()
-
-    phase_sign = 1 if string.phase == 0 else -1
-    site_outcomes: dict[int, int] = {}
-    partial = 1
-    for site, op in sites:
-        lam = t.measure(op)
-        site_outcomes[site] = lam
-        partial *= lam
-    outcome = phase_sign * partial
-
-    repaired = {pid: t.measure(op) for pid, op, _ in faces}
-    # restore the Pauli frame: push every re-measured stabilizer back to +1
-    # with the plan's flips, which commute with all registered logicals, so
-    # spectator parities keep their meaning across repeated readouts, and
-    # with the string just read, so the tableau keeps its outcome
-    for pid, _, flip in faces:
-        if repaired[pid] == -1:
-            t.apply_pauli(flip)
+        plan = DirectPlan(_site_operators(string), ())
+    outcome, *signs = (1 - 2 * bit for bit in _readout(
+        t, plan, lambda s, draw: _direct_bits(s, draw, string, plan),
+        t.lattice is not None))
+    sites, faces = plan
+    site_outcomes = {site: sign for (site, _), sign in zip(sites, signs)}
+    repaired = {pid: sign for (pid, _, _), sign in zip(faces, signs[len(sites):])}
+    for pid, _, _ in faces:
         t.reference_signs[pid] = 1
 
     if check_syndrome:
@@ -826,6 +764,24 @@ def measure_parity_direct(
             if sign != t.reference_signs.get(pid, sign)
         }
     return DirectParityResult(outcome, site_outcomes, repaired, flags)
+
+
+def _direct_bits(t: Tableau, draw, string: PauliString, plan: DirectPlan) -> list[int]:
+    """The direct readout's measurements on ``t``, in outcome bits: the
+    parity, each site's outcome and each re-measured face's sign."""
+    sites, faces = plan
+    site_bits = [t.measure_signs(op, draw) for _, op in sites]
+    parity = t.all_shots if string.phase else 0
+    for bit in site_bits:
+        parity ^= bit
+    repaired = [t.measure_signs(op, draw) for _, op, _ in faces]
+    # restore the Pauli frame: push every re-measured stabilizer back to +1
+    # with the plan's flips, which commute with all registered logicals, so
+    # spectator parities keep their meaning across repeated readouts, and
+    # with the string just read, so the tableau keeps its outcome
+    for bit, (_, _, flip) in zip(repaired, faces):
+        t.apply_pauli(flip, bit)
+    return [parity, *site_bits, *repaired]
 
 
 def _site_operators(string: PauliString) -> tuple[tuple[int, PauliString], ...]:
@@ -940,10 +896,10 @@ def measure_parity_hole(
     logical, drags the mobile hole once around the loop (extend with the edge
     operator, heal the vacated stabilizer, tracking every sign), re-measures
     the logical, and combines the record into the enclosed pair parity.
-    Returns the parity and the readout's program, ``CodeContext.hole_plan``,
+    Returns the parity and the readout's plan, ``CodeContext.hole_plan``,
     keyed on the tableau's registered parity and bracket strings of the pair
-    (the identity without a bracket). Every refusal of the plan comes before
-    the first measurement.
+    (the identity without a bracket). Every refusal of the plan, and of a
+    loop factor the state does not fix, comes before the tableau changes.
     """
     lat = t.lattice
     if lat is None:
@@ -953,22 +909,31 @@ def measure_parity_hole(
         tuple(loop), pair, logicals.get(f"parity_{2 * pair}_{2 * pair + 1}"),
         logicals.get(f"bracket_{pair}", PauliString()))
 
-    z1 = t.measure(plan.z_logical)
-    lam_product = 1
-    for f, _, cut, face in plan.hops:
-        lam_product *= t.measure(cut)  # extend the hole onto the next face
-        t.reference_signs[f] = t.measure(face)  # heal vacated face
-    z2 = t.measure(plan.z_logical)
+    outcome, *frame = (1 - 2 * bit for bit in _readout(
+        t, plan, lambda s, draw: _hole_bits(s, draw, plan), True))
+    faces = [f for f, _, _, _ in plan.hops] + [loop[0], plan.anchor]
+    for f, sign in zip(faces, frame):
+        t.reference_signs[f] = sign
+    return outcome, plan
 
-    sign = t.expectation_sign(plan.factor)
-    if sign is None:
+
+def _hole_bits(t: Tableau, draw, plan: HolePlan) -> list[int]:
+    """The hole readout's measurements on ``t``, in outcome bits: the parity,
+    then each healed face's sign, hop by hop, and the two closed holes'.
+    Refuses a random loop factor before its caller changes (see
+    ``_readout``)."""
+    z1 = t.measure_signs(plan.z_logical, draw)
+    lam, healed = 0, []
+    for _, _, cut, face in plan.hops:
+        lam ^= t.measure_signs(cut, draw)  # extend the hole onto the next face
+        healed.append(t.measure_signs(face, draw))  # heal the vacated face
+    z2 = t.measure_signs(plan.z_logical, draw)
+    sign = t.measure_signs(plan.factor, draw)
+    if t.last_random:
         raise InconsistentOutcomeError(
             "loop readout needs a fixed edge bracket; state has none"
         )
-    outcome = z1 * z2 * lam_product * sign
-
     # close the holes: re-measure both hole stabilizers
-    ops = lat.plaquette_ops
-    t.reference_signs[loop[0]] = t.measure(ops[loop[0]])
-    t.reference_signs[plan.anchor] = t.measure(ops[plan.anchor])
-    return outcome, plan
+    ops = t.lattice.plaquette_ops
+    closed = [t.measure_signs(ops[f], draw) for f in (plan.hops[0][0], plan.anchor)]
+    return [z1 ^ z2 ^ lam ^ sign, *healed, *closed]

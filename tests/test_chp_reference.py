@@ -5,9 +5,9 @@ on unpacked (2n + 1, n) bool matrices, one row sum at a time, with row 2n as
 the scratch row: no bit packing, no column index and no ``_kernels``. Replaying
 the measurements and Pauli frames of ``init_ground`` and of the readouts must
 give the same tableau text, destabilizer signs included. The golden file pins
-the ground tableaux of three lattices only; this covers six. Copies of a
-tableau share its x/z rows and replay stored moves; they are checked against
-the reference call by call.
+the ground tableaux of three lattices only; this covers six. A readout
+records its program once per start state and later shots evaluate it; each
+shot is checked against the plan's operators run one by one.
 """
 
 import collections
@@ -19,7 +19,6 @@ import pytest
 from twistsim import mbb, tableau
 from twistsim.dense import InconsistentOutcomeError
 from twistsim.lattice import build_lattice, twist_logicals
-from twistsim.pauli import PauliString
 from twistsim.tableau import (Tableau, diamond_loop, init_ground,
                               measure_parity_direct, measure_parity_hole)
 
@@ -118,46 +117,6 @@ def recorder(monkeypatch):
     return log
 
 
-@pytest.fixture
-def lockstep(monkeypatch):
-    """``(pairs, calls)``: each ``measure`` and ``apply_pauli`` call on a
-    tableau paired with a reference in ``pairs`` runs on the reference at
-    once, and the outcome, ``last_random`` and the text must agree after it.
-    ``calls`` counts the checked calls: "random", "fixed", "refused" and
-    "pauli"."""
-    pairs, calls = {}, collections.Counter()
-    measure, apply_pauli = Tableau.measure, Tableau.apply_pauli
-
-    def checked_measure(self, p, force=None):
-        ref = pairs.get(self)
-        try:
-            out = measure(self, p, force)
-        except InconsistentOutcomeError:
-            if ref is not None:
-                calls["refused"] += 1
-                assert ref.measure(p, draw=force) == -force
-                assert not ref.last_random and self.to_text() == ref.to_text()
-            raise
-        if ref is not None:
-            assert ref.measure(p, draw=out) == out
-            calls["random" if ref.last_random else "fixed"] += 1
-            assert self.last_random == ref.last_random
-            assert self.to_text() == ref.to_text()
-        return out
-
-    def checked_pauli(self, p):
-        apply_pauli(self, p)
-        ref = pairs.get(self)
-        if ref is not None:
-            calls["pauli"] += 1
-            ref.apply_pauli(p)
-            assert self.to_text() == ref.to_text()
-
-    monkeypatch.setattr(Tableau, "measure", checked_measure)
-    monkeypatch.setattr(Tableau, "apply_pauli", checked_pauli)
-    return pairs, calls
-
-
 def replay(ref: ReferenceCHP, log: list) -> None:
     for kind, p, *call in log:
         if kind == "pauli":
@@ -204,76 +163,94 @@ def _rows_and_signs(t: Tableau) -> list[list[int]]:
     return [list(v) for v in (t.x, t.z, t.cx, t.cz, t.r)]
 
 
+def _drawn(ref: ReferenceCHP, p, rng, seen: collections.Counter) -> int:
+    """``ref.measure(p)`` whose random outcome, if any, is drawn from
+    ``rng`` as a lone tableau draws it: one ``integers(2)`` per random
+    measurement, 0 for +1."""
+    _, _, anti = ref._anticommuting(p)
+    draw = 1 - 2 * int(rng.integers(2)) if (anti >= ref.n).any() else 1
+    out = ref.measure(p, draw)
+    seen["random" if ref.last_random else "fixed"] += 1
+    return out
+
+
+def _hole_by_hand(ref, plan, lat, rng, seen):
+    """The hole readout's outcome and frame entries, measured one plan
+    operator at a time on the reference."""
+    frame = {}
+    z1 = _drawn(ref, plan.z_logical, rng, seen)
+    product = 1
+    for f, _, cut, face in plan.hops:
+        product *= _drawn(ref, cut, rng, seen)
+        frame[f] = _drawn(ref, face, rng, seen)
+    z2 = _drawn(ref, plan.z_logical, rng, seen)
+    sign = _drawn(ref, plan.factor, rng, seen)
+    assert not ref.last_random
+    for f in (plan.hops[0][0], plan.anchor):
+        frame[f] = _drawn(ref, lat.plaquette_ops[f], rng, seen)
+    return z1 * z2 * product * sign, frame
+
+
+def _direct_by_hand(ref, string, plan, rng, seen):
+    """The direct readout's outcome, site outcomes and repaired signs, with
+    each -1 face flipped back on the reference."""
+    sites = {site: _drawn(ref, op, rng, seen) for site, op in plan.sites}
+    repaired = {pid: _drawn(ref, op, rng, seen) for pid, op, _ in plan.faces}
+    for pid, _, flip in plan.faces:
+        if repaired[pid] == -1:
+            ref.apply_pauli(flip)
+    return (-1 if string.phase else 1) * int(np.prod(list(sites.values()))), \
+        sites, repaired
+
+
 @pytest.mark.parametrize("name", ["14x12_558", "14x12_557"])
-def test_readouts_match_textbook_chp(recorder, lockstep, name):
-    # copies of one ground share its x/z rows: the first copy to reach a
-    # state computes a move and stores it, the later ones replay it; each
-    # call is checked as it happens, flipped and unflipped, over both
-    # readouts, their fixed outcomes and the direct readout's frame repairs
-    pairs, calls = lockstep
+def test_readout_shots_match_textbook_chp(recorder, monkeypatch, name):
+    # readout-sweep's shots, flipped and unflipped: a hole readout on one
+    # copy of the ground and a direct readout on a second. The first shot
+    # records each readout's program, the later ones evaluate it; every shot
+    # must match the plan's operators run one by one on the textbook
+    # simulator with the same draws: outcomes, site outcomes, repaired signs,
+    # the tableau text, the frame and the generator's state
     ground, ground_ref = _ground(name, recorder)
+    monkeypatch.undo()  # the readouts run outside the recorder
     lat = ground.lattice
+    ctx = tableau.code_context(lat)
     loop = diamond_loop(lat, 0, 3)
     string = ground.logicals["parity_0_1"]
     _, x_logical = twist_logicals(lat, 0)
     parity = ground.expectation_sign(string)
     face = lat.plaquette_ops[loop[0]]
-    flips = 0
-    for seed in range(4):
-        for flip in (False, True):
-            for readout in ("hole", "direct"):
-                t = ground.copy()
-                pairs[t] = copy.deepcopy(ground_ref)
-                t.rng = np.random.default_rng(seed)
-                if flip:
-                    t.apply_pauli(x_logical)
-                    flips += 1
-                if readout == "hole":
-                    out, _ = measure_parity_hole(t, 0, loop)
-                else:
-                    out = measure_parity_direct(t, string).outcome
-                assert out == (-parity if flip else parity)
-                # a refused force changes no row and no sign
-                before = _rows_and_signs(t)
-                with pytest.raises(InconsistentOutcomeError):
-                    t.measure(face, force=-t.expectation_sign(face))
-                assert _rows_and_signs(t) == before
-    assert calls["random"] and calls["fixed"] and calls["refused"] == 16
-    assert calls["pauli"] > flips  # the direct readouts' frame repairs
-    # 16 readouts measured from one family, which stored each move once
-    stored = ground._shared.family.stored
-    assert stored < calls["random"] + calls["fixed"] and stored < tableau.SHARED_MOVES
-
-
-def _stored_states(shared) -> int:
-    """The x/z states stored from ``shared`` on, itself included."""
-    return 1 + sum(_stored_states(move.after) for move in shared.moves.values()
-                   if type(move) is tableau._Random)
-
-
-def test_copies_past_the_move_bound_own_their_rows(lockstep):
-    # more random measurements than one family stores: the first copy stores
-    # moves up to the bound and then owns its rows; a sibling replays the
-    # stored moves and computes the rest on rows of its own
-    pairs, calls = lockstep
-    n, rng = 5, np.random.default_rng(3)
-    strings = [PauliString.from_dict(
-        {int(s): "XYZ"[rng.integers(3)] for s in rng.choice(n, 2, replace=False)},
-        2 * int(rng.integers(2))) for _ in range(tableau.SHARED_MOVES + 80)]
-    base = Tableau.zero_state(n, 0)
-    first, sibling = base.copy(), base.copy()
-    text = base.to_text()
-    for seed, t in enumerate((first, sibling)):
-        assert t.to_text() == text  # the other copy's calls left it alone
-        pairs[t] = ReferenceCHP(n)
+    seen, repairs = collections.Counter(), set()
+    for seed in range(16):
+        flip = seed % 2 == 1
+        t = ground.copy()
         t.rng = np.random.default_rng(seed)
-        for p in strings:
-            t.measure(p)
-        assert t._shared is None
-    assert calls["random"] > 2 * tableau.SHARED_MOVES
-    assert base.to_text() == text
-    assert base._shared.family.stored == tableau.SHARED_MOVES
-    assert _stored_states(base._shared) <= tableau.SHARED_MOVES
+        ref, rng = copy.deepcopy(ground_ref), np.random.default_rng(seed)
+        if flip:
+            t.apply_pauli(x_logical)
+            ref.apply_pauli(x_logical)
+        t2, ref2 = t.copy(), copy.deepcopy(ref)
+        out, plan = measure_parity_hole(t, 0, loop)
+        want, frame = _hole_by_hand(ref, plan, lat, rng, seen)
+        assert out == want == (-parity if flip else parity)
+        assert t.reference_signs == {**ground.reference_signs, **frame}
+        res = measure_parity_direct(t2, string)
+        direct = ctx.direct_plan(string, tuple(t2.logicals.items()))
+        assert (res.outcome, res.site_outcomes, res.repaired_signs) == \
+            _direct_by_hand(ref2, string, direct, rng, seen)
+        assert res.outcome == out
+        repairs.update(res.repaired_signs.values())
+        for tab, reference in ((t, ref), (t2, ref2)):
+            assert tab.to_text() == reference.to_text()
+        assert t2.reference_signs == ground.reference_signs
+        # both readouts drew from one stream, in order
+        assert t.rng.bit_generator.state == rng.bit_generator.state
+        # a refused force changes no row and no sign
+        before = _rows_and_signs(t)
+        with pytest.raises(InconsistentOutcomeError):
+            t.measure(face, force=-t.expectation_sign(face))
+        assert _rows_and_signs(t) == before
+    assert seen["random"] and seen["fixed"] and repairs == {-1, 1}
 
 
 # -- the braid sampler ---------------------------------------------------------

@@ -646,7 +646,8 @@ def test_hole_readout_returns_its_memoized_plan():
 
 def test_a_readout_shot_reads_one_plan(monkeypatch):
     # once a lattice's plans exist, each readout of a readout-sweep shot
-    # makes one code_context call and one memo lookup, and solves nothing
+    # makes one code_context call and one memo lookup, and solves nothing;
+    # once the first shot recorded its program, it updates no row either
     counts = Counter()
 
     class CountingStore(dict):
@@ -662,6 +663,8 @@ def test_a_readout_shot_reads_one_plan(monkeypatch):
     for name, fn in list(vars(_gf2).items()):
         if inspect.isfunction(fn) and fn.__module__ == _gf2.__name__:
             monkeypatch.setattr(_gf2, name, counted("_gf2", fn))
+    for name in ("random_update", "anticommuting_rows"):
+        monkeypatch.setattr(_kernels, name, counted(name, getattr(_kernels, name)))
     preps = []
     for segment in ((5, 5, 8), (5, 5, 7)):
         lat = build_lattice(14, 12, [segment])
@@ -690,6 +693,7 @@ def test_a_readout_shot_reads_one_plan(monkeypatch):
     for _, _, ground in preps:
         assert not {"loop_decomposition", "_face_flip", "_independent_logicals"} \
             & set(ground.lattice._code_store)
+        assert len(ground._programs) == 2  # one per readout, shared by the copies
 
 
 def test_a_refused_hole_readout_leaves_the_tableau_untouched():
@@ -704,6 +708,60 @@ def test_a_refused_hole_readout_leaves_the_tableau_untouched():
     with pytest.raises(GeometryError, match="expected logical class"):
         measure_parity_hole(t, 0, loop)
     assert (t.to_text(), t.reference_signs, t.rng.bit_generator.state) == before
+
+
+def _observed(t: Tableau):
+    return t.to_text(), dict(t.reference_signs), t.rng.bit_generator.state
+
+
+def test_a_hole_readout_refuses_a_random_bracket_before_it_measures():
+    # a Z on site 70 randomizes bracket_0 (X70 Z84), so the loop factor is
+    # random; the readout's symbolic run refuses it before the tableau
+    # changes or a draw is taken, and stores no program
+    lat = build_lattice(14, 12, [(5, 5, 8)])
+    t = init_ground(lat, seed=0)
+    t.measure(PauliString.single(70, "Z"))
+    assert t.last_random and t.expectation_sign(t.logicals["bracket_0"]) is None
+    before = _observed(t)
+    with pytest.raises(InconsistentOutcomeError, match="fixed edge bracket"):
+        measure_parity_hole(t, 0, diamond_loop(lat, 0, 3))
+    assert _observed(t) == before
+    assert t._programs == {}
+
+
+@pytest.mark.parametrize("site, error", [(200, GeometryError), (20, ValueError)],
+                         ids=["off-the-lattice", "outside-the-commutant"])
+def test_a_direct_readout_refuses_a_string_it_cannot_read(site, error):
+    # Z200 lies off the 96 sites; Z20 anticommutes with a plaquette. Both
+    # are refused by the plan, before any measurement
+    t = init_ground(LAT6, seed=0)
+    before = _observed(t)
+    with pytest.raises(error):
+        measure_parity_direct(t, PauliString.single(site, "Z"))
+    assert _observed(t) == before
+
+
+def test_a_pin_against_a_fixed_sign_is_repaired(monkeypatch):
+    # Z on corner site 0 commutes with every plaquette of the 8x6 lattice and
+    # is not a product of them, so the plaquette measurements from |0...0>
+    # fix it at +1; pinned at -1 as the pair's parity string, it takes the
+    # sign repair: one Pauli that anticommutes with it and no plaquette
+    lat = build_lattice(8, 6, [(1, 2, 5)])
+    z0 = PauliString.single(0, "Z")
+    n = lat.n_sites
+    assert all(z0.commutes_with(op) for op in lat.plaquette_ops)
+    assert not _gf2.in_span(lat.stabilizer_matrix(), _gf2.symplectic_vector(z0, n))
+    flips = []
+    apply_pauli = Tableau.apply_pauli
+    monkeypatch.setattr(Tableau, "apply_pauli",
+                        lambda self, p, shots=None: flips.append(p)
+                        or apply_pauli(self, p, shots))
+    t = tableau._pinned_ground(lat, 0, [(0, 1, -1)], lambda a, b: z0,
+                               code_context(lat).bracket_string)
+    assert len(flips) == 1
+    assert t.expectation_sign(z0) == -1
+    assert set(syndrome(t).values()) == {1}
+    assert t.expectation_sign(t.logicals["bracket_0"]) == 1
 
 
 def test_deterministic_expectation_sign_reads_without_copying(monkeypatch):
@@ -1026,9 +1084,10 @@ def _row_lists(t: Tableau) -> list[list[int]]:
     return [t.x, t.z, t.cx, t.cz]
 
 
-def test_copies_share_rows_but_not_signs():
-    # a copy reads the original's x/z rows until a measurement moves it to
-    # another state; no measurement or Pauli on one copy shows on another
+def test_copies_share_rows_until_one_writes():
+    # a copy reads the original's x/z rows until a random measurement on one
+    # of them writes; that one takes rows of its own first, so no
+    # measurement or Pauli on one copy, or on the original, shows on another
     lat = build_lattice(8, 6, [(1, 2, 5)])
     base = init_ground(lat, seed=0)
     first, sibling = base.copy(), base.copy()
@@ -1041,12 +1100,44 @@ def test_copies_share_rows_but_not_signs():
         first.measure(p)
         assert first.last_random
     assert (base.to_text(), sibling.to_text()) == texts
+    assert all(a is b for a, b in zip(_row_lists(sibling), _row_lists(base)))
     after = first.to_text()
     sibling.apply_pauli(x_logical)
-    for p in bulk:  # replays the stored moves
+    for p in bulk:
         sibling.measure(p)
     assert (base.to_text(), first.to_text()) == (texts[0], after)
-    assert all(a is b for a, b in zip(_row_lists(first), _row_lists(sibling)))
+    # the siblings end with equal rows of their own; their draws differ
+    assert _row_lists(first) == _row_lists(sibling)
+    assert not {id(v) for v in _row_lists(first)} & {id(v) for v in _row_lists(sibling)}
+    # the original writes after copying too: the copies keep its old rows
+    late = base.copy()
+    base.measure(bulk[0])
+    assert late.to_text() == texts[0] and base.to_text() != texts[0]
+    base.spread(2)
+    assert late.to_text() == texts[0]
+
+
+def test_a_dropped_readout_ground_frees_its_programs():
+    # the programs live on the ground's shared rows: one per readout, however
+    # many copies read them, and they go with the ground by reference
+    # counting
+    def programs():
+        return sum(type(o) is tableau._Program for o in gc.get_objects())
+
+    with cyclic_gc_off():
+        before = programs()
+        lat = build_lattice(14, 12, [(5, 5, 8)])
+        loop, ground = diamond_loop(lat, 0, 3), init_ground(lat, seed=0)
+        for seed in range(3):
+            t = ground.copy()
+            t.rng = np.random.default_rng(seed)
+            measure_parity_hole(t, 0, loop)
+            t = ground.copy()
+            measure_parity_direct(t, t.logicals["parity_0_1"])
+        assert programs() == before + 2 and len(ground._programs) == 2
+        ref = weakref.ref(lat)
+        del lat, ground, t
+        assert programs() == before and ref() is None
 
 
 def test_copy_shares_the_generator_until_one_is_set():
