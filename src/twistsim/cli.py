@@ -85,6 +85,11 @@ def _build_lattice_from_cfg(cfg, default=None):
         raise ConfigError(f"bad lattice description: {exc}") from exc
 
 
+def _check(name: str, passed, detail: str) -> dict:
+    """One entry of a report's ``checks``."""
+    return {"name": name, "passed": bool(passed), "detail": detail}
+
+
 def _report(cfg: dict, results: dict, checks: list[dict]) -> dict:
     body = {
         "schema_version": 1,
@@ -143,11 +148,8 @@ def _run_derive(cfg) -> tuple[dict, list[dict]]:
         parities[pair] = {"raw": str(raw), "reduced": str(reduced)}
         lines.append(f"pair {pair} parity: {raw}")
         lines.append(f"pair {pair} reduced: {reduced}")
-    checks = [{
-        "name": "unpaired_mode_count",
-        "passed": len(cls.unpaired) == len(lat.twists),
-        "detail": f"{len(cls.unpaired)} unpaired vs {len(lat.twists)} twists",
-    }]
+    checks = [_check("unpaired_mode_count", len(cls.unpaired) == len(lat.twists),
+                     f"{len(cls.unpaired)} unpaired vs {len(lat.twists)} twists")]
     results = {
         "text_report": "\n".join(lines),
         "unpaired_modes": [f"{m.kind}{m.site}" for m in unpaired],
@@ -167,14 +169,10 @@ def _run_verify(cfg) -> tuple[dict, list[dict]]:
         ops[i].commutes_with(ops[j])
         for i in range(len(ops)) for j in range(i + 1, len(ops))
     )
-    checks.append({"name": "plaquettes_commute", "passed": commuting,
-                   "detail": f"{len(ops)} operators"})
+    checks.append(_check("plaquettes_commute", commuting, f"{len(ops)} operators"))
     r = rank(lat.stabilizer_matrix())
-    checks.append({
-        "name": "plaquettes_independent",
-        "passed": r == len(ops),
-        "detail": f"rank {r} of {len(ops)}",
-    })
+    checks.append(_check("plaquettes_independent", r == len(ops),
+                         f"rank {r} of {len(ops)}"))
     path = jw.default_path(lat)
     images = jw.plaquette_images(lat, path)
     pairlike = all(
@@ -182,23 +180,18 @@ def _run_verify(cfg) -> tuple[dict, list[dict]]:
         and im.phase in (0, 2)
         for im in images.values()
     )
-    checks.append({"name": "majorana_images_pairwise", "passed": pairlike,
-                   "detail": "4 modes, one kind, real sign each"})
+    checks.append(_check("majorana_images_pairwise", pairlike,
+                         "4 modes, one kind, real sign each"))
     cls = jw.classify_modes(lat, path)
-    checks.append({
-        "name": "unpaired_modes_at_twists",
-        "passed": sorted(m.site for m in cls.unpaired)
-        == sorted(t.twist_site for t in lat.twists),
-        "detail": f"{len(cls.unpaired)} unpaired",
-    })
+    checks.append(_check(
+        "unpaired_modes_at_twists",
+        sorted(m.site for m in cls.unpaired) == sorted(t.twist_site for t in lat.twists),
+        f"{len(cls.unpaired)} unpaired"))
     from .anyon import pair_transform
     u = pair_transform("even", ((1, 2), (3, 4)), ((1, 3), (2, 4)))
     expected = np.exp(1j * np.pi / 8) / np.sqrt(2) * np.array([[1, -1j], [-1j, 1]])
-    checks.append({
-        "name": "pair_transform_even",
-        "passed": bool(np.allclose(u, expected, atol=1e-12)),
-        "detail": "matches the published matrix",
-    })
+    checks.append(_check("pair_transform_even", np.allclose(u, expected, atol=1e-12),
+                         "matches the published matrix"))
     results = {"n_checks": len(checks),
                "n_passed": sum(c["passed"] for c in checks)}
     return results, checks
@@ -239,11 +232,8 @@ def _run_mbb(cfg) -> tuple[dict, list[dict]]:
     fidelity = mbb.verify_braid_equivalence(
         initial, backend.vector()[0], mbb.MBBRecord(0, 0, 0),
         backend.space)
-    checks = [{
-        "name": "braid_equivalence_fidelity",
-        "passed": bool(abs(fidelity - 1.0) < 1e-10),
-        "detail": f"fidelity {fidelity:.12f}",
-    }]
+    checks = [_check("braid_equivalence_fidelity", abs(fidelity - 1.0) < 1e-10,
+                     f"fidelity {fidelity:.12f}")]
     results = {
         "trace": trace,
         "record": {"n13": record.n13, "n14": record.n14,
@@ -293,11 +283,8 @@ def _run_stats(cfg) -> tuple[dict, list[dict]]:
     sigma = np.sqrt(max(expected * (1 - expected), 0.25) / shots)
     tol = 3 * sigma if expected not in (0.0, 1.0) else 0.0
     ok = abs(res["flip_frequency"] - expected) <= tol + 1e-12
-    checks = [{
-        "name": "flip_frequency_signature",
-        "passed": bool(ok),
-        "detail": f"freq {res['flip_frequency']:.4f} vs expected {expected}",
-    }]
+    checks = [_check("flip_frequency_signature", ok,
+                     f"freq {res['flip_frequency']:.4f} vs expected {expected}")]
     return res, checks
 
 
@@ -335,8 +322,8 @@ def _run_oracle_check(cfg) -> tuple[dict, list[dict]]:
                 break
             if t.last_random != (prob < 0.75) or t.measure(p) != out_t:
                 mismatches += 1
-    checks = [{"name": "tableau_matches_dense", "passed": mismatches == 0,
-               "detail": f"{mismatches} mismatches over {shots} sequences"}]
+    checks = [_check("tableau_matches_dense", mismatches == 0,
+                     f"{mismatches} mismatches over {shots} sequences")]
     return {"shots": shots, "mismatches": mismatches}, checks
 
 

@@ -391,6 +391,8 @@ class AnyonBackend(_VectorBackend):
 
     def __init__(self, n_anyons: int, rng: np.random.Generator | ShotStreams,
                  alpha: complex = 1.0, beta: complex = 0.0):
+        if n_anyons not in (4, 6):
+            raise ValueError(f"the backend runs 4 or 6 anyons, not {n_anyons!r}")
         if n_anyons == 4:
             # chain charge 0 carries labels (0, 0) when even, (0, 1) when odd
             state = np.array([alpha, 0, beta, 0], dtype=np.complex128)
@@ -407,6 +409,8 @@ class FockBackend(_VectorBackend):
 
     def __init__(self, n_anyons: int, rng: np.random.Generator | ShotStreams,
                  alpha: complex = 1.0, beta: complex = 0.0):
+        if n_anyons not in (4, 6):
+            raise ValueError(f"the backend runs 4 or 6 anyons, not {n_anyons!r}")
         self.space = _fock_space(n_anyons)[0]
         starts = _fock_setup(n_anyons)
         start = starts[0]
@@ -616,18 +620,13 @@ class ShotStreams:
 CYCLE_PAIRS = ((1, 3), (1, 4), (1, 2))
 
 
-def run_cycle(backend, force: tuple[int, int, int] | None = None,
-              check_vacuum: bool = False) -> MBBRecord:
+def run_cycle(backend, force: tuple[int, int, int] | None = None) -> MBBRecord:
     """One braid cycle: measure the (1,3), (1,4), (1,2) labels in order.
 
     The ancilla pair must start in the vacuum; backends guarantee it by
-    construction (and each correction restores it), so the explicit check is
-    off by default to keep the cycle at exactly three measurements.
+    construction and each correction restores it, so the cycle is exactly
+    three measurements and reads no label to check it.
     """
-    if check_vacuum:
-        n12, _ = backend.measure((1, 2))
-        if np.any(n12 != 0):
-            raise ValueError("ancilla pair is not in the vacuum channel")
     forces = force if force is not None else (None, None, None)
     (n13, p13), (n14, p14), (n12, p12) = (
         backend.measure(pair, f) for pair, f in zip(CYCLE_PAIRS, forces))
@@ -651,9 +650,10 @@ def braid_once(backend, force=None) -> MBBRecord:
     return record
 
 
-def run_forced(backend, max_attempts: int = 64) -> MBBRecord:
+def run_forced(backend) -> MBBRecord:
     """Forced-measurement braid of one shot: re-measure the previous pair and
-    retry until each of the three target labels comes out 0."""
+    retry until each of the three target labels comes out 0, at most 64
+    tries per target (``RuntimeError`` beyond)."""
     if backend.shots != 1:
         raise ValueError(f"run_forced runs one shot, not a batch of "
                          f"{backend.shots}")
@@ -663,10 +663,8 @@ def run_forced(backend, max_attempts: int = 64) -> MBBRecord:
         count = 1
         n, _ = backend.measure(target)
         while n != 0:
-            if count >= max_attempts:
-                raise RuntimeError(
-                    f"forced measurement of {target} exceeded {max_attempts} tries"
-                )
+            if count >= 64:
+                raise RuntimeError(f"forced measurement of {target} exceeded 64 tries")
             backend.measure(reset)
             n, _ = backend.measure(target)
             count += 1

@@ -21,7 +21,7 @@ soon as the job drops it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import wraps
 from typing import NamedTuple
 
@@ -360,7 +360,8 @@ class CodeContext:
       state fixes; a refused readout raises and is not stored;
     * ``direct_plan(string, registry)``: the string's single-site operators
       and, per plaquette it touches, the plaquette operator and its frame
-      flip (``face_flip`` against the registered logicals ``registry``).
+      flip against the registered logicals ``registry``; a refused readout
+      raises and is not stored.
 
     A readout shot thus reads its plan from one entry.
     """
@@ -450,14 +451,11 @@ class CodeContext:
         t.lattice = None  # the store points back at no lattice
         return t
 
-    def face_flip(self, pid: int, logicals: dict[str, PauliString]) -> PauliString:
-        """Pauli anticommuting with exactly one plaquette, ``pid``, and with
-        none of ``logicals``; solved on every call (``direct_plan`` keeps the
-        flips a direct readout needs)."""
-        return self._face_flips([pid], logicals)[0]
-
     def _face_flips(self, faces: list[int], logicals: dict[str, PauliString]
                     ) -> list[PauliString]:
+        """Per face in ``faces``, a Pauli anticommuting with exactly that
+        plaquette and with none of ``logicals``; solved on every call
+        (``direct_plan`` keeps the flips a direct readout needs)."""
         n = self.lat.n_sites
         stabs = self.lat.stabilizer_matrix()
         # registered logicals are not independent modulo the face group
@@ -528,12 +526,13 @@ class CodeContext:
     def direct_plan(self, string: PauliString,
                     registry: tuple[tuple[str, PauliString], ...]) -> DirectPlan:
         """The string's single-site operators, and per plaquette sharing a
-        site with it, in id order, the plaquette operator and its flip: the
-        ``face_flip`` against the registered logicals ``registry`` (name,
-        string pairs) and, unless registered, the string itself, which goes
-        first (name ""), so that it is the one kept when a registered one
-        depends on it. Refuses a string that ``jw.check_commutant`` refuses
-        (``GeometryError`` or ``ValueError``)."""
+        site with it, in id order, the plaquette operator and its flip: a
+        Pauli that anticommutes with that plaquette alone and with none of
+        the registered logicals ``registry`` (name, string pairs) and,
+        unless registered, the string itself, which goes first (name ""), so
+        that it is the one kept when a registered one depends on it (see
+        ``_face_flips``). Refuses a string that ``jw.check_commutant``
+        refuses (``GeometryError`` or ``ValueError``)."""
         jw.check_commutant(string, self.lat)
         cx, cz = self.lat.face_columns
         touched = 0
@@ -545,7 +544,8 @@ class CodeContext:
             logicals[""] = string
         ops = self.lat.plaquette_ops
         return DirectPlan(
-            _site_operators(string),
+            tuple((site, PauliString.single(site, letter))
+                  for site, letter in string.support),
             tuple(zip(faces, (ops[k] for k in faces),
                       self._face_flips(faces, logicals))))
 
@@ -647,7 +647,7 @@ class _Program(NamedTuple):
     end: tuple | None
 
 
-def _readout(t: Tableau, plan, body, stored: bool) -> list[int]:
+def _readout(t: Tableau, plan, body) -> list[int]:
     """The result bits of a readout, ``body``, on the lone tableau ``t``.
 
     ``body(s, draw)`` runs the readout's measurements on ``s`` with
@@ -656,17 +656,17 @@ def _readout(t: Tableau, plan, body, stored: bool) -> list[int]:
     ``all_shots`` is the constant and whose k-th ``draw`` is a new variable:
     every sign update is linear, so each sign and result bit is an affine
     form of the start signs and the draws, and the x/z rows at the end are
-    the same for every shot. That run is the readout's ``_Program``, which a
-    ``stored`` readout keeps on the start rows, keyed on its plan's
-    identity, for every copy that shares them; it dies with them. A
-    refusal in ``body`` comes before ``t`` changes. Each shot draws once
-    per random measurement, in order, as ``measure`` does, evaluates the
-    forms and takes the end rows, shared copy-on-write.
+    the same for every shot. That run is the readout's ``_Program``, which
+    the start rows keep, keyed on its plan's identity, for every copy that
+    shares them; it dies with them. A refusal in ``body`` comes before ``t``
+    changes, and stores nothing. Each shot draws once per random
+    measurement, in order, as ``measure`` does, evaluates the forms and takes
+    the end rows, shared copy-on-write.
     """
     t._require_lone()
     if t._programs is None:
         t._programs = {}  # rows of its own: the record's copy will share them
-    entry = t._programs.get(id(plan)) if stored else None
+    entry = t._programs.get(id(plan))
     if entry is None:
         s = t.copy()
         s.r = [1 << 8 * i for i in range(2 * t.n)]
@@ -681,8 +681,8 @@ def _readout(t: Tableau, plan, body, stored: bool) -> list[int]:
         signs = tuple((i, form) for i, form in enumerate(s.r) if form != 1 << 8 * i)
         end = None if s._programs is not None else (s.x, s.z, s.cx, s.cz, {})
         program = _Program(signs, bits, len(draws), end)
-        if stored:  # the entry keeps the plan, and so its identity, alive
-            t._programs[id(plan)] = plan, program
+        # the entry keeps the plan, and so its identity, alive
+        t._programs[id(plan)] = plan, program
     else:
         program = entry[1]
     drawn = 0
@@ -713,14 +713,9 @@ class DirectParityResult:
     outcome: int
     site_outcomes: dict[int, int]
     repaired_signs: dict[int, int]
-    syndrome_flags: set[int] = field(default_factory=set)
 
 
-def measure_parity_direct(
-    t: Tableau,
-    string: PauliString,
-    check_syndrome: bool = False,
-) -> DirectParityResult:
+def measure_parity_direct(t: Tableau, string: PauliString) -> DirectParityResult:
     """Measure a parity string by single-site measurements of its letters.
 
     The stabilizers overlapping the string are switched off, each letter is
@@ -731,39 +726,24 @@ def measure_parity_direct(
     face back to +1 commute with the string, registered or not, so the
     tableau is left at the returned outcome. The whole plan is one
     ``CodeContext.direct_plan`` entry, which refuses a string off the lattice
-    or outside the plaquette commutant before the tableau changes; a tableau
-    without a lattice measures the letters alone.
+    or outside the plaquette commutant before the tableau changes. A tableau
+    without a lattice has no plaquettes to switch off and is refused
+    (``ValueError``) before it changes too, as ``measure_parity_hole``
+    refuses it.
     """
     if not string.is_hermitian:
         raise ValueError("parity string must be Hermitian")
-    flags: set[int] = set()
-    if check_syndrome:
-        before = syndrome(t)
-        flags |= {
-            pid for pid, sign in before.items()
-            if sign != t.reference_signs.get(pid, sign)
-        }
-
-    if t.lattice is not None:
-        plan = code_context(t.lattice).direct_plan(string, tuple(t.logicals.items()))
-    else:
-        plan = DirectPlan(_site_operators(string), ())
+    if t.lattice is None:
+        raise ValueError("tableau carries no lattice")
+    plan = code_context(t.lattice).direct_plan(string, tuple(t.logicals.items()))
     outcome, *signs = (1 - 2 * bit for bit in _readout(
-        t, plan, lambda s, draw: _direct_bits(s, draw, string, plan),
-        t.lattice is not None))
+        t, plan, lambda s, draw: _direct_bits(s, draw, string, plan)))
     sites, faces = plan
     site_outcomes = {site: sign for (site, _), sign in zip(sites, signs)}
     repaired = {pid: sign for (pid, _, _), sign in zip(faces, signs[len(sites):])}
     for pid, _, _ in faces:
         t.reference_signs[pid] = 1
-
-    if check_syndrome:
-        after = syndrome(t)
-        flags |= {
-            pid for pid, sign in after.items()
-            if sign != t.reference_signs.get(pid, sign)
-        }
-    return DirectParityResult(outcome, site_outcomes, repaired, flags)
+    return DirectParityResult(outcome, site_outcomes, repaired)
 
 
 def _direct_bits(t: Tableau, draw, string: PauliString, plan: DirectPlan) -> list[int]:
@@ -782,12 +762,6 @@ def _direct_bits(t: Tableau, draw, string: PauliString, plan: DirectPlan) -> lis
     for bit, (_, _, flip) in zip(repaired, faces):
         t.apply_pauli(flip, bit)
     return [parity, *site_bits, *repaired]
-
-
-def _site_operators(string: PauliString) -> tuple[tuple[int, PauliString], ...]:
-    """Each site of ``string`` with its letter as a single-site operator."""
-    return tuple((site, PauliString.single(site, letter))
-                 for site, letter in string.support)
 
 
 # -- hole-based parity measurement --------------------------------------------
@@ -910,7 +884,7 @@ def measure_parity_hole(
         logicals.get(f"bracket_{pair}", PauliString()))
 
     outcome, *frame = (1 - 2 * bit for bit in _readout(
-        t, plan, lambda s, draw: _hole_bits(s, draw, plan), True))
+        t, plan, lambda s, draw: _hole_bits(s, draw, plan)))
     faces = [f for f, _, _, _ in plan.hops] + [loop[0], plan.anchor]
     for f, sign in zip(faces, frame):
         t.reference_signs[f] = sign

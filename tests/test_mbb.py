@@ -227,10 +227,14 @@ def test_forced_attempt_counts_are_geometric():
 def test_forced_max_attempts():
     class Always1:
         shots = 1
+        calls = 0
         def measure(self, pair, force=None):
+            self.calls += 1
             return 1, 0.5
-    with pytest.raises(RuntimeError):
-        run_forced(Always1(), max_attempts=3)
+    bk = Always1()
+    with pytest.raises(RuntimeError, match="exceeded 64 tries"):
+        run_forced(bk)
+    assert bk.calls == 64 + 63  # 64 tries of (1,3), 63 resets between them
 
 
 def test_statistics_signature_anyon():
@@ -772,13 +776,18 @@ def test_statistics_keep_records():
 
 
 def test_cycle_vacuum_precondition():
-    bk = AnyonBackend(4, np.random.default_rng(0), 1.0, 0.0)
-    bk.measure((1, 3))            # scrambles the ancilla pair
-    bk.measure((1, 2), force=1)   # pin it to the occupied channel
-    with pytest.raises(ValueError):
-        run_cycle(bk, check_vacuum=True)
+    # run_cycle reads no label to check it: a fresh backend starts the
+    # ancilla pair in the vacuum
     ok = AnyonBackend(4, np.random.default_rng(0), 1.0, 0.0)
-    run_cycle(ok, check_vacuum=True)  # the vacuum start passes
+    labels, probabilities = ok.measure((1, 2))
+    assert labels.tolist() == [0] and probabilities.tolist() == [1.0]
+
+
+@pytest.mark.parametrize("backend", [AnyonBackend, FockBackend])
+@pytest.mark.parametrize("n_anyons", [2, 5, 8])
+def test_vector_backends_refuse_an_anyon_count_other_than_4_or_6(backend, n_anyons):
+    with pytest.raises(ValueError, match="4 or 6 anyons"):
+        backend(n_anyons, np.random.default_rng(0))
 
 
 def test_lattice_backend_releases_its_lattice():

@@ -194,12 +194,20 @@ def test_direct_parity_outcome_decomposition():
 
 
 def test_direct_parity_without_a_lattice():
-    # a bare tableau has no plaquettes to switch off; the letters still read
-    t = Tableau.zero_state(5, 0)
+    # a bare tableau has no plaquettes to switch off: both readouts refuse it
+    # before it changes
+    t = Tableau.zero_state(5)
     t.apply_pauli(PauliString.single(1, "X"))
-    res = measure_parity_direct(t, PauliString.from_dict({0: "Z", 1: "Z", 3: "Z"}, 2))
-    assert res.site_outcomes == {0: 1, 1: -1, 3: 1}
-    assert res.outcome == 1 and res.repaired_signs == {}
+    text, frame = t.to_text(), dict(t.reference_signs)
+    state = t.rng.bit_generator.state
+    for readout in (
+            lambda: measure_parity_direct(
+                t, PauliString.from_dict({0: "Z", 1: "Z", 3: "Z"}, 2)),
+            lambda: measure_parity_hole(t, 0, [0, 1, 2, 3])):
+        with pytest.raises(ValueError, match="no lattice"):
+            readout()
+        assert t.to_text() == text and t.reference_signs == frame
+        assert t.rng.bit_generator.state == state
 
 
 def test_direct_parity_restores_the_frame():
@@ -231,16 +239,23 @@ def test_direct_parity_leaves_every_pair_string_at_its_outcome(registered):
 
 
 def test_syndrome_flags_injected_error():
+    # the faces whose sign differs from the Pauli frame, read before and
+    # after a readout; the error sits off the string, whose readout leaves
+    # its two faces flagged
+    def flags(t):
+        return {pid for pid, sign in syndrome(t).items()
+                if sign != t.reference_signs.get(pid, sign)}
+
     lat = build_lattice(8, 6, [(1, 2, 5)])
     t = init_ground(lat, seed=4)
     t.apply_pauli(PauliString.single(lat.site_id(4, 5), "Z"))
-    res = measure_parity_direct(t, t.logicals["parity_0_1"],
-                                check_syndrome=True)
-    assert len(res.syndrome_flags) == 2
+    before = flags(t)
+    measure_parity_direct(t, t.logicals["parity_0_1"])
+    assert len(before) == 2 and flags(t) == before
     clean = init_ground(lat, seed=4)
-    res2 = measure_parity_direct(clean, clean.logicals["parity_0_1"],
-                                 check_syndrome=True)
-    assert res2.syndrome_flags == set()
+    before = flags(clean)
+    measure_parity_direct(clean, clean.logicals["parity_0_1"])
+    assert before | flags(clean) == set()
 
 
 @pytest.mark.parametrize("shape", [(10, 10, []), (14, 12, [(5, 5, 8)])],
@@ -494,16 +509,15 @@ def test_face_flips_follow_replaced_logicals():
     lat = build_lattice(8, 6, [(1, 2, 5)])
     base = init_ground(lat, seed=0)
     ctx = code_context(lat)
-    for p in lat.plaquettes:
-        ctx.face_flip(p.id, base.logicals)
+    faces = [p.id for p in lat.plaquettes]
+    ctx._face_flips(faces, base.logicals)
     t = base.copy()
     t.logicals["bracket_0"] = twist_logicals(lat, 0)[1]
     ops = all_plaquette_operators(lat)
-    for p in lat.plaquettes:
-        flip = ctx.face_flip(p.id, t.logicals)
+    for pid, flip in zip(faces, ctx._face_flips(faces, t.logicals)):
         for name, logical in t.logicals.items():
-            assert flip.commutes_with(logical), (p.id, name)
-        assert [k for k, op in enumerate(ops) if not flip.commutes_with(op)] == [p.id]
+            assert flip.commutes_with(logical), (pid, name)
+        assert [k for k, op in enumerate(ops) if not flip.commutes_with(op)] == [pid]
 
 
 @contextmanager
@@ -532,7 +546,6 @@ def test_filled_code_context_releases_its_lattice():
         measure_parity_hole(t, 0, diamond_loop(lat, 0, 3))
         measure_parity_direct(t, ctx.parity_string(0, 1))
         ctx.bracket_string(0)
-        ctx.face_flip(0, t.logicals)  # the unmemoized rule stores nothing
         assert set(ctx.store) == {
             "path", "modes", "z_logicals", "raw_parity_string",
             "raw_bracket_string", "parity_string", "bracket_string",
