@@ -56,8 +56,10 @@ class Tableau:
 
     Besides its stabilizer state a tableau carries only its registered
     ``logicals`` and its Pauli frame, ``reference_signs``. Its generator
-    ``rng`` draws the random outcomes of ``measure``; a copy shares it, so a
-    caller that wants a separate stream sets ``rng`` on the copy.
+    ``rng`` draws the random outcomes of ``measure``, one call each, and
+    those of a readout, one call for all of them (see ``_readout``); a copy
+    shares it, so a caller that wants a separate stream sets ``rng`` on the
+    copy.
     ``last_random`` tells whether the latest ``measure`` had a random outcome
     (probability 1/2) rather than a fixed one.
     """
@@ -636,10 +638,13 @@ def _pinned_ground(lat, seed, pinned_pairs, parity_string, bracket_string) -> Ta
 
 class _Program(NamedTuple):
     """A readout run once on one x/z state, with symbolic signs (see
-    ``_readout``). A form is an integer over GF(2): bit 8i is row i's start
-    sign, bit 1 the constant 1, bit 16n + k the k-th draw."""
-    signs: tuple[tuple[int, int], ...]   # each changed sign's row and form
-    bits: tuple[int, ...]                # each result bit's form
+    ``_readout``), as one matrix over GF(2): a row per output, each changed
+    sign then each result bit, and a column per variable, each start sign
+    that some output reads (``rows``), then the constant 1, then each draw.
+    """
+    matrix: np.ndarray    # uint8, (outputs, variables)
+    rows: np.ndarray      # the start-sign rows the variables read, in order
+    signs: tuple[int, ...]  # the row of each changed sign
     draws: int
     # the end x, z, cx and cz and the programs recorded from them; None if
     # the readout made no random measurement, which leaves the rows as they
@@ -653,48 +658,62 @@ def _readout(t: Tableau, plan, body) -> list[int]:
     ``body(s, draw)`` runs the readout's measurements on ``s`` with
     ``measure_signs`` and ``apply_pauli`` and returns its result bits, but
     only on a copy whose sign of row i is the variable 8i, whose
-    ``all_shots`` is the constant and whose k-th ``draw`` is a new variable:
-    every sign update is linear, so each sign and result bit is an affine
-    form of the start signs and the draws, and the x/z rows at the end are
-    the same for every shot. That run is the readout's ``_Program``, which
-    the start rows keep, keyed on its plan's identity, for every copy that
-    shares them; it dies with them. A refusal in ``body`` comes before ``t``
-    changes, and stores nothing. Each shot draws once per random
-    measurement, in order, as ``measure`` does, evaluates the forms and takes
-    the end rows, shared copy-on-write.
+    ``all_shots`` is the constant (bit 1) and whose k-th ``draw`` is the new
+    variable 16n + k: every sign update is linear, so each sign and result
+    bit is an affine form of the start signs and the draws, and the x/z rows
+    at the end are the same for every shot. That run, its forms unpacked
+    into one matrix, is the readout's ``_Program``, which the start rows
+    keep, keyed on its plan's identity, for every copy that shares them; it
+    dies with them. A refusal in ``body`` comes before ``t`` changes, and
+    stores nothing.
+
+    Each shot takes all its draws from ``t.rng`` in one call, which gives the
+    bits, and leaves the generator state, of one ``measure`` draw per random
+    measurement in order. Its outputs are the matrix times the vector of its
+    start signs, the constant and the draws, mod 2: a ``uint8`` sum wraps at
+    256, which is even, so its lowest bit is the parity. It then takes the
+    end rows, shared copy-on-write.
     """
     t._require_lone()
     if t._programs is None:
         t._programs = {}  # rows of its own: the record's copy will share them
     entry = t._programs.get(id(plan))
     if entry is None:
+        n = t.n
         s = t.copy()
-        s.r = [1 << 8 * i for i in range(2 * t.n)]
+        s.r = [1 << 8 * i for i in range(2 * n)]
         s.all_shots = 0b10
         draws = []
 
         def draw():
-            draws.append(1 << 16 * t.n + len(draws))
+            draws.append(1 << 16 * n + len(draws))
             return draws[-1]
 
-        bits = tuple(body(s, draw))
-        signs = tuple((i, form) for i, form in enumerate(s.r) if form != 1 << 8 * i)
+        bits = body(s, draw)
+        signs = [i for i, form in enumerate(s.r) if form != 1 << 8 * i]
+        width = 2 * n + -(-len(draws) // 8)
+        raw = b"".join(form.to_bytes(width, "little")
+                       for form in [s.r[i] for i in signs] + bits)
+        forms = np.unpackbits(np.frombuffer(raw, np.uint8).reshape(-1, width),
+                              axis=1, bitorder="little")
+        rows = np.flatnonzero(forms[:, :16 * n:8].any(axis=0))
+        columns = np.concatenate((8 * rows, [1], 16 * n + np.arange(len(draws))))
         end = None if s._programs is not None else (s.x, s.z, s.cx, s.cz, {})
-        program = _Program(signs, bits, len(draws), end)
+        program = _Program(forms[:, columns], rows, tuple(signs), len(draws), end)
         # the entry keeps the plan, and so its identity, alive
         t._programs[id(plan)] = plan, program
     else:
         program = entry[1]
-    drawn = 0
-    for k in range(program.draws):
-        drawn |= t._draw() << k
-    start = int.from_bytes(bytes(t.r), "little") | 0b10 | drawn << 16 * t.n
+    start = np.frombuffer(bytes(t.r), np.uint8)[program.rows]
+    # int64 draws are ``measure``'s bits; another dtype would draw others
+    drawn = t.rng.integers(2, size=program.draws, dtype=np.int64).astype(np.uint8)
+    out = (program.matrix @ np.concatenate((start, [1], drawn)) & 1).tolist()
     r = t.r
-    for i, form in program.signs:
-        r[i] = (form & start).bit_count() & 1
+    for i, bit in zip(program.signs, out):
+        r[i] = bit
     if program.end is not None:
         t.x, t.z, t.cx, t.cz, t._programs = program.end
-    return [(form & start).bit_count() & 1 for form in program.bits]
+    return out[len(program.signs):]
 
 
 def syndrome(t: Tableau) -> dict[int, int]:

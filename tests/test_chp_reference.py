@@ -19,6 +19,7 @@ import pytest
 from twistsim import mbb, tableau
 from twistsim.dense import InconsistentOutcomeError
 from twistsim.lattice import build_lattice, twist_logicals
+from twistsim.pauli import PauliString
 from twistsim.tableau import (Tableau, diamond_loop, init_ground,
                               measure_parity_direct, measure_parity_hole)
 
@@ -210,7 +211,10 @@ def test_readout_shots_match_textbook_chp(recorder, monkeypatch, name):
     # records each readout's program, the later ones evaluate it; every shot
     # must match the plan's operators run one by one on the textbook
     # simulator with the same draws: outcomes, site outcomes, repaired signs,
-    # the tableau text, the frame and the generator's state
+    # the tableau text, the frame and the generator's state. Seeds from 16 on
+    # also carry a random single-site Pauli error, which sets start signs
+    # other than the X logical's; their outcomes are the replay's, not the
+    # prepared parity
     ground, ground_ref = _ground(name, recorder)
     monkeypatch.undo()  # the readouts run outside the recorder
     lat = ground.lattice
@@ -221,7 +225,7 @@ def test_readout_shots_match_textbook_chp(recorder, monkeypatch, name):
     parity = ground.expectation_sign(string)
     face = lat.plaquette_ops[loop[0]]
     seen, repairs = collections.Counter(), set()
-    for seed in range(16):
+    for seed in range(32):
         flip = seed % 2 == 1
         t = ground.copy()
         t.rng = np.random.default_rng(seed)
@@ -229,16 +233,25 @@ def test_readout_shots_match_textbook_chp(recorder, monkeypatch, name):
         if flip:
             t.apply_pauli(x_logical)
             ref.apply_pauli(x_logical)
+        if seed >= 16:
+            where = np.random.default_rng([seed, 1])
+            error = PauliString.single(int(where.integers(lat.n_sites)),
+                                       "XYZ"[where.integers(3)])
+            t.apply_pauli(error)
+            ref.apply_pauli(error)
         t2, ref2 = t.copy(), copy.deepcopy(ref)
         out, plan = measure_parity_hole(t, 0, loop)
         want, frame = _hole_by_hand(ref, plan, lat, rng, seen)
-        assert out == want == (-parity if flip else parity)
+        assert out == want
+        if seed < 16:
+            assert out == (-parity if flip else parity)
         assert t.reference_signs == {**ground.reference_signs, **frame}
         res = measure_parity_direct(t2, string)
         direct = ctx.direct_plan(string, tuple(t2.logicals.items()))
         assert (res.outcome, res.site_outcomes, res.repaired_signs) == \
             _direct_by_hand(ref2, string, direct, rng, seen)
-        assert res.outcome == out
+        if seed < 16:
+            assert res.outcome == out
         repairs.update(res.repaired_signs.values())
         for tab, reference in ((t, ref), (t2, ref2)):
             assert tab.to_text() == reference.to_text()

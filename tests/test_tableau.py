@@ -1173,6 +1173,34 @@ def test_copy_shares_the_generator_until_one_is_set():
     assert t.last_random and c.rng.bit_generator.state != state
 
 
+@pytest.mark.parametrize("k", [0, 1, 26, 35])
+def test_one_batched_draw_gives_the_single_draws(k):
+    # a readout shot takes its k draws in one call (see ``tableau._readout``)
+    # where ``Tableau.measure`` takes one per random outcome: numpy must give
+    # the same bits, in order, and leave the same generator state
+    for seed in range(50):
+        single, batched = np.random.default_rng(seed), np.random.default_rng(seed)
+        bits = [int(single.integers(2)) for _ in range(k)]
+        assert batched.integers(2, size=k, dtype=np.int64).tolist() == bits, seed
+        assert batched.bit_generator.state == single.bit_generator.state, seed
+
+
+def test_a_readout_without_a_random_outcome_draws_nothing():
+    # a plaquette of the ground is fixed at +1: the program has no draw, and
+    # neither the shot that records it nor a later one moves the generator
+    t = init_ground(build_lattice(8, 6, [(1, 2, 5)]), seed=3)
+    face = t.lattice.plaquette_ops[0]
+    plan = object()  # a program is keyed on its plan's identity
+    for _ in range(2):
+        s = t.copy()
+        state = s.rng.bit_generator.state
+        assert tableau._readout(
+            s, plan, lambda u, draw: [u.measure_signs(face, draw)]) == [0]
+        assert s.rng.bit_generator.state == state
+        assert s.to_text() == t.to_text()
+    assert t._programs[id(plan)][1].draws == 0
+
+
 def _per_row_text(t: Tableau) -> str:
     """``to_text`` row by row, each letter read from ``row_operator``."""
     lines = [f"twistsim-tableau v1 n={t.n}"]
