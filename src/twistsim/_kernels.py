@@ -32,12 +32,13 @@ NUMBA_ENABLED = False
 
 
 def set_bits(v: int) -> list[int]:
-    """Indices of the set bits of ``v``, ascending."""
+    """Indices of the set bits of ``v``, ascending; walked from the highest."""
     out = []
     while v:
-        low = v & -v
-        out.append(low.bit_length() - 1)
-        v ^= low
+        j = v.bit_length() - 1
+        out.append(j)
+        v ^= 1 << j
+    out.reverse()
     return out
 
 

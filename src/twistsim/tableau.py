@@ -22,7 +22,7 @@ soon as the job drops it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import wraps
+from functools import reduce, wraps
 from typing import NamedTuple
 
 import numpy as np
@@ -638,14 +638,14 @@ def _pinned_ground(lat, seed, pinned_pairs, parity_string, bracket_string) -> Ta
 
 class _Program(NamedTuple):
     """A readout run once on one x/z state, with symbolic signs (see
-    ``_readout``), as one matrix over GF(2): a row per output, each changed
-    sign then each result bit, and a column per variable, each start sign
-    that some output reads (``rows``), then the constant 1, then each draw.
-    """
-    matrix: np.ndarray    # uint8, (outputs, variables)
-    rows: np.ndarray      # the start-sign rows the variables read, in order
+    ``_readout``), as an integer column per variable, each start sign that
+    some output reads, the constant 1 and each draw: byte k of a column is
+    output k's coefficient, each changed sign then each result bit."""
+    starts: tuple[tuple[int, int], ...]  # (row, column) per start sign read
+    constant: int           # the constant's column
+    draws: tuple[int, ...]  # the column of each draw, in order
     signs: tuple[int, ...]  # the row of each changed sign
-    draws: int
+    outputs: int
     # the end x, z, cx and cz and the programs recorded from them; None if
     # the readout made no random measurement, which leaves the rows as they
     # were
@@ -661,18 +661,17 @@ def _readout(t: Tableau, plan, body) -> list[int]:
     ``all_shots`` is the constant (bit 1) and whose k-th ``draw`` is the new
     variable 16n + k: every sign update is linear, so each sign and result
     bit is an affine form of the start signs and the draws, and the x/z rows
-    at the end are the same for every shot. That run, its forms unpacked
-    into one matrix, is the readout's ``_Program``, which the start rows
-    keep, keyed on its plan's identity, for every copy that shares them; it
-    dies with them. A refusal in ``body`` comes before ``t`` changes, and
-    stores nothing.
+    at the end are the same for every shot. That run, its forms transposed
+    into columns, is the readout's ``_Program``, which the start rows keep,
+    keyed on its plan's identity, for every copy that shares them; it dies
+    with them. A refusal in ``body`` comes before ``t`` changes, and stores
+    nothing.
 
     Each shot takes all its draws from ``t.rng`` in one call, which gives the
     bits, and leaves the generator state, of one ``measure`` draw per random
-    measurement in order. Its outputs are the matrix times the vector of its
-    start signs, the constant and the draws, mod 2: a ``uint8`` sum wraps at
-    256, which is even, so its lowest bit is the parity. It then takes the
-    end rows, shared copy-on-write.
+    measurement in order. Its outputs, a byte each, are the XOR of the
+    columns of the constant and of its start signs and draws that are 1. It
+    then takes the end rows, shared copy-on-write.
     """
     t._require_lone()
     if t._programs is None:
@@ -681,7 +680,8 @@ def _readout(t: Tableau, plan, body) -> list[int]:
     if entry is None:
         n = t.n
         s = t.copy()
-        s.r = [1 << 8 * i for i in range(2 * n)]
+        start = [1 << 8 * i for i in range(2 * n)]
+        s.r = list(start)
         s.all_shots = 0b10
         draws = []
 
@@ -690,30 +690,39 @@ def _readout(t: Tableau, plan, body) -> list[int]:
             return draws[-1]
 
         bits = body(s, draw)
-        signs = [i for i, form in enumerate(s.r) if form != 1 << 8 * i]
+        signs = [i for i, form in enumerate(s.r) if form != start[i]]
+        forms = [s.r[i] for i in signs] + bits
+        # byte k of the column of the variable at bit v is bit v of form k
         width = 2 * n + -(-len(draws) // 8)
-        raw = b"".join(form.to_bytes(width, "little")
-                       for form in [s.r[i] for i in signs] + bits)
-        forms = np.unpackbits(np.frombuffer(raw, np.uint8).reshape(-1, width),
-                              axis=1, bitorder="little")
-        rows = np.flatnonzero(forms[:, :16 * n:8].any(axis=0))
-        columns = np.concatenate((8 * rows, [1], 16 * n + np.arange(len(draws))))
+        raw = b"".join(form.to_bytes(width, "little") for form in forms)
+        ones = int.from_bytes(b"\1" * len(forms), "little")
+        columns = {v: int.from_bytes(raw[v >> 3::width], "little") >> (v & 7) & ones
+                   for v in _kernels.set_bits(reduce(int.__or__, forms))}
+        constant = columns.pop(1, 0)
+        draw_columns = tuple(columns.pop(16 * n + k, 0) for k in range(len(draws)))
         end = None if s._programs is not None else (s.x, s.z, s.cx, s.cz, {})
-        program = _Program(forms[:, columns], rows, tuple(signs), len(draws), end)
+        program = _Program(tuple((v >> 3, c) for v, c in columns.items()),
+                           constant, draw_columns, tuple(signs), len(forms), end)
         # the entry keeps the plan, and so its identity, alive
         t._programs[id(plan)] = plan, program
     else:
         program = entry[1]
-    start = np.frombuffer(bytes(t.r), np.uint8)[program.rows]
-    # int64 draws are ``measure``'s bits; another dtype would draw others
-    drawn = t.rng.integers(2, size=program.draws, dtype=np.int64).astype(np.uint8)
-    out = (program.matrix @ np.concatenate((start, [1], drawn)) & 1).tolist()
     r = t.r
+    acc = program.constant
+    for i, column in program.starts:
+        if r[i]:
+            acc ^= column
+    # int64 draws are ``measure``'s bits; another dtype would draw others
+    drawn = t.rng.integers(2, size=len(program.draws), dtype=np.int64).tolist()
+    for bit, column in zip(drawn, program.draws):
+        if bit:
+            acc ^= column
+    out = acc.to_bytes(program.outputs, "little")
     for i, bit in zip(program.signs, out):
         r[i] = bit
     if program.end is not None:
         t.x, t.z, t.cx, t.cz, t._programs = program.end
-    return out[len(program.signs):]
+    return list(out[len(program.signs):])
 
 
 def syndrome(t: Tableau) -> dict[int, int]:

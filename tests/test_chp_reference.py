@@ -214,7 +214,9 @@ def test_readout_shots_match_textbook_chp(recorder, monkeypatch, name):
     # the tableau text, the frame and the generator's state. Seeds from 16 on
     # also carry a random single-site Pauli error, which sets start signs
     # other than the X logical's; their outcomes are the replay's, not the
-    # prepared parity
+    # prepared parity. From seed 32 on every start sign is random, one
+    # generator setting it on both simulators, so each start sign that a
+    # program reads is 1 on some shot
     ground, ground_ref = _ground(name, recorder)
     monkeypatch.undo()  # the readouts run outside the recorder
     lat = ground.lattice
@@ -224,8 +226,8 @@ def test_readout_shots_match_textbook_chp(recorder, monkeypatch, name):
     _, x_logical = twist_logicals(lat, 0)
     parity = ground.expectation_sign(string)
     face = lat.plaquette_ops[loop[0]]
-    seen, repairs = collections.Counter(), set()
-    for seed in range(32):
+    seen, repairs, random_starts = collections.Counter(), set(), []
+    for seed in range(48):
         flip = seed % 2 == 1
         t = ground.copy()
         t.rng = np.random.default_rng(seed)
@@ -239,6 +241,10 @@ def test_readout_shots_match_textbook_chp(recorder, monkeypatch, name):
                                        "XYZ"[where.integers(3)])
             t.apply_pauli(error)
             ref.apply_pauli(error)
+        if seed >= 32:
+            signs = np.random.default_rng([seed, 2]).integers(2, size=2 * lat.n_sites)
+            t.r, ref.r[:-1] = signs.tolist(), signs.astype(bool)
+            random_starts.append(signs)
         t2, ref2 = t.copy(), copy.deepcopy(ref)
         out, plan = measure_parity_hole(t, 0, loop)
         want, frame = _hole_by_hand(ref, plan, lat, rng, seen)
@@ -264,6 +270,10 @@ def test_readout_shots_match_textbook_chp(recorder, monkeypatch, name):
             t.measure(face, force=-t.expectation_sign(face))
         assert _rows_and_signs(t) == before
     assert seen["random"] and seen["fixed"] and repairs == {-1, 1}
+    programs = [program for _, program in ground._programs.values()]
+    assert len(programs) == 2
+    assert all(any(signs[i] for signs in random_starts)
+               for program in programs for i, _ in program.starts)
 
 
 # -- the braid sampler ---------------------------------------------------------

@@ -1198,7 +1198,7 @@ def test_a_readout_without_a_random_outcome_draws_nothing():
             s, plan, lambda u, draw: [u.measure_signs(face, draw)]) == [0]
         assert s.rng.bit_generator.state == state
         assert s.to_text() == t.to_text()
-    assert t._programs[id(plan)][1].draws == 0
+    assert t._programs[id(plan)][1].draws == ()
 
 
 def _per_row_text(t: Tableau) -> str:
